@@ -17,7 +17,7 @@ func TestPublicCheckpointRecover(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
-		db.Drain(5 * time.Second)
+		mustDrain(t, db, 5*time.Second)
 	}
 	cp, err := db.Checkpoint(10 * time.Second)
 	if err != nil {
@@ -37,7 +37,7 @@ func TestPublicCheckpointRecover(t *testing.T) {
 	if err := db2.ExecWait(0, &OpProc{Reads: []Key{MakeKey(0, 1)}, Writes: []Key{MakeKey(0, 1)}, Value: []byte("post")}); err != nil {
 		t.Fatal(err)
 	}
-	db2.Drain(5 * time.Second)
+	mustDrain(t, db2, 5*time.Second)
 	if v, _ := db2.Read(MakeKey(0, 1)); string(v) != "post" {
 		t.Fatalf("post-recovery write = %q", v)
 	}

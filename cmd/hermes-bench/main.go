@@ -40,87 +40,8 @@ func main() {
 		seed    = flag.Int64("seed", 0, "override random seed")
 		exec    = flag.String("exec", "", "execution backend for experiments: lock, queue, or both (fig7 prints modes side by side)")
 		report  = flag.String("report", "", "write a JSON run report (per-window series, breakdowns, telemetry gauges) to this file")
-
-		cluster  = flag.Bool("cluster", false, "run the multi-process cluster bench (real hermesd processes over TCP) instead of an experiment")
-		traceOut = flag.String("trace-out", "", "cluster bench: write a Perfetto/Chrome trace-event JSON of the run (open in ui.perfetto.dev)")
-		cTxns    = flag.Int("cluster-txns", 1200, "cluster bench: transactions")
-		cBatch   = flag.Int("cluster-batch", 25, "cluster bench: sequencer batch size")
-		cPolicy  = flag.String("cluster-policy", "hermes", "cluster bench: routing policy")
-		cLoad    = flag.String("cluster-workload", "ycsb", "cluster bench: workload kind (ycsb|hotspot)")
-		cWorkers = flag.Int("cluster-workers", 3, "cluster bench: worker processes")
-		cWAN     = flag.Bool("cluster-wan", false, "cluster bench: also replay the workload under the seeded WAN fault profile (asymmetric latency + partition/heal) and gate on its twin match")
-
-		execBench = flag.Bool("execbench", false, "run the lock-vs-queue hotspot twin bench instead of an experiment")
-		ebTxns    = flag.Int("execbench-txns", 65536, "execbench: transactions (rounded up to a batch multiple)")
-		ebTrials  = flag.Int("execbench-trials", 5, "execbench: trials per mode (the median-throughput trial is reported)")
-		ebHot     = flag.Float64("execbench-hot", 0.98, "execbench: fraction of single-hot-key transactions")
-		ebSpeedup = flag.Float64("execbench-min-speedup", 1.5, "execbench: minimum queue/lock commit-throughput ratio")
-		ebReduce  = flag.Float64("execbench-min-reduction", 5, "execbench: minimum lock-wait reduction (lock/queue)")
-
-		durableBench = flag.Bool("durablebench", false, "run the fsync-policy cluster bench (none/batch/always) instead of an experiment")
-		dbTxns       = flag.Int("durablebench-txns", 4000, "durablebench: transactions per trial")
-		dbTrials     = flag.Int("durablebench-trials", 3, "durablebench: trials per fsync policy (median-throughput trial reported)")
-		dbWorkers    = flag.Int("durablebench-workers", 3, "durablebench: worker processes")
-		dbBatch      = flag.Int("durablebench-batch", 25, "durablebench: sequencer batch size")
-		dbRatio      = flag.Float64("durablebench-min-ratio", 0.70, "durablebench: minimum batch/none commit-throughput ratio")
 	)
 	flag.Parse()
-
-	if *execBench {
-		o := execBenchOpts{
-			nodes: 4, rows: 4096, txns: *ebTxns, batch: 256,
-			trials: *ebTrials, hotFraction: *ebHot, seed: 7,
-			minSpeedup: *ebSpeedup, minReduction: *ebReduce, out: *report,
-		}
-		if *nodes > 0 {
-			o.nodes = *nodes
-		}
-		if *rows > 0 {
-			o.rows = *rows
-		}
-		if *seed != 0 {
-			o.seed = *seed
-		}
-		if !runExecBench(o) {
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *durableBench {
-		o := durableOpts{
-			workers: *dbWorkers, rows: 4000, txns: *dbTxns, batch: *dbBatch,
-			trials: *dbTrials, seed: 42, minRatio: *dbRatio, out: *report,
-		}
-		if *rows > 0 {
-			o.rows = *rows
-		}
-		if *seed != 0 {
-			o.seed = *seed
-		}
-		if !runDurableBench(o) {
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *cluster {
-		o := clusterOpts{
-			workers: *cWorkers, rows: 4000, txns: *cTxns, batch: *cBatch,
-			policy: *cPolicy, workload: *cLoad, seed: 42, out: *report,
-			traceOut: *traceOut, wan: *cWAN,
-		}
-		if *rows > 0 {
-			o.rows = *rows
-		}
-		if *seed != 0 {
-			o.seed = *seed
-		}
-		if !runClusterBench(o) {
-			os.Exit(1)
-		}
-		return
-	}
 
 	if *list {
 		fmt.Println("experiments:", strings.Join(experiments.Names(), " "))

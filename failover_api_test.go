@@ -58,9 +58,7 @@ func TestLeaderFailoverPublicAPI(t *testing.T) {
 		t.Fatal(err)
 	}
 	inc(32, 48)
-	if !db.Drain(10 * time.Second) {
-		t.Fatal("drain failed")
-	}
+	mustDrain(t, db, 10*time.Second)
 
 	var sum int
 	for i := 0; i < rows; i++ {

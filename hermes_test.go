@@ -55,9 +55,7 @@ func TestAllPoliciesEndToEnd(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if !db.Drain(10 * time.Second) {
-				t.Fatal("drain failed")
-			}
+			mustDrain(t, db, 10*time.Second)
 			for _, k := range []Key{k1, k2} {
 				v, ok := db.Read(k)
 				if !ok || v[0] != 10 {
@@ -86,7 +84,7 @@ func TestStatsPopulated(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	db.Drain(5 * time.Second)
+	mustDrain(t, db, 5*time.Second)
 	st := db.Stats()
 	if st.Committed != 20 || len(st.Throughput) == 0 {
 		t.Fatalf("stats = %+v", st)
@@ -112,9 +110,7 @@ func TestProvisionAndMigrateAPI(t *testing.T) {
 	if err := db.Migrate(keys, 2, 20); err != nil {
 		t.Fatal(err)
 	}
-	if !db.Drain(10 * time.Second) {
-		t.Fatal("drain failed")
-	}
+	mustDrain(t, db, 10*time.Second)
 	if got := db.Cluster().Node(2).Store().Len(); got != 50 {
 		t.Fatalf("migrated records on new node = %d, want 50", got)
 	}
@@ -122,7 +118,7 @@ func TestProvisionAndMigrateAPI(t *testing.T) {
 	if err := db.ExecWait(0, &OpProc{Reads: []Key{keys[0]}, Writes: []Key{keys[0]}, Value: []byte("after-scale-out")}); err != nil {
 		t.Fatal(err)
 	}
-	db.Drain(5 * time.Second)
+	mustDrain(t, db, 5*time.Second)
 	if v, ok := db.Read(keys[0]); !ok || string(v) != "after-scale-out" {
 		t.Fatalf("read after migration = %q,%v", v, ok)
 	}
@@ -141,7 +137,7 @@ func TestDeterministicFingerprint(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		db.Drain(10 * time.Second)
+		mustDrain(t, db, 10*time.Second)
 		return db.Fingerprint()
 	}
 	if a, b := run(), run(); a != b {
@@ -168,4 +164,13 @@ func ExampleOpen() {
 	v, _ := db.Read(MakeKey(0, 900))
 	fmt.Println(string(v))
 	// Output: fused
+}
+
+// mustDrain fails the test with the engine's diagnosis of what the quiesce
+// is stuck behind if db does not drain within timeout.
+func mustDrain(t testing.TB, db *DB, timeout time.Duration) {
+	t.Helper()
+	if err := db.cluster.DrainDetail(timeout); err != nil {
+		t.Fatal(err)
+	}
 }

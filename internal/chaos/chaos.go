@@ -222,9 +222,6 @@ func Wrap(inner network.Transport, sched Schedule, clk clock.Clock) *Transport {
 	}
 }
 
-// Schedule returns the wrapper's fault schedule.
-func (t *Transport) Schedule() Schedule { return t.sched }
-
 // Faults reports how many messages received an injected delay and the
 // total injected delay so far — harness sanity checks use it to prove a
 // schedule actually exercised the system.

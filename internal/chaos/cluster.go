@@ -43,8 +43,7 @@ func (s ClusterSchedule) String() string {
 // bidirectional partition between the groups that heals after heal, and
 // one SIGKILL of worker 2 mid-run for the supervisor alone to repair.
 // intra/cross/jitter scale the latencies: the CI gate uses small values so
-// the run stays fast under -race, the WAN bench uses realistic
-// 5ms/40ms figures.
+// the run stays fast under -race.
 func ClusterWANKillSchedule(seed int64, intra, cross, jitter, heal time.Duration) ClusterSchedule {
 	regions := [][]int{{0}, {1, 2}}
 	return ClusterSchedule{
@@ -60,25 +59,5 @@ func ClusterWANKillSchedule(seed int64, intra, cross, jitter, heal time.Duration
 			},
 		},
 		Kills: []ClusterKill{{Worker: 2, AfterFrac: 0.3}},
-	}
-}
-
-// ClusterWANSchedule is the kill-free WAN profile used by the cluster
-// bench: the same asymmetric latency groups and partition/heal cycle, but
-// no process faults, so throughput under degraded networking is measured
-// against the same workload rather than against restarts.
-func ClusterWANSchedule(seed int64, intra, cross, jitter, heal time.Duration) ClusterSchedule {
-	regions := [][]int{{0}, {1, 2}}
-	return ClusterSchedule{
-		Name: "wan-partition",
-		Net: &netchaos.Schedule{
-			Name:  "wan-partition",
-			Seed:  seed,
-			Rules: netchaos.WANProfile(regions, intra, cross, jitter),
-			Events: []netchaos.Event{
-				{At: 400 * time.Millisecond, Partition: &netchaos.Partition{
-					A: []int{0}, B: []int{1, 2}, For: heal}},
-			},
-		},
 	}
 }

@@ -417,7 +417,7 @@ func routingBatches(rng *rand.Rand, rows uint64, bsize, pool int) [][]*tx.Reques
 
 func BenchmarkPrescientRouting(b *testing.B) {
 	// n = 20, b = 1000 is the §3.2.4 setting; the smaller variants track
-	// the cost curve scripts/bench.sh records in BENCH_routing.json.
+	// the cost curve.
 	for _, n := range []int{4, 20} {
 		for _, bsize := range []int{100, 1000} {
 			b.Run(fmt.Sprintf("n=%d/b=%d", n, bsize), func(b *testing.B) {

@@ -17,9 +17,7 @@ func workloadPhase(t *testing.T, c *Cluster, lo, hi int) {
 		if err := c.SubmitAndWait(tx.NodeID(i%2), incProc(k1, k2)); err != nil {
 			t.Fatal(err)
 		}
-		if !c.Drain(10 * time.Second) {
-			t.Fatal("drain failed")
-		}
+		mustDrain(t, c, 10*time.Second)
 	}
 }
 
@@ -65,9 +63,7 @@ func TestCheckpointRecoverIdentity(t *testing.T) {
 	if err := c2.SubmitAndWait(0, incProc(tx.MakeKey(0, 5))); err != nil {
 		t.Fatal(err)
 	}
-	if !c2.Drain(10 * time.Second) {
-		t.Fatal("post-recovery drain failed")
-	}
+	mustDrain(t, c2, 10*time.Second)
 	v, ok := c2.ReadRecord(tx.MakeKey(0, 5))
 	if !ok {
 		t.Fatal("record missing after recovery")
@@ -135,9 +131,7 @@ func TestCheckpointPreservesFusionState(t *testing.T) {
 		if err := c.SubmitAndWait(0, incProc(kA, kB)); err != nil {
 			t.Fatal(err)
 		}
-		if !c.Drain(10 * time.Second) {
-			t.Fatal("drain failed")
-		}
+		mustDrain(t, c, 10*time.Second)
 	}
 	origFusion := c.nodes[0].policy.Placement().Fusion.Fingerprint()
 	if c.nodes[0].policy.Placement().Fusion.Len() == 0 {

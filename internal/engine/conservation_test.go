@@ -138,9 +138,7 @@ func TestStorageConservationAcrossMigrations(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if !c.Drain(30 * time.Second) {
-				t.Fatalf("did not drain (pending=%d)", c.Pending())
-			}
+			mustDrain(t, c, 30*time.Second)
 			if got := c.TotalRecords(); got != wantRecords {
 				t.Fatalf("record count not conserved: %d, want %d", got, wantRecords)
 			}

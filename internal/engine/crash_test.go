@@ -78,9 +78,7 @@ func crashWorkload(t *testing.T, c *Cluster, txns int, crash bool) {
 			t.Fatalf("transaction %d never completed", i)
 		}
 	}
-	if !c.Drain(30 * time.Second) {
-		t.Fatal("drain failed")
-	}
+	mustDrain(t, c, 30*time.Second)
 }
 
 // TestCrashRestartMatchesUninterrupted is the live §4.3 claim: killing a
@@ -191,9 +189,7 @@ func TestClusterCloseLeaksNothing(t *testing.T) {
 	if err := c.SubmitAndWait(0, incProc(tx.MakeKey(0, 3), tx.MakeKey(0, 150))); err != nil {
 		t.Fatal(err)
 	}
-	if !c.Drain(10 * time.Second) {
-		t.Fatal("drain failed")
-	}
+	mustDrain(t, c, 10*time.Second)
 	c.Stop()
 	// The leader's flush timer may outlive Stop by one Interval (2ms);
 	// leaktest's drain loop absorbs that.

@@ -713,9 +713,12 @@ func (c *Cluster) completeTxn(req *tx.Request) {
 // to release the client.
 func (c *Cluster) complete(id tx.TxnID) {
 	c.mu.Lock()
-	ch, ok := c.pending[id]
-	if ok {
+	defer c.mu.Unlock()
+	if ch, ok := c.pending[id]; ok {
 		delete(c.pending, id)
+		// Closed under mu: whoever reads Pending() == 0 (Drain) may rely on
+		// every client having been released.
+		close(ch)
 	} else if c.distributed && id > c.lastAssigned {
 		// The notice beat the local scheduler to the batch that assigns
 		// this ID; registration will find it here and release the client.
@@ -723,10 +726,6 @@ func (c *Cluster) complete(id tx.TxnID) {
 			c.earlyDone = make(map[tx.TxnID]struct{})
 		}
 		c.earlyDone[id] = struct{}{}
-	}
-	c.mu.Unlock()
-	if ok {
-		close(ch)
 	}
 }
 
@@ -776,7 +775,6 @@ func (c *Cluster) registerAssigned(req *tx.Request) {
 // perform the same correlation.
 func (c *Cluster) registerAssignedDistributed(req *tx.Request) {
 	found := false
-	var done chan struct{}
 	c.mu.Lock()
 	if req.ID > c.lastAssigned {
 		c.lastAssigned = req.ID
@@ -791,16 +789,13 @@ func (c *Cluster) registerAssignedDistributed(req *tx.Request) {
 				// MsgTxnDone arrived before this batch was scheduled here;
 				// release the client now instead of parking the waiter.
 				delete(c.earlyDone, req.ID)
-				done = ch
+				close(ch)
 			} else {
 				c.pending[req.ID] = ch
 			}
 		}
 	}
 	c.mu.Unlock()
-	if done != nil {
-		close(done)
-	}
 	if fe := c.fes[req.Client]; fe != nil {
 		fe.Sequenced(req)
 	}
@@ -873,6 +868,9 @@ func (c *Cluster) quiesceCheck() error {
 			continue // frozen until RestartNode catches it up
 		}
 		if got := n.Scheduled(); got != nextSeq {
+			if r := n.refusal(); r != "" {
+				return fmt.Errorf("%s (sealed stream at %d)", r, nextSeq)
+			}
 			return fmt.Errorf("node %d stuck at batch %d (sealed stream at %d)", n.id, got, nextSeq)
 		}
 		if q := n.locks.QueuedKeys(); q != 0 {

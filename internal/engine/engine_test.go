@@ -48,6 +48,15 @@ func newTestCluster(t *testing.T, nodes int, pf PolicyFactory) *Cluster {
 	return c
 }
 
+// mustDrain fails the test with DrainDetail's diagnosis of what the quiesce
+// is stuck behind if c does not drain within timeout.
+func mustDrain(t testing.TB, c *Cluster, timeout time.Duration) {
+	t.Helper()
+	if err := c.DrainDetail(timeout); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func loadCounters(c *Cluster, rows int) {
 	for i := 0; i < rows; i++ {
 		v := make([]byte, 8)
@@ -86,9 +95,7 @@ func TestSingleTxnAllPolicies(t *testing.T) {
 			if err := c.SubmitAndWait(0, incProc(k1, k2)); err != nil {
 				t.Fatal(err)
 			}
-			if !c.Drain(5 * time.Second) {
-				t.Fatal("cluster did not drain")
-			}
+			mustDrain(t, c, 5*time.Second)
 			for _, k := range []tx.Key{k1, k2} {
 				v, ok := c.ReadRecord(k)
 				if !ok || counterVal(v) != 1 {
@@ -123,9 +130,7 @@ func TestSerializableCounters(t *testing.T) {
 				}
 				waits = append(waits, done)
 			}
-			if !c.Drain(20 * time.Second) {
-				t.Fatalf("cluster did not drain (pending=%d)", c.Pending())
-			}
+			mustDrain(t, c, 20*time.Second)
 			for _, w := range waits {
 				select {
 				case <-w:
@@ -167,9 +172,7 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 					}
 					// Submit in strict sequence so the total order is
 					// identical between runs.
-					if !c.Drain(10 * time.Second) {
-						t.Fatal("drain failed")
-					}
+					mustDrain(t, c, 10*time.Second)
 				}
 				return c.Fingerprint()
 			}
@@ -193,9 +196,7 @@ func TestFusionReplicasAgree(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if !c.Drain(20 * time.Second) {
-		t.Fatal("drain failed")
-	}
+	mustDrain(t, c, 20*time.Second)
 	var want uint64
 	for i, id := range c.order {
 		f := c.nodes[id].policy.Placement().Fusion
@@ -227,9 +228,7 @@ func TestMatchesSerialExecution(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if !c.Drain(20 * time.Second) {
-				t.Fatal("drain failed")
-			}
+			mustDrain(t, c, 20*time.Second)
 			// Serial replay: increments commute here, so order-independent
 			// expected values suffice.
 			expect := map[tx.Key]uint64{}
@@ -266,9 +265,7 @@ func TestLogicAbortRollsBackButMigrates(t *testing.T) {
 	if err := c.SubmitAndWait(0, abortProc); err != nil {
 		t.Fatal(err)
 	}
-	if !c.Drain(5 * time.Second) {
-		t.Fatal("drain failed")
-	}
+	mustDrain(t, c, 5*time.Second)
 	if c.Collector().Aborted() != 1 {
 		t.Fatalf("Aborted = %d, want 1", c.Collector().Aborted())
 	}
@@ -293,7 +290,7 @@ func TestLogicAbortRollsBackButMigrates(t *testing.T) {
 	if err := c.SubmitAndWait(0, incProc(kLocal, kRemote)); err != nil {
 		t.Fatal(err)
 	}
-	c.Drain(5 * time.Second)
+	mustDrain(t, c, 5*time.Second)
 	if v, _ := c.ReadRecord(kRemote); counterVal(v) != 1 {
 		t.Fatalf("post-abort increment = %d, want 1", counterVal(v))
 	}
@@ -311,9 +308,7 @@ func TestColdMigrationMovesRange(t *testing.T) {
 	if err := c.SubmitAndWait(0, &tx.MigrationProc{Keys: keys, To: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if !c.Drain(5 * time.Second) {
-		t.Fatal("drain failed")
-	}
+	mustDrain(t, c, 5*time.Second)
 	for _, k := range keys {
 		if _, ok := c.nodes[1].store.Read(k); !ok {
 			t.Fatalf("key %v not at destination", k)
@@ -332,7 +327,7 @@ func TestColdMigrationMovesRange(t *testing.T) {
 	if err := c.SubmitAndWait(0, incProc(keys[0], keys[9])); err != nil {
 		t.Fatal(err)
 	}
-	c.Drain(5 * time.Second)
+	mustDrain(t, c, 5*time.Second)
 	if v, _ := c.ReadRecord(keys[0]); counterVal(v) != 1 {
 		t.Fatalf("post-migration increment lost: %d", counterVal(v))
 	}
@@ -376,9 +371,7 @@ func TestScaleOutProvisioning(t *testing.T) {
 	if err := c.SubmitAndWait(0, &tx.MigrationProc{Keys: keys, To: 2}); err != nil {
 		t.Fatal(err)
 	}
-	if !c.Drain(10 * time.Second) {
-		t.Fatal("drain failed")
-	}
+	mustDrain(t, c, 10*time.Second)
 	if got := c.nodes[2].store.Len(); got != 20 {
 		t.Fatalf("new node has %d records, want 20", got)
 	}
@@ -389,9 +382,7 @@ func TestScaleOutProvisioning(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if !c.Drain(10 * time.Second) {
-		t.Fatal("drain failed")
-	}
+	mustDrain(t, c, 10*time.Second)
 	var sum uint64
 	for _, k := range keys {
 		v, _ := c.ReadRecord(k)
@@ -416,9 +407,7 @@ func TestConsolidationRemovesNode(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if !c.Drain(10 * time.Second) {
-		t.Fatal("drain failed")
-	}
+	mustDrain(t, c, 10*time.Second)
 	done, err := c.Provision(nil, []tx.NodeID{2})
 	if err != nil {
 		t.Fatal(err)
@@ -436,9 +425,7 @@ func TestConsolidationRemovesNode(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if !c.Drain(10 * time.Second) {
-		t.Fatal("drain failed")
-	}
+	mustDrain(t, c, 10*time.Second)
 	if got := c.nodes[2].store.Len(); got != 0 {
 		t.Fatalf("removed node still has %d records", got)
 	}
@@ -451,9 +438,7 @@ func TestConsolidationRemovesNode(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if !c.Drain(10 * time.Second) {
-		t.Fatal("drain failed")
-	}
+	mustDrain(t, c, 10*time.Second)
 	v, ok := c.ReadRecord(hot[0])
 	if !ok || counterVal(v) != 30 {
 		t.Fatalf("hot counter = %d, want 30", counterVal(v))
@@ -475,9 +460,7 @@ func TestRecoveryFromCommandLog(t *testing.T) {
 			if _, err := c.Submit(tx.NodeID(i%2), incProc(k1, k2)); err != nil {
 				t.Fatal(err)
 			}
-			if !c.Drain(10 * time.Second) {
-				t.Fatal("drain failed")
-			}
+			mustDrain(t, c, 10*time.Second)
 		}
 	}
 	submitPhase(c, 0, 20)
@@ -520,9 +503,7 @@ func TestRecoveryFromCommandLog(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if !c2.Drain(10 * time.Second) {
-			t.Fatal("replay drain failed")
-		}
+		mustDrain(t, c2, 10*time.Second)
 	}
 	if got := c2.Fingerprint(); got != want {
 		t.Fatalf("recovered state %x != original %x", got, want)
@@ -536,7 +517,7 @@ func TestNetworkBytesAccounted(t *testing.T) {
 	if err := c.SubmitAndWait(0, incProc(tx.MakeKey(0, 1), tx.MakeKey(0, 150))); err != nil {
 		t.Fatal(err)
 	}
-	c.Drain(5 * time.Second)
+	mustDrain(t, c, 5*time.Second)
 	msgs, bytes := c.NetStats().Totals()
 	if msgs == 0 || bytes == 0 {
 		t.Fatalf("no network accounting: %d msgs %d bytes", msgs, bytes)
@@ -552,9 +533,7 @@ func TestLatencyBreakdownPopulated(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if !c.Drain(10 * time.Second) {
-		t.Fatal("drain failed")
-	}
+	mustDrain(t, c, 10*time.Second)
 	bd := c.Collector().AvgBreakdown()
 	if bd.Total() <= 0 {
 		t.Fatalf("empty breakdown: %+v", bd)
@@ -595,9 +574,7 @@ func TestThroughputUnderLoadAllPolicies(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if !c.Drain(30 * time.Second) {
-				t.Fatalf("%s did not drain %d txns (pending=%d)", name, txns, c.Pending())
-			}
+			mustDrain(t, c, 30*time.Second)
 			if got := c.Collector().Committed(); got != txns {
 				t.Fatalf("Committed = %d, want %d", got, txns)
 			}

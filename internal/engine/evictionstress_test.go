@@ -55,7 +55,11 @@ func TestFusionEvictionStress(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if !c.Drain(15 * time.Second) {
+	// On a failed drain, dump the route and lock state of whatever is stuck.
+	defer func() {
+		if !t.Failed() {
+			return
+		}
 		c.mu.Lock()
 		var stuck []tx.TxnID
 		for id := range c.pending {
@@ -63,6 +67,7 @@ func TestFusionEvictionStress(t *testing.T) {
 		}
 		c.mu.Unlock()
 		mu.Lock()
+		defer mu.Unlock()
 		for _, id := range stuck {
 			rt := routes[id]
 			if rt == nil {
@@ -75,7 +80,6 @@ func TestFusionEvictionStress(t *testing.T) {
 				t.Logf("  node %d holding=%v", nid, n.locks.Holding(id))
 			}
 		}
-		mu.Unlock()
-		t.Fatalf("pending=%d", c.Pending())
-	}
+	}()
+	mustDrain(t, c, 15*time.Second)
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"hermes/internal/network"
 	"hermes/internal/sequencer"
 	"hermes/internal/tx"
 )
@@ -83,9 +84,7 @@ func failoverWorkload(t *testing.T, c *Cluster, txns int, kill bool) {
 			t.Fatalf("transaction %d never completed", i)
 		}
 	}
-	if err := c.DrainDetail(30 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	mustDrain(t, c, 30*time.Second)
 }
 
 // TestLeaderFailoverMatchesUninterrupted is the tentpole claim: killing
@@ -157,9 +156,7 @@ func TestLeaderFailoverBackToBack(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if err := c.DrainDetail(30 * time.Second); err != nil {
-			t.Fatal(err)
-		}
+		mustDrain(t, c, 30*time.Second)
 	}
 	for round := 0; round < 2; round++ {
 		submit(round * 8)
@@ -280,7 +277,66 @@ func TestDrainDetailNamesStuckNode(t *testing.T) {
 	if err := c.RestartNode(1); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.DrainDetail(30 * time.Second); err != nil {
+	mustDrain(t, c, 30*time.Second)
+}
+
+// dropDeliver loses one sealed batch on its way to one node — the effect a
+// reordering total-order layer has on a node that refuses the overtaking
+// batch and never sees the overtaken one again.
+type dropDeliver struct {
+	network.Transport
+	to  tx.NodeID
+	seq uint64
+}
+
+func (d dropDeliver) Send(m network.Message) error {
+	if m.Type == network.MsgSeqDeliver && m.To == d.to && m.Seq == d.seq {
+		return nil
+	}
+	return d.Transport.Send(m)
+}
+
+// TestDrainDetailNamesRefusedBatch pins the loud half of the ordering
+// contract: a node that is handed a batch beyond the one it wants says so
+// in the drain diagnosis, ahead of the generic "stuck at batch", while a
+// re-delivered batch it already holds stays silent.
+func TestDrainDetailNamesRefusedBatch(t *testing.T) {
+	c, err := New(Config{
+		Nodes:  []tx.NodeID{0, 1},
+		Policy: policies(2)["hermes"],
+		Seq:    sequencer.Config{BatchSize: 8, Interval: time.Millisecond},
+		WrapTransport: func(tr network.Transport) network.Transport {
+			return dropDeliver{Transport: tr, to: 0, seq: 1}
+		},
+	})
+	if err != nil {
 		t.Fatal(err)
+	}
+	t.Cleanup(c.Stop)
+	loadCounters(c, testRows)
+	submit := func() {
+		t.Helper()
+		if _, err := c.Submit(1, incProc(tx.MakeKey(0, 1))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	submit()
+	mustDrain(t, c, 10*time.Second) // batch 0 everywhere
+
+	n0 := c.node(0)
+	if err := c.tr.Send(network.Message{From: LeaderNode, To: 0, Type: network.MsgSeqDeliver,
+		Batch: n0.cmdlog.Since(0)[0]}); err != nil {
+		t.Fatal(err)
+	}
+	submit() // batch 1: lost on the way to node 0
+	if err := c.DrainDetail(100 * time.Millisecond); err == nil {
+		t.Fatal("drain succeeded although node 0 never received batch 1")
+	} else if strings.Contains(err.Error(), "refused") {
+		t.Fatalf("re-delivery of batch 0 was reported as a refusal: %v", err)
+	}
+	submit() // batch 2: arrives at node 0 while it wants batch 1
+	err = c.DrainDetail(150 * time.Millisecond)
+	if err == nil || !strings.Contains(err.Error(), "node 0 refused batch 2, wanted 1") {
+		t.Fatalf("drain error %v does not name the refused batch", err)
 	}
 }

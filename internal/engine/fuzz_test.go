@@ -95,9 +95,7 @@ func TestRandomizedSerializability(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if !c.Drain(30 * time.Second) {
-				t.Fatalf("did not drain (pending=%d)", c.Pending())
-			}
+			mustDrain(t, c, 30*time.Second)
 			col := c.Collector()
 			if got := col.Committed() + col.Aborted(); got != txns {
 				t.Fatalf("committed+aborted = %d, want %d", got, txns)
@@ -259,9 +257,7 @@ func FuzzDeterministicReplay(f *testing.F) {
 					t.Fatalf("txn %d/%d did not complete", i, txns)
 				}
 			}
-			if !c.Drain(10 * time.Second) {
-				t.Fatalf("did not drain (pending=%d)", c.Pending())
-			}
+			mustDrain(t, c, 10*time.Second)
 			return c.Fingerprint()
 		}
 		if a, b := run(false), run(failover); a != b {
@@ -307,9 +303,7 @@ func TestTPCCIntegrity(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if !c.Drain(30 * time.Second) {
-				t.Fatalf("did not drain (pending=%d)", c.Pending())
-			}
+			mustDrain(t, c, 30*time.Second)
 			col := c.Collector()
 			if got := col.Committed() + col.Aborted(); got != txns {
 				t.Fatalf("committed+aborted = %d, want %d", got, txns)

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -9,7 +10,6 @@ import (
 	"hermes/internal/network"
 	"hermes/internal/qexec"
 	"hermes/internal/router"
-	"hermes/internal/sequencer"
 	"hermes/internal/storage"
 	"hermes/internal/telemetry"
 	"hermes/internal/tx"
@@ -35,6 +35,11 @@ type Node struct {
 	// scheduled is 1 + the sequence of the last batch fully handed to
 	// the lock manager; quiescence checks compare it with the log.
 	scheduled atomic.Uint64
+	// refused describes the first batch the command log turned away
+	// because it arrived ahead of the sequence the log wanted: the
+	// total-order layer skipped or reordered a batch, and this node will
+	// wait forever for the one in between. Quiescence diagnostics quote it.
+	refused atomic.Pointer[string]
 
 	mailMu sync.Mutex
 	mail   map[tx.TxnID]*mailbox
@@ -105,6 +110,15 @@ func (n *Node) execDone() {
 	}
 }
 
+// refusal describes the first out-of-order batch this node refused, or
+// returns "" if it never refused one.
+func (n *Node) refusal() string {
+	if r := n.refused.Load(); r != nil {
+		return *r
+	}
+	return ""
+}
+
 // Store exposes the node's storage (tests, recovery, examples).
 func (n *Node) Store() *storage.Store { return n.store }
 
@@ -162,14 +176,17 @@ func (n *Node) recvLoop() {
 				if m.Batch == nil {
 					continue
 				}
-				// Out-of-order delivery would mean a broken total-order
-				// layer; the error is surfaced by refusing the batch.
 				if err := n.cmdlog.Append(m.Batch); err != nil {
+					// A batch below the wanted sequence is a re-delivery (a
+					// promoted leader replays its retained log) and is dropped
+					// silently. One above it means the total-order layer is
+					// broken; the refusal is kept for the quiescence report.
+					if want := n.cmdlog.Next(); m.Batch.Seq > want {
+						msg := fmt.Sprintf("node %d refused batch %d, wanted %d", n.id, m.Batch.Seq, want)
+						n.refused.CompareAndSwap(nil, &msg)
+					}
 					continue
 				}
-				// Ack the sender, not a fixed leader id: after a failover
-				// the batch stream comes from the promoted standby.
-				sequencer.Ack(n.id, m.From, n.cluster.tr, m.Seq)
 				if n.cluster.tracer.Enabled() {
 					for _, req := range m.Batch.Txns {
 						n.cluster.tracer.Emit(n.id, req.ID, telemetry.PhaseBatched, int64(m.Batch.Seq))
@@ -209,6 +226,16 @@ func (n *Node) schedLoop() {
 				return
 			}
 			arrival := time.Now()
+			// Completion tracking, for the whole batch in transaction-ID
+			// order before any route exists: policies reorder routes inside
+			// a batch, and the early-versus-duplicate rule for completion
+			// notices (Cluster.complete) is exact only if registration never
+			// skips past an ID it has not seen. The same registration runs
+			// on every node and is idempotent; the committing role closes
+			// the client channel.
+			for _, req := range b.Txns {
+				n.cluster.registerAssigned(req)
+			}
 			plan := router.BuildPlan(n.policy, b)
 			// Routing cost (§3.2.4): how much scheduler time the batch
 			// analysis itself consumed, before any locking or execution.
@@ -228,10 +255,6 @@ func (n *Node) schedLoop() {
 // schedule computes this node's role in the route, acquires the locks the
 // role needs (in total order), and spawns the role job.
 func (n *Node) schedule(rt *router.Route, arrival time.Time) {
-	// Completion tracking: the same registration runs on every node and
-	// is idempotent; the committing role closes the client channel.
-	n.cluster.registerAssigned(rt.Txn)
-
 	if rt.Mode == router.Provision {
 		// The membership change itself took effect inside BuildPlan on
 		// every replica; acknowledge the client here. Any attached
@@ -286,7 +309,6 @@ func (n *Node) scheduleQueue(plan *router.Plan, arrival time.Time) {
 	jobs := make([]job, 0, len(plan.Routes))
 	ops := make([]*qexec.Op, 0, len(plan.Routes))
 	for _, rt := range plan.Routes {
-		n.cluster.registerAssigned(rt.Txn)
 		if rt.Mode == router.Provision {
 			if n.isCommitter(rt) {
 				n.cluster.completeTxn(rt.Txn)

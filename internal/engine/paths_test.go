@@ -21,9 +21,7 @@ func TestReadOnlyTransactionsAllPolicies(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if !c.Drain(10 * time.Second) {
-				t.Fatal("drain failed")
-			}
+			mustDrain(t, c, 10*time.Second)
 			if got := c.Collector().Committed(); got != 10 {
 				t.Fatalf("Committed = %d", got)
 			}
@@ -53,9 +51,7 @@ func TestCalvinMultiMasterAbort(t *testing.T) {
 	if err := c.SubmitAndWait(0, proc); err != nil {
 		t.Fatal(err)
 	}
-	if !c.Drain(10 * time.Second) {
-		t.Fatal("drain failed")
-	}
+	mustDrain(t, c, 10*time.Second)
 	if c.Collector().Aborted() != 1 {
 		t.Fatalf("Aborted = %d, want 1", c.Collector().Aborted())
 	}
@@ -72,7 +68,7 @@ func TestCalvinMultiMasterAbort(t *testing.T) {
 	if err := c.SubmitAndWait(0, incProc(k0, k1)); err != nil {
 		t.Fatal(err)
 	}
-	c.Drain(10 * time.Second)
+	mustDrain(t, c, 10*time.Second)
 	if v, _ := c.ReadRecord(k0); counterVal(v) != 1 {
 		t.Fatal("post-abort increment lost")
 	}
@@ -95,9 +91,7 @@ func TestWriteOnlyBlindInsert(t *testing.T) {
 			if err := c.SubmitAndWait(1, proc); err != nil {
 				t.Fatal(err)
 			}
-			if !c.Drain(10 * time.Second) {
-				t.Fatal("drain failed")
-			}
+			mustDrain(t, c, 10*time.Second)
 			v, ok := c.ReadRecord(fresh)
 			if !ok || string(v) != "inserted" {
 				t.Fatalf("insert lost: %q, %v", v, ok)
@@ -147,9 +141,7 @@ func TestRepeatedProvisionCycle(t *testing.T) {
 			}
 		}
 	}
-	if !c.Drain(20 * time.Second) {
-		t.Fatal("drain failed")
-	}
+	mustDrain(t, c, 20*time.Second)
 	// Replica routing state must agree across all nodes.
 	var want uint64
 	for i, id := range c.order {
@@ -184,9 +176,7 @@ func TestSubmitViaStandbyNode(t *testing.T) {
 	if err := c.SubmitAndWait(2, incProc(tx.MakeKey(0, 5))); err != nil {
 		t.Fatal(err)
 	}
-	if !c.Drain(10 * time.Second) {
-		t.Fatal("drain failed")
-	}
+	mustDrain(t, c, 10*time.Second)
 	if v, _ := c.ReadRecord(tx.MakeKey(0, 5)); counterVal(v) != 1 {
 		t.Fatal("standby-submitted txn lost")
 	}

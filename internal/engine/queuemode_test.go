@@ -47,9 +47,7 @@ func TestQueueModeSerializableCounters(t *testing.T) {
 				}
 				waits = append(waits, done)
 			}
-			if !c.Drain(20 * time.Second) {
-				t.Fatalf("cluster did not drain (pending=%d)", c.Pending())
-			}
+			mustDrain(t, c, 20*time.Second)
 			for _, w := range waits {
 				select {
 				case <-w:
@@ -85,9 +83,7 @@ func TestQueueModeBreakdownHasNoLockWait(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if !c.Drain(10 * time.Second) {
-		t.Fatal("cluster did not drain")
-	}
+	mustDrain(t, c, 10*time.Second)
 	bd := c.Collector().AvgBreakdown()
 	if bd.LockWait != 0 {
 		t.Fatalf("queue mode reported LockWait = %v, want 0", bd.LockWait)
@@ -129,9 +125,7 @@ func TestQueueModeGoroutineCount(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if !c.Drain(20 * time.Second) {
-			t.Fatalf("cluster did not drain (pending=%d)", c.Pending())
-		}
+		mustDrain(t, c, 20*time.Second)
 		if rr := c.Collector().RemoteReads(); rr == 0 {
 			t.Fatal("workload produced no remote reads; record-wait path not exercised")
 		}

@@ -169,6 +169,9 @@ type WorkerQuiesceInfo struct {
 	// Backlog is the reliable layer's undelivered local input (non-zero
 	// while a recovering process is still replaying its journal).
 	Backlog int64
+	// Refused names the first out-of-order batch the local node refused
+	// ("" if none): why Scheduled will never reach the leader's sequence.
+	Refused string `json:",omitempty"`
 }
 
 // WorkerQuiesce snapshots the local quiescence state for the harness's
@@ -179,6 +182,7 @@ func (c *Cluster) WorkerQuiesce() WorkerQuiesceInfo {
 		Scheduled:      n.Scheduled(),
 		QueuedLockKeys: n.locks.QueuedKeys(),
 		Pending:        c.Pending(),
+		Refused:        n.refusal(),
 	}
 	if fe := c.fes[c.order[0]]; fe != nil {
 		info.Unacked = fe.Unacked()

@@ -18,7 +18,7 @@ import (
 // Two measurements are reported:
 //   - "route-us(n=…)": in-process microbenchmark series — mean µs to
 //     route one batch with RouteUser alone, across batch sizes, for small
-//     and paper-scale node counts (the same grid scripts/bench.sh gates);
+//     and paper-scale node counts (BenchmarkPrescientRouting's grid);
 //   - "pct-of-latency": a measured cluster run with the Hermes policy,
 //     reporting scheduler routing time as a percentage of mean
 //     transaction latency (the paper's ~4% row).

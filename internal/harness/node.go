@@ -35,6 +35,16 @@ const (
 	procDialBackoff  = 25 * time.Millisecond
 	procDialCap      = 100 * time.Millisecond
 
+	// The reliable layer's default 2ms retransmit base is sized for the
+	// in-process channel transport. Over real TCP — processes sharing
+	// cores, acks gated behind group-commit fsyncs — ack rounds past 2ms
+	// are normal operation, not loss, and every false timeout re-encodes
+	// in-flight frames the receiver decodes only to drop them. Both
+	// reliable endpoints of a process (the worker's and, in the driver
+	// process, the leader's) use these.
+	procRetransmitBase = 50 * time.Millisecond
+	procRetransmitCap  = time.Second
+
 	// drainTimeout bounds the graceful-shutdown quiesce attempt (SIGTERM,
 	// /shutdown): in-flight work gets this long to land before teardown.
 	drainTimeout = 2 * time.Second
@@ -247,13 +257,10 @@ func NewNodeServer(cfg NodeConfig) (*NodeServer, error) {
 		// stall resends the whole submission queue. Failover recovery does
 		// not depend on this timer — SetLeader resends immediately — so it
 		// only needs to beat a genuinely wedged leader.
-		RetryTimeout: time.Second,
-		RetryCap:     4 * time.Second,
-		// Likewise for the reliable layer's 2ms retransmit base: over real
-		// TCP with acks gated behind group-commit fsyncs, ack rounds past
-		// 2ms are normal operation, not loss.
-		RetransmitBase: 50 * time.Millisecond,
-		RetransmitCap:  time.Second,
+		RetryTimeout:   time.Second,
+		RetryCap:       4 * time.Second,
+		RetransmitBase: procRetransmitBase,
+		RetransmitCap:  procRetransmitCap,
 	})
 	if err != nil {
 		tr.Close()
@@ -298,6 +305,12 @@ func NewNodeServer(cfg NodeConfig) (*NodeServer, error) {
 		s.leaderRel = network.NewReliableWith(s.leaderTr, network.ReliableOpts{
 			RecvFor: []tx.NodeID{engine.LeaderNode},
 			SendTo:  workers,
+			// The leader sends the largest frames in the system (whole
+			// batches, to every worker), so a false timeout costs the most
+			// here, and a slower box produces more of them: load feeding
+			// on itself.
+			RetransmitBase: procRetransmitBase,
+			RetransmitCap:  procRetransmitCap,
 		})
 		s.leaderClk = newStopClock()
 		// Size-only sealing: the interval is effectively infinite so batch
@@ -400,9 +413,6 @@ func (s *NodeServer) Serve() error {
 	}
 	return err
 }
-
-// Cluster exposes the worker engine (tests).
-func (s *NodeServer) Cluster() *engine.Cluster { return s.cluster }
 
 // seed writes the local shard of the deterministic record stream and
 // starts the worker. Every process runs the identical loop; the routing

@@ -550,6 +550,9 @@ func (c *Cluster) quiesceOnce() (bool, error) {
 		}
 		if q.Scheduled != next.Seq || q.QueuedLockKeys != 0 || q.Pending != 0 ||
 			q.Unacked != 0 || q.Backlog != 0 {
+			if q.Refused != "" {
+				return false, fmt.Errorf("worker %d: %s (leader seq %d)", i, q.Refused, next.Seq)
+			}
 			return false, fmt.Errorf("worker %d not settled: %+v (leader seq %d)", i, q, next.Seq)
 		}
 	}
@@ -634,9 +637,6 @@ func (c *Cluster) Get(i int, path string, out any) error { return c.get(i, path,
 func (c *Cluster) LogPath(i int) string {
 	return filepath.Join(c.cfg.Dir, fmt.Sprintf("node%d.log", i))
 }
-
-// ControlAddr returns worker i's control-plane address.
-func (c *Cluster) ControlAddr(i int) string { return c.ctrlAddrs[i] }
 
 // Close shuts every process down (gracefully where possible), then
 // releases the parent-held listeners and log files. Idempotent.

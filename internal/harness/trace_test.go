@@ -288,6 +288,13 @@ func TestClusterTraceExport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// CLUSTER_E2E_ARTIFACTS keeps the trace: this is how to get a Perfetto
+	// file of a real 3-process run to open in ui.perfetto.dev.
+	if dest := os.Getenv("CLUSTER_E2E_ARTIFACTS"); dest != "" {
+		if err := os.WriteFile(filepath.Join(dest, "trace.json"), data, 0o644); err != nil {
+			t.Fatalf("keeping the trace: %v", err)
+		}
+	}
 	var pf struct {
 		TraceEvents []struct {
 			Name string  `json:"name"`

@@ -153,25 +153,6 @@ func (c *Cluster) PhaseSummaries() (map[string]telemetry.PhaseSummary, error) {
 	return out, nil
 }
 
-// SlowTxnsReport is one process's /trace/slow payload.
-type SlowTxnsReport struct {
-	ThresholdNs int64             `json:"threshold_ns"`
-	Captured    int64             `json:"captured"`
-	Slow        []json.RawMessage `json:"slow"`
-}
-
-// SlowTxns fetches every process's tail-sampler captures, in worker
-// order.
-func (c *Cluster) SlowTxns() ([]SlowTxnsReport, error) {
-	out := make([]SlowTxnsReport, len(c.procs))
-	for i := range c.procs {
-		if err := c.get(i, "/trace/slow", &out[i]); err != nil {
-			return nil, fmt.Errorf("harness: slow txns of worker %d: %w", i, err)
-		}
-	}
-	return out, nil
-}
-
 // TraceEvent is one aligned event in a stitched timeline.
 type TraceEvent struct {
 	telemetry.Event

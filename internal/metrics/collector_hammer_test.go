@@ -81,47 +81,3 @@ func TestCollectorMigrationGaugesConcurrent(t *testing.T) {
 		t.Errorf("Migrations = %d, want %d", got, goroutines*iterations)
 	}
 }
-
-// TestHistogramQuantileEdges pins the Quantile contract at its edges:
-// empty histogram, q=0, q=1, and out-of-range q (clamped, never panics,
-// never escapes the observed bucket range).
-func TestHistogramQuantileEdges(t *testing.T) {
-	var empty Histogram
-	for _, q := range []float64{-1, 0, 0.5, 1, 2} {
-		if got := empty.Quantile(q); got != 0 {
-			t.Errorf("empty.Quantile(%v) = %v, want 0", q, got)
-		}
-	}
-
-	var h Histogram
-	h.Observe(time.Microsecond) // bucket [1024ns, 2048ns)
-	h.Observe(time.Millisecond)
-	h.Observe(time.Second)
-
-	lo := h.Quantile(0)
-	if lo < time.Microsecond || lo > 2*time.Microsecond {
-		t.Errorf("Quantile(0) = %v, want the smallest sample's bucket bound (~1-2µs)", lo)
-	}
-	hi := h.Quantile(1)
-	if hi < time.Second || hi > 2*time.Second {
-		t.Errorf("Quantile(1) = %v, want the largest sample's bucket bound (~1-2s)", hi)
-	}
-	// Out-of-range q clamps to the edges rather than panicking or
-	// extrapolating.
-	if got := h.Quantile(-0.5); got != lo {
-		t.Errorf("Quantile(-0.5) = %v, want clamp to Quantile(0) = %v", got, lo)
-	}
-	if got := h.Quantile(1.5); got != hi {
-		t.Errorf("Quantile(1.5) = %v, want clamp to Quantile(1) = %v", got, hi)
-	}
-
-	// A single sample answers every quantile with its own bucket.
-	var one Histogram
-	one.Observe(42 * time.Nanosecond)
-	for _, q := range []float64{0, 0.5, 1} {
-		got := one.Quantile(q)
-		if got < 42*time.Nanosecond || got > 84*time.Nanosecond {
-			t.Errorf("single-sample Quantile(%v) = %v, want within [42ns, 84ns]", q, got)
-		}
-	}
-}

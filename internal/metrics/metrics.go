@@ -9,6 +9,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"hermes/internal/telemetry"
 )
 
 // Breakdown is the per-transaction latency decomposition of Fig. 7. The
@@ -70,11 +72,13 @@ type Collector struct {
 
 	committed atomic.Int64
 	aborted   atomic.Int64
+	// hist holds total commit latency; quantiles are power-of-two bucket
+	// upper bounds, exact to one doubling.
+	hist telemetry.LatencyHist
 
 	mu        sync.Mutex
 	perWindow []int64
 	sum       Breakdown
-	hist      Histogram
 
 	// busy holds per-node busy-nanos counters indexed by node ID (dense
 	// small ints). The slice is immutable once published: growing copies
@@ -179,8 +183,8 @@ func (c *Collector) RecordCommit(now time.Time, b Breakdown) {
 	}
 	c.perWindow[idx]++
 	c.sum = c.sum.Add(b)
-	c.hist.Observe(b.Total())
 	c.mu.Unlock()
+	c.hist.Observe(int64(b.Total()))
 }
 
 // RecordAbort records a logic abort (the transaction still consumed
@@ -330,7 +334,6 @@ func (c *Collector) AvgBreakdown() Breakdown {
 
 // LatencyQuantile returns an approximate latency quantile (0 ≤ q ≤ 1).
 func (c *Collector) LatencyQuantile(q float64) time.Duration {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hist.Quantile(q)
+	s := c.hist.Snapshot()
+	return time.Duration(s.Quantile(q))
 }

@@ -3,7 +3,6 @@ package metrics
 import (
 	"sync"
 	"testing"
-	"testing/quick"
 	"time"
 )
 
@@ -124,72 +123,24 @@ func TestCollectorConcurrent(t *testing.T) {
 	}
 }
 
-func TestHistogramQuantiles(t *testing.T) {
-	var h Histogram
-	if h.Quantile(0.5) != 0 {
-		t.Error("empty histogram quantile != 0")
+func TestCollectorLatencyQuantile(t *testing.T) {
+	c := NewCollector(time.Unix(0, 0), time.Second)
+	if c.LatencyQuantile(0.5) != 0 {
+		t.Error("quantile of no commits != 0")
 	}
+	now := time.Unix(1, 0)
 	for i := 0; i < 900; i++ {
-		h.Observe(time.Microsecond) // ~1µs
+		c.RecordCommit(now, Breakdown{Storage: time.Microsecond})
 	}
 	for i := 0; i < 100; i++ {
-		h.Observe(time.Second) // rare slow tail
+		c.RecordCommit(now, Breakdown{LockWait: time.Second}) // rare slow tail
 	}
-	p50 := h.Quantile(0.5)
-	p99 := h.Quantile(0.995)
-	if p50 > 10*time.Microsecond {
-		t.Errorf("p50 = %v, want ~1µs bucket", p50)
+	// Quantiles are the containing power-of-two bucket's upper bound.
+	if p50 := c.LatencyQuantile(0.5); p50 != 1024*time.Nanosecond {
+		t.Errorf("p50 = %v, want the 1µs sample's bucket bound 1.024µs", p50)
 	}
-	if p99 < 500*time.Millisecond {
-		t.Errorf("p99.5 = %v, want ~1s bucket", p99)
-	}
-	if h.Count() != 1000 {
-		t.Errorf("Count = %d", h.Count())
-	}
-}
-
-func TestHistogramQuantileMonotonicProperty(t *testing.T) {
-	f := func(samples []uint32) bool {
-		var h Histogram
-		for _, s := range samples {
-			h.Observe(time.Duration(s))
-		}
-		last := time.Duration(0)
-		for _, q := range []float64{-0.5, 0, 0.25, 0.5, 0.75, 0.99, 1, 1.5} {
-			v := h.Quantile(q)
-			if v < last {
-				return false
-			}
-			last = v
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestHistogramBucketBoundsProperty(t *testing.T) {
-	// Quantile(1) must be ≥ the maximum observed sample (bucket upper
-	// bound property) and ≤ 2x the maximum.
-	f := func(samples []uint32) bool {
-		if len(samples) == 0 {
-			return true
-		}
-		var h Histogram
-		max := time.Duration(0)
-		for _, s := range samples {
-			d := time.Duration(s) + 1
-			if d > max {
-				max = d
-			}
-			h.Observe(d)
-		}
-		top := h.Quantile(1)
-		return top >= max && top <= 2*max
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
+	if p99 := c.LatencyQuantile(0.995); p99 != 1<<30 {
+		t.Errorf("p99.5 = %v, want the 1s sample's bucket bound 1.074s", p99)
 	}
 }
 

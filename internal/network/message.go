@@ -34,8 +34,10 @@ const (
 	// MsgSeqDeliver carries a totally ordered batch from the leader to
 	// every node.
 	MsgSeqDeliver
-	// MsgSeqAck acknowledges a delivered batch (Zab-lite quorum).
-	MsgSeqAck
+	// Reserved: a retired per-batch delivery acknowledgement held this
+	// value. Journals and HTRC exports persist MsgType numbers, so the
+	// values after it must not shift.
+	_
 	// MsgControl carries small control-plane notifications.
 	MsgControl
 	// MsgLinkAck is the reliable layer's cumulative per-link delivery
@@ -77,8 +79,6 @@ func (t MsgType) String() string {
 		return "SeqForward"
 	case MsgSeqDeliver:
 		return "SeqDeliver"
-	case MsgSeqAck:
-		return "SeqAck"
 	case MsgControl:
 		return "Control"
 	case MsgLinkAck:

@@ -2,6 +2,7 @@ package network
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -31,10 +32,15 @@ func TestWireSize(t *testing.T) {
 }
 
 func TestMsgTypeString(t *testing.T) {
-	for mt := MsgRecordPush; mt <= MsgControl; mt++ {
-		if s := mt.String(); s == "" || s[0] == 'M' && len(s) > 8 && s[:7] == "MsgType" {
-			t.Errorf("missing name for %d", mt)
+	const reserved = MsgType(6) // retired; journals and HTRC exports persist the numbers
+	for mt := MsgRecordPush; mt <= MsgTxnDone; mt++ {
+		if s := mt.String(); strings.HasPrefix(s, "MsgType(") != (mt == reserved) {
+			t.Errorf("String of %d = %q", mt, s)
 		}
+	}
+	if MsgSeqDeliver != 5 || MsgControl != 7 || MsgTxnDone != 13 {
+		t.Errorf("persisted MsgType values moved: SeqDeliver=%d Control=%d TxnDone=%d, want 5, 7, 13",
+			MsgSeqDeliver, MsgControl, MsgTxnDone)
 	}
 	if s := MsgType(200).String(); s != "MsgType(200)" {
 		t.Errorf("unknown type String = %q", s)

@@ -98,12 +98,19 @@ type Leader struct {
 	clk   clock.Clock
 	group *Group // nil for a standalone leader
 
+	// flushMu makes seal→replicate→deliver single-flight. Flush is called
+	// from three goroutines (the size trigger in recvLoop, flushLoop, a
+	// driver's Drain poll); Seq is assigned under mu, so without this lock
+	// a later batch's sends could overtake an earlier one's and a member
+	// would see the stream out of order. Every path that sends
+	// MsgSeqDeliver while leading holds it. Lock order: flushMu, then mu.
+	flushMu sync.Mutex
+
 	mu      sync.Mutex
 	members []tx.NodeID
 	pending []*tx.Request
 	nextSeq uint64
 	nextTxn tx.TxnID
-	acks    map[uint64]int
 	stopped bool
 
 	// Replication and failover state (Group mode).
@@ -157,7 +164,6 @@ func newReplica(id tx.NodeID, tr network.Transport, members []tx.NodeID, cfg Con
 		nextTxn:    1,
 		txnBase:    1,
 		leaderID:   id,
-		acks:       make(map[uint64]int),
 		repFuture:  make(map[uint64]*tx.Batch),
 		arrived:    make(map[tx.NodeID]uint64),
 		sealedHigh: make(map[tx.NodeID]uint64),
@@ -210,10 +216,6 @@ func (l *Leader) recvLoop() {
 			switch m.Type {
 			case network.MsgSeqForward:
 				l.handleForward(m)
-			case network.MsgSeqAck:
-				l.mu.Lock()
-				l.acks[m.Seq]++
-				l.mu.Unlock()
 			case network.MsgSeqReplicate:
 				l.handleReplicate(m)
 			case network.MsgSeqReplicateAck:
@@ -381,9 +383,11 @@ func (l *Leader) applyReplicatedLocked(b *tx.Batch) {
 
 // handleReplicateAck records a standby's replication ack and releases
 // every leading fully-acknowledged batch for delivery, in sequence
-// order. Releases happen only on this (receive-loop) goroutine, so
-// deliveries can never reorder.
+// order. It holds flushMu from the pop to the last send so a Flush that
+// finds the unreleased queue empty cannot deliver a later batch first.
 func (l *Leader) handleReplicateAck(m network.Message) {
+	l.flushMu.Lock()
+	defer l.flushMu.Unlock()
 	l.mu.Lock()
 	if m.Epoch != l.epoch || !l.leading {
 		l.mu.Unlock()
@@ -657,6 +661,8 @@ func (l *Leader) promoteLocked() {
 // also called internally on size and interval triggers; exposing it lets
 // tests and closed-loop drivers force progress.
 func (l *Leader) Flush() {
+	l.flushMu.Lock()
+	defer l.flushMu.Unlock()
 	l.mu.Lock()
 	if !l.leading || l.fenced || l.recovering || len(l.pending) == 0 {
 		l.mu.Unlock()
@@ -685,7 +691,11 @@ func (l *Leader) Flush() {
 		l.logEpochs = append(l.logEpochs, l.epoch)
 		peers, live = l.group.peers(l.id)
 	}
-	if len(live) == 0 {
+	// With no live standby the batch is deliverable at once — unless
+	// earlier batches still wait for a standby that has since gone down:
+	// then it queues behind them (with nothing left to wait for itself) and
+	// handleReplicateAck releases the run in order.
+	if len(live) == 0 && len(l.unreleased) == 0 {
 		l.mu.Unlock()
 		for _, p := range peers {
 			l.replicate(batch, p, ep)
@@ -878,14 +888,9 @@ func (l *Leader) Members() []tx.NodeID {
 	return append([]tx.NodeID(nil), l.members...)
 }
 
-// Acks reports how many members have acknowledged batch seq.
-func (l *Leader) Acks(seq uint64) int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.acks[seq]
-}
-
-// Ack sends a batch acknowledgement from node to the leader.
-func Ack(node, leader tx.NodeID, tr network.Transport, seq uint64) {
-	_ = tr.Send(network.Message{From: node, To: leader, Type: network.MsgSeqAck, Seq: seq})
-}
+// Ack does nothing. Nodes used to acknowledge every delivered batch to
+// the leader, which counted the acks into a map nothing read; the message
+// is gone. The function survives only because bench/ — frozen by
+// BENCHMARK.json — still calls it from its sequencer probe; delete it with
+// the next bench/ revision.
+func Ack(node, leader tx.NodeID, tr network.Transport, seq uint64) {}

@@ -1,6 +1,7 @@
 package sequencer
 
 import (
+	"sync"
 	"testing"
 	"time"
 
@@ -145,20 +146,67 @@ func TestSetMembersAffectsDelivery(t *testing.T) {
 	}
 }
 
-func TestAcks(t *testing.T) {
-	tr, l, ids := newCluster(t, 2, Config{BatchSize: 1, Interval: time.Hour})
-	fe := NewFrontend(ids[0], leaderID, tr)
-	fe.Submit(req())
-	for _, n := range ids {
-		b := recvBatch(t, tr, n)
-		Ack(n, leaderID, tr, b.Seq)
+// lagTransport delays every even-numbered batch on its way to node 0, so
+// whichever goroutine is delivering that batch falls behind one that
+// sealed the next batch a moment later.
+type lagTransport struct {
+	network.Transport
+}
+
+func (t lagTransport) Send(m network.Message) error {
+	if m.Type == network.MsgSeqDeliver && m.To == 0 && m.Seq%2 == 0 {
+		time.Sleep(200 * time.Microsecond)
 	}
-	deadline := time.Now().Add(2 * time.Second)
-	for l.Acks(0) < 2 {
-		if time.Now().After(deadline) {
-			t.Fatalf("acks = %d, want 2", l.Acks(0))
+	return t.Transport.Send(m)
+}
+
+// TestConcurrentFlushDeliversInOrder pins the single-flight rule: with the
+// size trigger, the interval loop and several external callers all
+// flushing while forwards arrive, a member's inbox must still see strictly
+// ascending batch sequence numbers even when one deliverer is slow.
+func TestConcurrentFlushDeliversInOrder(t *testing.T) {
+	ids := []tx.NodeID{0, 1}
+	tr := lagTransport{NewTransportWithLeader(ids, leaderID)}
+	l := NewLeader(leaderID, tr, ids, Config{BatchSize: 4, Interval: time.Millisecond}, nil)
+	l.Start()
+	t.Cleanup(func() { l.Stop(); tr.Close() })
+
+	stop := make(chan struct{})
+	var flushers sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		flushers.Add(1)
+		go func() {
+			defer flushers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					l.Flush()
+				}
+			}
+		}()
+	}
+	defer flushers.Wait()
+	defer close(stop)
+
+	const total = 400
+	fe := NewFrontend(ids[1], leaderID, tr)
+	go func() {
+		for i := 0; i < total; i++ {
+			if fe.Submit(req()) != nil {
+				return // transport closed: the test already failed
+			}
 		}
-		time.Sleep(time.Millisecond)
+	}()
+	var want uint64
+	for got := 0; got < total; {
+		b := recvBatch(t, tr, 0)
+		if b.Seq != want {
+			t.Fatalf("node 0 received batch %d, wanted %d: a later flush overtook an earlier one", b.Seq, want)
+		}
+		want++
+		got += len(b.Txns)
 	}
 }
 

@@ -41,6 +41,17 @@ func (l *CommandLog) Append(b *tx.Batch) error {
 	return nil
 }
 
+// Next reports the sequence Append requires next. An empty log accepts any
+// sequence and reports 0.
+func (l *CommandLog) Next() uint64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if len(l.entries) == 0 {
+		return 0
+	}
+	return l.first + uint64(len(l.entries))
+}
+
 // Since returns all logged batches with sequence ≥ seq, in order.
 // Recovery replays these on top of the checkpointed state.
 func (l *CommandLog) Since(seq uint64) []*tx.Batch {

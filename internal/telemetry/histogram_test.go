@@ -169,6 +169,51 @@ func TestHistQuantileWithinOneBucket(t *testing.T) {
 	}
 }
 
+// TestHistQuantileEdges pins the Quantile contract at its edges: empty
+// histogram, out-of-range q (clamped, never panics, never escapes the
+// observed bucket range), monotonicity in q, and a single sample.
+func TestHistQuantileEdges(t *testing.T) {
+	var empty HistSnapshot
+	for _, q := range []float64{-1, 0, 0.5, 1, 2} {
+		if got := empty.Quantile(q); got != 0 {
+			t.Errorf("empty.Quantile(%v) = %d, want 0", q, got)
+		}
+	}
+
+	var h LatencyHist
+	for _, ns := range []int64{1e3, 1e6, 1e9} {
+		h.Observe(ns)
+	}
+	s := h.Snapshot()
+	lo, hi := s.Quantile(0), s.Quantile(1)
+	if lo != 1<<10 || hi != 1<<30 {
+		t.Errorf("Quantile(0), Quantile(1) = %d, %d, want the 1µs and 1s samples' bucket bounds", lo, hi)
+	}
+	if got := s.Quantile(-0.5); got != lo {
+		t.Errorf("Quantile(-0.5) = %d, want clamp to Quantile(0) = %d", got, lo)
+	}
+	if got := s.Quantile(1.5); got != hi {
+		t.Errorf("Quantile(1.5) = %d, want clamp to Quantile(1) = %d", got, hi)
+	}
+	last := int64(0)
+	for _, q := range []float64{-0.5, 0, 0.25, 0.5, 0.75, 0.99, 1, 1.5} {
+		v := s.Quantile(q)
+		if v < last {
+			t.Errorf("Quantile(%v) = %d < %d: not monotone in q", q, v, last)
+		}
+		last = v
+	}
+
+	var one LatencyHist
+	one.Observe(42)
+	s = one.Snapshot()
+	for _, q := range []float64{0, 0.5, 1} {
+		if got := s.Quantile(q); got != 64 {
+			t.Errorf("single-sample Quantile(%v) = %d, want 64", q, got)
+		}
+	}
+}
+
 func TestHistSnapshotMerge(t *testing.T) {
 	var a, b LatencyHist
 	for i := int64(1); i <= 100; i++ {

@@ -21,7 +21,7 @@ func TestOLLPSecondaryIndexLookup(t *testing.T) {
 	if err := db.ExecWait(0, &OpProc{Reads: []Key{idx}, Writes: []Key{idx}, Value: ptr}); err != nil {
 		t.Fatal(err)
 	}
-	db.Drain(5 * time.Second)
+	mustDrain(t, db, 5*time.Second)
 
 	planner := func(read func(Key) []byte) (Procedure, func(ctx ExecCtx) bool, error) {
 		row := binary.LittleEndian.Uint64(read(idx))
@@ -39,7 +39,7 @@ func TestOLLPSecondaryIndexLookup(t *testing.T) {
 	if err := db.ExecOLLP(0, planner, 3); err != nil {
 		t.Fatal(err)
 	}
-	db.Drain(5 * time.Second)
+	mustDrain(t, db, 5*time.Second)
 	v, ok := db.Read(target)
 	if !ok || string(v) != "indexed-update" {
 		t.Fatalf("target = %q,%v", v, ok)
@@ -59,7 +59,7 @@ func TestOLLPRetriesOnStaleIndex(t *testing.T) {
 		if err := db.ExecWait(0, &OpProc{Reads: []Key{idx}, Writes: []Key{idx}, Value: ptr}); err != nil {
 			t.Fatal(err)
 		}
-		db.Drain(5 * time.Second)
+		mustDrain(t, db, 5*time.Second)
 	}
 	writePtr(50)
 
@@ -81,7 +81,7 @@ func TestOLLPRetriesOnStaleIndex(t *testing.T) {
 	if err := db.ExecOLLP(0, planner, 5); err != nil {
 		t.Fatal(err)
 	}
-	db.Drain(5 * time.Second)
+	mustDrain(t, db, 5*time.Second)
 	if attempts != 2 {
 		t.Fatalf("attempts = %d, want 2 (one stale, one success)", attempts)
 	}

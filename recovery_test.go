@@ -35,9 +35,7 @@ func TestRecoverWithTailAllPolicies(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				if !db.Drain(10 * time.Second) {
-					t.Fatal("drain failed")
-				}
+				mustDrain(t, db, 10*time.Second)
 			}
 
 			run(0, 24)
@@ -74,15 +72,13 @@ func TestRecoverWithTailAllPolicies(t *testing.T) {
 			// The recovered instance must keep serving transactions with
 			// the total order resuming past the replayed input.
 			if err := db2.ExecWait(0, &OpProc{
-				Reads:  []Key{MakeKey(0, 1), MakeKey(0, rows - 1)},
+				Reads:  []Key{MakeKey(0, 1), MakeKey(0, rows-1)},
 				Writes: []Key{MakeKey(0, 1)},
 				Value:  []byte("post-recovery"),
 			}); err != nil {
 				t.Fatal(err)
 			}
-			if !db2.Drain(10 * time.Second) {
-				t.Fatal("post-recovery drain failed")
-			}
+			mustDrain(t, db2, 10*time.Second)
 			if v, ok := db2.Read(MakeKey(0, 1)); !ok || string(v) != "post-recovery" {
 				t.Fatalf("post-recovery write = %q, %v", v, ok)
 			}

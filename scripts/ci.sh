@@ -25,6 +25,21 @@ go build ./...
 echo "==> go test -race ${short_flag} ./..."
 go test -race ${short_flag} ./...
 
+# Ordered-delivery stress: the two engine load tests once failed about one
+# run in seven on two cores — concurrent sequencer flushes delivered batch
+# N+1 to a node before batch N, and the node waited forever for the batch
+# it had refused. A healthy run takes ~0.13 s, so 100 repetitions under
+# -race on GOMAXPROCS=2 are cheap; the list guard fails loudly if a rename
+# drops either test from the loop.
+echo "==> ordered-delivery stress (GOMAXPROCS=2, -race, 100x)"
+stress_run='TestThroughputUnderLoadAllPolicies|TestSerializableCounters'
+listed=$(go test -list "${stress_run}" ./internal/engine | grep -c '^Test' || true)
+if [[ "${listed}" -ne 2 ]]; then
+    echo "ordered-delivery stress matched ${listed} of 2 engine load tests: one was renamed or deleted" >&2
+    exit 1
+fi
+GOMAXPROCS=2 go test -race -count=100 -run "${stress_run}" ./internal/engine
+
 # Crash-recovery gate: reliable transport, node kill/restart, checkpoint+
 # tail recovery, and the lossy+crash chaos schedules. The general sweep
 # above already covers these when run full; this named step keeps the
@@ -141,7 +156,7 @@ HERMESD_BUILD_RACE=1 go test -race -count=1 -timeout 15m ${short_flag} \
     -run "${netchaos_run}" ${netchaos_pkgs}
 
 # Smoke-run the routing benchmark (1 iteration) so it can't silently rot;
-# scripts/bench.sh runs the full gated comparison against the baseline.
+# its cost is tracked by the core.route_* probes of `go run ./bench`.
 echo "==> go test -bench=BenchmarkPrescientRouting -benchtime=1x ./internal/core"
 go test -run '^$' -bench=BenchmarkPrescientRouting -benchtime=1x ./internal/core
 
