@@ -201,10 +201,10 @@ func (s *shadowSet) ackGateFor(n tx.NodeID) func(func()) {
 // while a verification snapshot runs concurrently.
 //
 // The in-process transport passes sealed batches by reference
-// (Message.Batch, interface-typed procedures gob cannot frame); on a real
-// wire a batch travels pre-encoded in Payload and the reference is never
-// set. The shadow journals the wire-visible shape, so the reference is
-// dropped — recovery comparison is over the framed header fields anyway.
+// (Message.Batch), and the chaos workloads fill them with closure-bearing
+// procedures that have no wire tag — Journal.Append would panic on the
+// encode error. The shadow journals the message without the reference;
+// recovery comparison is over the framed header fields anyway.
 func (sh *shadowJournal) append(m network.Message) {
 	m.Batch = nil
 	sh.mu.Lock()

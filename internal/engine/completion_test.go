@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -104,5 +106,49 @@ func TestCompletionNoticesOnReorderedBatch(t *testing.T) {
 	if len(c.pending)+len(c.seqWaiters)+len(c.earlyDone) != 0 {
 		t.Fatalf("completion state not empty: pending=%v seqWaiters=%v earlyDone=%v",
 			c.pending, c.seqWaiters, c.earlyDone)
+	}
+}
+
+// TestWorkerRefusesProceduresWithoutWireForm: a distributed worker must
+// turn away a procedure the codec has no tag for — one whose behaviour is a
+// closure — at submit, naming the Go type, before anything is queued for
+// the sequencer. Encoding it later would be an error on every hop; gob,
+// which the codec replaced, would have dropped the closure silently.
+func TestWorkerRefusesProceduresWithoutWireForm(t *testing.T) {
+	tr := network.NewChanTransport([]tx.NodeID{0, 1, LeaderNode}, nil)
+	c, err := NewWorker(WorkerConfig{
+		Self: 0, Workers: []tx.NodeID{0, 1}, Leader: LeaderNode,
+		Transport: tr, NetStats: tr.Stats(), Policy: policies(2)["calvin"],
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Stop)
+	c.StartWorker()
+
+	k := tx.MakeKey(0, 1)
+	for _, proc := range []tx.Procedure{
+		&tx.OpProc{Reads: []tx.Key{k}, Writes: []tx.Key{k}, Mutate: func(_ tx.Key, cur []byte) []byte { return cur }},
+		&tx.FuncProc{Writes: []tx.Key{k}, Fn: func(tx.ExecCtx) {}},
+	} {
+		name := fmt.Sprintf("%T", proc)
+		if _, err := c.Submit(0, proc); err == nil || !strings.Contains(err.Error(), name) {
+			t.Errorf("Submit(%s) = %v, want a refusal naming the type", name, err)
+		}
+	}
+	c.mu.Lock()
+	queued := len(c.seqWaiters) + len(c.pending)
+	c.mu.Unlock()
+	if queued != 0 {
+		t.Fatalf("%d refused submissions left a waiter behind", queued)
+	}
+	select {
+	case m := <-tr.Recv(LeaderNode):
+		t.Fatalf("a refused submission reached the leader: %+v", m)
+	case <-time.After(50 * time.Millisecond):
+	}
+	// A procedure with a tag still goes through.
+	if _, err := c.Submit(0, &tx.CounterProc{Reads: []tx.Key{k}, Writes: []tx.Key{k}}); err != nil {
+		t.Fatalf("CounterProc refused: %v", err)
 	}
 }

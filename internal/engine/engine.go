@@ -665,8 +665,8 @@ func (c *Cluster) Provision(add, remove []tx.NodeID) (<-chan struct{}, error) {
 // transmission, so a delivered batch can always correlate back, and the
 // leader's gapless per-client dedup never sees a reordered stream.
 func (c *Cluster) submitDistributed(proc tx.Procedure) (<-chan struct{}, error) {
-	if _, ok := proc.(tx.WireSafe); !ok {
-		return nil, fmt.Errorf("engine: %T is not wire-safe: procedures with closures cannot cross process boundaries (gob drops func fields silently)", proc)
+	if _, err := tx.WireTag(proc); err != nil {
+		return nil, fmt.Errorf("engine: refusing submission: %w", err)
 	}
 	c.mu.Lock()
 	if c.stopped {

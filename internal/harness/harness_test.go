@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"strings"
 	"testing"
 	"time"
 
@@ -214,6 +215,17 @@ func TestNodeServerLifecycle(t *testing.T) {
 	}
 	if ps.Committed != 100 {
 		t.Fatalf("stats committed = %d, want 100", ps.Committed)
+	}
+	// The worker and its leader talked over real sockets: the frames they
+	// wrote are counted next to the WireSize model, and none was damaged.
+	if ps.NetBytes == 0 || ps.NetSocketBytes == 0 || ps.WireFrameErrors != 0 {
+		t.Fatalf("stats net_bytes=%d net_socket_bytes=%d wire_frame_errors=%d, want traffic on both counters and no frame errors",
+			ps.NetBytes, ps.NetSocketBytes, ps.WireFrameErrors)
+	}
+	for _, field := range []string{"socket-bytes=", "frame-errors=0"} {
+		if !strings.Contains(ps.Format(), field) {
+			t.Fatalf("Format() lacks %q:\n%s", field, ps.Format())
+		}
 	}
 
 	// Close drains in-flight work, tears everything down, and is

@@ -548,10 +548,12 @@ type ProcStats struct {
 	Committed         int64  `json:"committed"`
 	Aborted           int64  `json:"aborted"`
 	NetMsgs           int64  `json:"net_msgs"`
-	NetBytes          int64  `json:"net_bytes"`
+	NetBytes          int64  `json:"net_bytes"` // the Message.WireSize model
+	NetSocketBytes    int64  `json:"net_socket_bytes"`
 	Retransmits       int64  `json:"retransmits"`
 	DupsDropped       int64  `json:"dups_dropped"`
 	HandshakeFailures int64  `json:"handshake_failures"`
+	WireFrameErrors   int64  `json:"wire_frame_errors"`
 
 	// Backpressure counters (non-zero only on the driver process, whose
 	// overload gate paces/refuses admission on local queue depth).
@@ -577,8 +579,8 @@ func (st ProcStats) Format() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "node %d (incarnation %d)\n", st.Node, st.Incarnation)
 	fmt.Fprintf(&b, "  txns:       committed=%d aborted=%d\n", st.Committed, st.Aborted)
-	fmt.Fprintf(&b, "  network:    msgs=%d bytes=%d retransmits=%d dups-dropped=%d handshake-failures=%d\n",
-		st.NetMsgs, st.NetBytes, st.Retransmits, st.DupsDropped, st.HandshakeFailures)
+	fmt.Fprintf(&b, "  network:    msgs=%d bytes=%d socket-bytes=%d retransmits=%d dups-dropped=%d handshake-failures=%d frame-errors=%d\n",
+		st.NetMsgs, st.NetBytes, st.NetSocketBytes, st.Retransmits, st.DupsDropped, st.HandshakeFailures, st.WireFrameErrors)
 	fmt.Fprintf(&b, "  overload:   delayed=%d shed=%d\n", st.OverloadDelayed, st.OverloadShed)
 	fmt.Fprintf(&b, "  durability: fsyncs=%d batches=%d batched-acks=%d torn=%d corrupt=%d\n",
 		st.JournalFsyncs, st.JournalBatches, st.JournalBatchedAcks, st.JournalTorn, st.JournalCorrupt)
@@ -598,7 +600,9 @@ func (s *NodeServer) stats() ProcStats {
 		Incarnation:       s.jr.Incarnation(),
 		Committed:         s.cluster.Collector().Committed(),
 		Aborted:           s.cluster.Collector().Aborted(),
+		NetSocketBytes:    s.tr.SocketBytes(),
 		HandshakeFailures: s.tr.HandshakeFailures(),
+		WireFrameErrors:   s.tr.FrameErrors(),
 
 		RestoredCheckpoint: s.restored,
 		CheckpointID:       s.restoredID,
@@ -621,7 +625,9 @@ func (s *NodeServer) stats() ProcStats {
 		m, b := s.leaderTr.Stats().Totals()
 		st.NetMsgs += m
 		st.NetBytes += b
+		st.NetSocketBytes += s.leaderTr.SocketBytes()
 		st.HandshakeFailures += s.leaderTr.HandshakeFailures()
+		st.WireFrameErrors += s.leaderTr.FrameErrors()
 		lrs := s.leaderRel.Stats()
 		st.Retransmits += lrs.Retransmits
 		st.DupsDropped += lrs.DupsDropped

@@ -21,7 +21,7 @@
 //
 // The package deliberately knows nothing about the transport riding it: it
 // proxies opaque byte streams, which is exactly what makes the injected
-// resets and stalls honest (the handshake, gob framing, and reliable layer
+// resets and stalls honest (the handshake, frame codec, and reliable layer
 // above all see real kernel-level failures, not simulated ones).
 package netchaos
 
@@ -529,6 +529,15 @@ func (l *link) acceptLoop() {
 		l.mu.Lock()
 		l.conns[cp] = struct{}{}
 		l.mu.Unlock()
+		select {
+		case <-l.p.quit:
+			// Close took its killAll snapshot while this pair was being
+			// dialed; nothing else would ever reset it, and its pumps
+			// would hold Close's wg.Wait forever.
+			l.killAll(false)
+			return
+		default:
+		}
 		l.conns64.Add(1)
 		l.p.wg.Add(2)
 		go l.pump(cp, cli, up, l.fwd, &l.bytesFwd)

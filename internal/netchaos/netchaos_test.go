@@ -82,7 +82,13 @@ func TestPlaneProxiesBytes(t *testing.T) {
 	if len(st.Links) != 1 || st.Links[0].Conns != 1 {
 		t.Fatalf("stats: %+v", st)
 	}
-	if st.Links[0].BytesForward == 0 || st.Links[0].BytesReverse == 0 {
+	// A pump counts a chunk after writing it, so the echo can be back in
+	// our hands a moment before either counter moves.
+	moved := func() bool { return st.Links[0].BytesForward > 0 && st.Links[0].BytesReverse > 0 }
+	for deadline := time.Now().Add(2 * time.Second); !moved() && time.Now().Before(deadline); st = p.Stats() {
+		time.Sleep(time.Millisecond)
+	}
+	if !moved() {
 		t.Fatalf("byte counters not moving: %+v", st.Links[0])
 	}
 }

@@ -1,11 +1,8 @@
 package network
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
-	"hash/crc32"
 	"log"
 	"path/filepath"
 	"strconv"
@@ -14,6 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"hermes/internal/codec"
 	"hermes/internal/diskio"
 	"hermes/internal/tx"
 )
@@ -26,13 +24,18 @@ import (
 // journal through ReliableOpts.Recovered and deterministically regenerates
 // its state.
 //
-// On-disk format (v2): a 16-byte header (8-byte magic, 8-byte big-endian
+// On-disk format (v3): a 16-byte header (8-byte magic, 8-byte big-endian
 // base — the absolute index of the file's first frame, non-zero after a
-// checkpoint rotation), then frames of
+// checkpoint rotation), then the very frames the TCP link carries
+// (appendFrame in wire.go):
 //
-//	[4B len][4B CRC32C(payload)][gob payload]
+//	[4B len][4B CRC32C(payload)][encoded Message]
 //
-// Recovery classifies damage by where and how it appears:
+// A journal written by an incompatible build — the magic of another format
+// version over frames that pass their CRC and do not decode — is refused at
+// open: replaying nothing from it would let an upgraded node silently
+// restart from empty state. Otherwise recovery classifies damage by where
+// and how it appears:
 //
 //   - A torn tail — the final frame incomplete, including inside its 8-byte
 //     header — is the expected residue of a crash mid-append. It is silently
@@ -69,6 +72,7 @@ type Journal struct {
 	synced  int64  // byte watermark known stable (fsync returned)
 	floors  map[tx.NodeID]LinkFloor
 	pending []func() // callbacks awaiting the next group commit
+	frame   []byte   // the frame being appended; reused across Appends
 	closed  bool
 
 	recovered   []Message
@@ -143,19 +147,17 @@ const (
 	corruptFile     = "journal.log.corrupt"
 	incarnationFile = "incarnation"
 
-	journalMagic  = uint64(0x4845524d4a4e4c32) // "HERMJNL2"
-	journalHdrLen = 16
-	frameHdrLen   = 8 // 4B length + 4B CRC32C
-	// maxFrameLen bounds a plausible frame; a longer claimed length is
-	// corruption (resync is impossible past a bad length, so quarantine).
-	maxFrameLen = 1 << 26
+	// The 8-byte magic is journalMagic followed by the format version
+	// digit. v2 framed gob payloads; v3 frames the shared wire encoding.
+	journalMagic   = "HERMJNL"
+	journalVersion = '3'
+	journalHdrLen  = 16
+	frameHdrLen    = codec.FrameHeaderLen
 
 	appendMaxRetries = 8
 	syncMaxRetries   = 64
 	syncRetryDelay   = 2 * time.Millisecond
 )
-
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // JournalOpts configures OpenJournalWith beyond the legacy defaults.
 type JournalOpts struct {
@@ -215,6 +217,10 @@ func OpenJournalWith(dir string, opts JournalOpts) (*Journal, error) {
 	}
 
 	rep := replayJournal(raw)
+	if rep.foreign != 0 {
+		return nil, fmt.Errorf("journal: %s was written by an incompatible build (format v%c, this build reads v%c); "+
+			"restore the node with the build that wrote it or move the file away", path, rep.foreign, journalVersion)
+	}
 	if rep.quarantine >= 0 {
 		bad := raw[rep.quarantine:]
 		j.stCorrupt.Add(1)
@@ -296,26 +302,44 @@ type replayResult struct {
 	tornBytes   int  // bytes of torn tail beyond good (no quarantine)
 	quarantine  int  // byte offset corruption starts at, -1 if none
 	reason      string
+	undecodable bool // the quarantined frame passed its CRC but is no Message
+	foreign     byte // format digit of the incompatible build that wrote the file, else 0
 }
 
 // replayJournal decodes the intact frame prefix of raw and classifies
 // whatever follows it as torn (crash residue, truncate) or corrupt
 // (quarantine). See the Journal doc comment for the classification rules.
 func replayJournal(raw []byte) replayResult {
-	rep := replayResult{quarantine: -1}
 	if len(raw) < journalHdrLen {
 		// Empty file, or a crash inside the initial header write: nothing
 		// was ever framed, let alone acked.
-		rep.freshHeader = true
-		rep.tornBytes = len(raw)
+		return replayResult{quarantine: -1, freshHeader: true, tornBytes: len(raw)}
+	}
+	badMagic := replayResult{quarantine: 0, freshHeader: true, reason: "bad magic"}
+	v := raw[len(journalMagic)]
+	if string(raw[:len(journalMagic)]) != journalMagic || v < '0' || v > '9' {
+		return badMagic
+	}
+	rep := replayFrames(raw)
+	if v == journalVersion {
 		return rep
 	}
-	if binary.BigEndian.Uint64(raw[:8]) != journalMagic {
-		rep.freshHeader = true
-		rep.quarantine = 0
-		rep.reason = "bad magic"
-		return rep
+	// The magic names another format version. Versions 2 and 3 share the
+	// frame envelope, so the frames themselves say which it is: a frame
+	// that passes its CRC and is not a Message was written by another
+	// build's encoder, and replaying nothing from that file would restart
+	// an upgraded node from empty state — refuse. Anything else (our own
+	// frames, none, or damage) is a header hit by the same rot that flips
+	// any other byte, and stays on the quarantine path.
+	if rep.undecodable && len(rep.msgs) == 0 {
+		return replayResult{quarantine: -1, foreign: v}
 	}
+	return badMagic
+}
+
+// replayFrames walks the frames behind a journal header.
+func replayFrames(raw []byte) replayResult {
+	rep := replayResult{quarantine: -1}
 	rep.base = binary.BigEndian.Uint64(raw[8:16])
 	off := journalHdrLen
 	for {
@@ -329,11 +353,12 @@ func replayJournal(raw []byte) replayResult {
 			rep.tornBytes = rem
 			return rep
 		}
-		n := int(binary.BigEndian.Uint32(raw[off : off+4]))
-		if n == 0 || n > maxFrameLen {
+		hdr := raw[off : off+frameHdrLen]
+		n, err := codec.PayloadLen(hdr)
+		if err != nil {
 			rep.good = off
 			rep.quarantine = off
-			rep.reason = fmt.Sprintf("implausible frame length %d", n)
+			rep.reason = err.Error()
 			return rep
 		}
 		if rem-frameHdrLen < n {
@@ -342,17 +367,18 @@ func replayJournal(raw []byte) replayResult {
 			return rep
 		}
 		payload := raw[off+frameHdrLen : off+frameHdrLen+n]
-		if crc := crc32.Checksum(payload, crcTable); crc != binary.BigEndian.Uint32(raw[off+4:off+8]) {
+		if err := codec.CheckPayload(hdr, payload); err != nil {
 			rep.good = off
 			rep.quarantine = off
-			rep.reason = "CRC mismatch on complete frame"
+			rep.reason = err.Error() + " on complete frame"
 			return rep
 		}
-		var m Message
-		if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&m); err != nil {
+		m, err := decodeMessage(payload)
+		if err != nil {
 			rep.good = off
 			rep.quarantine = off
-			rep.reason = fmt.Sprintf("gob decode despite valid CRC: %v", err)
+			rep.reason = fmt.Sprintf("frame does not decode despite valid CRC: %v", err)
+			rep.undecodable = true
 			return rep
 		}
 		rep.msgs = append(rep.msgs, m)
@@ -362,7 +388,7 @@ func replayJournal(raw []byte) replayResult {
 
 func journalHeader(base uint64) []byte {
 	h := make([]byte, journalHdrLen)
-	binary.BigEndian.PutUint64(h[:8], journalMagic)
+	h[copy(h, journalMagic)] = journalVersion
 	binary.BigEndian.PutUint64(h[8:16], base)
 	return h
 }
@@ -481,30 +507,23 @@ func (j *Journal) noteFloorLocked(m Message) {
 	}
 }
 
-func encodeFrame(m Message) []byte {
-	var buf bytes.Buffer
-	buf.Write(make([]byte, frameHdrLen))
-	if err := gob.NewEncoder(&buf).Encode(&m); err != nil {
-		panic(fmt.Sprintf("journal: encode message: %v", err))
-	}
-	b := buf.Bytes()
-	payload := b[frameHdrLen:]
-	binary.BigEndian.PutUint32(b[0:4], uint32(len(payload)))
-	binary.BigEndian.PutUint32(b[4:8], crc32.Checksum(payload, crcTable))
-	return b
-}
-
 // Append persists one delivered message. It is called from the reliable
 // layer's pump goroutine, which is single-threaded per destination. A torn
 // or short write is repaired in place — truncate back to the frame start
 // and rewrite — because a partial frame would read as a torn tail on
 // recovery and silently swallow every frame behind it in this life. Only
 // after repairs are exhausted does Append panic: continuing would let the
-// pump ack input that is not journaled.
+// pump ack input that is not journaled. An encode error panics too: the
+// message was decoded from a frame, or checked at submit, so only a bug can
+// make it unencodable.
 func (j *Journal) Append(m Message) {
-	frame := encodeFrame(m)
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	frame, err := appendFrame(j.frame[:0], &m)
+	if err != nil {
+		panic(fmt.Sprintf("journal: encode message: %v", err))
+	}
+	j.frame = retained(frame)
 	start := j.size
 	var lastErr error
 	for attempt := 0; attempt < appendMaxRetries; attempt++ {
@@ -702,7 +721,11 @@ func (j *Journal) Rotate(w uint64) error {
 		if len(raw)-off < frameHdrLen {
 			return fmt.Errorf("journal: rotate walk ran past file at frame %d", i)
 		}
-		off += frameHdrLen + int(binary.BigEndian.Uint32(raw[off:off+4]))
+		n, err := codec.PayloadLen(raw[off:])
+		if err != nil {
+			return fmt.Errorf("journal: rotate walk at frame %d: %w", i, err)
+		}
+		off += frameHdrLen + n
 	}
 	if off > len(raw) {
 		return fmt.Errorf("journal: rotate walk overran file (%d > %d)", off, len(raw))

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"hermes/internal/codec"
 	"hermes/internal/diskio"
 	"hermes/internal/tx"
 )
@@ -186,6 +187,143 @@ func TestJournalBadMagicQuarantinesWholeFile(t *testing.T) {
 	}
 	if st := j.Stats(); st.Corrupt != 1 || st.CorruptBytes != 33 {
 		t.Fatalf("stats = %+v", st)
+	}
+}
+
+// v2Journal builds what the previous build left behind: the HERMJNL2 magic
+// over the same frame envelope, with payloads (gob then) that are no
+// Message to this build's decoder.
+func v2Journal(t *testing.T) []byte {
+	t.Helper()
+	raw := []byte("HERMJNL2\x00\x00\x00\x00\x00\x00\x00\x00")
+	for _, payload := range []string{"\x7f\xff\x81\x03\x01\x01\x07Message\x01\xff\x82", "\x0b\xff\x82\x01\x02\x01\x0a"} {
+		start := len(raw)
+		raw = append(codec.BeginFrame(raw), payload...)
+		if err := codec.EndFrame(raw, start); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return raw
+}
+
+// TestJournalRefusesIncompatibleBuild: a journal the previous build wrote
+// (format v2: gob payloads) must fail the open, untouched — quarantining it
+// as corruption would leave the node replaying nothing and silently
+// restarting from empty state.
+func TestJournalRefusesIncompatibleBuild(t *testing.T) {
+	fs := diskio.NewMemFS(diskio.FaultSpec{Seed: 4})
+	path := filepath.Join("/n0", journalFile)
+	old := v2Journal(t)
+	fs.Install(path, old, len(old))
+	_, err := OpenJournalWith("/n0", JournalOpts{FS: fs, Policy: SyncAlways})
+	if want := "written by an incompatible build (format v2, this build reads v3)"; err == nil || !contains(err.Error(), want) {
+		t.Fatalf("open of a v2 journal: err = %v, want one saying %q", err, want)
+	}
+	if raw, rerr := fs.ReadFile(path); rerr != nil || string(raw) != string(old) {
+		t.Fatalf("refused journal was modified: %q (%v)", raw, rerr)
+	}
+	if _, rerr := fs.ReadFile(filepath.Join("/n0", corruptFile)); !diskio.IsNotExist(rerr) {
+		t.Fatalf("refused journal was quarantined (read err %v)", rerr)
+	}
+}
+
+// TestJournalFlippedVersionByteIsCorruption: one flipped bit turns this
+// build's '3' into '2'. The frames behind it still decode, so it is a
+// damaged header, not another build's file — it takes the quarantine path
+// every other damaged header takes and the open succeeds (the disk-fault
+// chaos schedules flip bytes of never-synced headers and require exactly
+// that).
+func TestJournalFlippedVersionByteIsCorruption(t *testing.T) {
+	for _, frames := range []int{0, 2} {
+		fs := diskio.NewMemFS(diskio.FaultSpec{Seed: 7})
+		j, err := OpenJournalWith("/n0", JournalOpts{FS: fs, Policy: SyncAlways})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < frames; i++ {
+			j.Append(jmsg(i))
+		}
+		j.Close()
+		path := filepath.Join("/n0", journalFile)
+		raw, _ := fs.ReadFile(path)
+		raw[len(journalMagic)] ^= 1
+		fs.Install(path, raw, len(raw))
+		j2, err := OpenJournalWith("/n0", JournalOpts{FS: fs, Policy: SyncAlways})
+		if err != nil {
+			t.Fatalf("%d frames: a flipped version byte failed the open: %v", frames, err)
+		}
+		if st := j2.Stats(); st.Corrupt != 1 || st.CorruptBytes != int64(len(raw)) || len(j2.Recovered()) != 0 {
+			t.Fatalf("%d frames: stats = %+v with %d recovered, want the whole file quarantined", frames, st, len(j2.Recovered()))
+		}
+		j2.Close()
+	}
+}
+
+// TestJournalOpenSurvivesRotOfUnsyncedFile is the disk-fault chaos
+// contract in miniature: after a power cut, bytes that were never fsynced
+// — under policy none that includes the header and its version digit —
+// may come back with flipped bits, and recovery must repair or quarantine,
+// never refuse to start.
+func TestJournalOpenSurvivesRotOfUnsyncedFile(t *testing.T) {
+	build := diskio.NewMemFS(diskio.FaultSpec{Seed: 1})
+	j, err := OpenJournalWith("/n0", JournalOpts{FS: build})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		j.Append(jmsg(i))
+	}
+	j.Close()
+	path := filepath.Join("/n0", journalFile)
+	raw, _ := build.ReadFile(path)
+	for seed := int64(0); seed < 2000; seed++ {
+		fs := diskio.NewMemFS(diskio.FaultSpec{Seed: seed, CrashBitFlipProb: 0.05})
+		fs.Install(path, raw, 0)
+		fs.Crash()
+		jr, err := OpenJournalWith("/n0", JournalOpts{FS: fs})
+		if err != nil {
+			t.Fatalf("seed %d: open after rot: %v", seed, err)
+		}
+		jr.Close()
+	}
+}
+
+// TestJournalUndecodableFrameQuarantined: a frame whose CRC holds but whose
+// payload is no message is damage to acked data like any other — the
+// suffix from it on is quarantined, with the decode error as the reason.
+func TestJournalUndecodableFrameQuarantined(t *testing.T) {
+	fs := diskio.NewMemFS(diskio.FaultSpec{Seed: 6})
+	j, err := OpenJournalWith("/n0", JournalOpts{FS: fs, Policy: SyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.Append(jmsg(0))
+	j.Close()
+	path := filepath.Join("/n0", journalFile)
+	raw, _ := fs.ReadFile(path)
+	bogus := append(codec.BeginFrame(nil), "checksummed, but not a message"...)
+	if err := codec.EndFrame(bogus, 0); err != nil {
+		t.Fatal(err)
+	}
+	tail, err := appendFrame(nil, &Message{From: 1, To: 0, Link: 2, Inc: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw = append(append(raw, bogus...), tail...)
+	fs.Install(path, raw, len(raw))
+
+	rep := replayJournal(raw)
+	if rep.quarantine < 0 || !contains(rep.reason, "does not decode despite valid CRC") {
+		t.Fatalf("replay = %+v, want a quarantine naming the decode failure", rep)
+	}
+	j2, err := OpenJournalWith("/n0", JournalOpts{FS: fs, Policy: SyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j2.Close()
+	sameMsgs(t, j2.Recovered(), []Message{jmsg(0)})
+	if st := j2.Stats(); st.Corrupt != 1 || st.CorruptBytes != int64(len(bogus)+len(tail)) {
+		t.Fatalf("stats = %+v, want the bogus frame and everything behind it quarantined", st)
 	}
 }
 

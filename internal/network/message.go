@@ -1,8 +1,9 @@
 // Package network provides the cluster transport: typed messages between
 // nodes, an in-process channel transport with a configurable latency model
-// and byte accounting (used by the emulated experiments), and a TCP/gob
-// transport demonstrating that the engine is not tied to the in-process
-// loopback.
+// and byte accounting (used by the emulated experiments), a TCP transport
+// that carries each message as one checksummed binary frame (wire.go) for
+// real multi-process clusters, and the delivery journal that persists the
+// same frames.
 package network
 
 import (
@@ -134,11 +135,11 @@ type Message struct {
 	// stale. Always 0 on in-process transports.
 	Inc uint64
 
-	// Batch carries a totally ordered request batch by reference on the
-	// in-process transport (MsgSeqForward / MsgSeqDeliver). WireSize
-	// accounts for it as if the request descriptors were serialized.
-	// Cross-process transports would need a procedure codec; the emulated
-	// experiments never send batches over TCP.
+	// Batch carries a totally ordered request batch (MsgSeqForward /
+	// MsgSeqDeliver / MsgSeqReplicate): by reference on the in-process
+	// transport, where WireSize accounts for it as if the request
+	// descriptors were serialized, and encoded by tx.AppendBatch on TCP and
+	// in the journal, where only procedures with a wire tag may travel.
 	Batch *tx.Batch
 }
 

@@ -1,8 +1,9 @@
 package network
 
 import (
+	"bufio"
 	"encoding/binary"
-	"encoding/gob"
+	"errors"
 	"fmt"
 	"io"
 	"log"
@@ -12,12 +13,13 @@ import (
 	"sync/atomic"
 	"time"
 
+	"hermes/internal/codec"
 	"hermes/internal/tx"
 )
 
 // Dial-retry and send-deadline defaults. A peer that is restarting should
 // be reachable again within the retry budget; a peer that is truly dead
-// must not wedge a sender forever mid-Encode.
+// must not wedge a sender forever mid-Write.
 const (
 	defaultDialAttempts   = 6
 	defaultDialBackoff    = 10 * time.Millisecond
@@ -27,14 +29,16 @@ const (
 
 // Wire handshake. Every TCP connection opens with a fixed 16-byte header
 // (magic, framing version, sender node id) exchanged in both directions
-// before the gob stream starts, so a cluster accidentally started from
-// mixed builds fails loudly at connect time instead of corrupting batches
+// before the first frame, so a cluster accidentally started from mixed
+// builds fails loudly at connect time instead of corrupting batches
 // mid-run.
 const (
 	handshakeMagic = 0x48524D53 // "HRMS"
-	// wireVersion is the TCP framing version. Bump it whenever the gob
-	// message schema changes incompatibly.
-	wireVersion             = 1
+	// wireVersion is the TCP framing version. Bump it whenever the frame
+	// layout or the encoded form of a Message changes: frames carry no
+	// per-field versioning, so the handshake is the only compatibility
+	// check. v1 was a gob stream.
+	wireVersion             = 2
 	defaultHandshakeTimeout = 3 * time.Second
 	handshakeLen            = 16
 )
@@ -58,9 +62,11 @@ func checkHandshake(h [handshakeLen]byte) (tx.NodeID, error) {
 }
 
 // TCPTransport is a real-socket implementation of Transport for a single
-// node: it listens on its own address and lazily dials peers, framing
-// messages with encoding/gob. A cluster deployment runs one TCPTransport
-// per process; the in-process experiments use ChanTransport instead, but
+// node: it listens on its own address and lazily dials peers. Every message
+// crosses a connection as one self-contained, length-prefixed and
+// CRC32C-checked frame (wire.go), written in a single Write from a buffer
+// the connection reuses. A cluster deployment runs one TCPTransport per
+// process; the in-process experiments use ChanTransport instead, but
 // integration tests run the engine over TCP to show nothing depends on the
 // loopback shortcut.
 type TCPTransport struct {
@@ -74,9 +80,11 @@ type TCPTransport struct {
 
 	mu       sync.Mutex
 	conns    map[tx.NodeID]*tcpConn
-	accepted []net.Conn
+	accepted map[net.Conn]struct{} // inbound connections with a live readLoop
 	closed   bool
-	wg       sync.WaitGroup
+	// wg covers the accept loop, every readLoop, and every self-Send past
+	// its closed check: Close waits for all of them before closing inbox.
+	wg sync.WaitGroup
 
 	dialAttempts   int
 	dialBackoff    time.Duration
@@ -84,17 +92,24 @@ type TCPTransport struct {
 	sendTimeout    time.Duration
 
 	handshakeFails atomic.Int64
-	// reconnects counts connections dropped mid-stream (a failed Encode on
-	// an established gob stream) and re-dialed; a mid-stream RST from the
+	// reconnects counts connections dropped mid-stream (a failed Write on
+	// an established connection) and re-dialed; a mid-stream RST from the
 	// peer or a fault proxy shows up here, not as a delivery failure.
 	reconnects atomic.Int64
+	// frameErrors counts inbound connections dropped for wire damage: an
+	// implausible frame length, a CRC mismatch, or a payload that passed
+	// its CRC and still failed to decode.
+	frameErrors atomic.Int64
+	// socketBytes counts bytes written to sockets (frame headers included,
+	// handshakes not) — what stats, the WireSize model, only estimates.
+	socketBytes atomic.Int64
 
 	// dialSleepHook, when set (tests), observes each jittered retry wait
 	// just before it is slept.
 	dialSleepHook func(time.Duration)
 
 	// wrapConn, when set (tests), wraps every freshly dialed connection
-	// before the gob encoder is attached — fault-injection tests use it to
+	// before the first frame is written — fault-injection tests use it to
 	// split and tear writes at the byte level.
 	wrapConn func(net.Conn) net.Conn
 }
@@ -102,7 +117,21 @@ type TCPTransport struct {
 type tcpConn struct {
 	mu  sync.Mutex
 	c   net.Conn
-	enc *gob.Encoder
+	buf []byte // the frame being written; reused across Sends under mu
+}
+
+// maxRetainedBuf caps the frame buffer a connection keeps between
+// messages, so one oversized frame (a migration chunk) does not pin its
+// memory for the connection's lifetime.
+const maxRetainedBuf = 1 << 20
+
+// retained returns buf for reuse by the next message, or nil to let an
+// oversized one go.
+func retained(buf []byte) []byte {
+	if cap(buf) > maxRetainedBuf {
+		return nil
+	}
+	return buf
 }
 
 // NewTCPTransport starts a transport for node self, listening on
@@ -135,6 +164,7 @@ func NewTCPTransportListener(self tx.NodeID, addrs map[tx.NodeID]string, ln net.
 		inbox:          make(chan Message, 4096),
 		quit:           make(chan struct{}),
 		conns:          make(map[tx.NodeID]*tcpConn),
+		accepted:       make(map[net.Conn]struct{}),
 		dialAttempts:   defaultDialAttempts,
 		dialBackoff:    defaultDialBackoff,
 		dialBackoffCap: defaultDialBackoffCap,
@@ -162,25 +192,32 @@ func (t *TCPTransport) acceptLoop() {
 			c.Close()
 			return
 		}
-		t.accepted = append(t.accepted, c)
-		t.mu.Unlock()
+		t.accepted[c] = struct{}{}
 		t.wg.Add(1)
+		t.mu.Unlock()
 		go t.readLoop(c)
 	}
 }
 
 func (t *TCPTransport) readLoop(c net.Conn) {
 	defer t.wg.Done()
-	defer c.Close()
+	defer func() {
+		t.mu.Lock()
+		delete(t.accepted, c)
+		t.mu.Unlock()
+		c.Close()
+	}()
 	if err := t.handshakeAccept(c); err != nil {
 		t.handshakeFails.Add(1)
 		log.Printf("network: node %d rejected connection from %s: %v", t.self, c.RemoteAddr(), err)
 		return
 	}
-	dec := gob.NewDecoder(c)
+	br := bufio.NewReader(c)
+	var buf []byte // the frame being read; reused, which decodeMessage permits
 	for {
-		var m Message
-		if err := dec.Decode(&m); err != nil {
+		m, err := readFrame(br, &buf)
+		if err != nil {
+			t.noteReadError(c, err)
 			return
 		}
 		select {
@@ -191,8 +228,62 @@ func (t *TCPTransport) readLoop(c net.Conn) {
 	}
 }
 
+// errBadFrame marks wire damage, as opposed to a connection that merely
+// ended.
+var errBadFrame = errors.New("bad frame")
+
+// readFrame reads one frame from br into *buf (grown as needed) and decodes
+// it. A stream that ends cleanly between frames returns io.EOF.
+func readFrame(br *bufio.Reader, buf *[]byte) (Message, error) {
+	var hdr [codec.FrameHeaderLen]byte
+	if _, err := io.ReadFull(br, hdr[:]); err != nil {
+		return Message{}, err
+	}
+	n, err := codec.PayloadLen(hdr[:])
+	if err != nil {
+		return Message{}, fmt.Errorf("%w: %v", errBadFrame, err)
+	}
+	if *buf = retained(*buf); cap(*buf) < n {
+		*buf = make([]byte, n)
+	}
+	payload := (*buf)[:n]
+	if _, err := io.ReadFull(br, payload); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		return Message{}, err
+	}
+	if err := codec.CheckPayload(hdr[:], payload); err != nil {
+		return Message{}, fmt.Errorf("%w: %v", errBadFrame, err)
+	}
+	m, err := decodeMessage(payload)
+	if err != nil {
+		return Message{}, fmt.Errorf("%w: %d-byte payload with a valid CRC does not decode: %v", errBadFrame, n, err)
+	}
+	return m, nil
+}
+
+// noteReadError accounts for the end of an inbound connection. The peer
+// closing between frames and our own Close are silent; wire damage is
+// counted and logged; anything else (a reset, a stream torn mid-frame) is
+// logged, and the sender's reliable layer retransmits what was lost.
+func (t *TCPTransport) noteReadError(c net.Conn, err error) {
+	if err == io.EOF {
+		return
+	}
+	select {
+	case <-t.quit:
+		return
+	default:
+	}
+	if errors.Is(err, errBadFrame) {
+		t.frameErrors.Add(1)
+	}
+	log.Printf("network: node %d dropped connection from %s: %v", t.self, c.RemoteAddr(), err)
+}
+
 // handshakeAccept validates the dialer's header and replies with ours. It
-// runs before any gob traffic, so a peer from an incompatible build (or a
+// runs before any frame is read, so a peer from an incompatible build (or a
 // stray client that is not a transport at all) is turned away with a
 // logged error instead of corrupting the stream.
 func (t *TCPTransport) handshakeAccept(c net.Conn) error {
@@ -246,6 +337,14 @@ func (t *TCPTransport) HandshakeFailures() int64 { return t.handshakeFails.Load(
 // were dropped for re-dial.
 func (t *TCPTransport) Reconnects() int64 { return t.reconnects.Load() }
 
+// FrameErrors reports how many inbound connections were dropped for wire
+// damage (bad length, CRC mismatch, undecodable payload).
+func (t *TCPTransport) FrameErrors() int64 { return t.frameErrors.Load() }
+
+// SocketBytes reports the bytes actually written to sockets as frames.
+// Stats().Totals() is the WireSize model of the same traffic.
+func (t *TCPTransport) SocketBytes() int64 { return t.socketBytes.Load() }
+
 // SetSendTimeout overrides the per-message write deadline (0 disables).
 func (t *TCPTransport) SetSendTimeout(d time.Duration) {
 	t.mu.Lock()
@@ -271,13 +370,19 @@ func (t *TCPTransport) SetDialRetry(attempts int, backoff, backoffCap time.Durat
 func (t *TCPTransport) Send(m Message) error {
 	if m.To == t.self {
 		t.mu.Lock()
-		closed := t.closed
-		t.mu.Unlock()
-		if closed {
+		if t.closed {
+			t.mu.Unlock()
 			return fmt.Errorf("network: transport closed")
 		}
-		t.inbox <- m
-		return nil
+		t.wg.Add(1) // Close closes inbox only after this send has left
+		t.mu.Unlock()
+		defer t.wg.Done()
+		select {
+		case t.inbox <- m:
+			return nil
+		case <-t.quit:
+			return fmt.Errorf("network: transport closed")
+		}
 	}
 	var lastErr error
 	for attempt := 0; attempt < 2; attempt++ {
@@ -289,21 +394,29 @@ func (t *TCPTransport) Send(m Message) error {
 		timeout := t.sendTimeout
 		t.mu.Unlock()
 		conn.mu.Lock()
+		frame, err := appendFrame(conn.buf[:0], &m)
+		if err != nil {
+			// The message, not the connection, is at fault.
+			conn.mu.Unlock()
+			return fmt.Errorf("network: encode for node %d: %w", m.To, err)
+		}
 		if timeout > 0 {
 			conn.c.SetWriteDeadline(time.Now().Add(timeout))
 		}
-		err = conn.enc.Encode(&m)
+		n, err := conn.c.Write(frame)
 		if timeout > 0 {
 			conn.c.SetWriteDeadline(time.Time{})
 		}
+		conn.buf = retained(frame)
 		conn.mu.Unlock()
+		t.socketBytes.Add(int64(n))
 		if err == nil {
 			t.stats.Count(m.WireSize())
 			return nil
 		}
 		// Drop the broken connection; the next loop iteration (or a later
-		// Send) re-dials. A gob stream is unusable after a failed Encode,
-		// so the whole connection goes.
+		// Send) re-dials. The peer may hold a partial frame, so the stream
+		// cannot be resumed: the whole connection goes.
 		t.reconnects.Add(1)
 		t.mu.Lock()
 		if t.conns[m.To] == conn {
@@ -382,7 +495,7 @@ func (t *TCPTransport) dial(node tx.NodeID) (*tcpConn, error) {
 	if wrap != nil {
 		wc = wrap(raw)
 	}
-	conn := &tcpConn{c: wc, enc: gob.NewEncoder(wc)}
+	conn := &tcpConn{c: wc}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.closed {
@@ -426,10 +539,15 @@ func (t *TCPTransport) Close() {
 	t.closed = true
 	conns := t.conns
 	t.conns = map[tx.NodeID]*tcpConn{}
-	accepted := t.accepted
-	t.accepted = nil
+	accepted := make([]net.Conn, 0, len(t.accepted))
+	for c := range t.accepted {
+		accepted = append(accepted, c)
+	}
 	t.mu.Unlock()
 
+	// quit releases self-Sends and readLoops blocked on a full inbox; none
+	// can start after closed was set under mu, so once wg drains no sender
+	// is left and the inbox can close.
 	close(t.quit)
 	t.ln.Close()
 	for _, c := range conns {

@@ -2,7 +2,9 @@ package network
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"sync"
@@ -10,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"hermes/internal/codec"
 	"hermes/internal/leaktest"
 	"hermes/internal/tx"
 )
@@ -234,7 +237,7 @@ func TestTCPTransportSendDeadline(t *testing.T) {
 	t0.SetSendTimeout(150 * time.Millisecond)
 
 	// Big payloads fill the kernel socket buffers quickly; once they are
-	// full, Encode blocks until the write deadline fires.
+	// full, Write blocks until the write deadline fires.
 	payload := make([]byte, 1<<20)
 	deadline := time.Now().Add(30 * time.Second)
 	var sendErr error
@@ -409,51 +412,73 @@ func TestTCPTransportHandshakeRejectsGarbage(t *testing.T) {
 }
 
 // TestTCPTransportHandshakeVersionMismatch dials a peer that answers the
-// handshake with a different wire version and checks the dial — and hence
-// Send — fails loudly instead of starting a gob stream against an
-// incompatible build.
+// handshake with a different wire version — the gob-stream v1 the previous
+// build spoke, and a future one — and checks the dial, and hence Send,
+// fails loudly instead of exchanging frames with an incompatible build. The
+// accepting side turns a v1 dialer away the same way.
 func TestTCPTransportHandshakeVersionMismatch(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	go func() {
-		c, err := ln.Accept()
+	for _, peerVersion := range []uint32{1, wireVersion + 1} {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
-			return
+			t.Fatal(err)
 		}
-		defer c.Close()
-		var h [handshakeLen]byte
-		if _, err := io.ReadFull(c, h[:]); err != nil {
-			return
-		}
-		reply := handshakeHeader(1)
-		reply[7]++ // future wire version
-		c.Write(reply[:])
-		// Hold the conn open: the *version check*, not a hangup, must fail
-		// the dial.
-		time.Sleep(2 * time.Second)
-	}()
+		defer ln.Close()
+		release := make(chan struct{})
+		go func() {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			defer c.Close()
+			var h [handshakeLen]byte
+			if _, err := io.ReadFull(c, h[:]); err != nil {
+				return
+			}
+			reply := handshakeHeader(1)
+			binary.BigEndian.PutUint32(reply[4:8], peerVersion)
+			c.Write(reply[:])
+			// Hold the conn open: the *version check*, not a hangup, must
+			// fail the dial.
+			<-release
+		}()
 
-	t0, err := NewTCPTransport(0, map[tx.NodeID]string{0: "127.0.0.1:0", 1: ln.Addr().String()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer t0.Close()
-	t0.SetDialRetry(1, 0, 0)
-	err = t0.Send(Message{From: 0, To: 1})
-	if err == nil {
-		t.Fatal("send to a peer speaking a different wire version succeeded")
-	}
-	if want := "wire version mismatch"; !contains(err.Error(), want) {
-		t.Fatalf("error %q does not mention %q", err, want)
+		t0, err := NewTCPTransport(0, map[tx.NodeID]string{0: "127.0.0.1:0", 1: ln.Addr().String()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t0.SetDialRetry(1, 0, 0)
+		err = t0.Send(Message{From: 0, To: 1})
+		close(release)
+		if err == nil {
+			t.Fatalf("send to a peer speaking wire v%d succeeded", peerVersion)
+		}
+		if want := fmt.Sprintf("peer speaks v%d, this build speaks v%d", peerVersion, wireVersion); !contains(err.Error(), want) {
+			t.Fatalf("error %q does not mention %q", err, want)
+		}
+
+		// The other direction: a v1 build dials us.
+		c, err := net.Dial("tcp", t0.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := handshakeHeader(1)
+		binary.BigEndian.PutUint32(h[4:8], peerVersion)
+		c.Write(h[:])
+		c.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if _, err := c.Read(make([]byte, 1)); err == nil {
+			t.Fatalf("acceptor answered a v%d dialer", peerVersion)
+		}
+		c.Close()
+		if n := t0.HandshakeFailures(); n != 1 {
+			t.Fatalf("HandshakeFailures = %d after a v%d dialer, want 1", n, peerVersion)
+		}
+		t0.Close()
 	}
 }
 
 func contains(s, sub string) bool { return bytes.Contains([]byte(s), []byte(sub)) }
 
-// splitConn tears every write into single-byte writes, so each gob frame
+// splitConn tears every write into single-byte writes, so each frame
 // crosses the wire as hundreds of partial writes.
 type splitConn struct{ net.Conn }
 
@@ -533,7 +558,10 @@ func TestTCPTransportMidStreamReset(t *testing.T) {
 	// into an RST, so the sender's side breaks mid-stream instead of
 	// seeing a clean FIN after a drained buffer.
 	t1.mu.Lock()
-	accepted := append([]net.Conn(nil), t1.accepted...)
+	var accepted []net.Conn
+	for c := range t1.accepted {
+		accepted = append(accepted, c)
+	}
 	t1.mu.Unlock()
 	if len(accepted) == 0 {
 		t.Fatal("receiver accepted no connections")
@@ -683,7 +711,7 @@ func (s tearConn) Write(p []byte) (int, error) {
 func TestTCPTransportTornFrame(t *testing.T) {
 	t0, t1 := newTCPPair(t)
 	var budget atomic.Int64
-	budget.Store(10) // torn mid-way through the first frame's type header
+	budget.Store(10) // torn two bytes into the first frame's payload
 	first := true
 	t0.mu.Lock()
 	t0.wrapConn = func(c net.Conn) net.Conn {
@@ -712,5 +740,233 @@ func TestTCPTransportTornFrame(t *testing.T) {
 	case m := <-t1.Recv(1):
 		t.Fatalf("torn frame surfaced an extra message: %+v", m)
 	case <-time.After(100 * time.Millisecond):
+	}
+}
+
+// TestTCPTransportConcurrentSelfSendClose closes a transport while
+// goroutines are self-sending into an inbox nobody drains: more messages
+// than it buffers, so some senders are blocked mid-send when Close runs.
+// None may panic on the closed inbox and none may stay blocked.
+func TestTCPTransportConcurrentSelfSendClose(t *testing.T) {
+	defer leaktest.Check(t)()
+	for round := 0; round < 10; round++ {
+		tr, err := NewTCPTransport(0, map[tx.NodeID]string{0: "127.0.0.1:0"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 1000; i++ { // 8000 in all against a 4096-slot inbox
+					if tr.Send(Message{From: 0, To: 0, Seq: uint64(i)}) != nil {
+						return
+					}
+				}
+			}()
+		}
+		time.Sleep(time.Millisecond)
+		tr.Close()
+		done := make(chan struct{})
+		go func() {
+			wg.Wait()
+			close(done)
+		}()
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatal("self-senders still blocked after Close")
+		}
+		if err := tr.Send(Message{From: 0, To: 0}); err == nil {
+			t.Fatal("self-send after Close succeeded")
+		}
+	}
+}
+
+// waitNoneAccepted waits for every inbound connection's reader to exit and
+// drop its entry from the accepted set.
+func waitNoneAccepted(t *testing.T, tr *TCPTransport) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		tr.mu.Lock()
+		n := len(tr.accepted)
+		tr.mu.Unlock()
+		if n == 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("transport still tracks %d inbound connections after all were closed", n)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestTCPTransportAcceptedSetShrinks churns the sender's connection — the
+// shape of RST storms under netchaos and of supervisor restarts — and
+// checks the receiver forgets each inbound connection when its reader
+// exits instead of holding one net.Conn per reconnect.
+func TestTCPTransportAcceptedSetShrinks(t *testing.T) {
+	defer leaktest.Check(t)()
+	t0, t1 := newTCPPair(t)
+	const churn = 8
+	for i := 0; i < churn; i++ {
+		if err := t0.Send(Message{From: 0, To: 1, Seq: uint64(i)}); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case <-t1.Recv(1):
+		case <-time.After(2 * time.Second):
+			t.Fatalf("message %d not delivered", i)
+		}
+		// Drop the established connection; the next Send dials a new one.
+		t0.mu.Lock()
+		conn := t0.conns[1]
+		delete(t0.conns, 1)
+		t0.mu.Unlock()
+		conn.c.Close()
+	}
+	waitNoneAccepted(t, t1)
+	t0.Close()
+	t1.Close()
+}
+
+// TestTCPTransportMessagesDoNotAliasReadBuffer sends distinct payloads of
+// one size back to back: the reader decodes the second into the very
+// buffer the first was read into, so the first must own its bytes.
+func TestTCPTransportMessagesDoNotAliasReadBuffer(t *testing.T) {
+	t0, t1 := newTCPPair(t)
+	first := bytes.Repeat([]byte{0xAA}, 256)
+	second := bytes.Repeat([]byte{0x55}, 256)
+	for i, p := range [][]byte{first, second} {
+		m := Message{From: 0, To: 1, Seq: uint64(i), Payload: p, Records: []Record{{Key: 1, Value: p}}}
+		if err := t0.Send(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var got [2]Message
+	for i := range got {
+		select {
+		case got[i] = <-t1.Recv(1):
+		case <-time.After(2 * time.Second):
+			t.Fatalf("message %d not delivered", i)
+		}
+	}
+	if !bytes.Equal(got[0].Payload, first) || !bytes.Equal(got[0].Records[0].Value, first) {
+		t.Fatal("the first message changed when the second arrived: it aliases the read buffer")
+	}
+	if !bytes.Equal(got[1].Payload, second) {
+		t.Fatal("second message corrupted")
+	}
+}
+
+// dialRaw connects to tr as a hand-rolled peer and completes the handshake,
+// so a test can write arbitrary bytes where frames belong.
+func dialRaw(t *testing.T, tr *TCPTransport) net.Conn {
+	t.Helper()
+	c, err := net.Dial("tcp", tr.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	h := handshakeHeader(1)
+	if _, err := c.Write(h[:]); err != nil {
+		t.Fatal(err)
+	}
+	var reply [handshakeLen]byte
+	if _, err := io.ReadFull(c, reply[:]); err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// TestTCPTransportCountsFrameErrors feeds a transport each kind of wire
+// damage behind a good handshake. Every one must drop the connection,
+// count as a frame error, and surface no message; a connection that ends
+// cleanly between frames or tears mid-frame is not wire damage.
+func TestTCPTransportCountsFrameErrors(t *testing.T) {
+	tr, err := NewTCPTransport(0, map[tx.NodeID]string{0: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+
+	good, err := appendFrame(nil, &Message{From: 1, To: 0, Seq: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	badCRC := append([]byte(nil), good...)
+	badCRC[len(badCRC)-1] ^= 1
+	tooLong := append([]byte(nil), good...)
+	binary.BigEndian.PutUint32(tooLong, codec.MaxFrameLen+1)
+	undecodable := append(codec.BeginFrame(nil), "a valid CRC over bytes that are no message"...)
+	if err := codec.EndFrame(undecodable, 0); err != nil {
+		t.Fatal(err)
+	}
+
+	for i, damage := range [][]byte{badCRC, tooLong, undecodable} {
+		c := dialRaw(t, tr)
+		if _, err := c.Write(append(append([]byte(nil), good...), damage...)); err != nil {
+			t.Fatal(err)
+		}
+		// The intact frame ahead of the damage is delivered...
+		select {
+		case m := <-tr.Recv(0):
+			if m.Seq != 5 {
+				t.Fatalf("case %d: got %+v", i, m)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatalf("case %d: intact frame not delivered", i)
+		}
+		// ...then the acceptor hangs up and counts the damage.
+		c.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if _, err := c.Read(make([]byte, 1)); err == nil {
+			t.Fatalf("case %d: acceptor kept the connection after a damaged frame", i)
+		}
+		if n := tr.FrameErrors(); n != int64(i+1) {
+			t.Fatalf("case %d: FrameErrors = %d, want %d", i, n, i+1)
+		}
+	}
+
+	before := tr.FrameErrors()
+	c := dialRaw(t, tr)
+	c.Write(good[:len(good)/2]) // torn mid-frame: the link's problem, not damage
+	c.Close()
+	c = dialRaw(t, tr)
+	c.Close() // clean close between frames
+	waitNoneAccepted(t, tr)
+	if n := tr.FrameErrors(); n != before {
+		t.Fatalf("a closed or torn connection counted as %d frame errors", n-before)
+	}
+	select {
+	case m := <-tr.Recv(0):
+		t.Fatalf("damaged input surfaced a message: %+v", m)
+	default:
+	}
+}
+
+// TestTCPTransportSocketBytes: SocketBytes counts what Write put on the
+// socket — the frames, headers included — next to the WireSize model.
+func TestTCPTransportSocketBytes(t *testing.T) {
+	t0, t1 := newTCPPair(t)
+	m := benchRecordPush()
+	m.From, m.To = 0, 1
+	frame, err := appendFrame(nil, &m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 5
+	for i := 0; i < n; i++ {
+		if err := t0.Send(m); err != nil {
+			t.Fatal(err)
+		}
+		<-t1.Recv(1)
+	}
+	if got := t0.SocketBytes(); got != int64(n*len(frame)) {
+		t.Fatalf("SocketBytes = %d, want %d frames of %d bytes", got, n, len(frame))
+	}
+	if _, model := t0.Stats().Totals(); model != int64(n*m.WireSize()) {
+		t.Fatalf("modelled bytes = %d, want %d", model, n*m.WireSize())
 	}
 }

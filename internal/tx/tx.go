@@ -138,12 +138,14 @@ func (r *Request) Origin() *Request {
 // procedure value can be submitted repeatedly (and concurrently) without
 // the in-place sort racing with executors of earlier submissions.
 func NewRequest(id TxnID, proc Procedure) *Request {
-	return &Request{
-		ID:     id,
-		Proc:   proc,
-		reads:  NormalizeKeys(append([]Key(nil), proc.ReadSet()...)),
-		writes: NormalizeKeys(append([]Key(nil), proc.WriteSet()...)),
-	}
+	r := &Request{ID: id, Proc: proc}
+	r.cacheSets()
+	return r
+}
+
+func (r *Request) cacheSets() {
+	r.reads = NormalizeKeys(append([]Key(nil), r.Proc.ReadSet()...))
+	r.writes = NormalizeKeys(append([]Key(nil), r.Proc.WriteSet()...))
 }
 
 // ReadSet returns the deduplicated, sorted read-set. Callers must not

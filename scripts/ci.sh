@@ -155,6 +155,34 @@ fi
 HERMESD_BUILD_RACE=1 go test -race -count=1 -timeout 15m ${short_flag} \
     -run "${netchaos_run}" ${netchaos_pkgs}
 
+# Codec gate: the data plane (TCP frames, journal frames) is a hand-written
+# binary codec; encoding/gob survives only in the cold checkpoint paths and
+# in the frozen benchmark, and the guard keeps it from creeping back. The
+# two fuzz targets replay their checked-in corpus in the sweep above; here
+# each also mutates for 10 s (see docs/CLUSTER.md, "Wire and journal
+# format"). The minimizer is capped at 1 s: left at its 60 s default it
+# spends the whole smoke shrinking the first 2 KB input that finds new
+# coverage and executes nothing else.
+echo "==> codec gate (gob import guard + 10s fuzz smoke per target)"
+gob_want=$'bench/probes.go\ninternal/durable/durable.go\ninternal/fusion/fusion.go'
+gob_got=$(grep -rl --include='*.go' --exclude='*_test.go' '"encoding/gob"' . | sed 's|^\./||' | sort)
+if [[ "${gob_got}" != "${gob_want}" ]]; then
+    echo "non-test files importing encoding/gob changed; want exactly:" >&2
+    echo "${gob_want}" >&2
+    echo "got:" >&2
+    echo "${gob_got}" >&2
+    exit 1
+fi
+fuzz_targets='FuzzDecodeMessage FuzzMessageRoundTrip'
+listed=$(go test -list 'FuzzDecodeMessage|FuzzMessageRoundTrip' ./internal/network | grep -c '^Fuzz' || true)
+if [[ "${listed}" -ne 2 ]]; then
+    echo "codec gate matched ${listed} of 2 fuzz targets: one was renamed or deleted" >&2
+    exit 1
+fi
+for target in ${fuzz_targets}; do
+    go test -run '^$' -fuzz "^${target}\$" -fuzztime 10s -fuzzminimizetime 1s ./internal/network
+done
+
 # Smoke-run the routing benchmark (1 iteration) so it can't silently rot;
 # its cost is tracked by the core.route_* probes of `go run ./bench`.
 echo "==> go test -bench=BenchmarkPrescientRouting -benchtime=1x ./internal/core"
