@@ -211,9 +211,9 @@ func Open(opts Options) (*DB, error) {
 		tel = telemetry.New(ids, opts.TelemetryRingSize)
 	}
 	cl, err := engine.New(engine.Config{
-		Nodes:        ids,
-		Active:       ids[:opts.Nodes],
-		Policy:       pf,
+		Nodes:  ids,
+		Active: ids[:opts.Nodes],
+		Policy: pf,
 		Seq: sequencer.Config{
 			BatchSize: opts.BatchSize, Interval: opts.BatchInterval,
 			Standbys:        opts.SeqStandbys,

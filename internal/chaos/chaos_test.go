@@ -21,8 +21,8 @@ func testNodes(n int) []tx.NodeID {
 func faultySchedule(seed int64) Schedule {
 	return Schedule{
 		Name: "all-faults", Seed: seed,
-		Jitter:        50 * time.Microsecond,
-		SpikeProb:     0.1, SpikeDelay: 300 * time.Microsecond,
+		Jitter:    50 * time.Microsecond,
+		SpikeProb: 0.1, SpikeDelay: 300 * time.Microsecond,
 		PartitionProb: 0.05, PartitionDur: 500 * time.Microsecond,
 		BytesPerSecond: 32 << 20,
 	}

@@ -118,8 +118,8 @@ type scratch struct {
 	cands   []candidate
 	taken   []bool
 	heap    []heapEnt
-	dirty   []int32 // candidates invalidated by the current pick
-	dirtyIn []bool  // dedup for dirty
+	dirty   []int32  // candidates invalidated by the current pick
+	dirtyIn []bool   // dedup for dirty
 	sortTmp []keyPos // radix-sort scatter buffer
 	// step 3
 	future    []keyPos // future-readers index: (key, B′ position), sorted

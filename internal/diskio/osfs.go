@@ -44,10 +44,10 @@ func (OSFS) OpenAppend(path string) (File, error) {
 	return osFile{f}, nil
 }
 
-func (OSFS) ReadFile(path string) ([]byte, error)        { return os.ReadFile(path) }
-func (OSFS) WriteFile(path string, data []byte) error    { return os.WriteFile(path, data, 0o644) }
-func (OSFS) Rename(oldPath, newPath string) error        { return os.Rename(oldPath, newPath) }
-func (OSFS) Remove(path string) error                    { return os.Remove(path) }
+func (OSFS) ReadFile(path string) ([]byte, error)     { return os.ReadFile(path) }
+func (OSFS) WriteFile(path string, data []byte) error { return os.WriteFile(path, data, 0o644) }
+func (OSFS) Rename(oldPath, newPath string) error     { return os.Rename(oldPath, newPath) }
+func (OSFS) Remove(path string) error                 { return os.Remove(path) }
 
 func (OSFS) SyncDir(dir string) error {
 	d, err := os.Open(dir)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"strings"
@@ -222,9 +223,30 @@ func TestNodeServerLifecycle(t *testing.T) {
 		t.Fatalf("stats net_bytes=%d net_socket_bytes=%d wire_frame_errors=%d, want traffic on both counters and no frame errors",
 			ps.NetBytes, ps.NetSocketBytes, ps.WireFrameErrors)
 	}
-	for _, field := range []string{"socket-bytes=", "frame-errors=0"} {
+	// The link layer's amortisation is readable: every frame was a socket
+	// write, and acks are cumulative per drain, so there is at most one
+	// per message they acknowledge.
+	if ps.NetSocketWrites == 0 || ps.LinkAcks == 0 || ps.LinkAcks > ps.NetMsgs-ps.LinkAcks {
+		t.Fatalf("stats net_msgs=%d net_socket_writes=%d link_acks=%d, want writes counted and no more acks than sequenced messages",
+			ps.NetMsgs, ps.NetSocketWrites, ps.LinkAcks)
+	}
+	for _, field := range []string{"socket-bytes=", "socket-writes=", "link-acks=", "frame-errors=0"} {
 		if !strings.Contains(ps.Format(), field) {
 			t.Fatalf("Format() lacks %q:\n%s", field, ps.Format())
+		}
+	}
+	resp, err := http.Get("http://" + addr + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	metrics, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, series := range []string{"hermes_net_socket_writes_total", "hermes_link_acks_total"} {
+		if !strings.Contains(string(metrics), series) {
+			t.Fatalf("/metrics lacks %s", series)
 		}
 	}
 

@@ -298,7 +298,7 @@ func NewNodeServer(cfg NodeConfig) (*NodeServer, error) {
 			},
 		}
 	}
-	s.registerDurabilityMetrics()
+	s.registerProcMetrics()
 	if cfg.LeaderLn != nil {
 		s.leaderTr = network.NewTCPTransportListener(engine.LeaderNode, cfg.Addrs, cfg.LeaderLn)
 		tuneTransport(s.leaderTr)
@@ -488,11 +488,17 @@ func (s *NodeServer) startWorker() {
 	s.cluster.StartWorker()
 }
 
-// registerDurabilityMetrics exposes the journal's and checkpoint store's
-// counters as gauges in the process's telemetry registry (served at
-// /metrics alongside the engine's own series).
-func (s *NodeServer) registerDurabilityMetrics() {
+// registerProcMetrics exposes what only the process-level view knows as
+// gauges in the telemetry registry (served at /metrics alongside the
+// engine's own series): the two link-layer counters summed over the
+// worker's and the leader's endpoints, and the journal's and checkpoint
+// store's counters.
+func (s *NodeServer) registerProcMetrics() {
 	reg := s.tel.Registry()
+	reg.Gauge("hermes_net_socket_writes_total", "socket Write calls that carried frames",
+		func() float64 { return float64(s.stats().NetSocketWrites) })
+	reg.Gauge("hermes_link_acks_total", "cumulative link acknowledgements sent by the reliable layer",
+		func() float64 { return float64(s.stats().LinkAcks) })
 	jstat := func(f func(network.JournalStats) int64) func() float64 {
 		return func() float64 { return float64(f(s.jr.Stats())) }
 	}
@@ -550,6 +556,8 @@ type ProcStats struct {
 	NetMsgs           int64  `json:"net_msgs"`
 	NetBytes          int64  `json:"net_bytes"` // the Message.WireSize model
 	NetSocketBytes    int64  `json:"net_socket_bytes"`
+	NetSocketWrites   int64  `json:"net_socket_writes"` // net_msgs ÷ this = frames per write
+	LinkAcks          int64  `json:"link_acks"`         // cumulative MsgLinkAcks sent
 	Retransmits       int64  `json:"retransmits"`
 	DupsDropped       int64  `json:"dups_dropped"`
 	HandshakeFailures int64  `json:"handshake_failures"`
@@ -579,8 +587,8 @@ func (st ProcStats) Format() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "node %d (incarnation %d)\n", st.Node, st.Incarnation)
 	fmt.Fprintf(&b, "  txns:       committed=%d aborted=%d\n", st.Committed, st.Aborted)
-	fmt.Fprintf(&b, "  network:    msgs=%d bytes=%d socket-bytes=%d retransmits=%d dups-dropped=%d handshake-failures=%d frame-errors=%d\n",
-		st.NetMsgs, st.NetBytes, st.NetSocketBytes, st.Retransmits, st.DupsDropped, st.HandshakeFailures, st.WireFrameErrors)
+	fmt.Fprintf(&b, "  network:    msgs=%d bytes=%d socket-bytes=%d socket-writes=%d link-acks=%d retransmits=%d dups-dropped=%d handshake-failures=%d frame-errors=%d\n",
+		st.NetMsgs, st.NetBytes, st.NetSocketBytes, st.NetSocketWrites, st.LinkAcks, st.Retransmits, st.DupsDropped, st.HandshakeFailures, st.WireFrameErrors)
 	fmt.Fprintf(&b, "  overload:   delayed=%d shed=%d\n", st.OverloadDelayed, st.OverloadShed)
 	fmt.Fprintf(&b, "  durability: fsyncs=%d batches=%d batched-acks=%d torn=%d corrupt=%d\n",
 		st.JournalFsyncs, st.JournalBatches, st.JournalBatchedAcks, st.JournalTorn, st.JournalCorrupt)
@@ -601,6 +609,7 @@ func (s *NodeServer) stats() ProcStats {
 		Committed:         s.cluster.Collector().Committed(),
 		Aborted:           s.cluster.Collector().Aborted(),
 		NetSocketBytes:    s.tr.SocketBytes(),
+		NetSocketWrites:   s.tr.SocketWrites(),
 		HandshakeFailures: s.tr.HandshakeFailures(),
 		WireFrameErrors:   s.tr.FrameErrors(),
 
@@ -620,15 +629,17 @@ func (s *NodeServer) stats() ProcStats {
 	}
 	st.NetMsgs, st.NetBytes = s.tr.Stats().Totals()
 	rs := s.cluster.Reliable().Stats()
-	st.Retransmits, st.DupsDropped = rs.Retransmits, rs.DupsDropped
+	st.LinkAcks, st.Retransmits, st.DupsDropped = rs.Acks, rs.Retransmits, rs.DupsDropped
 	if s.leaderTr != nil {
 		m, b := s.leaderTr.Stats().Totals()
 		st.NetMsgs += m
 		st.NetBytes += b
 		st.NetSocketBytes += s.leaderTr.SocketBytes()
+		st.NetSocketWrites += s.leaderTr.SocketWrites()
 		st.HandshakeFailures += s.leaderTr.HandshakeFailures()
 		st.WireFrameErrors += s.leaderTr.FrameErrors()
 		lrs := s.leaderRel.Stats()
+		st.LinkAcks += lrs.Acks
 		st.Retransmits += lrs.Retransmits
 		st.DupsDropped += lrs.DupsDropped
 	}

@@ -325,7 +325,9 @@ func TestTCPTransportManyMessages(t *testing.T) {
 	t0.SetAddr(1, t1.Addr())
 
 	const n = 1000
+	sent := make(chan struct{})
 	go func() {
+		defer close(sent)
 		for i := 0; i < n; i++ {
 			t0.Send(Message{From: 0, To: 1, Seq: uint64(i)})
 		}
@@ -340,6 +342,7 @@ func TestTCPTransportManyMessages(t *testing.T) {
 			t.Fatalf("timed out at message %d", i)
 		}
 	}
+	<-sent // Send counts a message after writing it, which the peer may outrun
 	msgs, bytes := t0.Stats().Totals()
 	if msgs != n || bytes <= 0 {
 		t.Errorf("stats = %d msgs %d bytes", msgs, bytes)

@@ -2,12 +2,17 @@ package network
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"hermes/internal/tx"
 )
+
+// maxDrain bounds one pump drain, so that a saturated inbox still acks —
+// and moves its senders' retransmit windows — every 64 messages.
+const maxDrain = 64
 
 // Retransmission pacing: the first retry waits retransmitBase, then the
 // interval doubles per silent round up to retransmitCap. The base is a few
@@ -35,9 +40,10 @@ type ReliableStats struct {
 // dense sequence number (Message.Link), buffers it until acknowledged, and
 // retransmits the unacknowledged window with capped exponential backoff;
 // the receiver delivers in sequence, buffers the future, discards
-// duplicates, and returns cumulative MsgLinkAck acknowledgements (which may
-// themselves be lost or duplicated — the protocol only needs them to
-// eventually arrive).
+// duplicates, and returns cumulative MsgLinkAck acknowledgements — one per
+// sender per drain of its inbox, not one per message (see pumpLoop) — which
+// may themselves be lost or duplicated: the protocol only needs them to
+// eventually arrive.
 //
 // Reliable additionally keeps a per-destination delivery log: every message
 // is appended to its destination's log before a feeder goroutine hands it
@@ -111,10 +117,15 @@ type recvLink struct {
 	future   map[uint64]Message
 }
 
+func newRecvLink(inc, expected uint64) *recvLink {
+	return &recvLink{inc: inc, expected: expected, future: make(map[uint64]Message)}
+}
+
 // destState is one destination's delivery log and consumer feed.
 type destState struct {
 	node tx.NodeID
 	recv map[tx.NodeID]*recvLink // sender -> dedup state (pump-owned)
+	owed []tx.NodeID             // senders heard from since the last flushAcks (pump-owned)
 
 	mu       sync.Mutex
 	log      []Message
@@ -203,10 +214,10 @@ type ReliableOpts struct {
 // receive/send sets, an incarnation, and optional journaling/recovery.
 func NewReliableWith(inner Transport, o ReliableOpts) *Reliable {
 	r := &Reliable{
-		inner: inner,
-		sends: make(map[[2]tx.NodeID]*sendLink),
-		dests: make(map[tx.NodeID]*destState, len(o.RecvFor)),
-		seqTo: make(map[tx.NodeID]bool, len(o.SendTo)),
+		inner:  inner,
+		sends:  make(map[[2]tx.NodeID]*sendLink),
+		dests:  make(map[tx.NodeID]*destState, len(o.RecvFor)),
+		seqTo:  make(map[tx.NodeID]bool, len(o.SendTo)),
 		inc:    o.Incarnation,
 		rtBase: o.RetransmitBase,
 		rtCap:  o.RetransmitCap,
@@ -247,7 +258,7 @@ func NewReliableWith(inner Transport, o ReliableOpts) *Reliable {
 		// Checkpoint floors first; journaled history (below) only raises
 		// them.
 		for s, lf := range o.Floors {
-			ds.recv[s] = &recvLink{inc: lf.Inc, expected: lf.Link + 1, future: make(map[uint64]Message)}
+			ds.recv[s] = newRecvLink(lf.Inc, lf.Link+1)
 		}
 		for _, m := range o.Recovered {
 			if m.To != n {
@@ -259,8 +270,7 @@ func NewReliableWith(inner Transport, o ReliableOpts) *Reliable {
 			}
 			rl := ds.recv[m.From]
 			if rl == nil {
-				rl = &recvLink{inc: m.Inc, expected: m.Link + 1, future: make(map[uint64]Message)}
-				ds.recv[m.From] = rl
+				ds.recv[m.From] = newRecvLink(m.Inc, m.Link+1)
 				continue
 			}
 			switch {
@@ -425,7 +435,12 @@ func (r *Reliable) sleep(d time.Duration) bool {
 
 // pumpLoop consumes the inner transport's inbox for one destination:
 // protocol traffic (acks, duplicates, gaps) is absorbed here; accepted
-// messages are appended to the delivery log for the feeder.
+// messages are appended to the delivery log for the feeder. Acks are paid
+// per drain, not per message: the pump handles the message it woke for,
+// keeps taking whatever is already queued (up to maxDrain), and only when
+// the inbox is momentarily empty sends one cumulative ack to each sender it
+// heard from. Every drain ends with that flush and nothing waits on a
+// timer, so an idle link is acked at once and a lossy one stays live.
 func (r *Reliable) pumpLoop(ds *destState) {
 	defer r.wg.Done()
 	inbox := r.inner.Recv(ds.node)
@@ -439,7 +454,44 @@ func (r *Reliable) pumpLoop(ds *destState) {
 			}
 			r.handle(ds, m)
 		}
+	drain:
+		for n := 1; n < maxDrain; n++ {
+			select {
+			case m, ok := <-inbox:
+				if !ok {
+					break drain
+				}
+				r.handle(ds, m)
+			default:
+				break drain
+			}
+		}
+		r.flushAcks(ds)
 	}
+}
+
+// flushAcks sends one cumulative ack to every sender heard from since the
+// last flush. Each send goes through the durability gate: under group
+// commit the peer learns of a delivery only after the fsync covering it —
+// every journal append of the drain precedes the gate call — so an acked
+// frame can never be lost to host death.
+func (r *Reliable) flushAcks(ds *destState) {
+	for _, from := range ds.owed {
+		rl := ds.recv[from]
+		ack := Message{
+			From: ds.node, To: from, Type: MsgLinkAck, Link: rl.expected - 1, Inc: rl.inc,
+		}
+		send := func() {
+			r.acks.Add(1)
+			_ = r.inner.Send(ack)
+		}
+		if ds.ackGate != nil {
+			ds.ackGate(send)
+		} else {
+			send()
+		}
+	}
+	ds.owed = ds.owed[:0]
 }
 
 func (r *Reliable) handle(ds *destState, m Message) {
@@ -464,9 +516,11 @@ func (r *Reliable) handle(ds *destState, m Message) {
 			for i < len(sl.unacked) && sl.unacked[i].m.Link <= m.Link {
 				i++
 			}
-			if i > 0 {
-				sl.unacked = append(sl.unacked[:0:0], sl.unacked[i:]...)
-			}
+			// Shift in place; zero the vacated tail so acked messages are
+			// collectable.
+			n := copy(sl.unacked, sl.unacked[i:])
+			clear(sl.unacked[n:])
+			sl.unacked = sl.unacked[:n]
 		}
 		sl.mu.Unlock()
 	case m.Link == 0:
@@ -476,7 +530,7 @@ func (r *Reliable) handle(ds *destState, m Message) {
 	default:
 		rl := ds.recv[m.From]
 		if rl == nil {
-			rl = &recvLink{inc: m.Inc, expected: 1, future: make(map[uint64]Message)}
+			rl = newRecvLink(m.Inc, 1)
 			ds.recv[m.From] = rl
 		}
 		if m.Inc != rl.inc {
@@ -520,23 +574,11 @@ func (r *Reliable) handle(ds *destState, m Message) {
 				rl.expected++
 			}
 		}
-		// Ack every sequenced receipt (including duplicates: the original
-		// ack may have been the casualty). The send goes through the
-		// durability gate: under group commit the peer learns of the
-		// delivery only after the fsync covering it, so an acked frame can
-		// never be lost to host death. Acks are cumulative, so delaying or
-		// collapsing them is always protocol-safe.
-		ack := Message{
-			From: ds.node, To: m.From, Type: MsgLinkAck, Link: rl.expected - 1, Inc: rl.inc,
-		}
-		send := func() {
-			r.acks.Add(1)
-			_ = r.inner.Send(ack)
-		}
-		if ds.ackGate != nil {
-			ds.ackGate(send)
-		} else {
-			send()
+		// Every sequenced receipt owes its sender an ack — duplicates too:
+		// the original ack may have been the casualty. Acks are cumulative,
+		// so the drain's flush collapses them into one per sender.
+		if !slices.Contains(ds.owed, m.From) {
+			ds.owed = append(ds.owed, m.From)
 		}
 	}
 }

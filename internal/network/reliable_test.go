@@ -2,8 +2,9 @@ package network
 
 import (
 	"fmt"
+	"math/rand"
 	"strings"
-	"sync/atomic"
+	"sync"
 	"testing"
 	"time"
 
@@ -11,24 +12,34 @@ import (
 	"hermes/internal/tx"
 )
 
-// lossyInner wraps a ChanTransport with a deterministic drop/duplicate
-// pattern on sequenced cross-node messages: every 3rd send is dropped,
-// every 5th surviving send is duplicated. Acks are spared drops only by
-// chance — the protocol must tolerate lost acks too.
+// lossyInner wraps a ChanTransport with seeded loss on sequenced cross-node
+// messages and on acks: each send is dropped with probability 1/3, each
+// survivor duplicated with probability 1/5. The draws are random rather
+// than "every 3rd send" because a strictly periodic pattern phase-locks
+// with a retransmit round of constant length: a 50-message window plus its
+// one coalesced ack is 51 sends, a multiple of 3, so the same message would
+// be dropped in every round forever.
 type lossyInner struct {
 	*ChanTransport
-	n atomic.Int64
+	mu  sync.Mutex
+	rng *rand.Rand
+}
+
+func newLossyInner(base *ChanTransport) *lossyInner {
+	return &lossyInner{ChanTransport: base, rng: rand.New(rand.NewSource(1))}
 }
 
 func (l *lossyInner) Send(m Message) error {
 	if m.From == m.To || m.Link == 0 && m.Type != MsgLinkAck {
 		return l.ChanTransport.Send(m)
 	}
-	k := l.n.Add(1)
-	if k%3 == 0 {
+	l.mu.Lock()
+	drop, dup := l.rng.Intn(3) == 0, l.rng.Intn(5) == 0
+	l.mu.Unlock()
+	if drop {
 		return nil // dropped on the floor
 	}
-	if k%5 == 0 {
+	if dup {
 		_ = l.ChanTransport.Send(m) // duplicated
 	}
 	return l.ChanTransport.Send(m)
@@ -40,7 +51,7 @@ func reliablePair(t *testing.T, lossy bool) (*Reliable, func()) {
 	base := NewChanTransport(nodes, nil)
 	var inner Transport = base
 	if lossy {
-		inner = &lossyInner{ChanTransport: base}
+		inner = newLossyInner(base)
 	}
 	r := NewReliable(inner, nodes)
 	return r, r.Close
@@ -286,7 +297,7 @@ func TestReliableConcurrentSenders(t *testing.T) {
 	defer leaktest.Check(t)()
 	nodes := []tx.NodeID{0, 1, 2}
 	base := NewChanTransport(nodes, nil)
-	r := NewReliable(&lossyInner{ChanTransport: base}, nodes)
+	r := NewReliable(newLossyInner(base), nodes)
 	defer r.Close()
 
 	const per = 50
@@ -339,5 +350,183 @@ func TestRetransmitCapClampedToBase(t *testing.T) {
 	defer r.Close()
 	if r.rtBase != 100*time.Millisecond || r.rtCap != 100*time.Millisecond {
 		t.Fatalf("base/cap = %v/%v, want explicit cap below base clamped to base", r.rtBase, r.rtCap)
+	}
+}
+
+// stubInner is an inner transport with one inbox the test fills by hand
+// (before the pump starts, so what a drain sees is deterministic) and a
+// record of everything the layer sent through it.
+type stubInner struct {
+	inbox chan Message
+	sent  chan Message
+}
+
+func newStubInner(preload []Message) *stubInner {
+	s := &stubInner{inbox: make(chan Message, len(preload)+8), sent: make(chan Message, len(preload)+8)}
+	for _, m := range preload {
+		s.inbox <- m
+	}
+	return s
+}
+
+func (s *stubInner) Send(m Message) error          { s.sent <- m; return nil }
+func (s *stubInner) Recv(tx.NodeID) <-chan Message { return s.inbox }
+func (s *stubInner) Close()                        {}
+
+func (s *stubInner) nextSent(t *testing.T) Message {
+	t.Helper()
+	select {
+	case m := <-s.sent:
+		return m
+	case <-time.After(5 * time.Second):
+		t.Fatal("the reliable layer sent nothing")
+		return Message{}
+	}
+}
+
+func (s *stubInner) assertNothingSent(t *testing.T) {
+	t.Helper()
+	select {
+	case m := <-s.sent:
+		t.Fatalf("unexpected send: %+v", m)
+	default:
+	}
+}
+
+// sequenced returns n in-order messages from sender to node 0, links 1..n.
+func sequenced(sender tx.NodeID, n int) []Message {
+	ms := make([]Message, n)
+	for i := range ms {
+		ms[i] = Message{From: sender, To: 0, Type: MsgRecordPush, Link: uint64(i + 1), Txn: tx.TxnID(i + 1)}
+	}
+	return ms
+}
+
+// TestReliableCoalescesAcksPerDrain: a drain that finds 32 messages from
+// one sender and 8 from another queued answers with one cumulative ack
+// each, delivers in arrival order, and a later drain of nothing but a
+// duplicate still acks.
+func TestReliableCoalescesAcksPerDrain(t *testing.T) {
+	defer leaktest.Check(t)()
+	a, b := sequenced(1, 32), sequenced(2, 8)
+	var arrival []Message
+	for i := range a { // interleave: four from sender 1, then one from sender 2
+		arrival = append(arrival, a[i])
+		if i%4 == 3 {
+			arrival = append(arrival, b[i/4])
+		}
+	}
+	inner := newStubInner(arrival)
+	r := NewReliableWith(inner, ReliableOpts{RecvFor: []tx.NodeID{0}, SendTo: []tx.NodeID{1, 2}})
+	defer r.Close()
+
+	for i, want := range arrival {
+		select {
+		case got := <-r.Recv(0):
+			if got.From != want.From || got.Link != want.Link {
+				t.Fatalf("delivery %d = from %d link %d, want from %d link %d", i, got.From, got.Link, want.From, want.Link)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("delivery %d timed out", i)
+		}
+	}
+	wantLink := map[tx.NodeID]uint64{1: 32, 2: 8}
+	for i := 0; i < 2; i++ {
+		ack := inner.nextSent(t)
+		if ack.Type != MsgLinkAck || ack.From != 0 || ack.Link != wantLink[ack.To] {
+			t.Fatalf("ack %+v, want one cumulative LinkAck per sender carrying %v", ack, wantLink)
+		}
+		delete(wantLink, ack.To)
+	}
+	inner.assertNothingSent(t)
+	if got := r.Stats().Acks; got != 2 {
+		t.Fatalf("Acks = %d for 40 messages from 2 senders in one drain, want 2", got)
+	}
+
+	inner.inbox <- a[4] // a retransmission whose original ack may have been lost
+	if ack := inner.nextSent(t); ack.Type != MsgLinkAck || ack.To != 1 || ack.Link != 32 {
+		t.Fatalf("a drain of one duplicate sent %+v, want LinkAck 32 to node 1", ack)
+	}
+	if st := r.Stats(); st.DupsDropped != 1 || st.Acks != 3 {
+		t.Fatalf("stats after the duplicate = %+v, want 1 dup dropped and 3 acks", st)
+	}
+}
+
+// TestReliableAckGateWithholdsCoalescedAcks: the drain's flush goes through
+// the AckGate like the per-message ack did — nothing is acked until the
+// gate runs the callback.
+func TestReliableAckGateWithholdsCoalescedAcks(t *testing.T) {
+	defer leaktest.Check(t)()
+	inner := newStubInner(sequenced(1, 16))
+	gated := make(chan func(), 4)
+	r := NewReliableWith(inner, ReliableOpts{
+		RecvFor: []tx.NodeID{0}, SendTo: []tx.NodeID{1},
+		AckGate: func(release func()) { gated <- release },
+	})
+	defer r.Close()
+
+	var release func()
+	select {
+	case release = <-gated:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the drain never reached the ack gate")
+	}
+	inner.assertNothingSent(t)
+	if got := r.Stats().Acks; got != 0 {
+		t.Fatalf("Acks = %d while the gate withholds", got)
+	}
+	release()
+	if ack := inner.nextSent(t); ack.Type != MsgLinkAck || ack.Link != 16 {
+		t.Fatalf("released ack = %+v, want LinkAck 16", ack)
+	}
+}
+
+// TestReliableDrainBound: an inbox that never runs empty — here, preloaded
+// past three bounds — still acks once per maxDrain messages, so a saturated
+// receiver keeps its senders' windows moving.
+func TestReliableDrainBound(t *testing.T) {
+	defer leaktest.Check(t)()
+	const n = 3*maxDrain + 10
+	inner := newStubInner(sequenced(1, n))
+	r := NewReliableWith(inner, ReliableOpts{RecvFor: []tx.NodeID{0}, SendTo: []tx.NodeID{1}})
+	defer r.Close()
+	consumed := make(chan struct{})
+	go func() {
+		defer close(consumed)
+		for i := 0; i < n; i++ {
+			<-r.Recv(0)
+		}
+	}()
+	for _, want := range []uint64{maxDrain, 2 * maxDrain, 3 * maxDrain, n} {
+		if ack := inner.nextSent(t); ack.Type != MsgLinkAck || ack.Link != want {
+			t.Fatalf("ack %+v, want LinkAck %d", ack, want)
+		}
+	}
+	<-consumed
+}
+
+// TestReliableAckingAPrefixDoesNotAllocate: an ack that retires part of the
+// unacked window shifts the rest in place.
+func TestReliableAckingAPrefixDoesNotAllocate(t *testing.T) {
+	inner := newStubInner(nil)
+	r := NewReliableWith(inner, ReliableOpts{RecvFor: []tx.NodeID{0}, SendTo: []tx.NodeID{1}})
+	defer r.Close()
+	const window = 64
+	sl := &sendLink{unacked: make([]unackedMsg, 0, window)}
+	r.sends[[2]tx.NodeID{0, 1}] = sl
+	base := uint64(0)
+	allocs := testing.AllocsPerRun(100, func() {
+		sl.acked, sl.unacked = base, sl.unacked[:window]
+		for i := range sl.unacked {
+			sl.unacked[i].m.Link = base + uint64(i) + 1
+		}
+		r.handle(r.dests[0], Message{From: 1, To: 0, Type: MsgLinkAck, Link: base + window/2})
+		if len(sl.unacked) != window/2 || sl.unacked[0].m.Link != base+window/2+1 {
+			t.Fatalf("window after the ack: %d left, first link %d", len(sl.unacked), sl.unacked[0].m.Link)
+		}
+		base += window
+	})
+	if allocs != 0 {
+		t.Fatalf("acking half of a %d-message window allocated %.0f times, want 0", window, allocs)
 	}
 }

@@ -102,7 +102,9 @@ type TCPTransport struct {
 	frameErrors atomic.Int64
 	// socketBytes counts bytes written to sockets (frame headers included,
 	// handshakes not) — what stats, the WireSize model, only estimates.
-	socketBytes atomic.Int64
+	// socketWrites counts the Write calls that carried them.
+	socketBytes  atomic.Int64
+	socketWrites atomic.Int64
 
 	// dialSleepHook, when set (tests), observes each jittered retry wait
 	// just before it is slept.
@@ -345,6 +347,11 @@ func (t *TCPTransport) FrameErrors() int64 { return t.frameErrors.Load() }
 // Stats().Totals() is the WireSize model of the same traffic.
 func (t *TCPTransport) SocketBytes() int64 { return t.socketBytes.Load() }
 
+// SocketWrites reports the Write calls that carried SocketBytes: messages
+// sent over SocketWrites is the frames one write amortises — 1 while every
+// message is written on its own (docs/PERF.md, "The link layer").
+func (t *TCPTransport) SocketWrites() int64 { return t.socketWrites.Load() }
+
 // SetSendTimeout overrides the per-message write deadline (0 disables).
 func (t *TCPTransport) SetSendTimeout(d time.Duration) {
 	t.mu.Lock()
@@ -409,6 +416,7 @@ func (t *TCPTransport) Send(m Message) error {
 		}
 		conn.buf = retained(frame)
 		conn.mu.Unlock()
+		t.socketWrites.Add(1)
 		t.socketBytes.Add(int64(n))
 		if err == nil {
 			t.stats.Count(m.WireSize())

@@ -135,4 +135,3 @@ func ownerHistogram(pl *Placement, overlay map[tx.Key]tx.NodeID, keys []tx.Key, 
 	}
 	return counts, best
 }
-

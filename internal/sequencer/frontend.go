@@ -150,7 +150,11 @@ func (f *Frontend) Sequenced(req *tx.Request) {
 		i++
 	}
 	if i > 0 {
-		f.unacked = append(f.unacked[:0:0], f.unacked[i:]...)
+		// Shift in place; nil the vacated tail so sealed requests are
+		// collectable.
+		n := copy(f.unacked, f.unacked[i:])
+		clear(f.unacked[n:])
+		f.unacked = f.unacked[:n]
 		f.lastProgress = f.clk.Now()
 		f.backoff = f.retry
 	}

@@ -51,9 +51,9 @@ type Group struct {
 	cfg  Config
 	clk  clock.Clock
 
-	mu       sync.Mutex
-	replicas map[tx.NodeID]*Leader
-	ranks    []tx.NodeID
+	mu        sync.Mutex
+	replicas  map[tx.NodeID]*Leader
+	ranks     []tx.NodeID
 	down      map[tx.NodeID]bool
 	leaderID  tx.NodeID
 	epoch     uint64

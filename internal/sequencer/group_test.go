@@ -352,3 +352,35 @@ func TestGroupStandbyTruncatesDivergentSuffix(t *testing.T) {
 	}
 	l.mu.Unlock()
 }
+
+// TestFrontendSequencedDoesNotAllocate: acknowledging a prefix of the retry
+// queue shifts the rest in place — it runs for every sealed request of
+// every batch — and leaves no stale pointer behind the new length.
+func TestFrontendSequencedDoesNotAllocate(t *testing.T) {
+	tr := network.NewChanTransport([]tx.NodeID{0, 1}, nil)
+	defer tr.Close()
+	fe := NewSessionFrontend(0, 1, tr, nil, time.Hour, time.Hour)
+	defer fe.Stop()
+	const window = 64
+	reqs := make([]*tx.Request, window)
+	for i := range reqs {
+		reqs[i] = req()
+		reqs[i].ClientSeq = uint64(i + 1)
+	}
+	fe.unacked = make([]*tx.Request, 0, window)
+	allocs := testing.AllocsPerRun(100, func() {
+		fe.unacked = append(fe.unacked[:0], reqs...)
+		fe.Sequenced(reqs[window/2-1])
+	})
+	if allocs != 0 {
+		t.Fatalf("acknowledging half of a %d-request queue allocated %.0f times, want 0", window, allocs)
+	}
+	if got := fe.Unacked(); got != window/2 || fe.unacked[0] != reqs[window/2] {
+		t.Fatalf("queue after the ack: %d left, want %d starting at client seq %d", got, window/2, window/2+1)
+	}
+	for i, r := range fe.unacked[window/2 : window] {
+		if r != nil {
+			t.Fatalf("vacated slot %d still pins a sealed request", window/2+i)
+		}
+	}
+}

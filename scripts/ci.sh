@@ -16,6 +16,16 @@ if [[ "${1:-}" == "-short" ]]; then
     short_flag="-short"
 fi
 
+# Formatting gate. bench/ is frozen by BENCHMARK.json, so it is not this
+# gate's to fix.
+echo "==> gofmt -l (outside bench/)"
+unformatted=$(gofmt -l . | grep -v '^bench/' || true)
+if [[ -n "${unformatted}" ]]; then
+    echo "gofmt would change these files:" >&2
+    echo "${unformatted}" >&2
+    exit 1
+fi
+
 echo "==> go vet ./..."
 go vet ./...
 
@@ -183,9 +193,13 @@ for target in ${fuzz_targets}; do
     go test -run '^$' -fuzz "^${target}\$" -fuzztime 10s -fuzzminimizetime 1s ./internal/network
 done
 
-# Smoke-run the routing benchmark (1 iteration) so it can't silently rot;
-# its cost is tracked by the core.route_* probes of `go run ./bench`.
+# Smoke-run the routing and link-layer benchmarks (1 iteration) so they
+# can't silently rot; the routing cost is tracked by the core.route_* probes
+# of `go run ./bench`, the link layer's acks/msg and writes/msg are read off
+# BenchmarkLinkThroughput by hand (docs/PERF.md, "The link layer").
 echo "==> go test -bench=BenchmarkPrescientRouting -benchtime=1x ./internal/core"
 go test -run '^$' -bench=BenchmarkPrescientRouting -benchtime=1x ./internal/core
+echo "==> go test -bench=BenchmarkLinkThroughput -benchtime=1x ./internal/network"
+go test -run '^$' -bench=BenchmarkLinkThroughput -benchtime=1x ./internal/network
 
 echo "==> CI gate passed"
