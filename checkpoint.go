@@ -33,34 +33,13 @@ func Recover(opts Options, cp *Checkpoint) (*DB, error) {
 // cluster replays the batches in order, deterministically reproducing the
 // state the original reached after them.
 func RecoverWithTail(opts Options, cp *Checkpoint, tail []*Batch) (*DB, error) {
-	if opts.Policy == "" {
-		opts.Policy = PolicyHermes
-	}
-	base := opts.Base
-	if base == nil && opts.Rows > 0 {
-		// Mirror Open's defaulting so a round-trip with the same Options
-		// reconstructs the same partitioner.
-		db, err := Open(opts)
-		if err != nil {
-			return nil, err
-		}
-		db.Close()
-		base = db.base
-	}
-	opts.Base = base
-	return recoverWith(opts, cp, tail)
-}
-
-func recoverWith(opts Options, cp *Checkpoint, tail []*Batch) (*DB, error) {
-	tmp, err := Open(opts) // validates options and builds config defaults
+	opts, cfg, err := engineConfig(opts)
 	if err != nil {
 		return nil, err
 	}
-	cfg := tmp.cluster.ConfigCopy()
-	tmp.Close()
 	cl, err := engine.Recover(cfg, cp, tail)
 	if err != nil {
 		return nil, err
 	}
-	return &DB{cluster: cl, opts: opts, base: opts.Base}, nil
+	return &DB{cluster: cl, opts: opts}, nil
 }

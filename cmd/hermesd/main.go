@@ -64,7 +64,6 @@ func main() {
 		batch     = flag.Int("batch", 0, "node mode: sequencer batch size")
 		dir       = flag.String("dir", "", "node mode: journal and seed-spec directory")
 		fsync     = flag.String("fsync", "", "node mode: journal fsync policy: none (default), batch (group commit) or always")
-		ckptEvery = flag.Duration("checkpoint-every", 0, "node mode: periodic durable checkpoint interval (0 disables)")
 		recov     = flag.Bool("recover", false, "node mode: recovering restart (restore checkpoint, re-seed, replay the journal)")
 		traceRing = flag.Int("trace-ring", 0, "node mode: per-node telemetry ring size in events (0 = default)")
 		traceOff  = flag.Bool("trace-off", false, "node mode: disable lifecycle tracing (metrics stay on)")
@@ -83,8 +82,7 @@ func main() {
 			node: *node, workers: *workers, peers: *peers, policy: *policy,
 			rows: *rows, fusionCap: *fusionCap, alpha: *alpha, batch: *batch,
 			dir: *dir, seqHost: *seqHost, recover: *recov, exec: *exec,
-			fsync: *fsync, ckptEvery: *ckptEvery,
-			traceRing: *traceRing, traceOff: *traceOff,
+			fsync: *fsync, traceRing: *traceRing, traceOff: *traceOff,
 			ovDelay: *ovDelay, ovShed: *ovShed,
 		})
 		return

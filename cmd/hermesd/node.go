@@ -8,7 +8,6 @@ import (
 	"strconv"
 	"strings"
 	"syscall"
-	"time"
 
 	"hermes/internal/harness"
 	"hermes/internal/tx"
@@ -29,7 +28,6 @@ type nodeFlags struct {
 	recover   bool
 	exec      string
 	fsync     string
-	ckptEvery time.Duration
 	traceRing int
 	traceOff  bool
 	ovDelay   int64
@@ -62,26 +60,25 @@ func runNode(nf nodeFlags) {
 		}
 	}
 	s, err := harness.NewNodeServer(harness.NodeConfig{
-		Self:            tx.NodeID(nf.node),
-		Workers:         nf.workers,
-		Addrs:           addrs,
-		DataLn:          dataLn,
-		ControlLn:       ctrlLn,
-		LeaderLn:        leaderLn,
-		Policy:          nf.policy,
-		Rows:            nf.rows,
-		FusionCap:       nf.fusionCap,
-		Alpha:           nf.alpha,
-		BatchSize:       nf.batch,
-		ExecMode:        nf.exec,
-		Dir:             nf.dir,
-		Fsync:           nf.fsync,
-		CheckpointEvery: nf.ckptEvery,
-		Recover:         nf.recover,
-		TraceRing:       nf.traceRing,
-		TraceOff:        nf.traceOff,
-		OverloadDelay:   nf.ovDelay,
-		OverloadShed:    nf.ovShed,
+		Self:          tx.NodeID(nf.node),
+		Workers:       nf.workers,
+		Addrs:         addrs,
+		DataLn:        dataLn,
+		ControlLn:     ctrlLn,
+		LeaderLn:      leaderLn,
+		Policy:        nf.policy,
+		Rows:          nf.rows,
+		FusionCap:     nf.fusionCap,
+		Alpha:         nf.alpha,
+		BatchSize:     nf.batch,
+		ExecMode:      nf.exec,
+		Dir:           nf.dir,
+		Fsync:         nf.fsync,
+		Recover:       nf.recover,
+		TraceRing:     nf.traceRing,
+		TraceOff:      nf.traceOff,
+		OverloadDelay: nf.ovDelay,
+		OverloadShed:  nf.ovShed,
 	})
 	if err != nil {
 		fatalf("hermesd: node %d: %v", nf.node, err)

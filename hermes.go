@@ -167,23 +167,36 @@ type Options struct {
 type DB struct {
 	cluster *engine.Cluster
 	opts    Options
-	base    Partitioner
 }
 
 // Open builds and starts a cluster.
 func Open(opts Options) (*DB, error) {
+	opts, cfg, err := engineConfig(opts)
+	if err != nil {
+		return nil, err
+	}
+	cl, err := engine.New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return &DB{cluster: cl, opts: opts}, nil
+}
+
+// engineConfig validates opts, fills in its defaults (returned, with Base
+// always set) and derives the engine configuration from them. Open starts a
+// cluster from the result; recovery restores one.
+func engineConfig(opts Options) (Options, engine.Config, error) {
 	if opts.Nodes <= 0 {
-		return nil, fmt.Errorf("hermes: Nodes must be positive")
+		return opts, engine.Config{}, fmt.Errorf("hermes: Nodes must be positive")
 	}
 	if opts.Policy == "" {
 		opts.Policy = PolicyHermes
 	}
-	base := opts.Base
-	if base == nil {
+	if opts.Base == nil {
 		if opts.Rows == 0 {
-			return nil, fmt.Errorf("hermes: need Rows or an explicit Base partitioner")
+			return opts, engine.Config{}, fmt.Errorf("hermes: need Rows or an explicit Base partitioner")
 		}
-		base = partition.NewUniformRange(0, opts.Rows, opts.Nodes)
+		opts.Base = partition.NewUniformRange(0, opts.Rows, opts.Nodes)
 	}
 	if opts.FusionCapacity == 0 && opts.Rows > 0 {
 		opts.FusionCapacity = int(opts.Rows / 40) // 2.5% of the database
@@ -194,9 +207,9 @@ func Open(opts Options) (*DB, error) {
 	if opts.BatchInterval == 0 {
 		opts.BatchInterval = 5 * time.Millisecond
 	}
-	pf, err := policyFactory(opts.Policy, base, opts)
+	pf, err := policyFactory(opts.Policy, opts.Base, opts)
 	if err != nil {
-		return nil, err
+		return opts, engine.Config{}, err
 	}
 	var lat network.LatencyModel
 	if opts.NetLatency > 0 || opts.NetBandwidth > 0 {
@@ -210,7 +223,7 @@ func Open(opts Options) (*DB, error) {
 	if opts.Telemetry {
 		tel = telemetry.New(ids, opts.TelemetryRingSize)
 	}
-	cl, err := engine.New(engine.Config{
+	return opts, engine.Config{
 		Nodes:  ids,
 		Active: ids[:opts.Nodes],
 		Policy: pf,
@@ -228,11 +241,7 @@ func Open(opts Options) (*DB, error) {
 		Window:       opts.StatsWindow,
 		Reliable:     opts.Reliable,
 		Telemetry:    tel,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &DB{cluster: cl, opts: opts, base: base}, nil
+	}, nil
 }
 
 // PolicyFactoryFor builds the engine policy factory for a routing policy

@@ -12,6 +12,11 @@ import (
 type Clock interface {
 	Now() time.Time
 	Sleep(d time.Duration)
+	// SleepUntil blocks until the clock reads t or later. A caller waiting
+	// for a deadline must use it rather than Sleep(t.Sub(Now())): the clock
+	// can move between the two calls, and Sleep would then overshoot t by
+	// however far it moved.
+	SleepUntil(t time.Time)
 }
 
 // Real is a Clock backed by the wall clock.
@@ -22,6 +27,9 @@ func (Real) Now() time.Time { return time.Now() }
 
 // Sleep implements Clock.
 func (Real) Sleep(d time.Duration) { time.Sleep(d) }
+
+// SleepUntil implements Clock.
+func (Real) SleepUntil(t time.Time) { time.Sleep(time.Until(t)) }
 
 // Manual is a Clock that only moves when Advance is called. Sleep blocks
 // until the clock has been advanced past the deadline, which lets tests
@@ -54,11 +62,22 @@ func (m *Manual) Sleep(d time.Duration) {
 		return
 	}
 	m.mu.Lock()
-	deadline := m.now.Add(d)
+	m.waitLocked(m.now.Add(d))
+	m.mu.Unlock()
+}
+
+// SleepUntil implements Clock. It returns once Advance has moved the clock
+// to t or past it, wherever the clock stood when it was called.
+func (m *Manual) SleepUntil(t time.Time) {
+	m.mu.Lock()
+	m.waitLocked(t)
+	m.mu.Unlock()
+}
+
+func (m *Manual) waitLocked(deadline time.Time) {
 	for m.now.Before(deadline) {
 		m.cond.Wait()
 	}
-	m.mu.Unlock()
 }
 
 // Advance moves the clock forward by d and wakes all sleepers.

@@ -92,3 +92,31 @@ func TestManualMultipleSleepers(t *testing.T) {
 		t.Fatal("not all sleepers woke after Advance")
 	}
 }
+
+// TestManualSleepUntilIsAbsolute: a waiter that worked out its deadline
+// before the clock moved must still wake at that deadline. Sleep cannot
+// promise it — it measures from wherever the clock stands when it is called
+// — which is why deadline waits go through SleepUntil.
+func TestManualSleepUntilIsAbsolute(t *testing.T) {
+	start := time.Unix(0, 0)
+	m := NewManual(start)
+	deadline := start.Add(500 * time.Microsecond)
+	m.Advance(499 * time.Microsecond) // lands between "compute" and "wait"
+	done := make(chan struct{})
+	go func() {
+		m.SleepUntil(deadline)
+		close(done)
+	}()
+	select {
+	case <-done:
+		t.Fatal("SleepUntil returned before the clock reached the deadline")
+	case <-time.After(10 * time.Millisecond):
+	}
+	m.Advance(2 * time.Microsecond)
+	select {
+	case <-done:
+	case <-time.After(time.Second):
+		t.Fatal("SleepUntil measured from the advanced clock, not to the absolute deadline")
+	}
+	m.SleepUntil(start) // already past: returns at once
+}

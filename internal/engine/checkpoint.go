@@ -62,13 +62,16 @@ func (c *Cluster) Checkpoint(timeout time.Duration) (*Checkpoint, error) {
 		Seq:        seq,
 		NextTxn:    nextTxn,
 		Stores:     make(map[tx.NodeID]map[tx.Key][]byte, len(nodes)),
-		Routing:    nodes[0].policy.Placement().Snapshot(),
 		SeqEpoch:   c.seq.Epoch(),
 		SeqLeader:  c.seq.LeaderID(),
 		SeqClients: c.seq.ClientHigh(),
 	}
 	for _, n := range nodes {
-		cp.Stores[n.id] = n.store.Checkpoint()
+		cut := n.capture()
+		cp.Stores[n.id] = cut.Store
+		// Every replica holds the same placement at a quiesced cut, so
+		// any one snapshot restores them all.
+		cp.Routing = cut.Routing
 	}
 	if c.rel != nil {
 		cp.Delivered = make(map[tx.NodeID]uint64, len(nodes)+c.seq.Size())
@@ -121,26 +124,21 @@ func Recover(cfg Config, cp *Checkpoint, tail []*tx.Batch) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The transport (and the reliable layer's goroutines, if configured)
-	// exist as of build; error paths must tear them down.
+	// The transport, the reliable layer and session front-ends run
+	// goroutines as of build; error paths must tear them down.
 	fail := func(err error) (*Cluster, error) {
-		c.tr.Close()
+		c.Stop()
 		return nil, err
 	}
-	for id, snap := range cp.Stores {
-		n := c.node(id)
-		if n == nil {
+	for id := range cp.Stores {
+		if c.node(id) == nil {
 			return fail(fmt.Errorf("engine: checkpoint covers unknown node %d", id))
 		}
-		n.store.Restore(snap)
 	}
 	for _, n := range c.nodeList() {
-		if cp.Routing != nil {
-			n.policy.Placement().Restore(cp.Routing)
-		}
 		// The scheduler cursor starts at the cut so quiescence checks and
 		// crash triggers measure post-checkpoint progress.
-		n.scheduled.Store(cp.Seq)
+		n.restore(cp.Stores[n.id], cp.Routing, cp.Seq)
 	}
 	// Resume the total order after the checkpointed prefix and the tail.
 	nextSeq := cp.Seq
@@ -161,11 +159,8 @@ func Recover(cfg Config, cp *Checkpoint, tail []*tx.Batch) (*Cluster, error) {
 	// not survive whole-cluster recovery — the front-ends are new too).
 	c.seq.SetNext(nextSeq, nextTxn)
 	c.startAll()
-	if len(tail) > 0 {
-		if err := c.ReplayBatches(tail); err != nil {
-			c.Stop()
-			return nil, err
-		}
+	if err := c.ReplayBatches(tail); err != nil {
+		return fail(err)
 	}
 	return c, nil
 }

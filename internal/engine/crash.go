@@ -80,11 +80,7 @@ func (c *Cluster) RestartNode(id tx.NodeID) error {
 		return fmt.Errorf("engine: restart: checkpoint does not cover node %d", id)
 	}
 	n := newNode(id, c, c.cfg.Policy(c.cfg.Active))
-	n.store.Restore(snap)
-	if cp.Routing != nil {
-		n.policy.Placement().Restore(cp.Routing)
-	}
-	n.scheduled.Store(cp.Seq)
+	n.restore(snap, cp.Routing, cp.Seq)
 	c.nodesMu.Lock()
 	c.nodes[id] = n
 	c.nodesMu.Unlock()

@@ -6,10 +6,12 @@
 // recovery (§4.3), and dynamic machine provisioning through totally
 // ordered control transactions (§3.3).
 //
-// The whole cluster runs in one process: every node is a goroutine group
-// with its own storage, lock manager, and routing-policy replica,
+// New runs the whole cluster in one process: every node is a goroutine
+// group with its own storage, lock manager, and routing-policy replica,
 // connected by a transport that injects configurable network latency and
-// counts bytes. Which routing policy a cluster runs (Calvin, G-Store+,
+// counts bytes. NewWorker runs one such node per OS process over a socket
+// transport; the node, its scheduler and the way a client is answered are
+// the same code in both. Which routing policy a cluster runs (Calvin, G-Store+,
 // LEAP, T-Part, Hermes, ...) is the only difference between the systems
 // the paper compares — everything else is shared, as in the paper's
 // evaluation where all baselines were built on the same code base.
@@ -122,22 +124,27 @@ const (
 	ExecModeQueue = "queue"
 )
 
-// Cluster is a running emulated cluster.
+// Cluster is the engine's handle on the nodes one process hosts: all of
+// them in the emulation (New), exactly one in a cluster process (NewWorker).
 type Cluster struct {
 	cfg Config
-	// tr is what every component sends and receives through; it is base
-	// unless Config.WrapTransport interposed a wrapper (fault injection).
-	tr   network.Transport
-	base *network.ChanTransport
-	// rel is the reliable-delivery layer when Config.Reliable is set (nil
-	// otherwise); crash/restart and lossy-link tolerance depend on it.
+	// tr is what every component sends and receives through: the channel
+	// transport in the emulation (behind Config.WrapTransport's wrapper and
+	// the reliable layer when configured), the reliable layer over the
+	// socket transport in a worker.
+	tr network.Transport
+	// rel is the reliable-delivery layer (nil in an emulation without
+	// Config.Reliable); crash/restart and lossy-link tolerance depend on it.
 	rel *network.Reliable
-	// seq is the total-order service: the leader replica plus
-	// Config.Seq.Standbys standby replicas.
+	// seq is the in-process total-order service: the leader replica plus
+	// Config.Seq.Standbys standby replicas. Nil in a worker, whose leader
+	// runs in another process.
 	seq *sequencer.Group
-	// fes holds one persistent sequencer front-end per node; with
-	// standbys configured these are session front-ends that retry and
-	// redirect unacknowledged submissions across a leader failover.
+	// fes holds one persistent sequencer front-end per hosted node — which
+	// makes it the locality test as well: a client whose front-end is in
+	// here is answered through memory, any other by MsgTxnDone. With
+	// standbys configured, and always in a worker, these are session
+	// front-ends that retry and redirect unacknowledged submissions.
 	fes map[tx.NodeID]*sequencer.Frontend
 	// nodesMu guards nodes: RestartNode swaps in a fresh *Node while the
 	// rest of the cluster keeps running.
@@ -149,40 +156,18 @@ type Cluster struct {
 	// tracer is Config.Telemetry's tracer (nil when telemetry is off);
 	// every Emit through a nil tracer is a single-branch no-op.
 	tracer *telemetry.Tracer
-
-	// distributed marks a single-node cluster process (NewWorker): the
-	// total-order leader and the other nodes live in other OS processes,
-	// seq is nil, and client completion crosses the wire as MsgTxnDone.
-	distributed bool
-	// self is the local node id in distributed mode.
-	self tx.NodeID
-	// netStats is the byte/message accounting source: the in-process
-	// channel transport's in emulation, the socket transport's in a
-	// distributed worker.
+	// netStats is the byte/message accounting of the transport under tr.
 	netStats *network.Stats
 
-	mu      sync.Mutex
-	pending map[tx.TxnID]chan struct{}
-	// submitted tracks requests by pointer until the leader assigns IDs.
-	waiters map[*tx.Request]chan struct{}
-	// seqWaiters tracks distributed submissions by front-end ClientSeq
-	// instead: pointer identity does not survive serialization, while the
-	// (Client, ClientSeq) stamp travels with the request.
-	seqWaiters map[uint64]chan struct{}
-	// earlyDone holds completion notices that outran the local scheduler:
-	// in a multi-process cluster a fast peer can execute a single-home
-	// transaction and send MsgTxnDone before this process has consumed the
-	// sealed batch that would register the waiter. The registration path
-	// consumes these instead of parking a waiter that would never fire.
-	earlyDone map[tx.TxnID]struct{}
-	// lastAssigned is the highest transaction ID the local scheduler has
-	// passed to registration. IDs are assigned densely in total order and
-	// registered in that order, so a completion notice for id <=
-	// lastAssigned with no pending entry is a duplicate, while one for a
-	// higher id arrived early and must be stashed in earlyDone.
-	lastAssigned tx.TxnID
-	active       []tx.NodeID
-	stopped      bool
+	mu sync.Mutex
+	// waiters holds the completion channel of every transaction submitted
+	// here and not yet answered, under the (Client, ClientSeq) stamp its
+	// front-end gave it: registered before the request is transmitted,
+	// closed and removed by the first answer. An answer that finds no entry
+	// is a duplicate (a replayed commit, a re-sent MsgTxnDone) and a no-op.
+	waiters map[clientKey]chan struct{}
+	active  []tx.NodeID
+	stopped bool
 	// crashed maps a down node to when it was killed (Reliable mode only).
 	crashed map[tx.NodeID]time.Time
 	// seqCrashed is the killed sequencer replica while a leader crash is
@@ -195,6 +180,12 @@ type Cluster struct {
 	// lastCP is the most recent successful checkpoint; RestartNode replays
 	// from it.
 	lastCP *Checkpoint
+}
+
+// clientKey is a request's front-end stamp (tx.Request.Client, ClientSeq).
+type clientKey struct {
+	client tx.NodeID
+	seq    uint64
 }
 
 // New assembles and starts a cluster.
@@ -213,20 +204,11 @@ func build(cfg Config) (*Cluster, error) {
 	if len(cfg.Nodes) == 0 {
 		return nil, fmt.Errorf("engine: no nodes")
 	}
-	if cfg.Policy == nil {
-		return nil, fmt.Errorf("engine: no policy factory")
-	}
 	if len(cfg.Active) == 0 {
 		cfg.Active = cfg.Nodes
 	}
-	if cfg.Window <= 0 {
-		cfg.Window = time.Second
-	}
-	switch cfg.ExecMode {
-	case "", ExecModeLock, ExecModeQueue:
-	default:
-		return nil, fmt.Errorf("engine: unknown ExecMode %q (want %q or %q)",
-			cfg.ExecMode, ExecModeLock, ExecModeQueue)
+	if err := cfg.check(); err != nil {
+		return nil, fmt.Errorf("engine: %w", err)
 	}
 	all := append(append([]tx.NodeID(nil), cfg.Nodes...), sequencer.GroupNodes(LeaderNode, cfg.Seq.Standbys)...)
 	base := network.NewChanTransport(all, cfg.Latency)
@@ -244,48 +226,71 @@ func build(cfg Config) (*Cluster, error) {
 		})
 		tr = rel
 	}
-	c := &Cluster{
-		cfg:        cfg,
-		tr:         tr,
-		base:       base,
-		rel:        rel,
-		nodes:      make(map[tx.NodeID]*Node, len(cfg.Nodes)),
-		order:      append([]tx.NodeID(nil), cfg.Nodes...),
-		pending:    make(map[tx.TxnID]chan struct{}),
-		waiters:    make(map[*tx.Request]chan struct{}),
-		active:     append([]tx.NodeID(nil), cfg.Active...),
-		crashed:    make(map[tx.NodeID]time.Time),
-		seqCrashed: tx.NoNode,
-		accounted:  make(map[tx.TxnID]struct{}),
-		start:      time.Now(),
-	}
-	c.netStats = base.Stats()
-	c.collector = metrics.NewCollector(c.start, cfg.Window)
-	c.tracer = cfg.Telemetry.Tracer()
 	// Every node (including standbys) receives the full batch stream so
 	// its routing replica stays in sync; only active nodes are routed to.
-	c.seq = sequencer.NewGroup(LeaderNode, c.tr, cfg.Nodes, cfg.Seq, nil)
-	c.seq.SetOnFailover(func(leader tx.NodeID, epoch uint64) {
+	seq := sequencer.NewGroup(LeaderNode, tr, cfg.Nodes, cfg.Seq, nil)
+	c := newCluster(cfg, tr, rel, base.Stats(), seq)
+	seq.SetOnFailover(func(leader tx.NodeID, epoch uint64) {
 		c.tracer.Emit(telemetry.ClusterNode, 0, telemetry.PhaseFailover, int64(epoch))
 		for _, fe := range c.fes {
 			fe.SetLeader(leader)
 		}
 	})
-	c.fes = make(map[tx.NodeID]*sequencer.Frontend, len(cfg.Nodes))
+	return c, nil
+}
+
+// check validates what both assemblies need of a Config.
+func (cfg *Config) check() error {
+	if cfg.Policy == nil {
+		return fmt.Errorf("no policy factory")
+	}
+	switch cfg.ExecMode {
+	case "", ExecModeLock, ExecModeQueue:
+		return nil
+	}
+	return fmt.Errorf("unknown ExecMode %q (want %q or %q)",
+		cfg.ExecMode, ExecModeLock, ExecModeQueue)
+}
+
+// newCluster is the one place a Cluster is put together: cfg.Nodes are the
+// nodes this process hosts, tr/rel/netStats the transport stack they share,
+// seq the in-process sequencer (nil when the leader is another process, in
+// which case the front-ends are session front-ends — across processes the
+// leader's dedup and the client-side retry queue are what make submission
+// exactly-once). Nothing is started.
+func newCluster(cfg Config, tr network.Transport, rel *network.Reliable, netStats *network.Stats, seq *sequencer.Group) *Cluster {
+	if cfg.Window <= 0 {
+		cfg.Window = time.Second
+	}
+	c := &Cluster{
+		cfg:        cfg,
+		tr:         tr,
+		rel:        rel,
+		seq:        seq,
+		netStats:   netStats,
+		fes:        make(map[tx.NodeID]*sequencer.Frontend, len(cfg.Nodes)),
+		nodes:      make(map[tx.NodeID]*Node, len(cfg.Nodes)),
+		order:      append([]tx.NodeID(nil), cfg.Nodes...),
+		waiters:    make(map[clientKey]chan struct{}),
+		active:     append([]tx.NodeID(nil), cfg.Active...),
+		crashed:    make(map[tx.NodeID]time.Time),
+		seqCrashed: tx.NoNode,
+		accounted:  make(map[tx.TxnID]struct{}),
+		start:      time.Now(),
+		tracer:     cfg.Telemetry.Tracer(),
+	}
+	c.collector = metrics.NewCollector(c.start, cfg.Window)
 	for _, id := range cfg.Nodes {
-		if cfg.Seq.Standbys > 0 {
-			c.fes[id] = sequencer.NewSessionFrontend(id, LeaderNode, c.tr, nil,
+		if seq == nil || cfg.Seq.Standbys > 0 {
+			c.fes[id] = sequencer.NewSessionFrontend(id, LeaderNode, tr, nil,
 				cfg.Seq.RetryTimeout, cfg.Seq.RetryCap)
 		} else {
-			c.fes[id] = sequencer.NewFrontend(id, LeaderNode, c.tr)
+			c.fes[id] = sequencer.NewFrontend(id, LeaderNode, tr)
 		}
-	}
-	for _, id := range cfg.Nodes {
-		n := newNode(id, c, cfg.Policy(cfg.Active))
-		c.nodes[id] = n
+		c.nodes[id] = newNode(id, c, cfg.Policy(cfg.Active))
 	}
 	c.registerGauges()
-	return c, nil
+	return c
 }
 
 // fusionStats shortens the gauge closures below.
@@ -449,7 +454,7 @@ func (c *Cluster) startAll() {
 // redirected (and resends its unacknowledged queue to the new leader).
 func (c *Cluster) noteLeader(leader tx.NodeID, epoch uint64) {
 	if c.seq == nil {
-		return // distributed worker: the leader process manages its own epoch
+		return // the leader's process manages its own epoch
 	}
 	if c.seq.ObserveEpoch(leader, epoch) {
 		for _, fe := range c.fes {
@@ -503,10 +508,6 @@ func (c *Cluster) ReliableStats() network.ReliableStats {
 	}
 	return c.rel.Stats()
 }
-
-// ConfigCopy returns the configuration the cluster was built with, for
-// constructing a compatible replacement cluster (recovery).
-func (c *Cluster) ConfigCopy() Config { return c.cfg }
 
 // RoleGoroutines sums per-transaction role goroutines spawned across all
 // nodes. Queue mode must report zero — record waits are mailbox
@@ -589,33 +590,41 @@ func (c *Cluster) Active() []tx.NodeID {
 	return append([]tx.NodeID(nil), c.active...)
 }
 
-// Submit enqueues a transaction request via the front-end of node via,
-// returning a channel closed when the transaction commits (or aborts —
-// the client gets an answer either way).
+// Submit enqueues a transaction request via the front-end of node via (a
+// node this process hosts), returning a channel closed when the
+// transaction commits (or aborts — the client gets an answer either way).
+// The waiter is registered under the front-end's (Client, ClientSeq) stamp
+// before the request is transmitted, so no answer can outrun it.
 func (c *Cluster) Submit(via tx.NodeID, proc tx.Procedure) (<-chan struct{}, error) {
-	if c.distributed {
-		return c.submitDistributed(proc)
+	fe := c.fes[via]
+	if fe == nil {
+		return nil, fmt.Errorf("engine: submit via unknown node %d", via)
+	}
+	if c.seq == nil {
+		// The leader is another process: a procedure the codec has no tag
+		// for would fail to encode on every hop, so it is turned away here.
+		if _, err := tx.WireTag(proc); err != nil {
+			return nil, fmt.Errorf("engine: refusing submission: %w", err)
+		}
 	}
 	req := tx.NewRequest(0, proc)
 	req.SubmitTime = time.Now()
 	done := make(chan struct{})
-	c.mu.Lock()
-	if c.stopped {
+	var key clientKey
+	err := fe.SubmitTracked(req, func(seq uint64) {
+		c.mu.Lock()
+		if !c.stopped {
+			key = clientKey{via, seq}
+			c.waiters[key] = done
+		}
 		c.mu.Unlock()
+	})
+	if key.seq == 0 { // stamps start at 1: the hook registered nothing
 		return nil, fmt.Errorf("engine: cluster stopped")
 	}
-	c.waiters[req] = done
-	c.mu.Unlock()
-	fe := c.fes[via]
-	if fe == nil {
+	if err != nil {
 		c.mu.Lock()
-		delete(c.waiters, req)
-		c.mu.Unlock()
-		return nil, fmt.Errorf("engine: submit via unknown node %d", via)
-	}
-	if err := fe.Submit(req); err != nil {
-		c.mu.Lock()
-		delete(c.waiters, req)
+		delete(c.waiters, key)
 		c.mu.Unlock()
 		return nil, err
 	}
@@ -659,151 +668,17 @@ func (c *Cluster) Provision(add, remove []tx.NodeID) (<-chan struct{}, error) {
 	return c.Submit(c.order[0], &tx.ProvisionProc{Add: add, Remove: remove})
 }
 
-// submitDistributed enqueues a transaction through the local session
-// front-end of a distributed worker. The waiter is keyed by the front-end's
-// ClientSeq stamp — assigned and registered atomically with respect to
-// transmission, so a delivered batch can always correlate back, and the
-// leader's gapless per-client dedup never sees a reordered stream.
-func (c *Cluster) submitDistributed(proc tx.Procedure) (<-chan struct{}, error) {
-	if _, err := tx.WireTag(proc); err != nil {
-		return nil, fmt.Errorf("engine: refusing submission: %w", err)
-	}
-	c.mu.Lock()
-	if c.stopped {
-		c.mu.Unlock()
-		return nil, fmt.Errorf("engine: cluster stopped")
-	}
-	c.mu.Unlock()
-	req := tx.NewRequest(0, proc)
-	req.SubmitTime = time.Now()
-	done := make(chan struct{})
-	fe := c.fes[c.self]
-	var stamped uint64
-	err := fe.SubmitTracked(req, func(seq uint64) {
-		stamped = seq
-		c.mu.Lock()
-		c.seqWaiters[seq] = done
-		c.mu.Unlock()
-	})
-	if err != nil {
-		c.mu.Lock()
-		delete(c.seqWaiters, stamped)
-		c.mu.Unlock()
-		return nil, err
-	}
-	return done, nil
-}
-
-// completeTxn releases a finished transaction's client: locally when the
-// submitting front-end lives in this process, with a MsgTxnDone notice to
-// the submitting node otherwise. Delivery of the notice rides the reliable
-// layer; a duplicate (replay after a committer restart) finds no pending
-// entry and is a no-op.
-func (c *Cluster) completeTxn(req *tx.Request) {
-	if c.distributed && req.ClientSeq != 0 && req.Client != c.self {
-		_ = c.tr.Send(network.Message{
-			From: c.self, To: req.Client, Type: network.MsgTxnDone, Txn: req.ID,
-		})
-		return
-	}
-	c.complete(req.ID)
-}
-
-// complete is called by the committing master (or by the provision path)
-// to release the client.
-func (c *Cluster) complete(id tx.TxnID) {
+// release answers the client waiting under key, if one still is. It runs
+// once per transaction at the committing node (or on MsgTxnDone's arrival);
+// replays and re-sent notices find nothing and change nothing.
+func (c *Cluster) release(key clientKey) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if ch, ok := c.pending[id]; ok {
-		delete(c.pending, id)
+	if ch, ok := c.waiters[key]; ok {
+		delete(c.waiters, key)
 		// Closed under mu: whoever reads Pending() == 0 (Drain) may rely on
 		// every client having been released.
 		close(ch)
-	} else if c.distributed && id > c.lastAssigned {
-		// The notice beat the local scheduler to the batch that assigns
-		// this ID; registration will find it here and release the client.
-		if c.earlyDone == nil {
-			c.earlyDone = make(map[tx.TxnID]struct{})
-		}
-		c.earlyDone[id] = struct{}{}
-	}
-}
-
-// registerAssigned moves a waiter from pointer-keyed to ID-keyed tracking
-// once the totally ordered batch reveals the assigned transaction ID.
-// Exactly one node (the master candidate's registration is identical on
-// all nodes) performs the registration — it is idempotent.
-func (c *Cluster) registerAssigned(req *tx.Request) {
-	if c.distributed {
-		c.registerAssignedDistributed(req)
-		return
-	}
-	// Session front-ends transmit private copies of each submission (so
-	// two sequencer leaders never write one shared object); the waiter
-	// was registered under the queued original, which the delivered copy
-	// names via Origin. The lookup uses the pointer as a value only —
-	// the original is never dereferenced here.
-	key := req.Origin()
-	c.mu.Lock()
-	ch, found := c.waiters[key]
-	if found {
-		delete(c.waiters, key)
-		c.pending[req.ID] = ch
-	}
-	c.mu.Unlock()
-	// The sealed batch acknowledges the submission to its front-end's
-	// retry queue (idempotent; replayed batches from other sessions hit
-	// an empty queue).
-	if fe := c.fes[req.Client]; fe != nil {
-		fe.Sequenced(req)
-	}
-	if found {
-		// Exactly one registration finds the waiter, so these cluster-scope
-		// events are emitted once per transaction: the submit time (known
-		// only now that the total order revealed the ID) and the assignment.
-		if !req.SubmitTime.IsZero() {
-			c.tracer.EmitAt(req.SubmitTime, telemetry.ClusterNode, req.ID, telemetry.PhaseEnqueued, 0)
-		}
-		c.tracer.Emit(telemetry.ClusterNode, req.ID, telemetry.PhaseSequenced, 0)
-	}
-}
-
-// registerAssignedDistributed correlates a delivered request with the
-// local waiter by its (Client, ClientSeq) stamp — the delivered object is
-// a deserialized copy, so pointer identity is useless here. Requests
-// submitted by other processes pass through untouched; their own engines
-// perform the same correlation.
-func (c *Cluster) registerAssignedDistributed(req *tx.Request) {
-	found := false
-	c.mu.Lock()
-	if req.ID > c.lastAssigned {
-		c.lastAssigned = req.ID
-	}
-	if req.Client == c.self && req.ClientSeq != 0 {
-		ch, ok := c.seqWaiters[req.ClientSeq]
-		if ok {
-			delete(c.seqWaiters, req.ClientSeq)
-			found = true
-			if _, early := c.earlyDone[req.ID]; early {
-				// The committer already finished this transaction and its
-				// MsgTxnDone arrived before this batch was scheduled here;
-				// release the client now instead of parking the waiter.
-				delete(c.earlyDone, req.ID)
-				close(ch)
-			} else {
-				c.pending[req.ID] = ch
-			}
-		}
-	}
-	c.mu.Unlock()
-	if fe := c.fes[req.Client]; fe != nil {
-		fe.Sequenced(req)
-	}
-	if found {
-		if !req.SubmitTime.IsZero() {
-			c.tracer.EmitAt(req.SubmitTime, telemetry.ClusterNode, req.ID, telemetry.PhaseEnqueued, 0)
-		}
-		c.tracer.Emit(telemetry.ClusterNode, req.ID, telemetry.PhaseSequenced, 0)
 	}
 }
 
@@ -811,7 +686,7 @@ func (c *Cluster) registerAssignedDistributed(req *tx.Request) {
 func (c *Cluster) Pending() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.pending) + len(c.waiters) + len(c.seqWaiters)
+	return len(c.waiters)
 }
 
 // Drain flushes the sequencer and waits (up to timeout) until all
@@ -829,7 +704,7 @@ func (c *Cluster) Drain(timeout time.Duration) bool {
 // transactions, or a front-end still holding unacknowledged submissions.
 func (c *Cluster) DrainDetail(timeout time.Duration) error {
 	if c.seq == nil {
-		return fmt.Errorf("engine: drain needs the in-process sequencer; distributed workers quiesce via WorkerQuiesce")
+		return fmt.Errorf("engine: drain needs the in-process sequencer; a worker process quiesces via WorkerQuiesce")
 	}
 	deadline := time.Now().Add(timeout)
 	var stuck error
@@ -846,16 +721,15 @@ func (c *Cluster) DrainDetail(timeout time.Duration) error {
 }
 
 // quiesceCheck reports why the cluster is not quiescent (nil when it is).
-// The per-node diagnosis comes first because it is the most actionable: a
-// scheduler that stopped consuming the sealed stream explains whatever
-// transactions are still in flight behind it.
+// Quiescence needs more than "no client is waiting": every replica's
+// scheduler must also have consumed the full sealed batch stream. A
+// transaction completes when its committer finishes, so a node that merely
+// observes a batch can still be routing it — and its policy replica
+// (fusion table, placement) would be a batch behind anything that
+// fingerprints it now. That diagnosis comes first because it is the most
+// actionable: a scheduler that stopped consuming the sealed stream
+// explains whatever is still in flight behind it.
 func (c *Cluster) quiesceCheck() error {
-	// Quiescence needs more than "no client is waiting": every
-	// replica's scheduler must also have consumed the full sealed
-	// batch stream. A transaction completes when its committer
-	// finishes, so a node that merely observes a batch can still be
-	// routing it — and its policy replica (fusion table, placement)
-	// would be a batch behind anything that fingerprints it now.
 	nextSeq, _ := c.seq.Next()
 	c.mu.Lock()
 	down := make(map[tx.NodeID]bool, len(c.crashed))
@@ -863,7 +737,8 @@ func (c *Cluster) quiesceCheck() error {
 		down[id] = true
 	}
 	c.mu.Unlock()
-	for _, n := range c.nodeList() {
+	nodes := c.nodeList()
+	for _, n := range nodes {
 		if down[n.id] {
 			continue // frozen until RestartNode catches it up
 		}
@@ -873,28 +748,27 @@ func (c *Cluster) quiesceCheck() error {
 			}
 			return fmt.Errorf("node %d stuck at batch %d (sealed stream at %d)", n.id, got, nextSeq)
 		}
-		if q := n.locks.QueuedKeys(); q != 0 {
-			return fmt.Errorf("node %d still holds %d queued lock keys at batch %d", n.id, q, nextSeq)
-		}
 	}
-	if p := c.Pending(); p != 0 {
+	for _, n := range nodes {
+		if down[n.id] {
+			continue
+		}
+		q := c.quiesceInfo(n)
+		if q.Settled() {
+			continue
+		}
 		// A crashed straggler is exempt from the scheduler check above (it
 		// is frozen by design), but when it is what the in-flight work
 		// waits on, the diagnosis should say so.
-		for _, n := range c.nodeList() {
-			if down[n.id] && n.Scheduled() != nextSeq {
-				return fmt.Errorf("%d transactions still in flight; node %d is crashed and stuck at batch %d (sealed stream at %d)",
-					p, n.id, n.Scheduled(), nextSeq)
+		if q.Pending != 0 {
+			for _, d := range nodes {
+				if down[d.id] && d.Scheduled() != nextSeq {
+					return fmt.Errorf("%d transactions still in flight; node %d is crashed and stuck at batch %d (sealed stream at %d)",
+						q.Pending, d.id, d.Scheduled(), nextSeq)
+				}
 			}
 		}
-		return fmt.Errorf("%d transactions still in flight", p)
-	}
-	for _, id := range c.order {
-		if fe := c.fes[id]; fe != nil {
-			if u := fe.Unacked(); u != 0 {
-				return fmt.Errorf("front-end %d holds %d unacknowledged submissions", id, u)
-			}
-		}
+		return fmt.Errorf("node %d not settled at batch %d: %+v", n.id, nextSeq, q)
 	}
 	return nil
 }

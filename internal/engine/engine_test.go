@@ -540,15 +540,6 @@ func TestLatencyBreakdownPopulated(t *testing.T) {
 	}
 }
 
-func TestSubmitAfterStopFails(t *testing.T) {
-	pf := policies(2)["calvin"]
-	c := newTestCluster(t, 2, pf)
-	c.Stop()
-	if _, err := c.Submit(0, incProc(tx.MakeKey(0, 1))); err == nil {
-		t.Fatal("submit after stop succeeded")
-	}
-}
-
 func TestConfigValidation(t *testing.T) {
 	if _, err := New(Config{}); err == nil {
 		t.Fatal("empty config accepted")

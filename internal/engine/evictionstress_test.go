@@ -60,18 +60,12 @@ func TestFusionEvictionStress(t *testing.T) {
 		if !t.Failed() {
 			return
 		}
-		c.mu.Lock()
-		var stuck []tx.TxnID
-		for id := range c.pending {
-			stuck = append(stuck, id)
-		}
-		c.mu.Unlock()
 		mu.Lock()
 		defer mu.Unlock()
-		for _, id := range stuck {
-			rt := routes[id]
-			if rt == nil {
-				t.Logf("txn %d: no route recorded", id)
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		for id, rt := range routes {
+			if _, waiting := c.waiters[clientKey{rt.Txn.Client, rt.Txn.ClientSeq}]; !waiting {
 				continue
 			}
 			t.Logf("STUCK txn %d: master=%d owners=%v migrations=%v writeback=%v reads=%v writes=%v",

@@ -225,7 +225,7 @@ func (n *Node) finish(rt *router.Route, role *role, remote map[tx.Key][]byte,
 		if aborted {
 			n.cluster.tracer.Emit(n.id, rt.Txn.ID, telemetry.PhaseAborted, 0)
 		}
-		n.cluster.completeTxn(rt.Txn)
+		n.answer(rt.Txn)
 	}
 }
 

@@ -200,10 +200,11 @@ func (n *Node) recvLoop() {
 			case network.MsgSeqEpoch:
 				n.cluster.noteLeader(m.From, m.Epoch)
 			case network.MsgTxnDone:
-				// A remote committer finished a transaction this process
-				// submitted (distributed mode only). At-least-once delivery:
-				// a duplicate finds no pending entry.
-				n.cluster.complete(m.Txn)
+				// A committer in another process finished a transaction
+				// submitted through this node's front-end; Seq is the
+				// ClientSeq it was stamped with. At-least-once delivery: a
+				// duplicate finds no waiter.
+				n.cluster.release(clientKey{n.id, m.Seq})
 			case network.MsgRecordPush, network.MsgReadBroadcast, network.MsgWriteBack, network.MsgMigrationChunk:
 				n.mailboxFor(m.Txn).put(m.Records)
 			}
@@ -226,16 +227,7 @@ func (n *Node) schedLoop() {
 				return
 			}
 			arrival := time.Now()
-			// Completion tracking, for the whole batch in transaction-ID
-			// order before any route exists: policies reorder routes inside
-			// a batch, and the early-versus-duplicate rule for completion
-			// notices (Cluster.complete) is exact only if registration never
-			// skips past an ID it has not seen. The same registration runs
-			// on every node and is idempotent; the committing role closes
-			// the client channel.
-			for _, req := range b.Txns {
-				n.cluster.registerAssigned(req)
-			}
+			n.sealed(b)
 			plan := router.BuildPlan(n.policy, b)
 			// Routing cost (§3.2.4): how much scheduler time the batch
 			// analysis itself consumed, before any locking or execution.
@@ -252,6 +244,50 @@ func (n *Node) schedLoop() {
 	}
 }
 
+// sealed tells the front-ends hosted here that b's requests are in the
+// total order, which empties a session front-end's retry queue. Every
+// hosted node says so and a replayed batch says so again: the ack is
+// idempotent. The node a request was submitted through also emits the two
+// cluster-scope trace events that only the sealed batch can label with a
+// transaction ID — when the client submitted, and that the ID was assigned.
+func (n *Node) sealed(b *tx.Batch) {
+	c := n.cluster
+	for _, req := range b.Txns {
+		if fe := c.fes[req.Client]; fe != nil {
+			fe.Sequenced(req)
+		}
+		if req.Client == n.id && req.ClientSeq != 0 && c.tracer.Enabled() {
+			if !req.SubmitTime.IsZero() {
+				c.tracer.EmitAt(req.SubmitTime, telemetry.ClusterNode, req.ID, telemetry.PhaseEnqueued, 0)
+			}
+			c.tracer.Emit(telemetry.ClusterNode, req.ID, telemetry.PhaseSequenced, 0)
+		}
+	}
+}
+
+// answer releases the client of a finished transaction. It is called once
+// per execution of the transaction, by its committing node: the client's
+// waiter is closed directly when the front-end it submitted through is
+// hosted in this process, and by a MsgTxnDone carrying the request's
+// ClientSeq to the process that hosts it otherwise. The notice rides the
+// reliable layer; a transaction executed again (replay after a restart)
+// answers again, and the second answer finds no waiter.
+func (n *Node) answer(req *tx.Request) {
+	c := n.cluster
+	switch {
+	case req.ClientSeq == 0:
+		// Not submitted through a front-end (a hand-built batch): nobody
+		// waits.
+	case c.fes[req.Client] != nil:
+		c.release(clientKey{req.Client, req.ClientSeq})
+	default:
+		_ = c.tr.Send(network.Message{
+			From: n.id, To: req.Client, Type: network.MsgTxnDone,
+			Txn: req.ID, Seq: req.ClientSeq,
+		})
+	}
+}
+
 // schedule computes this node's role in the route, acquires the locks the
 // role needs (in total order), and spawns the role job.
 func (n *Node) schedule(rt *router.Route, arrival time.Time) {
@@ -260,7 +296,7 @@ func (n *Node) schedule(rt *router.Route, arrival time.Time) {
 		// every replica; acknowledge the client here. Any attached
 		// eviction migrations still execute below under locks.
 		if n.isCommitter(rt) {
-			n.cluster.completeTxn(rt.Txn)
+			n.answer(rt.Txn)
 		}
 		if len(rt.Migrations) == 0 {
 			return
@@ -311,7 +347,7 @@ func (n *Node) scheduleQueue(plan *router.Plan, arrival time.Time) {
 	for _, rt := range plan.Routes {
 		if rt.Mode == router.Provision {
 			if n.isCommitter(rt) {
-				n.cluster.completeTxn(rt.Txn)
+				n.answer(rt.Txn)
 			}
 			if len(rt.Migrations) == 0 {
 				continue

@@ -36,6 +36,29 @@ type WorkerCheckpoint struct {
 	Floors map[tx.NodeID]network.LinkFloor
 }
 
+// capture snapshots the node's checkpointable state: its store, its routing
+// replica and its scheduler cursor. It is a consistent cut only while the
+// node is settled.
+func (n *Node) capture() *WorkerCheckpoint {
+	return &WorkerCheckpoint{
+		Node:      n.id,
+		Store:     n.store.Checkpoint(),
+		Routing:   n.policy.Placement().Snapshot(),
+		Scheduled: n.Scheduled(),
+	}
+}
+
+// restore loads a captured cut into a node that has not started: the input
+// it then consumes — a journal suffix, a rewound delivery log, a replayed
+// tail — re-derives everything after the cut.
+func (n *Node) restore(store map[tx.Key][]byte, routing *router.PlacementState, scheduled uint64) {
+	n.store.Restore(store)
+	if routing != nil {
+		n.policy.Placement().Restore(routing)
+	}
+	n.scheduled.Store(scheduled)
+}
+
 // CaptureWorker snapshots the worker's checkpointable state. The worker
 // must be settled — nothing queued, pending, or backlogged — because only
 // then is the visible state a function of the delivered prefix alone: a
@@ -44,32 +67,21 @@ type WorkerCheckpoint struct {
 // writes. The caller pauses the feed around the capture and fills in
 // Delivered/Floors from the journal under the same pause.
 func (c *Cluster) CaptureWorker() (*WorkerCheckpoint, error) {
-	q := c.WorkerQuiesce()
-	if q.QueuedLockKeys != 0 || q.Pending != 0 || q.Backlog != 0 {
-		return nil, fmt.Errorf("engine: worker %d not settled for checkpoint: %+v", c.self, q)
-	}
 	n := c.node(c.order[0])
-	return &WorkerCheckpoint{
-		Node:      n.id,
-		Store:     n.store.Checkpoint(),
-		Routing:   n.policy.Placement().Snapshot(),
-		Scheduled: n.Scheduled(),
-	}, nil
+	if q := c.quiesceInfo(n); !q.Settled() {
+		return nil, fmt.Errorf("engine: worker %d not settled for checkpoint: %+v", n.id, q)
+	}
+	return n.capture(), nil
 }
 
 // RestoreWorkerState loads a checkpoint into a freshly built (not yet
-// started) worker: store, placement replica, and scheduler cursor. The
-// caller then starts the worker and the reliable layer replays the journal
-// suffix on top.
+// started) worker. The caller then starts the worker and the reliable layer
+// replays the journal suffix on top.
 func (c *Cluster) RestoreWorkerState(cp *WorkerCheckpoint) error {
 	n := c.node(c.order[0])
 	if cp.Node != n.id {
 		return fmt.Errorf("engine: checkpoint is for node %d, this worker is %d", cp.Node, n.id)
 	}
-	n.store.Restore(cp.Store)
-	if cp.Routing != nil {
-		n.policy.Placement().Restore(cp.Routing)
-	}
-	n.scheduled.Store(cp.Scheduled)
+	n.restore(cp.Store, cp.Routing, cp.Scheduled)
 	return nil
 }

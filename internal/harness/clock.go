@@ -30,6 +30,9 @@ func (c *stopClock) Sleep(d time.Duration) {
 	}
 }
 
+// SleepUntil implements clock.Clock.
+func (c *stopClock) SleepUntil(t time.Time) { c.Sleep(time.Until(t)) }
+
 // Stop releases every current and future sleeper immediately.
 func (c *stopClock) Stop() {
 	select {

@@ -250,6 +250,26 @@ func TestNodeServerLifecycle(t *testing.T) {
 		}
 	}
 
+	// A durable checkpoint covers every batch scheduled so far, so the
+	// command log keeps none of them — as the journal and the delivery log
+	// do not. (The worker may need a moment to settle after the last commit.)
+	cmdlog := s.cluster.Node(0).CommandLog()
+	if cmdlog.Len() == 0 {
+		t.Fatal("the run left nothing in the command log: the truncation below would prove nothing")
+	}
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		err := postJSON(t, addr, "/checkpoint", struct{}{}, nil)
+		if err == nil {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("/checkpoint: %v", err)
+		}
+	}
+	if n := cmdlog.Len(); n != 0 {
+		t.Fatalf("command log still holds %d batches after /checkpoint", n)
+	}
+
 	// Close drains in-flight work, tears everything down, and is
 	// idempotent; Serve must return cleanly.
 	if err := s.Close(); err != nil {

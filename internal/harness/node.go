@@ -35,16 +35,6 @@ const (
 	procDialBackoff  = 25 * time.Millisecond
 	procDialCap      = 100 * time.Millisecond
 
-	// The reliable layer's default 2ms retransmit base is sized for the
-	// in-process channel transport. Over real TCP — processes sharing
-	// cores, acks gated behind group-commit fsyncs — ack rounds past 2ms
-	// are normal operation, not loss, and every false timeout re-encodes
-	// in-flight frames the receiver decodes only to drop them. Both
-	// reliable endpoints of a process (the worker's and, in the driver
-	// process, the leader's) use these.
-	procRetransmitBase = 50 * time.Millisecond
-	procRetransmitCap  = time.Second
-
 	// drainTimeout bounds the graceful-shutdown quiesce attempt (SIGTERM,
 	// /shutdown): in-flight work gets this long to land before teardown.
 	drainTimeout = 2 * time.Second
@@ -52,6 +42,21 @@ const (
 	// the orchestrator normally enforces a tighter one.
 	runTimeout = 5 * time.Minute
 )
+
+// procLink paces a reliable endpoint of a cluster process; the worker's
+// and, in the driver process, the leader's options both pass through it, so
+// the two cannot be paced differently. The reliable layer's default 2ms
+// retransmit base is sized for the in-process channel transport. Over real
+// TCP — processes sharing cores, acks gated behind group-commit fsyncs —
+// ack rounds past 2ms are normal operation, not loss, and every false
+// timeout re-encodes in-flight frames the receiver decodes only to drop
+// them; the leader sends the largest frames in the system (whole batches,
+// to every worker), so a false timeout costs the most there, and a slower
+// box produces more of them: load feeding on itself.
+func procLink(o network.ReliableOpts) network.ReliableOpts {
+	o.RetransmitBase, o.RetransmitCap = 50*time.Millisecond, time.Second
+	return o
+}
 
 // NodeConfig assembles one hermesd cluster process.
 type NodeConfig struct {
@@ -87,11 +92,6 @@ type NodeConfig struct {
 	// "always", acked input survives host death, and a restart rebuilds
 	// state strictly from the on-disk checkpoint + journal suffix.
 	Fsync string
-	// CheckpointEvery, when positive, runs an opportunistic periodic
-	// checkpoint: at each tick, if the worker happens to be settled, its
-	// state is captured, saved durably, and the journal rotated. Zero
-	// disables the trigger (the orchestrator can still POST /checkpoint).
-	CheckpointEvery time.Duration
 	// Recover marks a restarted process: it restores the newest durable
 	// checkpoint (if any), re-seeds from the persisted seed spec
 	// otherwise, and starts replaying its journal immediately instead of
@@ -141,12 +141,10 @@ type NodeServer struct {
 
 	// restoredID is the checkpoint watermark this process restarted from
 	// (0 + restored=false on a fresh or journal-only start). ckptMu
-	// serializes checkpoint captures; ckptQuit stops the periodic trigger.
+	// serializes checkpoint captures.
 	restored   bool
 	restoredID uint64
 	ckptMu     sync.Mutex
-	ckptQuit   chan struct{}
-	ckptWG     sync.WaitGroup
 
 	// Leader-host half (nil-fields on plain workers). The leader is a
 	// standalone sequencer replica on its own transport node; it is not
@@ -238,29 +236,28 @@ func NewNodeServer(cfg NodeConfig) (*NodeServer, error) {
 	tr := network.NewTCPTransportListener(cfg.Self, cfg.Addrs, cfg.DataLn)
 	tuneTransport(tr)
 	cluster, err := engine.NewWorker(engine.WorkerConfig{
-		Self:        cfg.Self,
-		Workers:     workers,
-		Leader:      engine.LeaderNode,
-		Transport:   tr,
-		NetStats:    tr.Stats(),
-		Policy:      pf,
-		Incarnation: jr.Incarnation(),
-		Journal:     jr.Append,
-		AckGate:     jr.AfterDurable,
-		Floors:      jr.Floors(),
-		Recovered:   recovered,
-		Telemetry:   tel,
-		ExecMode:    cfg.ExecMode,
+		Self:      cfg.Self,
+		Workers:   workers,
+		Transport: tr,
+		NetStats:  tr.Stats(),
+		Link: procLink(network.ReliableOpts{
+			Incarnation: jr.Incarnation(),
+			JournalFor:  func(tx.NodeID) func(network.Message) { return jr.Append },
+			AckGateFor:  func(tx.NodeID) func(func()) { return jr.AfterDurable },
+			Floors:      jr.Floors(),
+			Recovered:   recovered,
+		}),
+		Policy:    pf,
+		Telemetry: tel,
+		ExecMode:  cfg.ExecMode,
 		// The session front-end's default 20ms stall timeout is tuned for
 		// in-process failover drills; on a real loaded cluster the leader
 		// routinely goes longer than that between seals, and every false
 		// stall resends the whole submission queue. Failover recovery does
 		// not depend on this timer — SetLeader resends immediately — so it
 		// only needs to beat a genuinely wedged leader.
-		RetryTimeout:   time.Second,
-		RetryCap:       4 * time.Second,
-		RetransmitBase: procRetransmitBase,
-		RetransmitCap:  procRetransmitCap,
+		RetryTimeout: time.Second,
+		RetryCap:     4 * time.Second,
 	})
 	if err != nil {
 		tr.Close()
@@ -302,16 +299,10 @@ func NewNodeServer(cfg NodeConfig) (*NodeServer, error) {
 	if cfg.LeaderLn != nil {
 		s.leaderTr = network.NewTCPTransportListener(engine.LeaderNode, cfg.Addrs, cfg.LeaderLn)
 		tuneTransport(s.leaderTr)
-		s.leaderRel = network.NewReliableWith(s.leaderTr, network.ReliableOpts{
+		s.leaderRel = network.NewReliableWith(s.leaderTr, procLink(network.ReliableOpts{
 			RecvFor: []tx.NodeID{engine.LeaderNode},
 			SendTo:  workers,
-			// The leader sends the largest frames in the system (whole
-			// batches, to every worker), so a false timeout costs the most
-			// here, and a slower box produces more of them: load feeding
-			// on itself.
-			RetransmitBase: procRetransmitBase,
-			RetransmitCap:  procRetransmitCap,
-		})
+		}))
 		s.leaderClk = newStopClock()
 		// Size-only sealing: the interval is effectively infinite so batch
 		// boundaries are a function of the request stream alone, and the
@@ -328,37 +319,7 @@ func NewNodeServer(cfg NodeConfig) (*NodeServer, error) {
 			return nil, err
 		}
 	}
-	if cfg.CheckpointEvery > 0 {
-		s.ckptQuit = make(chan struct{})
-		s.ckptWG.Add(1)
-		go s.checkpointLoop(cfg.CheckpointEvery)
-	}
 	return s, nil
-}
-
-// checkpointLoop opportunistically checkpoints on a timer. Every tick is
-// best-effort: a worker that is mid-run simply is not settled and the tick
-// is skipped — correctness never depends on the trigger firing.
-func (s *NodeServer) checkpointLoop(every time.Duration) {
-	defer s.ckptWG.Done()
-	tick := time.NewTicker(every)
-	defer tick.Stop()
-	for {
-		select {
-		case <-s.ckptQuit:
-			return
-		case <-tick.C:
-			s.mu.Lock()
-			ready := s.started && !s.closed
-			s.mu.Unlock()
-			if !ready {
-				continue
-			}
-			if _, err := s.checkpointNow(); err != nil {
-				log.Printf("harness: node %d periodic checkpoint skipped: %v", s.cfg.Self, err)
-			}
-		}
-	}
 }
 
 // checkpointNow captures a settled worker's state, saves it durably, and
@@ -366,7 +327,7 @@ func (s *NodeServer) checkpointLoop(every time.Duration) {
 // the pause stops only the consumer — the pump keeps journaling arriving
 // frames — so the cut is validated by re-reading the journal count after
 // the capture: if input landed mid-capture the snapshot may not cover it,
-// and the attempt aborts (the next tick retries).
+// and the attempt aborts (the caller retries).
 func (s *NodeServer) checkpointNow() (uint64, error) {
 	s.ckptMu.Lock()
 	defer s.ckptMu.Unlock()
@@ -395,8 +356,11 @@ func (s *NodeServer) checkpointNow() (uint64, error) {
 			s.cfg.Self, cp.Delivered, err)
 	}
 	// The in-memory delivery log uses in-process positions, not absolute
-	// journal frames; trim it by its own watermark.
+	// journal frames; trim it by its own watermark. The command log holds
+	// the same batches a third time and goes with them: a restart replays
+	// the journal, never this log.
 	rel.TruncateDelivered(s.cfg.Self, rel.Delivered(s.cfg.Self))
+	s.cluster.Node(s.cfg.Self).CommandLog().Truncate(cp.Scheduled)
 	return cp.Delivered, nil
 }
 
@@ -778,20 +742,12 @@ func (s *NodeServer) Close() error {
 	started := s.started
 	s.mu.Unlock()
 
-	if s.ckptQuit != nil {
-		close(s.ckptQuit)
-		s.ckptWG.Wait()
-	}
 	s.drv.stop()
 	if started {
 		// Graceful drain: wait (bounded) for local in-flight work to land
 		// so a SIGTERM between batches loses nothing.
 		deadline := time.Now().Add(drainTimeout)
-		for time.Now().Before(deadline) {
-			q := s.cluster.WorkerQuiesce()
-			if q.Pending == 0 && q.Unacked == 0 && q.Backlog == 0 && q.QueuedLockKeys == 0 {
-				break
-			}
+		for time.Now().Before(deadline) && !s.cluster.WorkerQuiesce().Settled() {
 			time.Sleep(5 * time.Millisecond)
 		}
 	}

@@ -42,9 +42,6 @@ type ClusterConfig struct {
 	// Fsync is each worker's journal fsync policy ("none"|"batch"|
 	// "always"; empty means none).
 	Fsync string
-	// CheckpointEvery enables each worker's opportunistic periodic
-	// checkpoint trigger when positive.
-	CheckpointEvery time.Duration
 	// TraceRing sizes each process's per-node telemetry rings (events;
 	// zero keeps the default). Size it to hold the whole run when the
 	// trace will be collected (see CollectTrace).
@@ -331,9 +328,6 @@ func (c *Cluster) spawn(i int, recover bool) error {
 	if c.cfg.Fsync != "" {
 		args = append(args, "-fsync", c.cfg.Fsync)
 	}
-	if c.cfg.CheckpointEvery > 0 {
-		args = append(args, "-checkpoint-every", c.cfg.CheckpointEvery.String())
-	}
 	if c.cfg.TraceRing > 0 {
 		args = append(args, "-trace-ring", fmt.Sprint(c.cfg.TraceRing))
 	}
@@ -548,8 +542,7 @@ func (c *Cluster) quiesceOnce() (bool, error) {
 		if err := c.get(i, "/quiesce", &q); err != nil {
 			return false, fmt.Errorf("worker %d: %w", i, err)
 		}
-		if q.Scheduled != next.Seq || q.QueuedLockKeys != 0 || q.Pending != 0 ||
-			q.Unacked != 0 || q.Backlog != 0 {
+		if q.Scheduled != next.Seq || !q.Settled() {
 			if q.Refused != "" {
 				return false, fmt.Errorf("worker %d: %s (leader seq %d)", i, q.Refused, next.Seq)
 			}

@@ -59,9 +59,11 @@ const (
 	// leader of Epoch. Sent by a freshly promoted standby to every node and
 	// replica, and in reply to messages carrying a stale epoch.
 	MsgSeqEpoch
-	// MsgTxnDone notifies the front-end that submitted transaction Txn
-	// that its committer finished it. Only distributed deployments use it:
-	// in-process clusters complete waiters through shared memory.
+	// MsgTxnDone tells the node whose front-end submitted transaction Txn
+	// that its committer finished it; Seq is the request's ClientSeq, the
+	// key the submitting process holds the client's waiter under. Sent only
+	// when that front-end lives in another process: a client hosted beside
+	// the committer is answered through shared memory.
 	MsgTxnDone
 )
 

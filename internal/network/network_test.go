@@ -121,6 +121,55 @@ func TestChanTransportLatencyGate(t *testing.T) {
 	}
 }
 
+// advanceOnWait is a manual clock on which an Advance lands at the worst
+// moment for the link goroutine: once it has taken the message and is about
+// to wait out the latency.
+type advanceOnWait struct {
+	*clock.Manual
+	step  time.Duration
+	once  sync.Once
+	fired chan struct{}
+}
+
+func (c *advanceOnWait) SleepUntil(t time.Time) {
+	c.once.Do(func() {
+		c.Advance(c.step)
+		close(c.fired)
+	})
+	c.Manual.SleepUntil(t)
+}
+
+// TestChanTransportLatencyGateSurvivesRacingAdvance forces the interleaving
+// that used to hang TestChanTransportLatencyGate about one run in 500: the
+// clock moves 499 µs after the link goroutine has looked at the message's
+// due time and before it blocks. The link waits for the absolute due time,
+// so the next 2 µs still deliver; when it slept for "due − now" computed
+// before the move, its deadline slid to 999 µs and the message never came.
+func TestChanTransportLatencyGateSurvivesRacingAdvance(t *testing.T) {
+	clk := &advanceOnWait{
+		Manual: clock.NewManual(time.Unix(0, 0)),
+		step:   499 * time.Microsecond, fired: make(chan struct{}),
+	}
+	tr := NewChanTransportClock(nodes(2), UniformLatency(500*time.Microsecond, 0), clk)
+	defer tr.Close()
+	defer clk.Advance(time.Hour) // a failing run must not leave Close waiting on the link
+	if err := tr.Send(Message{From: 0, To: 1, Payload: []byte("gated")}); err != nil {
+		t.Fatal(err)
+	}
+	<-clk.fired
+	select {
+	case <-tr.Recv(1):
+		t.Fatal("delivered before the modelled latency elapsed")
+	default:
+	}
+	clk.Advance(2 * time.Microsecond)
+	select {
+	case <-tr.Recv(1):
+	case <-time.After(time.Second):
+		t.Fatal("not delivered after the latency elapsed: the link waited relative to the advanced clock")
+	}
+}
+
 func TestChanTransportLocalBypass(t *testing.T) {
 	// Local sends must bypass the latency model entirely: with a manual
 	// clock that never advances, an hour of modelled latency would block

@@ -170,19 +170,14 @@ type ReliableOpts struct {
 	// Incarnation is stamped on every sequenced send (see Message.Inc).
 	// A cluster process bumps it on each restart; in-process it stays 0.
 	Incarnation uint64
-	// Journal, when set, persists each accepted message for the RecvFor
-	// destinations before it is acknowledged.
-	Journal func(Message)
-	// JournalFor, when set, supplies a per-destination journal sink (may
-	// return nil for destinations without one). Overrides Journal.
+	// JournalFor, when set, supplies each RecvFor destination's journal
+	// sink (nil return = no journal for that destination): it persists each
+	// accepted message before the message is acknowledged.
 	JournalFor func(tx.NodeID) func(Message)
-	// AckGate, when set, routes every ack send through the journal's
-	// durability gate (Journal.AfterDurable): the ack closure runs only
-	// once the frames it acknowledges are durable under the journal's
-	// fsync policy.
-	AckGate func(func())
-	// AckGateFor is the per-destination form of AckGate (may return nil).
-	// Overrides AckGate.
+	// AckGateFor, when set, supplies each RecvFor destination's durability
+	// gate (Journal.AfterDurable; nil return = ungated): every ack send is
+	// routed through it, so the ack closure runs only once the frames it
+	// acknowledges are durable under the journal's fsync policy.
 	AckGateFor func(tx.NodeID) func(func())
 	// Floors seeds per-sender dedup watermarks below any journaled
 	// history: a checkpoint records the highest (incarnation, link)
@@ -239,21 +234,18 @@ func NewReliableWith(inner Transport, o ReliableOpts) *Reliable {
 		r.seqTo[n] = true
 	}
 	for _, n := range o.RecvFor {
-		journal, ackGate := o.Journal, o.AckGate
-		if o.JournalFor != nil {
-			journal = o.JournalFor(n)
-		}
-		if o.AckGateFor != nil {
-			ackGate = o.AckGateFor(n)
-		}
 		ds := &destState{
 			node:     n,
 			recv:     make(map[tx.NodeID]*recvLink),
 			pauseSig: make(chan struct{}),
 			notify:   make(chan struct{}, 1),
 			out:      make(chan Message),
-			journal:  journal,
-			ackGate:  ackGate,
+		}
+		if o.JournalFor != nil {
+			ds.journal = o.JournalFor(n)
+		}
+		if o.AckGateFor != nil {
+			ds.ackGate = o.AckGateFor(n)
 		}
 		// Checkpoint floors first; journaled history (below) only raises
 		// them.

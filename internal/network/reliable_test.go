@@ -461,7 +461,7 @@ func TestReliableAckGateWithholdsCoalescedAcks(t *testing.T) {
 	gated := make(chan func(), 4)
 	r := NewReliableWith(inner, ReliableOpts{
 		RecvFor: []tx.NodeID{0}, SendTo: []tx.NodeID{1},
-		AckGate: func(release func()) { gated <- release },
+		AckGateFor: func(tx.NodeID) func(func()) { return func(release func()) { gated <- release } },
 	})
 	defer r.Close()
 

@@ -37,8 +37,10 @@ const (
 	// wireVersion is the TCP framing version. Bump it whenever the frame
 	// layout or the encoded form of a Message changes: frames carry no
 	// per-field versioning, so the handshake is the only compatibility
-	// check. v1 was a gob stream.
-	wireVersion             = 2
+	// check. v1 was a gob stream; v2 has v3's bytes but answered clients by
+	// transaction ID, so its MsgTxnDone carries no ClientSeq in Seq and a v3
+	// submitter would wait forever for a v2 committer's notice.
+	wireVersion             = 3
 	defaultHandshakeTimeout = 3 * time.Second
 	handshakeLen            = 16
 )

@@ -412,12 +412,13 @@ func TestTCPTransportHandshakeRejectsGarbage(t *testing.T) {
 }
 
 // TestTCPTransportHandshakeVersionMismatch dials a peer that answers the
-// handshake with a different wire version — the gob-stream v1 the previous
-// build spoke, and a future one — and checks the dial, and hence Send,
-// fails loudly instead of exchanging frames with an incompatible build. The
-// accepting side turns a v1 dialer away the same way.
+// handshake with a different wire version — the gob-stream v1, the v2 the
+// previous build spoke (same bytes, but MsgTxnDone without the ClientSeq),
+// and a future one — and checks the dial, and hence Send, fails loudly
+// instead of exchanging frames with an incompatible build. The accepting
+// side turns such a dialer away the same way.
 func TestTCPTransportHandshakeVersionMismatch(t *testing.T) {
-	for _, peerVersion := range []uint32{1, wireVersion + 1} {
+	for _, peerVersion := range []uint32{1, 2, wireVersion + 1} {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
@@ -456,7 +457,7 @@ func TestTCPTransportHandshakeVersionMismatch(t *testing.T) {
 			t.Fatalf("error %q does not mention %q", err, want)
 		}
 
-		// The other direction: a v1 build dials us.
+		// The other direction: that build dials us.
 		c, err := net.Dial("tcp", t0.Addr())
 		if err != nil {
 			t.Fatal(err)

@@ -179,13 +179,7 @@ func (t *ChanTransport) getLink(from, to tx.NodeID, inbox chan Message) *link {
 		defer t.wg.Done()
 		for tm := range lk.ch {
 			if !tm.due.IsZero() {
-				for {
-					d := tm.due.Sub(t.clk.Now())
-					if d <= 0 {
-						break
-					}
-					t.clk.Sleep(d)
-				}
+				t.clk.SleepUntil(tm.due)
 			}
 			inbox <- tm.m
 		}

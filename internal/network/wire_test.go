@@ -46,7 +46,7 @@ func benchLinkAck() Message {
 }
 
 func benchTxnDone() Message {
-	return Message{From: 2, To: 0, Type: MsgTxnDone, Txn: 1234, Link: 9, Inc: 1}
+	return Message{From: 2, To: 0, Type: MsgTxnDone, Txn: 1234, Seq: 1201, Link: 9, Inc: 1}
 }
 
 func mustEncode(t testing.TB, m Message) []byte {

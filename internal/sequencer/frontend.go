@@ -10,16 +10,19 @@ import (
 )
 
 // Frontend is a node-local sequencer front-end: it forwards client
-// requests to the leader, paying one network hop as in Calvin.
+// requests to the leader, paying one network hop as in Calvin. Every
+// front-end stamps each request with a dense (Client, ClientSeq) identity
+// and transmits in stamp order — the identity the leader deduplicates by
+// and the engine answers the client by.
 //
 // A session front-end (NewSessionFrontend) additionally makes
-// submissions survive leader failover: it stamps every request with a
-// dense (Client, ClientSeq) identity, keeps it queued until the leader
-// sequences it, and resends the whole queue — in submission order, so
-// the leader always observes a gapless client stream — whenever progress
-// stalls past the retry timeout (with capped exponential backoff) or the
-// leader hint changes. The leader's (Client, ClientSeq) dedup makes the
-// resends idempotent: no request is lost or sequenced twice.
+// submissions survive leader failover: it keeps each request queued until
+// the leader sequences it, and resends the whole queue — in submission
+// order, so the leader always observes a gapless client stream — whenever
+// progress stalls past the retry timeout (with capped exponential
+// backoff) or the leader hint changes. The leader's (Client, ClientSeq)
+// dedup makes the resends idempotent: no request is lost or sequenced
+// twice.
 type Frontend struct {
 	node    tx.NodeID
 	tr      network.Transport
@@ -28,14 +31,15 @@ type Frontend struct {
 	retry   time.Duration
 	rcap    time.Duration
 
-	// sendMu serializes every transmission to the leader so a resend can
-	// never interleave with (and overtake) a concurrent fresh submission,
-	// which would reorder the client stream.
-	sendMu sync.Mutex
+	// sendMu serializes every transmission to the leader, stamping
+	// included: the leader drops a request whose ClientSeq is not above the
+	// highest it has accepted from the client, so a fresh submission must
+	// never overtake an earlier one, nor a resend a fresh submission.
+	sendMu  sync.Mutex
+	nextSeq uint64 // guarded by sendMu
 
 	mu           sync.Mutex
 	leader       tx.NodeID
-	nextSeq      uint64
 	unacked      []*tx.Request
 	backoff      time.Duration
 	lastProgress time.Time
@@ -45,7 +49,8 @@ type Frontend struct {
 }
 
 // NewFrontend returns a fire-and-forget front-end for node forwarding to
-// leader: no client session, no retry (the pre-failover behavior).
+// leader: it stamps and orders submissions but keeps no retry queue, so it
+// suits a leader that cannot fail over.
 func NewFrontend(node, leader tx.NodeID, tr network.Transport) *Frontend {
 	return &Frontend{node: node, leader: leader, tr: tr}
 }
@@ -79,34 +84,28 @@ func (f *Frontend) Submit(req *tx.Request) error {
 	return f.SubmitTracked(req, nil)
 }
 
-// SubmitTracked is Submit with a pre-transmission hook: on a session
-// front-end, pre (if non-nil) observes the assigned ClientSeq after the
-// request is stamped but before it is transmitted, still under the send
-// lock. Distributed engines use it to register a completion waiter keyed
-// by ClientSeq with no window in which a sequenced batch could arrive
-// first — and without stamping outside the send lock, which could let two
-// concurrent submissions reach the leader out of ClientSeq order and trip
-// its gapless per-client dedup.
+// SubmitTracked is Submit with a pre-transmission hook: pre (if non-nil)
+// observes the assigned ClientSeq after the request is stamped but before
+// it is transmitted, still under the send lock. The engine uses it to
+// register the client's completion waiter under the stamp with no window in
+// which the answer could arrive first.
 func (f *Frontend) SubmitTracked(req *tx.Request, pre func(clientSeq uint64)) error {
-	if !f.session {
-		return f.tr.Send(network.Message{
-			From: f.node, To: f.leader, Type: network.MsgSeqForward,
-			Batch: &tx.Batch{Txns: []*tx.Request{req}},
-		})
-	}
 	f.sendMu.Lock()
 	defer f.sendMu.Unlock()
-	f.mu.Lock()
 	f.nextSeq++
 	req.Client = f.node
 	req.ClientSeq = f.nextSeq
-	f.unacked = append(f.unacked, req)
+	f.mu.Lock()
+	if f.session {
+		f.unacked = append(f.unacked, req)
+	}
 	leader := f.leader
 	f.mu.Unlock()
 	if pre != nil {
 		pre(req.ClientSeq)
 	}
-	if err := f.forward(req, leader); err != nil {
+	err := f.forward(req, leader)
+	if err != nil && f.session {
 		// Transport closed: the request will never be sequenced, so drop
 		// it from the queue and report.
 		f.mu.Lock()
@@ -114,9 +113,8 @@ func (f *Frontend) SubmitTracked(req *tx.Request, pre func(clientSeq uint64)) er
 			f.unacked = f.unacked[:n-1]
 		}
 		f.mu.Unlock()
-		return err
 	}
-	return nil
+	return err
 }
 
 func (f *Frontend) forward(req *tx.Request, leader tx.NodeID) error {
@@ -124,10 +122,8 @@ func (f *Frontend) forward(req *tx.Request, leader tx.NodeID) error {
 	// queue is resent to a new leader while the old one may still be
 	// sealing the previous transmission, and two leaders writing assigned
 	// IDs into one shared Request would race. Each sealing leader gets
-	// its own object; the engine correlates a delivered copy back to the
-	// queued original through Request.Origin. The queued original itself
-	// is immutable after stamping, so resend-time copying never races
-	// with a seal.
+	// its own object, and the queued original is immutable after stamping,
+	// so resend-time copying never races with a seal.
 	if f.session {
 		req = req.SendCopy()
 	}
@@ -162,16 +158,23 @@ func (f *Frontend) Sequenced(req *tx.Request) {
 }
 
 // SetLeader redirects the front-end to a new leader and immediately
-// resends the unacknowledged queue to it.
+// resends the unacknowledged queue to it. The switch and the resend are one
+// step under the send lock: a submission that saw the new leader before the
+// queue had been resent would reach it first, and the leader would then
+// drop the queue's lower stamps as duplicates.
 func (f *Frontend) SetLeader(leader tx.NodeID) {
-	f.mu.Lock()
-	if !f.session || f.leader == leader {
-		f.mu.Unlock()
+	if !f.session {
 		return
 	}
+	f.sendMu.Lock()
+	defer f.sendMu.Unlock()
+	f.mu.Lock()
+	changed := f.leader != leader
 	f.leader = leader
 	f.mu.Unlock()
-	f.resend()
+	if changed {
+		f.resendLocked()
+	}
 }
 
 // Unacked reports how many submissions await sequencing.
@@ -189,6 +192,10 @@ func (f *Frontend) Unacked() int {
 func (f *Frontend) resend() {
 	f.sendMu.Lock()
 	defer f.sendMu.Unlock()
+	f.resendLocked()
+}
+
+func (f *Frontend) resendLocked() {
 	f.mu.Lock()
 	queue := append([]*tx.Request(nil), f.unacked...)
 	leader := f.leader

@@ -253,6 +253,80 @@ func TestFrontendRedirectResendsInOrder(t *testing.T) {
 	}
 }
 
+// holdFirstSend blocks the first send to node `to` until released; the
+// sender is inside the front-end's send lock while it waits.
+type holdFirstSend struct {
+	network.Transport
+	to               tx.NodeID
+	once             sync.Once
+	entered, release chan struct{}
+}
+
+func (h *holdFirstSend) Send(m network.Message) error {
+	if m.To == h.to {
+		h.once.Do(func() {
+			close(h.entered)
+			<-h.release
+		})
+	}
+	return h.Transport.Send(m)
+}
+
+// TestFrontendRedirectNeverLetsAFreshSubmissionOvertake: a leader change
+// that lands while submissions are in flight must still show the new
+// leader the client's stream in order. The leader drops any request whose
+// ClientSeq is not above the client's highest, so a fresh submission
+// reaching it ahead of the resent queue would turn the queue into
+// "duplicates" — lost requests the front-end then believes acknowledged.
+// (Seen as TestLeaderFailoverBackToBack draining with 3 transactions
+// pending and nothing unacknowledged.)
+func TestFrontendRedirectNeverLetsAFreshSubmissionOvertake(t *testing.T) {
+	for round := 0; round < 20; round++ {
+		base := network.NewChanTransport([]tx.NodeID{0, 1, 2}, nil)
+		tr := &holdFirstSend{Transport: base, to: 1, entered: make(chan struct{}), release: make(chan struct{})}
+		fe := NewSessionFrontend(0, 1, tr, nil, time.Hour, time.Hour)
+		submitted := make(chan error, 1)
+		go func() {
+			err := fe.Submit(req()) // seq 1: held inside the send to the old leader
+			if err == nil {
+				err = fe.Submit(req()) // seq 2: contends with the redirect's resend
+			}
+			submitted <- err
+		}()
+		<-tr.entered
+		redirected := make(chan struct{})
+		go func() {
+			fe.SetLeader(2)
+			close(redirected)
+		}()
+		time.Sleep(time.Millisecond) // let the redirect reach the send lock
+		close(tr.release)
+		if err := <-submitted; err != nil {
+			t.Fatal(err)
+		}
+		<-redirected
+		// Whatever the interleaving, the new leader must have been sent 1
+		// before 2: nothing arrives more than one ahead of what it has seen.
+		var high uint64
+		for high < 2 {
+			select {
+			case m := <-base.Recv(2):
+				seq := m.Batch.Txns[0].ClientSeq
+				if seq > high+1 {
+					t.Fatalf("round %d: the new leader saw client seq %d before %d", round, seq, high+1)
+				}
+				if seq > high {
+					high = seq
+				}
+			case <-time.After(2 * time.Second):
+				t.Fatalf("round %d: the new leader never saw client seq %d", round, high+1)
+			}
+		}
+		fe.Stop()
+		base.Close()
+	}
+}
+
 // TestFrontendRetryBackoffIsCapped drives a stalled front-end against a
 // black-hole leader and checks both that it keeps retrying and that the
 // inter-retry backoff saturates at the cap instead of doubling forever.

@@ -91,10 +91,12 @@ type Request struct {
 	SubmitTime time.Time
 
 	// Client and ClientSeq identify the submitting front-end and its
-	// per-client submission number (first = 1; 0 = no client session).
-	// The sequencer leader uses the pair to deduplicate retried
+	// per-client submission number (first = 1; 0 = not submitted through a
+	// front-end). The sequencer leader uses the pair to deduplicate retried
 	// submissions across a failover so a request is never sequenced
-	// twice. They are set by the front-end, not by callers.
+	// twice, and the engine keys the client's completion waiter by it —
+	// the committing node answers (Client, ClientSeq), never a pointer or
+	// a transaction ID. They are set by the front-end, not by callers.
 	Client    NodeID
 	ClientSeq uint64
 
@@ -102,35 +104,17 @@ type Request struct {
 	// router does not re-derive them for every candidate route.
 	reads  []Key
 	writes []Key
-
-	// origin, when non-nil, points at the caller's queued request this
-	// transmission copy was made from. Session front-ends send a private
-	// copy on every (re)transmission so no two sequencer replicas ever
-	// write the same Request — concurrent leaders of different epochs
-	// each seal their own copy — while the engine can still correlate
-	// whichever copy the total order delivers back to the submitted
-	// original. In-process only: unexported, so a copy crossing a real
-	// network drops it like the cached key sets.
-	origin *Request
 }
 
 // SendCopy returns a private copy of r for one transmission to the
-// sequencer, remembering r as its origin. The sealing leader writes the
-// assigned transaction ID into the copy, never into r.
+// sequencer: session front-ends send one per (re)transmission so no two
+// sequencer replicas ever write the same Request — concurrent leaders of
+// different epochs each seal their own copy. Whichever copy the total
+// order delivers carries r's (Client, ClientSeq) stamp, which is all the
+// engine needs to answer the client.
 func (r *Request) SendCopy() *Request {
 	cp := *r
-	cp.origin = r
 	return &cp
-}
-
-// Origin returns the submitted request a delivered request correlates
-// back to: the queued original for a SendCopy transmission, r itself
-// otherwise.
-func (r *Request) Origin() *Request {
-	if r.origin != nil {
-		return r.origin
-	}
-	return r
 }
 
 // NewRequest builds a request around proc, caching its normalized read- and

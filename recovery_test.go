@@ -3,6 +3,8 @@ package hermes
 import (
 	"testing"
 	"time"
+
+	"hermes/internal/leaktest"
 )
 
 // TestRecoverWithTailAllPolicies exercises the full §4.3 recovery story
@@ -54,6 +56,14 @@ func TestRecoverWithTailAllPolicies(t *testing.T) {
 			}
 			db.Close()
 
+			// Recovery starts exactly one cluster: nothing may outlive a
+			// refused recovery, nor the recovered instance once closed.
+			defer leaktest.Check(t)()
+			if len(tail) > 1 {
+				if _, err := RecoverWithTail(opts, cp, tail[1:]); err == nil {
+					t.Fatal("a tail with its first batch missing was accepted")
+				}
+			}
 			db2, err := RecoverWithTail(opts, cp, tail)
 			if err != nil {
 				t.Fatal(err)

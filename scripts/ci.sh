@@ -38,14 +38,17 @@ go test -race ${short_flag} ./...
 # Ordered-delivery stress: the two engine load tests once failed about one
 # run in seven on two cores — concurrent sequencer flushes delivered batch
 # N+1 to a node before batch N, and the node waited forever for the batch
-# it had refused. A healthy run takes ~0.13 s, so 100 repetitions under
-# -race on GOMAXPROCS=2 are cheap; the list guard fails loudly if a rename
-# drops either test from the loop.
-echo "==> ordered-delivery stress (GOMAXPROCS=2, -race, 100x)"
-stress_run='TestThroughputUnderLoadAllPolicies|TestSerializableCounters'
+# it had refused. The three completion tests ride in the same loop: who
+# answers a client, and when, is a race between the committing node, the
+# submitting node's scheduler and the transport, in both execution modes
+# and both assemblies. A healthy run of all five takes ~0.2 s, so 100
+# repetitions under -race on GOMAXPROCS=2 are cheap; the list guard fails
+# loudly if a rename drops any test from the loop.
+echo "==> ordered-delivery + completion stress (GOMAXPROCS=2, -race, 100x)"
+stress_run='TestThroughputUnderLoadAllPolicies|TestSerializableCounters|TestCompletionNoticesOnReorderedBatch|TestConcurrentSubmitsThroughOnePlainFrontend|TestSubmitAfterStopFails'
 listed=$(go test -list "${stress_run}" ./internal/engine | grep -c '^Test' || true)
-if [[ "${listed}" -ne 2 ]]; then
-    echo "ordered-delivery stress matched ${listed} of 2 engine load tests: one was renamed or deleted" >&2
+if [[ "${listed}" -ne 5 ]]; then
+    echo "ordered-delivery stress matched ${listed} of 5 engine tests: one was renamed or deleted" >&2
     exit 1
 fi
 GOMAXPROCS=2 go test -race -count=100 -run "${stress_run}" ./internal/engine
