@@ -10,11 +10,9 @@ func TestPublicCheckpointRecover(t *testing.T) {
 	db := openTest(t, opts)
 	db.LoadUniform(16)
 	for i := 0; i < 20; i++ {
-		if err := db.ExecWait(NodeID(i%2), &OpProc{
-			Reads:  []Key{MakeKey(0, uint64(i*3%100)), MakeKey(0, uint64(i*11%100))},
-			Writes: []Key{MakeKey(0, uint64(i*3%100))},
-			Value:  []byte{byte(i)},
-		}); err != nil {
+		if err := db.ExecWait(NodeID(i%2), setProc(
+			[]Key{MakeKey(0, uint64(i*3%100)), MakeKey(0, uint64(i*11%100))}, []byte{byte(i)},
+		)); err != nil {
 			t.Fatal(err)
 		}
 		mustDrain(t, db, 5*time.Second)
@@ -34,7 +32,7 @@ func TestPublicCheckpointRecover(t *testing.T) {
 		t.Fatalf("recovered fingerprint %x != original %x", got, want)
 	}
 	// Recovered instance keeps serving transactions.
-	if err := db2.ExecWait(0, &OpProc{Reads: []Key{MakeKey(0, 1)}, Writes: []Key{MakeKey(0, 1)}, Value: []byte("post")}); err != nil {
+	if err := db2.ExecWait(0, setProc([]Key{MakeKey(0, 1)}, []byte("post"))); err != nil {
 		t.Fatal(err)
 	}
 	mustDrain(t, db2, 5*time.Second)

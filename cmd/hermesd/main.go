@@ -148,9 +148,10 @@ func main() {
 		case "set":
 			if row, ok := parseRow(fields, 1); ok && len(fields) > 2 {
 				k := hermes.MakeKey(0, row)
-				err := db.ExecWait(0, &hermes.OpProc{
+				v := []byte(fields[2])
+				err := db.ExecWait(0, &hermes.FuncProc{
 					Reads: []hermes.Key{k}, Writes: []hermes.Key{k},
-					Value: []byte(fields[2]),
+					Fn: func(ctx hermes.ExecCtx) { ctx.Write(k, v) },
 				})
 				report(err)
 			}
@@ -162,15 +163,7 @@ func main() {
 				}
 			}
 			if len(keys) > 0 {
-				err := db.ExecWait(0, &hermes.OpProc{
-					Reads: keys, Writes: keys,
-					Mutate: func(_ hermes.Key, cur []byte) []byte {
-						out := make([]byte, 8)
-						copy(out, cur)
-						out[0]++
-						return out
-					},
-				})
+				err := db.ExecWait(0, &hermes.CounterProc{Reads: keys, Writes: keys, Payload: 8})
 				report(err)
 			}
 		case "owner":

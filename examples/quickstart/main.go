@@ -31,15 +31,9 @@ func main() {
 	pl := db.Cluster().Node(0).Policy().Placement()
 	fmt.Printf("before: owner(a)=%d owner(b)=%d\n", pl.Owner(a), pl.Owner(b))
 
-	inc := &hermes.OpProc{
-		Reads:  []hermes.Key{a, b},
-		Writes: []hermes.Key{a, b},
-		Mutate: func(_ hermes.Key, cur []byte) []byte {
-			out := append([]byte(nil), cur...)
-			out[0]++
-			return out
-		},
-	}
+	// A CounterProc bumps the little-endian counter leading each written
+	// value; it is plain data, so it runs unchanged on a real cluster.
+	inc := &hermes.CounterProc{Reads: []hermes.Key{a, b}, Writes: []hermes.Key{a, b}, Payload: 64}
 	for i := 0; i < 5; i++ {
 		if err := db.ExecWait(0, inc); err != nil {
 			panic(err)

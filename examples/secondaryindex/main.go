@@ -28,6 +28,18 @@ const (
 func idxKey(name int) hermes.Key    { return hermes.MakeKey(0, idxBase+uint64(name)) }
 func userKey(row uint64) hermes.Key { return hermes.MakeKey(0, userBase+row) }
 
+// pointTo sets name's index entry to a user row. Writing a constant is no
+// counter bump, so it is a FuncProc, which only an in-process cluster runs.
+func pointTo(name int, row uint64) hermes.Procedure {
+	ptr := make([]byte, 16)
+	binary.LittleEndian.PutUint64(ptr, row)
+	return &hermes.FuncProc{
+		Reads:  []hermes.Key{idxKey(name)},
+		Writes: []hermes.Key{idxKey(name)},
+		Fn:     func(ctx hermes.ExecCtx) { ctx.Write(idxKey(name), ptr) },
+	}
+}
+
 func main() {
 	db, err := hermes.Open(hermes.Options{Nodes: 3, Rows: 20_000, Policy: hermes.PolicyHermes})
 	if err != nil {
@@ -38,11 +50,7 @@ func main() {
 
 	// Build the index: name i -> user row i.
 	for i := 0; i < users; i++ {
-		ptr := make([]byte, 16)
-		binary.LittleEndian.PutUint64(ptr, uint64(i))
-		if err := db.ExecWait(0, &hermes.OpProc{
-			Reads: []hermes.Key{idxKey(i)}, Writes: []hermes.Key{idxKey(i)}, Value: ptr,
-		}); err != nil {
+		if err := db.ExecWait(0, pointTo(i, uint64(i))); err != nil {
 			panic(err)
 		}
 	}
@@ -60,12 +68,7 @@ func main() {
 				return
 			default:
 			}
-			newRow := uint64(200 + rng.Intn(5000))
-			ptr := make([]byte, 16)
-			binary.LittleEndian.PutUint64(ptr, newRow)
-			db.ExecWait(1, &hermes.OpProc{
-				Reads: []hermes.Key{idxKey(7)}, Writes: []hermes.Key{idxKey(7)}, Value: ptr,
-			})
+			db.ExecWait(1, pointTo(7, uint64(200+rng.Intn(5000))))
 			moves.Add(1)
 			// Pace the mover above the OLLP round-trip time; a mover
 			// faster than reconnaissance+execution livelocks the hot
@@ -86,15 +89,10 @@ func main() {
 			}
 			row := binary.LittleEndian.Uint64(read(idxKey(name)))
 			target := userKey(row)
-			proc := &hermes.OpProc{
-				Reads:  []hermes.Key{idxKey(name), target},
-				Writes: []hermes.Key{target},
-				Mutate: func(_ hermes.Key, cur []byte) []byte {
-					out := make([]byte, 16)
-					copy(out, cur)
-					binary.LittleEndian.PutUint64(out, binary.LittleEndian.Uint64(out)+1)
-					return out
-				},
+			proc := &hermes.CounterProc{
+				Reads:   []hermes.Key{idxKey(name), target},
+				Writes:  []hermes.Key{target},
+				Payload: 16,
 			}
 			validate := func(ctx hermes.ExecCtx) bool {
 				return binary.LittleEndian.Uint64(ctx.Read(idxKey(name))) == row

@@ -30,15 +30,7 @@ func TestLeaderFailoverPublicAPI(t *testing.T) {
 		t.Helper()
 		for i := lo; i < hi; i++ {
 			k := MakeKey(0, uint64(i%rows))
-			if err := db.ExecWait(0, &OpProc{
-				Reads: []Key{k}, Writes: []Key{k},
-				Mutate: func(_ Key, cur []byte) []byte {
-					out := make([]byte, 8)
-					copy(out, cur)
-					out[0]++
-					return out
-				},
-			}); err != nil {
+			if err := db.ExecWait(0, &CounterProc{Reads: []Key{k}, Writes: []Key{k}, Payload: 8}); err != nil {
 				t.Fatal(err)
 			}
 		}

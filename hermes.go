@@ -19,10 +19,11 @@
 //	if err != nil { ... }
 //	defer db.Close()
 //	db.LoadUniform(64)
-//	err = db.ExecWait(0, &hermes.OpProc{
-//	    Reads:  []hermes.Key{hermes.MakeKey(0, 1), hermes.MakeKey(0, 99_000)},
-//	    Writes: []hermes.Key{hermes.MakeKey(0, 1)},
-//	    Value:  []byte("updated"),
+//	// Read two rows, bump row 1's little-endian counter in a 64-byte value.
+//	err = db.ExecWait(0, &hermes.CounterProc{
+//	    Reads:   []hermes.Key{hermes.MakeKey(0, 1), hermes.MakeKey(0, 99_000)},
+//	    Writes:  []hermes.Key{hermes.MakeKey(0, 1)},
+//	    Payload: 64,
 //	})
 package hermes
 
@@ -53,9 +54,12 @@ type (
 	Procedure = tx.Procedure
 	// ExecCtx is the procedure's database access interface.
 	ExecCtx = tx.ExecCtx
-	// OpProc is the ready-made read/modify/write procedure.
-	OpProc = tx.OpProc
-	// FuncProc adapts a function to the Procedure interface.
+	// CounterProc is the ready-made read/modify/write procedure: it bumps
+	// the little-endian counter leading each written value. It is plain
+	// data, so it also runs on a multi-process cluster.
+	CounterProc = tx.CounterProc
+	// FuncProc adapts a function to the Procedure interface (in-process
+	// only: a function has no wire form).
 	FuncProc = tx.FuncProc
 	// Partitioner maps keys to home partitions.
 	Partitioner = partition.Partitioner

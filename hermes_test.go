@@ -1,6 +1,7 @@
 package hermes
 
 import (
+	"encoding/binary"
 	"fmt"
 	"testing"
 	"time"
@@ -41,15 +42,7 @@ func TestAllPoliciesEndToEnd(t *testing.T) {
 			db.LoadUniform(16)
 			// Distributed read-modify-write across partitions.
 			k1, k2 := MakeKey(0, 10), MakeKey(0, 250)
-			proc := &OpProc{
-				Reads:  []Key{k1, k2},
-				Writes: []Key{k1, k2},
-				Mutate: func(_ Key, cur []byte) []byte {
-					out := append([]byte(nil), cur...)
-					out[0]++
-					return out
-				},
-			}
+			proc := &CounterProc{Reads: []Key{k1, k2}, Writes: []Key{k1, k2}, Payload: 16}
 			for i := 0; i < 10; i++ {
 				if err := db.ExecWait(NodeID(i%3), proc); err != nil {
 					t.Fatal(err)
@@ -77,7 +70,7 @@ func TestStatsPopulated(t *testing.T) {
 	db := openTest(t, Options{Nodes: 2, Rows: 100, Policy: PolicyHermes, StatsWindow: 100 * time.Millisecond})
 	db.LoadUniform(16)
 	for i := 0; i < 20; i++ {
-		if err := db.ExecWait(0, &OpProc{
+		if err := db.ExecWait(0, &CounterProc{
 			Reads:  []Key{MakeKey(0, uint64(i)), MakeKey(0, 80)},
 			Writes: []Key{MakeKey(0, 80)},
 		}); err != nil {
@@ -115,7 +108,7 @@ func TestProvisionAndMigrateAPI(t *testing.T) {
 		t.Fatalf("migrated records on new node = %d, want 50", got)
 	}
 	// Everything still readable and writable.
-	if err := db.ExecWait(0, &OpProc{Reads: []Key{keys[0]}, Writes: []Key{keys[0]}, Value: []byte("after-scale-out")}); err != nil {
+	if err := db.ExecWait(0, setProc([]Key{keys[0]}, []byte("after-scale-out"))); err != nil {
 		t.Fatal(err)
 	}
 	mustDrain(t, db, 5*time.Second)
@@ -129,11 +122,9 @@ func TestDeterministicFingerprint(t *testing.T) {
 		db := openTest(t, Options{Nodes: 2, Rows: 100, Policy: PolicyHermes})
 		db.LoadUniform(16)
 		for i := 0; i < 30; i++ {
-			if err := db.ExecWait(NodeID(i%2), &OpProc{
-				Reads:  []Key{MakeKey(0, uint64(i*3%100)), MakeKey(0, uint64(i*7%100))},
-				Writes: []Key{MakeKey(0, uint64(i*3%100))},
-				Value:  []byte{byte(i)},
-			}); err != nil {
+			if err := db.ExecWait(NodeID(i%2), setProc(
+				[]Key{MakeKey(0, uint64(i*3%100)), MakeKey(0, uint64(i*7%100))}, []byte{byte(i)},
+			)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -152,18 +143,24 @@ func ExampleOpen() {
 	}
 	defer db.Close()
 	db.LoadUniform(16)
-	err = db.ExecWait(0, &OpProc{
-		Reads:  []Key{MakeKey(0, 1), MakeKey(0, 900)},
-		Writes: []Key{MakeKey(0, 900)},
-		Value:  []byte("fused"),
+	err = db.ExecWait(0, &CounterProc{
+		Reads:   []Key{MakeKey(0, 1), MakeKey(0, 900)},
+		Writes:  []Key{MakeKey(0, 900)},
+		Payload: 16,
 	})
 	if err != nil {
 		panic(err)
 	}
 	db.Drain(5 * time.Second)
 	v, _ := db.Read(MakeKey(0, 900))
-	fmt.Println(string(v))
-	// Output: fused
+	fmt.Println(binary.LittleEndian.Uint64(v))
+	// Output: 1
+}
+
+// setProc overwrites keys[0] with v after reading every key in keys: a
+// constant write, which only a FuncProc expresses.
+func setProc(keys []Key, v []byte) *FuncProc {
+	return &FuncProc{Reads: keys, Writes: keys[:1], Fn: func(ctx ExecCtx) { ctx.Write(keys[0], v) }}
 }
 
 // mustDrain fails the test with the engine's diagnosis of what the quiesce

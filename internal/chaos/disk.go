@@ -22,6 +22,7 @@
 package chaos
 
 import (
+	"bytes"
 	"fmt"
 	"path/filepath"
 	"sort"
@@ -199,14 +200,7 @@ func (s *shadowSet) ackGateFor(n tx.NodeID) func(func()) {
 // append journals one delivered message and mirrors it. Holding mu across
 // both keeps the mirror index-aligned with the journal's frame order even
 // while a verification snapshot runs concurrently.
-//
-// The in-process transport passes sealed batches by reference
-// (Message.Batch), and the chaos workloads fill them with closure-bearing
-// procedures that have no wire tag — Journal.Append would panic on the
-// encode error. The shadow journals the message without the reference;
-// recovery comparison is over the framed header fields anyway.
 func (sh *shadowJournal) append(m network.Message) {
-	m.Batch = nil
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	sh.jr.Append(m)
@@ -310,6 +304,36 @@ func verifyCrashSnapshot(in crashVerifyInput) error {
 				m.From, m.To, m.Type, m.Txn, m.Seq, m.Link, m.Inc,
 				w.From, w.To, w.Type, w.Txn, w.Seq, w.Link, w.Inc)
 		}
+		if err := sameBatch(m.Batch, w.Batch); err != nil {
+			return fmt.Errorf("chaos: node %d frame %d batch diverges after crash recovery (seed=%d): %w",
+				in.node, i, in.crashSeed, err)
+		}
+	}
+	return nil
+}
+
+// sameBatch reports whether a recovered frame carries the batch that was
+// appended: the same presence, Seq, and encoded requests.
+func sameBatch(got, want *tx.Batch) error {
+	if (got == nil) != (want == nil) {
+		return fmt.Errorf("batch present %v, want %v", got != nil, want != nil)
+	}
+	if got == nil {
+		return nil
+	}
+	if got.Seq != want.Seq {
+		return fmt.Errorf("batch seq %d, want %d", got.Seq, want.Seq)
+	}
+	gb, err := tx.AppendBatch(nil, got)
+	if err != nil {
+		return err
+	}
+	wb, err := tx.AppendBatch(nil, want)
+	if err != nil {
+		return err
+	}
+	if !bytes.Equal(gb, wb) {
+		return fmt.Errorf("batch %d encodes to different bytes (%d vs %d)", got.Seq, len(gb), len(wb))
 	}
 	return nil
 }

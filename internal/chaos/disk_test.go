@@ -81,6 +81,16 @@ func buildVerifiedJournal(t *testing.T, dir string, n int) (data []byte, durable
 			Txn: tx.TxnID(100 + i), Seq: uint64(i), Link: uint64(i/2 + 1), Inc: 1,
 			Payload: []byte{byte(i), byte(i >> 8), 0xAB},
 		}
+		if i%3 == 0 {
+			// Every third frame is a delivered batch, as the sequencer
+			// sends them: the crash check compares batches too.
+			m.Type, m.Payload = network.MsgSeqDeliver, nil
+			k := tx.MakeKey(0, uint64(i))
+			m.Batch = &tx.Batch{Seq: uint64(i), Txns: []*tx.Request{
+				tx.NewRequest(tx.TxnID(100+i), &tx.CounterProc{Reads: []tx.Key{k}, Writes: []tx.Key{k}, Payload: 32}),
+				tx.NewRequest(tx.TxnID(200+i), &tx.CounterProc{Reads: []tx.Key{k}, Writes: []tx.Key{k}, Abort: true}),
+			}}
+		}
 		jr.Append(m)
 		mirror = append(mirror, m)
 	}
@@ -139,6 +149,40 @@ func TestDiskCrashCheckCatchesDurablePrefixDamage(t *testing.T) {
 		t.Fatal("crash check accepted a journal missing acked frames")
 	} else if !strings.Contains(err.Error(), "DURABILITY VIOLATION") {
 		t.Errorf("truncation failed for the wrong reason: %v", err)
+	}
+}
+
+// TestDiskCrashCheckComparesBatches: a recovered frame whose header
+// matches but whose batch differs from what was appended — a different
+// batch Seq or a different procedure inside — must be reported.
+func TestDiskCrashCheckComparesBatches(t *testing.T) {
+	const frames = 9
+	dir := "/neg/node1"
+	data, durable, mirror := buildVerifiedJournal(t, dir, frames)
+	base := crashVerifyInput{node: 1, dir: dir, data: data, durable: durable, mirror: mirror, acked: frames, crashSeed: 7}
+	if err := verifyCrashSnapshot(base); err != nil {
+		t.Fatalf("intact journal with batches failed the crash check: %v", err)
+	}
+	for name, damage := range map[string]func(*tx.Batch){
+		"seq":     func(b *tx.Batch) { b.Seq++ },
+		"payload": func(b *tx.Batch) { b.Txns[0].Proc.(*tx.CounterProc).Payload++ },
+		"abort":   func(b *tx.Batch) { b.Txns[1].Proc.(*tx.CounterProc).Abort = false },
+		"dropped": func(b *tx.Batch) { b.Txns = b.Txns[:1] },
+	} {
+		bad := base
+		bad.mirror = append([]network.Message(nil), mirror...)
+		orig := mirror[3].Batch
+		cp := &tx.Batch{Seq: orig.Seq}
+		for _, r := range orig.Txns {
+			p := *r.Proc.(*tx.CounterProc)
+			cp.Txns = append(cp.Txns, tx.NewRequest(r.ID, &p))
+		}
+		damage(cp)
+		bad.mirror[3].Batch = cp
+		err := verifyCrashSnapshot(bad)
+		if err == nil || !strings.Contains(err.Error(), "frame 3 batch diverges") {
+			t.Errorf("%s: mirror with a different batch reported %v", name, err)
+		}
 	}
 }
 

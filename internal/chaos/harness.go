@@ -176,7 +176,7 @@ func buildTrace(spec Spec) (*trace, error) {
 		rows := uint64(48 * spec.Nodes)
 		tr.base = partition.NewUniformRange(0, rows, spec.Nodes)
 		for i := uint64(0); i < rows; i++ {
-			tr.records[tx.MakeKey(0, i)] = workload.Value(payload, 0)
+			tr.records[tx.MakeKey(0, i)] = tx.CounterValue(payload, 0)
 		}
 		gen := workload.NewYCSB(workload.YCSBConfig{
 			Rows: rows, Nodes: spec.Nodes, Mix: workload.YCSBA,
@@ -213,7 +213,7 @@ func buildTrace(spec Spec) (*trace, error) {
 		gen := workload.NewMultiTenant(cfg)
 		tr.base = gen.Partitioner()
 		for i := uint64(0); i < gen.Rows(); i++ {
-			tr.records[tx.MakeKey(0, i)] = workload.Value(payload, 0)
+			tr.records[tx.MakeKey(0, i)] = tx.CounterValue(payload, 0)
 		}
 		for i := 0; i < spec.Txns; i++ {
 			// Deterministic pseudo-elapsed time: the hot node rotates at

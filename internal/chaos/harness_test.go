@@ -83,18 +83,18 @@ func orderChainProcs(n int, rows uint64) []tx.Procedure {
 	for i := 0; i < n; i++ {
 		i := i
 		k := tx.MakeKey(0, uint64(i)%rows)
-		procs = append(procs, &tx.OpProc{
+		procs = append(procs, &tx.FuncProc{
 			Reads:  []tx.Key{hot, k},
 			Writes: []tx.Key{hot},
-			Mutate: func(_ tx.Key, cur []byte) []byte {
-				out := append([]byte(nil), cur...)
+			Fn: func(ctx tx.ExecCtx) {
+				out := append([]byte(nil), ctx.Read(hot)...)
 				if len(out) >= 8 {
 					// Length-preserving order-sensitive fold.
 					acc := uint64(out[0]) | uint64(out[1])<<8 | uint64(out[2])<<16 | uint64(out[3])<<24
 					acc = acc*31 + uint64(i) + 1
 					out[0], out[1], out[2], out[3] = byte(acc), byte(acc>>8), byte(acc>>16), byte(acc>>24)
 				}
-				return out
+				ctx.Write(hot, out)
 			},
 		})
 	}

@@ -14,7 +14,7 @@ import (
 )
 
 func reqRW(id tx.TxnID, rs, ws []tx.Key) *tx.Request {
-	return tx.NewRequest(id, &tx.OpProc{Reads: rs, Writes: ws})
+	return tx.NewRequest(id, &tx.CounterProc{Reads: rs, Writes: ws})
 }
 
 func activeNodes(n int) []tx.NodeID {
@@ -368,7 +368,7 @@ func TestEmptyAndDegenerateInputs(t *testing.T) {
 		t.Fatal("empty segment produced routes")
 	}
 	// A transaction with empty read- and write-sets must still route.
-	routes := p.RouteUser([]*tx.Request{tx.NewRequest(1, &tx.OpProc{})})
+	routes := p.RouteUser([]*tx.Request{tx.NewRequest(1, &tx.CounterProc{})})
 	if len(routes) != 1 || routes[0].Master == tx.NoNode {
 		t.Fatalf("degenerate txn route = %+v", routes)
 	}

@@ -283,7 +283,6 @@ func TestWorkerRefusesProceduresWithoutWireForm(t *testing.T) {
 	c, tr := newTestWorker(t)
 	k := tx.MakeKey(0, 1)
 	for _, proc := range []tx.Procedure{
-		&tx.OpProc{Reads: []tx.Key{k}, Writes: []tx.Key{k}, Mutate: func(_ tx.Key, cur []byte) []byte { return cur }},
 		&tx.FuncProc{Writes: []tx.Key{k}, Fn: func(tx.ExecCtx) {}},
 	} {
 		name := fmt.Sprintf("%T", proc)

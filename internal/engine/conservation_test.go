@@ -90,7 +90,7 @@ func TestRouteConservationFuzz(t *testing.T) {
 			if rng.Intn(4) == 0 { // blind write occasionally
 				ws = append(ws, tx.MakeKey(0, uint64(rng.Intn(testRows))))
 			}
-			txns = append(txns, tx.NewRequest(id, &tx.OpProc{Reads: rs, Writes: ws}))
+			txns = append(txns, tx.NewRequest(id, &tx.CounterProc{Reads: rs, Writes: ws}))
 			id++
 		}
 		for _, rt := range pol.RouteUser(txns) {

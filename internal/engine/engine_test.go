@@ -73,15 +73,7 @@ func counterVal(b []byte) uint64 {
 
 // incProc returns a read-modify-write increment over keys.
 func incProc(keys ...tx.Key) tx.Procedure {
-	return &tx.OpProc{
-		Reads:  keys,
-		Writes: keys,
-		Mutate: func(_ tx.Key, cur []byte) []byte {
-			out := make([]byte, 8)
-			binary.LittleEndian.PutUint64(out, counterVal(cur)+1)
-			return out
-		},
-	}
+	return &tx.CounterProc{Reads: keys, Writes: keys, Payload: 8}
 }
 
 func TestSingleTxnAllPolicies(t *testing.T) {
@@ -256,11 +248,10 @@ func TestLogicAbortRollsBackButMigrates(t *testing.T) {
 	loadCounters(c, testRows)
 	kLocal := tx.MakeKey(0, 1)    // node 0
 	kRemote := tx.MakeKey(0, 150) // node 1
-	abortProc := &tx.OpProc{
-		Reads:   []tx.Key{kLocal, kRemote},
-		Writes:  []tx.Key{kLocal, kRemote},
-		Value:   []byte("should-not-persist"),
-		AbortIf: func(map[tx.Key][]byte) string { return "insufficient stock" },
+	abortProc := &tx.CounterProc{
+		Reads:  []tx.Key{kLocal, kRemote},
+		Writes: []tx.Key{kLocal, kRemote},
+		Abort:  true,
 	}
 	if err := c.SubmitAndWait(0, abortProc); err != nil {
 		t.Fatal(err)
@@ -596,10 +587,11 @@ func ExampleCluster() {
 	}
 	defer c.Stop()
 	c.LoadRecord(tx.MakeKey(0, 1), []byte("hello"))
-	c.SubmitAndWait(0, &tx.OpProc{
-		Reads:  []tx.Key{tx.MakeKey(0, 1)},
-		Writes: []tx.Key{tx.MakeKey(0, 1)},
-		Value:  []byte("world"),
+	k := tx.MakeKey(0, 1)
+	c.SubmitAndWait(0, &tx.FuncProc{
+		Reads:  []tx.Key{k},
+		Writes: []tx.Key{k},
+		Fn:     func(ctx tx.ExecCtx) { ctx.Write(k, []byte("world")) },
 	})
 	c.Drain(5 * time.Second)
 	v, _ := c.ReadRecord(tx.MakeKey(0, 1))

@@ -73,24 +73,7 @@ func TestRandomizedSerializability(t *testing.T) {
 				} else {
 					expectIncrements += len(keys)
 				}
-				proc := &tx.OpProc{
-					Reads:  keys,
-					Writes: keys,
-					Mutate: func(_ tx.Key, cur []byte) []byte {
-						out := make([]byte, 8)
-						if len(cur) >= 8 {
-							copy(out, cur)
-						}
-						out2 := counterVal(out) + 1
-						for b := 0; b < 8; b++ {
-							out[b] = byte(out2 >> (8 * b))
-						}
-						return out
-					},
-				}
-				if abort {
-					proc.AbortIf = func(map[tx.Key][]byte) string { return "fuzz abort" }
-				}
+				proc := &tx.CounterProc{Reads: keys, Writes: keys, Payload: 8, Abort: abort}
 				if _, err := c.Submit(tx.NodeID(rng.Intn(3)), proc); err != nil {
 					t.Fatal(err)
 				}
@@ -219,13 +202,7 @@ func FuzzDeterministicReplay(f *testing.F) {
 			}
 			dones := make([]<-chan struct{}, 0, txns)
 			for i, s := range shapes {
-				proc := incProc(s.keys...)
-				if s.abort {
-					proc = &tx.OpProc{
-						Reads: s.keys, Writes: s.keys,
-						AbortIf: func(map[tx.Key][]byte) string { return "fuzz abort" },
-					}
-				}
+				proc := &tx.CounterProc{Reads: s.keys, Writes: s.keys, Payload: 8, Abort: s.abort}
 				done, err := c.Submit(0, proc)
 				if err != nil {
 					t.Fatalf("submit %d: %v", i, err)

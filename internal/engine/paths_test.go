@@ -15,7 +15,7 @@ func TestReadOnlyTransactionsAllPolicies(t *testing.T) {
 			c := newTestCluster(t, 3, pf)
 			loadCounters(c, testRows)
 			// Distributed read-only transaction.
-			proc := &tx.OpProc{Reads: []tx.Key{tx.MakeKey(0, 1), tx.MakeKey(0, 150)}}
+			proc := &tx.CounterProc{Reads: []tx.Key{tx.MakeKey(0, 1), tx.MakeKey(0, 150)}}
 			for i := 0; i < 10; i++ {
 				if err := c.SubmitAndWait(tx.NodeID(i%3), proc); err != nil {
 					t.Fatal(err)
@@ -42,12 +42,7 @@ func TestCalvinMultiMasterAbort(t *testing.T) {
 	c := newTestCluster(t, 2, pf)
 	loadCounters(c, testRows)
 	k0, k1 := tx.MakeKey(0, 1), tx.MakeKey(0, 150) // one per node
-	proc := &tx.OpProc{
-		Reads:   []tx.Key{k0, k1},
-		Writes:  []tx.Key{k0, k1},
-		Value:   []byte("poison"),
-		AbortIf: func(map[tx.Key][]byte) string { return "logic abort" },
-	}
+	proc := &tx.CounterProc{Reads: []tx.Key{k0, k1}, Writes: []tx.Key{k0, k1}, Payload: 8, Abort: true}
 	if err := c.SubmitAndWait(0, proc); err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +55,7 @@ func TestCalvinMultiMasterAbort(t *testing.T) {
 	}
 	for _, k := range []tx.Key{k0, k1} {
 		v, ok := c.ReadRecord(k)
-		if !ok || string(v) == "poison" {
+		if !ok || counterVal(v) != 0 {
 			t.Fatalf("abort leaked write at %v", k)
 		}
 	}
@@ -83,10 +78,10 @@ func TestWriteOnlyBlindInsert(t *testing.T) {
 			c := newTestCluster(t, 2, pf)
 			loadCounters(c, testRows)
 			fresh := tx.MakeKey(2, 12345) // table 2: never loaded
-			proc := &tx.OpProc{
+			proc := &tx.FuncProc{
 				Reads:  []tx.Key{tx.MakeKey(0, 1)},
 				Writes: []tx.Key{fresh},
-				Value:  []byte("inserted"),
+				Fn:     func(ctx tx.ExecCtx) { ctx.Write(fresh, []byte("inserted")) },
 			}
 			if err := c.SubmitAndWait(1, proc); err != nil {
 				t.Fatal(err)

@@ -98,7 +98,7 @@ func routingCostBatches(rng *rand.Rand, rows uint64, bsize, pool int) [][]*tx.Re
 					ws = append(ws, k)
 				}
 			}
-			batch = append(batch, tx.NewRequest(id, &tx.OpProc{Reads: rs, Writes: ws}))
+			batch = append(batch, tx.NewRequest(id, &tx.CounterProc{Reads: rs, Writes: ws}))
 			id++
 		}
 		out[p] = batch

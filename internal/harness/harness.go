@@ -149,13 +149,3 @@ func (s *WorkloadSpec) Procs() ([]*tx.CounterProc, error) {
 	}
 	return procs[s.Skip:], nil
 }
-
-// SeedValue is the record payload every row is seeded with: an all-zero
-// value (counter 0) of the given size. Every process and the in-process
-// twin must seed identical bytes or the store digests can never match.
-func SeedValue(payload int) []byte {
-	if payload < 8 {
-		payload = 8
-	}
-	return make([]byte, payload)
-}

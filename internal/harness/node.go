@@ -392,10 +392,9 @@ func (s *NodeServer) seed(spec seedSpec) (int, error) {
 		return 0, fmt.Errorf("harness: seed rows %d do not match the partitioning's %d rows",
 			spec.Rows, s.cfg.Rows)
 	}
-	val := SeedValue(spec.Payload)
 	n := 0
 	for r := uint64(0); r < spec.Rows; r++ {
-		if s.cluster.SeedLocal(tx.MakeKey(0, r), append([]byte(nil), val...)) {
+		if s.cluster.SeedLocal(tx.MakeKey(0, r), tx.CounterValue(spec.Payload, 0)) {
 			n++
 		}
 	}
@@ -426,9 +425,8 @@ func (s *NodeServer) seedFromFile() error {
 	// clobber migrated state. The spec is only replayed on a journal-only
 	// restart.
 	if !s.restored {
-		val := SeedValue(spec.Payload)
 		for r := uint64(0); r < spec.Rows; r++ {
-			s.cluster.SeedLocal(tx.MakeKey(0, r), append([]byte(nil), val...))
+			s.cluster.SeedLocal(tx.MakeKey(0, r), tx.CounterValue(spec.Payload, 0))
 		}
 	}
 	// Seeding must complete before the worker starts: the reliable layer

@@ -74,9 +74,8 @@ func RunTwin(cfg TwinConfig, spec WorkloadSpec) (*TwinResult, error) {
 	}
 	defer db.Stop()
 
-	val := SeedValue(cfg.Payload)
 	for r := uint64(0); r < cfg.Rows; r++ {
-		db.LoadRecord(tx.MakeKey(0, r), append([]byte(nil), val...))
+		db.LoadRecord(tx.MakeKey(0, r), tx.CounterValue(cfg.Payload, 0))
 	}
 
 	procs, err := spec.Procs()

@@ -148,11 +148,16 @@ const (
 	incarnationFile = "incarnation"
 
 	// The 8-byte magic is journalMagic followed by the format version
-	// digit. v2 framed gob payloads; v3 frames the shared wire encoding.
+	// digit. v2 framed gob payloads; v3 frames the shared wire encoding;
+	// v4 may hold aborting-CounterProc requests, which v3 cannot decode.
 	journalMagic   = "HERMJNL"
-	journalVersion = '3'
-	journalHdrLen  = 16
-	frameHdrLen    = codec.FrameHeaderLen
+	journalVersion = '4'
+	// journalDecodable is the older format whose frames this build still
+	// decodes, so only the digit tells the file apart. It is three bit
+	// flips away from journalVersion: no single rotted bit produces it.
+	journalDecodable = '3'
+	journalHdrLen    = 16
+	frameHdrLen      = codec.FrameHeaderLen
 
 	appendMaxRetries = 8
 	syncMaxRetries   = 64
@@ -324,14 +329,15 @@ func replayJournal(raw []byte) replayResult {
 	if v == journalVersion {
 		return rep
 	}
-	// The magic names another format version. Versions 2 and 3 share the
+	// The magic names another format version. Versions 2 to 4 share the
 	// frame envelope, so the frames themselves say which it is: a frame
 	// that passes its CRC and is not a Message was written by another
 	// build's encoder, and replaying nothing from that file would restart
 	// an upgraded node from empty state — refuse. Anything else (our own
 	// frames, none, or damage) is a header hit by the same rot that flips
 	// any other byte, and stays on the quarantine path.
-	if rep.undecodable && len(rep.msgs) == 0 {
+	// A v3 file's frames decode fine, so its digit alone refuses it.
+	if v == journalDecodable || rep.undecodable && len(rep.msgs) == 0 {
 		return replayResult{quarantine: -1, foreign: v}
 	}
 	return badMagic

@@ -216,7 +216,7 @@ func TestJournalRefusesIncompatibleBuild(t *testing.T) {
 	old := v2Journal(t)
 	fs.Install(path, old, len(old))
 	_, err := OpenJournalWith("/n0", JournalOpts{FS: fs, Policy: SyncAlways})
-	if want := "written by an incompatible build (format v2, this build reads v3)"; err == nil || !contains(err.Error(), want) {
+	if want := "written by an incompatible build (format v2, this build reads v4)"; err == nil || !contains(err.Error(), want) {
 		t.Fatalf("open of a v2 journal: err = %v, want one saying %q", err, want)
 	}
 	if raw, rerr := fs.ReadFile(path); rerr != nil || string(raw) != string(old) {
@@ -227,8 +227,32 @@ func TestJournalRefusesIncompatibleBuild(t *testing.T) {
 	}
 }
 
+// TestJournalRefusesPreviousFormat: a v3 journal's frames decode under
+// this build, but its requests were encoded before the aborting-counter
+// tag existed; the digit alone must refuse it, untouched.
+func TestJournalRefusesPreviousFormat(t *testing.T) {
+	fs := diskio.NewMemFS(diskio.FaultSpec{Seed: 5})
+	j, err := OpenJournalWith("/n0", JournalOpts{FS: fs, Policy: SyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.Append(jmsg(0))
+	j.Close()
+	path := filepath.Join("/n0", journalFile)
+	old, _ := fs.ReadFile(path)
+	old[len(journalMagic)] = '3'
+	fs.Install(path, old, len(old))
+	_, err = OpenJournalWith("/n0", JournalOpts{FS: fs, Policy: SyncAlways})
+	if want := "incompatible build (format v3, this build reads v4)"; err == nil || !contains(err.Error(), want) {
+		t.Fatalf("open of a v3 journal: err = %v, want one saying %q", err, want)
+	}
+	if raw, rerr := fs.ReadFile(path); rerr != nil || string(raw) != string(old) {
+		t.Fatalf("refused journal was modified: %q (%v)", raw, rerr)
+	}
+}
+
 // TestJournalFlippedVersionByteIsCorruption: one flipped bit turns this
-// build's '3' into '2'. The frames behind it still decode, so it is a
+// build's '4' into '5'. The frames behind it still decode, so it is a
 // damaged header, not another build's file — it takes the quarantine path
 // every other damaged header takes and the open succeeds (the disk-fault
 // chaos schedules flip bytes of never-synced headers and require exactly

@@ -39,8 +39,9 @@ const (
 	// per-field versioning, so the handshake is the only compatibility
 	// check. v1 was a gob stream; v2 has v3's bytes but answered clients by
 	// transaction ID, so its MsgTxnDone carries no ClientSeq in Seq and a v3
-	// submitter would wait forever for a v2 committer's notice.
-	wireVersion             = 3
+	// submitter would wait forever for a v2 committer's notice. v4 adds the
+	// aborting-CounterProc procedure tag, which a v3 build cannot decode.
+	wireVersion             = 4
 	defaultHandshakeTimeout = 3 * time.Second
 	handshakeLen            = 16
 )

@@ -412,13 +412,13 @@ func TestTCPTransportHandshakeRejectsGarbage(t *testing.T) {
 }
 
 // TestTCPTransportHandshakeVersionMismatch dials a peer that answers the
-// handshake with a different wire version — the gob-stream v1, the v2 the
-// previous build spoke (same bytes, but MsgTxnDone without the ClientSeq),
-// and a future one — and checks the dial, and hence Send, fails loudly
+// handshake with a different wire version — the gob-stream v1, v2 (same
+// bytes, but MsgTxnDone without the ClientSeq), the v3 the previous build
+// spoke (no aborting-counter tag), and a future one — and checks the dial, and hence Send, fails loudly
 // instead of exchanging frames with an incompatible build. The accepting
 // side turns such a dialer away the same way.
 func TestTCPTransportHandshakeVersionMismatch(t *testing.T) {
-	for _, peerVersion := range []uint32{1, 2, wireVersion + 1} {
+	for _, peerVersion := range []uint32{1, 2, wireVersion - 1, wireVersion + 1} {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)

@@ -210,7 +210,7 @@ func buildMessage(seed int64, typ uint8, node int64, wide uint64, submit int64, 
 		var p tx.Procedure
 		switch proc % 4 {
 		case 1:
-			p = &tx.CounterProc{Reads: keys(), Writes: keys(), Payload: int(valLen) - 1}
+			p = &tx.CounterProc{Reads: keys(), Writes: keys(), Payload: max(int(valLen)-1, 0), Abort: payloadLen%2 == 1}
 		case 2:
 			p = &tx.MigrationProc{Keys: keys(), To: tx.NodeID(node)}
 		case 3:

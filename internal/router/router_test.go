@@ -10,7 +10,7 @@ import (
 
 // keysOf builds a request reading rs and writing ws.
 func reqRW(id tx.TxnID, rs, ws []tx.Key) *tx.Request {
-	return tx.NewRequest(id, &tx.OpProc{Reads: rs, Writes: ws})
+	return tx.NewRequest(id, &tx.CounterProc{Reads: rs, Writes: ws})
 }
 
 func active(n int) []tx.NodeID {

@@ -32,7 +32,7 @@ func NewTransportWithLeader(nodes []tx.NodeID, leader tx.NodeID) *network.ChanTr
 }
 
 func req() *tx.Request {
-	return tx.NewRequest(0, &tx.OpProc{Reads: []tx.Key{1}, Writes: []tx.Key{1}})
+	return tx.NewRequest(0, &tx.CounterProc{Reads: []tx.Key{1}, Writes: []tx.Key{1}})
 }
 
 func recvBatch(t *testing.T, tr network.Transport, node tx.NodeID) *tx.Batch {

@@ -1,63 +1,8 @@
 package tx
 
-// OpProc is a ready-made Procedure for the common OLTP pattern of reading a
-// set of records, optionally transforming some of them, and writing them
-// back. It covers the YCSB-style transactions used throughout the paper's
-// evaluation (read-only, and read-modify-write).
-type OpProc struct {
-	Reads  []Key
-	Writes []Key
-	// Mutate, if non-nil, derives the new value for a written key from its
-	// current value. If nil, written keys are overwritten with Value.
-	Mutate func(k Key, cur []byte) []byte
-	// Value is the constant payload written when Mutate is nil. A nil
-	// Value with nil Mutate writes back the value read (a pure touch).
-	Value []byte
-	// AbortIf, if non-nil, is evaluated after all reads; returning a
-	// non-empty string triggers a deterministic logic abort.
-	AbortIf func(read map[Key][]byte) string
-}
-
-// ReadSet implements Procedure.
-func (p *OpProc) ReadSet() []Key { return p.Reads }
-
-// WriteSet implements Procedure.
-func (p *OpProc) WriteSet() []Key { return p.Writes }
-
-// Execute implements Procedure.
-func (p *OpProc) Execute(ctx ExecCtx) {
-	read := make(map[Key][]byte, len(p.Reads))
-	for _, k := range p.Reads {
-		read[k] = ctx.Read(k)
-	}
-	if p.AbortIf != nil {
-		if reason := p.AbortIf(read); reason != "" {
-			ctx.Abort(reason)
-			return
-		}
-	}
-	for _, k := range p.Writes {
-		switch {
-		case p.Mutate != nil:
-			cur, ok := read[k]
-			if !ok {
-				cur = ctx.Read(k)
-			}
-			ctx.Write(k, p.Mutate(k, cur))
-		case p.Value != nil:
-			ctx.Write(k, p.Value)
-		default:
-			cur, ok := read[k]
-			if !ok {
-				cur = ctx.Read(k)
-			}
-			ctx.Write(k, cur)
-		}
-	}
-}
-
-// FuncProc adapts an arbitrary function to the Procedure interface. Used by
-// tests and by workloads with bespoke logic (e.g. TPC-C New-Order).
+// FuncProc adapts an arbitrary function to the Procedure interface. It is
+// the escape hatch for in-process embedders and tests: the function has no
+// wire form, so a worker's Submit refuses it (WireTag).
 type FuncProc struct {
 	Reads  []Key
 	Writes []Key

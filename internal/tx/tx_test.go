@@ -121,7 +121,7 @@ func TestContainsKey(t *testing.T) {
 }
 
 func TestRequestNormalizesSets(t *testing.T) {
-	p := &OpProc{Reads: []Key{3, 1, 3}, Writes: []Key{2, 2}}
+	p := &CounterProc{Reads: []Key{3, 1, 3}, Writes: []Key{2, 2}}
 	r := NewRequest(7, p)
 	if got := r.ReadSet(); len(got) != 2 || got[0] != 1 || got[1] != 3 {
 		t.Errorf("ReadSet = %v, want [1 3]", got)
@@ -149,30 +149,24 @@ func (c *fakeCtx) Write(k Key, v []byte) { c.writes[k] = v }
 func (c *fakeCtx) Abort(reason string)   { c.aborted = reason }
 func (c *fakeCtx) Aborted() bool         { return c.aborted != "" }
 
-func TestOpProcReadModifyWrite(t *testing.T) {
-	ctx := newFakeCtx(map[Key][]byte{1: {10}, 2: {20}})
-	p := &OpProc{
-		Reads:  []Key{1, 2},
-		Writes: []Key{2},
-		Mutate: func(_ Key, cur []byte) []byte { return []byte{cur[0] + 1} },
-	}
+func TestCounterProcReadModifyWrite(t *testing.T) {
+	ctx := newFakeCtx(map[Key][]byte{1: CounterValue(16, 10), 2: CounterValue(16, 20)})
+	p := &CounterProc{Reads: []Key{1, 2}, Writes: []Key{2, 3}, Payload: 16}
 	p.Execute(ctx)
-	if got := ctx.writes[2]; len(got) != 1 || got[0] != 21 {
-		t.Errorf("write to key 2 = %v, want [21]", got)
+	if got := ctx.writes[2]; len(got) != 16 || Counter(got) != 21 {
+		t.Errorf("write to key 2 = %x, want counter 21 in 16 bytes", got)
 	}
-	if ctx.Aborted() {
-		t.Error("unexpected abort")
+	if got := ctx.writes[3]; Counter(got) != 1 {
+		t.Errorf("write to absent key 3 = %x, want counter 1", got)
+	}
+	if _, ok := ctx.writes[1]; ok || ctx.Aborted() {
+		t.Errorf("read-only key written or unexpected abort: %v", ctx.writes)
 	}
 }
 
-func TestOpProcAbortSkipsWrites(t *testing.T) {
-	ctx := newFakeCtx(map[Key][]byte{1: {0}})
-	p := &OpProc{
-		Reads:   []Key{1},
-		Writes:  []Key{1},
-		Value:   []byte{99},
-		AbortIf: func(read map[Key][]byte) string { return "insufficient stock" },
-	}
+func TestCounterProcAbortSkipsWrites(t *testing.T) {
+	ctx := newFakeCtx(map[Key][]byte{1: CounterValue(8, 0)})
+	p := &CounterProc{Reads: []Key{1}, Writes: []Key{1}, Abort: true}
 	p.Execute(ctx)
 	if !ctx.Aborted() {
 		t.Fatal("expected abort")
@@ -182,21 +176,16 @@ func TestOpProcAbortSkipsWrites(t *testing.T) {
 	}
 }
 
-func TestOpProcConstantValueWrite(t *testing.T) {
-	ctx := newFakeCtx(map[Key][]byte{})
-	p := &OpProc{Writes: []Key{4}, Value: []byte("v")}
-	p.Execute(ctx)
-	if string(ctx.writes[4]) != "v" {
-		t.Errorf("write = %q, want %q", ctx.writes[4], "v")
+func TestValueCounterRoundTrip(t *testing.T) {
+	v := CounterValue(64, 42)
+	if len(v) != 64 || Counter(v) != 42 {
+		t.Fatalf("CounterValue/Counter round trip failed: len=%d counter=%d", len(v), Counter(v))
 	}
-}
-
-func TestOpProcWriteBackReadValue(t *testing.T) {
-	ctx := newFakeCtx(map[Key][]byte{4: []byte("orig")})
-	p := &OpProc{Reads: []Key{4}, Writes: []Key{4}}
-	p.Execute(ctx)
-	if string(ctx.writes[4]) != "orig" {
-		t.Errorf("write = %q, want %q", ctx.writes[4], "orig")
+	if Counter(nil) != 0 {
+		t.Fatal("Counter(nil) != 0")
+	}
+	if len(CounterValue(2, 1)) != 8 {
+		t.Fatal("undersized payload not widened to hold counter")
 	}
 }
 

@@ -8,17 +8,20 @@ import (
 	"hermes/internal/codec"
 )
 
-// CounterProc is the wire-safe read-modify-write transaction used by
-// distributed workloads: read all declared keys, then overwrite each
-// written key with a payload whose leading 8-byte little-endian counter is
-// the previous value's counter plus one (the same invariant as
-// workload.IncrementProc, expressed without a closure).
+// CounterProc is the stored procedure every generated workload runs: read
+// all declared keys, then overwrite each written key with a payload whose
+// counter (CounterValue) is the previous value's counter plus one. A key
+// that does not exist yet reads as counter 0, so an inserted row is written
+// with counter 1. It is pure data, so any replica can re-execute it.
 type CounterProc struct {
 	Reads  []Key
 	Writes []Key
 	// Payload is the size of the written value; values shorter than the
 	// 8-byte counter are padded up to it.
 	Payload int
+	// Abort makes the transaction abort deterministically before any read
+	// or write (TPC-C New-Order's invalid item).
+	Abort bool
 }
 
 // ReadSet implements Procedure.
@@ -29,21 +32,14 @@ func (p *CounterProc) WriteSet() []Key { return p.Writes }
 
 // Execute implements Procedure.
 func (p *CounterProc) Execute(ctx ExecCtx) {
-	size := p.Payload
-	if size < 8 {
-		size = 8
+	if p.Abort {
+		ctx.Abort("aborted by request")
+		return
 	}
 	// Single-key fast path: the hot-chain case needs no read map.
 	if len(p.Writes) == 1 && (len(p.Reads) == 0 || (len(p.Reads) == 1 && p.Reads[0] == p.Writes[0])) {
 		k := p.Writes[0]
-		cur := ctx.Read(k)
-		var c uint64
-		if len(cur) >= 8 {
-			c = binary.LittleEndian.Uint64(cur)
-		}
-		v := make([]byte, size)
-		binary.LittleEndian.PutUint64(v, c+1)
-		ctx.Write(k, v)
+		ctx.Write(k, CounterValue(p.Payload, Counter(ctx.Read(k))+1))
 		return
 	}
 	read := make(map[Key][]byte, len(p.Reads))
@@ -55,14 +51,27 @@ func (p *CounterProc) Execute(ctx ExecCtx) {
 		if !ok {
 			cur = ctx.Read(k)
 		}
-		var c uint64
-		if len(cur) >= 8 {
-			c = binary.LittleEndian.Uint64(cur)
-		}
-		v := make([]byte, size)
-		binary.LittleEndian.PutUint64(v, c+1)
-		ctx.Write(k, v)
+		ctx.Write(k, CounterValue(p.Payload, Counter(cur)+1))
 	}
+}
+
+// CounterValue builds a record payload of the given size (at least 8
+// bytes) whose first 8 bytes carry counter, little-endian, and whose rest
+// is zero. Every workload seeds and writes values of this shape, which
+// gives integration tests an invariant to check.
+func CounterValue(size int, counter uint64) []byte {
+	v := make([]byte, max(size, 8))
+	binary.LittleEndian.PutUint64(v, counter)
+	return v
+}
+
+// Counter reads the counter of a CounterValue payload; a shorter value
+// (including an absent one) reads as 0.
+func Counter(v []byte) uint64 {
+	if len(v) < 8 {
+		return 0
+	}
+	return binary.LittleEndian.Uint64(v)
 }
 
 // Procedure tags: the first byte of an encoded procedure. Journals persist
@@ -71,16 +80,23 @@ const (
 	tagCounter   = 1
 	tagMigration = 2
 	tagProvision = 3
+	// tagAbortingCounter is a CounterProc with Abort set. It has its own
+	// tag so a non-aborting request's bytes are the ones tagCounter always
+	// had.
+	tagAbortingCounter = 4
 )
 
 // WireTag returns the tag p travels under. The type switch is the authority
 // on which procedures may cross a process boundary or enter a journal: only
-// ones that are pure data. A procedure carrying a closure (OpProc with
-// Mutate, FuncProc) would otherwise arrive on a remote node as a different
-// transaction and the replicas would diverge.
+// ones that are pure data. A procedure carrying a closure (FuncProc) would
+// otherwise arrive on a remote node as a different transaction and the
+// replicas would diverge.
 func WireTag(p Procedure) (uint8, error) {
-	switch p.(type) {
+	switch p := p.(type) {
 	case *CounterProc:
+		if p.Abort {
+			return tagAbortingCounter, nil
+		}
 		return tagCounter, nil
 	case *MigrationProc:
 		return tagMigration, nil
@@ -110,9 +126,17 @@ func appendProc(b []byte, p Procedure) ([]byte, error) {
 
 func readProc(r *codec.Reader) Procedure {
 	switch tag := r.U8(); tag {
-	case tagCounter:
-		p := &CounterProc{Reads: readIDs[Key](r), Writes: readIDs[Key](r)}
-		p.Payload = int(r.I64())
+	case tagCounter, tagAbortingCounter:
+		p := &CounterProc{Reads: readIDs[Key](r), Writes: readIDs[Key](r), Abort: tag == tagAbortingCounter}
+		// Every replica allocates Payload bytes per written key, so a
+		// hostile size must not get past the decoder; no larger value fits
+		// in a frame anyway.
+		size := r.I64()
+		if size < 0 || size > codec.MaxFrameLen {
+			r.Fail(fmt.Errorf("tx: counter payload %d outside [0, %d]", size, codec.MaxFrameLen))
+			return nil
+		}
+		p.Payload = int(size)
 		return p
 	case tagMigration:
 		p := &MigrationProc{Keys: readIDs[Key](r)}

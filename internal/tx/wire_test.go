@@ -52,8 +52,9 @@ func TestDecodedRequestRoutesLikeTheOriginal(t *testing.T) {
 
 func TestEveryTaggedProcedureRoundTrips(t *testing.T) {
 	procs := []Procedure{
-		&CounterProc{Reads: []Key{1, 2}, Writes: []Key{2}, Payload: -1},
+		&CounterProc{Reads: []Key{1, 2}, Writes: []Key{2}, Payload: codec.MaxFrameLen},
 		&CounterProc{},
+		&CounterProc{Reads: []Key{7}, Writes: []Key{7, 8}, Payload: 64, Abort: true},
 		&MigrationProc{Keys: []Key{math.MaxUint64, 0}, To: NoNode},
 		&ProvisionProc{Add: []NodeID{4, 5}, Remove: []NodeID{-64}},
 		&ProvisionProc{},
@@ -78,8 +79,8 @@ func TestEveryTaggedProcedureRoundTrips(t *testing.T) {
 			t.Errorf("%T: zero SubmitTime decoded as %v", p, out.SubmitTime)
 		}
 	}
-	if len(seen) != 3 {
-		t.Fatalf("covered tags %v, want all three", seen)
+	if len(seen) != 4 {
+		t.Fatalf("covered tags %v, want all four", seen)
 	}
 }
 
@@ -87,7 +88,6 @@ func TestEveryTaggedProcedureRoundTrips(t *testing.T) {
 // a func field must be refused by name, never encoded as something else.
 func TestClosureProceduresHaveNoWireForm(t *testing.T) {
 	for _, p := range []Procedure{
-		&OpProc{Writes: []Key{1}, Mutate: func(_ Key, cur []byte) []byte { return cur }},
 		&FuncProc{Fn: func(ExecCtx) {}},
 	} {
 		name := reflect.TypeOf(p).String()
@@ -130,6 +130,14 @@ func TestDecodeRejectsDamage(t *testing.T) {
 	hostile := append(append([]byte(nil), wire[:minRequestLen]...), 0xff, 0xff, 0xff, 0xff, 0x0f)
 	if err := r.GobDecode(hostile); err == nil {
 		t.Fatal("hostile key count accepted")
+	}
+	// Every replica allocates the payload size per written key: a size no
+	// frame could carry must be refused, not handed to Execute.
+	for _, size := range []int64{-1, math.MinInt64, codec.MaxFrameLen + 1, math.MaxInt64} {
+		bad := codec.AppendI64(append([]byte(nil), wire[:len(wire)-8]...), size)
+		if err := r.GobDecode(bad); err == nil || !strings.Contains(err.Error(), "counter payload") {
+			t.Fatalf("payload %d: err = %v", size, err)
+		}
 	}
 }
 

@@ -91,7 +91,7 @@ func NewGoogle(cfg GoogleConfig) *Google {
 }
 
 // Next implements Generator.
-func (g *Google) Next(elapsed time.Duration) (tx.Procedure, tx.NodeID) {
+func (g *Google) Next(elapsed time.Duration) (*tx.CounterProc, tx.NodeID) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 
@@ -137,9 +137,9 @@ func (g *Google) Next(elapsed time.Duration) (tx.Procedure, tx.NodeID) {
 
 	via := tx.NodeID(part)
 	if g.rng.Float64() < g.cfg.ReadWriteRatio {
-		return IncrementProc(keys, keys, g.cfg.Payload), via
+		return &tx.CounterProc{Reads: keys, Writes: keys, Payload: g.cfg.Payload}, via
 	}
-	return ReadProc(keys), via
+	return &tx.CounterProc{Reads: keys}, via
 }
 
 // pickPartition samples a partition index proportional to shares.

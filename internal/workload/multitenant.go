@@ -115,7 +115,7 @@ func (m *MultiTenant) TenantRange(t int) (lo, hi tx.Key) {
 }
 
 // Next implements Generator.
-func (m *MultiTenant) Next(elapsed time.Duration) (tx.Procedure, tx.NodeID) {
+func (m *MultiTenant) Next(elapsed time.Duration) (*tx.CounterProc, tx.NodeID) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	cfg := m.cfg
@@ -129,5 +129,5 @@ func (m *MultiTenant) Next(elapsed time.Duration) (tx.Procedure, tx.NodeID) {
 	k1 := tx.MakeKey(0, base+m.z.Next())
 	k2 := tx.MakeKey(0, base+m.z.Next())
 	keys := tx.NormalizeKeys([]tx.Key{k1, k2})
-	return IncrementProc(keys, keys, cfg.Payload), tx.NodeID(node)
+	return &tx.CounterProc{Reads: keys, Writes: keys, Payload: cfg.Payload}, tx.NodeID(node)
 }

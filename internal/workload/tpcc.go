@@ -147,17 +147,17 @@ func StockKey(w, i uint64) tx.Key { return tx.MakeKey(TableStock, w<<20|i) }
 func (t *TPCC) ForEachRecord(fn func(k tx.Key, v []byte)) {
 	cfg := t.cfg
 	for w := uint64(0); w < uint64(cfg.Warehouses); w++ {
-		fn(WarehouseKey(w), Value(cfg.Payload, 0))
+		fn(WarehouseKey(w), tx.CounterValue(cfg.Payload, 0))
 		for d := uint64(0); d < districtsPerWarehouse; d++ {
-			fn(DistrictKey(w, d), Value(cfg.Payload, 0))
+			fn(DistrictKey(w, d), tx.CounterValue(cfg.Payload, 0))
 			// Customers are sampled lazily by the generator from the
 			// first 100 per district to keep load times sane.
 			for c := uint64(0); c < 100; c++ {
-				fn(CustomerKey(w, d, c), Value(cfg.Payload, 0))
+				fn(CustomerKey(w, d, c), tx.CounterValue(cfg.Payload, 0))
 			}
 		}
 		for i := uint64(0); i < uint64(cfg.StockPerWarehouse); i++ {
-			fn(StockKey(w, i), Value(cfg.Payload, 0))
+			fn(StockKey(w, i), tx.CounterValue(cfg.Payload, 0))
 		}
 	}
 }
@@ -172,7 +172,7 @@ func (t *TPCC) pickWarehouse() uint64 {
 }
 
 // Next implements Generator.
-func (t *TPCC) Next(time.Duration) (tx.Procedure, tx.NodeID) {
+func (t *TPCC) Next(time.Duration) (*tx.CounterProc, tx.NodeID) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	w := t.pickWarehouse()
@@ -188,8 +188,10 @@ func (t *TPCC) Next(time.Duration) (tx.Procedure, tx.NodeID) {
 // from a remote warehouse, per spec), and insert order, new-order, and
 // order-line rows under a client-unique order id — the standard
 // deterministic-database adaptation, since next_o_id cannot be read
-// before the write-set is declared.
-func (t *TPCC) newOrder(w uint64) tx.Procedure {
+// before the write-set is declared. The inserted rows do not exist yet, so
+// they read as counter 0 and are written with counter 1; an invalid item
+// aborts the transaction before any access.
+func (t *TPCC) newOrder(w uint64) *tx.CounterProc {
 	cfg := t.cfg
 	d := uint64(t.rng.Intn(districtsPerWarehouse))
 	c := uint64(t.rng.Intn(100))
@@ -228,31 +230,13 @@ func (t *TPCC) newOrder(w uint64) tx.Procedure {
 	}
 
 	abort := t.rng.Float64() < cfg.AbortProb
-	payload := cfg.Payload
-	return &tx.FuncProc{
-		Reads:  reads,
-		Writes: writes,
-		Fn: func(ctx tx.ExecCtx) {
-			if abort {
-				ctx.Abort("invalid item")
-				return
-			}
-			for _, k := range writes {
-				switch k.Table() {
-				case TableDistrict, TableStock:
-					ctx.Write(k, Value(payload, Counter(ctx.Read(k))+1))
-				default: // fresh order/new-order/order-line rows
-					ctx.Write(k, Value(payload, 1))
-				}
-			}
-		},
-	}
+	return &tx.CounterProc{Reads: reads, Writes: writes, Payload: cfg.Payload, Abort: abort}
 }
 
 // payment builds a Payment: read+update warehouse/district/customer YTD
-// counters and insert a history row; 15% of payments go through a remote
-// customer, per spec.
-func (t *TPCC) payment(w uint64) tx.Procedure {
+// counters and insert a fresh history row (counter 1); 15% of payments go
+// through a remote customer, per spec.
+func (t *TPCC) payment(w uint64) *tx.CounterProc {
 	cfg := t.cfg
 	d := uint64(t.rng.Intn(districtsPerWarehouse))
 	cw, cd := w, d
@@ -271,15 +255,5 @@ func (t *TPCC) payment(w uint64) tx.Procedure {
 
 	rw := []tx.Key{WarehouseKey(w), DistrictKey(w, d), CustomerKey(cw, cd, c)}
 	writes := append(append([]tx.Key(nil), rw...), histKey)
-	payload := cfg.Payload
-	return &tx.FuncProc{
-		Reads:  rw,
-		Writes: writes,
-		Fn: func(ctx tx.ExecCtx) {
-			for _, k := range rw {
-				ctx.Write(k, Value(payload, Counter(ctx.Read(k))+1))
-			}
-			ctx.Write(histKey, Value(payload, 1))
-		},
-	}
+	return &tx.CounterProc{Reads: rw, Writes: writes, Payload: cfg.Payload}
 }

@@ -9,7 +9,6 @@
 package workload
 
 import (
-	"encoding/binary"
 	"sync"
 	"time"
 
@@ -18,11 +17,13 @@ import (
 
 // Generator produces the next transaction to submit, given the elapsed
 // experiment time (generators use it for trace windows and hot-spot
-// rotation). Generators are safe for concurrent use.
+// rotation). Every generated transaction is a CounterProc — plain data
+// that crosses a process boundary and enters a journal. Generators are
+// safe for concurrent use.
 type Generator interface {
 	// Next returns a procedure and the node whose sequencer front-end the
 	// client submits through.
-	Next(elapsed time.Duration) (tx.Procedure, tx.NodeID)
+	Next(elapsed time.Duration) (*tx.CounterProc, tx.NodeID)
 }
 
 // Submitter abstracts the cluster for the driver (engine.Cluster satisfies
@@ -76,42 +77,4 @@ func (d *Driver) Run(sub Submitter, start time.Time) {
 func (d *Driver) Stop() {
 	d.once.Do(func() { close(d.quit) })
 	d.wg.Wait()
-}
-
-// Value builds a deterministic record payload of the given size whose
-// first 8 bytes carry a counter — workload procedures increment it, which
-// gives integration tests an invariant to check.
-func Value(size int, counter uint64) []byte {
-	if size < 8 {
-		size = 8
-	}
-	v := make([]byte, size)
-	binary.LittleEndian.PutUint64(v, counter)
-	return v
-}
-
-// Counter reads the counter from a payload built by Value.
-func Counter(v []byte) uint64 {
-	if len(v) < 8 {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(v)
-}
-
-// IncrementProc returns the standard read-modify-write transaction used
-// by the YCSB-style workloads: read all keys, increment each written
-// key's counter.
-func IncrementProc(reads, writes []tx.Key, payload int) tx.Procedure {
-	return &tx.OpProc{
-		Reads:  reads,
-		Writes: writes,
-		Mutate: func(_ tx.Key, cur []byte) []byte {
-			return Value(payload, Counter(cur)+1)
-		},
-	}
-}
-
-// ReadProc returns a read-only transaction over keys.
-func ReadProc(keys []tx.Key) tx.Procedure {
-	return &tx.OpProc{Reads: keys}
 }

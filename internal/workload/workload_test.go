@@ -9,28 +9,6 @@ import (
 	"hermes/internal/tx"
 )
 
-func TestValueCounterRoundTrip(t *testing.T) {
-	v := Value(64, 42)
-	if len(v) != 64 || Counter(v) != 42 {
-		t.Fatalf("Value/Counter round trip failed: len=%d counter=%d", len(v), Counter(v))
-	}
-	if Counter(nil) != 0 {
-		t.Fatal("Counter(nil) != 0")
-	}
-	if len(Value(2, 1)) != 8 {
-		t.Fatal("undersized payload not widened to hold counter")
-	}
-}
-
-func TestIncrementProc(t *testing.T) {
-	p := IncrementProc([]tx.Key{1}, []tx.Key{1}, 16)
-	ctx := &fakeCtx{vals: map[tx.Key][]byte{1: Value(16, 5)}, writes: map[tx.Key][]byte{}}
-	p.Execute(ctx)
-	if Counter(ctx.writes[1]) != 6 {
-		t.Fatalf("increment = %d, want 6", Counter(ctx.writes[1]))
-	}
-}
-
 type fakeCtx struct {
 	vals    map[tx.Key][]byte
 	writes  map[tx.Key][]byte
@@ -220,7 +198,7 @@ func TestTPCCNewOrderAbortLogic(t *testing.T) {
 	proc, _ := gen.Next(0)
 	ctx := &fakeCtx{vals: map[tx.Key][]byte{}, writes: map[tx.Key][]byte{}}
 	for _, k := range proc.ReadSet() {
-		ctx.vals[k] = Value(16, 0)
+		ctx.vals[k] = tx.CounterValue(16, 0)
 	}
 	proc.Execute(ctx)
 	if !ctx.aborted {

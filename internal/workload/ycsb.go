@@ -87,7 +87,7 @@ func (y *YCSB) sample() uint64 {
 }
 
 // Next implements Generator.
-func (y *YCSB) Next(time.Duration) (tx.Procedure, tx.NodeID) {
+func (y *YCSB) Next(time.Duration) (*tx.CounterProc, tx.NodeID) {
 	y.mu.Lock()
 	defer y.mu.Unlock()
 	keys := make([]tx.Key, 0, y.cfg.KeysPerTxn)
@@ -110,7 +110,7 @@ func (y *YCSB) Next(time.Duration) (tx.Procedure, tx.NodeID) {
 		write = true
 	}
 	if write {
-		return IncrementProc(keys, keys, y.cfg.Payload), via
+		return &tx.CounterProc{Reads: keys, Writes: keys, Payload: y.cfg.Payload}, via
 	}
-	return ReadProc(keys), via
+	return &tx.CounterProc{Reads: keys}, via
 }

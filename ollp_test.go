@@ -18,7 +18,7 @@ func TestOLLPSecondaryIndexLookup(t *testing.T) {
 	// Index entry: points at row 77.
 	ptr := make([]byte, 16)
 	binary.LittleEndian.PutUint64(ptr, 77)
-	if err := db.ExecWait(0, &OpProc{Reads: []Key{idx}, Writes: []Key{idx}, Value: ptr}); err != nil {
+	if err := db.ExecWait(0, setProc([]Key{idx}, ptr)); err != nil {
 		t.Fatal(err)
 	}
 	mustDrain(t, db, 5*time.Second)
@@ -26,11 +26,7 @@ func TestOLLPSecondaryIndexLookup(t *testing.T) {
 	planner := func(read func(Key) []byte) (Procedure, func(ctx ExecCtx) bool, error) {
 		row := binary.LittleEndian.Uint64(read(idx))
 		tgt := MakeKey(0, row)
-		proc := &OpProc{
-			Reads:  []Key{idx, tgt},
-			Writes: []Key{tgt},
-			Value:  []byte("indexed-update"),
-		}
+		proc := setProc([]Key{tgt, idx}, []byte("indexed-update"))
 		validate := func(ctx ExecCtx) bool {
 			return binary.LittleEndian.Uint64(ctx.Read(idx)) == row
 		}
@@ -56,7 +52,7 @@ func TestOLLPRetriesOnStaleIndex(t *testing.T) {
 	writePtr := func(row uint64) {
 		ptr := make([]byte, 16)
 		binary.LittleEndian.PutUint64(ptr, row)
-		if err := db.ExecWait(0, &OpProc{Reads: []Key{idx}, Writes: []Key{idx}, Value: ptr}); err != nil {
+		if err := db.ExecWait(0, setProc([]Key{idx}, ptr)); err != nil {
 			t.Fatal(err)
 		}
 		mustDrain(t, db, 5*time.Second)
@@ -72,7 +68,7 @@ func TestOLLPRetriesOnStaleIndex(t *testing.T) {
 			writePtr(60)
 		}
 		tgt := MakeKey(0, row)
-		proc := &OpProc{Reads: []Key{idx, tgt}, Writes: []Key{tgt}, Value: []byte("v2")}
+		proc := setProc([]Key{tgt, idx}, []byte("v2"))
 		validate := func(ctx ExecCtx) bool {
 			return binary.LittleEndian.Uint64(ctx.Read(idx)) == row
 		}
@@ -98,7 +94,7 @@ func TestOLLPExhaustsRetries(t *testing.T) {
 	db := openTest(t, Options{Nodes: 2, Rows: 100, Policy: PolicyHermes})
 	db.LoadUniform(16)
 	planner := func(read func(Key) []byte) (Procedure, func(ctx ExecCtx) bool, error) {
-		proc := &OpProc{Reads: []Key{MakeKey(0, 2)}, Writes: []Key{MakeKey(0, 2)}, Value: []byte("x")}
+		proc := setProc([]Key{MakeKey(0, 2)}, []byte("x"))
 		return proc, func(ExecCtx) bool { return false }, nil // always stale
 	}
 	err := db.ExecOLLP(0, planner, 2)

@@ -29,11 +29,9 @@ func TestRecoverWithTailAllPolicies(t *testing.T) {
 
 			run := func(lo, hi int) {
 				for i := lo; i < hi; i++ {
-					if err := db.ExecWait(0, &OpProc{
-						Reads:  []Key{MakeKey(0, uint64(i*3%rows)), MakeKey(0, uint64(i*7%rows))},
-						Writes: []Key{MakeKey(0, uint64(i*3%rows))},
-						Value:  []byte{byte(pol[0]), byte(i)},
-					}); err != nil {
+					if err := db.ExecWait(0, setProc(
+						[]Key{MakeKey(0, uint64(i*3%rows)), MakeKey(0, uint64(i*7%rows))}, []byte{byte(pol[0]), byte(i)},
+					)); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -81,11 +79,7 @@ func TestRecoverWithTailAllPolicies(t *testing.T) {
 
 			// The recovered instance must keep serving transactions with
 			// the total order resuming past the replayed input.
-			if err := db2.ExecWait(0, &OpProc{
-				Reads:  []Key{MakeKey(0, 1), MakeKey(0, rows-1)},
-				Writes: []Key{MakeKey(0, 1)},
-				Value:  []byte("post-recovery"),
-			}); err != nil {
+			if err := db2.ExecWait(0, setProc([]Key{MakeKey(0, 1), MakeKey(0, rows-1)}, []byte("post-recovery"))); err != nil {
 				t.Fatal(err)
 			}
 			mustDrain(t, db2, 10*time.Second)

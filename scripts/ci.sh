@@ -191,7 +191,7 @@ HERMESD_BUILD_RACE=1 go test -race -count=1 -timeout 15m ${short_flag} \
 # format"). The minimizer is capped at 1 s: left at its 60 s default it
 # spends the whole smoke shrinking the first 2 KB input that finds new
 # coverage and executes nothing else.
-echo "==> codec gate (gob import guard + 10s fuzz smoke per target)"
+echo "==> codec gate (gob import guard, 10s fuzz smoke per target, codec-in-the-loop, closure reference)"
 gob_want=$'bench/probes.go\ninternal/durable/durable.go\ninternal/fusion/fusion.go'
 gob_got=$(grep -rl --include='*.go' --exclude='*_test.go' '"encoding/gob"' . | sed 's|^\./||' | sort)
 if [[ "${gob_got}" != "${gob_want}" ]]; then
@@ -209,6 +209,21 @@ if [[ "${listed}" -ne 2 ]]; then
 fi
 for target in ${fuzz_targets}; do
     go test -run '^$' -fuzz "^${target}\$" -fuzztime 10s -fuzzminimizetime 1s ./internal/network
+done
+# Every generated transaction is plain data: the chaos workloads must
+# quiesce identically with each procedure round-tripped through the request
+# codec, and each generator's procedure must match the closure it replaced
+# (kept as a test-only reference).
+for gate in 'TestCodecInTheLoopEquivalence ./internal/chaos' \
+    'TestProceduresMatchClosureReference ./internal/workload'; do
+    run=${gate% *}
+    pkg=${gate##* }
+    listed=$(go test -list "${run}" "${pkg}" | grep -c '^Test' || true)
+    if [[ "${listed}" -ne 1 ]]; then
+        echo "codec gate matched ${listed} tests for ${run} in ${pkg}: renamed or deleted" >&2
+        exit 1
+    fi
+    go test -race -count=1 -run "^${run}\$" "${pkg}"
 done
 
 # Smoke-run the routing and link-layer benchmarks (1 iteration) so they
