@@ -148,7 +148,11 @@ func TestClusterNetChaos(t *testing.T) {
 		}
 	}
 	if !t.Failed() {
-		t.Logf("%s: %d txns, %d supervisor restarts, %d stream resets, digests match twin",
-			sched, res.Committed, super.Stats().TotalRestarts(), ns.TotalResets())
+		var retransmits int64
+		for _, st := range stats {
+			retransmits += st.Retransmits
+		}
+		t.Logf("%s: %d txns, %d supervisor restarts, %d stream resets, %d retransmits, digests match twin",
+			sched, res.Committed, super.Stats().TotalRestarts(), ns.TotalResets(), retransmits)
 	}
 }

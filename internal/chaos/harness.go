@@ -282,10 +282,11 @@ func Run(spec Spec, sched Schedule) (*Result, error) {
 	if len(sched.LeaderKills) > 0 && spec.SeqStandbys < 1 {
 		return nil, fmt.Errorf("chaos: %v has leader kills but spec %v has no sequencer standbys (set Spec.SeqStandbys)", sched, spec)
 	}
-	seqCfg := sequencer.Config{BatchSize: spec.Batch, Interval: time.Hour}
+	// No Interval: batches seal on size only.
+	seqCfg := sequencer.Config{BatchSize: spec.Batch}
 	if spec.SeqStandbys > 0 {
 		// Tight fault-tolerance timers: a leader kill must resolve well
-		// inside the run, and the front-end retry must outlive a failover.
+		// inside the run.
 		seqCfg.Standbys = spec.SeqStandbys
 		// FailoverTimeout trades recovery latency for robustness against
 		// scheduler starvation: a race-enabled run under load can stall
@@ -293,8 +294,6 @@ func Run(spec Spec, sched Schedule) (*Result, error) {
 		// fault-free baseline must never record a spurious promotion.
 		seqCfg.Heartbeat = 5 * time.Millisecond
 		seqCfg.FailoverTimeout = 150 * time.Millisecond
-		seqCfg.RetryTimeout = 10 * time.Millisecond
-		seqCfg.RetryCap = 100 * time.Millisecond
 	}
 	var chaosT *Transport
 	cfg := engine.Config{
@@ -302,8 +301,7 @@ func Run(spec Spec, sched Schedule) (*Result, error) {
 		Policy:       pf,
 		Telemetry:    tel,
 		StorageDelay: spec.storageDelay,
-		// Interval far beyond any run: batches seal on size only.
-		Seq: seqCfg,
+		Seq:          seqCfg,
 		WrapTransport: func(inner network.Transport) network.Transport {
 			chaosT = Wrap(inner, sched, nil)
 			return chaosT

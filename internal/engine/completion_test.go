@@ -154,7 +154,7 @@ func completionOnEmulation(t *testing.T, storageDelay time.Duration) {
 	first := true
 	c, err := New(Config{
 		Nodes:        []tx.NodeID{0, 1, 2},
-		Seq:          sequencer.Config{BatchSize: 4, Interval: time.Hour},
+		Seq:          sequencer.Config{BatchSize: 4},
 		StorageDelay: storageDelay,
 		Policy: func(a []tx.NodeID) router.Policy {
 			p := reversed{Policy: base(a)}

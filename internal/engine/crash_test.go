@@ -25,7 +25,7 @@ func newReliableCluster(t *testing.T, nodes int, pf PolicyFactory) *Cluster {
 	c, err := New(Config{
 		Nodes:    ids,
 		Policy:   pf,
-		Seq:      sequencer.Config{BatchSize: 4, Interval: time.Hour},
+		Seq:      sequencer.Config{BatchSize: 4},
 		Reliable: true,
 	})
 	if err != nil {
@@ -151,7 +151,7 @@ func TestCrashReturnsMigrationGauge(t *testing.T) {
 	c, err := New(Config{
 		Nodes:    ids,
 		Policy:   policies(3)["hermes"],
-		Seq:      sequencer.Config{BatchSize: 1, Interval: time.Hour},
+		Seq:      sequencer.Config{BatchSize: 1},
 		Reliable: true,
 		WrapTransport: func(inner network.Transport) network.Transport {
 			return holdPushes{Transport: inner, held: &held}

@@ -262,8 +262,7 @@ func newCluster(cfg Config, tr network.Transport, rel *network.Reliable, netStat
 	c.collector = metrics.NewCollector(c.start, cfg.Window)
 	for _, id := range cfg.Nodes {
 		if seq == nil || cfg.Seq.Standbys > 0 {
-			c.fes[id] = sequencer.NewSessionFrontend(id, LeaderNode, tr, nil,
-				cfg.Seq.RetryTimeout, cfg.Seq.RetryCap)
+			c.fes[id] = sequencer.NewSessionFrontend(id, LeaderNode, tr)
 		} else {
 			c.fes[id] = sequencer.NewFrontend(id, LeaderNode, tr)
 		}

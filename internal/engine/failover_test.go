@@ -24,12 +24,10 @@ func newFailoverCluster(t *testing.T, nodes, standbys int, pf PolicyFactory) *Cl
 		Nodes:  ids,
 		Policy: pf,
 		Seq: sequencer.Config{
-			BatchSize: 4, Interval: time.Hour,
+			BatchSize:       4,
 			Standbys:        standbys,
 			Heartbeat:       5 * time.Millisecond,
 			FailoverTimeout: 100 * time.Millisecond,
-			RetryTimeout:    10 * time.Millisecond,
-			RetryCap:        100 * time.Millisecond,
 		},
 		Reliable: true,
 	})

@@ -174,7 +174,7 @@ func FuzzDeterministicReplay(f *testing.F) {
 			cfg := Config{
 				Nodes:  []tx.NodeID{0, 1},
 				Policy: tpccPolicy(pol, base),
-				Seq:    sequencer.Config{BatchSize: batch, Interval: time.Hour},
+				Seq:    sequencer.Config{BatchSize: batch},
 			}
 			if failover {
 				// Both runs get the fault-tolerant group so the only
@@ -182,8 +182,6 @@ func FuzzDeterministicReplay(f *testing.F) {
 				cfg.Seq.Standbys = 2
 				cfg.Seq.Heartbeat = 5 * time.Millisecond
 				cfg.Seq.FailoverTimeout = 60 * time.Millisecond
-				cfg.Seq.RetryTimeout = 10 * time.Millisecond
-				cfg.Seq.RetryCap = 100 * time.Millisecond
 				cfg.Reliable = true
 			}
 			c, err := New(cfg)

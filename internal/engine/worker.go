@@ -2,10 +2,8 @@ package engine
 
 import (
 	"fmt"
-	"time"
 
 	"hermes/internal/network"
-	"hermes/internal/sequencer"
 	"hermes/internal/telemetry"
 	"hermes/internal/tx"
 )
@@ -26,18 +24,14 @@ type WorkerConfig struct {
 	// NetStats is the transport's byte/message accounting.
 	NetStats *network.Stats
 	// Link configures the reliable layer over Transport: the delivery
-	// journal's hooks, the incarnation and recovered history of a restarted
-	// process, and the retransmit pacing (see network.ReliableOpts).
-	// NewWorker fills in RecvFor and SendTo.
+	// journal's hooks and the incarnation and recovered history of a
+	// restarted process (see network.ReliableOpts). NewWorker fills in
+	// RecvFor and SendTo.
 	Link network.ReliableOpts
 	// Policy builds the local routing replica; it must be the identical
 	// construction in every process (and in the in-process emulation that
 	// digests are compared against).
 	Policy PolicyFactory
-	// RetryTimeout/RetryCap tune the session front-end's resend pacing
-	// (zero = front-end defaults).
-	RetryTimeout time.Duration
-	RetryCap     time.Duration
 	// Telemetry, if non-nil, registers this process's gauges (served at
 	// the control endpoint's /metrics).
 	Telemetry *telemetry.Telemetry
@@ -51,7 +45,6 @@ func NewWorker(wc WorkerConfig) (*Cluster, error) {
 		Nodes:     []tx.NodeID{wc.Self},
 		Active:    append([]tx.NodeID(nil), wc.Workers...),
 		Policy:    wc.Policy,
-		Seq:       sequencer.Config{RetryTimeout: wc.RetryTimeout, RetryCap: wc.RetryCap},
 		Telemetry: wc.Telemetry,
 	}
 	if err := cfg.check(); err != nil {

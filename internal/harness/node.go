@@ -24,17 +24,7 @@ import (
 	"hermes/internal/tx"
 )
 
-// Cluster-process transport tuning. A dead peer's listener stays bound in
-// the parent, so a dial to it succeeds at the TCP level and then hangs in
-// the version handshake; the short send timeout turns that hang into a
-// bounded error the reliable layer's retransmission repairs once the peer
-// is back.
 const (
-	procSendTimeout  = time.Second
-	procDialAttempts = 2
-	procDialBackoff  = 25 * time.Millisecond
-	procDialCap      = 100 * time.Millisecond
-
 	// drainTimeout bounds the graceful-shutdown quiesce attempt (SIGTERM,
 	// /shutdown): in-flight work gets this long to land before teardown.
 	drainTimeout = 2 * time.Second
@@ -42,21 +32,6 @@ const (
 	// the orchestrator normally enforces a tighter one.
 	runTimeout = 5 * time.Minute
 )
-
-// procLink paces a reliable endpoint of a cluster process; the worker's
-// and, in the driver process, the leader's options both pass through it, so
-// the two cannot be paced differently. The reliable layer's default 2ms
-// retransmit base is sized for the in-process channel transport. Over real
-// TCP — processes sharing cores, acks gated behind group-commit fsyncs —
-// ack rounds past 2ms are normal operation, not loss, and every false
-// timeout re-encodes in-flight frames the receiver decodes only to drop
-// them; the leader sends the largest frames in the system (whole batches,
-// to every worker), so a false timeout costs the most there, and a slower
-// box produces more of them: load feeding on itself.
-func procLink(o network.ReliableOpts) network.ReliableOpts {
-	o.RetransmitBase, o.RetransmitCap = 50*time.Millisecond, time.Second
-	return o
-}
 
 // NodeConfig assembles one hermesd cluster process.
 type NodeConfig struct {
@@ -149,7 +124,6 @@ type NodeServer struct {
 	leader    *sequencer.Leader
 	leaderTr  *network.TCPTransport
 	leaderRel *network.Reliable
-	leaderClk *stopClock
 
 	srv *http.Server
 
@@ -231,29 +205,20 @@ func NewNodeServer(cfg NodeConfig) (*NodeServer, error) {
 		tel.Tracer().SetEnabled(false)
 	}
 	tr := network.NewTCPTransportListener(cfg.Self, cfg.Addrs, cfg.DataLn)
-	tuneTransport(tr)
 	cluster, err := engine.NewWorker(engine.WorkerConfig{
 		Self:      cfg.Self,
 		Workers:   workers,
 		Transport: tr,
 		NetStats:  tr.Stats(),
-		Link: procLink(network.ReliableOpts{
+		Link: network.ReliableOpts{
 			Incarnation: jr.Incarnation(),
 			JournalFor:  func(tx.NodeID) func(network.Message) { return jr.Append },
 			AckGateFor:  func(tx.NodeID) func(func()) { return jr.AfterDurable },
 			Floors:      jr.Floors(),
 			Recovered:   recovered,
-		}),
+		},
 		Policy:    pf,
 		Telemetry: tel,
-		// The session front-end's default 20ms stall timeout is tuned for
-		// in-process failover drills; on a real loaded cluster the leader
-		// routinely goes longer than that between seals, and every false
-		// stall resends the whole submission queue. Failover recovery does
-		// not depend on this timer — SetLeader resends immediately — so it
-		// only needs to beat a genuinely wedged leader.
-		RetryTimeout: time.Second,
-		RetryCap:     4 * time.Second,
 	})
 	if err != nil {
 		tr.Close()
@@ -294,17 +259,15 @@ func NewNodeServer(cfg NodeConfig) (*NodeServer, error) {
 	s.registerProcMetrics()
 	if cfg.LeaderLn != nil {
 		s.leaderTr = network.NewTCPTransportListener(engine.LeaderNode, cfg.Addrs, cfg.LeaderLn)
-		tuneTransport(s.leaderTr)
-		s.leaderRel = network.NewReliableWith(s.leaderTr, procLink(network.ReliableOpts{
+		s.leaderRel = network.NewReliableWith(s.leaderTr, network.ReliableOpts{
 			RecvFor: []tx.NodeID{engine.LeaderNode},
 			SendTo:  workers,
-		}))
-		s.leaderClk = newStopClock()
-		// Size-only sealing: the interval is effectively infinite so batch
-		// boundaries are a function of the request stream alone, and the
-		// driver flushes the tail deterministically.
+		})
+		// Size-only sealing (no Interval): batch boundaries are a function
+		// of the request stream alone, and the driver flushes the tail
+		// deterministically.
 		s.leader = sequencer.NewLeader(engine.LeaderNode, s.leaderRel, workers,
-			sequencer.Config{BatchSize: cfg.BatchSize, Interval: time.Hour}, s.leaderClk)
+			sequencer.Config{BatchSize: cfg.BatchSize}, nil)
 		s.leader.Start()
 	}
 	s.srv = &http.Server{Handler: s.mux()}
@@ -358,11 +321,6 @@ func (s *NodeServer) checkpointNow() (uint64, error) {
 	rel.TruncateDelivered(s.cfg.Self, rel.Delivered(s.cfg.Self))
 	s.cluster.Node(s.cfg.Self).CommandLog().Truncate(cp.Scheduled)
 	return cp.Delivered, nil
-}
-
-func tuneTransport(tr *network.TCPTransport) {
-	tr.SetSendTimeout(procSendTimeout)
-	tr.SetDialRetry(procDialAttempts, procDialBackoff, procDialCap)
 }
 
 // Serve runs the control-plane HTTP server until Close.
@@ -747,7 +705,6 @@ func (s *NodeServer) Close() error {
 	}
 	if s.leader != nil {
 		s.leader.Stop()
-		s.leaderClk.Stop()
 		s.leaderRel.Close()
 	}
 	s.cluster.Stop()

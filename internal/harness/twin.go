@@ -67,7 +67,7 @@ func RunTwin(cfg TwinConfig, spec WorkloadSpec) (*TwinResult, error) {
 		Policy: pf,
 		// Identical sealing regime to the cluster: size-only batches, tail
 		// flushed by the driver once all submissions are pending.
-		Seq: sequencer.Config{BatchSize: cfg.BatchSize, Interval: time.Hour},
+		Seq: sequencer.Config{BatchSize: cfg.BatchSize},
 	})
 	if err != nil {
 		return nil, err

@@ -43,8 +43,9 @@ const (
 	MsgControl
 	// MsgLinkAck is the reliable layer's cumulative per-link delivery
 	// acknowledgement (Link carries the highest contiguously received
-	// sequence). It never reaches the engine: the receiving side's pump
-	// consumes it.
+	// sequence; when the receiver holds frames beyond a gap after it, Seq
+	// and Txn carry the lowest and highest of them). It never reaches the
+	// engine: the receiving side's pump consumes it.
 	MsgLinkAck
 	// MsgSeqReplicate carries a sealed batch from the sequencer leader to a
 	// standby sequencer. A batch is delivered to the cluster only after

@@ -14,18 +14,32 @@ import (
 // and moves its senders' retransmit windows — every 64 messages.
 const maxDrain = 64
 
-// Retransmission pacing: the first retry waits retransmitBase, then the
-// interval doubles per silent round up to retransmitCap. The base is a few
-// link round-trips at the emulation's latency scale, so a healthy link is
-// never retransmitted into.
+// Retransmission pacing: every sendLink times its resends with an RTO fed
+// one sample per cumulative ack — the age of the oldest frame the ack
+// covers, unless the covered range holds a resent frame (Karn's rule).
+// The timeout only guards against a silent link; a frame lost in the
+// middle of a stream is resent on the receiver's gap report instead (see
+// handle), as TCP's fast retransmit sits beside its RTO.
+//   - The floor (also the timeout before the first sample) is 50 ms. Ack
+//     rounds over loopback TCP are heavy-tailed: well under a millisecond
+//     at the median, tens of milliseconds when four processes share two
+//     cores, so an estimate that follows the median times out on healthy
+//     links. On 2 vCPUs shared by a three-process cluster, this code
+//     with a 2 ms floor resent 17–21 frames per 1,000 transactions in
+//     each of three traced cluster-ycsb passes, every one a duplicate;
+//     with 50 ms, three cluster-ycsb and three cluster-durable passes
+//     resent none (docs/PERF.md, "Pacing").
+//   - The ceiling is the largest cap ever configured for a cluster link
+//     (1 s): a partitioned link probes at least once a second, so a healed
+//     one resumes within a second.
 const (
-	retransmitBase = 2 * time.Millisecond
-	retransmitCap  = 64 * time.Millisecond
+	linkRTOFloor = 50 * time.Millisecond
+	linkRTOCeil  = time.Second
 )
 
 // ReliableStats reports how hard the reliable layer had to work.
 type ReliableStats struct {
-	// Retransmits counts messages re-sent by the retransmit loops.
+	// Retransmits counts messages re-sent, on a timeout or a gap report.
 	Retransmits int64
 	// DupsDropped counts received messages discarded as duplicates.
 	DupsDropped int64
@@ -38,12 +52,13 @@ type ReliableStats struct {
 // messages (the chaos wrapper's DropProb/DupProb faults, a flaky socket).
 // Mechanism, per (from,to) link: the sender stamps each message with a
 // dense sequence number (Message.Link), buffers it until acknowledged, and
-// retransmits the unacknowledged window with capped exponential backoff;
-// the receiver delivers in sequence, buffers the future, discards
-// duplicates, and returns cumulative MsgLinkAck acknowledgements — one per
-// sender per drain of its inbox, not one per message (see pumpLoop) — which
-// may themselves be lost or duplicated: the protocol only needs them to
-// eventually arrive.
+// retransmits frames left unacknowledged past the link's retransmission
+// timeout, which it measures from the acks themselves (RTO); the receiver
+// delivers in sequence, buffers the future, discards duplicates, and
+// returns cumulative MsgLinkAck acknowledgements — one per sender per drain
+// of its inbox, not one per message (see pumpLoop), each naming the frames
+// it holds beyond a gap — which may themselves be lost or duplicated: the
+// protocol only needs them to eventually arrive.
 //
 // Reliable additionally keeps a per-destination delivery log: every message
 // is appended to its destination's log before a feeder goroutine hands it
@@ -75,11 +90,6 @@ type Reliable struct {
 	// See Message.Inc. Immutable after construction.
 	inc uint64
 
-	// rtBase/rtCap pace the retransmit loops (see ReliableOpts). Immutable
-	// after construction.
-	rtBase time.Duration
-	rtCap  time.Duration
-
 	quit chan struct{}
 	wg   sync.WaitGroup
 
@@ -90,23 +100,34 @@ type Reliable struct {
 
 // sendLink is the sender half of one (from,to) link.
 type sendLink struct {
+	// sendMu orders the link's transmissions: each takes its sentAt stamp
+	// and reaches the inner transport under it, so over a FIFO transport
+	// the peer receives frames in stamp order. That is what lets a gap
+	// report tell a lost frame from one still in flight.
+	sendMu sync.Mutex
+
 	mu      sync.Mutex
 	nextSeq uint64 // last assigned sequence (first message gets 1)
 	acked   uint64 // highest cumulative ack received
+	held    uint64 // lowest frame the peer last reported holding past a gap (0: none)
+	heldTop uint64 // highest such frame
 	unacked []unackedMsg
+	rto     RTO
 	kick    chan struct{} // wakes the retransmit loop when work appears
+	gap     chan struct{} // wakes it when the peer reports a gap
 }
 
-// unackedMsg is one in-flight message plus its last transmission time. The
-// retransmit loop resends only messages that have aged past the current
-// backoff: when the receiver gates acks behind a group-commit fsync
-// (Journal.AfterDurable), the whole window is legitimately unacked for a
-// few milliseconds at a time, and resending fresh frames on every silent
-// round turns that ack latency into a duplicate storm that costs more CPU
-// than the fsync it is waiting for.
+// unackedMsg is one in-flight message plus its last transmission time and
+// whether it was ever resent. The retransmit loop resends only messages
+// that have aged past the current timeout: when the receiver gates acks
+// behind a group-commit fsync (Journal.AfterDurable), the whole window is
+// legitimately unacked for a few milliseconds at a time, and resending
+// fresh frames on every silent round turns that ack latency into a
+// duplicate storm that costs more CPU than the fsync it is waiting for.
 type unackedMsg struct {
 	m      Message
 	sentAt time.Time
+	resent bool
 }
 
 // recvLink is the receiver half of one (from,to) link. It is owned by the
@@ -193,42 +214,18 @@ type ReliableOpts struct {
 	// journaled (incarnation, link) so live retransmissions of already
 	// journaled messages are dropped rather than re-delivered out of place.
 	Recovered []Message
-	// RetransmitBase/RetransmitCap override the retransmit pacing (zero =
-	// the in-process defaults, a few milliseconds). The defaults assume
-	// near-zero delivery latency; a real TCP cluster under load sees ack
-	// round trips well past them — every false stall then resends in-flight
-	// frames the receiver will just dedup — so cluster processes pass a
-	// base comfortably above their steady-state ack latency. A cap below
-	// the effective base is clamped up to it (the cap bounds backoff and
-	// cannot precede the starting interval).
-	RetransmitBase time.Duration
-	RetransmitCap  time.Duration
 }
 
 // NewReliableWith wraps inner with reliable delivery under explicit
 // receive/send sets, an incarnation, and optional journaling/recovery.
 func NewReliableWith(inner Transport, o ReliableOpts) *Reliable {
 	r := &Reliable{
-		inner:  inner,
-		sends:  make(map[[2]tx.NodeID]*sendLink),
-		dests:  make(map[tx.NodeID]*destState, len(o.RecvFor)),
-		seqTo:  make(map[tx.NodeID]bool, len(o.SendTo)),
-		inc:    o.Incarnation,
-		rtBase: o.RetransmitBase,
-		rtCap:  o.RetransmitCap,
-		quit:   make(chan struct{}),
-	}
-	if r.rtBase <= 0 {
-		r.rtBase = retransmitBase
-	}
-	if r.rtCap <= 0 {
-		r.rtCap = retransmitCap
-	}
-	if r.rtCap < r.rtBase {
-		// The cap is a ceiling on backoff and can never sit below the
-		// starting interval; an explicitly configured cap under base is
-		// clamped up to base (see ReliableOpts), not replaced by defaults.
-		r.rtCap = r.rtBase
+		inner: inner,
+		sends: make(map[[2]tx.NodeID]*sendLink),
+		dests: make(map[tx.NodeID]*destState, len(o.RecvFor)),
+		seqTo: make(map[tx.NodeID]bool, len(o.SendTo)),
+		inc:   o.Incarnation,
+		quit:  make(chan struct{}),
 	}
 	for _, n := range o.SendTo {
 		r.seqTo[n] = true
@@ -335,13 +332,19 @@ func (r *Reliable) Send(m Message) error {
 	key := [2]tx.NodeID{m.From, m.To}
 	sl := r.sends[key]
 	if sl == nil {
-		sl = &sendLink{kick: make(chan struct{}, 1)}
+		sl = &sendLink{
+			rto:  NewRTO(linkRTOFloor, linkRTOFloor, linkRTOCeil),
+			kick: make(chan struct{}, 1),
+			gap:  make(chan struct{}, 1),
+		}
 		r.sends[key] = sl
 		r.wg.Add(1)
 		go r.retransmitLoop(sl)
 	}
 	r.mu.Unlock()
 
+	sl.sendMu.Lock()
+	defer sl.sendMu.Unlock()
 	sl.mu.Lock()
 	sl.nextSeq++
 	m.Link = sl.nextSeq
@@ -357,18 +360,21 @@ func (r *Reliable) Send(m Message) error {
 	return r.inner.Send(m)
 }
 
-// retransmitLoop re-sends sl's unacknowledged window whenever a backoff
-// interval passes with no ack progress.
+// retransmitLoop repairs sl's losses on two signals. A gap report (handle
+// kicks sl.gap) resends the frames the peer reported missing at once. A
+// timeout — a whole RTO with no ack progress — resends the frames that
+// went that RTO unacknowledged and backs the RTO off. Resends leave from
+// this goroutine, not the pump, so a pump never waits behind a blocked
+// send.
 func (r *Reliable) retransmitLoop(sl *sendLink) {
 	defer r.wg.Done()
-	backoff := r.rtBase
 	for {
 		sl.mu.Lock()
 		pending := len(sl.unacked)
 		ackedBefore := sl.acked
+		rto := sl.rto.Timeout()
 		sl.mu.Unlock()
 		if pending == 0 {
-			backoff = r.rtBase
 			select {
 			case <-sl.kick:
 				continue
@@ -376,53 +382,82 @@ func (r *Reliable) retransmitLoop(sl *sendLink) {
 				return
 			}
 		}
-		if !r.sleep(backoff) {
+		t := time.NewTimer(rto)
+		select {
+		case <-r.quit:
+			t.Stop()
 			return
-		}
-		var resend []Message
-		sl.mu.Lock()
-		if sl.acked > ackedBefore {
-			// The receiver made progress while we waited: give the
-			// in-flight window another round before resending.
-			backoff = r.rtBase
-		} else {
-			// Resend only messages that have gone a full backoff without
-			// an ack; fresher frames are still plausibly in flight (or
-			// held behind the receiver's group-commit gate) and resending
-			// them buys nothing but dedup work on the other side.
-			now := time.Now()
-			cutoff := now.Add(-backoff)
-			for i := range sl.unacked {
-				if sl.unacked[i].sentAt.Before(cutoff) {
-					resend = append(resend, sl.unacked[i].m)
-					sl.unacked[i].sentAt = now
-				}
-			}
-		}
-		sl.mu.Unlock()
-		if len(resend) == 0 {
-			continue
-		}
-		r.retransmits.Add(int64(len(resend)))
-		for _, m := range resend {
-			_ = r.inner.Send(m)
-		}
-		backoff *= 2
-		if backoff > r.rtCap {
-			backoff = r.rtCap
+		case <-sl.gap:
+			t.Stop()
+			r.resend(sl, sl.gapFrames)
+		case <-t.C:
+			r.resend(sl, func() []Message { return sl.agedFrames(ackedBefore, rto) })
 		}
 	}
 }
 
-func (r *Reliable) sleep(d time.Duration) bool {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-r.quit:
-		return false
+// resend re-stamps the frames pick selects and transmits them, all under
+// sl.sendMu, so the resends take their place in the link's stamp order.
+func (r *Reliable) resend(sl *sendLink, pick func() []Message) {
+	sl.sendMu.Lock()
+	defer sl.sendMu.Unlock()
+	sl.mu.Lock()
+	frames := pick()
+	sl.mu.Unlock()
+	r.retransmits.Add(int64(len(frames)))
+	for _, m := range frames {
+		_ = r.inner.Send(m)
 	}
+}
+
+// gapFrames selects what the peer's latest gap report proves lost. The
+// peer lacks every frame between the cumulative ack and held, yet holds
+// heldTop; since a link's frames reach the FIFO inner transport in stamp
+// order (sendMu), every transmission that left before the one that
+// delivered heldTop has arrived or never will. Gap frames resent after
+// that transmission may still be in flight and wait for the next report
+// (or the RTO). Caller holds sl.mu.
+func (sl *sendLink) gapFrames() []Message {
+	if sl.held <= sl.acked+1 || len(sl.unacked) == 0 {
+		return nil
+	}
+	first := sl.unacked[0].m.Link
+	gap, top := sl.held-first, sl.heldTop-first
+	if top >= uint64(len(sl.unacked)) || top < gap || sl.unacked[top].m.Link != sl.heldTop {
+		return nil
+	}
+	return sl.restamp(int(gap), sl.unacked[top].sentAt)
+}
+
+// agedFrames selects the timeout's resends. Progress during the RTO
+// (acked moved past ackedBefore) gives the in-flight window another round.
+// Otherwise it takes only frames that went the whole RTO unacknowledged:
+// fresher ones are still plausibly in flight (or held behind the peer's
+// group-commit gate), and resending them buys nothing but dedup work on
+// the other side. Caller holds sl.mu.
+func (sl *sendLink) agedFrames(ackedBefore uint64, rto time.Duration) []Message {
+	if sl.acked != ackedBefore {
+		return nil
+	}
+	aged := sl.restamp(len(sl.unacked), time.Now().Add(-rto))
+	if len(aged) > 0 {
+		sl.rto.Backoff()
+	}
+	return aged
+}
+
+// restamp marks the first n unacked frames last sent no later than before
+// as resent now and returns them. Caller holds sl.mu.
+func (sl *sendLink) restamp(n int, before time.Time) []Message {
+	var out []Message
+	now := time.Now()
+	for i := range sl.unacked[:n] {
+		if u := &sl.unacked[i]; !u.sentAt.After(before) {
+			out = append(out, u.m)
+			u.sentAt, u.resent = now, true
+		}
+	}
+	return out
 }
 
 // pumpLoop consumes the inner transport's inbox for one destination:
@@ -466,12 +501,19 @@ func (r *Reliable) pumpLoop(ds *destState) {
 // last flush. Each send goes through the durability gate: under group
 // commit the peer learns of a delivery only after the fsync covering it —
 // every journal append of the drain precedes the gate call — so an acked
-// frame can never be lost to host death.
+// frame can never be lost to host death. An ack also reports a gap: Seq and
+// Txn are the lowest and highest frames held past it (0: none held).
 func (r *Reliable) flushAcks(ds *destState) {
 	for _, from := range ds.owed {
 		rl := ds.recv[from]
 		ack := Message{
 			From: ds.node, To: from, Type: MsgLinkAck, Link: rl.expected - 1, Inc: rl.inc,
+		}
+		for l := range rl.future {
+			if ack.Seq == 0 || l < ack.Seq {
+				ack.Seq = l
+			}
+			ack.Txn = max(ack.Txn, tx.TxnID(l))
 		}
 		send := func() {
 			r.acks.Add(1)
@@ -504,9 +546,18 @@ func (r *Reliable) handle(ds *destState, m Message) {
 		sl.mu.Lock()
 		if m.Link > sl.acked {
 			sl.acked = m.Link
-			i := 0
+			i, resent := 0, false
 			for i < len(sl.unacked) && sl.unacked[i].m.Link <= m.Link {
+				resent = resent || sl.unacked[i].resent
 				i++
+			}
+			// One RTT sample per ack: the oldest covered frame has waited
+			// longest for it, which is the wait the RTO must outlast. An ack
+			// covering a resent frame is no sample (Karn): the resent frame's
+			// wait is ambiguous, and a frame held behind it waited for the
+			// repair, not the round trip.
+			if i > 0 {
+				sl.rto.Sample(time.Since(sl.unacked[0].sentAt), resent)
 			}
 			// Shift in place; zero the vacated tail so acked messages are
 			// collectable.
@@ -514,7 +565,20 @@ func (r *Reliable) handle(ds *destState, m Message) {
 			clear(sl.unacked[n:])
 			sl.unacked = sl.unacked[:n]
 		}
+		// The current ack's gap report replaces the last one; the
+		// retransmit loop resends what it proves lost.
+		gap := false
+		if m.Link == sl.acked {
+			sl.held, sl.heldTop = m.Seq, uint64(m.Txn)
+			gap = m.Seq > m.Link+1
+		}
 		sl.mu.Unlock()
+		if gap {
+			select {
+			case sl.gap <- struct{}{}:
+			default:
+			}
+		}
 	case m.Link == 0:
 		// Unsequenced (a sender outside this wrapper): deliver in arrival
 		// order.

@@ -333,23 +333,200 @@ func TestReliableStatsString(t *testing.T) {
 	_ = fmt.Sprintf("%+v", ReliableStats{})
 }
 
-// TestRetransmitCapClampedToBase: an explicitly configured cap below the
-// base is clamped up to the base (the cap bounds backoff and cannot sit
-// under the starting interval) — never silently replaced by the in-process
-// default.
-func TestRetransmitCapClampedToBase(t *testing.T) {
+// streamRounds sends total messages from node 0 to node 1 in rounds of
+// 100, gap apart — a steady stream, so the link has acks to measure — while
+// a consumer drains node 1. It returns once everything was delivered, in
+// order, and how long that took from the first send.
+func streamRounds(t *testing.T, r *Reliable, total int, gap time.Duration) time.Duration {
+	t.Helper()
+	start := time.Now()
+	done := make(chan error, 1)
+	go func() {
+		for i := 0; i < total; i++ {
+			select {
+			case m := <-r.Recv(1):
+				if m.Txn != tx.TxnID(i+1) {
+					done <- fmt.Errorf("delivery %d: got txn %d", i, m.Txn)
+					return
+				}
+			case <-time.After(10 * time.Second):
+				done <- fmt.Errorf("delivery %d never arrived", i)
+				return
+			}
+		}
+		done <- nil
+	}()
+	for i := 0; i < total; i++ {
+		if i > 0 && i%100 == 0 {
+			time.Sleep(gap)
+		}
+		if err := r.Send(Message{From: 0, To: 1, Type: MsgRecordPush, Txn: tx.TxnID(i + 1)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	return time.Since(start)
+}
+
+// waitAcked waits until every frame r sent has been acknowledged.
+func waitAcked(t *testing.T, r *Reliable) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		if unacked, _ := r.Depths(); unacked == 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("frames still unacknowledged after 10s")
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestReliablePacesToGatedAcks: a receiver that acknowledges 80 ms after
+// each drain (a slow group-commit fsync, say) is slow, not lossy — and
+// slower than the link's 50 ms floor. Once a warm-up round has shown the
+// link that round trip, it waits it out instead of resending: at most 1% of
+// the stream after the warm-up may be retransmitted. A fixed 2 ms
+// retransmit base resends most of it, and so would the floor alone.
+func TestReliablePacesToGatedAcks(t *testing.T) {
 	defer leaktest.Check(t)()
 	nodes := []tx.NodeID{0, 1}
-	tr := NewChanTransport(nodes, nil)
-	r := NewReliableWith(tr, ReliableOpts{
-		RecvFor:        nodes,
-		SendTo:         nodes,
-		RetransmitBase: 100 * time.Millisecond,
-		RetransmitCap:  50 * time.Millisecond,
+	var gates sync.WaitGroup
+	defer gates.Wait()
+	r := NewReliableWith(NewChanTransport(nodes, nil), ReliableOpts{
+		RecvFor: nodes, SendTo: nodes,
+		AckGateFor: func(tx.NodeID) func(func()) {
+			return func(send func()) {
+				gates.Add(1)
+				time.AfterFunc(80*time.Millisecond, func() { send(); gates.Done() })
+			}
+		},
 	})
 	defer r.Close()
-	if r.rtBase != 100*time.Millisecond || r.rtCap != 100*time.Millisecond {
-		t.Fatalf("base/cap = %v/%v, want explicit cap below base clamped to base", r.rtBase, r.rtCap)
+
+	streamRounds(t, r, 100, 5*time.Millisecond)
+	waitAcked(t, r)
+	warmup := r.Stats().Retransmits
+
+	const total = 2000
+	streamRounds(t, r, total, 5*time.Millisecond)
+	waitAcked(t, r)
+	if got := r.Stats().Retransmits - warmup; got > total/100 {
+		t.Fatalf("%d of %d messages retransmitted behind 80ms ack gates, want at most %d", got, total, total/100)
+	}
+}
+
+// dropInner drops each sequenced message and each ack with probability
+// 1/20, from a fixed seed.
+type dropInner struct {
+	*ChanTransport
+	mu  sync.Mutex
+	rng *rand.Rand
+}
+
+func (d *dropInner) Send(m Message) error {
+	if m.From != m.To && (m.Link != 0 || m.Type == MsgLinkAck) {
+		d.mu.Lock()
+		drop := d.rng.Intn(20) == 0
+		d.mu.Unlock()
+		if drop {
+			return nil
+		}
+	}
+	return d.ChanTransport.Send(m)
+}
+
+// TestReliableRepairsSeededDrops: over a link that loses 5% of messages and
+// acks, the stream still arrives whole and in order, and repair stays
+// quick: a loss inside the stream is resent on the receiver's gap report
+// rather than after a timeout, so 2,000 messages take a small multiple of
+// the 35 ms a 2 ms fixed retransmit base needed.
+func TestReliableRepairsSeededDrops(t *testing.T) {
+	defer leaktest.Check(t)()
+	nodes := []tx.NodeID{0, 1}
+	r := NewReliable(&dropInner{ChanTransport: NewChanTransport(nodes, nil), rng: rand.New(rand.NewSource(5))}, nodes)
+	defer r.Close()
+
+	const total = 2000
+	took := streamRounds(t, r, total, time.Millisecond)
+	if took > 250*time.Millisecond {
+		t.Fatalf("delivering %d messages over a 5%%-drop link took %v, want under 250ms", total, took)
+	}
+	if r.Stats().Retransmits == 0 {
+		t.Fatal("a lossy link produced no retransmissions")
+	}
+	t.Logf("%d messages over a 5%%-drop link in %v, %d retransmits", total, took, r.Stats().Retransmits)
+}
+
+// dropFirstInner drops the first n transmissions of link frame 3.
+type dropFirstInner struct {
+	*ChanTransport
+	mu sync.Mutex
+	n  int
+}
+
+func (d *dropFirstInner) Send(m Message) error {
+	if m.Link == 3 && m.Type != MsgLinkAck {
+		d.mu.Lock()
+		drop := d.n > 0
+		d.n--
+		d.mu.Unlock()
+		if drop {
+			return nil
+		}
+	}
+	return d.ChanTransport.Send(m)
+}
+
+// TestReliableResendsReportedGap: a frame lost inside a stream is resent as
+// soon as the receiver's ack reports the gap behind it, and so is a lost
+// resend, once a frame sent after it arrives. Nothing else is resent: a
+// timeout would resend every frame held behind the gap too.
+func TestReliableResendsReportedGap(t *testing.T) {
+	defer leaktest.Check(t)()
+	nodes := []tx.NodeID{0, 1}
+	r := NewReliable(&dropFirstInner{ChanTransport: NewChanTransport(nodes, nil), n: 2}, nodes)
+	defer r.Close()
+
+	got := make(chan tx.TxnID, 20)
+	go func() {
+		for i := 0; i < 20; i++ {
+			got <- (<-r.Recv(1)).Txn
+		}
+	}()
+	send := func(from, to int) {
+		for i := from; i <= to; i++ {
+			if err := r.Send(Message{From: 0, To: 1, Type: MsgRecordPush, Txn: tx.TxnID(i)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// Frame 3's first copy is lost, and so is the copy the first gap report
+	// triggers; frames 11..20, sent after that resend, prove it lost.
+	send(1, 10)
+	deadline := time.Now().Add(time.Second)
+	for r.Stats().Retransmits == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the first gap report resent nothing")
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	send(11, 20)
+	for i := 1; i <= 20; i++ {
+		select {
+		case txn := <-got:
+			if txn != tx.TxnID(i) {
+				t.Fatalf("delivery %d: got txn %d", i, txn)
+			}
+		case <-time.After(time.Second):
+			t.Fatalf("delivery %d never arrived", i)
+		}
+	}
+	if n := r.Stats().Retransmits; n != 2 {
+		t.Fatalf("%d retransmits, want exactly the 2 resends of frame 3", n)
 	}
 }
 

@@ -17,14 +17,18 @@ import (
 	"hermes/internal/tx"
 )
 
-// Dial-retry and send-deadline defaults. A peer that is restarting should
-// be reachable again within the retry budget; a peer that is truly dead
-// must not wedge a sender forever mid-Write.
+// Dial-retry and send-deadline pacing. A dead peer's listener stays bound
+// in the orchestrating parent, so a dial to it succeeds at the TCP level
+// and then hangs in the version handshake: the 1 s send (and handshake)
+// deadline turns that hang into a bounded error the reliable layer's
+// retransmission repairs once the peer is back, and two dial attempts 25 ms
+// apart ride out a listener that is momentarily refusing without stalling
+// the sender behind a dead one.
 const (
-	defaultDialAttempts   = 6
-	defaultDialBackoff    = 10 * time.Millisecond
-	defaultDialBackoffCap = 320 * time.Millisecond
-	defaultSendTimeout    = 10 * time.Second
+	tcpDialAttempts   = 2
+	tcpDialBackoff    = 25 * time.Millisecond
+	tcpDialBackoffCap = 100 * time.Millisecond
+	tcpSendTimeout    = time.Second
 )
 
 // Wire handshake. Every TCP connection opens with a fixed 16-byte header
@@ -89,6 +93,8 @@ type TCPTransport struct {
 	// its closed check: Close waits for all of them before closing inbox.
 	wg sync.WaitGroup
 
+	// Dial and send pacing: the package constants, but for tests that need
+	// other values and set the fields before the first Send.
 	dialAttempts   int
 	dialBackoff    time.Duration
 	dialBackoffCap time.Duration
@@ -170,10 +176,10 @@ func NewTCPTransportListener(self tx.NodeID, addrs map[tx.NodeID]string, ln net.
 		quit:           make(chan struct{}),
 		conns:          make(map[tx.NodeID]*tcpConn),
 		accepted:       make(map[net.Conn]struct{}),
-		dialAttempts:   defaultDialAttempts,
-		dialBackoff:    defaultDialBackoff,
-		dialBackoffCap: defaultDialBackoffCap,
-		sendTimeout:    defaultSendTimeout,
+		dialAttempts:   tcpDialAttempts,
+		dialBackoff:    tcpDialBackoff,
+		dialBackoffCap: tcpDialBackoffCap,
+		sendTimeout:    tcpSendTimeout,
 	}
 	t.wg.Add(1)
 	go t.acceptLoop()
@@ -355,24 +361,6 @@ func (t *TCPTransport) SocketBytes() int64 { return t.socketBytes.Load() }
 // message is written on its own (docs/PERF.md, "The link layer").
 func (t *TCPTransport) SocketWrites() int64 { return t.socketWrites.Load() }
 
-// SetSendTimeout overrides the per-message write deadline (0 disables).
-func (t *TCPTransport) SetSendTimeout(d time.Duration) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.sendTimeout = d
-}
-
-// SetDialRetry overrides the dial-retry policy: attempts tries with
-// exponential backoff starting at backoff and capped at backoffCap.
-// attempts < 1 means a single try.
-func (t *TCPTransport) SetDialRetry(attempts int, backoff, backoffCap time.Duration) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.dialAttempts = attempts
-	t.dialBackoff = backoff
-	t.dialBackoffCap = backoffCap
-}
-
 // Send implements Transport. A broken connection is dropped and re-dialed
 // once within the same call, so a peer that restarted between messages is
 // reconnected transparently; the write deadline bounds how long a dead
@@ -400,9 +388,7 @@ func (t *TCPTransport) Send(m Message) error {
 		if err != nil {
 			return err
 		}
-		t.mu.Lock()
 		timeout := t.sendTimeout
-		t.mu.Unlock()
 		conn.mu.Lock()
 		frame, err := appendFrame(conn.buf[:0], &m)
 		if err != nil {

@@ -70,8 +70,8 @@ func TestTCPTransportDialRetry(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer t0.Close()
-		t0.SetDialRetry(40, 5*time.Millisecond, 40*time.Millisecond)
-		t0.SetSendTimeout(500 * time.Millisecond)
+		t0.dialAttempts, t0.dialBackoff, t0.dialBackoffCap = 40, 5*time.Millisecond, 40*time.Millisecond
+		t0.sendTimeout = 500 * time.Millisecond
 
 		// Bring the peer up only after the sender has started dialing. The
 		// peer binds the reserved address itself; if someone else grabbed it
@@ -128,8 +128,8 @@ func TestTCPTransportDialGivesUp(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer t0.Close()
-	t0.SetDialRetry(3, time.Millisecond, 4*time.Millisecond)
-	t0.SetSendTimeout(100 * time.Millisecond)
+	t0.dialAttempts, t0.dialBackoff, t0.dialBackoffCap = 3, time.Millisecond, 4*time.Millisecond
+	t0.sendTimeout = 100 * time.Millisecond
 	start := time.Now()
 	if err := t0.Send(Message{From: 0, To: 1}); err == nil {
 		t.Fatal("send to dead peer succeeded")
@@ -165,8 +165,8 @@ func TestTCPTransportDialRetryJitter(t *testing.T) {
 			mu.Unlock()
 		}
 		t0.mu.Unlock()
-		t0.SetDialRetry(attempts, base, cap)
-		t0.SetSendTimeout(100 * time.Millisecond)
+		t0.dialAttempts, t0.dialBackoff, t0.dialBackoffCap = attempts, base, cap
+		t0.sendTimeout = 100 * time.Millisecond
 		if err := t0.Send(Message{From: 0, To: 1}); err == nil {
 			t.Fatal("send to dead peer succeeded")
 		}
@@ -233,8 +233,8 @@ func TestTCPTransportSendDeadline(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer t0.Close()
-	t0.SetDialRetry(1, 0, 0)
-	t0.SetSendTimeout(150 * time.Millisecond)
+	t0.dialAttempts, t0.dialBackoff, t0.dialBackoffCap = 1, 0, 0
+	t0.sendTimeout = 150 * time.Millisecond
 
 	// Big payloads fill the kernel socket buffers quickly; once they are
 	// full, Write blocks until the write deadline fires.
@@ -286,7 +286,7 @@ func TestTCPTransportReconnect(t *testing.T) {
 	// "Restart" the peer: tear it down and bring a new transport up on the
 	// same address, like RestartNode does for a crashed process.
 	t1.Close()
-	t0.SetDialRetry(40, 5*time.Millisecond, 40*time.Millisecond)
+	t0.dialAttempts, t0.dialBackoff, t0.dialBackoffCap = 40, 5*time.Millisecond, 40*time.Millisecond
 	t1b, err := NewTCPTransport(1, map[tx.NodeID]string{0: t0.Addr(), 1: peerAddr})
 	if err != nil {
 		t.Fatal(err)
@@ -447,7 +447,7 @@ func TestTCPTransportHandshakeVersionMismatch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		t0.SetDialRetry(1, 0, 0)
+		t0.dialAttempts, t0.dialBackoff, t0.dialBackoffCap = 1, 0, 0
 		err = t0.Send(Message{From: 0, To: 1})
 		close(release)
 		if err == nil {
@@ -635,8 +635,8 @@ func TestTCPTransportHalfOpenReconnect(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer t0.Close()
-		t0.SetDialRetry(40, 5*time.Millisecond, 40*time.Millisecond)
-		t0.SetSendTimeout(150 * time.Millisecond)
+		t0.dialAttempts, t0.dialBackoff, t0.dialBackoffCap = 40, 5*time.Millisecond, 40*time.Millisecond
+		t0.sendTimeout = 150 * time.Millisecond
 
 		// Fill the kernel buffers until the frozen stream trips the write
 		// deadline and Send drops the connection.
@@ -986,7 +986,6 @@ func BenchmarkLinkThroughput(b *testing.B) {
 			opts := func(self, peer tx.NodeID) ReliableOpts {
 				return ReliableOpts{
 					RecvFor: []tx.NodeID{self}, SendTo: []tx.NodeID{peer},
-					RetransmitBase: 50 * time.Millisecond, RetransmitCap: time.Second, // the cluster's pacing
 				}
 			}
 			r0, r1 := NewReliableWith(t0, opts(0, 1)), NewReliableWith(t1, opts(1, 0))

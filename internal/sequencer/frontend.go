@@ -4,9 +4,29 @@ import (
 	"sync"
 	"time"
 
-	"hermes/internal/clock"
 	"hermes/internal/network"
 	"hermes/internal/tx"
+)
+
+// Queue-resend pacing of a session front-end: an RTO measured from forward
+// to Sequenced, one timed request at a time. A forward travels the
+// reliable link, so the queue is lost only with its leader, and a
+// promotion resends it at once (SetLeader): the timeout is a backstop, and
+// a spurious one resends the whole queue.
+//   - The floor is 100 ms, twice the link's (network.Reliable): a seal
+//     round trip is two link hops plus the wait for a batch to fill. On 2
+//     vCPUs shared by a three-process cluster, this code with a 20 ms
+//     floor resent its queue (50, 50 and 10 requests) after 20–29 ms
+//     silences in three cluster-ycsb passes; with 100 ms, the same three
+//     seeds resent nothing (docs/PERF.md, "Pacing").
+//   - The ceiling is the largest cap ever configured (4 s, hermesd's): a
+//     front-end stalled behind a dead leader still probes every few seconds.
+//   - The initial (pre-sample) timeout is the 1 s hermesd ran with: a fresh
+//     cluster's first seal waits for a size-only batch to fill.
+const (
+	frontendRTOInitial = time.Second
+	frontendRTOFloor   = 100 * time.Millisecond
+	frontendRTOCeil    = 4 * time.Second
 )
 
 // Frontend is a node-local sequencer front-end: it forwards client
@@ -19,17 +39,14 @@ import (
 // submissions survive leader failover: it keeps each request queued until
 // the leader sequences it, and resends the whole queue — in submission
 // order, so the leader always observes a gapless client stream — whenever
-// progress stalls past the retry timeout (with capped exponential
-// backoff) or the leader hint changes. The leader's (Client, ClientSeq)
-// dedup makes the resends idempotent: no request is lost or sequenced
-// twice.
+// the leader hint changes, or when its measured seal round trip (an RTO:
+// SRTT + 4·RTTVAR, doubled per unanswered resend) passes with no progress.
+// The leader's (Client, ClientSeq) dedup makes the resends idempotent: no
+// request is lost or sequenced twice.
 type Frontend struct {
 	node    tx.NodeID
 	tr      network.Transport
-	clk     clock.Clock
 	session bool
-	retry   time.Duration
-	rcap    time.Duration
 
 	// sendMu serializes every transmission to the leader, stamping
 	// included: the leader drops a request whose ClientSeq is not above the
@@ -41,8 +58,13 @@ type Frontend struct {
 	mu           sync.Mutex
 	leader       tx.NodeID
 	unacked      []*tx.Request
-	backoff      time.Duration
+	rto          network.RTO
 	lastProgress time.Time
+	// timed is the ClientSeq whose forward-to-Sequenced round trip is
+	// being measured (0: none), forwarded at timedAt. A queue resend voids
+	// the measurement: the seal may answer either copy (Karn's rule).
+	timed   uint64
+	timedAt time.Time
 
 	quit chan struct{}
 	done sync.WaitGroup
@@ -57,21 +79,12 @@ func NewFrontend(node, leader tx.NodeID, tr network.Transport) *Frontend {
 
 // NewSessionFrontend returns a front-end whose submissions survive
 // leader failover (see type docs). Stop it when done.
-func NewSessionFrontend(node, leader tx.NodeID, tr network.Transport, clk clock.Clock, retry, retryCap time.Duration) *Frontend {
-	if clk == nil {
-		clk = clock.Real{}
-	}
-	if retry <= 0 {
-		retry = defaultRetryTimeout
-	}
-	if retryCap < retry {
-		retryCap = defaultRetryCap
-	}
+func NewSessionFrontend(node, leader tx.NodeID, tr network.Transport) *Frontend {
 	f := &Frontend{
-		node: node, leader: leader, tr: tr, clk: clk,
-		session: true, retry: retry, rcap: retryCap,
-		backoff: retry, lastProgress: clk.Now(),
-		quit: make(chan struct{}),
+		node: node, leader: leader, tr: tr, session: true,
+		rto:          network.NewRTO(frontendRTOInitial, frontendRTOFloor, frontendRTOCeil),
+		lastProgress: time.Now(),
+		quit:         make(chan struct{}),
 	}
 	f.done.Add(1)
 	go f.retryLoop()
@@ -97,7 +110,16 @@ func (f *Frontend) SubmitTracked(req *tx.Request, pre func(clientSeq uint64)) er
 	req.ClientSeq = f.nextSeq
 	f.mu.Lock()
 	if f.session {
+		now := time.Now()
+		if len(f.unacked) == 0 {
+			// Nothing was outstanding, so nothing was stalled: the resend
+			// clock starts with this request.
+			f.lastProgress = now
+		}
 		f.unacked = append(f.unacked, req)
+		if f.timed == 0 {
+			f.timed, f.timedAt = req.ClientSeq, now
+		}
 	}
 	leader := f.leader
 	f.mu.Unlock()
@@ -151,8 +173,11 @@ func (f *Frontend) Sequenced(req *tx.Request) {
 		n := copy(f.unacked, f.unacked[i:])
 		clear(f.unacked[n:])
 		f.unacked = f.unacked[:n]
-		f.lastProgress = f.clk.Now()
-		f.backoff = f.retry
+		f.lastProgress = time.Now()
+		if f.timed != 0 && f.timed <= req.ClientSeq {
+			f.rto.Sample(f.lastProgress.Sub(f.timedAt), false)
+			f.timed = 0
+		}
 	}
 	f.mu.Unlock()
 }
@@ -199,7 +224,8 @@ func (f *Frontend) resendLocked() {
 	f.mu.Lock()
 	queue := append([]*tx.Request(nil), f.unacked...)
 	leader := f.leader
-	f.lastProgress = f.clk.Now()
+	f.lastProgress = time.Now()
+	f.timed = 0
 	f.mu.Unlock()
 	for _, req := range queue {
 		if f.forward(req, leader) != nil {
@@ -208,34 +234,34 @@ func (f *Frontend) resendLocked() {
 	}
 }
 
+// retryLoop resends the queue whenever it has made no progress for a whole
+// RTO, and backs the RTO off for each such resend. It sleeps until the
+// current deadline (the last progress plus the RTO), re-reading both when
+// it wakes, so progress or a fresh measurement in the meantime moves it.
 func (f *Frontend) retryLoop() {
 	defer f.done.Done()
+	t := time.NewTimer(frontendRTOFloor)
+	defer t.Stop()
 	for {
-		wake := make(chan struct{})
-		go func() {
-			f.clk.Sleep(f.retry)
-			close(wake)
-		}()
 		select {
 		case <-f.quit:
 			return
-		case <-wake:
+		case <-t.C:
 		}
 		f.mu.Lock()
-		n := len(f.unacked)
-		stalled := n > 0 && f.clk.Now().Sub(f.lastProgress) >= f.backoff
-		if n == 0 {
-			f.backoff = f.retry
-		} else if stalled {
-			f.backoff *= 2
-			if f.backoff > f.rcap {
-				f.backoff = f.rcap
-			}
+		wait := f.rto.Timeout() - time.Since(f.lastProgress)
+		stalled := len(f.unacked) > 0 && wait <= 0
+		if stalled {
+			f.rto.Backoff()
+		}
+		if wait <= 0 {
+			wait = f.rto.Timeout()
 		}
 		f.mu.Unlock()
 		if stalled {
 			f.resend()
 		}
+		t.Reset(wait)
 	}
 }
 

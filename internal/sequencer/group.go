@@ -79,12 +79,6 @@ func NewGroup(base tx.NodeID, tr network.Transport, members []tx.NodeID, cfg Con
 		if cfg.FailoverTimeout <= 0 {
 			cfg.FailoverTimeout = defaultFailoverTimeout
 		}
-		if cfg.RetryTimeout <= 0 {
-			cfg.RetryTimeout = defaultRetryTimeout
-		}
-		if cfg.RetryCap <= 0 {
-			cfg.RetryCap = defaultRetryCap
-		}
 	}
 	g := &Group{
 		base:     base,

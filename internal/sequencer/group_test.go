@@ -45,12 +45,10 @@ func (g *ackGate) release() {
 
 func groupConfig() Config {
 	return Config{
-		BatchSize: 1, Interval: time.Hour,
+		BatchSize:       1,
 		Standbys:        1,
 		Heartbeat:       time.Millisecond,
 		FailoverTimeout: 15 * time.Millisecond,
-		RetryTimeout:    5 * time.Millisecond,
-		RetryCap:        50 * time.Millisecond,
 	}
 }
 
@@ -76,7 +74,7 @@ func TestGroupDeliveryWaitsForStandbyAck(t *testing.T) {
 	g.Start()
 	t.Cleanup(func() { g.Stop(); gate.Close() })
 
-	fe := NewSessionFrontend(members[0], leaderID, gate, nil, time.Hour, time.Hour)
+	fe := NewSessionFrontend(members[0], leaderID, gate)
 	t.Cleanup(fe.Stop)
 	if err := fe.Submit(req()); err != nil {
 		t.Fatal(err)
@@ -106,7 +104,7 @@ func TestGroupPromotionAndDedup(t *testing.T) {
 	g.Start()
 	t.Cleanup(func() { g.Stop(); tr.Close() })
 
-	fe := NewSessionFrontend(members[0], leaderID, tr, nil, 5*time.Millisecond, 50*time.Millisecond)
+	fe := NewSessionFrontend(members[0], leaderID, tr)
 	t.Cleanup(fe.Stop)
 
 	inbox := tr.Recv(members[0])
@@ -185,6 +183,64 @@ func TestGroupPromotionAndDedup(t *testing.T) {
 	}
 }
 
+// epochProbe records, for every epoch announcement a replica sends to
+// member, whether that replica was already accepting forwards.
+type epochProbe struct {
+	*network.ChanTransport
+	g      *Group
+	member tx.NodeID
+
+	mu      sync.Mutex
+	leading []bool
+}
+
+func (p *epochProbe) Send(m network.Message) error {
+	if m.Type == network.MsgSeqEpoch && m.To == p.member {
+		p.g.mu.Lock()
+		l := p.g.replicas[m.From]
+		p.g.mu.Unlock()
+		if l != nil {
+			l.mu.Lock()
+			leading := l.leading
+			l.mu.Unlock()
+			p.mu.Lock()
+			p.leading = append(p.leading, leading)
+			p.mu.Unlock()
+		}
+	}
+	return p.ChanTransport.Send(m)
+}
+
+// TestPromotionAnnouncesOnlyOnceLeading: a promoted standby tells the
+// members about its epoch only once it accepts forwards. A member that
+// hears the epoch redirects its front-end, which resends its queue once; a
+// resend that reached a replica not yet leading was dropped, the client's
+// next submission was accepted in its place, and the dropped requests were
+// then refused as its duplicates — their clients were never answered.
+func TestPromotionAnnouncesOnlyOnceLeading(t *testing.T) {
+	members := []tx.NodeID{0}
+	all := append(append([]tx.NodeID(nil), members...), GroupNodes(leaderID, 1)...)
+	p := &epochProbe{ChanTransport: network.NewChanTransport(all, nil), member: members[0]}
+	g := NewGroup(leaderID, p, members, groupConfig(), nil)
+	p.g = g
+	g.Start()
+	t.Cleanup(func() { g.Stop(); p.Close() })
+
+	g.Kill(leaderID)
+	standby := SeqNode(leaderID, 1)
+	waitUntil(t, "promotion", func() bool { return g.LeaderID() == standby })
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if len(p.leading) == 0 {
+		t.Fatal("the promoted replica announced no epoch to the member")
+	}
+	for i, leading := range p.leading {
+		if !leading {
+			t.Fatalf("epoch announcement %d reached the member before the replica accepted forwards", i)
+		}
+	}
+}
+
 // TestGroupObserveEpochOrdersClaims pins the claim ordering the view and
 // the replicas share: epoch first, then replica id, higher id (= lower
 // rank) winning a same-epoch tie.
@@ -227,7 +283,7 @@ func TestFrontendRedirectResendsInOrder(t *testing.T) {
 	tr := network.NewChanTransport(nodes, nil)
 	defer tr.Close()
 	// Leader 1 is a black hole; nothing acknowledges.
-	fe := NewSessionFrontend(0, 1, tr, nil, time.Hour, time.Hour)
+	fe := NewSessionFrontend(0, 1, tr)
 	defer fe.Stop()
 	for i := 0; i < 5; i++ {
 		if err := fe.Submit(req()); err != nil {
@@ -284,7 +340,7 @@ func TestFrontendRedirectNeverLetsAFreshSubmissionOvertake(t *testing.T) {
 	for round := 0; round < 20; round++ {
 		base := network.NewChanTransport([]tx.NodeID{0, 1, 2}, nil)
 		tr := &holdFirstSend{Transport: base, to: 1, entered: make(chan struct{}), release: make(chan struct{})}
-		fe := NewSessionFrontend(0, 1, tr, nil, time.Hour, time.Hour)
+		fe := NewSessionFrontend(0, 1, tr)
 		submitted := make(chan error, 1)
 		go func() {
 			err := fe.Submit(req()) // seq 1: held inside the send to the old leader
@@ -328,15 +384,20 @@ func TestFrontendRedirectNeverLetsAFreshSubmissionOvertake(t *testing.T) {
 }
 
 // TestFrontendRetryBackoffIsCapped drives a stalled front-end against a
-// black-hole leader and checks both that it keeps retrying and that the
-// inter-retry backoff saturates at the cap instead of doubling forever.
+// black-hole leader and checks both that it keeps retrying and that its
+// timeout saturates at the ceiling instead of doubling forever. The test
+// shrinks the estimator's bounds (2 ms floor, 8 ms ceiling) so the
+// saturation shows within a fraction of a second.
 func TestFrontendRetryBackoffIsCapped(t *testing.T) {
 	nodes := []tx.NodeID{0, 1}
 	tr := network.NewChanTransport(nodes, nil)
 	defer tr.Close()
-	const retry, rcap = 2 * time.Millisecond, 8 * time.Millisecond
-	fe := NewSessionFrontend(0, 1, tr, nil, retry, rcap)
+	const floor, ceil = 2 * time.Millisecond, 8 * time.Millisecond
+	fe := NewSessionFrontend(0, 1, tr)
 	defer fe.Stop()
+	fe.mu.Lock()
+	fe.rto = network.NewRTO(floor, floor, ceil)
+	fe.mu.Unlock()
 	if err := fe.Submit(req()); err != nil {
 		t.Fatal(err)
 	}
@@ -355,13 +416,77 @@ func TestFrontendRetryBackoffIsCapped(t *testing.T) {
 		}
 	}
 	fe.mu.Lock()
-	backoff := fe.backoff
+	timeout := fe.rto.Timeout()
 	fe.mu.Unlock()
-	if backoff != rcap {
-		t.Fatalf("stalled backoff = %v, want saturated at %v", backoff, rcap)
+	if timeout != ceil {
+		t.Fatalf("stalled timeout = %v, want saturated at %v", timeout, ceil)
 	}
 	if resends < 10 {
 		t.Fatalf("only %d retransmissions in 400ms; backoff appears uncapped", resends)
+	}
+}
+
+// TestSessionFrontendPacesToSealLatency: a leader that seals each request
+// 150 ms after its forward is slow, not lost — and slower than the
+// front-end's 100 ms floor. The front-end measures that round trip and
+// waits it out: once the first samples are in, no queue resend follows. A
+// fixed 20 ms resend timeout resends every request, and so would the floor
+// alone.
+func TestSessionFrontendPacesToSealLatency(t *testing.T) {
+	tr := network.NewChanTransport([]tx.NodeID{0, 1}, nil)
+	defer tr.Close()
+	fe := NewSessionFrontend(0, 1, tr)
+	defer fe.Stop()
+
+	// The stub leader: seal each request 150 ms after its first forward;
+	// count the forwards of requests it has already seen.
+	var mu sync.Mutex
+	resends := 0
+	sealed := make(chan struct{}, 1)
+	go func() {
+		seen := make(map[uint64]bool)
+		for m := range tr.Recv(1) {
+			r := m.Batch.Txns[0]
+			mu.Lock()
+			if seen[r.ClientSeq] {
+				resends++
+				mu.Unlock()
+				continue
+			}
+			seen[r.ClientSeq] = true
+			mu.Unlock()
+			time.AfterFunc(150*time.Millisecond, func() {
+				fe.Sequenced(r)
+				sealed <- struct{}{}
+			})
+		}
+	}()
+	resent := func() int {
+		mu.Lock()
+		defer mu.Unlock()
+		return resends
+	}
+
+	// A closed loop, one request at a time, so every round trip is a
+	// stretch with no progress that a too-short timeout would end in a
+	// resend.
+	const warmup, total = 3, 8
+	afterWarmup := 0
+	for i := 1; i <= total; i++ {
+		if err := fe.Submit(req()); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case <-sealed:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("request %d never sealed", i)
+		}
+		if i == warmup {
+			afterWarmup = resent()
+		}
+	}
+	if n := resent() - afterWarmup; n != 0 {
+		t.Fatalf("%d queue resends after %d warm-up samples of a steady 150ms seal", n, warmup)
 	}
 }
 
@@ -433,7 +558,7 @@ func TestGroupStandbyTruncatesDivergentSuffix(t *testing.T) {
 func TestFrontendSequencedDoesNotAllocate(t *testing.T) {
 	tr := network.NewChanTransport([]tx.NodeID{0, 1}, nil)
 	defer tr.Close()
-	fe := NewSessionFrontend(0, 1, tr, nil, time.Hour, time.Hour)
+	fe := NewSessionFrontend(0, 1, tr)
 	defer fe.Stop()
 	const window = 64
 	reqs := make([]*tx.Request, window)

@@ -39,7 +39,9 @@ type Config struct {
 	// BatchSize flushes a batch once this many requests are pending.
 	BatchSize int
 	// Interval flushes a non-empty batch after this long even if it is
-	// not full, bounding latency at low load.
+	// not full, bounding latency at low load. Zero seals on size only:
+	// batch boundaries are then a function of the request stream alone,
+	// and whoever needs the tail sealed calls Flush.
 	Interval time.Duration
 
 	// Standbys is the number of standby sequencer replicas behind the
@@ -53,12 +55,6 @@ type Config struct {
 	// before the first standby in promotion order takes over; standby k
 	// waits k+1 times this, staggering takeover attempts.
 	FailoverTimeout time.Duration
-	// RetryTimeout is how long a front-end lets a submission stay
-	// unacknowledged before resending its queue; the resend interval
-	// backs off exponentially up to RetryCap.
-	RetryTimeout time.Duration
-	// RetryCap bounds the front-end resend backoff.
-	RetryCap time.Duration
 }
 
 // Fault-tolerance defaults, applied by Group when the corresponding
@@ -66,8 +62,6 @@ type Config struct {
 const (
 	defaultHeartbeat       = 5 * time.Millisecond
 	defaultFailoverTimeout = 50 * time.Millisecond
-	defaultRetryTimeout    = 20 * time.Millisecond
-	defaultRetryCap        = 250 * time.Millisecond
 )
 
 // DefaultConfig mirrors the paper's setting of interest: large batches
@@ -177,12 +171,15 @@ func newReplica(id tx.NodeID, tr network.Transport, members []tx.NodeID, cfg Con
 // (it belongs to a group with at least one standby).
 func (l *Leader) replicated() bool { return l.group != nil && l.group.size() > 1 }
 
-// Start launches the replica's receive and flush loops, plus the
-// heartbeat/failover loop when replication is on.
+// Start launches the replica's receive loop, its flush loop unless it seals
+// on size only, and the heartbeat/failover loop when replication is on.
 func (l *Leader) Start() {
-	l.done.Add(2)
+	l.done.Add(1)
 	go l.recvLoop()
-	go l.flushLoop()
+	if l.cfg.Interval > 0 {
+		l.done.Add(1)
+		go l.flushLoop()
+	}
 	if l.replicated() {
 		l.done.Add(1)
 		go l.pulseLoop()
@@ -637,13 +634,6 @@ func (l *Leader) promoteLocked() {
 			})
 		}
 	}
-	for _, n := range members {
-		_ = l.tr.Send(network.Message{From: l.id, To: n, Type: network.MsgSeqEpoch, Epoch: newEpoch})
-	}
-	for _, p := range peers {
-		_ = l.tr.Send(network.Message{From: l.id, To: p, Type: network.MsgSeqEpoch, Epoch: newEpoch})
-	}
-
 	l.mu.Lock()
 	l.leading = true
 	l.arrived = make(map[tx.NodeID]uint64, len(l.sealedHigh))
@@ -652,6 +642,18 @@ func (l *Leader) promoteLocked() {
 	}
 	l.lastHeard = l.clk.Now()
 	l.mu.Unlock()
+
+	// Announce only now that forwards are accepted: a member that hears
+	// the epoch redirects its front-end, which resends its queue at once
+	// and only once. A resend that arrived before leading was set would be
+	// dropped, the client's next fresh submission accepted, and the
+	// dropped requests then refused as duplicates of it.
+	for _, n := range members {
+		_ = l.tr.Send(network.Message{From: l.id, To: n, Type: network.MsgSeqEpoch, Epoch: newEpoch})
+	}
+	for _, p := range peers {
+		_ = l.tr.Send(network.Message{From: l.id, To: p, Type: network.MsgSeqEpoch, Epoch: newEpoch})
+	}
 	l.group.announce(l.id, newEpoch)
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"hermes/internal/leaktest"
 	"hermes/internal/network"
 	"hermes/internal/tx"
 )
@@ -52,7 +53,7 @@ func recvBatch(t *testing.T, tr network.Transport, node tx.NodeID) *tx.Batch {
 }
 
 func TestBatchDeliveredToAllNodes(t *testing.T) {
-	tr, _, ids := newCluster(t, 3, Config{BatchSize: 2, Interval: time.Hour})
+	tr, _, ids := newCluster(t, 3, Config{BatchSize: 2})
 	fe := NewFrontend(ids[1], leaderID, tr)
 	fe.Submit(req())
 	fe.Submit(req()) // second request fills the batch
@@ -65,7 +66,7 @@ func TestBatchDeliveredToAllNodes(t *testing.T) {
 }
 
 func TestTxnIDsAreDenseAndOrdered(t *testing.T) {
-	tr, _, ids := newCluster(t, 2, Config{BatchSize: 5, Interval: time.Hour})
+	tr, _, ids := newCluster(t, 2, Config{BatchSize: 5})
 	fe := NewFrontend(ids[0], leaderID, tr)
 	for i := 0; i < 10; i++ {
 		fe.Submit(req())
@@ -93,6 +94,33 @@ func TestIntervalFlush(t *testing.T) {
 	if len(b.Txns) != 1 {
 		t.Fatalf("batch len = %d", len(b.Txns))
 	}
+}
+
+// TestZeroIntervalSealsOnSizeOnly: with no Interval the leader runs no
+// flush loop, so a batch seals when BatchSize requests are pending and not
+// before — and Stop leaves no timer goroutine behind.
+func TestZeroIntervalSealsOnSizeOnly(t *testing.T) {
+	check := leaktest.Check(t)
+	ids := []tx.NodeID{0}
+	tr := NewTransportWithLeader(ids, leaderID)
+	l := NewLeader(leaderID, tr, ids, Config{BatchSize: 4}, nil)
+	l.Start()
+	fe := NewFrontend(ids[0], leaderID, tr)
+	for i := 0; i < 3; i++ {
+		fe.Submit(req())
+	}
+	select {
+	case m := <-tr.Recv(ids[0]):
+		t.Fatalf("a batch of %d sealed before the batch size was reached", len(m.Batch.Txns))
+	case <-time.After(50 * time.Millisecond):
+	}
+	fe.Submit(req())
+	if b := recvBatch(t, tr, ids[0]); len(b.Txns) != 4 {
+		t.Fatalf("batch of %d sealed, want the 4 submitted", len(b.Txns))
+	}
+	l.Stop()
+	tr.Close()
+	check()
 }
 
 func TestIdenticalBatchStreamAcrossNodes(t *testing.T) {
@@ -132,7 +160,7 @@ func TestIdenticalBatchStreamAcrossNodes(t *testing.T) {
 }
 
 func TestSetMembersAffectsDelivery(t *testing.T) {
-	tr, l, ids := newCluster(t, 2, Config{BatchSize: 1, Interval: time.Hour})
+	tr, l, ids := newCluster(t, 2, Config{BatchSize: 1})
 	tr.AddNode(7)
 	l.SetMembers(append(ids, 7))
 	if len(l.Members()) != 3 {
@@ -221,7 +249,7 @@ func TestStopIsIdempotentAndHalts(t *testing.T) {
 }
 
 func TestEmptyFlushProducesNothing(t *testing.T) {
-	tr, l, ids := newCluster(t, 1, Config{BatchSize: 10, Interval: time.Hour})
+	tr, l, ids := newCluster(t, 1, Config{BatchSize: 10})
 	l.Flush()
 	select {
 	case m := <-tr.Recv(ids[0]):

@@ -52,6 +52,31 @@ if [[ "${listed}" -ne 5 ]]; then
 fi
 GOMAXPROCS=2 go test -race -count=100 -run "${stress_run}" ./internal/engine
 
+# Pacing gate: the reliable link and the session front-end time their
+# resends from measured round trips (network.RTO) and from nothing else.
+# The grep fails if a hand-set pacing knob comes back. The pacing tests —
+# the estimator, acks held 80 ms behind a gate, a 5%-drop link, a loss
+# repaired on the receiver's gap report, a leader that seals 150 ms after
+# each forward, a saturating backoff, size-only sealing — loop under -race
+# on two cores, where a scheduler hiccup looks most like a lost ack; the
+# list guard fails loudly if a rename drops one.
+echo "==> pacing gate (knob guard; GOMAXPROCS=2, -race, 20x)"
+knobs=$(git grep -nE 'RetransmitBase|RetransmitCap|RetryTimeout|RetryCap|procLink|SetDialRetry|SetSendTimeout|stopClock' -- '*.go' || true)
+if [[ -n "${knobs}" ]]; then
+    echo "hand-set pacing knobs are back:" >&2
+    echo "${knobs}" >&2
+    exit 1
+fi
+pacing_net='TestRTO|TestReliablePacesToGatedAcks|TestReliableRepairsSeededDrops|TestReliableResendsReportedGap'
+pacing_seq='TestSessionFrontendPacesToSealLatency|TestFrontendRetryBackoffIsCapped|TestZeroIntervalSealsOnSizeOnly'
+listed=$(( $(go test -list "${pacing_net}" ./internal/network | grep -c '^Test' || true) + $(go test -list "${pacing_seq}" ./internal/sequencer | grep -c '^Test' || true) ))
+if [[ "${listed}" -ne 7 ]]; then
+    echo "pacing gate matched ${listed} of 7 tests: one was renamed or deleted" >&2
+    exit 1
+fi
+GOMAXPROCS=2 go test -race -count=20 -run "${pacing_net}" ./internal/network
+GOMAXPROCS=2 go test -race -count=20 -run "${pacing_seq}" ./internal/sequencer
+
 # Crash-recovery gate: reliable transport, node kill/restart, checkpoint+
 # tail recovery, and the lossy+crash chaos schedules. The general sweep
 # above already covers these when run full; this named step keeps the
