@@ -50,10 +50,7 @@ func TestClusterNetChaos(t *testing.T) {
 		t.Fatalf("seeding cluster: %v", err)
 	}
 
-	super := c.StartSupervisor(harness.SupervisorConfig{
-		Interval: 100 * time.Millisecond,
-		Misses:   2,
-	})
+	super := c.StartSupervisor()
 
 	spec := harness.WorkloadSpec{
 		Kind:       harness.WorkloadYCSB,

@@ -66,8 +66,6 @@ func main() {
 		recov     = flag.Bool("recover", false, "node mode: recovering restart (restore checkpoint, re-seed, replay the journal)")
 		traceRing = flag.Int("trace-ring", 0, "node mode: per-node telemetry ring size in events (0 = default)")
 		traceOff  = flag.Bool("trace-off", false, "node mode: disable lifecycle tracing (metrics stay on)")
-		ovDelay   = flag.Int64("overload-delay", 0, "node mode: backpressure delay watermark on queue depth (<= 0 disables)")
-		ovShed    = flag.Int64("overload-shed", 0, "node mode: backpressure shed watermark on queue depth (<= 0 disables)")
 
 		statsAddr = flag.String("stats", "", "fetch a cluster node's /stats from this control-plane address, pretty-print it, and exit")
 	)
@@ -82,7 +80,6 @@ func main() {
 			rows: *rows, fusionCap: *fusionCap, alpha: *alpha, batch: *batch,
 			dir: *dir, seqHost: *seqHost, recover: *recov,
 			fsync: *fsync, traceRing: *traceRing, traceOff: *traceOff,
-			ovDelay: *ovDelay, ovShed: *ovShed,
 		})
 		return
 	}

@@ -29,8 +29,6 @@ type nodeFlags struct {
 	fsync     string
 	traceRing int
 	traceOff  bool
-	ovDelay   int64
-	ovShed    int64
 }
 
 // runNode is hermesd's cluster-process mode: spawned by the harness
@@ -59,24 +57,22 @@ func runNode(nf nodeFlags) {
 		}
 	}
 	s, err := harness.NewNodeServer(harness.NodeConfig{
-		Self:          tx.NodeID(nf.node),
-		Workers:       nf.workers,
-		Addrs:         addrs,
-		DataLn:        dataLn,
-		ControlLn:     ctrlLn,
-		LeaderLn:      leaderLn,
-		Policy:        nf.policy,
-		Rows:          nf.rows,
-		FusionCap:     nf.fusionCap,
-		Alpha:         nf.alpha,
-		BatchSize:     nf.batch,
-		Dir:           nf.dir,
-		Fsync:         nf.fsync,
-		Recover:       nf.recover,
-		TraceRing:     nf.traceRing,
-		TraceOff:      nf.traceOff,
-		OverloadDelay: nf.ovDelay,
-		OverloadShed:  nf.ovShed,
+		Self:      tx.NodeID(nf.node),
+		Workers:   nf.workers,
+		Addrs:     addrs,
+		DataLn:    dataLn,
+		ControlLn: ctrlLn,
+		LeaderLn:  leaderLn,
+		Policy:    nf.policy,
+		Rows:      nf.rows,
+		FusionCap: nf.fusionCap,
+		Alpha:     nf.alpha,
+		BatchSize: nf.batch,
+		Dir:       nf.dir,
+		Fsync:     nf.fsync,
+		Recover:   nf.recover,
+		TraceRing: nf.traceRing,
+		TraceOff:  nf.traceOff,
 	})
 	if err != nil {
 		fatalf("hermesd: node %d: %v", nf.node, err)

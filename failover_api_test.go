@@ -14,14 +14,12 @@ import (
 func TestLeaderFailoverPublicAPI(t *testing.T) {
 	const rows = 96
 	opts := Options{
-		Nodes:              3,
-		Rows:               rows,
-		BatchSize:          4,
-		BatchInterval:      2 * time.Millisecond,
-		Reliable:           true,
-		SeqStandbys:        2,
-		SeqHeartbeat:       5 * time.Millisecond,
-		SeqFailoverTimeout: 100 * time.Millisecond,
+		Nodes:         3,
+		Rows:          rows,
+		BatchSize:     4,
+		BatchInterval: 2 * time.Millisecond,
+		Reliable:      true,
+		SeqStandbys:   2,
 	}
 	db := openTest(t, opts)
 	db.LoadUniform(8)

@@ -121,20 +121,13 @@ type Options struct {
 	// SeqStandbys adds standby sequencer replicas that mirror the sealed
 	// batch stream before it is delivered, making the total-order service
 	// itself fault tolerant: CrashLeader kills the current leader and the
-	// lowest-rank live standby deterministically promotes itself (see
-	// docs/RECOVERY.md). 0 (the default) keeps the single-leader
-	// configuration with zero replication overhead.
+	// lowest-rank live standby deterministically promotes itself after
+	// 150 ms of leader silence (see docs/RECOVERY.md). 0 (the default)
+	// keeps the single-leader configuration with zero replication
+	// overhead.
 	SeqStandbys int
-	// SeqHeartbeat is the leader's heartbeat interval and
-	// SeqFailoverTimeout the silence threshold after which the first
-	// standby promotes itself (defaults 5ms / 50ms; only meaningful with
-	// SeqStandbys > 0).
-	SeqHeartbeat       time.Duration
-	SeqFailoverTimeout time.Duration
-	// NetLatency is the one-way network latency between nodes (0 = off);
-	// NetBandwidth in bytes/s adds a size-proportional term (0 = off).
-	NetLatency   time.Duration
-	NetBandwidth float64
+	// NetLatency is the one-way network latency between nodes (0 = off).
+	NetLatency time.Duration
 	// StorageDelay is a per-record storage access cost (0 = off).
 	StorageDelay time.Duration
 	// Executors sizes each node's executor pool and bounds concurrent
@@ -156,9 +149,6 @@ type Options struct {
 	// strictly observation-only — enabling it cannot change any
 	// deterministic outcome — and costs a few percent of throughput.
 	Telemetry bool
-	// TelemetryRingSize overrides the tracer's per-node event ring
-	// capacity (default 16384; rounded up to a power of two).
-	TelemetryRingSize int
 }
 
 // DB is an open emulated cluster.
@@ -210,8 +200,8 @@ func engineConfig(opts Options) (Options, engine.Config, error) {
 		return opts, engine.Config{}, err
 	}
 	var lat network.LatencyModel
-	if opts.NetLatency > 0 || opts.NetBandwidth > 0 {
-		lat = network.UniformLatency(opts.NetLatency, opts.NetBandwidth)
+	if opts.NetLatency > 0 {
+		lat = network.UniformLatency(opts.NetLatency, 0)
 	}
 	ids := make([]tx.NodeID, opts.Nodes+opts.StandbyNodes)
 	for i := range ids {
@@ -219,7 +209,7 @@ func engineConfig(opts Options) (Options, engine.Config, error) {
 	}
 	var tel *telemetry.Telemetry
 	if opts.Telemetry {
-		tel = telemetry.New(ids, opts.TelemetryRingSize)
+		tel = telemetry.New(ids, 0)
 	}
 	return opts, engine.Config{
 		Nodes:  ids,
@@ -227,9 +217,7 @@ func engineConfig(opts Options) (Options, engine.Config, error) {
 		Policy: pf,
 		Seq: sequencer.Config{
 			BatchSize: opts.BatchSize, Interval: opts.BatchInterval,
-			Standbys:        opts.SeqStandbys,
-			Heartbeat:       opts.SeqHeartbeat,
-			FailoverTimeout: opts.SeqFailoverTimeout,
+			Standbys: opts.SeqStandbys,
 		},
 		Latency:      lat,
 		StorageDelay: opts.StorageDelay,

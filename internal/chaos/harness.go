@@ -283,18 +283,7 @@ func Run(spec Spec, sched Schedule) (*Result, error) {
 		return nil, fmt.Errorf("chaos: %v has leader kills but spec %v has no sequencer standbys (set Spec.SeqStandbys)", sched, spec)
 	}
 	// No Interval: batches seal on size only.
-	seqCfg := sequencer.Config{BatchSize: spec.Batch}
-	if spec.SeqStandbys > 0 {
-		// Tight fault-tolerance timers: a leader kill must resolve well
-		// inside the run.
-		seqCfg.Standbys = spec.SeqStandbys
-		// FailoverTimeout trades recovery latency for robustness against
-		// scheduler starvation: a race-enabled run under load can stall
-		// the leader's pulse goroutine for tens of milliseconds, and a
-		// fault-free baseline must never record a spurious promotion.
-		seqCfg.Heartbeat = 5 * time.Millisecond
-		seqCfg.FailoverTimeout = 150 * time.Millisecond
-	}
+	seqCfg := sequencer.Config{BatchSize: spec.Batch, Standbys: spec.SeqStandbys}
 	var chaosT *Transport
 	cfg := engine.Config{
 		Nodes:        ids,

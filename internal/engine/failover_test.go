@@ -24,10 +24,8 @@ func newFailoverCluster(t *testing.T, nodes, standbys int, pf PolicyFactory) *Cl
 		Nodes:  ids,
 		Policy: pf,
 		Seq: sequencer.Config{
-			BatchSize:       4,
-			Standbys:        standbys,
-			Heartbeat:       5 * time.Millisecond,
-			FailoverTimeout: 100 * time.Millisecond,
+			BatchSize: 4,
+			Standbys:  standbys,
 		},
 		Reliable: true,
 	})

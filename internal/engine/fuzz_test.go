@@ -180,8 +180,6 @@ func FuzzDeterministicReplay(f *testing.F) {
 				// Both runs get the fault-tolerant group so the only
 				// difference between them is the kill itself.
 				cfg.Seq.Standbys = 2
-				cfg.Seq.Heartbeat = 5 * time.Millisecond
-				cfg.Seq.FailoverTimeout = 60 * time.Millisecond
 				cfg.Reliable = true
 			}
 			c, err := New(cfg)

@@ -47,80 +47,15 @@ type RunStatus struct {
 	Total     int64      `json:"total"`
 	Err       string     `json:"err,omitempty"`
 	Result    *RunResult `json:"result,omitempty"`
-	// Overloaded is the node's live backpressure signal: true while the
-	// driver is being delayed or shed by the overload gate, so a client
-	// polling /runstatus sees overload explicitly instead of inferring it
-	// from sagging throughput. Delayed/Shed count submissions (this run)
-	// that were paced/rejected at least once before admission.
-	Overloaded bool  `json:"overloaded,omitempty"`
-	Delayed    int64 `json:"overload_delayed,omitempty"`
-	Shed       int64 `json:"overload_shed,omitempty"`
-}
-
-// overloadGate is a node's explicit admission-control signal to its local
-// driver: pressure is the node's queue depth (reliable-layer unacked +
-// undelivered backlog + queued exec keys), and the two watermarks split it
-// into pace-me (delay) and stop-entirely-until-drained (shed) regimes. The
-// gate only ever slows the single ordered submitter down — submission
-// *order* is untouched, so determinism is too. Watermarks <= 0 disable the
-// respective regime. The totals are process-lifetime counters surfaced as
-// gauges and in ProcStats.
-type overloadGate struct {
-	delayWM, shedWM int64
-	pressure        func() int64
-	delayedTotal    atomic.Int64
-	shedTotal       atomic.Int64
-}
-
-// admit blocks until the node's pressure is below the watermarks,
-// reporting (hitDelay, hitShed) for the driver's per-run accounting. It
-// returns an error only on abort or deadline.
-func (g *overloadGate) admit(d *driver, deadline time.Time) (bool, bool, error) {
-	hitDelay, hitShed := false, false
-	for {
-		p := g.pressure()
-		if g.shedWM > 0 && p >= g.shedWM {
-			if !hitShed {
-				hitShed = true
-				g.shedTotal.Add(1)
-			}
-			d.overloaded.Store(true)
-			if time.Now().After(deadline) {
-				return hitDelay, hitShed, fmt.Errorf("harness: overload shed never drained (pressure %d >= %d)", p, g.shedWM)
-			}
-			select {
-			case <-d.abort:
-				return hitDelay, hitShed, fmt.Errorf("harness: driver aborted while shed")
-			case <-time.After(5 * time.Millisecond):
-			}
-			continue
-		}
-		if g.delayWM > 0 && p >= g.delayWM {
-			if !hitDelay {
-				hitDelay = true
-				g.delayedTotal.Add(1)
-			}
-			d.overloaded.Store(true)
-			if time.Now().After(deadline) {
-				return hitDelay, hitShed, fmt.Errorf("harness: overload delay never drained (pressure %d >= %d)", p, g.delayWM)
-			}
-			select {
-			case <-d.abort:
-				return hitDelay, hitShed, fmt.Errorf("harness: driver aborted while delayed")
-			case <-time.After(time.Millisecond):
-			}
-			continue
-		}
-		d.overloaded.Store(false)
-		return hitDelay, hitShed, nil
-	}
 }
 
 // driver is the closed-loop client: one ordered submitter goroutine with a
 // bounded in-flight window. A single submitter is what pins batch
 // composition — the leader receives the stream in submission order, seals
 // every full batch at exactly the configured size, and the driver only
-// force-flushes the tail once every submission has provably arrived.
+// force-flushes the tail once every submission has provably arrived. The
+// window is the run's only admission control: at most window submissions
+// are outstanding, so the next one waits for a completion.
 type driver struct {
 	mu      sync.Mutex
 	running bool
@@ -128,13 +63,10 @@ type driver struct {
 	err     string
 	result  *RunResult
 
-	submitted  atomic.Int64
-	completed  atomic.Int64
-	total      atomic.Int64
-	delayed    atomic.Int64
-	shed       atomic.Int64
-	overloaded atomic.Bool
-	abort      chan struct{}
+	submitted atomic.Int64
+	completed atomic.Int64
+	total     atomic.Int64
+	abort     chan struct{}
 }
 
 func newDriver() *driver {
@@ -146,16 +78,13 @@ func (d *driver) status() RunStatus {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return RunStatus{
-		Running:    d.running,
-		Done:       d.done,
-		Submitted:  d.submitted.Load(),
-		Completed:  d.completed.Load(),
-		Total:      d.total.Load(),
-		Err:        d.err,
-		Result:     d.result,
-		Overloaded: d.overloaded.Load(),
-		Delayed:    d.delayed.Load(),
-		Shed:       d.shed.Load(),
+		Running:   d.running,
+		Done:      d.done,
+		Submitted: d.submitted.Load(),
+		Completed: d.completed.Load(),
+		Total:     d.total.Load(),
+		Err:       d.err,
+		Result:    d.result,
 	}
 }
 
@@ -175,9 +104,6 @@ func (d *driver) start(total int) bool {
 	d.result = nil
 	d.submitted.Store(0)
 	d.completed.Store(0)
-	d.delayed.Store(0)
-	d.shed.Store(0)
-	d.overloaded.Store(false)
 	d.total.Store(int64(total))
 	return true
 }
@@ -210,10 +136,9 @@ func (d *driver) run(
 	procs []*tx.CounterProc,
 	window int,
 	lc leaderControl,
-	gate *overloadGate,
 	timeout time.Duration,
 ) (*RunResult, error) {
-	res, err := d.runInner(submit, procs, window, lc, gate, timeout)
+	res, err := d.runInner(submit, procs, window, lc, timeout)
 	d.finish(res, err)
 	return res, err
 }
@@ -223,7 +148,6 @@ func (d *driver) runInner(
 	procs []*tx.CounterProc,
 	window int,
 	lc leaderControl,
-	gate *overloadGate,
 	timeout time.Duration,
 ) (*RunResult, error) {
 	deadline := time.Now().Add(timeout)
@@ -239,19 +163,6 @@ func (d *driver) runInner(
 	var wg sync.WaitGroup
 
 	for i, p := range procs {
-		if gate != nil {
-			hitDelay, hitShed, err := gate.admit(d, deadline)
-			if hitDelay {
-				d.delayed.Add(1)
-			}
-			if hitShed {
-				d.shed.Add(1)
-			}
-			if err != nil {
-				waitDone(&wg, deadline)
-				return nil, fmt.Errorf("harness: submission %d: %w", i, err)
-			}
-		}
 		select {
 		case sem <- struct{}{}:
 		case <-d.abort:

@@ -78,14 +78,6 @@ type NodeConfig struct {
 	// registry and /metrics stay live). The tracing-on-vs-off digest
 	// equivalence gate runs cluster pairs differing only in this bit.
 	TraceOff bool
-	// OverloadDelay and OverloadShed are the driver's backpressure
-	// watermarks on this node's queue depth (reliable-layer unacked +
-	// undelivered backlog + queued exec keys): at Delay admission is
-	// paced, at Shed it is refused until the depth drains. Values <= 0
-	// disable the respective watermark. Only meaningful on the driver
-	// process.
-	OverloadDelay int64
-	OverloadShed  int64
 }
 
 // seedSpec is the record-stream description persisted at seeding time so a
@@ -109,7 +101,6 @@ type NodeServer struct {
 	cluster *engine.Cluster
 	tel     *telemetry.Telemetry
 	drv     *driver
-	gate    *overloadGate
 
 	// restoredID is the checkpoint watermark this process restarted from
 	// (0 + restored=false on a fresh or journal-only start). ckptMu
@@ -245,16 +236,6 @@ func NewNodeServer(cfg NodeConfig) (*NodeServer, error) {
 		s.restored, s.restoredID = true, cpID
 		log.Printf("harness: node %d restored checkpoint %d (journal base %d, %d recovered frames)",
 			cfg.Self, cpID, jr.Base(), len(recovered))
-	}
-	if cfg.OverloadDelay > 0 || cfg.OverloadShed > 0 {
-		s.gate = &overloadGate{
-			delayWM: cfg.OverloadDelay,
-			shedWM:  cfg.OverloadShed,
-			pressure: func() int64 {
-				unacked, backlog := cluster.Reliable().Depths()
-				return unacked + backlog + int64(cluster.WorkerQuiesce().QueuedLockKeys)
-			},
-		}
 	}
 	s.registerProcMetrics()
 	if cfg.LeaderLn != nil {
@@ -447,20 +428,6 @@ func (s *NodeServer) registerProcMetrics() {
 		cstat(func(st durable.Stats) int64 { return st.CorruptSkipped }))
 	reg.Gauge("hermes_checkpoint_load_fallbacks_total", "loads that ignored the manifest and scanned",
 		cstat(func(st durable.Stats) int64 { return st.LoadFallbacks }))
-	reg.Gauge("hermes_overload_delayed_total", "submissions paced by the overload gate's delay watermark",
-		func() float64 {
-			if s.gate == nil {
-				return 0
-			}
-			return float64(s.gate.delayedTotal.Load())
-		})
-	reg.Gauge("hermes_overload_shed_total", "submissions refused by the overload gate's shed watermark",
-		func() float64 {
-			if s.gate == nil {
-				return 0
-			}
-			return float64(s.gate.shedTotal.Load())
-		})
 }
 
 // ProcStats is one process's counter snapshot, served at /stats.
@@ -478,11 +445,6 @@ type ProcStats struct {
 	DupsDropped       int64  `json:"dups_dropped"`
 	HandshakeFailures int64  `json:"handshake_failures"`
 	WireFrameErrors   int64  `json:"wire_frame_errors"`
-
-	// Backpressure counters (non-zero only on the driver process, whose
-	// overload gate paces/refuses admission on local queue depth).
-	OverloadDelayed int64 `json:"overload_delayed"`
-	OverloadShed    int64 `json:"overload_shed"`
 
 	// Durability counters.
 	RestoredCheckpoint bool   `json:"restored_checkpoint"`
@@ -505,7 +467,6 @@ func (st ProcStats) Format() string {
 	fmt.Fprintf(&b, "  txns:       committed=%d aborted=%d\n", st.Committed, st.Aborted)
 	fmt.Fprintf(&b, "  network:    msgs=%d bytes=%d socket-bytes=%d socket-writes=%d link-acks=%d retransmits=%d dups-dropped=%d handshake-failures=%d frame-errors=%d\n",
 		st.NetMsgs, st.NetBytes, st.NetSocketBytes, st.NetSocketWrites, st.LinkAcks, st.Retransmits, st.DupsDropped, st.HandshakeFailures, st.WireFrameErrors)
-	fmt.Fprintf(&b, "  overload:   delayed=%d shed=%d\n", st.OverloadDelayed, st.OverloadShed)
 	fmt.Fprintf(&b, "  durability: fsyncs=%d batches=%d batched-acks=%d torn=%d corrupt=%d\n",
 		st.JournalFsyncs, st.JournalBatches, st.JournalBatchedAcks, st.JournalTorn, st.JournalCorrupt)
 	fmt.Fprintf(&b, "  journal:    base-frame=%d\n", st.JournalBase)
@@ -538,10 +499,6 @@ func (s *NodeServer) stats() ProcStats {
 		JournalBatchedAcks: js.BatchedAcks,
 		JournalTorn:        js.TornRecords,
 		JournalCorrupt:     js.Corrupt,
-	}
-	if s.gate != nil {
-		st.OverloadDelayed = s.gate.delayedTotal.Load()
-		st.OverloadShed = s.gate.shedTotal.Load()
 	}
 	st.NetMsgs, st.NetBytes = s.tr.Stats().Totals()
 	rs := s.cluster.Reliable().Stats()
@@ -626,7 +583,7 @@ func (s *NodeServer) mux() http.Handler {
 		}
 		go s.drv.run(
 			func(p tx.Procedure) (<-chan struct{}, error) { return s.cluster.Submit(s.cfg.Self, p) },
-			procs, spec.Window, seqLeaderControl{s.leader}, s.gate, runTimeout)
+			procs, spec.Window, seqLeaderControl{s.leader}, runTimeout)
 		writeJSON(w, map[string]any{"started": true, "total": len(procs)})
 	})
 	mux.HandleFunc("/runstatus", func(w http.ResponseWriter, r *http.Request) {

@@ -51,13 +51,6 @@ type ClusterConfig struct {
 	// The leader transport id is automatically aliased onto worker 0 (its
 	// co-host) for rule and partition matching.
 	Net *netchaos.Schedule
-	// OverloadDelay and OverloadShed are the driver's backpressure
-	// watermarks on local queue depth (reliable-layer unacked+backlog plus
-	// queued exec keys): at Delay admission is paced, at Shed it is
-	// rejected until the depth drains. Zero picks defaults; negative
-	// disables that watermark.
-	OverloadDelay int64
-	OverloadShed  int64
 	// Dir is the scratch directory for journals, seed specs and process
 	// logs. Required.
 	Dir string
@@ -175,12 +168,6 @@ func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 	}
 	if cfg.FusionCap == 0 {
 		cfg.FusionCap = int(cfg.Rows / 40)
-	}
-	if cfg.OverloadDelay == 0 {
-		cfg.OverloadDelay = 512
-	}
-	if cfg.OverloadShed == 0 {
-		cfg.OverloadShed = 4096
 	}
 	bin := cfg.BinPath
 	if bin == "" {
@@ -312,12 +299,6 @@ func (c *Cluster) spawn(i int, recover bool) error {
 		"-alpha", fmt.Sprint(c.cfg.Alpha),
 		"-batch", fmt.Sprint(c.cfg.BatchSize),
 		"-dir", nodeDir,
-	}
-	if c.cfg.OverloadDelay != 0 {
-		args = append(args, "-overload-delay", fmt.Sprint(c.cfg.OverloadDelay))
-	}
-	if c.cfg.OverloadShed != 0 {
-		args = append(args, "-overload-shed", fmt.Sprint(c.cfg.OverloadShed))
 	}
 	if c.cfg.Fsync != "" {
 		args = append(args, "-fsync", c.cfg.Fsync)

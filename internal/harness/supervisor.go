@@ -7,51 +7,23 @@ import (
 	"time"
 )
 
-// SupervisorConfig tunes the heartbeat supervisor. Zero values pick the
-// defaults noted per field.
-type SupervisorConfig struct {
-	// Interval between liveness probes per worker (default 150ms).
-	Interval time.Duration
-	// Timeout of one /stats probe (default 1s). Must be short: the probe
-	// client is separate from the orchestrator's so a wedged worker can't
-	// stall cluster RPCs.
-	Timeout time.Duration
-	// Misses is how many consecutive failed probes declare a worker dead
-	// (default 3). One lost probe is a blip; K in a row is a corpse.
-	Misses int
-	// BackoffBase is the first restart delay after a failed restart
-	// attempt (default 100ms), doubling per consecutive failure.
-	BackoffBase time.Duration
-	// BackoffCap bounds the restart delay (default 2s).
-	BackoffCap time.Duration
-	// Budget is the restart circuit breaker: after this many restarts of
-	// one worker the supervisor gives up on it (default 5). A process
-	// that keeps dying is a bug, not a blip; restarting it forever would
-	// hide that.
-	Budget int
-}
-
-func (cfg SupervisorConfig) withDefaults() SupervisorConfig {
-	if cfg.Interval <= 0 {
-		cfg.Interval = 150 * time.Millisecond
-	}
-	if cfg.Timeout <= 0 {
-		cfg.Timeout = time.Second
-	}
-	if cfg.Misses <= 0 {
-		cfg.Misses = 3
-	}
-	if cfg.BackoffBase <= 0 {
-		cfg.BackoffBase = 100 * time.Millisecond
-	}
-	if cfg.BackoffCap <= 0 {
-		cfg.BackoffCap = 2 * time.Second
-	}
-	if cfg.Budget <= 0 {
-		cfg.Budget = 5
-	}
-	return cfg
-}
+// The supervisor's timing. A worker is probed every superInterval, each
+// probe bounded by superTimeout (a client separate from the
+// orchestrator's, so a wedged worker can't stall cluster RPCs), and
+// declared dead after superMisses consecutive failures: one lost probe is
+// a blip, two in a row a corpse. A failed restart attempt backs off from
+// superBackoffBase, doubling up to superBackoffCap. After superBudget
+// restarts of one worker the breaker opens and the supervisor gives up on
+// it: a process that keeps dying is a bug, and restarting it forever
+// would hide that.
+const (
+	superInterval    = 50 * time.Millisecond
+	superTimeout     = time.Second
+	superMisses      = 2
+	superBackoffBase = 100 * time.Millisecond
+	superBackoffCap  = 2 * time.Second
+	superBudget      = 5
+)
 
 // WorkerHealth is one worker's view from the supervisor.
 type WorkerHealth struct {
@@ -83,7 +55,7 @@ func (s SupervisorStats) TotalRestarts() int {
 // a data-plane partition must not look like a crash.
 type Supervisor struct {
 	c      *Cluster
-	cfg    SupervisorConfig
+	budget int
 	client *http.Client
 
 	mu     sync.Mutex
@@ -96,12 +68,16 @@ type Supervisor struct {
 
 // StartSupervisor begins heartbeat supervision of every worker. The
 // returned Supervisor is also stopped automatically by Cluster.Close.
-func (c *Cluster) StartSupervisor(cfg SupervisorConfig) *Supervisor {
-	cfg = cfg.withDefaults()
+func (c *Cluster) StartSupervisor() *Supervisor {
+	return c.startSupervisor(superBudget)
+}
+
+// startSupervisor is StartSupervisor with the restart budget given.
+func (c *Cluster) startSupervisor(budget int) *Supervisor {
 	s := &Supervisor{
 		c:      c,
-		cfg:    cfg,
-		client: &http.Client{Timeout: cfg.Timeout},
+		budget: budget,
+		client: &http.Client{Timeout: superTimeout},
 		health: make([]WorkerHealth, len(c.procs)),
 		quit:   make(chan struct{}),
 	}
@@ -146,12 +122,12 @@ func (s *Supervisor) watch(i int) {
 		select {
 		case <-s.quit:
 			return
-		case <-time.After(s.cfg.Interval):
+		case <-time.After(superInterval):
 		}
 		if err := s.probe(i); err != nil {
 			s.recordProbe(i, err)
 			misses++
-			if misses >= s.cfg.Misses {
+			if misses >= superMisses {
 				if !s.revive(i) {
 					return // breaker open: this worker is done
 				}
@@ -181,7 +157,7 @@ func (s *Supervisor) probe(i int) error {
 // and restarts it with capped exponential backoff between failed attempts.
 // Returns false once the restart budget is exhausted (breaker open).
 func (s *Supervisor) revive(i int) bool {
-	backoff := s.cfg.BackoffBase
+	backoff := superBackoffBase
 	for {
 		// Claim and reap whatever is left of the process. Nil means a
 		// test (KillWorker) or a previous failed attempt already took it;
@@ -199,7 +175,7 @@ func (s *Supervisor) revive(i int) bool {
 			}
 		}
 		s.mu.Lock()
-		if s.health[i].Restarts >= s.cfg.Budget {
+		if s.health[i].Restarts >= s.budget {
 			s.health[i].BreakerOpen = true
 			s.mu.Unlock()
 			return false
@@ -218,8 +194,8 @@ func (s *Supervisor) revive(i int) bool {
 			return false
 		case <-time.After(backoff):
 		}
-		if backoff *= 2; backoff > s.cfg.BackoffCap {
-			backoff = s.cfg.BackoffCap
+		if backoff *= 2; backoff > superBackoffCap {
+			backoff = superBackoffCap
 		}
 	}
 }

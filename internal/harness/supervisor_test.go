@@ -8,21 +8,13 @@ import (
 	"hermes/internal/netchaos"
 )
 
-// superTestConfig is the fast supervisor tuning used across these tests:
-// probes every 50ms, dead after 2 misses, so a SIGKILL is detected and
-// repaired well inside a second.
-var superTestConfig = SupervisorConfig{
-	Interval: 50 * time.Millisecond,
-	Misses:   2,
-}
-
 // TestSupervisorRevivesKilledWorker SIGKILLs a worker mid-run and never
 // restarts it from the test: the heartbeat supervisor must detect the dead
 // control plane, respawn the process in recovery mode, and the run must
 // still commit everything.
 func TestSupervisorRevivesKilledWorker(t *testing.T) {
 	c := startTestCluster(t, "hermes")
-	super := c.StartSupervisor(superTestConfig)
+	super := c.StartSupervisor()
 	spec := WorkloadSpec{
 		Kind: WorkloadYCSB, Seed: 42, Txns: 1200, Rows: 4000,
 		KeysPerTxn: 3, Payload: 64, Theta: 0.8, Window: 50,
@@ -75,16 +67,12 @@ func TestSupervisorRevivesKilledWorker(t *testing.T) {
 	}
 }
 
-// TestSupervisorBreakerOpens exhausts a Budget=1 supervisor: the first
+// TestSupervisorBreakerOpens exhausts a supervisor with a budget of 1: the first
 // kill is repaired, the second must trip the circuit breaker and leave the
 // worker down instead of restarting forever.
 func TestSupervisorBreakerOpens(t *testing.T) {
 	c := startTestCluster(t, "calvin")
-	super := c.StartSupervisor(SupervisorConfig{
-		Interval: 50 * time.Millisecond,
-		Misses:   2,
-		Budget:   1,
-	})
+	super := c.startSupervisor(1)
 	waitRevived := func(restarts int) {
 		t.Helper()
 		deadline := time.Now().Add(30 * time.Second)
@@ -144,7 +132,7 @@ func TestSupervisorKillUnderPartitionLeaksNothing(t *testing.T) {
 	if err := c.Seed(); err != nil {
 		t.Fatal(err)
 	}
-	super := c.StartSupervisor(superTestConfig)
+	super := c.StartSupervisor()
 	spec := WorkloadSpec{
 		Kind: WorkloadYCSB, Seed: 11, Txns: 600, Rows: 4000,
 		KeysPerTxn: 3, Payload: 64, Theta: 0.8, Window: 50,
@@ -176,67 +164,5 @@ func TestSupervisorKillUnderPartitionLeaksNothing(t *testing.T) {
 	}
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestClusterBackpressureCounters pins the overload gate's plumbing: with
-// the delay watermark forced to 1, almost every submission sees nonzero
-// local queue depth, so the run must finish with the delayed counter
-// visible in the driver's status, the /stats snapshot, and /metrics — and
-// still commit everything, because backpressure only retimes the ordered
-// submitter.
-func TestClusterBackpressureCounters(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-process cluster tests skipped in -short mode")
-	}
-	if _, err := HermesdBinary(); err != nil {
-		t.Fatalf("building hermesd: %v", err)
-	}
-	c, err := StartCluster(ClusterConfig{
-		Workers: 3, Policy: "hermes", Rows: 4000, Payload: 64, BatchSize: 25,
-		OverloadDelay: 1, Dir: t.TempDir(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { c.Close() })
-	if err := c.Seed(); err != nil {
-		t.Fatal(err)
-	}
-	spec := WorkloadSpec{
-		Kind: WorkloadYCSB, Seed: 42, Txns: 400, Rows: 4000,
-		KeysPerTxn: 3, Payload: 64, Theta: 0.8, Window: 50,
-	}
-	if err := c.Run(spec); err != nil {
-		t.Fatal(err)
-	}
-	res, err := c.WaitRun(120 * time.Second)
-	if err != nil {
-		dumpClusterState(t, c)
-		t.Fatal(err)
-	}
-	if res.Committed != int64(spec.Txns) {
-		t.Fatalf("committed %d of %d", res.Committed, spec.Txns)
-	}
-	st, err := c.Status()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Delayed == 0 {
-		t.Error("watermark 1 paced no submissions; the gate is not wired to the driver")
-	}
-	stats, err := c.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats[0].OverloadDelayed == 0 {
-		t.Errorf("/stats reports no delayed admissions on the driver host: %+v", stats[0])
-	}
-	metrics, err := c.Metrics()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := metrics[0]["hermes_overload_delayed_total"]; !ok {
-		t.Error("hermes_overload_delayed_total missing from the driver host's /metrics")
 	}
 }

@@ -86,11 +86,9 @@ func RunTwin(cfg TwinConfig, spec WorkloadSpec) (*TwinResult, error) {
 	if !d.start(len(procs)) {
 		return nil, fmt.Errorf("harness: twin driver refused to start")
 	}
-	// No overload gate: backpressure only retimes the cluster's submitter,
-	// and the twin is the timing-free reference.
 	res, err := d.run(
 		func(p tx.Procedure) (<-chan struct{}, error) { return db.Submit(workers[0], p) },
-		procs, spec.Window, twinLeaderControl{db}, nil, runTimeout)
+		procs, spec.Window, twinLeaderControl{db}, runTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("harness: twin run: %w", err)
 	}

@@ -66,19 +66,10 @@ type Group struct {
 
 // NewGroup builds a sequencer group whose rank-0 replica lives at
 // transport node base, delivering the ordered stream to members.
-// cfg.Standbys standbys live at descending ids. Zero fault-tolerance
-// knobs get defaults when standbys are configured.
+// cfg.Standbys standbys live at descending ids.
 func NewGroup(base tx.NodeID, tr network.Transport, members []tx.NodeID, cfg Config, clk clock.Clock) *Group {
 	if cfg.Standbys < 0 {
 		cfg.Standbys = 0
-	}
-	if cfg.Standbys > 0 {
-		if cfg.Heartbeat <= 0 {
-			cfg.Heartbeat = defaultHeartbeat
-		}
-		if cfg.FailoverTimeout <= 0 {
-			cfg.FailoverTimeout = defaultFailoverTimeout
-		}
 	}
 	g := &Group{
 		base:     base,

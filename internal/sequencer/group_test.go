@@ -45,10 +45,8 @@ func (g *ackGate) release() {
 
 func groupConfig() Config {
 	return Config{
-		BatchSize:       1,
-		Standbys:        1,
-		Heartbeat:       time.Millisecond,
-		FailoverTimeout: 15 * time.Millisecond,
+		BatchSize: 1,
+		Standbys:  1,
 	}
 }
 

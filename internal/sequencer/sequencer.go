@@ -49,19 +49,19 @@ type Config struct {
 	// exact pre-replication behavior: no heartbeats, no replication
 	// traffic, immediate delivery.
 	Standbys int
-	// Heartbeat is the leader's liveness pulse interval to standbys.
-	Heartbeat time.Duration
-	// FailoverTimeout is how long a standby lets the leader stay silent
-	// before the first standby in promotion order takes over; standby k
-	// waits k+1 times this, staggering takeover attempts.
-	FailoverTimeout time.Duration
 }
 
-// Fault-tolerance defaults, applied by Group when the corresponding
-// field is zero and Standbys > 0.
+// The replicated group's liveness timing. Heartbeat is the leader's pulse
+// interval to its standbys. FailoverTimeout is how long a standby lets the
+// leader stay silent before the first standby in promotion order takes
+// over; standby k waits k+1 times this, staggering takeover attempts. It
+// trades recovery latency for robustness against scheduler starvation: a
+// race-enabled run under load can stall the leader's pulse goroutine for
+// tens of milliseconds, and a fault-free run must never record a spurious
+// promotion.
 const (
-	defaultHeartbeat       = 5 * time.Millisecond
-	defaultFailoverTimeout = 50 * time.Millisecond
+	Heartbeat       = 5 * time.Millisecond
+	FailoverTimeout = 150 * time.Millisecond
 )
 
 // DefaultConfig mirrors the paper's setting of interest: large batches
@@ -547,7 +547,7 @@ func (l *Leader) flushLoop() {
 // timeout); past its staggered share of FailoverTimeout it promotes.
 func (l *Leader) pulseLoop() {
 	defer l.done.Done()
-	probe := l.cfg.Heartbeat
+	probe := Heartbeat
 	for {
 		wake := make(chan struct{})
 		go func(d time.Duration) {
@@ -563,7 +563,7 @@ func (l *Leader) pulseLoop() {
 		switch {
 		case l.stopped || l.recovering || l.fenced:
 			l.mu.Unlock()
-			probe = l.cfg.Heartbeat
+			probe = Heartbeat
 		case l.leading:
 			ep := l.epoch
 			_, live := l.group.peers(l.id)
@@ -573,25 +573,25 @@ func (l *Leader) pulseLoop() {
 					From: l.id, To: p, Type: network.MsgSeqHeartbeat, Epoch: ep,
 				})
 			}
-			probe = l.cfg.Heartbeat
+			probe = Heartbeat
 		default:
 			silent := l.clk.Now().Sub(l.lastHeard)
-			if silent <= l.cfg.Heartbeat {
+			if silent <= Heartbeat {
 				l.mu.Unlock()
-				probe = l.cfg.Heartbeat
+				probe = Heartbeat
 				continue
 			}
 			l.group.noteMiss()
 			pos := l.group.promotePos(l.id)
-			if pos >= 0 && silent >= l.cfg.FailoverTimeout*time.Duration(pos+1) {
+			if pos >= 0 && silent >= FailoverTimeout*time.Duration(pos+1) {
 				l.promoteLocked() // unlocks l.mu
-				probe = l.cfg.Heartbeat
+				probe = Heartbeat
 				continue
 			}
 			l.mu.Unlock()
 			probe *= 2
-			if lim := l.cfg.FailoverTimeout / 2; lim > 0 && probe > lim {
-				probe = lim
+			if probe > FailoverTimeout/2 {
+				probe = FailoverTimeout / 2
 			}
 		}
 	}

@@ -77,6 +77,30 @@ fi
 GOMAXPROCS=2 go test -race -count=20 -run "${pacing_net}" ./internal/network
 GOMAXPROCS=2 go test -race -count=20 -run "${pacing_seq}" ./internal/sequencer
 
+# Admission gate: the harness driver's closed-loop window is the cluster's
+# only admission control, and the sequencer's failover timing and the
+# supervisor's timing are constants. The grep fails if a deleted knob
+# comes back (SeqHeartbeat as a whole identifier, so SeqHeartbeatMisses
+# and the message type's name pass). The window test — at most Window
+# submissions outstanding, the next one waiting for a completion — loops
+# under -race on two cores; the list guard fails loudly if a rename
+# drops it.
+echo "==> admission gate (knob guard; driver window, GOMAXPROCS=2, -race, 10x)"
+knobs=$( (git grep -nE 'overloadGate|OverloadDelay|OverloadShed|overload-delay|overload-shed|SupervisorConfig|SeqFailoverTimeout|NetBandwidth|TelemetryRingSize|FailoverTimeout:' -- '*.go' || true;
+    git grep -nE '(^|[^"[:alnum:]_])SeqHeartbeat([^"[:alnum:]_]|$)' -- '*.go' || true) )
+if [[ -n "${knobs}" ]]; then
+    echo "deleted admission/timing knobs are back:" >&2
+    echo "${knobs}" >&2
+    exit 1
+fi
+window_run='TestDriverWindowBoundsInFlight'
+listed=$(go test -list "${window_run}" ./internal/harness | grep -c '^Test' || true)
+if [[ "${listed}" -ne 1 ]]; then
+    echo "admission gate matched ${listed} of 1 harness tests: it was renamed or deleted" >&2
+    exit 1
+fi
+GOMAXPROCS=2 go test -race -count=10 -run "^${window_run}\$" ./internal/harness
+
 # Crash-recovery gate: reliable transport, node kill/restart, checkpoint+
 # tail recovery, and the lossy+crash chaos schedules. The general sweep
 # above already covers these when run full; this named step keeps the
@@ -90,11 +114,14 @@ go test -race -count=1 \
 # combined with the lossy + worker-crash schedule — must quiesce to node
 # digests byte-identical to a fault-free run for every policy, with every
 # transaction sequenced exactly once (see docs/RECOVERY.md, "Leader
-# failover"). Pinned by name so it survives -short.
-echo "==> leader-failover gate (-race)"
+# failover"). Pinned by name so it survives -short. The engine's failover
+# tests then loop on two cores, where a starved leader pulse looks most
+# like a dead leader: a fault-free run must never promote a standby.
+echo "==> leader-failover gate (-race; engine failover GOMAXPROCS=2, 20x)"
 go test -race -count=1 \
     -run 'TestEquivalenceLeaderKill|TestLeaderKillSchedule|TestLeaderFailover|TestLeaderCrashValidation|TestGroup|TestFrontend' \
     ./internal/chaos ./internal/engine ./internal/sequencer .
+GOMAXPROCS=2 go test -race -count=20 -run TestLeaderFailover ./internal/engine
 
 # Telemetry-equivalence gate: tracing fully on vs fully off must quiesce
 # to byte-identical node digests on every policy, including the lossy +
@@ -193,12 +220,12 @@ go test -count=1 -timeout 10m ${short_flag} \
 # commit everything and quiesce to digests byte-identical to the
 # fault-free in-process twin, with the child processes built -race
 # (HERMESD_BUILD_RACE=1) so data races in the recovery paths surface
-# here. The supervisor/backpressure unit suite rides along. Skips under
+# here. The supervisor suite rides along. Skips under
 # -short (spawns OS processes); the list guard fails loudly if a rename
 # ever empties the match set (see docs/CLUSTER.md, "Network faults & the
 # supervisor").
 echo "==> cluster netchaos gate (fault proxy + supervisor, -race children)"
-netchaos_run='TestClusterNetChaos|TestSupervisor|TestClusterBackpressureCounters|TestPlane|TestWANProfile'
+netchaos_run='TestClusterNetChaos|TestSupervisor|TestPlane|TestWANProfile'
 netchaos_pkgs=". ./internal/harness ./internal/netchaos"
 listed=$(go test -list "${netchaos_run}" ${netchaos_pkgs} | grep -c '^Test' || true)
 if [[ "${listed}" -eq 0 ]]; then
