@@ -10,7 +10,7 @@ import (
 
 // TestClusterNetChaos is the self-healing acceptance run: three real
 // hermesd processes with every inter-process data link routed through the
-// seeded netchaos proxy (asymmetric WAN latency between node groups, one
+// seeded chaos socket plane (asymmetric WAN latency between node groups, one
 // mid-stream reset of the leader link, a 2-second bidirectional partition
 // that heals on its own), plus a SIGKILL of worker 2 mid-run that only the
 // heartbeat supervisor — never the test — repairs. The run must commit
@@ -19,7 +19,7 @@ import (
 // are allowed to shift timing and nothing else.
 func TestClusterNetChaos(t *testing.T) {
 	if testing.Short() {
-		t.Skip("multi-process cluster netchaos skipped in -short mode")
+		t.Skip("multi-process cluster fault run skipped in -short mode")
 	}
 	if _, err := harness.HermesdBinary(); err != nil {
 		t.Fatalf("building hermesd: %v", err)
@@ -39,7 +39,7 @@ func TestClusterNetChaos(t *testing.T) {
 		Rows:      e2eRows,
 		Payload:   e2ePayload,
 		BatchSize: e2eBatch,
-		Net:       sched.Net,
+		Faults:    &sched,
 		Dir:       dir,
 	})
 	if err != nil {
@@ -62,35 +62,13 @@ func TestClusterNetChaos(t *testing.T) {
 		Theta:      e2eTheta,
 		Window:     e2eWindow,
 	}
-	if err := c.Run(spec); err != nil {
-		t.Fatalf("starting run: %v", err)
-	}
-	// Arm the fault timeline: the reset and the partition fire at their
-	// offsets from here, while the WAN latency rules are already live.
-	c.NetPlane().Start()
-
-	// SIGKILL worker 2 at its scheduled point in the committed stream. No
+	// Run arms the schedule: the reset and the partition fire at their
+	// offsets from here, while the WAN link shapes are already live, and
+	// worker 2 is SIGKILLed at its point in the committed stream. No
 	// RestartWorker follows: the supervisor must notice the dead control
 	// plane and bring the process back on its own.
-	for _, kill := range sched.Kills {
-		killAt := int64(float64(spec.Txns) * kill.AfterFrac)
-		deadline := time.Now().Add(120 * time.Second)
-		for {
-			st, err := c.Status()
-			if err != nil {
-				t.Fatalf("polling run status: %v", err)
-			}
-			if st.Completed >= killAt || st.Done {
-				break
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("run never reached the kill point: %+v", st)
-			}
-			time.Sleep(2 * time.Millisecond)
-		}
-		if err := c.KillWorker(kill.Worker); err != nil {
-			t.Fatalf("killing worker %d: %v", kill.Worker, err)
-		}
+	if err := c.Run(spec); err != nil {
+		t.Fatalf("starting run: %v", err)
 	}
 
 	res, err := c.WaitRun(240 * time.Second)
@@ -113,11 +91,11 @@ func TestClusterNetChaos(t *testing.T) {
 	if err != nil {
 		t.Fatalf("collecting stats: %v", err)
 	}
-	if inc := stats[sched.Kills[0].Worker].Incarnation; inc < 2 {
+	if inc := stats[sched.Kills[0].Node].Incarnation; inc < 2 {
 		t.Errorf("killed worker reports incarnation %d, want >= 2", inc)
 	}
 	ns := c.NetPlane().Stats()
-	if ns.TotalResets() == 0 {
+	if ns.Resets == 0 {
 		t.Error("fault plane reset no connections; the reset/partition events were a no-op")
 	}
 
@@ -150,6 +128,6 @@ func TestClusterNetChaos(t *testing.T) {
 			retransmits += st.Retransmits
 		}
 		t.Logf("%s: %d txns, %d supervisor restarts, %d stream resets, %d retransmits, digests match twin",
-			sched, res.Committed, super.Stats().TotalRestarts(), ns.TotalResets(), retransmits)
+			sched, res.Committed, super.Stats().TotalRestarts(), ns.Resets, retransmits)
 	}
 }

@@ -201,7 +201,7 @@ func engineConfig(opts Options) (Options, engine.Config, error) {
 	}
 	var lat network.LatencyModel
 	if opts.NetLatency > 0 {
-		lat = network.UniformLatency(opts.NetLatency, 0)
+		lat = network.UniformLatency(opts.NetLatency)
 	}
 	ids := make([]tx.NodeID, opts.Nodes+opts.StandbyNodes)
 	for i := range ids {

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"hermes/internal/clock"
 	"hermes/internal/network"
 	"hermes/internal/tx"
 )
@@ -16,15 +17,24 @@ func testNodes(n int) []tx.NodeID {
 	return out
 }
 
+// mustWrap wraps inner under a schedule the transport seam accepts.
+func mustWrap(t *testing.T, inner network.Transport, sched Schedule, clk clock.Clock) *Transport {
+	t.Helper()
+	tr, err := Wrap(inner, sched, clk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
+}
+
 // faultySchedule is a small-magnitude schedule exercising every fault
 // class, fast enough for unit tests.
 func faultySchedule(seed int64) Schedule {
 	return Schedule{
 		Name: "all-faults", Seed: seed,
-		Jitter:    50 * time.Microsecond,
+		Shape:     Shape{Jitter: 50 * time.Microsecond, BytesPerSec: 32 << 20},
 		SpikeProb: 0.1, SpikeDelay: 300 * time.Microsecond,
-		PartitionProb: 0.05, PartitionDur: 500 * time.Microsecond,
-		BytesPerSecond: 32 << 20,
+		OutageProb: 0.05, OutageDur: 500 * time.Microsecond,
 	}
 }
 
@@ -32,7 +42,7 @@ func faultySchedule(seed int64) Schedule {
 // does to timing, per-link order must survive.
 func TestFIFOPreservedUnderFaults(t *testing.T) {
 	inner := network.NewChanTransport(testNodes(2), nil)
-	tr := Wrap(inner, faultySchedule(42), nil)
+	tr := mustWrap(t, inner, faultySchedule(42), nil)
 	defer tr.Close()
 	const n = 300
 	for i := 0; i < n; i++ {
@@ -61,7 +71,7 @@ func TestFIFOPreservedUnderFaults(t *testing.T) {
 func TestScheduleReproducible(t *testing.T) {
 	run := func() time.Duration {
 		inner := network.NewChanTransport(testNodes(3), nil)
-		tr := Wrap(inner, faultySchedule(7), nil)
+		tr := mustWrap(t, inner, faultySchedule(7), nil)
 		defer tr.Close()
 		const n = 150
 		for i := 0; i < n; i++ {
@@ -89,11 +99,36 @@ func TestScheduleReproducible(t *testing.T) {
 	}
 }
 
+// TestWrapAppliesLinkShapes: the wrapper delays each link by its Shape —
+// the schedule-wide default, or the first matching Links override.
+func TestWrapAppliesLinkShapes(t *testing.T) {
+	inner := network.NewChanTransport(testNodes(3), nil)
+	tr := mustWrap(t, inner, Schedule{
+		Name: "shapes", Seed: 1,
+		Shape: Shape{Latency: time.Millisecond},
+		Links: []LinkShape{{From: 0, To: 1, Shape: Shape{Latency: 3 * time.Millisecond}}},
+	}, nil)
+	defer tr.Close()
+	for _, to := range []tx.NodeID{1, 2} {
+		if err := tr.Send(network.Message{From: 0, To: to}); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case <-tr.Recv(to):
+		case <-time.After(5 * time.Second):
+			t.Fatalf("message to %d never delivered", to)
+		}
+	}
+	if msgs, delay := tr.Faults(); msgs != 2 || delay != 4*time.Millisecond {
+		t.Fatalf("injected %d delays totalling %v, want 2 totalling 4ms (3ms override + 1ms default)", msgs, delay)
+	}
+}
+
 // TestBaselinePassThrough: a zero schedule must not perturb or count
 // anything, and local sends always bypass injection.
 func TestBaselinePassThrough(t *testing.T) {
 	inner := network.NewChanTransport(testNodes(2), nil)
-	tr := Wrap(inner, Schedule{Name: "baseline", Seed: 1}, nil)
+	tr := mustWrap(t, inner, Schedule{Name: "baseline", Seed: 1}, nil)
 	defer tr.Close()
 	if err := tr.Send(network.Message{From: 0, To: 1, Payload: []byte("x")}); err != nil {
 		t.Fatal(err)
@@ -117,8 +152,8 @@ func TestBaselinePassThrough(t *testing.T) {
 // send-after-close errors, and double close is a no-op.
 func TestCloseSafety(t *testing.T) {
 	inner := network.NewChanTransport(testNodes(2), nil)
-	sched := Schedule{Name: "slow", Seed: 3, PartitionProb: 1, PartitionDur: time.Hour}
-	tr := Wrap(inner, sched, nil)
+	sched := Schedule{Name: "slow", Seed: 3, OutageProb: 1, OutageDur: time.Hour}
+	tr := mustWrap(t, inner, sched, nil)
 	for i := 0; i < 10; i++ {
 		if err := tr.Send(network.Message{From: 0, To: 1, Seq: uint64(i)}); err != nil {
 			t.Fatal(err)

@@ -15,10 +15,10 @@
 // the durability gate, and must replay a strict prefix of what was
 // appended — frame for frame.
 //
-// SyncLieProb is deliberately absent from these schedules: a device that
-// acknowledges fsyncs it never performed legitimately breaks the
-// acked ⇒ recovered invariant (that is the point of the fault), so it is
-// covered by a targeted diskio unit test rather than an equivalence gate.
+// Check refuses Disk.SyncLieProb: a device that acknowledges fsyncs it
+// never performed legitimately breaks the acked ⇒ recovered invariant
+// (that is the point of the fault), so it is covered by a targeted diskio
+// unit test rather than an equivalence gate.
 package chaos
 
 import (
@@ -28,63 +28,11 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"hermes/internal/diskio"
 	"hermes/internal/network"
 	"hermes/internal/tx"
 )
-
-// DiskFaults parameterizes the per-node shadow journals. Probabilities are
-// per-operation on the node's seeded MemFS; the zero value injects nothing
-// (the shadows still run, exercising the clean journal path).
-type DiskFaults struct {
-	// Policy is the shadows' fsync policy ("" = batch, the group-commit
-	// path). Under "none" no durability is promised, so the offline crash
-	// check's acked-frame floor degenerates to zero.
-	Policy network.SyncPolicy
-	// Torn is the probability a write persists a prefix and errors —
-	// exercising Journal.Append's truncate-and-rewrite repair.
-	Torn float64
-	// Short is the probability a write persists a strict prefix and
-	// returns short with no error (repaired inside diskio.WriteFull).
-	Short float64
-	// SyncFail is the probability an fsync fails — the group commit must
-	// withhold the gated acks and retry.
-	SyncFail float64
-	// BitFlip is the per-byte probability that bytes surviving past the
-	// durable watermark of a simulated power cut are silently corrupted;
-	// the CRC layer must refuse them at recovery.
-	BitFlip float64
-}
-
-// policy returns the effective fsync policy for the shadows.
-func (d DiskFaults) policy() network.SyncPolicy {
-	if d.Policy == "" {
-		return network.SyncBatch
-	}
-	return d.Policy
-}
-
-// DiskFaultSchedules returns the storage-fault schedules of the
-// equivalence suite, all derived from seed: torn/short writes on the
-// append path, failed fsyncs under group commit, and crash bit-flips on
-// the recovery path — each combined with a mid-run node crash so the
-// shadow journals are verified at a live kill point, not just at
-// quiescence. All require the reliable layer (the shadows hang off it).
-func DiskFaultSchedules(seed int64) []Schedule {
-	return []Schedule{
-		{Name: "disk-torn-write", Seed: seed + 30, Jitter: 200 * time.Microsecond,
-			Disk:    &DiskFaults{Torn: 0.08, Short: 0.08, BitFlip: 0.1},
-			Crashes: []Crash{{Node: 1, AfterFrac: 0.4, Downtime: 20 * time.Millisecond}}},
-		{Name: "disk-bitflip", Seed: seed + 31, Jitter: 200 * time.Microsecond,
-			Disk:    &DiskFaults{BitFlip: 0.3},
-			Crashes: []Crash{{Node: 2, AfterFrac: 0.5, Downtime: 20 * time.Millisecond}}},
-		{Name: "disk-fsync-fail", Seed: seed + 32, Jitter: 200 * time.Microsecond,
-			Disk:    &DiskFaults{SyncFail: 0.25, Torn: 0.03, BitFlip: 0.1},
-			Crashes: []Crash{{Node: 1, AfterFrac: 0.6, Downtime: 20 * time.Millisecond}}},
-	}
-}
 
 // DiskStats aggregates what the shadow journals did and suffered during
 // one run (summed over all nodes; zero unless Schedule.Disk is set).
@@ -107,7 +55,6 @@ const shadowJournalFile = "journal.log"
 
 // shadowSet owns one shadow journal per node for a disk-fault run.
 type shadowSet struct {
-	sched   Schedule
 	shadows map[tx.NodeID]*shadowJournal
 }
 
@@ -116,12 +63,13 @@ type shadowSet struct {
 // against. Lock order: mu → Journal.mu → MemFS.mu (the ack-gate callback
 // touches only atomics, so the group-commit goroutine never takes mu).
 type shadowJournal struct {
-	node   tx.NodeID
-	dir    string
-	seed   int64 // schedule seed: crash-check seeds derive from it
-	faults DiskFaults
-	fs     *diskio.MemFS
-	jr     *network.Journal
+	node    tx.NodeID
+	dir     string
+	seed    int64 // schedule seed: crash-check seeds derive from it
+	policy  network.SyncPolicy
+	bitFlip float64 // Disk.CrashBitFlipProb, applied by the crash check
+	fs      *diskio.MemFS
+	jr      *network.Journal
 
 	mu     sync.Mutex
 	mirror []network.Message // every frame appended, in journal order
@@ -135,7 +83,7 @@ type shadowJournal struct {
 
 // newShadowSet builds the per-node shadow journals for sched.
 func newShadowSet(sched Schedule, ids []tx.NodeID) (*shadowSet, error) {
-	set := &shadowSet{sched: sched, shadows: make(map[tx.NodeID]*shadowJournal, len(ids))}
+	set := &shadowSet{shadows: make(map[tx.NodeID]*shadowJournal, len(ids))}
 	for _, n := range ids {
 		sh, err := newShadowJournal(sched, n)
 		if err != nil {
@@ -148,18 +96,18 @@ func newShadowSet(sched Schedule, ids []tx.NodeID) (*shadowSet, error) {
 }
 
 func newShadowJournal(sched Schedule, node tx.NodeID) (*shadowJournal, error) {
-	d := *sched.Disk
+	spec := *sched.Disk
+	spec.Seed = int64(mixSeed(sched.Seed, uint64(node), 0x5AD0))
 	sh := &shadowJournal{
-		node:   node,
-		dir:    fmt.Sprintf("/shadow/node%d", node),
-		seed:   sched.Seed,
-		faults: d,
-		fs: diskio.NewMemFS(diskio.FaultSpec{
-			Seed:           int64(mixSeed(sched.Seed, uint64(node), 0x5AD0)),
-			TornWriteProb:  d.Torn,
-			ShortWriteProb: d.Short,
-			SyncFailProb:   d.SyncFail,
-		}),
+		node:    node,
+		dir:     fmt.Sprintf("/shadow/node%d", node),
+		seed:    sched.Seed,
+		policy:  sched.Fsync,
+		bitFlip: spec.CrashBitFlipProb,
+		fs:      diskio.NewMemFS(spec),
+	}
+	if sh.policy == "" {
+		sh.policy = network.SyncBatch
 	}
 	// Opening consumes fault draws too (header write, baseline fsync), so
 	// an unlucky seed can fail the first attempts; each retry starts from
@@ -167,7 +115,7 @@ func newShadowJournal(sched Schedule, node tx.NodeID) (*shadowJournal, error) {
 	// beyond what any journal could open under — report, don't wedge.
 	var lastErr error
 	for attempt := 0; attempt < 32; attempt++ {
-		jr, err := network.OpenJournalWith(sh.dir, network.JournalOpts{FS: sh.fs, Policy: d.policy()})
+		jr, err := network.OpenJournalWith(sh.dir, network.JournalOpts{FS: sh.fs, Policy: sh.policy})
 		if err == nil {
 			sh.jr = jr
 			return sh, nil
@@ -232,7 +180,7 @@ func (sh *shadowJournal) verify(round int) error {
 	// durable watermark at snapshot time covers everything acked earlier,
 	// so the ordering can never manufacture a false violation.
 	acked := sh.acked.Load()
-	if sh.faults.policy() == network.SyncNone {
+	if sh.policy == network.SyncNone {
 		acked = 0 // nothing was ever promised durable
 	}
 	path := filepath.Join(sh.dir, shadowJournalFile)
@@ -252,7 +200,7 @@ func (sh *shadowJournal) verify(round int) error {
 		durable:   durable,
 		mirror:    mirror,
 		acked:     acked,
-		bitFlip:   sh.faults.BitFlip,
+		bitFlip:   sh.bitFlip,
 		crashSeed: int64(mixSeed(sh.seed, uint64(sh.node), uint64(0xC4A5+round))),
 	})
 }
@@ -394,13 +342,4 @@ func (s *shadowSet) Close() {
 			sh.jr.Close()
 		}
 	}
-}
-
-// mixSeed derives an independent deterministic seed from the schedule
-// seed and a per-use salt (splitmix64 finalizer, like linkRand).
-func mixSeed(seed int64, a, b uint64) uint64 {
-	z := uint64(seed) ^ a*0x9E3779B97F4A7C15 ^ b*0xC2B2AE3D27D4EB4F
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
 }

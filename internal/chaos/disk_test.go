@@ -44,20 +44,20 @@ func TestDiskFaultEquivalence(t *testing.T) {
 				if r.Disk.Frames == 0 {
 					t.Errorf("%v journaled no frames", r.Schedule)
 				}
-				wantChecks := int64(2*spec.Nodes + len(r.Schedule.Crashes))
+				wantChecks := int64(2*spec.Nodes + len(r.Schedule.Kills))
 				if r.Disk.CrashChecks < wantChecks {
 					t.Errorf("%v ran %d crash checks, want >= %d", r.Schedule, r.Disk.CrashChecks, wantChecks)
 				}
-				if d.Torn > 0.05 && r.Disk.TornWrites == 0 {
+				if d.TornWriteProb > 0.05 && r.Disk.TornWrites == 0 {
 					t.Errorf("%v injected no torn writes", r.Schedule)
 				}
-				if d.Torn > 0.05 && r.Disk.AppendRetries == 0 {
+				if d.TornWriteProb > 0.05 && r.Disk.AppendRetries == 0 {
 					t.Errorf("%v repaired no torn appends", r.Schedule)
 				}
-				if d.Short > 0 && r.Disk.ShortWrites == 0 {
+				if d.ShortWriteProb > 0 && r.Disk.ShortWrites == 0 {
 					t.Errorf("%v injected no short writes", r.Schedule)
 				}
-				if d.SyncFail > 0 && r.Disk.SyncFails == 0 {
+				if d.SyncFailProb > 0 && r.Disk.SyncFails == 0 {
 					t.Errorf("%v failed no fsyncs", r.Schedule)
 				}
 			}
@@ -195,7 +195,7 @@ func TestDiskScheduleRequiresReliable(t *testing.T) {
 			t.Errorf("%v does not require the reliable layer", sched)
 		}
 	}
-	if (Schedule{Disk: &DiskFaults{}}).RequiresReliable() != true {
+	if (Schedule{Disk: &diskio.FaultSpec{}}).RequiresReliable() != true {
 		t.Error("bare disk schedule does not require the reliable layer")
 	}
 }

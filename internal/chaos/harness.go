@@ -57,7 +57,7 @@ type Spec struct {
 	// Seed drives the workload generator.
 	Seed int64
 	// SeqStandbys is the number of standby sequencer replicas. Schedules
-	// with LeaderKills require at least one; the harness then runs the
+	// with leader kills require at least one; the harness then runs the
 	// group with tight failover timers so a kill resolves in tens of
 	// milliseconds. Standbys do not change the sealed batch stream, so a
 	// spec is byte-comparable across schedules regardless of this knob.
@@ -251,7 +251,8 @@ func factory(spec Spec, base partition.Partitioner) (engine.PolicyFactory, error
 	return pf, nil
 }
 
-// Run executes spec once under sched and returns the quiesced state.
+// Run executes spec once under sched and returns the quiesced state. It
+// refuses, before starting, any fault Check names.
 //
 // Determinism protocol: the trace is submitted in order through node 0's
 // front-end only, so all forwards share one FIFO link to the leader; the
@@ -261,6 +262,9 @@ func factory(spec Spec, base partition.Partitioner) (engine.PolicyFactory, error
 // pushes, write-backs, migration chunks — is fair game for the fault
 // schedule, which is precisely the paper's determinism claim.
 func Run(spec Spec, sched Schedule) (*Result, error) {
+	if err := Check(spec, sched); err != nil {
+		return nil, err
+	}
 	spec = spec.normalize()
 	tr, err := buildTrace(spec)
 	if err != nil {
@@ -279,9 +283,6 @@ func Run(spec Spec, sched Schedule) (*Result, error) {
 	if spec.Telemetry {
 		tel = telemetry.New(ids, 1<<12)
 	}
-	if len(sched.LeaderKills) > 0 && spec.SeqStandbys < 1 {
-		return nil, fmt.Errorf("chaos: %v has leader kills but spec %v has no sequencer standbys (set Spec.SeqStandbys)", sched, spec)
-	}
 	// No Interval: batches seal on size only.
 	seqCfg := sequencer.Config{BatchSize: spec.Batch, Standbys: spec.SeqStandbys}
 	var chaosT *Transport
@@ -292,7 +293,7 @@ func Run(spec Spec, sched Schedule) (*Result, error) {
 		StorageDelay: spec.storageDelay,
 		Seq:          seqCfg,
 		WrapTransport: func(inner network.Transport) network.Transport {
-			chaosT = Wrap(inner, sched, nil)
+			chaosT, _ = Wrap(inner, sched, nil) // Check refused what Wrap would
 			return chaosT
 		},
 		// Loss and crash schedules need the reliable layer above the
@@ -328,9 +329,9 @@ func Run(spec Spec, sched Schedule) (*Result, error) {
 		loadedBytes += int64(len(v))
 	}
 
-	// Crash and leader-kill schedules replay from the last checkpoint;
-	// take one at the loaded-but-idle cut so the whole trace is coverable.
-	if len(sched.Crashes) > 0 || len(sched.LeaderKills) > 0 {
+	// Kill schedules replay from the last checkpoint; take one at the
+	// loaded-but-idle cut so the whole trace is coverable.
+	if len(sched.Kills) > 0 {
 		if _, err := c.Checkpoint(30 * time.Second); err != nil {
 			return nil, fmt.Errorf("chaos: %v under %v: initial checkpoint: %w", spec, sched, err)
 		}
@@ -343,90 +344,22 @@ func Run(spec Spec, sched Schedule) (*Result, error) {
 
 	deadline := time.Now().Add(spec.Timeout)
 
-	// The fault executor kills and restarts victims — worker nodes and the
+	// The kill executor kills and restarts victims — worker nodes and the
 	// sequencer leader alike — at their scheduled points in the batch
 	// stream while the trace is being submitted and executed. It runs
 	// concurrently with submission: a trigger can sit in the middle of the
 	// stream, and the stalled cluster must keep accepting input past it.
-	// Events are merged and executed in stream order so a schedule that
-	// combines worker crashes with a leader kill is sequenced the same way
-	// in every run.
-	type faultEvent struct {
-		frac   float64
-		leader bool
-		node   int
-		down   time.Duration
-	}
-	events := make([]faultEvent, 0, len(sched.Crashes)+len(sched.LeaderKills))
-	for _, cr := range sched.Crashes {
-		events = append(events, faultEvent{frac: cr.AfterFrac, node: cr.Node, down: cr.Downtime})
-	}
-	for _, lk := range sched.LeaderKills {
-		events = append(events, faultEvent{frac: lk.AfterFrac, leader: true, down: lk.Downtime})
-	}
-	sort.SliceStable(events, func(i, j int) bool { return events[i].frac < events[j].frac })
-	crashErr := make(chan error, 1)
-	crashesDone := make(chan struct{})
+	// Kills execute in stream order so a schedule that combines worker
+	// crashes with a leader kill is sequenced the same way in every run.
+	kills := append([]Kill(nil), sched.Kills...)
+	sort.SliceStable(kills, func(i, j int) bool { return kills[i].AfterFrac < kills[j].AfterFrac })
+	killErr := make(chan error, 1)
 	go func() {
-		defer close(crashesDone)
-		totalBatches := uint64(len(procs) / spec.Batch)
-		for _, ev := range events {
-			// Leader kills key their trigger off node 0's scheduler (the
-			// leader has no scheduler of its own); worker crashes off the
-			// victim's.
-			watch := tx.NodeID(0)
-			what := "leader kill"
-			if !ev.leader {
-				watch = tx.NodeID(ev.node % spec.Nodes)
-				what = fmt.Sprintf("crash of node %d", watch)
-			}
-			trigger := uint64(float64(totalBatches) * ev.frac)
-			if trigger < 1 {
-				trigger = 1
-			}
-			if trigger > totalBatches {
-				trigger = totalBatches
-			}
-			for c.Node(watch).Scheduled() < trigger {
-				if time.Now().After(deadline) {
-					crashErr <- fmt.Errorf("chaos: %v under %v: node %d never reached trigger batch %d for %s",
-						spec, sched, watch, trigger, what)
-					return
-				}
-				time.Sleep(200 * time.Microsecond)
-			}
-			if ev.leader {
-				if err := c.CrashLeader(); err != nil {
-					crashErr <- fmt.Errorf("chaos: %v under %v: crash leader: %w", spec, sched, err)
-					return
-				}
-				time.Sleep(ev.down)
-				if err := c.RestartLeader(); err != nil {
-					crashErr <- fmt.Errorf("chaos: %v under %v: restart leader: %w", spec, sched, err)
-					return
-				}
-				continue
-			}
-			if err := c.CrashNode(watch); err != nil {
-				crashErr <- fmt.Errorf("chaos: %v under %v: crash node %d: %w", spec, sched, watch, err)
-				return
-			}
-			// With the victim down, its shadow journal is exactly what a
-			// real crash would leave on disk: verify recovery at the kill
-			// point, not just at quiescence.
-			if shadows != nil {
-				if err := shadows.verify(watch, 1); err != nil {
-					crashErr <- fmt.Errorf("chaos: %v under %v: %w", spec, sched, err)
-					return
-				}
-			}
-			time.Sleep(ev.down)
-			if err := c.RestartNode(watch); err != nil {
-				crashErr <- fmt.Errorf("chaos: %v under %v: restart node %d: %w", spec, sched, watch, err)
-				return
-			}
-		}
+		killErr <- executeKills(c, kills, spec.Nodes, uint64(len(procs)/spec.Batch), shadows, deadline)
 	}()
+	failed := func(err error) (*Result, error) {
+		return nil, fmt.Errorf("chaos: %v under %v: %w (reproduce with seed=%d)", spec, sched, err, sched.Seed)
+	}
 
 	dones := make([]<-chan struct{}, 0, len(procs))
 	for _, p := range procs {
@@ -439,34 +372,33 @@ func Run(spec Spec, sched Schedule) (*Result, error) {
 	for i, done := range dones {
 		select {
 		case <-done:
-		case err := <-crashErr:
-			return nil, err
+		case err := <-killErr:
+			if err != nil {
+				return failed(err)
+			}
+			killErr = nil // every kill ran; a nil channel never fires again
 		case <-time.After(time.Until(deadline)):
-			return nil, fmt.Errorf("chaos: %v under %v: txn %d/%d did not complete within %v (reproduce with seed=%d)",
-				spec, sched, i+1, len(dones), spec.Timeout, sched.Seed)
+			return failed(fmt.Errorf("txn %d/%d did not complete within %v", i+1, len(dones), spec.Timeout))
 		}
 	}
-	select {
-	case <-crashesDone:
-	case <-time.After(time.Until(deadline)):
-		return nil, fmt.Errorf("chaos: %v under %v: crash executor did not finish (reproduce with seed=%d)",
-			spec, sched, sched.Seed)
-	}
-	select {
-	case err := <-crashErr:
-		return nil, err
-	default:
+	if killErr != nil {
+		select {
+		case err := <-killErr:
+			if err != nil {
+				return failed(err)
+			}
+		case <-time.After(time.Until(deadline)):
+			return failed(fmt.Errorf("kill executor did not finish"))
+		}
 	}
 	if !c.Drain(time.Until(deadline)) {
-		return nil, fmt.Errorf("chaos: %v under %v: cluster did not quiesce within %v (reproduce with seed=%d)",
-			spec, sched, spec.Timeout, sched.Seed)
+		return failed(fmt.Errorf("cluster did not quiesce within %v", spec.Timeout))
 	}
 
 	// Every role that carried migrations finished or was handed back by
 	// its node's crash: a quiesced cluster has none in flight.
 	if g := c.Collector().MigrationsInFlight(); g != 0 {
-		return nil, fmt.Errorf("chaos: %v under %v: %d migrations still in flight after quiesce (reproduce with seed=%d)",
-			spec, sched, g, sched.Seed)
+		return failed(fmt.Errorf("%d migrations still in flight after quiesce", g))
 	}
 
 	res := &Result{
@@ -513,6 +445,53 @@ func Run(spec Spec, sched Schedule) (*Result, error) {
 		}
 	}
 	return res, nil
+}
+
+// executeKills kills and restarts each victim once the batch stream
+// reaches its trigger, failing if the trigger is not reached by deadline.
+func executeKills(c *engine.Cluster, kills []Kill, nodes int, batches uint64, shadows *shadowSet, deadline time.Time) error {
+	for _, k := range kills {
+		// Leader kills key their trigger off node 0's scheduler (the
+		// leader has no scheduler of its own); worker crashes off the
+		// victim's.
+		watch := tx.NodeID(0)
+		if !k.Leader {
+			watch = tx.NodeID(k.Node % nodes)
+		}
+		trigger := min(max(uint64(float64(batches)*k.AfterFrac), 1), batches)
+		for c.Node(watch).Scheduled() < trigger {
+			if time.Now().After(deadline) {
+				return fmt.Errorf("node %d never reached trigger batch %d for %+v", watch, trigger, k)
+			}
+			time.Sleep(200 * time.Microsecond)
+		}
+		if k.Leader {
+			if err := c.CrashLeader(); err != nil {
+				return fmt.Errorf("crash leader: %w", err)
+			}
+			time.Sleep(k.Downtime)
+			if err := c.RestartLeader(); err != nil {
+				return fmt.Errorf("restart leader: %w", err)
+			}
+			continue
+		}
+		if err := c.CrashNode(watch); err != nil {
+			return fmt.Errorf("crash node %d: %w", watch, err)
+		}
+		// With the victim down, its shadow journal is exactly what a real
+		// crash would leave on disk: verify recovery at the kill point, not
+		// just at quiescence.
+		if shadows != nil {
+			if err := shadows.verify(watch, 1); err != nil {
+				return err
+			}
+		}
+		time.Sleep(k.Downtime)
+		if err := c.RestartNode(watch); err != nil {
+			return fmt.Errorf("restart node %d: %w", watch, err)
+		}
+	}
+	return nil
 }
 
 // Equivalence runs spec once per schedule and checks that every run

@@ -241,10 +241,10 @@ func TestEquivalenceLossAndCrashAllPolicies(t *testing.T) {
 				if r.Dupped > 0 {
 					sawDup = true
 				}
-				if len(r.Schedule.Crashes) > 0 {
+				if kills := len(r.Schedule.Kills); kills > 0 {
 					sawCrash = true
-					if r.Crashes != int64(len(r.Schedule.Crashes)) {
-						t.Errorf("%v executed %d crashes, want %d", r.Schedule, r.Crashes, len(r.Schedule.Crashes))
+					if r.Crashes != int64(kills) {
+						t.Errorf("%v executed %d crashes, want %d", r.Schedule, r.Crashes, kills)
 					}
 				}
 			}
@@ -281,13 +281,19 @@ func TestEquivalenceLeaderKillAllPolicies(t *testing.T) {
 			// executed its worker crash over a lossy network.
 			var sawCombined bool
 			for _, r := range results[1:] {
-				if want := int64(len(r.Schedule.LeaderKills)); r.Failovers < want {
-					t.Errorf("%v recorded %d failovers, want at least %d", r.Schedule, r.Failovers, want)
+				var leaderKills int64
+				for _, k := range r.Schedule.Kills {
+					if k.Leader {
+						leaderKills++
+					}
 				}
-				if len(r.Schedule.Crashes) > 0 {
+				if r.Failovers < leaderKills {
+					t.Errorf("%v recorded %d failovers, want at least %d", r.Schedule, r.Failovers, leaderKills)
+				}
+				if int64(len(r.Schedule.Kills)) > leaderKills {
 					sawCombined = true
 					// The crash counter records leader kills too.
-					want := int64(len(r.Schedule.Crashes) + len(r.Schedule.LeaderKills))
+					want := int64(len(r.Schedule.Kills))
 					if r.Crashes != want {
 						t.Errorf("%v executed %d crash cycles, want %d", r.Schedule, r.Crashes, want)
 					}

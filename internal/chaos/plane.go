@@ -1,29 +1,28 @@
-// Package netchaos is the real-network counterpart of internal/chaos: a
-// layer of per-link TCP proxies the cluster orchestrator places between
-// hermesd processes to subject their *actual sockets* to the conditions a
-// production deployment sees. Each directed process pair (from -> to) gets
-// its own proxy listener; the orchestrator hands process `from` the proxy
-// address instead of `to`'s real one, so every byte of data-plane traffic
-// crosses the fault plane while the control plane stays direct.
+// The socket seam: a layer of per-link TCP proxies the cluster
+// orchestrator places between hermesd processes to subject their *actual
+// sockets* to the conditions a production deployment sees. Each directed
+// process pair (from -> to) gets its own proxy listener; the orchestrator
+// hands process `from` the proxy address instead of `to`'s real one, so
+// every byte of data-plane traffic crosses the fault plane while the
+// control plane stays direct.
 //
-// Faults come in two kinds. *Shaping rules* apply continuously to a link:
-// added one-way latency, seeded jitter, and a bandwidth cap — composable
-// into asymmetric WAN profiles (two "regions" with fast intra-region and
-// slow cross-region links, see WANProfile). *Events* fire once at an offset
-// from Start: full bidirectional partitions with a timed heal, mid-stream
-// connection resets (RST, not FIN), and half-open stalls where the link
-// stays connected but stops moving bytes. Jitter draws come from a per-link
-// PRNG seeded from (Schedule.Seed, from, to), so a logged seed reproduces
-// the same draw sequence per link; event times are wall-clock offsets and
-// therefore only as deterministic as the scheduler — the engine's whole
-// claim is that this must not matter, and the digest-vs-twin gate is what
-// checks it.
+// The plane applies a Schedule's link shapes continuously (latency, seeded
+// jitter, bandwidth cap — composable into asymmetric WAN profiles, see
+// WANProfile) and fires its Events once at their offsets from Start:
+// partitions with a timed heal, mid-stream resets (RST, not FIN), and
+// half-open stalls. Jitter draws come from a per-link PRNG (linkRand), so
+// a logged seed reproduces the same draw sequence per link; event times
+// are wall-clock offsets and therefore only as deterministic as the
+// scheduler — the engine's whole claim is that this must not matter, and
+// the digest-vs-twin gate is what checks it.
 //
-// The package deliberately knows nothing about the transport riding it: it
+// The plane deliberately knows nothing about the transport riding it: it
 // proxies opaque byte streams, which is exactly what makes the injected
 // resets and stalls honest (the handshake, frame codec, and reliable layer
-// above all see real kernel-level failures, not simulated ones).
-package netchaos
+// above all see real kernel-level failures, not simulated ones) — and why
+// it refuses message faults.
+
+package chaos
 
 import (
 	"fmt"
@@ -35,153 +34,13 @@ import (
 	"time"
 )
 
-// Shape is the steady-state conditioning of one direction of a link.
-type Shape struct {
-	// Latency is added one-way delay per chunk.
-	Latency time.Duration
-	// Jitter adds a uniform extra delay in [0, Jitter) drawn from the
-	// link's seeded PRNG.
-	Jitter time.Duration
-	// BytesPerSec caps throughput (0 = unlimited): a chunk of n bytes
-	// occupies the link for n/BytesPerSec before its latency even starts,
-	// exactly like a serialization delay on a narrow pipe.
-	BytesPerSec int64
-}
-
-func (s Shape) zero() bool {
-	return s.Latency == 0 && s.Jitter == 0 && s.BytesPerSec == 0
-}
-
-// LinkRule shapes one directed link. Forward conditions bytes flowing
-// from -> to (the dialer's requests), Reverse the returning bytes on the
-// same connections. Rules are matched first-wins after alias resolution.
-type LinkRule struct {
-	From, To int
-	Forward  Shape
-	Reverse  Shape
-}
-
-// Partition cuts every link whose (aliased) endpoints fall on opposite
-// sides of the A/B split, in both directions, for the given duration. New
-// connections are accepted and immediately reset (the dialer sees a
-// connect-then-RST, like a host dropping off the network behind a live
-// switch); existing connections are reset at partition onset.
-type Partition struct {
-	A, B []int
-	For  time.Duration
-}
-
-// Reset kills every live connection on the directed link (from -> to) with
-// an RST — SO_LINGER zero, so the peer sees ECONNRESET mid-stream, not a
-// clean FIN.
-type Reset struct {
-	From, To int
-}
-
-// Stall half-opens the directed link: connections stay established but the
-// proxy stops forwarding bytes for the duration. The sender's kernel
-// buffers absorb what they can; a transport with a write deadline turns
-// the stall into a bounded error, one without hangs — which is the point.
-type Stall struct {
-	From, To int
-	For      time.Duration
-}
-
-// Event is one timed fault, fired At after Start. Exactly one of the
-// pointers is set.
-type Event struct {
-	At        time.Duration
-	Partition *Partition
-	Reset     *Reset
-	Stall     *Stall
-}
-
-// Schedule is a seeded description of everything the fault plane will do.
-type Schedule struct {
-	// Name labels the schedule in reports and failure messages.
-	Name string
-	// Seed feeds every per-link jitter PRNG.
-	Seed int64
-	// Rules shape links continuously (first match wins).
-	Rules []LinkRule
-	// Events are timed one-shot faults relative to Start.
-	Events []Event
-	// Alias maps a routing target onto another id before rule and
-	// partition matching. The harness aliases the sequencer-leader
-	// transport id onto worker 0 (its co-host), so WAN rules and
-	// partitions written in terms of workers automatically cover the
-	// leader links of the process that hosts it.
-	Alias map[int]int
-}
-
-// String summarizes the schedule for failure reports.
-func (s *Schedule) String() string {
-	return fmt.Sprintf("%s(seed=%d, %d rules, %d events)", s.Name, s.Seed, len(s.Rules), len(s.Events))
-}
-
-// WANProfile builds the rule set for an asymmetric wide-area topology:
-// regions lists worker ids per region; links inside a region get intra
-// latency, links crossing regions get cross latency, both with the given
-// jitter. The canonical geo-distributed profile from ROADMAP — e.g. two
-// regions at 40ms cross / 5ms intra — is
-// WANProfile([][]int{{0,1},{2}}, 5*time.Millisecond, 40*time.Millisecond, time.Millisecond).
-func WANProfile(regions [][]int, intra, cross, jitter time.Duration) []LinkRule {
-	regionOf := map[int]int{}
-	var all []int
-	for r, members := range regions {
-		for _, id := range members {
-			regionOf[id] = r
-			all = append(all, id)
-		}
-	}
-	var rules []LinkRule
-	for _, a := range all {
-		for _, b := range all {
-			if a == b {
-				continue
-			}
-			lat := intra
-			if regionOf[a] != regionOf[b] {
-				lat = cross
-			}
-			sh := Shape{Latency: lat, Jitter: jitter}
-			rules = append(rules, LinkRule{From: a, To: b, Forward: sh, Reverse: sh})
-		}
-	}
-	return rules
-}
-
-// LinkStats is one link's cumulative fault accounting.
-type LinkStats struct {
-	From, To       int
-	Conns          int64 // connections accepted and proxied
-	Resets         int64 // live connections killed with RST
-	PartitionDrops int64 // dials rejected while partitioned
-	BytesForward   int64
-	BytesReverse   int64
-}
-
-// PlaneStats aggregates every link.
+// PlaneStats is the plane's cumulative fault accounting over all links.
 type PlaneStats struct {
-	Links []LinkStats
-}
-
-// TotalResets sums injected resets (partition onsets included).
-func (ps PlaneStats) TotalResets() int64 {
-	var n int64
-	for _, l := range ps.Links {
-		n += l.Resets
-	}
-	return n
-}
-
-// TotalPartitionDrops sums dials rejected while a partition held.
-func (ps PlaneStats) TotalPartitionDrops() int64 {
-	var n int64
-	for _, l := range ps.Links {
-		n += l.PartitionDrops
-	}
-	return n
+	Conns          int64 // connections accepted and proxied
+	Resets         int64 // live connections killed with RST (partition onsets included)
+	PartitionDrops int64 // dials rejected while partitioned
+	BytesForward   int64 // bytes from dialer to upstream
+	BytesReverse   int64 // bytes back to the dialer
 }
 
 // linkID identifies one directed proxied link.
@@ -189,7 +48,8 @@ type linkID struct{ from, to int }
 
 // Plane owns every per-link proxy of one cluster.
 type Plane struct {
-	sched *Schedule
+	sched Schedule
+	hosts map[int]int
 
 	mu      sync.Mutex
 	links   map[linkID]*link
@@ -198,38 +58,35 @@ type Plane struct {
 
 	quit chan struct{}
 	wg   sync.WaitGroup
+
+	conns, resets, partDrops, bytesFwd, bytesRev atomic.Int64
 }
 
-// NewPlane builds an idle fault plane for the schedule. Route the links,
-// boot the processes, then Start to arm the event timeline.
-func NewPlane(sched *Schedule) *Plane {
-	if sched == nil {
-		sched = &Schedule{}
+// NewPlane builds an idle fault plane for the schedule, refusing its
+// message faults. Kills and Disk are the orchestrator's to apply; the
+// plane leaves them be. hosts maps a routed id onto the process that hosts
+// it, for link-shape and partition matching: the orchestrator maps the
+// sequencer leader onto worker 0, so shapes and partitions written in
+// terms of workers cover the leader links of the process that hosts it.
+// Route the links, boot the processes, then Start to arm the events.
+func NewPlane(sched Schedule, hosts map[int]int) (*Plane, error) {
+	if err := sched.messageErr(); err != nil {
+		return nil, err
 	}
 	return &Plane{
 		sched: sched,
+		hosts: hosts,
 		links: make(map[linkID]*link),
 		quit:  make(chan struct{}),
-	}
+	}, nil
 }
 
-// resolve applies the schedule's alias map for rule/partition matching.
-func (p *Plane) resolve(id int) int {
-	if a, ok := p.sched.Alias[id]; ok {
-		return a
+// host maps a routed id onto its hosting process.
+func (p *Plane) host(id int) int {
+	if h, ok := p.hosts[id]; ok {
+		return h
 	}
 	return id
-}
-
-// shapesFor finds the first matching rule for the (aliased) link.
-func (p *Plane) shapesFor(from, to int) (fwd, rev Shape) {
-	rf, rt := p.resolve(from), p.resolve(to)
-	for _, r := range p.sched.Rules {
-		if r.From == rf && r.To == rt {
-			return r.Forward, r.Reverse
-		}
-	}
-	return Shape{}, Shape{}
 }
 
 // Route creates (or returns) the proxy for the directed link from -> to,
@@ -239,7 +96,7 @@ func (p *Plane) Route(from, to int, upstream string) (string, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed {
-		return "", fmt.Errorf("netchaos: plane is closed")
+		return "", fmt.Errorf("chaos: plane is closed")
 	}
 	id := linkID{from, to}
 	if l, ok := p.links[id]; ok {
@@ -247,17 +104,15 @@ func (p *Plane) Route(from, to int, upstream string) (string, error) {
 	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		return "", fmt.Errorf("netchaos: link %d->%d: %w", from, to, err)
+		return "", fmt.Errorf("chaos: link %d->%d: %w", from, to, err)
 	}
-	fwd, rev := p.shapesFor(from, to)
 	l := &link{
 		p:        p,
 		id:       id,
 		ln:       ln,
 		upstream: upstream,
-		fwd:      fwd,
-		rev:      rev,
-		rng:      rand.New(rand.NewSource(p.sched.Seed ^ int64(from)<<20 ^ int64(to))),
+		sh:       p.sched.shapeOf(p.host(from), p.host(to)),
+		rng:      linkRand(p.sched.Seed, from, to),
 		conns:    make(map[*connPair]struct{}),
 	}
 	p.links[id] = l
@@ -311,8 +166,8 @@ func (p *Plane) apply(ev Event) {
 	}
 }
 
-// PartitionBetween cuts every link crossing the A/B split (after alias
-// resolution), both directions, healing after d.
+// PartitionBetween cuts every link whose hosts straddle the A/B split,
+// both directions, healing after d.
 func (p *Plane) PartitionBetween(a, b []int, d time.Duration) {
 	inA, inB := map[int]bool{}, map[int]bool{}
 	for _, id := range a {
@@ -325,7 +180,7 @@ func (p *Plane) PartitionBetween(a, b []int, d time.Duration) {
 	p.mu.Lock()
 	var cut []*link
 	for id, l := range p.links {
-		f, t := p.resolve(id.from), p.resolve(id.to)
+		f, t := p.host(id.from), p.host(id.to)
 		if (inA[f] && inB[t]) || (inB[f] && inA[t]) {
 			cut = append(cut, l)
 		}
@@ -357,33 +212,15 @@ func (p *Plane) link(from, to int) *link {
 	return p.links[linkID{from, to}]
 }
 
-// Stats snapshots every link's counters, ordered by (from, to).
+// Stats snapshots the plane's counters.
 func (p *Plane) Stats() PlaneStats {
-	p.mu.Lock()
-	links := make([]*link, 0, len(p.links))
-	for _, l := range p.links {
-		links = append(links, l)
+	return PlaneStats{
+		Conns:          p.conns.Load(),
+		Resets:         p.resets.Load(),
+		PartitionDrops: p.partDrops.Load(),
+		BytesForward:   p.bytesFwd.Load(),
+		BytesReverse:   p.bytesRev.Load(),
 	}
-	p.mu.Unlock()
-	sort.Slice(links, func(i, j int) bool {
-		if links[i].id.from != links[j].id.from {
-			return links[i].id.from < links[j].id.from
-		}
-		return links[i].id.to < links[j].id.to
-	})
-	var ps PlaneStats
-	for _, l := range links {
-		ps.Links = append(ps.Links, LinkStats{
-			From:           l.id.from,
-			To:             l.id.to,
-			Conns:          l.conns64.Load(),
-			Resets:         l.resets.Load(),
-			PartitionDrops: l.partDrops.Load(),
-			BytesForward:   l.bytesFwd.Load(),
-			BytesReverse:   l.bytesRev.Load(),
-		})
-	}
-	return ps
 }
 
 // Close tears the plane down: listeners closed, live connections reset,
@@ -408,14 +245,14 @@ func (p *Plane) Close() {
 	p.wg.Wait()
 }
 
-// link is one directed proxy: a listener, the shaping config, and the live
+// link is one directed proxy: a listener, its shape, and the live
 // connection pairs.
 type link struct {
 	p        *Plane
 	id       linkID
 	ln       net.Listener
 	upstream string
-	fwd, rev Shape
+	sh       Shape
 
 	rngMu sync.Mutex
 	rng   *rand.Rand
@@ -424,12 +261,6 @@ type link struct {
 	conns     map[*connPair]struct{}
 	partUntil time.Time
 	stallTill time.Time
-
-	conns64   atomic.Int64
-	resets    atomic.Int64
-	partDrops atomic.Int64
-	bytesFwd  atomic.Int64
-	bytesRev  atomic.Int64
 }
 
 // connPair is one proxied connection: the accepted client half and the
@@ -493,7 +324,7 @@ func (l *link) killAll(count bool) {
 	l.mu.Unlock()
 	for _, cp := range pairs {
 		if count {
-			l.resets.Add(1)
+			l.p.resets.Add(1)
 		}
 		rstClose(cp.cli)
 		rstClose(cp.up)
@@ -516,7 +347,7 @@ func (l *link) acceptLoop() {
 			return // listener closed
 		}
 		if l.partitioned() {
-			l.partDrops.Add(1)
+			l.p.partDrops.Add(1)
 			rstClose(cli)
 			continue
 		}
@@ -538,10 +369,10 @@ func (l *link) acceptLoop() {
 			return
 		default:
 		}
-		l.conns64.Add(1)
+		l.p.conns.Add(1)
 		l.p.wg.Add(2)
-		go l.pump(cp, cli, up, l.fwd, &l.bytesFwd)
-		go l.pump(cp, up, cli, l.rev, &l.bytesRev)
+		go l.pump(cp, cli, up, &l.p.bytesFwd)
+		go l.pump(cp, up, cli, &l.p.bytesRev)
 	}
 }
 
@@ -556,7 +387,8 @@ type chunk struct {
 // then latency + seeded jitter) and a writer releases chunks when due —
 // pipelined, so added latency delays bytes without capping throughput,
 // exactly like netem's delay queue. The writer also honors stalls.
-func (l *link) pump(cp *connPair, src, dst net.Conn, sh Shape, bytes *atomic.Int64) {
+func (l *link) pump(cp *connPair, src, dst net.Conn, bytes *atomic.Int64) {
+	sh := l.sh
 	defer l.p.wg.Done()
 	ch := make(chan chunk, 64)
 	done := make(chan struct{})

@@ -1,4 +1,4 @@
-package netchaos
+package chaos
 
 import (
 	"bytes"
@@ -39,6 +39,16 @@ func echoServer(t *testing.T) (addr string, stop func()) {
 	}
 }
 
+// newPlane builds a plane for a schedule the socket seam accepts.
+func newPlane(t *testing.T, s Schedule, hosts map[int]int) *Plane {
+	t.Helper()
+	p, err := NewPlane(s, hosts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
 func roundTrip(t *testing.T, conn net.Conn, msg string) error {
 	t.Helper()
 	if _, err := conn.Write([]byte(msg)); err != nil {
@@ -59,7 +69,7 @@ func TestPlaneProxiesBytes(t *testing.T) {
 	defer leaktest.Check(t)()
 	addr, stop := echoServer(t)
 	defer stop()
-	p := NewPlane(&Schedule{Name: "plain", Seed: 1})
+	p := newPlane(t, Schedule{Name: "plain", Seed: 1}, nil)
 	defer p.Close()
 	proxied, err := p.Route(0, 1, addr)
 	if err != nil {
@@ -79,17 +89,17 @@ func TestPlaneProxiesBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := p.Stats()
-	if len(st.Links) != 1 || st.Links[0].Conns != 1 {
+	if st.Conns != 1 {
 		t.Fatalf("stats: %+v", st)
 	}
 	// A pump counts a chunk after writing it, so the echo can be back in
 	// our hands a moment before either counter moves.
-	moved := func() bool { return st.Links[0].BytesForward > 0 && st.Links[0].BytesReverse > 0 }
+	moved := func() bool { return st.BytesForward > 0 && st.BytesReverse > 0 }
 	for deadline := time.Now().Add(2 * time.Second); !moved() && time.Now().Before(deadline); st = p.Stats() {
 		time.Sleep(time.Millisecond)
 	}
 	if !moved() {
-		t.Fatalf("byte counters not moving: %+v", st.Links[0])
+		t.Fatalf("byte counters not moving: %+v", st)
 	}
 }
 
@@ -98,11 +108,11 @@ func TestPlaneAddsLatency(t *testing.T) {
 	addr, stop := echoServer(t)
 	defer stop()
 	const oneWay = 30 * time.Millisecond
-	p := NewPlane(&Schedule{
+	p := newPlane(t, Schedule{
 		Name:  "latency",
 		Seed:  2,
-		Rules: []LinkRule{{From: 0, To: 1, Forward: Shape{Latency: oneWay}, Reverse: Shape{Latency: oneWay}}},
-	})
+		Links: []LinkShape{{From: 0, To: 1, Shape: Shape{Latency: oneWay}}},
+	}, nil)
 	defer p.Close()
 	proxied, err := p.Route(0, 1, addr)
 	if err != nil {
@@ -126,7 +136,7 @@ func TestPlanePartitionAndHeal(t *testing.T) {
 	defer leaktest.Check(t)()
 	addr, stop := echoServer(t)
 	defer stop()
-	p := NewPlane(&Schedule{Name: "partition", Seed: 3})
+	p := newPlane(t, Schedule{Name: "partition", Seed: 3}, nil)
 	defer p.Close()
 	proxied, err := p.Route(0, 1, addr)
 	if err != nil {
@@ -159,7 +169,7 @@ func TestPlanePartitionAndHeal(t *testing.T) {
 		c2.Close()
 	}
 	st := p.Stats()
-	if st.TotalResets() == 0 {
+	if st.Resets == 0 {
 		t.Fatalf("partition onset did not count a reset: %+v", st)
 	}
 
@@ -173,7 +183,7 @@ func TestPlanePartitionAndHeal(t *testing.T) {
 	if err := roundTrip(t, healed, "after heal"); err != nil {
 		t.Fatalf("link did not heal: %v", err)
 	}
-	if p.Stats().TotalPartitionDrops() == 0 {
+	if p.Stats().PartitionDrops == 0 {
 		t.Fatalf("no partition drops counted: %+v", p.Stats())
 	}
 }
@@ -182,7 +192,7 @@ func TestPlaneMidStreamReset(t *testing.T) {
 	defer leaktest.Check(t)()
 	addr, stop := echoServer(t)
 	defer stop()
-	p := NewPlane(&Schedule{Name: "reset", Seed: 4})
+	p := newPlane(t, Schedule{Name: "reset", Seed: 4}, nil)
 	defer p.Close()
 	proxied, err := p.Route(0, 1, addr)
 	if err != nil {
@@ -209,7 +219,7 @@ func TestPlaneMidStreamReset(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	if got := p.Stats().TotalResets(); got == 0 {
+	if got := p.Stats().Resets; got == 0 {
 		t.Fatalf("reset not counted: %+v", p.Stats())
 	}
 	// The link itself is still routable.
@@ -227,7 +237,7 @@ func TestPlaneStallHalfOpen(t *testing.T) {
 	defer leaktest.Check(t)()
 	addr, stop := echoServer(t)
 	defer stop()
-	p := NewPlane(&Schedule{Name: "stall", Seed: 5})
+	p := newPlane(t, Schedule{Name: "stall", Seed: 5}, nil)
 	defer p.Close()
 	proxied, err := p.Route(0, 1, addr)
 	if err != nil {
@@ -258,7 +268,7 @@ func TestPlaneJitterSeeded(t *testing.T) {
 	// Two planes with the same seed must draw the same jitter sequence for
 	// the same link; a different seed must diverge.
 	draw := func(seed int64) []time.Duration {
-		p := NewPlane(&Schedule{Seed: seed})
+		p := newPlane(t, Schedule{Seed: seed}, nil)
 		defer p.Close()
 		if _, err := p.Route(1, 2, "127.0.0.1:1"); err != nil {
 			t.Fatal(err)
@@ -291,13 +301,13 @@ func TestPlaneEventTimeline(t *testing.T) {
 	defer leaktest.Check(t)()
 	addr, stop := echoServer(t)
 	defer stop()
-	p := NewPlane(&Schedule{
+	p := newPlane(t, Schedule{
 		Name: "timeline",
 		Seed: 6,
 		Events: []Event{
 			{At: 50 * time.Millisecond, Reset: &Reset{From: 0, To: 1}},
 		},
-	})
+	}, nil)
 	defer p.Close()
 	proxied, err := p.Route(0, 1, addr)
 	if err != nil {
@@ -314,7 +324,7 @@ func TestPlaneEventTimeline(t *testing.T) {
 	p.Start()
 	p.Start() // idempotent
 	deadline := time.Now().Add(3 * time.Second)
-	for p.Stats().TotalResets() == 0 {
+	for p.Stats().Resets == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("timeline event never fired")
 		}
@@ -326,13 +336,9 @@ func TestPlaneAliasRouting(t *testing.T) {
 	defer leaktest.Check(t)()
 	addr, stop := echoServer(t)
 	defer stop()
-	// Link 2 -> -64 (leader id) aliased onto 2 -> 0: partitioning {0} from
+	// Link 2 -> -64 (leader id) hosted on worker 0: partitioning {0} from
 	// {2} must cut it.
-	p := NewPlane(&Schedule{
-		Name:  "alias",
-		Seed:  7,
-		Alias: map[int]int{-64: 0},
-	})
+	p := newPlane(t, Schedule{Name: "alias", Seed: 7}, map[int]int{-64: 0})
 	defer p.Close()
 	proxied, err := p.Route(2, -64, addr)
 	if err != nil {
@@ -348,7 +354,7 @@ func TestPlaneAliasRouting(t *testing.T) {
 	}
 	p.PartitionBetween([]int{0, 1}, []int{2}, 200*time.Millisecond)
 	if err := roundTrip(t, conn, "cut"); err == nil {
-		t.Fatal("aliased leader link survived the partition")
+		t.Fatal("leader link hosted on worker 0 survived the partition")
 	}
 }
 
@@ -356,12 +362,13 @@ func TestPlaneBandwidthCap(t *testing.T) {
 	defer leaktest.Check(t)()
 	addr, stop := echoServer(t)
 	defer stop()
-	// 64 KiB at 256 KiB/s must take ~250ms to arrive.
-	p := NewPlane(&Schedule{
+	// 64 KiB at 256 KiB/s must take ~250ms to arrive (and as long again
+	// to echo back: the shape conditions both directions).
+	p := newPlane(t, Schedule{
 		Name:  "throttle",
 		Seed:  8,
-		Rules: []LinkRule{{From: 0, To: 1, Forward: Shape{BytesPerSec: 256 << 10}}},
-	})
+		Links: []LinkShape{{From: 0, To: 1, Shape: Shape{BytesPerSec: 256 << 10}}},
+	}, nil)
 	defer p.Close()
 	proxied, err := p.Route(0, 1, addr)
 	if err != nil {
@@ -388,18 +395,18 @@ func TestPlaneBandwidthCap(t *testing.T) {
 }
 
 func TestWANProfileRules(t *testing.T) {
-	rules := WANProfile([][]int{{0, 1}, {2}}, 5*time.Millisecond, 40*time.Millisecond, time.Millisecond)
+	links := WANProfile([][]int{{0, 1}, {2}}, 5*time.Millisecond, 40*time.Millisecond, time.Millisecond)
 	// 3 workers -> 6 directed links.
-	if len(rules) != 6 {
-		t.Fatalf("got %d rules, want 6", len(rules))
+	if len(links) != 6 {
+		t.Fatalf("got %d links, want 6", len(links))
 	}
 	lat := func(from, to int) time.Duration {
-		for _, r := range rules {
-			if r.From == from && r.To == to {
-				return r.Forward.Latency
+		for _, l := range links {
+			if l.From == from && l.To == to {
+				return l.Shape.Latency
 			}
 		}
-		t.Fatalf("no rule %d->%d", from, to)
+		t.Fatalf("no link %d->%d", from, to)
 		return 0
 	}
 	if lat(0, 1) != 5*time.Millisecond {
@@ -414,11 +421,11 @@ func TestPlaneCloseWhileTrafficFlows(t *testing.T) {
 	defer leaktest.Check(t)()
 	addr, stop := echoServer(t)
 	defer stop()
-	p := NewPlane(&Schedule{
+	p := newPlane(t, Schedule{
 		Name:  "close-under-load",
 		Seed:  9,
-		Rules: []LinkRule{{From: 0, To: 1, Forward: Shape{Latency: 20 * time.Millisecond}}},
-	})
+		Shape: Shape{Latency: 20 * time.Millisecond},
+	}, nil)
 	proxied, err := p.Route(0, 1, addr)
 	if err != nil {
 		t.Fatal(err)
@@ -439,9 +446,9 @@ func TestPlaneCloseWhileTrafficFlows(t *testing.T) {
 }
 
 func TestScheduleString(t *testing.T) {
-	s := &Schedule{Name: "wan", Seed: 11, Rules: make([]LinkRule, 2), Events: make([]Event, 3)}
+	s := Schedule{Name: "wan", Seed: 11, Links: make([]LinkShape, 2), Events: make([]Event, 3)}
 	got := s.String()
-	for _, want := range []string{"wan", "seed=11", "2 rules", "3 events"} {
+	for _, want := range []string{"wan", "seed=11"} {
 		if !strings.Contains(got, want) {
 			t.Fatalf("String() = %q missing %q", got, want)
 		}
@@ -450,7 +457,7 @@ func TestScheduleString(t *testing.T) {
 
 func TestRouteBadUpstreamResetsDialer(t *testing.T) {
 	defer leaktest.Check(t)()
-	p := NewPlane(&Schedule{Name: "bad-upstream", Seed: 12})
+	p := newPlane(t, Schedule{Name: "bad-upstream", Seed: 12}, nil)
 	defer p.Close()
 	// Upstream nobody listens on: proxy accepts then resets.
 	proxied, err := p.Route(0, 1, "127.0.0.1:1")

@@ -37,7 +37,7 @@ func TestTelemetryEquivalenceLossyCrash(t *testing.T) {
 	}
 	var lossyCrash *Schedule
 	for _, s := range LossySchedules(41) {
-		if len(s.Crashes) > 0 {
+		if len(s.Kills) > 0 {
 			s := s
 			lossyCrash = &s
 			break

@@ -99,10 +99,6 @@ func WriteSyncedMark(fsys FS, path string, off int64) error {
 	return fsys.Rename(tmp, mark)
 }
 
-// RemoveSyncedMark deletes path's watermark sidecar (fsync disabled: no
-// stable prefix is being promised).
-func RemoveSyncedMark(fsys FS, path string) { _ = fsys.Remove(path + SyncedMarkSuffix) }
-
 // ReadSyncedMark returns path's recorded stable watermark, or ok=false if
 // no sidecar exists or it does not parse.
 func ReadSyncedMark(fsys FS, path string) (off int64, ok bool) {

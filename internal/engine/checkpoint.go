@@ -103,14 +103,6 @@ func (c *Cluster) Checkpoint(timeout time.Duration) (*Checkpoint, error) {
 	return cp, nil
 }
 
-// LastCheckpoint returns the most recent checkpoint taken on this cluster
-// (nil if none); RestartNode replays from it.
-func (c *Cluster) LastCheckpoint() *Checkpoint {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.lastCP
-}
-
 // Recover builds a cluster from a checkpoint: storage and placement state
 // are restored directly on every replica, the total order resumes after
 // the checkpointed prefix, and then any tail batches — input logged after

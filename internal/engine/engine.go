@@ -525,15 +525,6 @@ func (c *Cluster) SeqHeartbeatMisses() int64 {
 // when telemetry is off).
 func (c *Cluster) Telemetry() *telemetry.Telemetry { return c.cfg.Telemetry }
 
-// ReliableDepths reports the reliable layer's current queue occupancy
-// (zeros when Config.Reliable is off).
-func (c *Cluster) ReliableDepths() (unacked, backlog int64) {
-	if c.rel == nil {
-		return 0, 0
-	}
-	return c.rel.Depths()
-}
-
 // NetStats exposes transport byte/message accounting.
 func (c *Cluster) NetStats() *network.Stats { return c.netStats }
 

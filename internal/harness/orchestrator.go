@@ -10,13 +10,14 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"sort"
 	"strings"
 	"sync"
 	"time"
 
+	"hermes/internal/chaos"
 	"hermes/internal/diskio"
 	"hermes/internal/engine"
-	"hermes/internal/netchaos"
 	"hermes/internal/tx"
 )
 
@@ -45,12 +46,13 @@ type ClusterConfig struct {
 	TraceRing int
 	// TraceOff starts every process with lifecycle tracing disabled.
 	TraceOff bool
-	// Net, when set, routes every inter-process data-plane link through a
-	// netchaos proxy injecting the schedule's faults. The control plane
-	// stays direct so health probes and the driver survive partitions.
-	// The leader transport id is automatically aliased onto worker 0 (its
-	// co-host) for rule and partition matching.
-	Net *netchaos.Schedule
+	// Faults, when set, routes every inter-process data-plane link through
+	// the chaos socket plane, which applies the schedule's link shapes and
+	// events, and Run kills workers at the schedule's Kills for the
+	// supervisor to repair. The control plane stays direct so health
+	// probes and the driver survive partitions. StartCluster never writes
+	// to the schedule.
+	Faults *chaos.Schedule
 	// Dir is the scratch directory for journals, seed specs and process
 	// logs. Required.
 	Dir string
@@ -74,14 +76,15 @@ type Cluster struct {
 	cfg       ClusterConfig
 	bin       string
 	addrs     map[tx.NodeID]string
-	views     []map[tx.NodeID]string // per-process peer maps (proxied when net != nil)
+	views     []map[tx.NodeID]string // per-process peer maps (proxied under Faults)
 	dataLns   []*net.TCPListener
 	ctrlLns   []*net.TCPListener
 	leaderLn  *net.TCPListener
 	ctrlAddrs []string
 	logs      []*os.File
 	client    *http.Client
-	net       *netchaos.Plane
+	net       *chaos.Plane
+	kills     []chaos.Kill // the run's kills not yet fired, in stream order
 
 	// procMu guards procs: the supervisor reaps/respawns concurrently
 	// with tests calling KillWorker/RestartWorker/Close.
@@ -169,6 +172,13 @@ func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 	if cfg.FusionCap == 0 {
 		cfg.FusionCap = int(cfg.Rows / 40)
 	}
+	var plane *chaos.Plane
+	if cfg.Faults != nil {
+		var err error
+		if plane, err = newFaultPlane(*cfg.Faults); err != nil {
+			return nil, err
+		}
+	}
 	bin := cfg.BinPath
 	if bin == "" {
 		var err error
@@ -186,6 +196,7 @@ func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 		logs:      make([]*os.File, cfg.Workers),
 		procs:     make([]*proc, cfg.Workers),
 		client:    &http.Client{Timeout: 3 * time.Second},
+		net:       plane,
 	}
 	fail := func(err error) (*Cluster, error) {
 		c.Close()
@@ -210,14 +221,7 @@ func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 	c.leaderLn = ln
 	c.addrs[engine.LeaderNode] = ln.Addr().String()
 
-	if cfg.Net != nil {
-		// The leader transport is co-hosted in worker 0's process, so for
-		// rule matching and partition membership its id is worker 0.
-		if cfg.Net.Alias == nil {
-			cfg.Net.Alias = map[int]int{}
-		}
-		cfg.Net.Alias[int(engine.LeaderNode)] = 0
-		c.net = netchaos.NewPlane(cfg.Net)
+	if c.net != nil {
 		c.views = make([]map[tx.NodeID]string, cfg.Workers)
 		for i := 0; i < cfg.Workers; i++ {
 			view := make(map[tx.NodeID]string, len(c.addrs))
@@ -249,6 +253,30 @@ func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 		}
 	}
 	return c, nil
+}
+
+// newFaultPlane builds the socket plane for s, first refusing, by field,
+// what real processes cannot apply: leader kills and disk faults wait for
+// the sequencer group and its journals to run across processes, and the
+// supervisor, not the schedule, decides when a killed worker comes back.
+func newFaultPlane(s chaos.Schedule) (*chaos.Plane, error) {
+	for i, k := range s.Kills {
+		switch {
+		case k.Leader:
+			return nil, fmt.Errorf("harness: %v: Kills[%d].Leader: the standalone leader cannot fail over across processes yet", s, i)
+		case k.Downtime != 0:
+			return nil, fmt.Errorf("harness: %v: Kills[%d].Downtime: the supervisor restarts a killed worker", s, i)
+		}
+	}
+	switch {
+	case s.Disk != nil:
+		return nil, fmt.Errorf("harness: %v: Disk: hermesd journals to the real filesystem", s)
+	case s.Fsync != "":
+		return nil, fmt.Errorf("harness: %v: Fsync: set ClusterConfig.Fsync", s)
+	}
+	// The leader transport is co-hosted in worker 0's process, so for link
+	// shapes and partition membership it is worker 0.
+	return chaos.NewPlane(s, map[int]int{int(engine.LeaderNode): 0})
 }
 
 func listenLoopback() (*net.TCPListener, error) {
@@ -410,9 +438,33 @@ func (c *Cluster) Seed() error {
 }
 
 // Run starts the workload on the driver process (worker 0) and returns
-// immediately; poll Status or WaitRun for progress.
+// immediately; poll Status or WaitRun for progress. Under a fault schedule
+// it also arms the schedule's events, and WaitRun fires its kills.
 func (c *Cluster) Run(spec WorkloadSpec) error {
-	return c.post(0, "/run", spec, nil)
+	if err := c.post(0, "/run", spec, nil); err != nil {
+		return err
+	}
+	if c.net != nil {
+		c.net.Start()
+		c.kills = append([]chaos.Kill(nil), c.cfg.Faults.Kills...)
+		sort.SliceStable(c.kills, func(i, j int) bool { return c.kills[i].AfterFrac < c.kills[j].AfterFrac })
+	}
+	return nil
+}
+
+// fireKills SIGKILLs each scheduled victim whose point in the committed
+// stream the run has reached. Bringing it back is the supervisor's job.
+func (c *Cluster) fireKills(st RunStatus) error {
+	for ; len(c.kills) > 0; c.kills = c.kills[1:] {
+		k := c.kills[0]
+		if !st.Done && st.Completed < int64(float64(st.Total)*k.AfterFrac) {
+			return nil
+		}
+		if err := c.KillWorker(k.Node % c.cfg.Workers); err != nil {
+			return fmt.Errorf("harness: scheduled kill: %w", err)
+		}
+	}
+	return nil
 }
 
 // Status fetches the driver's live run progress.
@@ -423,12 +475,18 @@ func (c *Cluster) Status() (RunStatus, error) {
 }
 
 // WaitRun polls until the driver reports the run done, returning its
-// result. Transient status errors (e.g. while the driver host is briefly
+// result, and fires the fault schedule's kills as the run reaches them.
+// Transient status errors (e.g. while the driver host is briefly
 // overloaded) are retried until the deadline.
 func (c *Cluster) WaitRun(timeout time.Duration) (*RunResult, error) {
 	deadline := time.Now().Add(timeout)
 	for {
 		st, err := c.Status()
+		if err == nil {
+			if err := c.fireKills(st); err != nil {
+				return nil, err
+			}
+		}
 		if err == nil && st.Done {
 			if st.Err != "" {
 				return st.Result, fmt.Errorf("harness: run failed: %s", st.Err)
@@ -478,10 +536,9 @@ func (c *Cluster) RestartWorker(i int) error {
 	return c.waitHealthy(i, 10*time.Second)
 }
 
-// NetPlane returns the cluster's fault plane (nil without ClusterConfig.Net).
-// Callers arm the schedule with Start once the workload is running, and may
-// drive manual faults through it.
-func (c *Cluster) NetPlane() *netchaos.Plane { return c.net }
+// NetPlane returns the cluster's fault plane (nil without
+// ClusterConfig.Faults), for stats and manual faults; Run arms it.
+func (c *Cluster) NetPlane() *chaos.Plane { return c.net }
 
 // Quiesce drives the cluster to a provably settled state: the leader has
 // nothing pending, and in a single sweep every worker has scheduled the

@@ -1,11 +1,12 @@
 package harness
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
+	"hermes/internal/chaos"
 	"hermes/internal/leaktest"
-	"hermes/internal/netchaos"
 )
 
 // TestSupervisorRevivesKilledWorker SIGKILLs a worker mid-run and never
@@ -110,7 +111,8 @@ func TestSupervisorBreakerOpens(t *testing.T) {
 // plane is partitioned, the supervisor revives it through the outage (its
 // probes use the direct control plane), and after Close neither the proxy
 // plane, the supervisor, nor the orchestrator may leave a goroutine
-// behind.
+// behind. The schedule passed in must come back untouched: one reused
+// across clusters, or shared by parallel tests, must not change.
 func TestSupervisorKillUnderPartitionLeaksNothing(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process cluster tests skipped in -short mode")
@@ -120,15 +122,20 @@ func TestSupervisorKillUnderPartitionLeaksNothing(t *testing.T) {
 	}
 	defer leaktest.Check(t)()
 
+	sched := &chaos.Schedule{Name: "partition-only", Seed: 7}
+	before := *sched
 	c, err := StartCluster(ClusterConfig{
 		Workers: 3, Policy: "hermes", Rows: 4000, Payload: 64, BatchSize: 25,
-		Net: &netchaos.Schedule{Name: "partition-only", Seed: 7},
-		Dir: t.TempDir(),
+		Faults: sched,
+		Dir:    t.TempDir(),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	if !reflect.DeepEqual(*sched, before) {
+		t.Fatalf("StartCluster wrote into its schedule: %+v, was %+v", *sched, before)
+	}
 	if err := c.Seed(); err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +147,6 @@ func TestSupervisorKillUnderPartitionLeaksNothing(t *testing.T) {
 	if err := c.Run(spec); err != nil {
 		t.Fatal(err)
 	}
-	c.NetPlane().Start()
 	// Partition worker 2 away, then SIGKILL it mid-outage: the supervisor
 	// must detect and revive it while its data links are still dark.
 	c.NetPlane().PartitionBetween([]int{0, 1}, []int{2}, 1500*time.Millisecond)

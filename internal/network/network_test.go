@@ -68,7 +68,7 @@ func TestChanTransportFIFOPerLink(t *testing.T) {
 	// delivered until the clock moves past the stamped due times, and no
 	// real time is spent waiting.
 	clk := clock.NewManual(time.Unix(0, 0))
-	tr := NewChanTransportClock(nodes(2), UniformLatency(100*time.Microsecond, 0), clk)
+	tr := NewChanTransportClock(nodes(2), UniformLatency(100*time.Microsecond), clk)
 	defer tr.Close()
 	const n = 100
 	for i := 0; i < n; i++ {
@@ -99,7 +99,7 @@ func TestChanTransportLatencyGate(t *testing.T) {
 	// Delivery must wait out exactly the modelled latency: not before the
 	// due time, promptly after it.
 	clk := clock.NewManual(time.Unix(0, 0))
-	tr := NewChanTransportClock(nodes(2), UniformLatency(500*time.Microsecond, 0), clk)
+	tr := NewChanTransportClock(nodes(2), UniformLatency(500*time.Microsecond), clk)
 	defer tr.Close()
 	if err := tr.Send(Message{From: 0, To: 1, Payload: []byte("gated")}); err != nil {
 		t.Fatal(err)
@@ -150,7 +150,7 @@ func TestChanTransportLatencyGateSurvivesRacingAdvance(t *testing.T) {
 		Manual: clock.NewManual(time.Unix(0, 0)),
 		step:   499 * time.Microsecond, fired: make(chan struct{}),
 	}
-	tr := NewChanTransportClock(nodes(2), UniformLatency(500*time.Microsecond, 0), clk)
+	tr := NewChanTransportClock(nodes(2), UniformLatency(500*time.Microsecond), clk)
 	defer tr.Close()
 	defer clk.Advance(time.Hour) // a failing run must not leave Close waiting on the link
 	if err := tr.Send(Message{From: 0, To: 1, Payload: []byte("gated")}); err != nil {
@@ -175,7 +175,7 @@ func TestChanTransportLocalBypass(t *testing.T) {
 	// clock that never advances, an hour of modelled latency would block
 	// any message that touches the delay path.
 	clk := clock.NewManual(time.Unix(0, 0))
-	tr := NewChanTransportClock(nodes(1), UniformLatency(time.Hour, 0), clk)
+	tr := NewChanTransportClock(nodes(1), UniformLatency(time.Hour), clk)
 	defer tr.Close()
 	if err := tr.Send(Message{From: 0, To: 0}); err != nil {
 		t.Fatal(err)
@@ -235,7 +235,7 @@ func TestChanTransportSendAfterClose(t *testing.T) {
 }
 
 func TestChanTransportConcurrentSendClose(t *testing.T) {
-	tr := NewChanTransport(nodes(4), UniformLatency(10*time.Microsecond, 0))
+	tr := NewChanTransport(nodes(4), UniformLatency(10*time.Microsecond))
 	var wg sync.WaitGroup
 	// Drain inboxes so links never back up.
 	stop := make(chan struct{})
@@ -263,18 +263,6 @@ func TestChanTransportConcurrentSendClose(t *testing.T) {
 	tr.Close() // must not panic regardless of in-flight sends
 	wg.Wait()
 	close(stop)
-}
-
-func TestLatencyModelBandwidthTerm(t *testing.T) {
-	lm := UniformLatency(time.Millisecond, 1e6) // 1 MB/s
-	d := lm(0, 1, 1000)
-	if d != time.Millisecond+time.Millisecond {
-		t.Errorf("latency = %v, want 2ms", d)
-	}
-	lm0 := UniformLatency(time.Millisecond, 0)
-	if lm0(0, 1, 1<<30) != time.Millisecond {
-		t.Error("bandwidth term applied when disabled")
-	}
 }
 
 func TestTCPTransportRoundTrip(t *testing.T) {
@@ -438,7 +426,7 @@ func BenchmarkTCPTransportRoundTrip(b *testing.B) {
 }
 
 func ExampleUniformLatency() {
-	lm := UniformLatency(100*time.Microsecond, 1.25e9) // ~10 GbE
-	fmt.Println(lm(0, 1, 1250) > 100*time.Microsecond)
-	// Output: true
+	lm := UniformLatency(100 * time.Microsecond) // the paper's 10 GbE LAN
+	fmt.Println(lm(0, 1, 1250))
+	// Output: 100µs
 }

@@ -47,18 +47,10 @@ func (s *Stats) Totals() (messages, bytes int64) {
 // bytes from one node to another. A nil model means zero delay.
 type LatencyModel func(from, to tx.NodeID, bytes int) time.Duration
 
-// UniformLatency returns a model with a fixed propagation delay plus a
-// bandwidth term (bytesPerSecond ≤ 0 disables the bandwidth term). It
-// approximates the paper's 10 GbE LAN when configured with, e.g.,
-// 100 µs base and 1.25 GB/s.
-func UniformLatency(base time.Duration, bytesPerSecond float64) LatencyModel {
-	return func(_, _ tx.NodeID, bytes int) time.Duration {
-		d := base
-		if bytesPerSecond > 0 {
-			d += time.Duration(float64(bytes) / bytesPerSecond * float64(time.Second))
-		}
-		return d
-	}
+// UniformLatency returns a model with the same fixed propagation delay on
+// every link, whatever the message size.
+func UniformLatency(base time.Duration) LatencyModel {
+	return func(_, _ tx.NodeID, _ int) time.Duration { return base }
 }
 
 // link is a FIFO pipe between one (from,to) pair with delayed delivery.
