@@ -141,6 +141,7 @@ func runClusterCase(t *testing.T, policy, workload string) {
 	if inc := stats[e2eKillWorker].Incarnation; inc < 2 {
 		t.Errorf("restarted worker %d reports incarnation %d, want >= 2", e2eKillWorker, inc)
 	}
+	checkWireStats(t, stats)
 	if scrapes, err := c.Metrics(); err != nil {
 		t.Errorf("scraping /metrics: %v", err)
 	} else if got := harness.MetricSum(scrapes, "hermes_txn_committed_total"); got == 0 {
@@ -178,6 +179,38 @@ func runClusterCase(t *testing.T, policy, workload string) {
 	if !t.Failed() {
 		t.Logf("%s/%s: %d txns across %d processes (1 killed+restarted), %.0f txn/s, digests match twin",
 			policy, workload, res.Committed, e2eWorkers, res.QPS)
+	}
+}
+
+// checkWireStats sums the workers' /stats. The processes talked over real
+// sockets: the frames they wrote are counted next to the WireSize model,
+// and none was damaged. The link layer's amortisation is readable: every
+// frame was a socket write, and acks are cumulative per drain, so there is
+// at most one per message they acknowledge. Client requests never cross a
+// socket: the driver submits on worker 0, whose process hosts the leader.
+func checkWireStats(t *testing.T, stats []harness.ProcStats) {
+	t.Helper()
+	var sum harness.ProcStats
+	var forwards int64
+	for _, st := range stats {
+		sum.NetMsgs += st.NetMsgs
+		sum.NetBytes += st.NetBytes
+		sum.NetSocketBytes += st.NetSocketBytes
+		sum.NetSocketWrites += st.NetSocketWrites
+		sum.LinkAcks += st.LinkAcks
+		sum.WireFrameErrors += st.WireFrameErrors
+		forwards += st.MsgsByType["SeqForward"].Msgs
+	}
+	if sum.NetBytes == 0 || sum.NetSocketBytes == 0 || sum.WireFrameErrors != 0 {
+		t.Errorf("stats net_bytes=%d net_socket_bytes=%d wire_frame_errors=%d, want traffic on both counters and no frame errors",
+			sum.NetBytes, sum.NetSocketBytes, sum.WireFrameErrors)
+	}
+	if sum.NetSocketWrites == 0 || sum.LinkAcks == 0 || sum.LinkAcks > sum.NetMsgs-sum.LinkAcks {
+		t.Errorf("stats net_msgs=%d net_socket_writes=%d link_acks=%d, want writes counted and no more acks than sequenced messages",
+			sum.NetMsgs, sum.NetSocketWrites, sum.LinkAcks)
+	}
+	if forwards != 0 {
+		t.Errorf("%d SeqForward messages crossed a socket, want none", forwards)
 	}
 }
 

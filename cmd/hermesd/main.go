@@ -40,7 +40,9 @@ import (
 	"time"
 
 	"hermes"
+	"hermes/internal/harness"
 	"hermes/internal/telemetry"
+	"hermes/internal/tx"
 )
 
 func main() {
@@ -56,8 +58,7 @@ func main() {
 		// Cluster node mode (spawned by internal/harness; see runNode).
 		node      = flag.Int("node", -1, "cluster worker id; >= 0 switches to node mode")
 		workers   = flag.Int("workers", 0, "node mode: total worker count")
-		peers     = flag.String("peers", "", "node mode: id=addr,... transport address map incl. the leader")
-		seqHost   = flag.Bool("seq-host", false, "node mode: host the standalone sequencer leader (fd 5)")
+		peers     = flag.String("peers", "", "node mode: id=addr,... transport address map incl. the leader (worker 0's address)")
 		fusionCap = flag.Int("fusioncap", 0, "node mode: fusion table capacity")
 		alpha     = flag.Float64("alpha", 0, "node mode: load-imbalance tolerance")
 		batch     = flag.Int("batch", 0, "node mode: sequencer batch size")
@@ -75,12 +76,12 @@ func main() {
 		return
 	}
 	if *node >= 0 {
-		runNode(nodeFlags{
-			node: *node, workers: *workers, peers: *peers, policy: *policy,
-			rows: *rows, fusionCap: *fusionCap, alpha: *alpha, batch: *batch,
-			dir: *dir, seqHost: *seqHost, recover: *recov,
-			fsync: *fsync, traceRing: *traceRing, traceOff: *traceOff,
-		})
+		runNode(harness.NodeConfig{
+			Self: tx.NodeID(*node), Workers: *workers, Policy: *policy,
+			Rows: *rows, FusionCap: *fusionCap, Alpha: *alpha, BatchSize: *batch,
+			Dir: *dir, Recover: *recov,
+			Fsync: *fsync, TraceRing: *traceRing, TraceOff: *traceOff,
+		}, *peers)
 		return
 	}
 

@@ -13,69 +13,28 @@ import (
 	"hermes/internal/tx"
 )
 
-// nodeFlags carries the cluster-node-mode command line (see runNode).
-type nodeFlags struct {
-	node      int
-	workers   int
-	peers     string
-	policy    string
-	rows      uint64
-	fusionCap int
-	alpha     float64
-	batch     int
-	dir       string
-	seqHost   bool
-	recover   bool
-	fsync     string
-	traceRing int
-	traceOff  bool
-}
-
 // runNode is hermesd's cluster-process mode: spawned by the harness
-// orchestrator with its data listener on fd 3, its control listener on
-// fd 4, and — on the leader host — the sequencer leader's listener on
-// fd 5. It runs one engine worker (plus the optional standalone leader)
-// and serves the control plane until /shutdown or SIGTERM, either of
-// which drains in-flight work before exiting.
-func runNode(nf nodeFlags) {
-	addrs, err := parsePeers(nf.peers)
-	if err != nil {
+// orchestrator with its data listener on fd 3 and its control listener on
+// fd 4. It runs one engine worker — on worker 0 also the sequencer leader,
+// on the same transport — and serves the control plane until /shutdown or
+// SIGTERM, either of which drains in-flight work before exiting. cfg
+// comes from the command line; runNode adds the peer map and the
+// listeners.
+func runNode(cfg harness.NodeConfig, peers string) {
+	var err error
+	if cfg.Addrs, err = parsePeers(peers); err != nil {
 		fatalf("hermesd: %v", err)
 	}
-	dataLn, err := inheritListener(3, "data")
-	if err != nil {
+	if cfg.DataLn, err = inheritListener(3, "data"); err != nil {
 		fatalf("hermesd: %v", err)
 	}
-	ctrlLn, err := inheritListener(4, "control")
-	if err != nil {
+	if cfg.ControlLn, err = inheritListener(4, "control"); err != nil {
 		fatalf("hermesd: %v", err)
 	}
-	var leaderLn net.Listener
-	if nf.seqHost {
-		if leaderLn, err = inheritListener(5, "leader"); err != nil {
-			fatalf("hermesd: %v", err)
-		}
-	}
-	s, err := harness.NewNodeServer(harness.NodeConfig{
-		Self:      tx.NodeID(nf.node),
-		Workers:   nf.workers,
-		Addrs:     addrs,
-		DataLn:    dataLn,
-		ControlLn: ctrlLn,
-		LeaderLn:  leaderLn,
-		Policy:    nf.policy,
-		Rows:      nf.rows,
-		FusionCap: nf.fusionCap,
-		Alpha:     nf.alpha,
-		BatchSize: nf.batch,
-		Dir:       nf.dir,
-		Fsync:     nf.fsync,
-		Recover:   nf.recover,
-		TraceRing: nf.traceRing,
-		TraceOff:  nf.traceOff,
-	})
+	node := cfg.Self
+	s, err := harness.NewNodeServer(cfg)
 	if err != nil {
-		fatalf("hermesd: node %d: %v", nf.node, err)
+		fatalf("hermesd: node %d: %v", node, err)
 	}
 	// First SIGINT/SIGTERM drains and shuts down gracefully (Close is
 	// idempotent, so a racing /shutdown is harmless); a second signal while
@@ -84,21 +43,22 @@ func runNode(nf nodeFlags) {
 	signal.Notify(sigs, syscall.SIGTERM, syscall.SIGINT)
 	go func() {
 		sig := <-sigs
-		fmt.Fprintf(os.Stderr, "hermesd: node %d: %v — draining (signal again to force exit)\n", nf.node, sig)
+		fmt.Fprintf(os.Stderr, "hermesd: node %d: %v — draining (signal again to force exit)\n", node, sig)
 		go s.Close()
 		sig = <-sigs
-		fmt.Fprintf(os.Stderr, "hermesd: node %d: %v — forcing exit\n", nf.node, sig)
+		fmt.Fprintf(os.Stderr, "hermesd: node %d: %v — forcing exit\n", node, sig)
 		os.Exit(130)
 	}()
-	fmt.Printf("hermesd: node %d of %d up (policy=%s seq-host=%v recover=%v)\n",
-		nf.node, nf.workers, nf.policy, nf.seqHost, nf.recover)
+	fmt.Printf("hermesd: node %d of %d up (policy=%s leader=%v recover=%v)\n",
+		node, cfg.Workers, cfg.Policy, node == 0, cfg.Recover)
 	if err := s.Serve(); err != nil {
-		fatalf("hermesd: node %d: control plane: %v", nf.node, err)
+		fatalf("hermesd: node %d: control plane: %v", node, err)
 	}
 }
 
 // parsePeers parses "0=127.0.0.1:4001,1=...,-64=..." into the transport
-// address map (negative ids name the sequencer leader).
+// address map (negative ids name the sequencer leader, at worker 0's
+// address).
 func parsePeers(s string) (map[tx.NodeID]string, error) {
 	if s == "" {
 		return nil, fmt.Errorf("-peers is required in node mode")

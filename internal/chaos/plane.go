@@ -49,7 +49,6 @@ type linkID struct{ from, to int }
 // Plane owns every per-link proxy of one cluster.
 type Plane struct {
 	sched Schedule
-	hosts map[int]int
 
 	mu      sync.Mutex
 	links   map[linkID]*link
@@ -64,29 +63,18 @@ type Plane struct {
 
 // NewPlane builds an idle fault plane for the schedule, refusing its
 // message faults. Kills and Disk are the orchestrator's to apply; the
-// plane leaves them be. hosts maps a routed id onto the process that hosts
-// it, for link-shape and partition matching: the orchestrator maps the
-// sequencer leader onto worker 0, so shapes and partitions written in
-// terms of workers cover the leader links of the process that hosts it.
-// Route the links, boot the processes, then Start to arm the events.
-func NewPlane(sched Schedule, hosts map[int]int) (*Plane, error) {
+// plane leaves them be. Links are routed between processes: a co-hosted
+// id (the sequencer leader) is reached through its host's links. Route the
+// links, boot the processes, then Start to arm the events.
+func NewPlane(sched Schedule) (*Plane, error) {
 	if err := sched.messageErr(); err != nil {
 		return nil, err
 	}
 	return &Plane{
 		sched: sched,
-		hosts: hosts,
 		links: make(map[linkID]*link),
 		quit:  make(chan struct{}),
 	}, nil
-}
-
-// host maps a routed id onto its hosting process.
-func (p *Plane) host(id int) int {
-	if h, ok := p.hosts[id]; ok {
-		return h
-	}
-	return id
 }
 
 // Route creates (or returns) the proxy for the directed link from -> to,
@@ -111,7 +99,7 @@ func (p *Plane) Route(from, to int, upstream string) (string, error) {
 		id:       id,
 		ln:       ln,
 		upstream: upstream,
-		sh:       p.sched.shapeOf(p.host(from), p.host(to)),
+		sh:       p.sched.shapeOf(from, to),
 		rng:      linkRand(p.sched.Seed, from, to),
 		conns:    make(map[*connPair]struct{}),
 	}
@@ -166,7 +154,7 @@ func (p *Plane) apply(ev Event) {
 	}
 }
 
-// PartitionBetween cuts every link whose hosts straddle the A/B split,
+// PartitionBetween cuts every link whose ends straddle the A/B split,
 // both directions, healing after d.
 func (p *Plane) PartitionBetween(a, b []int, d time.Duration) {
 	inA, inB := map[int]bool{}, map[int]bool{}
@@ -180,8 +168,7 @@ func (p *Plane) PartitionBetween(a, b []int, d time.Duration) {
 	p.mu.Lock()
 	var cut []*link
 	for id, l := range p.links {
-		f, t := p.host(id.from), p.host(id.to)
-		if (inA[f] && inB[t]) || (inB[f] && inA[t]) {
+		if (inA[id.from] && inB[id.to]) || (inB[id.from] && inA[id.to]) {
 			cut = append(cut, l)
 		}
 	}

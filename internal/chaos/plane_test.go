@@ -40,9 +40,9 @@ func echoServer(t *testing.T) (addr string, stop func()) {
 }
 
 // newPlane builds a plane for a schedule the socket seam accepts.
-func newPlane(t *testing.T, s Schedule, hosts map[int]int) *Plane {
+func newPlane(t *testing.T, s Schedule) *Plane {
 	t.Helper()
-	p, err := NewPlane(s, hosts)
+	p, err := NewPlane(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestPlaneProxiesBytes(t *testing.T) {
 	defer leaktest.Check(t)()
 	addr, stop := echoServer(t)
 	defer stop()
-	p := newPlane(t, Schedule{Name: "plain", Seed: 1}, nil)
+	p := newPlane(t, Schedule{Name: "plain", Seed: 1})
 	defer p.Close()
 	proxied, err := p.Route(0, 1, addr)
 	if err != nil {
@@ -112,7 +112,7 @@ func TestPlaneAddsLatency(t *testing.T) {
 		Name:  "latency",
 		Seed:  2,
 		Links: []LinkShape{{From: 0, To: 1, Shape: Shape{Latency: oneWay}}},
-	}, nil)
+	})
 	defer p.Close()
 	proxied, err := p.Route(0, 1, addr)
 	if err != nil {
@@ -136,7 +136,7 @@ func TestPlanePartitionAndHeal(t *testing.T) {
 	defer leaktest.Check(t)()
 	addr, stop := echoServer(t)
 	defer stop()
-	p := newPlane(t, Schedule{Name: "partition", Seed: 3}, nil)
+	p := newPlane(t, Schedule{Name: "partition", Seed: 3})
 	defer p.Close()
 	proxied, err := p.Route(0, 1, addr)
 	if err != nil {
@@ -192,7 +192,7 @@ func TestPlaneMidStreamReset(t *testing.T) {
 	defer leaktest.Check(t)()
 	addr, stop := echoServer(t)
 	defer stop()
-	p := newPlane(t, Schedule{Name: "reset", Seed: 4}, nil)
+	p := newPlane(t, Schedule{Name: "reset", Seed: 4})
 	defer p.Close()
 	proxied, err := p.Route(0, 1, addr)
 	if err != nil {
@@ -237,7 +237,7 @@ func TestPlaneStallHalfOpen(t *testing.T) {
 	defer leaktest.Check(t)()
 	addr, stop := echoServer(t)
 	defer stop()
-	p := newPlane(t, Schedule{Name: "stall", Seed: 5}, nil)
+	p := newPlane(t, Schedule{Name: "stall", Seed: 5})
 	defer p.Close()
 	proxied, err := p.Route(0, 1, addr)
 	if err != nil {
@@ -268,7 +268,7 @@ func TestPlaneJitterSeeded(t *testing.T) {
 	// Two planes with the same seed must draw the same jitter sequence for
 	// the same link; a different seed must diverge.
 	draw := func(seed int64) []time.Duration {
-		p := newPlane(t, Schedule{Seed: seed}, nil)
+		p := newPlane(t, Schedule{Seed: seed})
 		defer p.Close()
 		if _, err := p.Route(1, 2, "127.0.0.1:1"); err != nil {
 			t.Fatal(err)
@@ -307,7 +307,7 @@ func TestPlaneEventTimeline(t *testing.T) {
 		Events: []Event{
 			{At: 50 * time.Millisecond, Reset: &Reset{From: 0, To: 1}},
 		},
-	}, nil)
+	})
 	defer p.Close()
 	proxied, err := p.Route(0, 1, addr)
 	if err != nil {
@@ -332,32 +332,6 @@ func TestPlaneEventTimeline(t *testing.T) {
 	}
 }
 
-func TestPlaneAliasRouting(t *testing.T) {
-	defer leaktest.Check(t)()
-	addr, stop := echoServer(t)
-	defer stop()
-	// Link 2 -> -64 (leader id) hosted on worker 0: partitioning {0} from
-	// {2} must cut it.
-	p := newPlane(t, Schedule{Name: "alias", Seed: 7}, map[int]int{-64: 0})
-	defer p.Close()
-	proxied, err := p.Route(2, -64, addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	conn, err := net.Dial("tcp", proxied)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if err := roundTrip(t, conn, "to leader"); err != nil {
-		t.Fatal(err)
-	}
-	p.PartitionBetween([]int{0, 1}, []int{2}, 200*time.Millisecond)
-	if err := roundTrip(t, conn, "cut"); err == nil {
-		t.Fatal("leader link hosted on worker 0 survived the partition")
-	}
-}
-
 func TestPlaneBandwidthCap(t *testing.T) {
 	defer leaktest.Check(t)()
 	addr, stop := echoServer(t)
@@ -368,7 +342,7 @@ func TestPlaneBandwidthCap(t *testing.T) {
 		Name:  "throttle",
 		Seed:  8,
 		Links: []LinkShape{{From: 0, To: 1, Shape: Shape{BytesPerSec: 256 << 10}}},
-	}, nil)
+	})
 	defer p.Close()
 	proxied, err := p.Route(0, 1, addr)
 	if err != nil {
@@ -425,7 +399,7 @@ func TestPlaneCloseWhileTrafficFlows(t *testing.T) {
 		Name:  "close-under-load",
 		Seed:  9,
 		Shape: Shape{Latency: 20 * time.Millisecond},
-	}, nil)
+	})
 	proxied, err := p.Route(0, 1, addr)
 	if err != nil {
 		t.Fatal(err)
@@ -457,7 +431,7 @@ func TestScheduleString(t *testing.T) {
 
 func TestRouteBadUpstreamResetsDialer(t *testing.T) {
 	defer leaktest.Check(t)()
-	p := newPlane(t, Schedule{Name: "bad-upstream", Seed: 12}, nil)
+	p := newPlane(t, Schedule{Name: "bad-upstream", Seed: 12})
 	defer p.Close()
 	// Upstream nobody listens on: proxy accepts then resets.
 	proxied, err := p.Route(0, 1, "127.0.0.1:1")

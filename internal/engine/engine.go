@@ -105,8 +105,11 @@ type Config struct {
 	Telemetry *telemetry.Telemetry
 }
 
-// LeaderNode is the transport address of the dedicated total-order leader
-// machine (the paper dedicates one machine to the Zab leader).
+// LeaderNode is the transport address of the total-order leader. The
+// emulation models the paper's dedicated Zab leader machine there, and
+// charges every hop to it as network traffic; a multi-process cluster
+// co-hosts the leader with worker 0, on worker 0's transport and reliable
+// layer, so its hops to worker 0 stay inside the process.
 const LeaderNode tx.NodeID = -64
 
 // Cluster is the engine's handle on the nodes one process hosts: all of
@@ -205,7 +208,6 @@ func build(cfg Config) (*Cluster, error) {
 	if cfg.Reliable {
 		rel = network.NewReliableWith(tr, network.ReliableOpts{
 			RecvFor:    all,
-			SendTo:     all,
 			JournalFor: cfg.JournalFor,
 			AckGateFor: cfg.AckGateFor,
 		})

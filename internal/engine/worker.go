@@ -9,24 +9,29 @@ import (
 )
 
 // WorkerConfig assembles one node of a multi-process cluster. Every worker
-// process runs exactly one engine node over a socket transport; the
-// total-order leader runs as a standalone sequencer replica at LeaderNode
-// in one of the processes (the cluster harness puts it next to worker 0).
+// process runs exactly one engine node over a socket transport. One process
+// (the cluster harness picks worker 0's) also hosts the total-order leader,
+// a sequencer replica at LeaderNode that shares the worker's transport and
+// reliable layer.
 type WorkerConfig struct {
 	// Self is this process's node id; Workers is the full active node set
 	// across all processes (every replica must agree on it).
 	Self    tx.NodeID
 	Workers []tx.NodeID
-	// Transport is the process's socket transport, already listening.
-	// NewWorker wraps it in the reliable layer; the worker owns both and
-	// closes them on Stop.
+	// Transport is the process's socket transport, already listening and
+	// hosting Self (and LeaderNode when HostsLeader is set). NewWorker
+	// wraps it in the reliable layer; the worker owns both and closes them
+	// on Stop.
 	Transport network.Transport
 	// NetStats is the transport's byte/message accounting.
 	NetStats *network.Stats
+	// HostsLeader makes the reliable layer receive for LeaderNode too: the
+	// caller runs the leader on Reliable().
+	HostsLeader bool
 	// Link configures the reliable layer over Transport: the delivery
 	// journal's hooks and the incarnation and recovered history of a
 	// restarted process (see network.ReliableOpts). NewWorker fills in
-	// RecvFor and SendTo.
+	// RecvFor.
 	Link network.ReliableOpts
 	// Policy builds the local routing replica; it must be the identical
 	// construction in every process (and in the in-process emulation that
@@ -58,11 +63,8 @@ func NewWorker(wc WorkerConfig) (*Cluster, error) {
 	}
 	link := wc.Link
 	link.RecvFor = []tx.NodeID{wc.Self}
-	link.SendTo = []tx.NodeID{LeaderNode}
-	for _, id := range wc.Workers {
-		if id != wc.Self {
-			link.SendTo = append(link.SendTo, id)
-		}
+	if wc.HostsLeader {
+		link.RecvFor = append(link.RecvFor, LeaderNode)
 	}
 	rel := network.NewReliableWith(wc.Transport, link)
 	return newCluster(cfg, rel, rel, wc.NetStats, nil), nil
@@ -72,8 +74,8 @@ func NewWorker(wc WorkerConfig) (*Cluster, error) {
 // reliable layer then begins replaying the journaled input.
 func (c *Cluster) StartWorker() { c.startAll() }
 
-// Reliable exposes the worker's reliable layer (the cluster harness's
-// control plane reads its backlog).
+// Reliable exposes the worker's reliable layer: the cluster harness's
+// control plane reads its backlog, and runs the co-hosted leader on it.
 func (c *Cluster) Reliable() *network.Reliable { return c.rel }
 
 // SeedLocal writes k into the local store iff the local routing replica

@@ -6,18 +6,20 @@ import (
 	"sync/atomic"
 	"time"
 
+	"hermes/internal/sequencer"
 	"hermes/internal/telemetry"
 	"hermes/internal/tx"
 )
 
 // leaderControl is the slice of the total-order leader the driver needs
 // for the deterministic end-of-run flush: how many transactions it has
-// sealed plus how many sit pending, and a way to force a seal. The cluster
-// driver wraps the standalone sequencer.Leader in its own process; the
-// in-process twin wraps the engine's sequencer group. Both must implement
-// it over the same counters or the tail batch composition diverges.
+// sealed plus how many sit pending (Stats().Txns and .Pending), and a way
+// to force a seal. The cluster driver runs on the sequencer.Leader in its
+// own process; the in-process twin wraps the engine's sequencer group.
+// Both must implement it over the same counters or the tail batch
+// composition diverges.
 type leaderControl interface {
-	SealedAndPending() (sealed int64, pending int)
+	Stats() sequencer.LeaderStats
 	Flush()
 }
 
@@ -154,9 +156,9 @@ func (d *driver) runInner(
 	start := time.Now()
 	// The leader's counters are cumulative across runs; arrival checks for
 	// this run are relative to where the sealed stream already stood.
-	sealedBase, pendingBase := lc.SealedAndPending()
-	if pendingBase != 0 {
-		return nil, fmt.Errorf("harness: leader holds %d pending from a previous run", pendingBase)
+	base := lc.Stats()
+	if base.Pending != 0 {
+		return nil, fmt.Errorf("harness: leader holds %d pending from a previous run", base.Pending)
 	}
 	sem := make(chan struct{}, window)
 	latencies := make([]int64, len(procs)) // nanoseconds, index = submission order
@@ -196,13 +198,11 @@ func (d *driver) runInner(
 	// — would be a race instead of a function of the input.
 	total := int64(len(procs))
 	for {
-		sealed, pending := lc.SealedAndPending()
-		if sealed-sealedBase+int64(pending) >= total {
+		st := lc.Stats()
+		if arrived := st.Txns - base.Txns + int64(st.Pending); arrived >= total {
 			break
-		}
-		if time.Now().After(deadline) {
-			return nil, fmt.Errorf("harness: leader saw %d of %d submissions within %v",
-				sealed-sealedBase+int64(pending), total, timeout)
+		} else if time.Now().After(deadline) {
+			return nil, fmt.Errorf("harness: leader saw %d of %d submissions within %v", arrived, total, timeout)
 		}
 		select {
 		case <-d.abort:
@@ -211,7 +211,7 @@ func (d *driver) runInner(
 		}
 	}
 	for {
-		if _, pending := lc.SealedAndPending(); pending == 0 {
+		if lc.Stats().Pending == 0 {
 			break
 		}
 		lc.Flush()

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"hermes/internal/sequencer"
 	"hermes/internal/tx"
 )
 
@@ -46,10 +47,10 @@ func (s *windowStub) release() {
 	s.released++
 }
 
-func (s *windowStub) SealedAndPending() (int64, int) {
+func (s *windowStub) Stats() sequencer.LeaderStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return int64(s.flushed), len(s.dones) - s.flushed
+	return sequencer.LeaderStats{Txns: int64(s.flushed), Pending: len(s.dones) - s.flushed}
 }
 
 func (s *windowStub) Flush() {

@@ -5,10 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"log"
+	"maps"
 	"net"
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -36,18 +38,18 @@ const (
 // NodeConfig assembles one hermesd cluster process.
 type NodeConfig struct {
 	// Self is this process's worker id; Workers the total worker count
-	// (ids 0..Workers-1).
+	// (ids 0..Workers-1). Worker 0's process also hosts the sequencer
+	// leader and the workload driver.
 	Self    tx.NodeID
 	Workers int
 	// Addrs maps every data-plane transport id — each worker plus
-	// engine.LeaderNode — to its address. The orchestrator bound all the
-	// listeners, so it knows every address before any process starts.
+	// engine.LeaderNode, which is worker 0's address — to its address. The
+	// orchestrator bound all the listeners, so it knows every address
+	// before any process starts.
 	Addrs map[tx.NodeID]string
-	// DataLn and ControlLn are this process's inherited listeners; LeaderLn
-	// is non-nil only on the process that hosts the sequencer leader.
+	// DataLn and ControlLn are this process's inherited listeners.
 	DataLn    net.Listener
 	ControlLn net.Listener
-	LeaderLn  net.Listener
 	// Policy, Rows, FusionCap, Alpha parameterize the routing replica;
 	// they must be identical in every process and in the twin.
 	Policy    string
@@ -90,8 +92,8 @@ type seedSpec struct {
 const seedFile = "seed.json"
 
 // NodeServer is the in-process runtime of one hermesd cluster process: a
-// single engine worker over TCP, the optional co-hosted sequencer leader,
-// and the control-plane HTTP server the orchestrator drives.
+// single engine worker over TCP, on worker 0 the co-hosted sequencer
+// leader, and the control-plane HTTP server the orchestrator drives.
 type NodeServer struct {
 	cfg     NodeConfig
 	workers []tx.NodeID
@@ -109,12 +111,10 @@ type NodeServer struct {
 	restoredID uint64
 	ckptMu     sync.Mutex
 
-	// Leader-host half (nil-fields on plain workers). The leader is a
-	// standalone sequencer replica on its own transport node; it is not
-	// restartable (see docs/CLUSTER.md), so it has no journal.
-	leader    *sequencer.Leader
-	leaderTr  *network.TCPTransport
-	leaderRel *network.Reliable
+	// leader is the sequencer leader on worker 0 (nil elsewhere). It rides
+	// the worker's transport and reliable layer at engine.LeaderNode; it is
+	// not restartable (see docs/CLUSTER.md), so its input is not journaled.
+	leader *sequencer.Leader
 
 	srv *http.Server
 
@@ -195,18 +195,36 @@ func NewNodeServer(cfg NodeConfig) (*NodeServer, error) {
 	if cfg.TraceOff {
 		tel.Tracer().SetEnabled(false)
 	}
-	tr := network.NewTCPTransportListener(cfg.Self, cfg.Addrs, cfg.DataLn)
+	hostsLeader := cfg.Self == 0
+	var hosted []tx.NodeID
+	if hostsLeader {
+		hosted = append(hosted, engine.LeaderNode)
+	}
+	tr := network.NewTCPTransportListener(cfg.Self, cfg.Addrs, cfg.DataLn, hosted...)
+	// The journal, its ack gate and its floors are the worker's alone: the
+	// co-hosted leader's input is neither journaled nor fsync-gated.
 	cluster, err := engine.NewWorker(engine.WorkerConfig{
-		Self:      cfg.Self,
-		Workers:   workers,
-		Transport: tr,
-		NetStats:  tr.Stats(),
+		Self:        cfg.Self,
+		Workers:     workers,
+		Transport:   tr,
+		NetStats:    tr.Stats(),
+		HostsLeader: hostsLeader,
 		Link: network.ReliableOpts{
 			Incarnation: jr.Incarnation(),
-			JournalFor:  func(tx.NodeID) func(network.Message) { return jr.Append },
-			AckGateFor:  func(tx.NodeID) func(func()) { return jr.AfterDurable },
-			Floors:      jr.Floors(),
-			Recovered:   recovered,
+			JournalFor: func(id tx.NodeID) func(network.Message) {
+				if id != cfg.Self {
+					return nil
+				}
+				return jr.Append
+			},
+			AckGateFor: func(id tx.NodeID) func(func()) {
+				if id != cfg.Self {
+					return nil
+				}
+				return jr.AfterDurable
+			},
+			Floors:    jr.Floors(),
+			Recovered: recovered,
 		},
 		Policy:    pf,
 		Telemetry: tel,
@@ -238,16 +256,11 @@ func NewNodeServer(cfg NodeConfig) (*NodeServer, error) {
 			cfg.Self, cpID, jr.Base(), len(recovered))
 	}
 	s.registerProcMetrics()
-	if cfg.LeaderLn != nil {
-		s.leaderTr = network.NewTCPTransportListener(engine.LeaderNode, cfg.Addrs, cfg.LeaderLn)
-		s.leaderRel = network.NewReliableWith(s.leaderTr, network.ReliableOpts{
-			RecvFor: []tx.NodeID{engine.LeaderNode},
-			SendTo:  workers,
-		})
+	if hostsLeader {
 		// Size-only sealing (no Interval): batch boundaries are a function
 		// of the request stream alone, and the driver flushes the tail
 		// deterministically.
-		s.leader = sequencer.NewLeader(engine.LeaderNode, s.leaderRel, workers,
+		s.leader = sequencer.NewLeader(engine.LeaderNode, cluster.Reliable(), workers,
 			sequencer.Config{BatchSize: cfg.BatchSize}, nil)
 		s.leader.Start()
 	}
@@ -387,9 +400,8 @@ func (s *NodeServer) startWorker() {
 
 // registerProcMetrics exposes what only the process-level view knows as
 // gauges in the telemetry registry (served at /metrics alongside the
-// engine's own series): the two link-layer counters summed over the
-// worker's and the leader's endpoints, and the journal's and checkpoint
-// store's counters.
+// engine's own series): two link-layer counters, and the journal's and
+// checkpoint store's counters.
 func (s *NodeServer) registerProcMetrics() {
 	reg := s.tel.Registry()
 	reg.Gauge("hermes_net_socket_writes_total", "socket Write calls that carried frames",
@@ -445,6 +457,8 @@ type ProcStats struct {
 	DupsDropped       int64  `json:"dups_dropped"`
 	HandshakeFailures int64  `json:"handshake_failures"`
 	WireFrameErrors   int64  `json:"wire_frame_errors"`
+	// MsgsByType splits NetMsgs and NetBytes by message type.
+	MsgsByType map[string]network.TypeTotals `json:"msgs_by_type"`
 
 	// Durability counters.
 	RestoredCheckpoint bool   `json:"restored_checkpoint"`
@@ -467,6 +481,11 @@ func (st ProcStats) Format() string {
 	fmt.Fprintf(&b, "  txns:       committed=%d aborted=%d\n", st.Committed, st.Aborted)
 	fmt.Fprintf(&b, "  network:    msgs=%d bytes=%d socket-bytes=%d socket-writes=%d link-acks=%d retransmits=%d dups-dropped=%d handshake-failures=%d frame-errors=%d\n",
 		st.NetMsgs, st.NetBytes, st.NetSocketBytes, st.NetSocketWrites, st.LinkAcks, st.Retransmits, st.DupsDropped, st.HandshakeFailures, st.WireFrameErrors)
+	b.WriteString("  by type:   ")
+	for _, name := range slices.Sorted(maps.Keys(st.MsgsByType)) {
+		fmt.Fprintf(&b, " %s=%d/%dB", name, st.MsgsByType[name].Msgs, st.MsgsByType[name].Bytes)
+	}
+	b.WriteByte('\n')
 	fmt.Fprintf(&b, "  durability: fsyncs=%d batches=%d batched-acks=%d torn=%d corrupt=%d\n",
 		st.JournalFsyncs, st.JournalBatches, st.JournalBatchedAcks, st.JournalTorn, st.JournalCorrupt)
 	fmt.Fprintf(&b, "  journal:    base-frame=%d\n", st.JournalBase)
@@ -501,21 +520,12 @@ func (s *NodeServer) stats() ProcStats {
 		JournalCorrupt:     js.Corrupt,
 	}
 	st.NetMsgs, st.NetBytes = s.tr.Stats().Totals()
+	st.MsgsByType = make(map[string]network.TypeTotals)
+	for t, tt := range s.tr.Stats().ByType() {
+		st.MsgsByType[t.String()] = tt
+	}
 	rs := s.cluster.Reliable().Stats()
 	st.LinkAcks, st.Retransmits, st.DupsDropped = rs.Acks, rs.Retransmits, rs.DupsDropped
-	if s.leaderTr != nil {
-		m, b := s.leaderTr.Stats().Totals()
-		st.NetMsgs += m
-		st.NetBytes += b
-		st.NetSocketBytes += s.leaderTr.SocketBytes()
-		st.NetSocketWrites += s.leaderTr.SocketWrites()
-		st.HandshakeFailures += s.leaderTr.HandshakeFailures()
-		st.WireFrameErrors += s.leaderTr.FrameErrors()
-		lrs := s.leaderRel.Stats()
-		st.LinkAcks += lrs.Acks
-		st.Retransmits += lrs.Retransmits
-		st.DupsDropped += lrs.DupsDropped
-	}
 	return st
 }
 
@@ -525,16 +535,6 @@ type leaderNext struct {
 	Sealed  int64  `json:"sealed_txns"`
 	Pending int    `json:"pending"`
 }
-
-// seqLeaderControl adapts the standalone leader to the driver's
-// leaderControl.
-type seqLeaderControl struct{ l *sequencer.Leader }
-
-func (c seqLeaderControl) SealedAndPending() (int64, int) {
-	st := c.l.Stats()
-	return st.Txns, st.Pending
-}
-func (c seqLeaderControl) Flush() { c.l.Flush() }
 
 func (s *NodeServer) mux() http.Handler {
 	mux := http.NewServeMux()
@@ -558,11 +558,17 @@ func (s *NodeServer) mux() http.Handler {
 		}
 		writeJSON(w, map[string]any{"seeded": n, "incarnation": s.jr.Incarnation()})
 	})
-	mux.HandleFunc("/run", func(w http.ResponseWriter, r *http.Request) {
-		if s.leader == nil {
-			http.Error(w, "not the driver process", http.StatusBadRequest)
-			return
-		}
+	// The driver's and the leader's routes answer on worker 0 only.
+	leaderOnly := func(path string, h http.HandlerFunc) {
+		mux.HandleFunc(path, func(w http.ResponseWriter, r *http.Request) {
+			if s.leader == nil {
+				http.Error(w, "the leader and the driver run on worker 0", http.StatusBadRequest)
+				return
+			}
+			h(w, r)
+		})
+	}
+	leaderOnly("/run", func(w http.ResponseWriter, r *http.Request) {
 		var spec WorkloadSpec
 		if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
@@ -583,25 +589,17 @@ func (s *NodeServer) mux() http.Handler {
 		}
 		go s.drv.run(
 			func(p tx.Procedure) (<-chan struct{}, error) { return s.cluster.Submit(s.cfg.Self, p) },
-			procs, spec.Window, seqLeaderControl{s.leader}, runTimeout)
+			procs, spec.Window, s.leader, runTimeout)
 		writeJSON(w, map[string]any{"started": true, "total": len(procs)})
 	})
 	mux.HandleFunc("/runstatus", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, s.drv.status())
 	})
-	mux.HandleFunc("/flush", func(w http.ResponseWriter, r *http.Request) {
-		if s.leader == nil {
-			http.Error(w, "no leader here", http.StatusBadRequest)
-			return
-		}
+	leaderOnly("/flush", func(w http.ResponseWriter, r *http.Request) {
 		s.leader.Flush()
 		fmt.Fprintln(w, "ok")
 	})
-	mux.HandleFunc("/next", func(w http.ResponseWriter, r *http.Request) {
-		if s.leader == nil {
-			http.Error(w, "no leader here", http.StatusBadRequest)
-			return
-		}
+	leaderOnly("/next", func(w http.ResponseWriter, r *http.Request) {
 		seq, _ := s.leader.Next()
 		st := s.leader.Stats()
 		writeJSON(w, leaderNext{Seq: seq, Sealed: st.Txns, Pending: st.Pending})
@@ -662,7 +660,6 @@ func (s *NodeServer) Close() error {
 	}
 	if s.leader != nil {
 		s.leader.Stop()
-		s.leaderRel.Close()
 	}
 	s.cluster.Stop()
 	s.jr.Close()

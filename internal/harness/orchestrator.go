@@ -3,6 +3,7 @@ package harness
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -79,7 +80,6 @@ type Cluster struct {
 	views     []map[tx.NodeID]string // per-process peer maps (proxied under Faults)
 	dataLns   []*net.TCPListener
 	ctrlLns   []*net.TCPListener
-	leaderLn  *net.TCPListener
 	ctrlAddrs []string
 	logs      []*os.File
 	client    *http.Client
@@ -175,7 +175,7 @@ func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 	var plane *chaos.Plane
 	if cfg.Faults != nil {
 		var err error
-		if plane, err = newFaultPlane(*cfg.Faults); err != nil {
+		if plane, err = newFaultPlane(*cfg.Faults, cfg.Workers); err != nil {
 			return nil, err
 		}
 	}
@@ -214,30 +214,28 @@ func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 		}
 		c.ctrlAddrs[i] = c.ctrlLns[i].Addr().String()
 	}
-	ln, err := listenLoopback()
-	if err != nil {
-		return fail(err)
-	}
-	c.leaderLn = ln
-	c.addrs[engine.LeaderNode] = ln.Addr().String()
+	// The leader rides worker 0's transport, so it has worker 0's address.
+	c.addrs[engine.LeaderNode] = c.addrs[0]
 
 	if c.net != nil {
 		c.views = make([]map[tx.NodeID]string, cfg.Workers)
 		for i := 0; i < cfg.Workers; i++ {
 			view := make(map[tx.NodeID]string, len(c.addrs))
-			for id, addr := range c.addrs {
-				// Same-process links (self, and worker 0 to its co-hosted
-				// leader) stay direct: no real network to condition.
-				if int(id) == i || (id == engine.LeaderNode && i == 0) {
-					view[id] = addr
+			for j := 0; j < cfg.Workers; j++ {
+				id := tx.NodeID(j)
+				// A process's own address stays direct: no real network to
+				// condition.
+				if j == i {
+					view[id] = c.addrs[id]
 					continue
 				}
-				proxied, err := c.net.Route(i, int(id), addr)
+				proxied, err := c.net.Route(i, j, c.addrs[id])
 				if err != nil {
 					return fail(err)
 				}
 				view[id] = proxied
 			}
+			view[engine.LeaderNode] = view[0]
 			c.views[i] = view
 		}
 	}
@@ -255,15 +253,19 @@ func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 	return c, nil
 }
 
-// newFaultPlane builds the socket plane for s, first refusing, by field,
-// what real processes cannot apply: leader kills and disk faults wait for
-// the sequencer group and its journals to run across processes, and the
-// supervisor, not the schedule, decides when a killed worker comes back.
-func newFaultPlane(s chaos.Schedule) (*chaos.Plane, error) {
+// newFaultPlane builds the socket plane for s on a cluster of the given
+// size, first refusing, by field, what real processes cannot apply: leader
+// kills and disk faults wait for the sequencer group and its journals to
+// run across processes, worker 0's process holds the leader and the driver
+// and cannot come back, and the supervisor, not the schedule, decides when
+// a killed worker comes back.
+func newFaultPlane(s chaos.Schedule, workers int) (*chaos.Plane, error) {
 	for i, k := range s.Kills {
 		switch {
 		case k.Leader:
-			return nil, fmt.Errorf("harness: %v: Kills[%d].Leader: the standalone leader cannot fail over across processes yet", s, i)
+			return nil, fmt.Errorf("harness: %v: Kills[%d].Leader: the co-hosted leader cannot fail over across processes yet", s, i)
+		case k.Node%workers == 0:
+			return nil, fmt.Errorf("harness: %v: Kills[%d].Node: %d is worker 0, whose process hosts the leader and the driver", s, i, k.Node)
 		case k.Downtime != 0:
 			return nil, fmt.Errorf("harness: %v: Kills[%d].Downtime: the supervisor restarts a killed worker", s, i)
 		}
@@ -274,9 +276,7 @@ func newFaultPlane(s chaos.Schedule) (*chaos.Plane, error) {
 	case s.Fsync != "":
 		return nil, fmt.Errorf("harness: %v: Fsync: set ClusterConfig.Fsync", s)
 	}
-	// The leader transport is co-hosted in worker 0's process, so for link
-	// shapes and partition membership it is worker 0.
-	return chaos.NewPlane(s, map[int]int{int(engine.LeaderNode): 0})
+	return chaos.NewPlane(s)
 }
 
 func listenLoopback() (*net.TCPListener, error) {
@@ -303,7 +303,7 @@ func (c *Cluster) peersFlag(i int) string {
 }
 
 // spawn launches worker i's process, inheriting its listeners as fd 3
-// (data), fd 4 (control) and — on the leader host — fd 5 (leader).
+// (data) and fd 4 (control).
 func (c *Cluster) spawn(i int, recover bool) error {
 	nodeDir := filepath.Join(c.cfg.Dir, fmt.Sprintf("node%d", i))
 	if err := os.MkdirAll(nodeDir, 0o755); err != nil {
@@ -337,9 +337,6 @@ func (c *Cluster) spawn(i int, recover bool) error {
 	if c.cfg.TraceOff {
 		args = append(args, "-trace-off")
 	}
-	if i == 0 {
-		args = append(args, "-seq-host")
-	}
 	if recover {
 		args = append(args, "-recover")
 	}
@@ -359,15 +356,6 @@ func (c *Cluster) spawn(i int, recover bool) error {
 		return err
 	}
 	files = append(files, ctrlF)
-	if i == 0 {
-		leaderF, err := c.leaderLn.File()
-		if err != nil {
-			dataF.Close()
-			ctrlF.Close()
-			return err
-		}
-		files = append(files, leaderF)
-	}
 	cmd.ExtraFiles = files
 	err = cmd.Start()
 	for _, f := range files {
@@ -523,10 +511,20 @@ func (c *Cluster) KillWorker(i int) error {
 	return nil
 }
 
+// ErrRestartLeaderHost is RestartWorker's refusal of worker 0: its process
+// hosts the sequencer leader, whose sealed stream is not journaled, and the
+// driver, whose clients would be gone; a respawn would start a second
+// leader at sequence 0.
+var ErrRestartLeaderHost = errors.New("harness: worker 0 hosts the sequencer leader and the driver and cannot be restarted")
+
 // RestartWorker respawns a killed worker in recovery mode: it re-seeds
 // from its persisted seed spec, bumps its incarnation, replays its journal
-// and rejoins on the same ports.
+// and rejoins on the same ports. Worker 0 is refused with
+// ErrRestartLeaderHost.
 func (c *Cluster) RestartWorker(i int) error {
+	if i == 0 {
+		return ErrRestartLeaderHost
+	}
 	if c.getProc(i) != nil {
 		return fmt.Errorf("harness: worker %d is still running", i)
 	}
@@ -722,9 +720,6 @@ func (c *Cluster) Close() error {
 		if ln != nil {
 			ln.Close()
 		}
-	}
-	if c.leaderLn != nil {
-		c.leaderLn.Close()
 	}
 	for _, f := range c.logs {
 		if f != nil {

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -34,14 +35,14 @@ func TestScheduleSeams(t *testing.T) {
 			return chaos.Check(chaos.Spec{SeqStandbys: 2}, s)
 		},
 		"socket plane": func(s chaos.Schedule) error {
-			p, err := chaos.NewPlane(s, nil)
+			p, err := chaos.NewPlane(s)
 			if err == nil {
 				p.Close()
 			}
 			return err
 		},
 		"processes": func(s chaos.Schedule) error {
-			p, err := newFaultPlane(s)
+			p, err := newFaultPlane(s, 3)
 			if err == nil {
 				p.Close()
 			}
@@ -78,6 +79,7 @@ func TestScheduleSeams(t *testing.T) {
 		{"processes", "DropProb", drop},
 		{"processes", "DupProb", dup},
 		{"processes", "Kills[0].Leader", chaos.Schedule{Name: "refused", Kills: []chaos.Kill{{Leader: true, AfterFrac: 0.5}}}},
+		{"processes", "Kills[1].Node", chaos.Schedule{Name: "refused", Kills: []chaos.Kill{{Node: 1, AfterFrac: 0.2}, {Node: 3, AfterFrac: 0.5}}}},
 		{"processes", "Kills[0].Downtime", chaos.Schedule{Name: "refused", Kills: []chaos.Kill{{Node: 1, AfterFrac: 0.5, Downtime: time.Millisecond}}}},
 		{"processes", "Disk", chaos.Schedule{Name: "refused", Disk: &diskio.FaultSpec{TornWriteProb: 0.1}}},
 		{"processes", "Fsync", chaos.Schedule{Name: "refused", Fsync: network.SyncBatch}},
@@ -108,5 +110,14 @@ func TestScheduleSeams(t *testing.T) {
 				t.Errorf("%s refused standard schedule %v: %v", seam, s, err)
 			}
 		}
+	}
+}
+
+// TestRestartWorkerRefusesLeaderHost: worker 0's process holds the
+// sequencer leader and the driver, so it is never respawned.
+func TestRestartWorkerRefusesLeaderHost(t *testing.T) {
+	c := &Cluster{procs: make([]*proc, 3)}
+	if err := c.RestartWorker(0); !errors.Is(err, ErrRestartLeaderHost) {
+		t.Fatalf("RestartWorker(0) = %v, want ErrRestartLeaderHost", err)
 	}
 }

@@ -31,15 +31,12 @@ type TwinResult struct {
 }
 
 // twinLeaderControl adapts the in-process cluster's sequencer group to the
-// driver's leaderControl, over the same counters the standalone leader
+// driver's leaderControl, over the same counters the cluster's leader
 // exposes.
 type twinLeaderControl struct{ c *engine.Cluster }
 
-func (t twinLeaderControl) SealedAndPending() (int64, int) {
-	st := t.c.SeqStats()
-	return st.Txns, st.Pending
-}
-func (t twinLeaderControl) Flush() { t.c.SeqFlush() }
+func (t twinLeaderControl) Stats() sequencer.LeaderStats { return t.c.SeqStats() }
+func (t twinLeaderControl) Flush()                       { t.c.SeqFlush() }
 
 // RunTwin executes the exact workload the multi-process cluster ran, in a
 // single-process emulation with the same policy, batch size, seed data,

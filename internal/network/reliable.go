@@ -80,12 +80,6 @@ type Reliable struct {
 	// dests is built once at construction and never mutated after.
 	dests map[tx.NodeID]*destState
 
-	// seqTo is the set of destinations sends are sequenced to. In-process
-	// clusters use one Reliable for every node, so it equals the dests set;
-	// a cluster process receives only for itself but must still sequence
-	// its sends to every peer, so the two sets diverge there.
-	seqTo map[tx.NodeID]bool
-
 	// inc is this sender's incarnation, stamped on every sequenced send.
 	// See Message.Inc. Immutable after construction.
 	inc uint64
@@ -173,21 +167,17 @@ type destState struct {
 }
 
 // NewReliable wraps inner with reliable delivery for the given nodes.
-// Messages to destinations outside the set pass through unsequenced.
 func NewReliable(inner Transport, nodes []tx.NodeID) *Reliable {
-	return NewReliableWith(inner, ReliableOpts{RecvFor: nodes, SendTo: nodes})
+	return NewReliableWith(inner, ReliableOpts{RecvFor: nodes})
 }
 
 // ReliableOpts configures NewReliableWith beyond the symmetric in-process
 // default.
 type ReliableOpts struct {
 	// RecvFor lists the destinations whose inboxes this layer consumes and
-	// delivers for (one per in-process node; just the local node in a
-	// cluster process).
+	// delivers for (one per in-process node; the ids a cluster process
+	// hosts). Sends are sequenced to every destination but the sender.
 	RecvFor []tx.NodeID
-	// SendTo lists the peers sends are sequenced and retransmitted to.
-	// Sends to other destinations pass through unsequenced.
-	SendTo []tx.NodeID
 	// Incarnation is stamped on every sequenced send (see Message.Inc).
 	// A cluster process bumps it on each restart; in-process it stays 0.
 	Incarnation uint64
@@ -200,10 +190,11 @@ type ReliableOpts struct {
 	// routed through it, so the ack closure runs only once the frames it
 	// acknowledges are durable under the journal's fsync policy.
 	AckGateFor func(tx.NodeID) func(func())
-	// Floors seeds per-sender dedup watermarks below any journaled
-	// history: a checkpoint records the highest (incarnation, link)
-	// delivered from each sender, and frames rotated out of the journal
-	// must still be dropped as duplicates when peers retransmit them.
+	// Floors seeds the per-sender dedup watermarks of the destinations
+	// JournalFor gives a journal, below any journaled history: a checkpoint
+	// records the highest (incarnation, link) delivered from each sender,
+	// and frames rotated out of the journal must still be dropped as
+	// duplicates when peers retransmit them.
 	// Without it, a restarted node whose journal holds no frames from a
 	// sender would reset that link to expected=1 and park every live
 	// retransmit in the future buffer — a permanent stall.
@@ -223,12 +214,8 @@ func NewReliableWith(inner Transport, o ReliableOpts) *Reliable {
 		inner: inner,
 		sends: make(map[[2]tx.NodeID]*sendLink),
 		dests: make(map[tx.NodeID]*destState, len(o.RecvFor)),
-		seqTo: make(map[tx.NodeID]bool, len(o.SendTo)),
 		inc:   o.Incarnation,
 		quit:  make(chan struct{}),
-	}
-	for _, n := range o.SendTo {
-		r.seqTo[n] = true
 	}
 	for _, n := range o.RecvFor {
 		ds := &destState{
@@ -245,9 +232,12 @@ func NewReliableWith(inner Transport, o ReliableOpts) *Reliable {
 			ds.ackGate = o.AckGateFor(n)
 		}
 		// Checkpoint floors first; journaled history (below) only raises
-		// them.
-		for s, lf := range o.Floors {
-			ds.recv[s] = newRecvLink(lf.Inc, lf.Link+1)
+		// them. Floors are a journal's: a destination without one (the
+		// leader co-hosted beside a worker) starts every link fresh.
+		if ds.journal != nil {
+			for s, lf := range o.Floors {
+				ds.recv[s] = newRecvLink(lf.Inc, lf.Link+1)
+			}
 		}
 		for _, m := range o.Recovered {
 			if m.To != n {
@@ -323,11 +313,6 @@ func (r *Reliable) Send(m Message) error {
 	if r.closed {
 		r.mu.Unlock()
 		return fmt.Errorf("network: reliable transport closed")
-	}
-	if !r.seqTo[m.To] {
-		// Destination outside the sequenced set: stay transparent.
-		r.mu.Unlock()
-		return r.inner.Send(m)
 	}
 	key := [2]tx.NodeID{m.From, m.To}
 	sl := r.sends[key]

@@ -397,7 +397,7 @@ func TestReliablePacesToGatedAcks(t *testing.T) {
 	var gates sync.WaitGroup
 	defer gates.Wait()
 	r := NewReliableWith(NewChanTransport(nodes, nil), ReliableOpts{
-		RecvFor: nodes, SendTo: nodes,
+		RecvFor: nodes,
 		AckGateFor: func(tx.NodeID) func(func()) {
 			return func(send func()) {
 				gates.Add(1)
@@ -594,7 +594,7 @@ func TestReliableCoalescesAcksPerDrain(t *testing.T) {
 		}
 	}
 	inner := newStubInner(arrival)
-	r := NewReliableWith(inner, ReliableOpts{RecvFor: []tx.NodeID{0}, SendTo: []tx.NodeID{1, 2}})
+	r := NewReliableWith(inner, ReliableOpts{RecvFor: []tx.NodeID{0}})
 	defer r.Close()
 
 	for i, want := range arrival {
@@ -637,7 +637,7 @@ func TestReliableAckGateWithholdsCoalescedAcks(t *testing.T) {
 	inner := newStubInner(sequenced(1, 16))
 	gated := make(chan func(), 4)
 	r := NewReliableWith(inner, ReliableOpts{
-		RecvFor: []tx.NodeID{0}, SendTo: []tx.NodeID{1},
+		RecvFor:    []tx.NodeID{0},
 		AckGateFor: func(tx.NodeID) func(func()) { return func(release func()) { gated <- release } },
 	})
 	defer r.Close()
@@ -665,7 +665,7 @@ func TestReliableDrainBound(t *testing.T) {
 	defer leaktest.Check(t)()
 	const n = 3*maxDrain + 10
 	inner := newStubInner(sequenced(1, n))
-	r := NewReliableWith(inner, ReliableOpts{RecvFor: []tx.NodeID{0}, SendTo: []tx.NodeID{1}})
+	r := NewReliableWith(inner, ReliableOpts{RecvFor: []tx.NodeID{0}})
 	defer r.Close()
 	consumed := make(chan struct{})
 	go func() {
@@ -686,7 +686,7 @@ func TestReliableDrainBound(t *testing.T) {
 // unacked window shifts the rest in place.
 func TestReliableAckingAPrefixDoesNotAllocate(t *testing.T) {
 	inner := newStubInner(nil)
-	r := NewReliableWith(inner, ReliableOpts{RecvFor: []tx.NodeID{0}, SendTo: []tx.NodeID{1}})
+	r := NewReliableWith(inner, ReliableOpts{RecvFor: []tx.NodeID{0}})
 	defer r.Close()
 	const window = 64
 	sl := &sendLink{unacked: make([]unackedMsg, 0, window)}
@@ -705,5 +705,63 @@ func TestReliableAckingAPrefixDoesNotAllocate(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("acking half of a %d-message window allocated %.0f times, want 0", window, allocs)
+	}
+}
+
+// TestReliableFloorsOnlyForJournaledDestinations: one reliable layer
+// receives for A, whose journal and checkpoint floors it is given, and for
+// B, which has neither (a leader co-hosted beside a worker). A's floor
+// drops S's already-checkpointed frames as duplicates; B starts S's link
+// fresh, delivering its first frame without journaling it.
+func TestReliableFloorsOnlyForJournaledDestinations(t *testing.T) {
+	defer leaktest.Check(t)()
+	const s, a, b tx.NodeID = 0, 1, 2
+	inner := NewChanTransport([]tx.NodeID{s, a, b}, nil)
+	var mu sync.Mutex
+	var journaled []Message
+	r := NewReliableWith(inner, ReliableOpts{
+		RecvFor: []tx.NodeID{a, b},
+		JournalFor: func(id tx.NodeID) func(Message) {
+			if id != a {
+				return nil
+			}
+			return func(m Message) {
+				mu.Lock()
+				journaled = append(journaled, m)
+				mu.Unlock()
+			}
+		},
+		Floors: map[tx.NodeID]LinkFloor{s: {Inc: 1, Link: 5}},
+	})
+	defer r.Close()
+	for _, m := range []Message{
+		{From: s, To: b, Type: MsgSeqForward, Link: 1, Inc: 1},
+		{From: s, To: a, Type: MsgSeqDeliver, Link: 5, Inc: 1}, // below A's floor
+		{From: s, To: a, Type: MsgSeqDeliver, Link: 6, Inc: 1},
+	} {
+		if err := inner.Send(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, want := range []struct {
+		to   tx.NodeID
+		link uint64
+	}{{b, 1}, {a, 6}} {
+		select {
+		case m := <-r.Recv(want.to):
+			if m.Link != want.link {
+				t.Fatalf("node %d received link %d, want %d", want.to, m.Link, want.link)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("node %d never received link %d from S", want.to, want.link)
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(journaled) != 1 || journaled[0].To != a || journaled[0].Link != 6 {
+		t.Fatalf("journaled %+v, want only A's link-6 frame", journaled)
+	}
+	if st := r.Stats(); st.DupsDropped != 1 {
+		t.Fatalf("dups dropped = %d, want 1 (A's link 5, under its floor)", st.DupsDropped)
 	}
 }

@@ -68,29 +68,34 @@ func checkHandshake(h [handshakeLen]byte) (tx.NodeID, error) {
 	return tx.NodeID(int64(binary.BigEndian.Uint64(h[8:16]))), nil
 }
 
-// TCPTransport is a real-socket implementation of Transport for a single
-// node: it listens on its own address and lazily dials peers. Every message
-// crosses a connection as one self-contained, length-prefixed and
-// CRC32C-checked frame (wire.go), written in a single Write from a buffer
-// the connection reuses. A cluster deployment runs one TCPTransport per
-// process; the in-process experiments use ChanTransport instead, but
-// integration tests run the engine over TCP to show nothing depends on the
-// loopback shortcut.
+// TCPTransport is a real-socket implementation of Transport for one
+// process: it listens on one address, serves every node id the process
+// hosts (its own, plus any co-hosted ids), and lazily dials peers. Every
+// message to a peer crosses a connection as one self-contained,
+// length-prefixed and CRC32C-checked frame (wire.go), written in a single
+// Write from a buffer the connection reuses; an inbound frame goes to the
+// inbox of its To. A message between hosted ids never touches a socket and
+// is not counted as network traffic. A cluster deployment runs one
+// TCPTransport per process; the in-process experiments use ChanTransport
+// instead, but integration tests run the engine over TCP to show nothing
+// depends on the loopback shortcut.
 type TCPTransport struct {
 	self  tx.NodeID
 	addrs map[tx.NodeID]string
 
-	ln    net.Listener
-	inbox chan Message
-	quit  chan struct{}
-	stats Stats
+	ln net.Listener
+	// inboxes has one inbox per hosted id. Built at construction, never
+	// mutated after.
+	inboxes map[tx.NodeID]*inbox
+	quit    chan struct{}
+	stats   Stats
 
 	mu       sync.Mutex
 	conns    map[tx.NodeID]*tcpConn
 	accepted map[net.Conn]struct{} // inbound connections with a live readLoop
 	closed   bool
-	// wg covers the accept loop, every readLoop, and every self-Send past
-	// its closed check: Close waits for all of them before closing inbox.
+	// wg covers the accept loop, every readLoop and every inbox's
+	// moveLoop: Close waits for all of them before closing the inboxes.
 	wg sync.WaitGroup
 
 	// Dial and send pacing: the package constants, but for tests that need
@@ -123,6 +128,21 @@ type TCPTransport struct {
 	// before the first frame is written — fault-injection tests use it to
 	// split and tear writes at the byte level.
 	wrapConn func(net.Conn) net.Conn
+}
+
+// inbox is one hosted id's delivery queue. An inbound frame waits for room
+// in ch, so a slow consumer pushes back on the socket. A send between hosted
+// ids never waits: while ch is full it joins overflow, which moveLoop feeds
+// into ch in order. Two reliable-layer pumps in one process ack each other
+// through these inboxes; if a local send could block, each pump could stall
+// on the other's full inbox at once, and neither would drain its own.
+type inbox struct {
+	ch chan Message
+
+	mu       sync.Mutex
+	overflow []Message // local sends waiting for room in ch, oldest first
+	closed   bool      // ch is closed: Close holds mu to close it
+	kick     chan struct{}
 }
 
 type tcpConn struct {
@@ -159,12 +179,12 @@ func NewTCPTransport(self tx.NodeID, addrs map[tx.NodeID]string) (*TCPTransport,
 	return NewTCPTransportListener(self, addrs, ln), nil
 }
 
-// NewTCPTransportListener starts a transport for node self on an already
-// bound listener. The cluster harness binds every listener in the parent
-// process and passes them to child processes as inherited files, which
-// gives each process a race-free port and lets the parent know every
-// address before any child starts.
-func NewTCPTransportListener(self tx.NodeID, addrs map[tx.NodeID]string, ln net.Listener) *TCPTransport {
+// NewTCPTransportListener starts a transport for node self and the
+// co-hosted ids in hosted on an already bound listener. The cluster
+// harness binds every listener in the parent process and passes them to
+// child processes as inherited files, which gives each process a race-free
+// port and lets the parent know every address before any child starts.
+func NewTCPTransportListener(self tx.NodeID, addrs map[tx.NodeID]string, ln net.Listener, hosted ...tx.NodeID) *TCPTransport {
 	if addrs == nil {
 		addrs = make(map[tx.NodeID]string)
 	}
@@ -172,7 +192,7 @@ func NewTCPTransportListener(self tx.NodeID, addrs map[tx.NodeID]string, ln net.
 		self:           self,
 		addrs:          addrs,
 		ln:             ln,
-		inbox:          make(chan Message, 4096),
+		inboxes:        make(map[tx.NodeID]*inbox, 1+len(hosted)),
 		quit:           make(chan struct{}),
 		conns:          make(map[tx.NodeID]*tcpConn),
 		accepted:       make(map[net.Conn]struct{}),
@@ -180,6 +200,12 @@ func NewTCPTransportListener(self tx.NodeID, addrs map[tx.NodeID]string, ln net.
 		dialBackoff:    tcpDialBackoff,
 		dialBackoffCap: tcpDialBackoffCap,
 		sendTimeout:    tcpSendTimeout,
+	}
+	for _, id := range append([]tx.NodeID{self}, hosted...) {
+		in := &inbox{ch: make(chan Message, 4096), kick: make(chan struct{}, 1)}
+		t.inboxes[id] = in
+		t.wg.Add(1)
+		go t.moveLoop(in)
 	}
 	t.wg.Add(1)
 	go t.acceptLoop()
@@ -227,12 +253,15 @@ func (t *TCPTransport) readLoop(c net.Conn) {
 	var buf []byte // the frame being read; reused, which decodeMessage permits
 	for {
 		m, err := readFrame(br, &buf)
+		if err == nil && t.inboxes[m.To] == nil {
+			err = fmt.Errorf("%w: frame for node %d, which this transport does not host", errBadFrame, m.To)
+		}
 		if err != nil {
 			t.noteReadError(c, err)
 			return
 		}
 		select {
-		case t.inbox <- m:
+		case t.inboxes[m.To].ch <- m:
 		case <-t.quit:
 			return
 		}
@@ -272,6 +301,58 @@ func readFrame(br *bufio.Reader, buf *[]byte) (Message, error) {
 		return Message{}, fmt.Errorf("%w: %d-byte payload with a valid CRC does not decode: %v", errBadFrame, n, err)
 	}
 	return m, nil
+}
+
+// moveLoop feeds in's overflow into its channel, oldest first. A message
+// leaves overflow only once it is in the channel, so a local send that
+// finds overflow empty cannot overtake one still being moved.
+func (t *TCPTransport) moveLoop(in *inbox) {
+	defer t.wg.Done()
+	for {
+		in.mu.Lock()
+		if len(in.overflow) == 0 {
+			in.overflow = nil // drop the drained backing array
+			in.mu.Unlock()
+			select {
+			case <-in.kick:
+				continue
+			case <-t.quit:
+				return
+			}
+		}
+		m := in.overflow[0]
+		in.mu.Unlock()
+		select {
+		case in.ch <- m:
+		case <-t.quit:
+			return
+		}
+		in.mu.Lock()
+		in.overflow = in.overflow[1:]
+		in.mu.Unlock()
+	}
+}
+
+// sendLocal delivers m to a hosted id without blocking (see inbox).
+func (t *TCPTransport) sendLocal(in *inbox, m Message) error {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	if in.closed {
+		return fmt.Errorf("network: transport closed")
+	}
+	if len(in.overflow) == 0 {
+		select {
+		case in.ch <- m:
+			return nil
+		default:
+		}
+	}
+	in.overflow = append(in.overflow, m)
+	select {
+	case in.kick <- struct{}{}:
+	default:
+	}
+	return nil
 }
 
 // noteReadError accounts for the end of an inbound connection. The peer
@@ -361,26 +442,14 @@ func (t *TCPTransport) SocketBytes() int64 { return t.socketBytes.Load() }
 // message is written on its own (docs/PERF.md, "The link layer").
 func (t *TCPTransport) SocketWrites() int64 { return t.socketWrites.Load() }
 
-// Send implements Transport. A broken connection is dropped and re-dialed
-// once within the same call, so a peer that restarted between messages is
-// reconnected transparently; the write deadline bounds how long a dead
-// peer that stopped reading can stall the sender.
+// Send implements Transport. A message to a hosted id goes straight to its
+// inbox. A broken connection is dropped and re-dialed once within the same
+// call, so a peer that restarted between messages is reconnected
+// transparently; the write deadline bounds how long a dead peer that
+// stopped reading can stall the sender.
 func (t *TCPTransport) Send(m Message) error {
-	if m.To == t.self {
-		t.mu.Lock()
-		if t.closed {
-			t.mu.Unlock()
-			return fmt.Errorf("network: transport closed")
-		}
-		t.wg.Add(1) // Close closes inbox only after this send has left
-		t.mu.Unlock()
-		defer t.wg.Done()
-		select {
-		case t.inbox <- m:
-			return nil
-		case <-t.quit:
-			return fmt.Errorf("network: transport closed")
-		}
+	if in := t.inboxes[m.To]; in != nil {
+		return t.sendLocal(in, m)
 	}
 	var lastErr error
 	for attempt := 0; attempt < 2; attempt++ {
@@ -408,7 +477,7 @@ func (t *TCPTransport) Send(m Message) error {
 		t.socketWrites.Add(1)
 		t.socketBytes.Add(int64(n))
 		if err == nil {
-			t.stats.Count(m.WireSize())
+			t.stats.Count(m.Type, m.WireSize())
 			return nil
 		}
 		// Drop the broken connection; the next loop iteration (or a later
@@ -518,12 +587,15 @@ func (t *TCPTransport) SetAddr(node tx.NodeID, addr string) {
 // Stats returns the transport's accounting.
 func (t *TCPTransport) Stats() *Stats { return &t.stats }
 
-// Recv implements Transport. Only the transport's own node has an inbox.
+// Recv implements Transport for a hosted id. Any other id is a wiring bug
+// that would leave its consumer blocked forever on a nil channel, so Recv
+// panics naming it.
 func (t *TCPTransport) Recv(node tx.NodeID) <-chan Message {
-	if node != t.self {
-		return nil
+	in := t.inboxes[node]
+	if in == nil {
+		panic(fmt.Sprintf("network: Recv(%d) on the TCP transport of node %d, which does not host node %d", node, t.self, node))
 	}
-	return t.inbox
+	return in.ch
 }
 
 // Close implements Transport.
@@ -542,9 +614,9 @@ func (t *TCPTransport) Close() {
 	}
 	t.mu.Unlock()
 
-	// quit releases self-Sends and readLoops blocked on a full inbox; none
-	// can start after closed was set under mu, so once wg drains no sender
-	// is left and the inbox can close.
+	// quit releases the readLoops and moveLoops blocked on a full inbox;
+	// once wg drains, only local Sends can reach an inbox, and they check
+	// its closed flag under the lock Close closes it under.
 	close(t.quit)
 	t.ln.Close()
 	for _, c := range conns {
@@ -554,5 +626,10 @@ func (t *TCPTransport) Close() {
 		c.Close()
 	}
 	t.wg.Wait()
-	close(t.inbox)
+	for _, in := range t.inboxes {
+		in.mu.Lock()
+		in.closed = true
+		close(in.ch)
+		in.mu.Unlock()
+	}
 }

@@ -983,12 +983,7 @@ func BenchmarkLinkThroughput(b *testing.B) {
 		b.Run(fmt.Sprintf("senders=%d", senders), func(b *testing.B) {
 			t0, t1 := newTCPPair(b)
 			t1.SetAddr(0, t0.Addr())
-			opts := func(self, peer tx.NodeID) ReliableOpts {
-				return ReliableOpts{
-					RecvFor: []tx.NodeID{self}, SendTo: []tx.NodeID{peer},
-				}
-			}
-			r0, r1 := NewReliableWith(t0, opts(0, 1)), NewReliableWith(t1, opts(1, 0))
+			r0, r1 := NewReliable(t0, []tx.NodeID{0}), NewReliable(t1, []tx.NodeID{1})
 			defer r0.Close()
 			defer r1.Close()
 			m := Message{From: 0, To: 1, Type: MsgRecordPush, Records: []Record{{Key: 1, Value: make([]byte, 64)}}}

@@ -25,22 +25,43 @@ type Transport interface {
 	Close()
 }
 
-// Stats accumulates transport-level accounting. All methods are safe for
-// concurrent use.
+// Stats accumulates transport-level accounting per message type. All
+// methods are safe for concurrent use.
 type Stats struct {
-	messages atomic.Int64
-	bytes    atomic.Int64
+	byType [256]struct{ messages, bytes atomic.Int64 } // indexed by MsgType
 }
 
-// Count records one message of size bytes.
-func (s *Stats) Count(bytes int) {
-	s.messages.Add(1)
-	s.bytes.Add(int64(bytes))
+// TypeTotals is one message type's share of a Stats.
+type TypeTotals struct {
+	Msgs  int64 `json:"msgs"`
+	Bytes int64 `json:"bytes"`
+}
+
+// Count records one message of type t and size bytes.
+func (s *Stats) Count(t MsgType, bytes int) {
+	s.byType[t].messages.Add(1)
+	s.byType[t].bytes.Add(int64(bytes))
 }
 
 // Totals returns cumulative messages and bytes.
 func (s *Stats) Totals() (messages, bytes int64) {
-	return s.messages.Load(), s.bytes.Load()
+	for i := range s.byType {
+		messages += s.byType[i].messages.Load()
+		bytes += s.byType[i].bytes.Load()
+	}
+	return messages, bytes
+}
+
+// ByType returns the cumulative messages and bytes of every type counted
+// at least once.
+func (s *Stats) ByType() map[MsgType]TypeTotals {
+	out := make(map[MsgType]TypeTotals)
+	for i := range s.byType {
+		if n := s.byType[i].messages.Load(); n > 0 {
+			out[MsgType(i)] = TypeTotals{Msgs: n, Bytes: s.byType[i].bytes.Load()}
+		}
+	}
+	return out
 }
 
 // LatencyModel computes the one-way delivery delay for a message of size
@@ -143,7 +164,7 @@ func (t *ChanTransport) Send(m Message) error {
 		inbox <- m
 		return nil
 	}
-	t.stats.Count(m.WireSize())
+	t.stats.Count(m.Type, m.WireSize())
 	lk := t.getLink(m.From, m.To, inbox)
 	tm := timedMessage{m: m}
 	if t.latency != nil {

@@ -94,10 +94,18 @@ gate_pacing() {
     fi
     local net='TestRTO|TestReliablePacesToGatedAcks|TestReliableRepairsSeededDrops|TestReliableResendsReportedGap'
     local seq='TestSessionFrontendPacesToSealLatency|TestFrontendRetryBackoffIsCapped|TestZeroIntervalSealsOnSizeOnly'
+    # One transport per process: the ids a TCP transport hosts (a worker
+    # and its co-hosted leader) exchange messages without sockets, without
+    # accounting and without ever blocking, and one reliable layer pumps
+    # for both while they ack each other; per-type counters; floors only
+    # for journaled destinations.
+    local hosted='TestHosted|TestStatsByTypeOverTCP|TestReliableFloorsOnlyForJournaledDestinations'
     list_guard "pacing gate" 4 "${net}" ./internal/network
     list_guard "pacing gate" 3 "${seq}" ./internal/sequencer
+    list_guard "pacing gate" 7 "${hosted}" ./internal/network
     GOMAXPROCS=2 go test -race -count=20 -run "${net}" ./internal/network
     GOMAXPROCS=2 go test -race -count=20 -run "${seq}" ./internal/sequencer
+    GOMAXPROCS=2 go test -race -count=20 -run "${hosted}" ./internal/network
 }
 
 # Admission gate: the harness driver's closed-loop window is the cluster's
@@ -220,8 +228,18 @@ gate_disk-fault() {
 # final node digests byte-identical to the in-process twin for the same
 # seed (see docs/CLUSTER.md). The tests skip themselves under -short —
 # they spawn OS processes. Set CLUSTER_E2E_ARTIFACTS to a directory to
-# keep process logs from a failing run.
+# keep process logs from a failing run. The grep fails if the leader's own
+# listener, transport or reliable layer comes back: worker 0's process
+# runs one of each, shared with the leader (docs/CLUSTER.md, "Process
+# layout").
 gate_cluster-e2e() {
+    local leader
+    leader=$(git grep -nE 'LeaderLn|leaderTr|leaderRel|inheritListener\(5' -- '*.go' || true)
+    if [[ -n "${leader}" ]]; then
+        echo "the standalone leader's plumbing is back:" >&2
+        echo "${leader}" >&2
+        exit 1
+    fi
     go test -count=1 -timeout 10m -v ${short_flag} \
         -run 'TestClusterE2E|TestClusterKillRestart|TestClusterSIGTERMDrains|TestClusterDurableRestart|TestNodeServer|TestRunTwin' \
         . ./internal/harness
