@@ -186,7 +186,8 @@ func runClusterCase(t *testing.T, policy, workload string) {
 // sockets: the frames they wrote are counted next to the WireSize model,
 // and none was damaged. The link layer's amortisation is readable: every
 // frame was a socket write, and acks are cumulative per drain, so there is
-// at most one per message they acknowledge. Client requests never cross a
+// at most one per message they acknowledge, whether it left on its own or
+// rode a data frame. Client requests never cross a
 // socket: the driver submits on worker 0, whose process hosts the leader.
 func checkWireStats(t *testing.T, stats []harness.ProcStats) {
 	t.Helper()
@@ -198,6 +199,7 @@ func checkWireStats(t *testing.T, stats []harness.ProcStats) {
 		sum.NetSocketBytes += st.NetSocketBytes
 		sum.NetSocketWrites += st.NetSocketWrites
 		sum.LinkAcks += st.LinkAcks
+		sum.LinkAcksPiggybacked += st.LinkAcksPiggybacked
 		sum.WireFrameErrors += st.WireFrameErrors
 		forwards += st.MsgsByType["SeqForward"].Msgs
 	}
@@ -205,9 +207,9 @@ func checkWireStats(t *testing.T, stats []harness.ProcStats) {
 		t.Errorf("stats net_bytes=%d net_socket_bytes=%d wire_frame_errors=%d, want traffic on both counters and no frame errors",
 			sum.NetBytes, sum.NetSocketBytes, sum.WireFrameErrors)
 	}
-	if sum.NetSocketWrites == 0 || sum.LinkAcks == 0 || sum.LinkAcks > sum.NetMsgs-sum.LinkAcks {
-		t.Errorf("stats net_msgs=%d net_socket_writes=%d link_acks=%d, want writes counted and no more acks than sequenced messages",
-			sum.NetMsgs, sum.NetSocketWrites, sum.LinkAcks)
+	if acks := sum.LinkAcks + sum.LinkAcksPiggybacked; sum.NetSocketWrites == 0 || acks == 0 || acks > sum.NetMsgs-sum.LinkAcks {
+		t.Errorf("stats net_msgs=%d net_socket_writes=%d link_acks=%d link_acks_piggybacked=%d, want writes counted and no more acks than sequenced messages",
+			sum.NetMsgs, sum.NetSocketWrites, sum.LinkAcks, sum.LinkAcksPiggybacked)
 	}
 	if forwards != 0 {
 		t.Errorf("%d SeqForward messages crossed a socket, want none", forwards)

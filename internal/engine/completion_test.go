@@ -77,7 +77,7 @@ func completionOnWorker(t *testing.T, storageDelay time.Duration) {
 	tr := network.NewChanTransport([]tx.NodeID{0, 1, LeaderNode}, nil)
 	notice := func(i int) {
 		if err := tr.Send(network.Message{
-			From: 1, To: 0, Type: network.MsgTxnDone, Txn: tx.TxnID(i), Seq: uint64(i),
+			From: 1, To: 0, Type: network.MsgTxnDone, Payload: network.AppendClientSeqs(nil, []uint64{uint64(i)}),
 		}); err != nil {
 			t.Error(err)
 		}

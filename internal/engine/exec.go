@@ -63,7 +63,9 @@ func (n *Node) addMigrating(d int64) {
 
 // pushOwned is Phase 1: push owned records (remote reads, write-back
 // inputs, and migration payloads) to their destinations, deleting outbound
-// migration sources. Serving records is real work for the owner: it
+// migration sources. The pushes go to the node's outbox, which the end of
+// the bucket-worker chunk (or of the dispatch goroutine) running this role
+// flushes. Serving records is real work for the owner: it
 // consumes a fraction of ExecCost, so systems that repeatedly pull from a
 // hot node (G-Store's and T-Part's per-batch pulls) keep loading it, while
 // a migration frees it — the effect behind Figs. 11-14.
@@ -84,12 +86,9 @@ func (n *Node) pushOwned(rt *router.Route, role *role) time.Duration {
 			if !ok {
 				v = nil // absent records travel as nil and materialize on write
 			}
-			recs = append(recs, network.Record{Key: k, Value: v})
+			recs = append(recs, network.Record{Key: k, Value: v, Txn: rt.Txn.ID})
 		}
-		_ = n.cluster.tr.Send(network.Message{
-			From: n.id, To: dest, Type: network.MsgRecordPush,
-			Txn: rt.Txn.ID, Records: recs,
-		})
+		n.out.add(dest, recs)
 	}
 	for _, k := range role.deleteAfterPush {
 		n.store.Delete(k)
@@ -335,10 +334,10 @@ func (n *Node) runMaster(rt *router.Route, role *role, remote map[tx.Key][]byte)
 	}
 
 	// Outbound migrations from the master (return-home moves that must
-	// carry post-execution values). The push happens even when the
-	// record is absent (nil payload): the destination's arrival role is
-	// blocked on this message and would otherwise hold its exclusive
-	// key forever.
+	// carry post-execution values), through the outbox like pushOwned's.
+	// The push happens even when the record is absent (nil payload): the
+	// destination's arrival role is blocked on this message and would
+	// otherwise hold its exclusive key forever.
 	for _, m := range role.outMigrations {
 		t0 := time.Now()
 		v, ok := n.store.Read(m.Key)
@@ -349,10 +348,7 @@ func (n *Node) runMaster(rt *router.Route, role *role, remote map[tx.Key][]byte)
 		} else {
 			v = nil
 		}
-		_ = n.cluster.tr.Send(network.Message{
-			From: n.id, To: m.To, Type: network.MsgRecordPush,
-			Txn: req.ID, Records: []network.Record{{Key: m.Key, Value: v}},
-		})
+		n.out.add(m.To, []network.Record{{Key: m.Key, Value: v, Txn: req.ID}})
 	}
 	return storageTime, ctx.aborted
 }

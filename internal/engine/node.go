@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -42,6 +43,23 @@ type Node struct {
 
 	mailMu sync.Mutex
 	mail   map[tx.TxnID]*mailbox
+	// admitted is 1 + the highest transaction ID the scheduler has
+	// admitted. A record for a transaction below it that qexec no longer
+	// holds arrived after the transaction finished here (a restarted
+	// sender's replay) and is dropped rather than filed in a mailbox
+	// nothing would ever collect.
+	admitted atomic.Uint64
+
+	// out gathers the record pushes this node's roles produce until the
+	// bucket-worker chunk (or dispatch goroutine) that produced them ends;
+	// flushPushes then sends one MsgRecordPush per destination.
+	out outbox
+
+	// doneMu guards done, which maps each transaction this node commits
+	// for a client in another process to its batch's completion group
+	// (see answer).
+	doneMu sync.Mutex
+	done   map[tx.TxnID]*doneGroup
 
 	// roleGoroutines counts roles dispatch ever handed to a goroutine. It
 	// stays at zero while the cost model is zero: record waits are mailbox
@@ -65,6 +83,7 @@ func newNode(id tx.NodeID, c *Cluster, policy router.Policy) *Node {
 		cmdlog:  storage.NewCommandLog(),
 		batches: make(chan *tx.Batch, 1024),
 		mail:    make(map[tx.TxnID]*mailbox),
+		done:    make(map[tx.TxnID]*doneGroup),
 		quit:    make(chan struct{}),
 	}
 	executors := c.cfg.Executors
@@ -77,7 +96,7 @@ func newNode(id tx.NodeID, c *Cluster, policy router.Policy) *Node {
 	} else {
 		n.execSem = make(chan struct{}, executors)
 	}
-	n.qx = qexec.New(qexec.Config{Workers: workers})
+	n.qx = qexec.New(qexec.Config{Workers: workers, AfterChunk: n.flushPushes})
 	return n
 }
 
@@ -85,10 +104,12 @@ func newNode(id tx.NodeID, c *Cluster, policy router.Policy) *Node {
 // have arrived — for the bucket worker that calls it. This is the one
 // place the cost model picks where a role runs. At zero cost nothing in a
 // role sleeps, so it runs inline on the bucket worker: no goroutine, no
-// hand-off. A role that will sleep (ExecCost, StorageDelay) would stall
+// hand-off, and its record pushes leave with the rest of the worker's
+// chunk. A role that will sleep (ExecCost, StorageDelay) would stall
 // every key queue in its bucket for as long as it sleeps, so it goes to a
-// goroutine that holds one of the Executors slots while it runs. Waiting
-// for records holds no slot, so the bound cannot deadlock.
+// goroutine that holds one of the Executors slots while it runs and
+// flushes the outbox when it returns. Waiting for records holds no slot,
+// so the bound cannot deadlock.
 func (n *Node) dispatch(fn func()) {
 	if cfg := n.cluster.cfg; cfg.ExecCost == 0 && cfg.StorageDelay == 0 {
 		fn()
@@ -109,6 +130,7 @@ func (n *Node) dispatch(fn func()) {
 			}
 		}
 		fn()
+		n.flushPushes()
 	}()
 }
 
@@ -202,13 +224,16 @@ func (n *Node) recvLoop() {
 			case network.MsgSeqEpoch:
 				n.cluster.noteLeader(m.From, m.Epoch)
 			case network.MsgTxnDone:
-				// A committer in another process finished a transaction
-				// submitted through this node's front-end; Seq is the
-				// ClientSeq it was stamped with. At-least-once delivery: a
-				// duplicate finds no waiter.
-				n.cluster.release(clientKey{n.id, m.Seq})
+				// A committer in another process finished transactions
+				// submitted through this node's front-end; the payload lists
+				// the ClientSeqs they were stamped with. At-least-once
+				// delivery: a duplicate list finds no waiters.
+				seqs, _ := network.ClientSeqs(m.Payload)
+				for _, seq := range seqs {
+					n.cluster.release(clientKey{n.id, seq})
+				}
 			case network.MsgRecordPush, network.MsgReadBroadcast, network.MsgWriteBack, network.MsgMigrationChunk:
-				n.mailboxFor(m.Txn).put(m.Records)
+				n.putRecords(&m)
 			}
 		}
 	}
@@ -235,6 +260,11 @@ func (n *Node) schedLoop() {
 			// analysis itself consumed, before any locking or execution.
 			n.cluster.collector.RecordRouting(len(b.Txns), time.Since(arrival))
 			n.admit(plan, arrival)
+			hi := n.admitted.Load()
+			for _, req := range b.Txns {
+				hi = max(hi, uint64(req.ID)+1)
+			}
+			n.admitted.Store(hi)
 			n.scheduled.Store(b.Seq + 1)
 		}
 	}
@@ -262,12 +292,16 @@ func (n *Node) sealed(b *tx.Batch) {
 }
 
 // answer releases the client of a finished transaction. It is called once
-// per execution of the transaction, by its committing node: the client's
-// waiter is closed directly when the front-end it submitted through is
-// hosted in this process, and by a MsgTxnDone carrying the request's
-// ClientSeq to the process that hosts it otherwise. The notice rides the
-// reliable layer; a transaction executed again (replay after a restart)
-// answers again, and the second answer finds no waiter.
+// per execution of the transaction, aborted or not, by its committing
+// node: the client's waiter is closed directly when the front-end it
+// submitted through is hosted in this process. Otherwise the answer waits
+// in the transaction's completion group: admit opens one per batch for the
+// transactions this node commits for clients in other processes, and when
+// the last of them finishes, sendDone sends one MsgTxnDone per client node
+// listing them all. An answer with no group (a provisioning route, or a
+// second execution of a transaction whose group has closed) sends a list
+// of one. Notices ride the reliable layer; one that arrives again finds
+// no waiter.
 func (n *Node) answer(req *tx.Request) {
 	c := n.cluster
 	switch {
@@ -277,11 +311,66 @@ func (n *Node) answer(req *tx.Request) {
 	case c.fes[req.Client] != nil:
 		c.release(clientKey{req.Client, req.ClientSeq})
 	default:
-		_ = c.tr.Send(network.Message{
-			From: n.id, To: req.Client, Type: network.MsgTxnDone,
-			Txn: req.ID, Seq: req.ClientSeq,
-		})
+		n.doneMu.Lock()
+		g := n.done[req.ID]
+		if g == nil {
+			n.doneMu.Unlock()
+			n.sendDone(req.Client, []uint64{req.ClientSeq})
+			return
+		}
+		delete(n.done, req.ID)
+		g.add(req.Client, req.ClientSeq)
+		g.left--
+		last := g.left == 0
+		n.doneMu.Unlock()
+		if last {
+			for _, cs := range g.clients {
+				slices.Sort(cs.seqs)
+				n.sendDone(cs.client, cs.seqs)
+			}
+		}
 	}
+}
+
+// remoteAnswer reports whether this node answers rt's client with a
+// MsgTxnDone once rt finishes: it commits rt, a front-end stamped it, and
+// that front-end lives in another process.
+func (n *Node) remoteAnswer(rt *router.Route) bool {
+	req := rt.Txn
+	return req.ClientSeq != 0 && n.cluster.fes[req.Client] == nil &&
+		rt.Mode != router.Provision && n.isCommitter(rt)
+}
+
+// sendDone tells client that the transactions it stamped with seqs
+// (ascending) have finished. It is the only sender of MsgTxnDone.
+func (n *Node) sendDone(client tx.NodeID, seqs []uint64) {
+	_ = n.cluster.tr.Send(network.Message{
+		From: n.id, To: client, Type: network.MsgTxnDone,
+		Payload: network.AppendClientSeqs(nil, seqs),
+	})
+}
+
+// doneGroup is one batch's completion group at its committer: left counts
+// its transactions still unfinished, clients holds the finished ones'
+// ClientSeqs per client node.
+type doneGroup struct {
+	left    int
+	clients []clientSeqs
+}
+
+type clientSeqs struct {
+	client tx.NodeID
+	seqs   []uint64
+}
+
+func (g *doneGroup) add(client tx.NodeID, seq uint64) {
+	for i := range g.clients {
+		if g.clients[i].client == client {
+			g.clients[i].seqs = append(g.clients[i].seqs, seq)
+			return
+		}
+	}
+	g.clients = append(g.clients, clientSeqs{client: client, seqs: []uint64{seq}})
 }
 
 // RoleGoroutines reports how many roles this node has ever handed to a
@@ -302,6 +391,7 @@ func (n *Node) admit(plan *router.Plan, arrival time.Time) {
 	}
 	jobs := make([]job, 0, len(plan.Routes))
 	ops := make([]*qexec.Op, 0, len(plan.Routes))
+	var remote []tx.TxnID // committed here for clients in other processes
 	for _, rt := range plan.Routes {
 		if rt.Mode == router.Provision {
 			// The membership change itself took effect inside BuildPlan on
@@ -327,6 +417,9 @@ func (n *Node) admit(plan *router.Plan, arrival time.Time) {
 		}
 		jobs = append(jobs, job{rt: rt, role: role})
 		ops = append(ops, &qexec.Op{ID: rt.Txn.ID, Shared: role.shared, Excl: role.excl})
+		if n.remoteAnswer(rt) {
+			remote = append(remote, rt.Txn.ID)
+		}
 	}
 	planDur := time.Since(planStart)
 	var planShare time.Duration
@@ -342,6 +435,15 @@ func (n *Node) admit(plan *router.Plan, arrival time.Time) {
 		ops[i].OnReady = func() {
 			n.dispatch(func() { n.run(rt, role, arrival, admitted, planShare) })
 		}
+	}
+	// The group is complete before AdmitBatch lets any member finish.
+	if len(remote) > 0 {
+		g := &doneGroup{left: len(remote)}
+		n.doneMu.Lock()
+		for _, id := range remote {
+			n.done[id] = g
+		}
+		n.doneMu.Unlock()
 	}
 	n.qx.AdmitBatch(ops)
 }
@@ -551,6 +653,47 @@ func subtractKeys(a, b []tx.Key) []tx.Key {
 	return out
 }
 
+// putRecords files a record message in its transactions' mailboxes: the
+// one m.Txn names, or in a tagged push, each record's own (Record.Txn).
+// Records of a transaction this node has admitted and since released are
+// dropped: they are a restarted sender's replay, and a mailbox made for
+// them would never be collected.
+func (n *Node) putRecords(m *network.Message) {
+	recs := m.Records
+	for len(recs) > 0 {
+		j := 1
+		for j < len(recs) && recs[j].Txn == recs[0].Txn {
+			j++
+		}
+		id := recs[0].Txn
+		if id == 0 {
+			id = m.Txn
+		}
+		if mb := n.inboundMailbox(id); mb != nil {
+			mb.put(recs[:j])
+		}
+		recs = recs[j:]
+	}
+}
+
+// inboundMailbox is mailboxFor for arriving records: it returns nil
+// instead of making a mailbox for a finished transaction. The check holds
+// mailMu, and finish releases before it drops the mailbox, so a mailbox
+// made here for a transaction still registered is always dropped later.
+func (n *Node) inboundMailbox(id tx.TxnID) *mailbox {
+	n.mailMu.Lock()
+	defer n.mailMu.Unlock()
+	mb, ok := n.mail[id]
+	if !ok {
+		if uint64(id) < n.admitted.Load() && !n.qx.Registered(id) {
+			return nil
+		}
+		mb = newMailbox()
+		n.mail[id] = mb
+	}
+	return mb
+}
+
 // mailboxFor returns (creating on demand) the mailbox for a transaction.
 func (n *Node) mailboxFor(id tx.TxnID) *mailbox {
 	n.mailMu.Lock()
@@ -624,4 +767,67 @@ func (m *mailbox) subscribe(want int, fn func(map[tx.Key][]byte)) (map[tx.Key][]
 	}
 	m.want, m.cont = want, fn
 	return nil, false
+}
+
+// outbox gathers a node's outbound record pushes, one pending push per
+// destination, each record tagged with its transaction.
+type outbox struct {
+	mu      sync.Mutex
+	pending []pendingPush
+	// full is set while pending holds anything, so that the end of a chunk
+	// that pushed nothing costs no lock. A chunk that adds sees its own add.
+	full atomic.Bool
+}
+
+type pendingPush struct {
+	to   tx.NodeID
+	recs []network.Record
+}
+
+// add queues recs, tagged with their transactions, for to. The outbox
+// takes recs over: the first push for a destination is sent in place.
+func (o *outbox) add(to tx.NodeID, recs []network.Record) {
+	if len(recs) == 0 {
+		return
+	}
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	for i := range o.pending {
+		if p := &o.pending[i]; p.to == to {
+			p.recs = append(p.recs, recs...)
+			return
+		}
+	}
+	o.pending = append(o.pending, pendingPush{to: to, recs: recs})
+	o.full.Store(true)
+}
+
+// take empties the outbox and returns what it held.
+func (o *outbox) take() []pendingPush {
+	if !o.full.Load() {
+		return nil
+	}
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	p := o.pending
+	o.pending = nil
+	o.full.Store(false)
+	return p
+}
+
+// flushPushes sends everything in the outbox, one MsgRecordPush per
+// destination. A push whose records all belong to one transaction names
+// it in Txn and leaves its records untagged, at the size a push for that
+// transaction alone always had; a push for several keeps the tags.
+func (n *Node) flushPushes() {
+	for _, p := range n.out.take() {
+		m := network.Message{From: n.id, To: p.to, Type: network.MsgRecordPush, Records: p.recs}
+		if !slices.ContainsFunc(p.recs, func(r network.Record) bool { return r.Txn != p.recs[0].Txn }) {
+			m.Txn = p.recs[0].Txn
+			for i := range p.recs {
+				p.recs[i].Txn = 0
+			}
+		}
+		_ = n.cluster.tr.Send(m)
+	}
 }

@@ -225,10 +225,10 @@ func TestNodeServerLifecycle(t *testing.T) {
 		t.Fatalf("stats net_msgs=%d net_bytes=%d net_socket_bytes=%d net_socket_writes=%d msgs_by_type=%v, want no wire traffic in a one-process cluster",
 			ps.NetMsgs, ps.NetBytes, ps.NetSocketBytes, ps.NetSocketWrites, ps.MsgsByType)
 	}
-	if ps.LinkAcks == 0 {
-		t.Fatal("stats link_acks=0: the leader's link to its co-hosted worker was not sequenced")
+	if ps.LinkAcks+ps.LinkAcksPiggybacked == 0 {
+		t.Fatal("stats link_acks=0 and link_acks_piggybacked=0: the leader's link to its co-hosted worker was not sequenced")
 	}
-	for _, field := range []string{"socket-bytes=0", "socket-writes=0", "link-acks=", "frame-errors=0", "by type:"} {
+	for _, field := range []string{"socket-bytes=0", "socket-writes=0", "link-acks=", "link-acks-piggybacked=", "frame-errors=0", "by type:"} {
 		if !strings.Contains(ps.Format(), field) {
 			t.Fatalf("Format() lacks %q:\n%s", field, ps.Format())
 		}
@@ -242,7 +242,7 @@ func TestNodeServerLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, series := range []string{"hermes_net_socket_writes_total", "hermes_link_acks_total"} {
+	for _, series := range []string{"hermes_net_socket_writes_total", "hermes_link_acks_total", "hermes_link_acks_piggybacked_total"} {
 		if !strings.Contains(string(metrics), series) {
 			t.Fatalf("/metrics lacks %s", series)
 		}

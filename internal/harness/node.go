@@ -406,8 +406,10 @@ func (s *NodeServer) registerProcMetrics() {
 	reg := s.tel.Registry()
 	reg.Gauge("hermes_net_socket_writes_total", "socket Write calls that carried frames",
 		func() float64 { return float64(s.stats().NetSocketWrites) })
-	reg.Gauge("hermes_link_acks_total", "cumulative link acknowledgements sent by the reliable layer",
+	reg.Gauge("hermes_link_acks_total", "standalone link acknowledgements sent by the reliable layer",
 		func() float64 { return float64(s.stats().LinkAcks) })
+	reg.Gauge("hermes_link_acks_piggybacked_total", "link acknowledgements carried on data frames by the reliable layer",
+		func() float64 { return float64(s.stats().LinkAcksPiggybacked) })
 	jstat := func(f func(network.JournalStats) int64) func() float64 {
 		return func() float64 { return float64(f(s.jr.Stats())) }
 	}
@@ -452,11 +454,13 @@ type ProcStats struct {
 	NetBytes          int64  `json:"net_bytes"` // the Message.WireSize model
 	NetSocketBytes    int64  `json:"net_socket_bytes"`
 	NetSocketWrites   int64  `json:"net_socket_writes"` // net_msgs ÷ this = frames per write
-	LinkAcks          int64  `json:"link_acks"`         // cumulative MsgLinkAcks sent
+	LinkAcks          int64  `json:"link_acks"`         // standalone MsgLinkAcks sent
 	Retransmits       int64  `json:"retransmits"`
 	DupsDropped       int64  `json:"dups_dropped"`
 	HandshakeFailures int64  `json:"handshake_failures"`
 	WireFrameErrors   int64  `json:"wire_frame_errors"`
+	// LinkAcksPiggybacked counts the link acks that rode data frames.
+	LinkAcksPiggybacked int64 `json:"link_acks_piggybacked"`
 	// MsgsByType splits NetMsgs and NetBytes by message type.
 	MsgsByType map[string]network.TypeTotals `json:"msgs_by_type"`
 
@@ -479,8 +483,8 @@ func (st ProcStats) Format() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "node %d (incarnation %d)\n", st.Node, st.Incarnation)
 	fmt.Fprintf(&b, "  txns:       committed=%d aborted=%d\n", st.Committed, st.Aborted)
-	fmt.Fprintf(&b, "  network:    msgs=%d bytes=%d socket-bytes=%d socket-writes=%d link-acks=%d retransmits=%d dups-dropped=%d handshake-failures=%d frame-errors=%d\n",
-		st.NetMsgs, st.NetBytes, st.NetSocketBytes, st.NetSocketWrites, st.LinkAcks, st.Retransmits, st.DupsDropped, st.HandshakeFailures, st.WireFrameErrors)
+	fmt.Fprintf(&b, "  network:    msgs=%d bytes=%d socket-bytes=%d socket-writes=%d link-acks=%d link-acks-piggybacked=%d retransmits=%d dups-dropped=%d handshake-failures=%d frame-errors=%d\n",
+		st.NetMsgs, st.NetBytes, st.NetSocketBytes, st.NetSocketWrites, st.LinkAcks, st.LinkAcksPiggybacked, st.Retransmits, st.DupsDropped, st.HandshakeFailures, st.WireFrameErrors)
 	b.WriteString("  by type:   ")
 	for _, name := range slices.Sorted(maps.Keys(st.MsgsByType)) {
 		fmt.Fprintf(&b, " %s=%d/%dB", name, st.MsgsByType[name].Msgs, st.MsgsByType[name].Bytes)
@@ -525,7 +529,8 @@ func (s *NodeServer) stats() ProcStats {
 		st.MsgsByType[t.String()] = tt
 	}
 	rs := s.cluster.Reliable().Stats()
-	st.LinkAcks, st.Retransmits, st.DupsDropped = rs.Acks, rs.Retransmits, rs.DupsDropped
+	st.LinkAcks, st.LinkAcksPiggybacked = rs.Acks, rs.Piggybacked
+	st.Retransmits, st.DupsDropped = rs.Retransmits, rs.DupsDropped
 	return st
 }
 

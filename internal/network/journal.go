@@ -149,15 +149,20 @@ const (
 
 	// The 8-byte magic is journalMagic followed by the format version
 	// digit. v2 framed gob payloads; v3 frames the shared wire encoding;
-	// v4 may hold aborting-CounterProc requests, which v3 cannot decode.
+	// v4 may hold aborting-CounterProc requests, which v3 cannot decode;
+	// v5 frames the wire v5 layout (flags byte ahead of the records). v5's
+	// digit is '8', not '5': digits 5 to 7 are skipped so that no single
+	// rotted bit turns this build's digit into one of journalRefused.
 	journalMagic   = "HERMJNL"
-	journalVersion = '4'
-	// journalDecodable is the older format whose frames this build still
-	// decodes, so only the digit tells the file apart. It is three bit
-	// flips away from journalVersion: no single rotted bit produces it.
-	journalDecodable = '3'
-	journalHdrLen    = 16
-	frameHdrLen      = codec.FrameHeaderLen
+	journalVersion = '8'
+	// journalRefused lists the older formats refused by their digit alone:
+	// some of their frames decode under this build by accident (a v4 frame
+	// with no records, payload or batch parses as a v5 one), so the frames
+	// cannot be trusted to tell the file apart. Each digit is at least two
+	// bit flips from journalVersion.
+	journalRefused = "34"
+	journalHdrLen  = 16
+	frameHdrLen    = codec.FrameHeaderLen
 
 	appendMaxRetries = 8
 	syncMaxRetries   = 64
@@ -329,15 +334,15 @@ func replayJournal(raw []byte) replayResult {
 	if v == journalVersion {
 		return rep
 	}
-	// The magic names another format version. Versions 2 to 4 share the
+	// The magic names another format version. Versions 2 to 5 share the
 	// frame envelope, so the frames themselves say which it is: a frame
 	// that passes its CRC and is not a Message was written by another
 	// build's encoder, and replaying nothing from that file would restart
 	// an upgraded node from empty state — refuse. Anything else (our own
 	// frames, none, or damage) is a header hit by the same rot that flips
 	// any other byte, and stays on the quarantine path.
-	// A v3 file's frames decode fine, so its digit alone refuses it.
-	if v == journalDecodable || rep.undecodable && len(rep.msgs) == 0 {
+	// The digit alone refuses a v3 or v4 file (journalRefused).
+	if strings.IndexByte(journalRefused, v) >= 0 || rep.undecodable && len(rep.msgs) == 0 {
 		return replayResult{quarantine: -1, foreign: v}
 	}
 	return badMagic

@@ -3,6 +3,7 @@ package network
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"path/filepath"
 	"reflect"
 	"sync"
@@ -216,7 +217,7 @@ func TestJournalRefusesIncompatibleBuild(t *testing.T) {
 	old := v2Journal(t)
 	fs.Install(path, old, len(old))
 	_, err := OpenJournalWith("/n0", JournalOpts{FS: fs, Policy: SyncAlways})
-	if want := "written by an incompatible build (format v2, this build reads v4)"; err == nil || !contains(err.Error(), want) {
+	if want := "written by an incompatible build (format v2, this build reads v8)"; err == nil || !contains(err.Error(), want) {
 		t.Fatalf("open of a v2 journal: err = %v, want one saying %q", err, want)
 	}
 	if raw, rerr := fs.ReadFile(path); rerr != nil || string(raw) != string(old) {
@@ -227,32 +228,48 @@ func TestJournalRefusesIncompatibleBuild(t *testing.T) {
 	}
 }
 
-// TestJournalRefusesPreviousFormat: a v3 journal's frames decode under
-// this build, but its requests were encoded before the aborting-counter
-// tag existed; the digit alone must refuse it, untouched.
+// TestJournalRefusesPreviousFormat: v3 and v4 journals share a frame
+// layout this build no longer reads, and some of their frames (a v4
+// MsgTxnDone, whose records, payload and batch flag are three zero bytes)
+// still parse under it by accident. The digit alone must refuse either
+// file, untouched, even when every frame in it parses.
 func TestJournalRefusesPreviousFormat(t *testing.T) {
-	fs := diskio.NewMemFS(diskio.FaultSpec{Seed: 5})
-	j, err := OpenJournalWith("/n0", JournalOpts{FS: fs, Policy: SyncAlways})
-	if err != nil {
-		t.Fatal(err)
+	for _, digit := range journalRefused {
+		fs := diskio.NewMemFS(diskio.FaultSpec{Seed: 5})
+		j, err := OpenJournalWith("/n0", JournalOpts{FS: fs, Policy: SyncAlways})
+		if err != nil {
+			t.Fatal(err)
+		}
+		j.Append(Message{From: 2, To: 0, Type: MsgTxnDone, Txn: 1234, Seq: 1201, Link: 9, Inc: 1})
+		j.Close()
+		path := filepath.Join("/n0", journalFile)
+		old, _ := fs.ReadFile(path)
+		old[len(journalMagic)] = byte(digit)
+		fs.Install(path, old, len(old))
+		_, err = OpenJournalWith("/n0", JournalOpts{FS: fs, Policy: SyncAlways})
+		if want := fmt.Sprintf("incompatible build (format v%c, this build reads v8)", digit); err == nil || !contains(err.Error(), want) {
+			t.Fatalf("open of a v%c journal: err = %v, want one saying %q", digit, err, want)
+		}
+		if raw, rerr := fs.ReadFile(path); rerr != nil || string(raw) != string(old) {
+			t.Fatalf("refused v%c journal was modified: %q (%v)", digit, raw, rerr)
+		}
 	}
-	j.Append(jmsg(0))
-	j.Close()
-	path := filepath.Join("/n0", journalFile)
-	old, _ := fs.ReadFile(path)
-	old[len(journalMagic)] = '3'
-	fs.Install(path, old, len(old))
-	_, err = OpenJournalWith("/n0", JournalOpts{FS: fs, Policy: SyncAlways})
-	if want := "incompatible build (format v3, this build reads v4)"; err == nil || !contains(err.Error(), want) {
-		t.Fatalf("open of a v3 journal: err = %v, want one saying %q", err, want)
-	}
-	if raw, rerr := fs.ReadFile(path); rerr != nil || string(raw) != string(old) {
-		t.Fatalf("refused journal was modified: %q (%v)", raw, rerr)
+}
+
+// TestJournalRefusedDigitsAreFarFromTheVersion: a single rotted bit in
+// this build's header must read as damage (quarantine), never as another
+// build's file (refusal), so every refused digit differs from
+// journalVersion in at least two bits.
+func TestJournalRefusedDigitsAreFarFromTheVersion(t *testing.T) {
+	for _, digit := range journalRefused {
+		if d := bits.OnesCount8(byte(digit) ^ journalVersion); d < 2 {
+			t.Errorf("refused digit %q is %d bit flip from journalVersion %q", digit, d, journalVersion)
+		}
 	}
 }
 
 // TestJournalFlippedVersionByteIsCorruption: one flipped bit turns this
-// build's '4' into '5'. The frames behind it still decode, so it is a
+// build's '8' into '9'. The frames behind it still decode, so it is a
 // damaged header, not another build's file — it takes the quarantine path
 // every other damaged header takes and the open succeeds (the disk-fault
 // chaos schedules flip bytes of never-synced headers and require exactly

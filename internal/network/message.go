@@ -7,6 +7,7 @@
 package network
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"hermes/internal/tx"
@@ -18,7 +19,10 @@ type MsgType uint8
 // Message types used across the system.
 const (
 	// MsgRecordPush carries records from an owner node to a transaction's
-	// master (remote reads / data-fusion migration input).
+	// master (remote reads / data-fusion migration input). A node sends one
+	// per destination for everything its roles pushed there during one
+	// bucket-worker chunk: a push for one transaction names it in Txn, a
+	// push for several tags each record with its own (Record.Txn).
 	MsgRecordPush MsgType = iota
 	// MsgReadBroadcast carries a participant's local reads to all writer
 	// nodes in Calvin's multi-master scheme.
@@ -41,11 +45,14 @@ const (
 	_
 	// MsgControl carries small control-plane notifications.
 	MsgControl
-	// MsgLinkAck is the reliable layer's cumulative per-link delivery
-	// acknowledgement (Link carries the highest contiguously received
-	// sequence; when the receiver holds frames beyond a gap after it, Seq
-	// and Txn carry the lowest and highest of them). It never reaches the
-	// engine: the receiving side's pump consumes it.
+	// MsgLinkAck is the reliable layer's standalone cumulative per-link
+	// delivery acknowledgement (Link carries the highest contiguously
+	// received sequence; when the receiver holds frames beyond a gap after
+	// it, Seq and Txn carry the lowest and highest of them). Most acks
+	// never take this form: they ride the next data frame on the reverse
+	// link (Message.Ack). A standalone ack leaves for a gap report, a full
+	// drain, or an ack no data frame picked up within ackDelay. It never
+	// reaches the engine: the receiving side's pump consumes it.
 	MsgLinkAck
 	// MsgSeqReplicate carries a sealed batch from the sequencer leader to a
 	// standby sequencer. A batch is delivered to the cluster only after
@@ -60,11 +67,14 @@ const (
 	// leader of Epoch. Sent by a freshly promoted standby to every node and
 	// replica, and in reply to messages carrying a stale epoch.
 	MsgSeqEpoch
-	// MsgTxnDone tells the node whose front-end submitted transaction Txn
-	// that its committer finished it; Seq is the request's ClientSeq, the
-	// key the submitting process holds the client's waiter under. Sent only
-	// when that front-end lives in another process: a client hosted beside
-	// the committer is answered through shared memory.
+	// MsgTxnDone tells the node whose front-end submitted some transactions
+	// that their committer finished them. Payload lists their ClientSeqs,
+	// the keys the submitting process holds the clients' waiters under, in
+	// ascending order as delta uvarints (AppendClientSeqs). A committer
+	// sends one per batch and client node, once the last of the batch's
+	// transactions it commits for that node has finished. Sent only when
+	// the front-end lives in another process: a client hosted beside the
+	// committer is answered through shared memory.
 	MsgTxnDone
 )
 
@@ -106,16 +116,35 @@ func (t MsgType) String() string {
 type Record struct {
 	Key   tx.Key
 	Value []byte
+	// Txn tags the record with its transaction in a push that carries
+	// records of more than one; WireSize charges 8 bytes for a tag. It is
+	// 0 in a message for one transaction, which names it in Message.Txn.
+	Txn tx.TxnID
 }
 
 // Message is the unit of communication between nodes.
 type Message struct {
 	From, To tx.NodeID
 	Type     MsgType
-	Txn      tx.TxnID
-	Seq      uint64
-	Records  []Record
-	Payload  []byte
+
+	// AckInc and Ack piggyback a cumulative link acknowledgement on a
+	// sequenced data frame: the reverse link (To -> From) is acknowledged
+	// up to the sequence whose low 32 bits are Ack, which the receiver
+	// widens against its send window, under To's incarnation AckInc. 0 and
+	// 0 carry none. They are narrow so that they fit in the padding after
+	// Type: the emulation's channels hold Messages by value, so every byte
+	// added here is paid on every set-up and every hop. An ack that does
+	// not fit (low bits 0, incarnation of 1<<16 or more) goes standalone.
+	// The reliable layer strips both before delivery, so neither reaches a
+	// consumer or the journal; like Link and Inc, they ride under the
+	// header estimate in WireSize.
+	AckInc uint16
+	Ack    uint32
+
+	Txn     tx.TxnID
+	Seq     uint64
+	Records []Record
+	Payload []byte
 
 	// Epoch is the sequencer leadership epoch the message was sent under
 	// (sequencer control-plane messages only; 0 before the first failover).
@@ -160,6 +189,9 @@ func (m *Message) WireSize() int {
 	n := headerBytes + len(m.Payload)
 	for _, r := range m.Records {
 		n += perRecordBytes + len(r.Value)
+		if r.Txn != 0 {
+			n += 8
+		}
 	}
 	if m.Batch != nil {
 		for _, r := range m.Batch.Txns {
@@ -168,4 +200,31 @@ func (m *Message) WireSize() int {
 		}
 	}
 	return n
+}
+
+// AppendClientSeqs appends a MsgTxnDone payload to b: seqs, which must be
+// ascending, as the first value and then the differences, each a uvarint.
+func AppendClientSeqs(b []byte, seqs []uint64) []byte {
+	var prev uint64
+	for _, s := range seqs {
+		b = binary.AppendUvarint(b, s-prev)
+		prev = s
+	}
+	return b
+}
+
+// ClientSeqs decodes a MsgTxnDone payload written by AppendClientSeqs.
+func ClientSeqs(p []byte) ([]uint64, error) {
+	var seqs []uint64
+	var prev uint64
+	for len(p) > 0 {
+		d, n := binary.Uvarint(p)
+		if n <= 0 {
+			return nil, fmt.Errorf("network: bad client sequence list")
+		}
+		prev += d
+		seqs = append(seqs, prev)
+		p = p[n:]
+	}
+	return seqs, nil
 }

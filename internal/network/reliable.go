@@ -37,14 +37,24 @@ const (
 	linkRTOCeil  = time.Second
 )
 
+// ackDelay is how long a parked ack waits for a data frame on the reverse
+// link to carry it (Message.Ack) before it leaves as a standalone
+// MsgLinkAck. It delays the sender's window by at most that much, well
+// below the 50 ms RTO floor, so a parked ack never causes a resend.
+const ackDelay = 2 * time.Millisecond
+
 // ReliableStats reports how hard the reliable layer had to work.
 type ReliableStats struct {
 	// Retransmits counts messages re-sent, on a timeout or a gap report.
 	Retransmits int64
 	// DupsDropped counts received messages discarded as duplicates.
 	DupsDropped int64
-	// Acks counts cumulative link acknowledgements sent.
+	// Acks counts standalone cumulative link acknowledgements sent
+	// (MsgLinkAck frames).
 	Acks int64
+	// Piggybacked counts cumulative acknowledgements carried on data frames
+	// instead (Message.Ack).
+	Piggybacked int64
 }
 
 // Reliable provides the Transport contract — per-link FIFO order, no loss,
@@ -55,10 +65,12 @@ type ReliableStats struct {
 // retransmits frames left unacknowledged past the link's retransmission
 // timeout, which it measures from the acks themselves (RTO); the receiver
 // delivers in sequence, buffers the future, discards duplicates, and
-// returns cumulative MsgLinkAck acknowledgements — one per sender per drain
-// of its inbox, not one per message (see pumpLoop), each naming the frames
-// it holds beyond a gap — which may themselves be lost or duplicated: the
-// protocol only needs them to eventually arrive.
+// returns cumulative acknowledgements — one per sender per drain of its
+// inbox, not one per message (see pumpLoop), each naming the frames it
+// holds beyond a gap — which may themselves be lost or duplicated: the
+// protocol only needs them to eventually arrive. An ack without a gap to
+// report rides the next data frame back to its sender when one leaves
+// within ackDelay, and goes as a MsgLinkAck of its own otherwise.
 //
 // Reliable additionally keeps a per-destination delivery log: every message
 // is appended to its destination's log before a feeder goroutine hands it
@@ -90,6 +102,7 @@ type Reliable struct {
 	retransmits atomic.Int64
 	dupDropped  atomic.Int64
 	acks        atomic.Int64
+	piggybacked atomic.Int64
 }
 
 // sendLink is the sender half of one (from,to) link.
@@ -164,6 +177,20 @@ type destState struct {
 	// Under group commit this is what turns "journaled" into "fsynced
 	// before the peer may forget the message".
 	ackGate func(func())
+
+	// parked holds, per sender, the ack this destination owes it that no
+	// data frame has carried yet. Send takes it onto the next frame back;
+	// the pump sends what is still here ackDelay after it was parked.
+	ackMu    sync.Mutex
+	parked   map[tx.NodeID]parkedAck
+	parkKick chan struct{} // cap-1: the ack gate released an ack
+}
+
+// parkedAck is a cumulative ack waiting for a ride: link and inc as in a
+// MsgLinkAck's Link and Inc, at when it was first parked.
+type parkedAck struct {
+	link, inc uint64
+	at        time.Time
 }
 
 // NewReliable wraps inner with reliable delivery for the given nodes.
@@ -224,6 +251,8 @@ func NewReliableWith(inner Transport, o ReliableOpts) *Reliable {
 			pauseSig: make(chan struct{}),
 			notify:   make(chan struct{}, 1),
 			out:      make(chan Message),
+			parked:   make(map[tx.NodeID]parkedAck),
+			parkKick: make(chan struct{}, 1),
 		}
 		if o.JournalFor != nil {
 			ds.journal = o.JournalFor(n)
@@ -274,6 +303,7 @@ func (r *Reliable) Stats() ReliableStats {
 		Retransmits: r.retransmits.Load(),
 		DupsDropped: r.dupDropped.Load(),
 		Acks:        r.acks.Load(),
+		Piggybacked: r.piggybacked.Load(),
 	}
 }
 
@@ -303,8 +333,9 @@ func (r *Reliable) Depths() (unacked, backlog int64) {
 }
 
 // Send implements Transport: it sequences m onto its link, buffers it for
-// retransmission, and makes the first delivery attempt. Send never blocks
-// on a slow or dead receiver beyond the inner transport's own enqueue.
+// retransmission, and makes the first delivery attempt, carrying the ack
+// m.From owes m.To if one is parked. Send never blocks on a slow or dead
+// receiver beyond the inner transport's own enqueue.
 func (r *Reliable) Send(m Message) error {
 	if m.From == m.To {
 		return r.inner.Send(m)
@@ -339,6 +370,14 @@ func (r *Reliable) Send(m Message) error {
 	select {
 	case sl.kick <- struct{}{}:
 	default:
+	}
+	// Only the first transmission carries the ack: the buffered copy
+	// resends without one.
+	if ds := r.dests[m.From]; ds != nil {
+		if a, ok := ds.takeAck(m.To); ok {
+			m.Ack, m.AckInc = uint32(a.link), uint16(a.inc)
+			r.piggybacked.Add(1)
+		}
 	}
 	// First-attempt transmission; loss is repaired by the retransmit loop,
 	// so a mid-shutdown inner error is not fatal to the caller.
@@ -450,45 +489,67 @@ func (sl *sendLink) restamp(n int, before time.Time) []Message {
 // messages are appended to the delivery log for the feeder. Acks are paid
 // per drain, not per message: the pump handles the message it woke for,
 // keeps taking whatever is already queued (up to maxDrain), and only when
-// the inbox is momentarily empty sends one cumulative ack to each sender it
-// heard from. Every drain ends with that flush and nothing waits on a
-// timer, so an idle link is acked at once and a lossy one stays live.
+// the inbox is momentarily empty owes one cumulative ack to each sender it
+// heard from (flushAcks). The pump also owns the parked acks' deadline:
+// its timer sends whatever no data frame carried within ackDelay.
 func (r *Reliable) pumpLoop(ds *destState) {
 	defer r.wg.Done()
 	inbox := r.inner.Recv(ds.node)
+	timer := time.NewTimer(time.Hour)
+	timer.Stop()
+	defer timer.Stop()
+	armed := false
 	for {
+		var expired <-chan time.Time
+		if armed {
+			expired = timer.C
+		}
 		select {
 		case <-r.quit:
 			return
+		case <-ds.parkKick:
+		case <-expired:
+			armed = false
+			r.sendDueAcks(ds)
 		case m, ok := <-inbox:
 			if !ok {
 				return
 			}
 			r.handle(ds, m)
-		}
-	drain:
-		for n := 1; n < maxDrain; n++ {
-			select {
-			case m, ok := <-inbox:
-				if !ok {
+			n := 1
+		drain:
+			for ; n < maxDrain; n++ {
+				select {
+				case m, ok := <-inbox:
+					if !ok {
+						break drain
+					}
+					r.handle(ds, m)
+				default:
 					break drain
 				}
-				r.handle(ds, m)
-			default:
-				break drain
+			}
+			r.flushAcks(ds, n == maxDrain)
+		}
+		if !armed {
+			if d, ok := ds.nextAckDue(); ok {
+				timer.Reset(d)
+				armed = true
 			}
 		}
-		r.flushAcks(ds)
 	}
 }
 
-// flushAcks sends one cumulative ack to every sender heard from since the
-// last flush. Each send goes through the durability gate: under group
-// commit the peer learns of a delivery only after the fsync covering it —
-// every journal append of the drain precedes the gate call — so an acked
-// frame can never be lost to host death. An ack also reports a gap: Seq and
-// Txn are the lowest and highest frames held past it (0: none held).
-func (r *Reliable) flushAcks(ds *destState) {
+// flushAcks settles the ack owed to every sender heard from since the last
+// flush. An ack that reports a gap, or ends a full drain (a saturated
+// inbox must keep its senders' windows moving), leaves at once; any other
+// is parked for the next data frame back to its sender. Either way it
+// passes the durability gate first: under group commit the peer learns of
+// a delivery only after the fsync covering it — every journal append of
+// the drain precedes the gate call — so an acked frame can never be lost
+// to host death. A gap report names the lowest and highest frames held
+// past the gap in Seq and Txn (0: none held).
+func (r *Reliable) flushAcks(ds *destState, full bool) {
 	for _, from := range ds.owed {
 		rl := ds.recv[from]
 		ack := Message{
@@ -500,75 +561,130 @@ func (r *Reliable) flushAcks(ds *destState) {
 			}
 			ack.Txn = max(ack.Txn, tx.TxnID(l))
 		}
-		send := func() {
-			r.acks.Add(1)
-			_ = r.inner.Send(ack)
+		settle := func() { ds.park(from, ack.Link, ack.Inc) }
+		if full || ack.Seq != 0 {
+			settle = func() { r.sendAck(ds, ack) }
 		}
-		if ds.ackGate != nil {
-			ds.ackGate(send)
-		} else {
-			send()
+		if ds.ackGate == nil {
+			settle()
+			continue
 		}
+		// The gate may release the ack from another goroutine, after the
+		// pump has armed its timer: wake the pump to look again.
+		ds.ackGate(func() {
+			settle()
+			select {
+			case ds.parkKick <- struct{}{}:
+			default:
+			}
+		})
 	}
 	ds.owed = ds.owed[:0]
+}
+
+// sendAck sends ack as a standalone MsgLinkAck. It supersedes whatever the
+// destination had parked for the same sender, which it covers.
+func (r *Reliable) sendAck(ds *destState, ack Message) {
+	ds.ackMu.Lock()
+	if a, ok := ds.parked[ack.To]; ok && a.inc == ack.Inc && a.link <= ack.Link {
+		delete(ds.parked, ack.To)
+	}
+	ds.ackMu.Unlock()
+	r.acks.Add(1)
+	_ = r.inner.Send(ack)
+}
+
+// sendDueAcks sends every parked ack whose ackDelay has run out.
+func (r *Reliable) sendDueAcks(ds *destState) {
+	var due []Message
+	now := time.Now()
+	ds.ackMu.Lock()
+	for to, a := range ds.parked {
+		if now.Sub(a.at) >= ackDelay {
+			due = append(due, Message{From: ds.node, To: to, Type: MsgLinkAck, Link: a.link, Inc: a.inc})
+			delete(ds.parked, to)
+		}
+	}
+	ds.ackMu.Unlock()
+	for _, ack := range due {
+		r.acks.Add(1)
+		_ = r.inner.Send(ack)
+	}
+}
+
+// park records the cumulative ack ds owes to: the first frame Send
+// transmits back to it carries the ack, and the pump sends it on its own
+// ackDelay after it was first parked. A later ack for the same sender
+// replaces it but keeps its deadline, so a steady trickle of deliveries
+// cannot postpone the ack forever.
+func (ds *destState) park(to tx.NodeID, link, inc uint64) {
+	ds.ackMu.Lock()
+	a, ok := ds.parked[to]
+	switch {
+	case !ok:
+		a = parkedAck{link: link, inc: inc, at: time.Now()}
+	case a.inc != inc || link > a.link:
+		a.link, a.inc = link, inc
+	}
+	ds.parked[to] = a
+	ds.ackMu.Unlock()
+}
+
+// takeAck removes and returns the ack parked for to, if one is parked and
+// fits a data frame's Ack and AckInc; one that does not stays parked for
+// the standalone path.
+func (ds *destState) takeAck(to tx.NodeID) (parkedAck, bool) {
+	ds.ackMu.Lock()
+	defer ds.ackMu.Unlock()
+	a, ok := ds.parked[to]
+	if !ok || uint32(a.link) == 0 || a.inc >= 1<<16 {
+		return parkedAck{}, false
+	}
+	delete(ds.parked, to)
+	return a, true
+}
+
+// nextAckDue reports how long until the earliest parked ack is due, if any
+// is parked.
+func (ds *destState) nextAckDue() (time.Duration, bool) {
+	ds.ackMu.Lock()
+	defer ds.ackMu.Unlock()
+	var first time.Time
+	for _, a := range ds.parked {
+		if first.IsZero() || a.at.Before(first) {
+			first = a.at
+		}
+	}
+	if first.IsZero() {
+		return 0, false
+	}
+	return max(ackDelay-time.Since(first), 0), true
 }
 
 func (r *Reliable) handle(ds *destState, m Message) {
 	switch {
 	case m.Type == MsgLinkAck:
-		// m acknowledges data we (ds.node) sent to m.From. An ack for a
-		// different incarnation of us is about a previous (or future) life
-		// of this process and says nothing about the current window.
-		if m.Inc != r.inc {
-			return
-		}
-		r.mu.Lock()
-		sl := r.sends[[2]tx.NodeID{ds.node, m.From}]
-		r.mu.Unlock()
-		if sl == nil {
-			return
-		}
-		sl.mu.Lock()
-		if m.Link > sl.acked {
-			sl.acked = m.Link
-			i, resent := 0, false
-			for i < len(sl.unacked) && sl.unacked[i].m.Link <= m.Link {
-				resent = resent || sl.unacked[i].resent
-				i++
-			}
-			// One RTT sample per ack: the oldest covered frame has waited
-			// longest for it, which is the wait the RTO must outlast. An ack
-			// covering a resent frame is no sample (Karn): the resent frame's
-			// wait is ambiguous, and a frame held behind it waited for the
-			// repair, not the round trip.
-			if i > 0 {
-				sl.rto.Sample(time.Since(sl.unacked[0].sentAt), resent)
-			}
-			// Shift in place; zero the vacated tail so acked messages are
-			// collectable.
-			n := copy(sl.unacked, sl.unacked[i:])
-			clear(sl.unacked[n:])
-			sl.unacked = sl.unacked[:n]
-		}
-		// The current ack's gap report replaces the last one; the
-		// retransmit loop resends what it proves lost.
-		gap := false
-		if m.Link == sl.acked {
-			sl.held, sl.heldTop = m.Seq, uint64(m.Txn)
-			gap = m.Seq > m.Link+1
-		}
-		sl.mu.Unlock()
-		if gap {
-			select {
-			case sl.gap <- struct{}{}:
-			default:
-			}
+		// An ack for a different incarnation of us is about a previous (or
+		// future) life of this process and says nothing about the current
+		// window.
+		if m.Inc == r.inc {
+			r.ack(ds, m.From, m.Link, m.Seq, uint64(m.Txn), false)
 		}
 	case m.Link == 0:
 		// Unsequenced (a sender outside this wrapper): deliver in arrival
 		// order.
 		ds.deliver(m)
 	default:
+		if m.Ack != 0 || m.AckInc != 0 {
+			// A piggybacked ack is as good on a duplicate as on a fresh
+			// frame; it is the reliable layer's, not the consumer's. An
+			// incarnation of 1<<16 or more never matches: no ack for it
+			// is ever piggybacked.
+			if uint64(m.AckInc) == r.inc {
+				r.ack(ds, m.From, uint64(m.Ack), 0, 0, true)
+			}
+			m.Ack, m.AckInc = 0, 0
+		}
 		rl := ds.recv[m.From]
 		if rl == nil {
 			rl = newRecvLink(m.Inc, 1)
@@ -620,6 +736,65 @@ func (r *Reliable) handle(ds *destState, m Message) {
 		// so the drain's flush collapses them into one per sender.
 		if !slices.Contains(ds.owed, m.From) {
 			ds.owed = append(ds.owed, m.From)
+		}
+	}
+}
+
+// ack applies a cumulative acknowledgement from peer of the frames ds.node
+// sent it, of this incarnation. A standalone ack carries the whole sequence
+// and a gap report, held..heldTop (0: none held), which replaces the last
+// one. A piggybacked ack carries the sequence's low 32 bits, which ack
+// widens against the send window, and no gap report: the last one stands.
+func (r *Reliable) ack(ds *destState, peer tx.NodeID, link, held, heldTop uint64, piggybacked bool) {
+	r.mu.Lock()
+	sl := r.sends[[2]tx.NodeID{ds.node, peer}]
+	r.mu.Unlock()
+	if sl == nil {
+		return
+	}
+	sl.mu.Lock()
+	if piggybacked {
+		// The ack is the one sequence at or above sl.acked with these low
+		// bits. Past the last frame sent, it is a stale ack from below.
+		link = sl.acked + uint64(uint32(link)-uint32(sl.acked))
+		if link > sl.nextSeq {
+			sl.mu.Unlock()
+			return
+		}
+	}
+	if link > sl.acked {
+		sl.acked = link
+		i, resent := 0, false
+		for i < len(sl.unacked) && sl.unacked[i].m.Link <= link {
+			resent = resent || sl.unacked[i].resent
+			i++
+		}
+		// One RTT sample per ack: the oldest covered frame has waited
+		// longest for it, which is the wait the RTO must outlast. An ack
+		// covering a resent frame is no sample (Karn): the resent frame's
+		// wait is ambiguous, and a frame held behind it waited for the
+		// repair, not the round trip.
+		if i > 0 {
+			sl.rto.Sample(time.Since(sl.unacked[0].sentAt), resent)
+		}
+		// Shift in place; zero the vacated tail so acked messages are
+		// collectable.
+		n := copy(sl.unacked, sl.unacked[i:])
+		clear(sl.unacked[n:])
+		sl.unacked = sl.unacked[:n]
+	}
+	// The current ack's gap report replaces the last one; the retransmit
+	// loop resends what it proves lost.
+	gap := false
+	if !piggybacked && link == sl.acked {
+		sl.held, sl.heldTop = held, heldTop
+		gap = held > link+1
+	}
+	sl.mu.Unlock()
+	if gap {
+		select {
+		case sl.gap <- struct{}{}:
+		default:
 		}
 	}
 }

@@ -765,3 +765,221 @@ func TestReliableFloorsOnlyForJournaledDestinations(t *testing.T) {
 		t.Fatalf("dups dropped = %d, want 1 (A's link 5, under its floor)", st.DupsDropped)
 	}
 }
+
+// TestReliablePiggybacksOwedAck: an ack without a gap report is parked,
+// and the next data frame back to its sender carries it; no standalone
+// MsgLinkAck is sent. The test plays the pump's part on a destination
+// whose inbox stays empty, so its pump never arms the ackDelay timer.
+func TestReliablePiggybacksOwedAck(t *testing.T) {
+	defer leaktest.Check(t)()
+	inner := newStubInner(nil)
+	r := NewReliableWith(inner, ReliableOpts{RecvFor: []tx.NodeID{0}, Incarnation: 2})
+	defer r.Close()
+	ds := r.dests[0]
+	for _, m := range sequenced(1, 3) {
+		m.Inc = 5
+		r.handle(ds, m)
+	}
+	r.flushAcks(ds, false)
+	inner.assertNothingSent(t)
+
+	if err := r.Send(Message{From: 0, To: 1, Type: MsgRecordPush, Txn: 9}); err != nil {
+		t.Fatal(err)
+	}
+	m := inner.nextSent(t)
+	if m.Type != MsgRecordPush || m.Link != 1 || m.Inc != 2 || m.Ack != 3 || m.AckInc != 5 {
+		t.Fatalf("data frame %+v, want link 1 of incarnation 2 carrying Ack 3 / AckInc 5", m)
+	}
+	if err := r.Send(Message{From: 0, To: 1, Type: MsgRecordPush, Txn: 10}); err != nil {
+		t.Fatal(err)
+	}
+	if m := inner.nextSent(t); m.Ack != 0 || m.AckInc != 0 {
+		t.Fatalf("second frame %+v carries the ack again", m)
+	}
+	time.Sleep(5 * ackDelay)
+	inner.assertNothingSent(t)
+	if st := r.Stats(); st.Piggybacked != 1 || st.Acks != 0 {
+		t.Fatalf("stats %+v, want 1 piggybacked ack and no standalone one", st)
+	}
+	// The retransmission copy carries no ack either.
+	r.mu.Lock()
+	sl := r.sends[[2]tx.NodeID{0, 1}]
+	r.mu.Unlock()
+	sl.mu.Lock()
+	defer sl.mu.Unlock()
+	if u := sl.unacked[0].m; u.Ack != 0 || u.AckInc != 0 {
+		t.Fatalf("buffered copy %+v carries the ack", u)
+	}
+}
+
+// TestReliablePiggybackedAckIsApplied: an ack riding a data frame retires
+// the window like a standalone one, is stripped before delivery, and
+// leaves the last gap report standing, since it carries none.
+func TestReliablePiggybackedAckIsApplied(t *testing.T) {
+	defer leaktest.Check(t)()
+	inner := newStubInner(nil)
+	r := NewReliableWith(inner, ReliableOpts{RecvFor: []tx.NodeID{0}, Incarnation: 4})
+	defer r.Close()
+	for i := 1; i <= 6; i++ {
+		if err := r.Send(Message{From: 0, To: 1, Type: MsgRecordPush, Txn: tx.TxnID(i)}); err != nil {
+			t.Fatal(err)
+		}
+		inner.nextSent(t)
+	}
+	ds := r.dests[0]
+	// Node 1 has 1 and 2, misses 3, and holds 4 to 5.
+	r.handle(ds, Message{From: 1, To: 0, Type: MsgLinkAck, Link: 2, Inc: 4, Seq: 4, Txn: 5})
+	r.handle(ds, Message{From: 1, To: 0, Type: MsgSeqDeliver, Link: 1, Inc: 7, Ack: 2, AckInc: 4})
+	r.mu.Lock()
+	sl := r.sends[[2]tx.NodeID{0, 1}]
+	r.mu.Unlock()
+	sl.mu.Lock()
+	held, heldTop, window := sl.held, sl.heldTop, len(sl.unacked)
+	sl.mu.Unlock()
+	if held != 4 || heldTop != 5 || window != 4 {
+		t.Fatalf("after a piggybacked ack: held %d..%d, %d unacked; want the report 4..5 kept and 4 unacked", held, heldTop, window)
+	}
+	r.handle(ds, Message{From: 1, To: 0, Type: MsgSeqDeliver, Link: 2, Inc: 7, Ack: 5, AckInc: 4})
+	sl.mu.Lock()
+	window = len(sl.unacked)
+	sl.mu.Unlock()
+	if window != 1 {
+		t.Fatalf("%d unacked after Ack 5, want 1", window)
+	}
+	for link := uint64(1); link <= 2; link++ {
+		select {
+		case m := <-r.Recv(0):
+			if m.Link != link || m.Ack != 0 || m.AckInc != 0 {
+				t.Fatalf("delivered %+v, want link %d with the ack stripped", m, link)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("link %d never delivered", link)
+		}
+	}
+}
+
+// TestReliableParkedAckLeavesAfterAckDelay: with no data going back to the
+// sender, the parked ack leaves as a standalone MsgLinkAck once ackDelay
+// has passed, and not before.
+func TestReliableParkedAckLeavesAfterAckDelay(t *testing.T) {
+	defer leaktest.Check(t)()
+	start := time.Now()
+	inner := newStubInner(sequenced(1, 3))
+	r := NewReliableWith(inner, ReliableOpts{RecvFor: []tx.NodeID{0}})
+	defer r.Close()
+	ack := inner.nextSent(t)
+	waited := time.Since(start)
+	if ack.Type != MsgLinkAck || ack.To != 1 || ack.Link != 3 || ack.Seq != 0 {
+		t.Fatalf("sent %+v, want a standalone LinkAck 3 to node 1", ack)
+	}
+	if waited < ackDelay || waited > time.Second {
+		t.Fatalf("the ack left after %v, want it parked for ackDelay (%v) and then sent", waited, ackDelay)
+	}
+	if st := r.Stats(); st.Acks != 1 || st.Piggybacked != 0 {
+		t.Fatalf("stats %+v, want 1 standalone ack", st)
+	}
+}
+
+// TestReliableGapReportIsNeverParked: an ack that reports a gap leaves at
+// once as a MsgLinkAck naming the held frames, even though a data frame
+// back to the sender follows; the data frame carries no ack.
+func TestReliableGapReportIsNeverParked(t *testing.T) {
+	defer leaktest.Check(t)()
+	ms := sequenced(1, 5)
+	inner := newStubInner([]Message{ms[0], ms[1], ms[3], ms[4]})
+	r := NewReliableWith(inner, ReliableOpts{RecvFor: []tx.NodeID{0}})
+	defer r.Close()
+	ack := inner.nextSent(t)
+	if ack.Type != MsgLinkAck || ack.Link != 2 || ack.Seq != 4 || ack.Txn != 5 {
+		t.Fatalf("sent %+v, want LinkAck 2 reporting frames 4..5 held", ack)
+	}
+	if err := r.Send(Message{From: 0, To: 1, Type: MsgRecordPush}); err != nil {
+		t.Fatal(err)
+	}
+	if m := inner.nextSent(t); m.Type != MsgRecordPush || m.Ack != 0 {
+		t.Fatalf("data frame %+v carries an ack the gap report already sent", m)
+	}
+	if st := r.Stats(); st.Acks != 1 || st.Piggybacked != 0 {
+		t.Fatalf("stats %+v, want the one standalone gap report", st)
+	}
+}
+
+// TestReliableGatedAckNeitherRidesNorLeavesEarly: while the durability
+// gate holds an ack, a data frame back to its sender must not carry it and
+// no standalone ack may leave; once released, the ack is parked and goes
+// out on its own after ackDelay.
+func TestReliableGatedAckNeitherRidesNorLeavesEarly(t *testing.T) {
+	defer leaktest.Check(t)()
+	inner := newStubInner(sequenced(1, 4))
+	gated := make(chan func(), 4)
+	r := NewReliableWith(inner, ReliableOpts{
+		RecvFor:    []tx.NodeID{0},
+		AckGateFor: func(tx.NodeID) func(func()) { return func(release func()) { gated <- release } },
+	})
+	defer r.Close()
+	var release func()
+	select {
+	case release = <-gated:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the drain never reached the ack gate")
+	}
+	if err := r.Send(Message{From: 0, To: 1, Type: MsgRecordPush}); err != nil {
+		t.Fatal(err)
+	}
+	if m := inner.nextSent(t); m.Type != MsgRecordPush || m.Ack != 0 {
+		t.Fatalf("data frame %+v carries an ack the gate still holds", m)
+	}
+	time.Sleep(5 * ackDelay)
+	inner.assertNothingSent(t)
+	released := time.Now()
+	release()
+	ack := inner.nextSent(t)
+	if ack.Type != MsgLinkAck || ack.Link != 4 {
+		t.Fatalf("released ack = %+v, want LinkAck 4", ack)
+	}
+	if waited := time.Since(released); waited < ackDelay {
+		t.Fatalf("the released ack left after %v, before ackDelay", waited)
+	}
+}
+
+// TestReliablePiggybackedAckWidens: a piggybacked ack carries the low 32
+// bits of the acknowledged sequence, and the sender widens them against
+// its window, across a 2^32 boundary too. Low bits from below the window
+// (a stale ack), an ack for another incarnation, and an ack that does not
+// fit a data frame are not taken.
+func TestReliablePiggybackedAckWidens(t *testing.T) {
+	inner := newStubInner(nil)
+	r := NewReliableWith(inner, ReliableOpts{RecvFor: []tx.NodeID{0}, Incarnation: 3})
+	defer r.Close()
+	const base = 1<<32 - 4
+	sl := &sendLink{acked: base, nextSeq: base + 8}
+	for l := uint64(base + 1); l <= base+8; l++ {
+		sl.unacked = append(sl.unacked, unackedMsg{m: Message{Link: l}})
+	}
+	r.sends[[2]tx.NodeID{0, 1}] = sl
+	ds := r.dests[0]
+	deliver := func(ack uint64, inc uint16) {
+		r.handle(ds, Message{From: 1, To: 0, Type: MsgRecordPush, Link: 1, Inc: 9, Ack: uint32(ack), AckInc: inc})
+	}
+	deliver(base+6, 3) // low bits 2: the window's base+6, past the boundary
+	if sl.acked != base+6 || len(sl.unacked) != 2 {
+		t.Fatalf("acked %d with %d unacked, want %d with 2", sl.acked, len(sl.unacked), uint64(base+6))
+	}
+	deliver(base+5, 3) // below the window now: stale
+	deliver(base+8, 2) // another incarnation
+	if sl.acked != base+6 || len(sl.unacked) != 2 {
+		t.Fatalf("a stale or foreign piggybacked ack moved the window to %d", sl.acked)
+	}
+	deliver(base+8, 3)
+	if sl.acked != base+8 || len(sl.unacked) != 0 {
+		t.Fatalf("acked %d with %d unacked, want %d with none", sl.acked, len(sl.unacked), uint64(base+8))
+	}
+
+	for _, a := range []struct{ link, inc uint64 }{{1 << 32, 3}, {7, 1 << 16}} {
+		ds.park(1, a.link, a.inc)
+		if _, ok := ds.takeAck(1); ok {
+			t.Fatalf("ack %+v does not fit a data frame but was taken", a)
+		}
+		ds.parked = map[tx.NodeID]parkedAck{}
+	}
+}

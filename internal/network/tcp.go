@@ -45,7 +45,10 @@ const (
 	// transaction ID, so its MsgTxnDone carries no ClientSeq in Seq and a v3
 	// submitter would wait forever for a v2 committer's notice. v4 adds the
 	// aborting-CounterProc procedure tag, which a v3 build cannot decode.
-	wireVersion             = 4
+	// v5 moves the batch flag ahead of the records as a flags byte, tags
+	// the records of a multi-transaction push, carries piggybacked acks in
+	// a trailer, and lists a batch's ClientSeqs in MsgTxnDone's payload.
+	wireVersion             = 5
 	defaultHandshakeTimeout = 3 * time.Second
 	handshakeLen            = 16
 )

@@ -11,15 +11,36 @@ import (
 // the delivery journal (docs/CLUSTER.md, "Wire and journal format"):
 //
 //	From i64 | To i64 | Type u8 | Txn u64 | Seq u64 | Epoch u64 | Link u64 | Inc u64
-//	records: count, then per record Key u64 | Value bytes
+//	flags u8 (flagBatch | flagAck | flagTagged)
+//	records: count, then per record Key u64 | Txn u64 when flagTagged | Value bytes
 //	Payload bytes
-//	batch flag u8 (0 | 1), then tx.AppendBatch's form when 1
+//	tx.AppendBatch's form when flagBatch
+//	AckInc<<32 | Ack as a u64 when flagAck
 //
 // A decoded message owns all of its memory, and empty slices decode as nil.
+// The encoding is canonical: a flag is set exactly when its part is
+// non-zero, so a decoded message re-encodes to the bytes it came from.
+
+// The flags byte's bits.
+const (
+	flagBatch  = 1 << iota // a batch follows the payload
+	flagAck                // an ack trailer ends the frame
+	flagTagged             // every record carries its transaction
+)
 
 // minRecordLen is the least an encoded record occupies: its key and a
 // one-byte length.
 const minRecordLen = 8 + 1
+
+// tagged reports whether any record carries its own transaction.
+func (m *Message) tagged() bool {
+	for i := range m.Records {
+		if m.Records[i].Txn != 0 {
+			return true
+		}
+	}
+	return false
+}
 
 // appendMessage appends m's encoded form to b. It fails only for a batch
 // holding a procedure that has no wire tag.
@@ -32,16 +53,37 @@ func appendMessage(b []byte, m *Message) ([]byte, error) {
 	b = codec.AppendU64(b, m.Epoch)
 	b = codec.AppendU64(b, m.Link)
 	b = codec.AppendU64(b, m.Inc)
+	var flags byte
+	if m.Batch != nil {
+		flags |= flagBatch
+	}
+	if m.Ack != 0 || m.AckInc != 0 {
+		flags |= flagAck
+	}
+	tagged := m.tagged()
+	if tagged {
+		flags |= flagTagged
+	}
+	b = append(b, flags)
 	b = codec.AppendCount(b, len(m.Records))
 	for i := range m.Records {
 		b = codec.AppendU64(b, uint64(m.Records[i].Key))
+		if tagged {
+			b = codec.AppendU64(b, uint64(m.Records[i].Txn))
+		}
 		b = codec.AppendBytes(b, m.Records[i].Value)
 	}
 	b = codec.AppendBytes(b, m.Payload)
-	if m.Batch == nil {
-		return append(b, 0), nil
+	if m.Batch != nil {
+		var err error
+		if b, err = tx.AppendBatch(b, m.Batch); err != nil {
+			return b, err
+		}
 	}
-	return tx.AppendBatch(append(b, 1), m.Batch)
+	if flags&flagAck != 0 {
+		b = codec.AppendU64(b, uint64(m.AckInc)<<32|uint64(m.Ack))
+	}
+	return b, nil
 }
 
 // decodeMessage decodes exactly one message from p; trailing bytes are an
@@ -58,19 +100,32 @@ func decodeMessage(p []byte) (Message, error) {
 		Link:  r.U64(),
 		Inc:   r.U64(),
 	}
+	flags := r.U8()
+	if flags&^(flagBatch|flagAck|flagTagged) != 0 {
+		r.Fail(fmt.Errorf("network: bad flags %#x", flags))
+	}
+	tagged := flags&flagTagged != 0
 	if n := r.Count(minRecordLen); n > 0 {
 		m.Records = make([]Record, n)
 		for i := range m.Records {
-			m.Records[i] = Record{Key: tx.Key(r.U64()), Value: r.Bytes()}
+			rec := &m.Records[i]
+			rec.Key = tx.Key(r.U64())
+			if tagged {
+				rec.Txn = tx.TxnID(r.U64())
+			}
+			rec.Value = r.Bytes()
 		}
 	}
 	m.Payload = r.Bytes()
-	switch flag := r.U8(); flag {
-	case 0:
-	case 1:
+	if flags&flagBatch != 0 {
 		m.Batch = tx.ReadBatch(r)
-	default:
-		r.Fail(fmt.Errorf("network: bad batch flag %d", flag))
+	}
+	if flags&flagAck != 0 {
+		v := r.U64()
+		if v>>48 != 0 {
+			r.Fail(fmt.Errorf("network: bad ack trailer %#x", v))
+		}
+		m.Ack, m.AckInc = uint32(v), uint16(v>>32)
 	}
 	if err := r.Finish(); err != nil {
 		return Message{}, err

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"hermes/internal/tx"
 )
@@ -18,8 +19,10 @@ import (
 // which this package cannot import.
 const leaderNode tx.NodeID = -64
 
-// The benchmark's four frame shapes (bench/probes.go): the data plane's
-// most common message, the largest one, and the two smallest.
+// The benchmark's frame shapes (bench/probes.go): the data plane's most
+// common message, the largest one, and the two smallest; then the two v5
+// forms a record push may also take, a push for several transactions and
+// a push carrying an ack.
 
 func benchRecordPush() Message {
 	return Message{From: 1, To: 0, Type: MsgRecordPush, Txn: 7, Link: 3, Inc: 1,
@@ -46,7 +49,21 @@ func benchLinkAck() Message {
 }
 
 func benchTxnDone() Message {
-	return Message{From: 2, To: 0, Type: MsgTxnDone, Txn: 1234, Seq: 1201, Link: 9, Inc: 1}
+	return Message{From: 2, To: 0, Type: MsgTxnDone, Link: 9, Inc: 1,
+		Payload: AppendClientSeqs(nil, []uint64{1201, 1203, 1210})}
+}
+
+func taggedRecordPush() Message {
+	return Message{From: 1, To: 0, Type: MsgRecordPush, Link: 4, Inc: 1, Records: []Record{
+		{Key: tx.MakeKey(0, 17), Value: make([]byte, 64), Txn: 7},
+		{Key: tx.MakeKey(0, 400_003), Value: make([]byte, 64), Txn: 8},
+	}}
+}
+
+func ackedRecordPush() Message {
+	m := benchRecordPush()
+	m.Ack, m.AckInc = 41, 1
+	return m
 }
 
 func mustEncode(t testing.TB, m Message) []byte {
@@ -89,16 +106,18 @@ func sameMessage(t testing.TB, got, want Message) {
 	}
 }
 
-// goldenFrames are the benchmark's four frame shapes, checked in as hex
-// under testdata/golden.
+// goldenFrames are the frame shapes above, checked in as hex under
+// testdata/golden.
 var goldenFrames = map[string]func() Message{
-	"record-push": benchRecordPush,
-	"deliver-25":  func() Message { return benchDeliver(25) },
-	"link-ack":    benchLinkAck,
-	"txn-done":    benchTxnDone,
+	"record-push":        benchRecordPush,
+	"deliver-25":         func() Message { return benchDeliver(25) },
+	"link-ack":           benchLinkAck,
+	"txn-done":           benchTxnDone,
+	"record-push-tagged": taggedRecordPush,
+	"record-push-acked":  ackedRecordPush,
 }
 
-// TestGoldenFrames pins the four shapes byte for byte. Journals persist
+// TestGoldenFrames pins the shapes byte for byte. Journals persist
 // these bytes and mixed-build clusters are told apart only by wireVersion
 // and the journal magic, so a change that moves any of them must bump both
 // (docs/CLUSTER.md, "Wire and journal format").
@@ -126,9 +145,13 @@ func TestMessageRoundTripEdgeCases(t *testing.T) {
 		"deliver":     benchDeliver(25),
 		"link-ack":    benchLinkAck(),
 		"txn-done":    benchTxnDone(),
+		"tagged push": taggedRecordPush(),
+		"acked push":  ackedRecordPush(),
 		"max fields": {From: math.MinInt64, To: math.MaxInt64, Type: 255, Txn: math.MaxUint64, Seq: math.MaxUint64,
-			Epoch: math.MaxUint64, Link: math.MaxUint64, Inc: math.MaxUint64},
-		"empty batch": {Type: MsgSeqReplicate, Batch: &tx.Batch{Seq: 3}},
+			Epoch: math.MaxUint64, Link: math.MaxUint64, Inc: math.MaxUint64, Ack: math.MaxUint32, AckInc: math.MaxUint16},
+		"ack only in AckInc": {Type: MsgRecordPush, Link: 2, AckInc: 3},
+		"one tag of several": {Type: MsgRecordPush, Records: []Record{{Key: 1}, {Key: 2, Txn: 5}}},
+		"empty batch":        {Type: MsgSeqReplicate, Batch: &tx.Batch{Seq: 3}},
 		"every procedure": {Type: MsgSeqForward, From: leaderNode, Batch: &tx.Batch{Txns: []*tx.Request{
 			tx.NewRequest(1, &tx.CounterProc{Reads: []tx.Key{9, 3, 9}, Writes: []tx.Key{3}, Payload: 8}),
 			tx.NewRequest(2, &tx.MigrationProc{Keys: []tx.Key{5, 4}, To: 2}),
@@ -157,6 +180,16 @@ func TestMessageRoundTripEdgeCases(t *testing.T) {
 	}
 }
 
+// TestMessageSize pins Message at 120 bytes. The emulation's transport
+// holds Messages by value in its preallocated channels, so a wider Message
+// costs every cluster set-up and every hop; the piggybacked ack lives in
+// the padding after Type for that reason.
+func TestMessageSize(t *testing.T) {
+	if n := unsafe.Sizeof(Message{}); n != 120 {
+		t.Fatalf("Message is %d bytes, want 120", n)
+	}
+}
+
 func TestEncodeRefusesClosureProcedures(t *testing.T) {
 	m := Message{Type: MsgSeqForward, Batch: &tx.Batch{Txns: []*tx.Request{
 		tx.NewRequest(1, &tx.FuncProc{Fn: func(tx.ExecCtx) {}}),
@@ -173,7 +206,8 @@ func TestEncodeRefusesClosureProcedures(t *testing.T) {
 
 // buildMessage derives a message from fuzz-chosen scalars: sizes come from
 // the small integers, contents from a PRNG, and the 64-bit extremes from wide
-// (max-uint64 fields) and node (negative node ids).
+// (max-uint64 fields) and node (negative node ids). The seed decides whether
+// the records carry transaction tags and whether an ack rides along.
 func buildMessage(seed int64, typ uint8, node int64, wide uint64, submit int64, nRecs, valLen, payloadLen, proc, nTxns, nKeys uint8) Message {
 	rng := rand.New(rand.NewSource(seed))
 	bytesOf := func(n uint8) []byte {
@@ -201,6 +235,12 @@ func buildMessage(seed int64, typ uint8, node int64, wide uint64, submit int64, 
 	}
 	for i := 0; i < int(nRecs); i++ {
 		m.Records = append(m.Records, Record{Key: tx.Key(rng.Uint64()), Value: bytesOf(valLen)})
+		if seed%3 == 1 {
+			m.Records[i].Txn = tx.TxnID(wide - uint64(i))
+		}
+	}
+	if seed%5 == 2 {
+		m.Ack, m.AckInc = uint32(wide>>2), uint16(wide)
 	}
 	if proc%4 == 0 {
 		return m
@@ -259,7 +299,8 @@ func FuzzDecodeMessage(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(mustEncode(f, benchDeliver(1))[:80])
 	hostile := mustEncode(f, Message{})
-	f.Add(append(hostile[:57], 0xff, 0xff, 0xff, 0xff, 0xff, 0x01)) // 2^40 records in 6 bytes
+	f.Add(append(hostile[:58], 0xff, 0xff, 0xff, 0xff, 0xff, 0x01)) // 2^40 records in 6 bytes
+	f.Add(append(hostile[:57], flagTagged, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01))
 	f.Fuzz(func(t *testing.T, p []byte) {
 		m, err := decodeMessage(p)
 		if err != nil {

@@ -42,6 +42,11 @@ type Config struct {
 	// Workers is the number of bucket-worker goroutines; each owns a
 	// static hash range of the keyspace. Defaults to 4.
 	Workers int
+	// AfterChunk, if set, runs on a bucket worker each time it has handled
+	// every message of one inbox chunk (what one swap of its inbox took).
+	// Work the chunk's OnReady and Submit calls deferred — a node's
+	// outbound record pushes — is flushed here, once per chunk.
+	AfterChunk func()
 }
 
 // keyRef is one key of a transaction's admission, with its mode.
@@ -137,7 +142,8 @@ type worker struct {
 
 // Executor is one node's queue-oriented admission engine.
 type Executor struct {
-	workers []*worker
+	workers    []*worker
+	afterChunk func()
 	// regMu guards reg and the running/closed life cycle.
 	regMu   sync.Mutex
 	reg     map[tx.TxnID]*txnState
@@ -155,7 +161,7 @@ func New(cfg Config) *Executor {
 	if n <= 0 {
 		n = 4
 	}
-	e := &Executor{quit: make(chan struct{}), reg: make(map[tx.TxnID]*txnState)}
+	e := &Executor{quit: make(chan struct{}), reg: make(map[tx.TxnID]*txnState), afterChunk: cfg.AfterChunk}
 	e.workers = make([]*worker, n)
 	for i := range e.workers {
 		w := &worker{
@@ -296,6 +302,15 @@ func (e *Executor) Submit(id tx.TxnID, fn func()) {
 	e.workers[splitmix64(uint64(id))%uint64(len(e.workers))].push1(message{run: fn})
 }
 
+// Registered reports whether transaction id is admitted and not yet
+// released.
+func (e *Executor) Registered(id tx.TxnID) bool {
+	e.regMu.Lock()
+	defer e.regMu.Unlock()
+	_, ok := e.reg[id]
+	return ok
+}
+
 // Outstanding reports how many admitted transactions have not been
 // released. An admission counts from the moment AdmitBatch returns — the
 // bucket workers may not have queued its keys yet — so a quiescence check
@@ -388,6 +403,9 @@ func (w *worker) loop() {
 				default:
 					w.admit(m)
 				}
+			}
+			if w.e.afterChunk != nil {
+				w.e.afterChunk()
 			}
 		}
 	}

@@ -83,7 +83,9 @@ gate_stress() {
 # the estimator, acks held 80 ms behind a gate, a 5%-drop link, a loss
 # repaired on the receiver's gap report, a leader that seals 150 ms after
 # each forward, a saturating backoff, size-only sealing — loop under -race
-# on two cores, where a scheduler hiccup looks most like a lost ack.
+# on two cores, where a scheduler hiccup looks most like a lost ack. So do
+# the tests of the frame coalescing below, and a grep keeps MsgTxnDone's
+# construction in the one sender that groups it per batch.
 gate_pacing() {
     local knobs
     knobs=$(git grep -nE 'RetransmitBase|RetransmitCap|RetryTimeout|RetryCap|procLink|SetDialRetry|SetSendTimeout|stopClock' -- '*.go' || true)
@@ -100,12 +102,33 @@ gate_pacing() {
     # for both while they ack each other; per-type counters; floors only
     # for journaled destinations.
     local hosted='TestHosted|TestStatsByTypeOverTCP|TestReliableFloorsOnlyForJournaledDestinations'
+    # One frame per destination per drain: an owed ack rides the next data
+    # frame back or leaves on its own after ackDelay, a gap report is never
+    # parked and a gated ack never leaves early; a node's record pushes
+    # leave once per bucket-worker chunk, tagged per transaction, a
+    # replayed one for a finished transaction is dropped, and a committer
+    # sends one completion notice per batch and client node.
+    local piggy='TestReliablePiggyback|TestReliableParkedAck|TestReliableGapReportIsNeverParked|TestReliableGatedAck'
+    local coalesce='TestTaggedPushFillsEachMailbox|TestReplayedPushForFinishedTxnLeavesNoMailbox|TestOutboxEmptyAfterEveryChunk|TestTxnDoneOncePerBatchAndClient'
     list_guard "pacing gate" 4 "${net}" ./internal/network
     list_guard "pacing gate" 3 "${seq}" ./internal/sequencer
     list_guard "pacing gate" 7 "${hosted}" ./internal/network
+    list_guard "pacing gate" 6 "${piggy}" ./internal/network
+    list_guard "pacing gate" 4 "${coalesce}" ./internal/engine
+    # MsgTxnDone is built in one place, the batch-group sender.
+    local done
+    done=$(git grep -nE '(Type:|\.Type[[:space:]]*=)[[:space:]]*(network\.)?MsgTxnDone' -- '*.go' ':!*_test.go' || true)
+    if [[ $(grep -c . <<<"${done}") -ne 1 ]] ||
+        [[ -z $(awk '/^func \(n \*Node\) sendDone\(/{f=1} f && /MsgTxnDone/{print; exit} f && /^}/{f=0}' internal/engine/node.go) ]]; then
+        echo "MsgTxnDone must be built only in Node.sendDone, the batch-group sender:" >&2
+        echo "${done}" >&2
+        exit 1
+    fi
     GOMAXPROCS=2 go test -race -count=20 -run "${net}" ./internal/network
     GOMAXPROCS=2 go test -race -count=20 -run "${seq}" ./internal/sequencer
     GOMAXPROCS=2 go test -race -count=20 -run "${hosted}" ./internal/network
+    GOMAXPROCS=2 go test -race -count=20 -run "${piggy}" ./internal/network
+    GOMAXPROCS=2 go test -race -count=20 -run "${coalesce}" ./internal/engine
 }
 
 # Admission gate: the harness driver's closed-loop window is the cluster's
