@@ -27,7 +27,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"hermes/internal/clock"
 	"hermes/internal/network"
 	"hermes/internal/tx"
 )
@@ -39,7 +38,6 @@ import (
 type Transport struct {
 	inner network.Transport
 	sched Schedule
-	clk   clock.Clock
 
 	mu     sync.Mutex
 	links  map[[2]tx.NodeID]*faultLink
@@ -60,20 +58,15 @@ type faultLink struct {
 
 // Wrap builds a fault-injecting wrapper around inner. It applies the
 // schedule's link shapes and message faults and refuses its socket Events.
-// Kills and Disk are Run's to apply; the wrapper leaves them be. clk may
-// be nil for the wall clock. Local sends (From == To) and fault-free
-// schedules pass straight through.
-func Wrap(inner network.Transport, sched Schedule, clk clock.Clock) (*Transport, error) {
+// Kills and Disk are Run's to apply; the wrapper leaves them be. Local
+// sends (From == To) and fault-free schedules pass straight through.
+func Wrap(inner network.Transport, sched Schedule) (*Transport, error) {
 	if err := sched.eventsErr(); err != nil {
 		return nil, err
-	}
-	if clk == nil {
-		clk = clock.Real{}
 	}
 	return &Transport{
 		inner: inner,
 		sched: sched,
-		clk:   clk,
 		links: make(map[[2]tx.NodeID]*faultLink),
 		quit:  make(chan struct{}),
 	}, nil
@@ -132,7 +125,11 @@ func (t *Transport) deliverLoop(lk *faultLink, rng *rand.Rand, sh Shape) {
 			if d := t.delayFor(rng, sh, m.WireSize()); d > 0 {
 				t.faults.Add(1)
 				t.delayed.Add(int64(d))
-				t.sleep(d)
+				select {
+				case <-time.After(d):
+				case <-t.quit:
+					return // the transport is closing: the message is dropped
+				}
 			}
 			drop, dup := t.lossFor(rng)
 			if drop {
@@ -187,19 +184,6 @@ func (t *Transport) lossFor(rng *rand.Rand) (drop, dup bool) {
 		dup = rng.Float64() < s.DupProb
 	}
 	return drop, dup
-}
-
-// sleep waits d on the injected clock but returns early on shutdown.
-func (t *Transport) sleep(d time.Duration) {
-	done := make(chan struct{})
-	go func() {
-		t.clk.Sleep(d)
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-t.quit:
-	}
 }
 
 // Recv implements network.Transport.

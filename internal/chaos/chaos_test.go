@@ -4,7 +4,7 @@ import (
 	"testing"
 	"time"
 
-	"hermes/internal/clock"
+	"hermes/internal/leaktest"
 	"hermes/internal/network"
 	"hermes/internal/tx"
 )
@@ -18,9 +18,9 @@ func testNodes(n int) []tx.NodeID {
 }
 
 // mustWrap wraps inner under a schedule the transport seam accepts.
-func mustWrap(t *testing.T, inner network.Transport, sched Schedule, clk clock.Clock) *Transport {
+func mustWrap(t *testing.T, inner network.Transport, sched Schedule) *Transport {
 	t.Helper()
-	tr, err := Wrap(inner, sched, clk)
+	tr, err := Wrap(inner, sched)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func faultySchedule(seed int64) Schedule {
 // does to timing, per-link order must survive.
 func TestFIFOPreservedUnderFaults(t *testing.T) {
 	inner := network.NewChanTransport(testNodes(2), nil)
-	tr := mustWrap(t, inner, faultySchedule(42), nil)
+	tr := mustWrap(t, inner, faultySchedule(42))
 	defer tr.Close()
 	const n = 300
 	for i := 0; i < n; i++ {
@@ -71,7 +71,7 @@ func TestFIFOPreservedUnderFaults(t *testing.T) {
 func TestScheduleReproducible(t *testing.T) {
 	run := func() time.Duration {
 		inner := network.NewChanTransport(testNodes(3), nil)
-		tr := mustWrap(t, inner, faultySchedule(7), nil)
+		tr := mustWrap(t, inner, faultySchedule(7))
 		defer tr.Close()
 		const n = 150
 		for i := 0; i < n; i++ {
@@ -107,7 +107,7 @@ func TestWrapAppliesLinkShapes(t *testing.T) {
 		Name: "shapes", Seed: 1,
 		Shape: Shape{Latency: time.Millisecond},
 		Links: []LinkShape{{From: 0, To: 1, Shape: Shape{Latency: 3 * time.Millisecond}}},
-	}, nil)
+	})
 	defer tr.Close()
 	for _, to := range []tx.NodeID{1, 2} {
 		if err := tr.Send(network.Message{From: 0, To: to}); err != nil {
@@ -128,7 +128,7 @@ func TestWrapAppliesLinkShapes(t *testing.T) {
 // anything, and local sends always bypass injection.
 func TestBaselinePassThrough(t *testing.T) {
 	inner := network.NewChanTransport(testNodes(2), nil)
-	tr := mustWrap(t, inner, Schedule{Name: "baseline", Seed: 1}, nil)
+	tr := mustWrap(t, inner, Schedule{Name: "baseline", Seed: 1})
 	defer tr.Close()
 	if err := tr.Send(network.Message{From: 0, To: 1, Payload: []byte("x")}); err != nil {
 		t.Fatal(err)
@@ -153,7 +153,7 @@ func TestBaselinePassThrough(t *testing.T) {
 func TestCloseSafety(t *testing.T) {
 	inner := network.NewChanTransport(testNodes(2), nil)
 	sched := Schedule{Name: "slow", Seed: 3, OutageProb: 1, OutageDur: time.Hour}
-	tr := mustWrap(t, inner, sched, nil)
+	tr := mustWrap(t, inner, sched)
 	for i := 0; i < 10; i++ {
 		if err := tr.Send(network.Message{From: 0, To: 1, Seq: uint64(i)}); err != nil {
 			t.Fatal(err)
@@ -173,6 +173,25 @@ func TestCloseSafety(t *testing.T) {
 	if err := tr.Send(network.Message{From: 0, To: 1}); err == nil {
 		t.Fatal("send after close succeeded")
 	}
+}
+
+// TestCloseWhileDelayingLeaksNothing: a link waiting out a message's
+// injected delay stops waiting when the transport closes; nothing it
+// started outlives Close.
+func TestCloseWhileDelayingLeaksNothing(t *testing.T) {
+	defer leaktest.Check(t)()
+	inner := network.NewChanTransport(testNodes(2), nil)
+	tr := mustWrap(t, inner, Schedule{Name: "slow", Seed: 3, Shape: Shape{Latency: time.Hour}})
+	if err := tr.Send(network.Message{From: 0, To: 1}); err != nil {
+		t.Fatal(err)
+	}
+	for {
+		if msgs, _ := tr.Faults(); msgs > 0 {
+			break
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	tr.Close()
 }
 
 // TestSchedulesDistinct: the standard matrix must contain a fault-free

@@ -293,7 +293,7 @@ func Run(spec Spec, sched Schedule) (*Result, error) {
 		StorageDelay: spec.storageDelay,
 		Seq:          seqCfg,
 		WrapTransport: func(inner network.Transport) network.Transport {
-			chaosT, _ = Wrap(inner, sched, nil) // Check refused what Wrap would
+			chaosT, _ = Wrap(inner, sched) // Check refused what Wrap would
 			return chaosT
 		},
 		// Loss and crash schedules need the reliable layer above the

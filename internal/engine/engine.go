@@ -215,7 +215,7 @@ func build(cfg Config) (*Cluster, error) {
 	}
 	// Every node (including standbys) receives the full batch stream so
 	// its routing replica stays in sync; only active nodes are routed to.
-	seq := sequencer.NewGroup(LeaderNode, tr, cfg.Nodes, cfg.Seq, nil)
+	seq := sequencer.NewGroup(LeaderNode, tr, cfg.Nodes, cfg.Seq)
 	c := newCluster(cfg, tr, rel, base.Stats(), seq)
 	seq.SetOnFailover(func(leader tx.NodeID, epoch uint64) {
 		c.tracer.Emit(telemetry.ClusterNode, 0, telemetry.PhaseFailover, int64(epoch))

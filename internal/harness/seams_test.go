@@ -23,7 +23,7 @@ func TestScheduleSeams(t *testing.T) {
 	seams := map[string]func(chaos.Schedule) error{
 		"transport": func(s chaos.Schedule) error {
 			inner := network.NewChanTransport([]tx.NodeID{0, 1}, nil)
-			tr, err := chaos.Wrap(inner, s, nil)
+			tr, err := chaos.Wrap(inner, s)
 			if err != nil {
 				inner.Close()
 				return err

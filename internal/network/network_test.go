@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"hermes/internal/clock"
 	"hermes/internal/tx"
 )
 
@@ -63,31 +62,30 @@ func TestChanTransportDelivery(t *testing.T) {
 	}
 }
 
+// TestChanTransportFIFOPerLink: a link delivers in send order, and no
+// message before its modelled latency has elapsed since its send. Both
+// hold on the wall clock and in a synctest bubble, where no time passes
+// until every goroutine waits and each delivery is exactly on time.
 func TestChanTransportFIFOPerLink(t *testing.T) {
-	// A manual clock makes the latency path deterministic: nothing can be
-	// delivered until the clock moves past the stamped due times, and no
-	// real time is spent waiting.
-	clk := clock.NewManual(time.Unix(0, 0))
-	tr := NewChanTransportClock(nodes(2), UniformLatency(100*time.Microsecond), clk)
+	const latency = 100 * time.Microsecond
+	tr := NewChanTransport(nodes(2), UniformLatency(latency))
 	defer tr.Close()
 	const n = 100
-	for i := 0; i < n; i++ {
+	sent := make([]time.Time, n)
+	for i := range sent {
+		sent[i] = time.Now()
 		if err := tr.Send(Message{From: 0, To: 1, Seq: uint64(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// The clock has not moved, so delivery is impossible yet.
-	select {
-	case m := <-tr.Recv(1):
-		t.Fatalf("message %d delivered before the clock advanced", m.Seq)
-	default:
-	}
-	clk.Advance(time.Millisecond)
-	for i := 0; i < n; i++ {
+	for i := range sent {
 		select {
 		case m := <-tr.Recv(1):
 			if m.Seq != uint64(i) {
 				t.Fatalf("out of order: got %d, want %d", m.Seq, i)
+			}
+			if waited := time.Since(sent[i]); waited < latency {
+				t.Fatalf("message %d delivered %v after its send, before the %v latency", i, waited, latency)
 			}
 		case <-time.After(time.Second):
 			t.Fatal("timed out waiting for messages")
@@ -96,86 +94,32 @@ func TestChanTransportFIFOPerLink(t *testing.T) {
 }
 
 func TestChanTransportLatencyGate(t *testing.T) {
-	// Delivery must wait out exactly the modelled latency: not before the
-	// due time, promptly after it.
-	clk := clock.NewManual(time.Unix(0, 0))
-	tr := NewChanTransportClock(nodes(2), UniformLatency(500*time.Microsecond), clk)
+	// Delivery must wait out the modelled latency and then arrive.
+	const latency = 500 * time.Microsecond
+	tr := NewChanTransport(nodes(2), UniformLatency(latency))
 	defer tr.Close()
+	sent := time.Now()
 	if err := tr.Send(Message{From: 0, To: 1, Payload: []byte("gated")}); err != nil {
 		t.Fatal(err)
 	}
-	clk.Advance(499 * time.Microsecond)
-	select {
-	case <-tr.Recv(1):
-		t.Fatal("delivered before the modelled latency elapsed")
-	default:
-	}
-	clk.Advance(2 * time.Microsecond)
 	select {
 	case m := <-tr.Recv(1):
 		if string(m.Payload) != "gated" {
 			t.Fatalf("got %+v", m)
+		}
+		if waited := time.Since(sent); waited < latency {
+			t.Fatalf("delivered %v after the send, before the %v latency", waited, latency)
 		}
 	case <-time.After(time.Second):
 		t.Fatal("not delivered after the latency elapsed")
 	}
 }
 
-// advanceOnWait is a manual clock on which an Advance lands at the worst
-// moment for the link goroutine: once it has taken the message and is about
-// to wait out the latency.
-type advanceOnWait struct {
-	*clock.Manual
-	step  time.Duration
-	once  sync.Once
-	fired chan struct{}
-}
-
-func (c *advanceOnWait) SleepUntil(t time.Time) {
-	c.once.Do(func() {
-		c.Advance(c.step)
-		close(c.fired)
-	})
-	c.Manual.SleepUntil(t)
-}
-
-// TestChanTransportLatencyGateSurvivesRacingAdvance forces the interleaving
-// that used to hang TestChanTransportLatencyGate about one run in 500: the
-// clock moves 499 µs after the link goroutine has looked at the message's
-// due time and before it blocks. The link waits for the absolute due time,
-// so the next 2 µs still deliver; when it slept for "due − now" computed
-// before the move, its deadline slid to 999 µs and the message never came.
-func TestChanTransportLatencyGateSurvivesRacingAdvance(t *testing.T) {
-	clk := &advanceOnWait{
-		Manual: clock.NewManual(time.Unix(0, 0)),
-		step:   499 * time.Microsecond, fired: make(chan struct{}),
-	}
-	tr := NewChanTransportClock(nodes(2), UniformLatency(500*time.Microsecond), clk)
-	defer tr.Close()
-	defer clk.Advance(time.Hour) // a failing run must not leave Close waiting on the link
-	if err := tr.Send(Message{From: 0, To: 1, Payload: []byte("gated")}); err != nil {
-		t.Fatal(err)
-	}
-	<-clk.fired
-	select {
-	case <-tr.Recv(1):
-		t.Fatal("delivered before the modelled latency elapsed")
-	default:
-	}
-	clk.Advance(2 * time.Microsecond)
-	select {
-	case <-tr.Recv(1):
-	case <-time.After(time.Second):
-		t.Fatal("not delivered after the latency elapsed: the link waited relative to the advanced clock")
-	}
-}
-
 func TestChanTransportLocalBypass(t *testing.T) {
-	// Local sends must bypass the latency model entirely: with a manual
-	// clock that never advances, an hour of modelled latency would block
-	// any message that touches the delay path.
-	clk := clock.NewManual(time.Unix(0, 0))
-	tr := NewChanTransportClock(nodes(1), UniformLatency(time.Hour), clk)
+	// Local sends must bypass the latency model entirely: an hour of
+	// modelled latency would hold any message that touches the delay
+	// path far past the one-second wait.
+	tr := NewChanTransport(nodes(1), UniformLatency(time.Hour))
 	defer tr.Close()
 	if err := tr.Send(Message{From: 0, To: 0}); err != nil {
 		t.Fatal(err)

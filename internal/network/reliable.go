@@ -107,13 +107,14 @@ type Reliable struct {
 
 // sendLink is the sender half of one (from,to) link.
 type sendLink struct {
-	// sendMu orders the link's transmissions: each takes its sentAt stamp
-	// and reaches the inner transport under it, so over a FIFO transport
-	// the peer receives frames in stamp order. That is what lets a gap
-	// report tell a lost frame from one still in flight.
+	// sendMu orders the link's transmissions: each takes its stamp and
+	// reaches the inner transport under it, so over a FIFO transport the
+	// peer receives frames in stamp order. That is what lets a gap report
+	// tell a lost frame from one still in flight.
 	sendMu sync.Mutex
 
 	mu      sync.Mutex
+	stamp   uint64 // last transmission's stamp, counting resends
 	nextSeq uint64 // last assigned sequence (first message gets 1)
 	acked   uint64 // highest cumulative ack received
 	held    uint64 // lowest frame the peer last reported holding past a gap (0: none)
@@ -124,16 +125,18 @@ type sendLink struct {
 	gap     chan struct{} // wakes it when the peer reports a gap
 }
 
-// unackedMsg is one in-flight message plus its last transmission time and
-// whether it was ever resent. The retransmit loop resends only messages
-// that have aged past the current timeout: when the receiver gates acks
-// behind a group-commit fsync (Journal.AfterDurable), the whole window is
-// legitimately unacked for a few milliseconds at a time, and resending
-// fresh frames on every silent round turns that ack latency into a
-// duplicate storm that costs more CPU than the fsync it is waiting for.
+// unackedMsg is one in-flight message plus its last transmission's time
+// and stamp and whether it was ever resent. The retransmit loop resends
+// only messages that have aged past the current timeout: when the
+// receiver gates acks behind a group-commit fsync (Journal.AfterDurable),
+// the whole window is legitimately unacked for a few milliseconds at a
+// time, and resending fresh frames on every silent round turns that ack
+// latency into a duplicate storm that costs more CPU than the fsync it is
+// waiting for.
 type unackedMsg struct {
 	m      Message
 	sentAt time.Time
+	stamp  uint64
 	resent bool
 }
 
@@ -363,9 +366,10 @@ func (r *Reliable) Send(m Message) error {
 	defer sl.sendMu.Unlock()
 	sl.mu.Lock()
 	sl.nextSeq++
+	sl.stamp++
 	m.Link = sl.nextSeq
 	m.Inc = r.inc
-	sl.unacked = append(sl.unacked, unackedMsg{m: m, sentAt: time.Now()})
+	sl.unacked = append(sl.unacked, unackedMsg{m: m, sentAt: time.Now(), stamp: sl.stamp})
 	sl.mu.Unlock()
 	select {
 	case sl.kick <- struct{}{}:
@@ -440,7 +444,9 @@ func (r *Reliable) resend(sl *sendLink, pick func() []Message) {
 // order (sendMu), every transmission that left before the one that
 // delivered heldTop has arrived or never will. Gap frames resent after
 // that transmission may still be in flight and wait for the next report
-// (or the RTO). Caller holds sl.mu.
+// (or the RTO). The order is the stamps', not the send times': two
+// transmissions can read the same clock, and a tie would resend a frame
+// still in flight. Caller holds sl.mu.
 func (sl *sendLink) gapFrames() []Message {
 	if sl.held <= sl.acked+1 || len(sl.unacked) == 0 {
 		return nil
@@ -450,7 +456,8 @@ func (sl *sendLink) gapFrames() []Message {
 	if top >= uint64(len(sl.unacked)) || top < gap || sl.unacked[top].m.Link != sl.heldTop {
 		return nil
 	}
-	return sl.restamp(int(gap), sl.unacked[top].sentAt)
+	delivered := sl.unacked[top].stamp
+	return sl.restamp(int(gap), func(u *unackedMsg) bool { return u.stamp < delivered })
 }
 
 // agedFrames selects the timeout's resends. Progress during the RTO
@@ -463,22 +470,24 @@ func (sl *sendLink) agedFrames(ackedBefore uint64, rto time.Duration) []Message 
 	if sl.acked != ackedBefore {
 		return nil
 	}
-	aged := sl.restamp(len(sl.unacked), time.Now().Add(-rto))
+	cutoff := time.Now().Add(-rto)
+	aged := sl.restamp(len(sl.unacked), func(u *unackedMsg) bool { return !u.sentAt.After(cutoff) })
 	if len(aged) > 0 {
 		sl.rto.Backoff()
 	}
 	return aged
 }
 
-// restamp marks the first n unacked frames last sent no later than before
-// as resent now and returns them. Caller holds sl.mu.
-func (sl *sendLink) restamp(n int, before time.Time) []Message {
+// restamp marks the first n unacked frames that pick selects as resent
+// now and returns them. Caller holds sl.mu.
+func (sl *sendLink) restamp(n int, pick func(*unackedMsg) bool) []Message {
 	var out []Message
 	now := time.Now()
 	for i := range sl.unacked[:n] {
-		if u := &sl.unacked[i]; !u.sentAt.After(before) {
+		if u := &sl.unacked[i]; pick(u) {
+			sl.stamp++
 			out = append(out, u.m)
-			u.sentAt, u.resent = now, true
+			u.sentAt, u.stamp, u.resent = now, sl.stamp, true
 		}
 	}
 	return out

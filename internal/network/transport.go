@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"hermes/internal/clock"
 	"hermes/internal/tx"
 )
 
@@ -104,7 +103,6 @@ type ChanTransport struct {
 	links   map[[2]tx.NodeID]*link
 
 	latency LatencyModel
-	clk     clock.Clock
 	stats   Stats
 	wg      sync.WaitGroup
 }
@@ -112,21 +110,10 @@ type ChanTransport struct {
 // NewChanTransport creates a transport for the given nodes. latency may be
 // nil for immediate delivery.
 func NewChanTransport(nodes []tx.NodeID, latency LatencyModel) *ChanTransport {
-	return NewChanTransportClock(nodes, latency, clock.Real{})
-}
-
-// NewChanTransportClock is NewChanTransport with an injected time source:
-// delivery due-times are stamped and waited on through clk, so tests can
-// drive the latency model with a clock.Manual instead of real sleeps.
-func NewChanTransportClock(nodes []tx.NodeID, latency LatencyModel, clk clock.Clock) *ChanTransport {
-	if clk == nil {
-		clk = clock.Real{}
-	}
 	t := &ChanTransport{
 		inboxes: make(map[tx.NodeID]chan Message, len(nodes)),
 		links:   make(map[[2]tx.NodeID]*link),
 		latency: latency,
-		clk:     clk,
 	}
 	for _, n := range nodes {
 		t.inboxes[n] = make(chan Message, 4096)
@@ -169,7 +156,7 @@ func (t *ChanTransport) Send(m Message) error {
 	tm := timedMessage{m: m}
 	if t.latency != nil {
 		if d := t.latency(m.From, m.To, m.WireSize()); d > 0 {
-			tm.due = t.clk.Now().Add(d)
+			tm.due = time.Now().Add(d)
 		}
 	}
 	lk.ch <- tm
@@ -192,7 +179,7 @@ func (t *ChanTransport) getLink(from, to tx.NodeID, inbox chan Message) *link {
 		defer t.wg.Done()
 		for tm := range lk.ch {
 			if !tm.due.IsZero() {
-				t.clk.SleepUntil(tm.due)
+				time.Sleep(time.Until(tm.due))
 			}
 			inbox <- tm.m
 		}

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"hermes/internal/clock"
 	"hermes/internal/network"
 	"hermes/internal/tx"
 )
@@ -49,7 +48,6 @@ type Group struct {
 	base tx.NodeID
 	tr   network.Transport
 	cfg  Config
-	clk  clock.Clock
 
 	mu        sync.Mutex
 	replicas  map[tx.NodeID]*Leader
@@ -67,7 +65,7 @@ type Group struct {
 // NewGroup builds a sequencer group whose rank-0 replica lives at
 // transport node base, delivering the ordered stream to members.
 // cfg.Standbys standbys live at descending ids.
-func NewGroup(base tx.NodeID, tr network.Transport, members []tx.NodeID, cfg Config, clk clock.Clock) *Group {
+func NewGroup(base tx.NodeID, tr network.Transport, members []tx.NodeID, cfg Config) *Group {
 	if cfg.Standbys < 0 {
 		cfg.Standbys = 0
 	}
@@ -75,13 +73,12 @@ func NewGroup(base tx.NodeID, tr network.Transport, members []tx.NodeID, cfg Con
 		base:     base,
 		tr:       tr,
 		cfg:      cfg,
-		clk:      clk,
 		replicas: make(map[tx.NodeID]*Leader, cfg.Standbys+1),
 		down:     make(map[tx.NodeID]bool),
 		leaderID: base,
 	}
 	for _, id := range GroupNodes(base, cfg.Standbys) {
-		r := newReplica(id, tr, members, cfg, clk, g)
+		r := NewLeader(id, tr, members, cfg, g)
 		r.leaderID = base
 		g.replicas[id] = r
 		g.ranks = append(g.ranks, id)
@@ -359,7 +356,7 @@ func (g *Group) Restart(id tx.NodeID, st RestoreState) error {
 	if !g.down[id] {
 		return fmt.Errorf("sequencer: replica %d is not down", id)
 	}
-	r := newReplica(id, g.tr, old.Members(), g.cfg, g.clk, g)
+	r := NewLeader(id, g.tr, old.Members(), g.cfg, g)
 	r.recovering = true
 	r.epoch = st.Epoch
 	r.leaderID = st.Leader

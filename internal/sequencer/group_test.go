@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"hermes/internal/leaktest"
 	"hermes/internal/network"
 	"hermes/internal/tx"
 )
@@ -68,7 +69,7 @@ func TestGroupDeliveryWaitsForStandbyAck(t *testing.T) {
 	members := []tx.NodeID{0, 1}
 	all := append(append([]tx.NodeID(nil), members...), GroupNodes(leaderID, 1)...)
 	gate := &ackGate{ChanTransport: network.NewChanTransport(all, nil)}
-	g := NewGroup(leaderID, gate, members, groupConfig(), nil)
+	g := NewGroup(leaderID, gate, members, groupConfig())
 	g.Start()
 	t.Cleanup(func() { g.Stop(); gate.Close() })
 
@@ -98,7 +99,7 @@ func TestGroupPromotionAndDedup(t *testing.T) {
 	members := []tx.NodeID{0}
 	all := append(append([]tx.NodeID(nil), members...), GroupNodes(leaderID, 1)...)
 	tr := network.NewChanTransport(all, nil)
-	g := NewGroup(leaderID, tr, members, groupConfig(), nil)
+	g := NewGroup(leaderID, tr, members, groupConfig())
 	g.Start()
 	t.Cleanup(func() { g.Stop(); tr.Close() })
 
@@ -219,7 +220,7 @@ func TestPromotionAnnouncesOnlyOnceLeading(t *testing.T) {
 	members := []tx.NodeID{0}
 	all := append(append([]tx.NodeID(nil), members...), GroupNodes(leaderID, 1)...)
 	p := &epochProbe{ChanTransport: network.NewChanTransport(all, nil), member: members[0]}
-	g := NewGroup(leaderID, p, members, groupConfig(), nil)
+	g := NewGroup(leaderID, p, members, groupConfig())
 	p.g = g
 	g.Start()
 	t.Cleanup(func() { g.Stop(); p.Close() })
@@ -248,7 +249,7 @@ func TestGroupObserveEpochOrdersClaims(t *testing.T) {
 	tr := network.NewChanTransport(all, nil)
 	cfg := groupConfig()
 	cfg.Standbys = 2
-	g := NewGroup(leaderID, tr, members, cfg, nil)
+	g := NewGroup(leaderID, tr, members, cfg)
 	t.Cleanup(func() { tr.Close() }) // never started; replicas hold no goroutines
 
 	r1, r2 := SeqNode(leaderID, 1), SeqNode(leaderID, 2)
@@ -353,7 +354,7 @@ func TestFrontendRedirectNeverLetsAFreshSubmissionOvertake(t *testing.T) {
 			fe.SetLeader(2)
 			close(redirected)
 		}()
-		time.Sleep(time.Millisecond) // let the redirect reach the send lock
+		yield(1000) // let the redirect reach the send lock
 		close(tr.release)
 		if err := <-submitted; err != nil {
 			t.Fatal(err)
@@ -488,6 +489,25 @@ func TestSessionFrontendPacesToSealLatency(t *testing.T) {
 	}
 }
 
+// TestStoppedGroupLeavesNothing: stopping a replicated group ends every
+// replica's heartbeat loop with it. leaktest alone cannot tell, because a
+// goroutine that outlives Stop by one 5 ms heartbeat is gone long before
+// its drain gives up, so the test also counts the replicas' goroutines as
+// soon as Stop returns.
+func TestStoppedGroupLeavesNothing(t *testing.T) {
+	defer leaktest.Check(t)()
+	members := []tx.NodeID{0}
+	tr := network.NewChanTransport(append(GroupNodes(leaderID, 1), members...), nil)
+	defer tr.Close()
+	before := replicaGoroutines()
+	g := NewGroup(leaderID, tr, members, groupConfig())
+	g.Start()
+	g.Stop()
+	if n := outliving(before); n > 0 {
+		t.Errorf("%d goroutines of the stopped group still run", n)
+	}
+}
+
 // TestGroupStandbyTruncatesDivergentSuffix pins the reconciliation rule
 // for a standby that appended a batch the dead leader sealed but never
 // released: when the promoted leader reseals the same sequence number
@@ -497,7 +517,7 @@ func TestSessionFrontendPacesToSealLatency(t *testing.T) {
 func TestGroupStandbyTruncatesDivergentSuffix(t *testing.T) {
 	tr := network.NewChanTransport([]tx.NodeID{-65, 0}, nil)
 	defer tr.Close()
-	l := newReplica(-65, tr, []tx.NodeID{0}, Config{BatchSize: 4}, nil, nil)
+	l := NewLeader(-65, tr, []tx.NodeID{0}, Config{BatchSize: 4}, nil)
 
 	mkReq := func(id tx.TxnID, seq uint64) *tx.Request {
 		return &tx.Request{ID: id, Client: 7, ClientSeq: seq}

@@ -13,11 +13,11 @@
 // delivering it to the cluster — a batch is deliverable only once every
 // live standby has appended and acknowledged it, so the delivered prefix
 // of the total order survives leader death. Standbys detect leader
-// silence through clock-injected heartbeats (timeout + capped probe
-// backoff) and promote deterministically: the first live standby in rank
-// order resumes from its replicated (seq, nextTxn) high-water mark under
-// a new epoch, re-delivers its retained log (idempotent at the nodes'
-// command logs), and announces the epoch so front-ends redirect. Client
+// silence through heartbeats (timeout + capped probe backoff) and
+// promote deterministically: the first live standby in rank order
+// resumes from its replicated (seq, nextTxn) high-water mark under a new
+// epoch, re-delivers its retained log (idempotent at the nodes' command
+// logs), and announces the epoch so front-ends redirect. Client
 // front-ends keep every unacknowledged request queued and resend the
 // whole queue in submission order on retry or leader change; the leader
 // deduplicates by (Client, ClientSeq), so no request is lost or
@@ -28,7 +28,6 @@ import (
 	"sync"
 	"time"
 
-	"hermes/internal/clock"
 	"hermes/internal/network"
 	"hermes/internal/tx"
 )
@@ -80,16 +79,14 @@ type pendingBatch struct {
 	need  map[tx.NodeID]bool
 }
 
-// Leader is one total-order replica. Standalone (NewLeader, the
-// pre-replication API) it is always the leader; inside a Group it is the
-// epoch's leader or a standby tracking the replicated batch stream.
-// Create with NewLeader or via NewGroup, start with Start, stop with
-// Stop.
+// Leader is one total-order replica. Standalone (NewLeader with a nil
+// group) it is always the leader; inside a Group it is the epoch's leader
+// or a standby tracking the replicated batch stream. Create with NewLeader
+// or via NewGroup, start with Start, stop with Stop.
 type Leader struct {
 	id    tx.NodeID
 	tr    network.Transport
 	cfg   Config
-	clk   clock.Clock
 	group *Group // nil for a standalone leader
 
 	// flushMu makes seal→replicate→deliver single-flight. Flush is called
@@ -133,36 +130,28 @@ type Leader struct {
 	done sync.WaitGroup
 }
 
-// NewLeader creates a standalone leader bound to transport node id,
-// delivering to members. The member list is copied.
-func NewLeader(id tx.NodeID, tr network.Transport, members []tx.NodeID, cfg Config, clk clock.Clock) *Leader {
-	l := newReplica(id, tr, members, cfg, clk, nil)
-	l.leading = true
-	return l
-}
-
-func newReplica(id tx.NodeID, tr network.Transport, members []tx.NodeID, cfg Config, clk clock.Clock, g *Group) *Leader {
+// NewLeader creates a replica bound to transport node id, delivering to
+// members (the list is copied). With a nil group it is a standalone leader,
+// always leading; otherwise it belongs to g, which decides its role.
+func NewLeader(id tx.NodeID, tr network.Transport, members []tx.NodeID, cfg Config, g *Group) *Leader {
 	if cfg.BatchSize <= 0 {
 		cfg.BatchSize = 1
-	}
-	if clk == nil {
-		clk = clock.Real{}
 	}
 	return &Leader{
 		id:         id,
 		tr:         tr,
 		cfg:        cfg,
-		clk:        clk,
 		group:      g,
 		members:    append([]tx.NodeID(nil), members...),
 		nextTxn:    1,
 		txnBase:    1,
 		leaderID:   id,
+		leading:    g == nil,
 		repFuture:  make(map[uint64]*tx.Batch),
 		arrived:    make(map[tx.NodeID]uint64),
 		sealedHigh: make(map[tx.NodeID]uint64),
 		clientBase: make(map[tx.NodeID]uint64),
-		lastHeard:  clk.Now(),
+		lastHeard:  time.Now(),
 		quit:       make(chan struct{}),
 	}
 }
@@ -269,7 +258,7 @@ func (l *Leader) handleReplicate(m network.Message) {
 	case cmp > 0:
 		l.adoptEpochLocked(m.Epoch, m.From)
 	}
-	l.lastHeard = l.clk.Now()
+	l.lastHeard = time.Now()
 	if m.Batch != nil {
 		l.appendReplicatedLocked(m.Batch)
 	}
@@ -418,11 +407,11 @@ func (l *Leader) handleEpochBearing(m network.Message) {
 	switch cmp := l.claimCmp(m.Epoch, m.From); {
 	case cmp > 0:
 		l.adoptEpochLocked(m.Epoch, m.From)
-		l.lastHeard = l.clk.Now()
+		l.lastHeard = time.Now()
 		l.mu.Unlock()
 	case cmp == 0:
 		if m.From != l.id {
-			l.lastHeard = l.clk.Now()
+			l.lastHeard = time.Now()
 		}
 		l.mu.Unlock()
 	default:
@@ -523,19 +512,15 @@ func (l *Leader) sendEpoch(to tx.NodeID, epoch uint64, leader tx.NodeID) {
 
 func (l *Leader) flushLoop() {
 	defer l.done.Done()
+	t := time.NewTimer(l.cfg.Interval)
+	defer t.Stop()
 	for {
-		// Sleep on a side goroutine so Stop is never blocked behind a
-		// long flush interval; at most one sleeper outlives the leader.
-		wake := make(chan struct{})
-		go func() {
-			l.clk.Sleep(l.cfg.Interval)
-			close(wake)
-		}()
 		select {
 		case <-l.quit:
 			return
-		case <-wake:
+		case <-t.C:
 			l.Flush()
+			t.Reset(l.cfg.Interval)
 		}
 	}
 }
@@ -547,54 +532,51 @@ func (l *Leader) flushLoop() {
 // timeout); past its staggered share of FailoverTimeout it promotes.
 func (l *Leader) pulseLoop() {
 	defer l.done.Done()
+	t := time.NewTimer(Heartbeat)
+	defer t.Stop()
 	probe := Heartbeat
 	for {
-		wake := make(chan struct{})
-		go func(d time.Duration) {
-			l.clk.Sleep(d)
-			close(wake)
-		}(probe)
 		select {
 		case <-l.quit:
 			return
-		case <-wake:
+		case <-t.C:
 		}
-		l.mu.Lock()
-		switch {
-		case l.stopped || l.recovering || l.fenced:
-			l.mu.Unlock()
-			probe = Heartbeat
-		case l.leading:
-			ep := l.epoch
-			_, live := l.group.peers(l.id)
-			l.mu.Unlock()
-			for _, p := range live {
-				_ = l.tr.Send(network.Message{
-					From: l.id, To: p, Type: network.MsgSeqHeartbeat, Epoch: ep,
-				})
-			}
-			probe = Heartbeat
-		default:
-			silent := l.clk.Now().Sub(l.lastHeard)
-			if silent <= Heartbeat {
-				l.mu.Unlock()
-				probe = Heartbeat
-				continue
-			}
-			l.group.noteMiss()
-			pos := l.group.promotePos(l.id)
-			if pos >= 0 && silent >= FailoverTimeout*time.Duration(pos+1) {
-				l.promoteLocked() // unlocks l.mu
-				probe = Heartbeat
-				continue
-			}
-			l.mu.Unlock()
-			probe *= 2
-			if probe > FailoverTimeout/2 {
-				probe = FailoverTimeout / 2
-			}
-		}
+		probe = l.pulse(probe)
+		t.Reset(probe)
 	}
+}
+
+// pulse runs one round of pulseLoop and returns the wait until the next.
+func (l *Leader) pulse(probe time.Duration) time.Duration {
+	l.mu.Lock()
+	switch {
+	case l.stopped || l.recovering || l.fenced:
+		l.mu.Unlock()
+	case l.leading:
+		ep := l.epoch
+		_, live := l.group.peers(l.id)
+		l.mu.Unlock()
+		for _, p := range live {
+			_ = l.tr.Send(network.Message{
+				From: l.id, To: p, Type: network.MsgSeqHeartbeat, Epoch: ep,
+			})
+		}
+	default:
+		silent := time.Since(l.lastHeard)
+		if silent <= Heartbeat {
+			l.mu.Unlock()
+			return Heartbeat
+		}
+		l.group.noteMiss()
+		pos := l.group.promotePos(l.id)
+		if pos >= 0 && silent >= FailoverTimeout*time.Duration(pos+1) {
+			l.promoteLocked() // unlocks l.mu
+			return Heartbeat
+		}
+		l.mu.Unlock()
+		return min(2*probe, FailoverTimeout/2)
+	}
+	return Heartbeat
 }
 
 // promoteLocked makes this standby the leader of a new epoch. Called
@@ -640,7 +622,7 @@ func (l *Leader) promoteLocked() {
 	for k, v := range l.sealedHigh {
 		l.arrived[k] = v
 	}
-	l.lastHeard = l.clk.Now()
+	l.lastHeard = time.Now()
 	l.mu.Unlock()
 
 	// Announce only now that forwards are accepted: a member that hears
@@ -770,7 +752,7 @@ func (l *Leader) drainUnreleased(timeout time.Duration) bool {
 func (l *Leader) finishRecovery() {
 	l.mu.Lock()
 	l.recovering = false
-	l.lastHeard = l.clk.Now()
+	l.lastHeard = time.Now()
 	if l.leaderID == l.id {
 		l.leading = true
 		l.arrived = make(map[tx.NodeID]uint64, len(l.sealedHigh))

@@ -1,6 +1,8 @@
 package sequencer
 
 import (
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -174,6 +176,16 @@ func TestSetMembersAffectsDelivery(t *testing.T) {
 	}
 }
 
+// yield gives the other goroutines n chances to run. Tests use it instead
+// of a short sleep where the goroutines they make way for may wait on a
+// mutex or spin: in a synctest bubble either keeps the clock from moving,
+// and the sleep would never end.
+func yield(n int) {
+	for i := 0; i < n; i++ {
+		runtime.Gosched()
+	}
+}
+
 // lagTransport delays every even-numbered batch on its way to node 0, so
 // whichever goroutine is delivering that batch falls behind one that
 // sealed the next batch a moment later.
@@ -183,7 +195,7 @@ type lagTransport struct {
 
 func (t lagTransport) Send(m network.Message) error {
 	if m.Type == network.MsgSeqDeliver && m.To == 0 && m.Seq%2 == 0 {
-		time.Sleep(200 * time.Microsecond)
+		yield(100)
 	}
 	return t.Transport.Send(m)
 }
@@ -246,6 +258,47 @@ func TestStopIsIdempotentAndHalts(t *testing.T) {
 	l.Start()
 	l.Stop()
 	l.Stop() // second stop must not panic or deadlock
+}
+
+// replicaGoroutines counts the goroutines running a replica's code.
+func replicaGoroutines() int {
+	buf := make([]byte, 1<<20)
+	n := 0
+	for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+		if strings.Contains(g, "sequencer.(*Leader).") {
+			n++
+		}
+	}
+	return n
+}
+
+// outliving reports how many more goroutines run a replica's code than
+// before did. Stop returns once the loops have called Done, a moment
+// before they exit, so a count above before is taken again after a few
+// yields have let them go. The yields take far less than a heartbeat.
+func outliving(before int) int {
+	n := replicaGoroutines()
+	if n > before {
+		yield(10)
+		n = replicaGoroutines()
+	}
+	return n - before
+}
+
+// TestStoppedLeaderLeavesNothing: Stop returns only once every goroutine
+// the leader started has exited, even an hour before its next flush tick.
+func TestStoppedLeaderLeavesNothing(t *testing.T) {
+	defer leaktest.Check(t)()
+	ids := []tx.NodeID{0}
+	tr := NewTransportWithLeader(ids, leaderID)
+	defer tr.Close()
+	before := replicaGoroutines()
+	l := NewLeader(leaderID, tr, ids, Config{BatchSize: 1, Interval: time.Hour}, nil)
+	l.Start()
+	l.Stop()
+	if n := outliving(before); n > 0 {
+		t.Errorf("%d goroutines of the stopped leader still run", n)
+	}
 }
 
 func TestEmptyFlushProducesNothing(t *testing.T) {

@@ -16,8 +16,8 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 gates=(gofmt vet build test stress pacing admission fuzz-corpus crash-recovery
-    leader-failover telemetry observability executor disk-fault cluster-e2e
-    cluster-netchaos codec bench-smoke)
+    leader-failover synctest telemetry observability executor disk-fault
+    cluster-e2e cluster-netchaos codec bench-smoke)
 
 short_flag=""
 if [[ "${1:-}" == "-short" ]]; then
@@ -180,6 +180,50 @@ gate_leader-failover() {
         -run 'TestEquivalenceLeaderKill|TestLeaderKillSchedule|TestLeaderFailover|TestLeaderCrashValidation|TestGroup|TestFrontend' \
         ./internal/chaos ./internal/engine ./internal/sequencer .
     GOMAXPROCS=2 go test -race -count=20 -run TestLeaderFailover ./internal/engine
+}
+
+# bubble_guard fails when a package's bubble list (bubble_test.go, which
+# only compiles under GOEXPERIMENT=synctest) is not exactly the tests that
+# RUN matches, less those EXCLUDE matches: a test added, renamed or deleted
+# without the list following. Usage: bubble_guard PKG RUN [EXCLUDE]
+bubble_guard() {
+    local pkg=$1 run=$2 exclude=${3:-'^$'} want got
+    want=$(go test -list "${run}" "${pkg}" | grep '^Test' | grep -vE "${exclude}" | sort)
+    got=$(grep -oE '^[[:space:]]+Test[[:alnum:]_]+,$' "${pkg}/bubble_test.go" | sed -E 's/[[:space:],]//g' | sort)
+    if [[ "${want}" != "${got}" ]]; then
+        echo "${pkg}/bubble_test.go does not list exactly the tests ${run} matches (< want, > listed):" >&2
+        diff <(echo "${want}") <(echo "${got}") >&2 || true
+        exit 1
+    fi
+}
+
+# Synctest gate: the in-process protocol tests in testing/synctest bubbles,
+# where time.Sleep, timers and time.Now are virtual and time moves only
+# when every goroutine in the bubble waits (Go 1.24 ships the package
+# behind GOEXPERIMENT=synctest; only this gate sets it). Each of the four
+# packages lists its bubbled tests in bubble_test.go: the reliable link and
+# the channel transport, every sequencer test, the chaos wrapper and the
+# in-process chaos runs that do not call t.Parallel, and the engine's
+# failover and crash tests. Tests that spawn processes or open sockets
+# stay on the wall clock. leaktest's own check that it counts only the
+# bubble goes first. Then twenty passes of everything, under -race on two
+# cores, then a thousand more of the leader-failover tests, which take a
+# few milliseconds of real time each in a bubble. The wall-clock failover
+# loop in the leader-failover gate stays: a bubble cannot starve a
+# goroutine, and only the wall clock checks that a CPU-starved pulse does
+# not promote a standby.
+gate_synctest() {
+    local pkgs=(./internal/network ./internal/sequencer ./internal/chaos ./internal/engine)
+    GOEXPERIMENT=synctest list_guard "synctest gate" 4 '^TestBubbled$' "${pkgs[@]}"
+    bubble_guard ./internal/network '^Test(Reliable|ChanTransport)'
+    bubble_guard ./internal/sequencer '^Test'
+    bubble_guard ./internal/chaos '^Test' \
+        'Plane|WANProfile|RouteBadUpstream|ScheduleString|^Test(CodecInTheLoop|DiskFault|Telemetry)Equivalence|^TestDispatchPathEquivalence(AllPolicies|LeaderKill)$|^TestEquivalence'
+    bubble_guard ./internal/engine '^Test(LeaderFailover|LeaderCrash|DrainDetail|Crash|ClusterCloseLeaksNothing)'
+    GOEXPERIMENT=synctest list_guard "synctest gate" 1 '^TestCheckCountsOnlyTheBubble$' ./internal/leaktest
+    GOEXPERIMENT=synctest go test -race -count=1 ./internal/leaktest
+    GOEXPERIMENT=synctest GOMAXPROCS=2 go test -race -count=20 -run '^TestBubbled$' "${pkgs[@]}"
+    GOEXPERIMENT=synctest GOMAXPROCS=2 go test -race -count=1000 -run '^TestBubbled$/^TestLeaderFailover' ./internal/engine
 }
 
 # Telemetry-equivalence gate: tracing fully on vs fully off must quiesce
