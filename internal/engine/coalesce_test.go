@@ -21,8 +21,8 @@ func mailKeys(n *Node) map[tx.TxnID][]tx.Key {
 	for id, mb := range n.mail {
 		mb.mu.Lock()
 		ks := make([]tx.Key, 0, len(mb.recs))
-		for k := range mb.recs {
-			ks = append(ks, k)
+		for _, r := range mb.recs {
+			ks = append(ks, r.Key)
 		}
 		mb.mu.Unlock()
 		slices.Sort(ks)

@@ -23,15 +23,16 @@ func checkRouteConservation(t *testing.T, c *Cluster, rt *router.Route) {
 	// Per-destination inbound record keys, from every node's role.
 	inbound := map[tx.NodeID]map[tx.Key]int{}
 	expected := map[tx.NodeID]int{}
+	var sc roleScratch
 	for id, n := range c.nodes {
-		role := n.roleFor(rt)
+		role := n.roleFor(rt, &sc, &batchArena{})
 		expected[id] = role.expectRecords
-		for dest, keys := range role.pushTo {
-			if inbound[dest] == nil {
-				inbound[dest] = map[tx.Key]int{}
+		for _, p := range role.pushTo {
+			if inbound[p.to] == nil {
+				inbound[p.to] = map[tx.Key]int{}
 			}
-			for _, k := range keys {
-				inbound[dest][k]++
+			for _, k := range p.keys {
+				inbound[p.to][k]++
 			}
 		}
 		// Master's outbound migrations also deliver records (post-exec).

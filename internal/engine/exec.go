@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"slices"
 	"time"
 
 	"hermes/internal/metrics"
@@ -11,41 +12,79 @@ import (
 	"hermes/internal/tx"
 )
 
+// job is one admitted role on its way through this node: the route, the
+// role, and what its execution accumulates. A batch's jobs live in one
+// slab (batchArena.jobsFor); step is the one closure a job has, which
+// qexec calls when the role is granted and again, through Submit, when the
+// records it waited for are in.
+type job struct {
+	a    *batchArena
+	rt   *router.Route
+	role role
+	step func()
+
+	// started is set once run has begun: the next step resumes.
+	started     bool
+	granted     time.Time
+	storageTime time.Duration
+	// remote holds the records the role waited for, once they are in.
+	remote []network.Record
+
+	// mb is the mailbox of a role that expects records: its own, from the
+	// arena, or one records reached before the batch was admitted.
+	mb *mailbox
+	// ctx is the execution context of a master or writer role.
+	ctx *execCtx
+}
+
+// step runs the part of j that is due: the role itself, or its rest once
+// its records are in.
+func (n *Node) step(j *job) {
+	if !j.started {
+		n.run(j)
+		return
+	}
+	remoteReady := time.Now()
+	n.cluster.tracer.Emit(n.id, j.rt.Txn.ID, telemetry.PhaseRemoteReady, int64(j.role.expectRecords))
+	n.finish(j, remoteReady)
+}
+
+// resumeWith hands j the records it waited for and re-enters it into the
+// bucket pool.
+func (j *job) resumeWith(recs []network.Record) {
+	j.remote = recs
+	j.a.node.qx.Submit(j.rt.Txn.ID, j.step)
+}
+
 // run executes this node's role for one admitted transaction; dispatch
 // calls it once every key the role needs has been granted. Phase 1 pushes
 // the records this node owns to where they are needed. A role that
 // expects no records then finishes at once. One that does subscribes to
-// its mailbox instead of parking: when the last record lands, the
-// continuation re-enters the bucket pool through qexec.Submit and
-// dispatch, so the Phase 3 work never runs on the transport receive loop.
-// Deadlock freedom comes from admission in total order plus the fact that
-// record waits only ever point "toward" nodes that push unconditionally
-// once their own keys are granted. admitted and planShare carry the
-// batch-admission timestamp and this transaction's share of the planning
-// cost for the latency breakdown.
-func (n *Node) run(rt *router.Route, role *role, arrival, admitted time.Time, planShare time.Duration) {
+// its mailbox instead of parking: when the last record lands, the job
+// re-enters the bucket pool through qexec.Submit and dispatch, so the
+// Phase 3 work never runs on the transport receive loop. Deadlock freedom
+// comes from admission in total order plus the fact that record waits
+// only ever point "toward" nodes that push unconditionally once their own
+// keys are granted.
+func (n *Node) run(j *job) {
+	rt := j.rt
 	// The in-flight gauge spans the role from here to finish (the record
 	// wait included), counted once at the committing node.
 	if n.countsMigration(rt) {
 		n.addMigrating(1)
 	}
-	granted := time.Now()
-	n.cluster.tracer.Emit(n.id, rt.Txn.ID, telemetry.PhaseLocked, int64(granted.Sub(admitted)))
+	j.started = true
+	j.granted = time.Now()
+	n.cluster.tracer.Emit(n.id, rt.Txn.ID, telemetry.PhaseLocked, int64(j.granted.Sub(j.a.admitted)))
 
-	storageTime := n.pushOwned(rt, role)
-	if role.expectRecords == 0 {
-		n.finish(rt, role, nil, arrival, admitted, granted, granted, storageTime, planShare)
+	j.storageTime = n.pushOwned(rt, &j.role)
+	if j.role.expectRecords == 0 {
+		n.finish(j, j.granted)
 		return
 	}
-	cont := func(remote map[tx.Key][]byte) {
-		remoteReady := time.Now()
-		n.cluster.tracer.Emit(n.id, rt.Txn.ID, telemetry.PhaseRemoteReady, int64(role.expectRecords))
-		n.finish(rt, role, remote, arrival, admitted, granted, remoteReady, storageTime, planShare)
-	}
-	if remote, ready := n.mailboxFor(rt.Txn.ID).subscribe(role.expectRecords, func(remote map[tx.Key][]byte) {
-		n.qx.Submit(rt.Txn.ID, func() { n.dispatch(func() { cont(remote) }) })
-	}); ready {
-		cont(remote)
+	if remote, ready := j.mb.subscribe(j.role.expectRecords, j); ready {
+		j.remote = remote
+		n.step(j)
 	}
 }
 
@@ -76,9 +115,10 @@ func (n *Node) pushOwned(rt *router.Route, role *role) time.Duration {
 		time.Sleep(d)
 		n.cluster.collector.AddBusy(int(n.id), time.Since(t0))
 	}
-	for dest, keys := range role.pushTo {
-		recs := make([]network.Record, 0, len(keys))
-		for _, k := range keys {
+	var buf [8]network.Record // the outbox copies what it is given
+	for _, p := range role.pushTo {
+		recs := buf[:0]
+		for _, k := range p.keys {
 			t0 := time.Now()
 			v, ok := n.store.Read(k)
 			n.sleepStorage()
@@ -88,7 +128,7 @@ func (n *Node) pushOwned(rt *router.Route, role *role) time.Duration {
 			}
 			recs = append(recs, network.Record{Key: k, Value: v, Txn: rt.Txn.ID})
 		}
-		n.out.add(dest, recs)
+		n.out.add(p.to, recs)
 	}
 	for _, k := range role.deleteAfterPush {
 		n.store.Delete(k)
@@ -98,23 +138,23 @@ func (n *Node) pushOwned(rt *router.Route, role *role) time.Duration {
 
 // finish is Phase 3 plus commit accounting: the role-specific work, the
 // release of the role's keys, and — at the committing role — the latency
-// breakdown and commit report. remote is nil when the role expected no
+// breakdown and commit report. j.remote is nil when the role expected no
 // records.
-func (n *Node) finish(rt *router.Route, role *role, remote map[tx.Key][]byte,
-	arrival, admitted, granted, remoteReady time.Time,
-	storageTime time.Duration, planShare time.Duration,
-) {
+func (n *Node) finish(j *job, remoteReady time.Time) {
+	rt, role, remote := j.rt, &j.role, j.remote
+	arrival, admitted, granted := j.a.arrival, j.a.admitted, j.granted
+	storageTime, planShare := j.storageTime, j.a.planShare
 	// Phase 3: role-specific work.
 	aborted := false
 	switch {
 	case role.isMaster:
 		var st time.Duration
-		st, aborted = n.runMaster(rt, role, remote)
+		st, aborted = n.runMaster(j)
 		storageTime += st
 		n.cluster.tracer.Emit(n.id, rt.Txn.ID, telemetry.PhaseExecuted, 0)
 	case role.isWriter:
 		var st time.Duration
-		st, aborted = n.runWriter(rt, remote)
+		st, aborted = n.runWriter(j)
 		storageTime += st
 		n.cluster.tracer.Emit(n.id, rt.Txn.ID, telemetry.PhaseExecuted, 0)
 	default:
@@ -122,7 +162,7 @@ func (n *Node) finish(rt *router.Route, role *role, remote map[tx.Key][]byte,
 		// write-backs, then release.
 		var migBytes int64
 		for _, k := range role.insertArrivals {
-			if v, ok := remote[k]; ok && v != nil {
+			if v, ok := recordValue(remote, k); ok && v != nil {
 				t0 := time.Now()
 				n.store.Write(k, v)
 				n.sleepStorage()
@@ -135,7 +175,7 @@ func (n *Node) finish(rt *router.Route, role *role, remote map[tx.Key][]byte,
 			n.cluster.tracer.Emit(n.id, rt.Txn.ID, telemetry.PhaseMigratedIn, migBytes)
 		}
 		for _, k := range role.writeBackApply {
-			if v, ok := remote[k]; ok {
+			if v, ok := recordValue(remote, k); ok {
 				t0 := time.Now()
 				n.store.Write(k, v)
 				n.sleepStorage()
@@ -215,68 +255,44 @@ func (n *Node) sleepStorage() {
 // site: assemble the value view from local storage and pushed records,
 // insert inbound migrations into local storage, run the procedure with
 // UNDO protection, then distribute write-backs and outbound migrations.
-func (n *Node) runMaster(rt *router.Route, role *role, remote map[tx.Key][]byte) (time.Duration, bool) {
+func (n *Node) runMaster(j *job) (time.Duration, bool) {
 	var storageTime time.Duration
+	rt, role, remote := j.rt, &j.role, j.remote
 	req := rt.Txn
-	access := req.AccessSet()
 	writes := req.WriteSet()
+	ctx := j.ctx
 
-	// Reads of a nil map are legal and return false, so the single-node
-	// common case (no migrations, no write-backs) allocates neither.
-	var inbound map[tx.Key]bool // keys migrating INTO this master
-	if len(rt.Migrations) > 0 {
-		inbound = make(map[tx.Key]bool, len(rt.Migrations))
-		for _, m := range rt.Migrations {
-			if m.To == n.id && m.From != n.id {
-				inbound[m.Key] = true
-			}
-		}
-	}
-	var writeBack map[tx.Key]bool
-	if len(rt.WriteBack) > 0 {
-		writeBack = make(map[tx.Key]bool, len(rt.WriteBack))
-		for _, k := range rt.WriteBack {
-			writeBack[k] = true
-		}
-	}
-
-	vals := make(map[tx.Key][]byte, len(access))
-	orig := make(map[tx.Key][]byte, len(access))
-	undo := storage.NewUndoLog(n.store)
-	localAfter := make(map[tx.Key]bool, len(access))
 	var migBytes int64
-
-	for _, k := range access {
-		owner := rt.Owners.Get(k)
-		if owner == n.id {
+	inbound := slices.ContainsFunc(rt.Migrations, func(m router.Migration) bool { return m.To == n.id && m.From != n.id })
+	for i := range ctx.view {
+		s := &ctx.view[i]
+		if rt.Owners.Get(s.key) == n.id {
 			t0 := time.Now()
-			v, _ := n.store.Read(k)
+			s.val, _ = n.store.Read(s.key)
 			n.sleepStorage()
 			storageTime += time.Since(t0)
-			vals[k] = v
-			localAfter[k] = true
+			s.local = true
 		} else {
-			v := remote[k]
-			vals[k] = v
-			if inbound[k] {
+			s.val, _ = recordValue(remote, s.key)
+			if inboundTo(rt.Migrations, n.id, s.key) {
 				// Inbound data-fusion migration: the record becomes local
 				// storage *regardless of abort* (§4.2) — the plan's
 				// placement effects always happen.
-				if v != nil {
+				if s.val != nil {
 					t0 := time.Now()
-					n.store.Write(k, v)
+					n.store.Write(s.key, s.val)
 					n.sleepStorage()
 					storageTime += time.Since(t0)
-					migBytes += int64(len(v))
+					migBytes += int64(len(s.val))
 				}
-				localAfter[k] = true
+				s.local = true
 			}
 		}
-		orig[k] = vals[k]
+		s.orig = s.val
 	}
 	// Non-access eviction arrivals handled exactly like at any other node.
 	for _, k := range role.insertArrivals {
-		if v, ok := remote[k]; ok && v != nil {
+		if v, ok := recordValue(remote, k); ok && v != nil {
 			t0 := time.Now()
 			n.store.Write(k, v)
 			n.sleepStorage()
@@ -284,53 +300,48 @@ func (n *Node) runMaster(rt *router.Route, role *role, remote map[tx.Key][]byte)
 			migBytes += int64(len(v))
 		}
 	}
-	if len(inbound) > 0 || len(role.insertArrivals) > 0 {
+	if inbound || len(role.insertArrivals) > 0 {
 		n.cluster.collector.RecordMigrationBytes(int(migBytes))
 		n.cluster.tracer.Emit(n.id, req.ID, telemetry.PhaseMigratedIn, migBytes)
 	}
 
-	ctx := &execCtx{node: n, vals: vals, localAfter: localAfter, undo: undo}
-	execStart := time.Now()
-	req.Proc.Execute(ctx)
-	if d := n.cluster.cfg.ExecCost; d > 0 {
-		time.Sleep(d) // simulated CPU work while holding the executor slot
-	}
-	n.cluster.collector.AddBusy(int(n.id), time.Since(execStart))
+	n.execute(ctx, req)
 	storageTime += ctx.storageTime
-
-	if ctx.aborted {
-		undo.Rollback()
-		if n.cluster.accountOnce(req.ID) {
-			n.cluster.collector.RecordAbort()
-		}
-	} else {
-		undo.Discard()
+	if ctx.aborted && n.cluster.accountOnce(req.ID) {
+		n.cluster.collector.RecordAbort()
 	}
 
 	// Write-backs: final values on commit, original values on abort (the
 	// owner still holds the key and must be released by this message).
-	var byOwner map[tx.NodeID][]network.Record
-	for _, k := range writes {
-		if !writeBack[k] {
-			continue
-		}
-		if byOwner == nil {
-			byOwner = make(map[tx.NodeID][]network.Record, 1)
-		}
-		v := orig[k]
-		if !ctx.aborted {
-			if bv, ok := ctx.buffered[k]; ok {
-				v = bv
+	// One message per owner, in order of each owner's first written key.
+	if len(rt.WriteBack) > 0 {
+		var wb []ownedRecord
+		for _, k := range writes {
+			if !slices.Contains(rt.WriteBack, k) {
+				continue
 			}
+			s := ctx.slot(k)
+			v := s.orig
+			if !ctx.aborted && s.buffered {
+				v = s.val
+			}
+			wb = append(wb, ownedRecord{owner: rt.Owners.Get(k), rec: network.Record{Key: k, Value: v}})
 		}
-		owner := rt.Owners.Get(k)
-		byOwner[owner] = append(byOwner[owner], network.Record{Key: k, Value: v})
-	}
-	for owner, recs := range byOwner {
-		_ = n.cluster.tr.Send(network.Message{
-			From: n.id, To: owner, Type: network.MsgWriteBack,
-			Txn: req.ID, Records: recs,
-		})
+		for i, o := range wb {
+			if slices.ContainsFunc(wb[:i], func(p ownedRecord) bool { return p.owner == o.owner }) {
+				continue
+			}
+			var recs []network.Record
+			for _, p := range wb[i:] {
+				if p.owner == o.owner {
+					recs = append(recs, p.rec)
+				}
+			}
+			_ = n.cluster.tr.Send(network.Message{
+				From: n.id, To: o.owner, Type: network.MsgWriteBack,
+				Txn: req.ID, Records: recs,
+			})
+		}
 	}
 
 	// Outbound migrations from the master (return-home moves that must
@@ -353,79 +364,130 @@ func (n *Node) runMaster(rt *router.Route, role *role, remote map[tx.Key][]byte)
 	return storageTime, ctx.aborted
 }
 
+// ownedRecord is one write-back record with the node it goes back to.
+type ownedRecord struct {
+	owner tx.NodeID
+	rec   network.Record
+}
+
+// inboundTo reports whether ms moves k into node id from elsewhere.
+func inboundTo(ms []router.Migration, id tx.NodeID, k tx.Key) bool {
+	for _, m := range ms {
+		if m.Key == k && m.To == id && m.From != id {
+			return true
+		}
+	}
+	return false
+}
+
 // runWriter executes the transaction logic at one of Calvin's
 // multi-master writers: it has all read values (local + broadcast) and
 // applies only the writes it owns.
-func (n *Node) runWriter(rt *router.Route, remote map[tx.Key][]byte) (time.Duration, bool) {
+func (n *Node) runWriter(j *job) (time.Duration, bool) {
 	var storageTime time.Duration
-	req := rt.Txn
-	vals := make(map[tx.Key][]byte)
-	localAfter := map[tx.Key]bool{}
-	for _, k := range req.AccessSet() {
-		if rt.Owners.Get(k) == n.id {
+	rt, req := j.rt, j.rt.Txn
+	ctx := j.ctx
+	for i := range ctx.view {
+		s := &ctx.view[i]
+		if rt.Owners.Get(s.key) == n.id {
 			t0 := time.Now()
-			v, _ := n.store.Read(k)
+			s.val, _ = n.store.Read(s.key)
 			n.sleepStorage()
 			storageTime += time.Since(t0)
-			vals[k] = v
-			localAfter[k] = true
-		} else if v, ok := remote[k]; ok {
-			vals[k] = v
+			s.local = true
+		} else {
+			s.val, _ = recordValue(j.remote, s.key)
 		}
+		s.orig = s.val
 	}
-	undo := storage.NewUndoLog(n.store)
-	ctx := &execCtx{node: n, vals: vals, localAfter: localAfter, undo: undo}
-	execStart := time.Now()
-	req.Proc.Execute(ctx)
-	if d := n.cluster.cfg.ExecCost; d > 0 {
-		time.Sleep(d)
-	}
-	n.cluster.collector.AddBusy(int(n.id), time.Since(execStart))
+	n.execute(ctx, req)
 	storageTime += ctx.storageTime
-	if ctx.aborted {
-		undo.Rollback()
-		if n.isCommitter(rt) && n.cluster.accountOnce(req.ID) {
-			n.cluster.collector.RecordAbort()
-		}
-	} else {
-		undo.Discard()
+	if ctx.aborted && n.isCommitter(rt) && n.cluster.accountOnce(req.ID) {
+		n.cluster.collector.RecordAbort()
 	}
 	return storageTime, ctx.aborted
 }
 
+// execute runs req's procedure against ctx's view, charging ExecCost, and
+// rolls back its local writes if it aborted.
+func (n *Node) execute(ctx *execCtx, req *tx.Request) {
+	ctx.undo.Reset(n.store, len(req.WriteSet()))
+	execStart := time.Now()
+	req.Proc.Execute(ctx)
+	if d := n.cluster.cfg.ExecCost; d > 0 {
+		time.Sleep(d) // simulated CPU work while holding the executor slot
+	}
+	n.cluster.collector.AddBusy(int(n.id), time.Since(execStart))
+	if ctx.aborted {
+		ctx.undo.Rollback()
+	} else {
+		ctx.undo.Discard()
+	}
+}
+
+// viewSlot is one access key in an executing role's value view: the value
+// the procedure sees, the value it started from, whether the key is (or
+// becomes) local storage here — writes then go through the undo log — and
+// whether a write to it was buffered for a write-back instead.
+type viewSlot struct {
+	key       tx.Key
+	val, orig []byte
+	local     bool
+	buffered  bool
+}
+
 // execCtx implements tx.ExecCtx for an executing role. Reads come from
 // the assembled value view; writes go through the undo log when the key
-// is (or becomes) local, and into the write-back buffer (allocated on
-// first remote write) otherwise.
+// is (or becomes) local, and are buffered in the view otherwise. A write
+// to a key outside the access set is buffered in extra, which nothing
+// sends anywhere.
 type execCtx struct {
 	node        *Node
-	vals        map[tx.Key][]byte
-	localAfter  map[tx.Key]bool
-	undo        *storage.UndoLog
-	buffered    map[tx.Key][]byte
+	view        []viewSlot
+	undo        storage.UndoLog
+	extra       map[tx.Key][]byte
 	aborted     bool
 	storageTime time.Duration
 }
 
+// slot returns k's view slot, or nil if k is outside the access set.
+func (c *execCtx) slot(k tx.Key) *viewSlot {
+	for i := range c.view {
+		if c.view[i].key == k {
+			return &c.view[i]
+		}
+	}
+	return nil
+}
+
 // Read implements tx.ExecCtx.
-func (c *execCtx) Read(k tx.Key) []byte { return c.vals[k] }
+func (c *execCtx) Read(k tx.Key) []byte {
+	if s := c.slot(k); s != nil {
+		return s.val
+	}
+	return c.extra[k]
+}
 
 // Write implements tx.ExecCtx.
 func (c *execCtx) Write(k tx.Key, v []byte) {
 	if c.aborted {
 		return
 	}
-	c.vals[k] = v
-	if c.localAfter[k] {
+	s := c.slot(k)
+	switch {
+	case s == nil:
+		if c.extra == nil {
+			c.extra = make(map[tx.Key][]byte, 1)
+		}
+		c.extra[k] = v
+	case s.local:
+		s.val = v
 		t0 := time.Now()
 		c.undo.Write(k, v)
 		c.node.sleepStorage()
 		c.storageTime += time.Since(t0)
-	} else {
-		if c.buffered == nil {
-			c.buffered = make(map[tx.Key][]byte, 1)
-		}
-		c.buffered[k] = v
+	default:
+		s.val, s.buffered = v, true
 	}
 }
 

@@ -55,6 +55,16 @@ type Node struct {
 	// flushPushes then sends one MsgRecordPush per destination.
 	out outbox
 
+	// The scheduler goroutine's scratch, reused from batch to batch: where
+	// roleFor builds a role, the batch's planned roles, its admission ops
+	// and its remotely answered transactions. Everything that outlives admit is
+	// copied into the batch's arena.
+	sc      roleScratch
+	planned []plannedRole
+	ops     []qexec.Op
+	opPtrs  []*qexec.Op
+	remote  []tx.TxnID
+
 	// doneMu guards done, which maps each transaction this node commits
 	// for a client in another process to its batch's completion group
 	// (see answer).
@@ -100,7 +110,7 @@ func newNode(id tx.NodeID, c *Cluster, policy router.Policy) *Node {
 	return n
 }
 
-// dispatch runs fn — an admitted role, or the rest of one whose records
+// dispatch runs j — an admitted role, or the rest of one whose records
 // have arrived — for the bucket worker that calls it. This is the one
 // place the cost model picks where a role runs. At zero cost nothing in a
 // role sleeps, so it runs inline on the bucket worker: no goroutine, no
@@ -110,9 +120,9 @@ func newNode(id tx.NodeID, c *Cluster, policy router.Policy) *Node {
 // goroutine that holds one of the Executors slots while it runs and
 // flushes the outbox when it returns. Waiting for records holds no slot,
 // so the bound cannot deadlock.
-func (n *Node) dispatch(fn func()) {
+func (n *Node) dispatch(j *job) {
 	if cfg := n.cluster.cfg; cfg.ExecCost == 0 && cfg.StorageDelay == 0 {
-		fn()
+		n.step(j)
 		return
 	}
 	n.roleGoroutines.Add(1)
@@ -129,7 +139,7 @@ func (n *Node) dispatch(fn func()) {
 				return
 			}
 		}
-		fn()
+		n.step(j)
 		n.flushPushes()
 	}()
 }
@@ -377,21 +387,25 @@ func (g *doneGroup) add(client tx.NodeID, seq uint64) {
 // goroutine (zero while the cost model is zero).
 func (n *Node) RoleGoroutines() int64 { return n.roleGoroutines.Load() }
 
+// plannedRole is one route this node takes part in, with its role, while
+// admit plans the batch.
+type plannedRole struct {
+	rt   *router.Route
+	role role
+}
+
 // admit plans the batch — it derives this node's role in every route —
 // and then admits the whole batch into the per-key queues in one call.
 // The bucket worker that completes a role's rendezvous hands it to
 // dispatch. Roles that expect inbound records split at the mailbox instead
 // of parking (see run), so a record wait never stalls a bucket worker and
-// never holds a goroutine either.
+// never holds a goroutine either. Everything a role carries past
+// admission is carved from one arena per batch.
 func (n *Node) admit(plan *router.Plan, arrival time.Time) {
 	planStart := time.Now()
-	type job struct {
-		rt   *router.Route
-		role *role
-	}
-	jobs := make([]job, 0, len(plan.Routes))
-	ops := make([]*qexec.Op, 0, len(plan.Routes))
-	var remote []tx.TxnID // committed here for clients in other processes
+	a := newBatchArena(n, plan)
+	planned := n.planned[:0]
+	remote := n.remote[:0] // committed here for clients in other processes
 	for _, rt := range plan.Routes {
 		if rt.Mode == router.Provision {
 			// The membership change itself took effect inside BuildPlan on
@@ -404,7 +418,7 @@ func (n *Node) admit(plan *router.Plan, arrival time.Time) {
 				continue
 			}
 		}
-		role := n.roleFor(rt)
+		role := n.roleFor(rt, &n.sc, a)
 		if !role.involved() {
 			continue
 		}
@@ -415,26 +429,29 @@ func (n *Node) admit(plan *router.Plan, arrival time.Time) {
 			}
 			n.cluster.tracer.Emit(n.id, rt.Txn.ID, telemetry.PhaseRouted, master)
 		}
-		jobs = append(jobs, job{rt: rt, role: role})
-		ops = append(ops, &qexec.Op{ID: rt.Txn.ID, Shared: role.shared, Excl: role.excl})
+		planned = append(planned, plannedRole{rt: rt, role: role})
 		if n.remoteAnswer(rt) {
 			remote = append(remote, rt.Txn.ID)
 		}
 	}
+	jobs := a.jobsFor(planned)
+	a.arrival = arrival
 	planDur := time.Since(planStart)
-	var planShare time.Duration
-	if len(ops) > 0 {
-		planShare = planDur / time.Duration(len(ops))
-		n.cluster.collector.RecordQueuePlan(len(ops), planDur)
+	if len(jobs) > 0 {
+		a.planShare = planDur / time.Duration(len(jobs))
+		n.cluster.collector.RecordQueuePlan(len(jobs), planDur)
 	}
-	admitted := time.Now()
+	a.admitted = time.Now()
+	ops, ptrs := n.ops[:0], n.opPtrs[:0]
 	for i := range jobs {
-		rt, role := jobs[i].rt, jobs[i].role
+		j := &jobs[i]
 		// If the node crashes before the rendezvous, the closure simply
 		// never fires.
-		ops[i].OnReady = func() {
-			n.dispatch(func() { n.run(rt, role, arrival, admitted, planShare) })
-		}
+		j.step = func() { n.dispatch(j) }
+		ops = append(ops, qexec.Op{ID: j.rt.Txn.ID, Shared: j.role.shared, Excl: j.role.excl, OnReady: j.step})
+	}
+	for i := range ops {
+		ptrs = append(ptrs, &ops[i])
 	}
 	// The group is complete before AdmitBatch lets any member finish.
 	if len(remote) > 0 {
@@ -445,7 +462,13 @@ func (n *Node) admit(plan *router.Plan, arrival time.Time) {
 		}
 		n.doneMu.Unlock()
 	}
-	n.qx.AdmitBatch(ops)
+	n.qx.AdmitBatch(ptrs)
+	// AdmitBatch keeps none of ops; clearing the scratch lets the batch's
+	// arena go once its roles finish.
+	clear(planned)
+	clear(ops)
+	clear(ptrs)
+	n.planned, n.ops, n.opPtrs, n.remote = planned[:0], ops[:0], ptrs[:0], remote[:0]
 }
 
 // isCommitter reports whether this node is the one that reports
@@ -464,7 +487,8 @@ func (n *Node) isCommitter(rt *router.Route) bool {
 	return false
 }
 
-// role captures everything a node must do for one route.
+// role captures everything a node must do for one route. Its slices are
+// carved from the batch's arena.
 type role struct {
 	// lock sets on this node.
 	shared, excl []tx.Key
@@ -477,9 +501,9 @@ type role struct {
 	// arrivals at owners).
 	expectRecords int
 
-	// pushTo maps destination node -> keys this node must push there
-	// (remote reads and outbound migrations).
-	pushTo map[tx.NodeID][]tx.Key
+	// pushTo lists, per destination node in order of first use, the keys
+	// this node must push there (remote reads and outbound migrations).
+	pushTo []push
 	// deleteAfterPush lists keys leaving this node (migration sources).
 	deleteAfterPush []tx.Key
 	// insertArrivals lists keys arriving into this node's storage
@@ -495,45 +519,70 @@ type role struct {
 	outMigrations []router.Migration
 }
 
+// push is one destination of a role's record pushes.
+type push struct {
+	to   tx.NodeID
+	keys []tx.Key
+}
+
 func (r *role) involved() bool {
 	return len(r.shared)+len(r.excl) > 0 || r.isMaster || r.isWriter ||
 		len(r.pushTo) > 0 || len(r.insertArrivals) > 0
 }
 
-// roleFor derives this node's role from a route. Every node derives roles
-// from the identical plan, so the role sets agree globally.
-func (n *Node) roleFor(rt *router.Route) *role {
-	r := &role{pushTo: map[tx.NodeID][]tx.Key{}}
+// roleScratch is where roleFor builds a role before copying it into the
+// batch's arena; its slices keep their capacity from route to route.
+type roleScratch struct {
+	shared, excl, deleteAfterPush, insertArrivals, writeBackApply []tx.Key
+	// pushes holds each (destination, key) push in the order it arose.
+	pushes []destKey
+	// departing lists keys this node pushes away before execution.
+	departing     []tx.Key
+	outMigrations []router.Migration
+}
+
+type destKey struct {
+	to tx.NodeID
+	k  tx.Key
+}
+
+func (sc *roleScratch) reset() {
+	sc.shared, sc.excl = sc.shared[:0], sc.excl[:0]
+	sc.deleteAfterPush, sc.insertArrivals, sc.writeBackApply = sc.deleteAfterPush[:0], sc.insertArrivals[:0], sc.writeBackApply[:0]
+	sc.pushes, sc.departing, sc.outMigrations = sc.pushes[:0], sc.departing[:0], sc.outMigrations[:0]
+}
+
+func (sc *roleScratch) pushTo(to tx.NodeID, k tx.Key) {
+	sc.pushes = append(sc.pushes, destKey{to, k})
+}
+
+// roleFor derives this node's role from a route, building it in sc and
+// carving the result from a. Every node derives roles from the identical
+// plan, so the role sets agree globally.
+func (n *Node) roleFor(rt *router.Route, sc *roleScratch, a *batchArena) role {
+	var r role
+	sc.reset()
 	req := rt.Txn
 	writes := req.WriteSet()
 	access := req.AccessSet()
 
-	writeBack := map[tx.Key]bool{}
-	for _, k := range rt.WriteBack {
-		writeBack[k] = true
-	}
-
 	switch rt.Mode {
 	case router.MultiMaster:
-		for _, w := range rt.Writers {
-			if w == n.id {
-				r.isWriter = true
-			}
-		}
+		r.isWriter = slices.Contains(rt.Writers, n.id)
 		for _, k := range access {
 			owner := rt.Owners.Get(k)
 			isWrite := tx.ContainsKey(writes, k)
 			if owner == n.id {
 				if isWrite {
-					r.excl = append(r.excl, k)
+					sc.excl = append(sc.excl, k)
 				} else {
-					r.shared = append(r.shared, k)
+					sc.shared = append(sc.shared, k)
 				}
 				// Owners broadcast their read-set fragments to writers.
 				if tx.ContainsKey(req.ReadSet(), k) {
 					for _, w := range rt.Writers {
 						if w != n.id {
-							r.pushTo[w] = append(r.pushTo[w], k)
+							sc.pushTo(w, k)
 						}
 					}
 				}
@@ -549,7 +598,6 @@ func (n *Node) roleFor(rt *router.Route) *role {
 		// A key may appear in more than one migration of the same route
 		// (e.g. T-Part moves a record in for execution and back home at
 		// batch end). Classify per migration, from this node's viewpoint.
-		outOfHere := map[tx.Key]bool{} // pre-exec departures from this node
 		for _, m := range rt.Migrations {
 			if m.From == m.To {
 				continue
@@ -559,18 +607,18 @@ func (n *Node) roleFor(rt *router.Route) *role {
 				if n.id == master {
 					// Outbound from the execution site: pushed after
 					// execution so it carries post-execution values.
-					r.excl = appendKeyOnce(r.excl, m.Key)
-					r.outMigrations = append(r.outMigrations, m)
+					sc.excl = appendKeyOnce(sc.excl, m.Key)
+					sc.outMigrations = append(sc.outMigrations, m)
 				} else {
-					outOfHere[m.Key] = true
-					r.excl = appendKeyOnce(r.excl, m.Key)
-					r.pushTo[m.To] = append(r.pushTo[m.To], m.Key)
-					r.deleteAfterPush = append(r.deleteAfterPush, m.Key)
+					sc.departing = append(sc.departing, m.Key)
+					sc.excl = appendKeyOnce(sc.excl, m.Key)
+					sc.pushTo(m.To, m.Key)
+					sc.deleteAfterPush = append(sc.deleteAfterPush, m.Key)
 					// The master still needs the value if the key is part
 					// of the transaction and the move itself isn't toward
 					// the master.
 					if inAccess && m.To != master {
-						r.pushTo[master] = append(r.pushTo[master], m.Key)
+						sc.pushTo(master, m.Key)
 					}
 				}
 			}
@@ -579,12 +627,12 @@ func (n *Node) roleFor(rt *router.Route) *role {
 					// Inbound data-fusion migration at the execution
 					// site: the access loop below counts the expected
 					// record and runMaster inserts it.
-					r.excl = appendKeyOnce(r.excl, m.Key)
+					sc.excl = appendKeyOnce(sc.excl, m.Key)
 				} else {
 					// Arrival outside the execution path (eviction home,
 					// cold-chunk destination, return-home target).
-					r.excl = appendKeyOnce(r.excl, m.Key)
-					r.insertArrivals = append(r.insertArrivals, m.Key)
+					sc.excl = appendKeyOnce(sc.excl, m.Key)
+					sc.insertArrivals = append(sc.insertArrivals, m.Key)
 					r.expectRecords++
 				}
 			}
@@ -600,22 +648,22 @@ func (n *Node) roleFor(rt *router.Route) *role {
 			isWrite := tx.ContainsKey(writes, k)
 			switch {
 			case owner == n.id:
-				if outOfHere[k] {
+				if slices.Contains(sc.departing, k) {
 					break // push/delete already arranged above
 				}
 				if isWrite {
-					r.excl = appendKeyOnce(r.excl, k)
-					if n.id != master && writeBack[k] {
+					sc.excl = appendKeyOnce(sc.excl, k)
+					if n.id != master && slices.Contains(rt.WriteBack, k) {
 						// Send current value to the master, then apply
 						// the write-back it returns.
-						r.pushTo[master] = append(r.pushTo[master], k)
-						r.writeBackApply = append(r.writeBackApply, k)
+						sc.pushTo(master, k)
+						sc.writeBackApply = append(sc.writeBackApply, k)
 						r.expectRecords++
 					}
 				} else {
-					r.shared = append(r.shared, k)
+					sc.shared = append(sc.shared, k)
 					if n.id != master {
-						r.pushTo[master] = append(r.pushTo[master], k)
+						sc.pushTo(master, k)
 					}
 				}
 			case n.id == master:
@@ -625,20 +673,23 @@ func (n *Node) roleFor(rt *router.Route) *role {
 			}
 		}
 	}
-	r.shared = tx.NormalizeKeys(r.shared)
-	r.excl = tx.NormalizeKeys(r.excl)
+	sc.shared = tx.NormalizeKeys(sc.shared)
+	sc.excl = tx.NormalizeKeys(sc.excl)
 	// A key needed both shared and exclusive collapses to exclusive
 	// inside admission; remove duplicates from shared here so the
 	// accounting in expectRecords stays exact.
-	r.shared = subtractKeys(r.shared, r.excl)
+	sc.shared = subtractKeys(sc.shared, sc.excl)
+
+	r.shared, r.excl = a.keys(sc.shared), a.keys(sc.excl)
+	r.deleteAfterPush, r.insertArrivals, r.writeBackApply = a.keys(sc.deleteAfterPush), a.keys(sc.insertArrivals), a.keys(sc.writeBackApply)
+	r.outMigrations = a.migrations(sc.outMigrations)
+	r.pushTo = a.pushes(sc.pushes)
 	return r
 }
 
 func appendKeyOnce(ks []tx.Key, k tx.Key) []tx.Key {
-	for _, e := range ks {
-		if e == k {
-			return ks
-		}
+	if slices.Contains(ks, k) {
+		return ks
 	}
 	return append(ks, k)
 }
@@ -651,6 +702,130 @@ func subtractKeys(a, b []tx.Key) []tx.Key {
 		}
 	}
 	return out
+}
+
+// batchArena holds everything one batch's roles at a node carry past
+// admission — the jobs, their key lists, pushes and migrations, the
+// executing roles' contexts and value views, and the waiting roles'
+// mailboxes with their record buffers — in a few slabs instead of
+// per-role allocations. Carved slices are three-index sliced (cap == len)
+// so an append can never alias a neighbour, and slab growth is safe
+// because earlier carves keep the old backing array alive and complete
+// (core.routeArena's scheme). The arena also carries the batch's
+// admission timestamps.
+type batchArena struct {
+	node     *Node
+	keySlab  []tx.Key
+	pushSlab []push
+	migSlab  []router.Migration
+
+	// arrival is when the scheduler took the batch; admitted when it
+	// handed the batch to qexec; planShare is each role's share of the
+	// planning time in between.
+	arrival, admitted time.Time
+	planShare         time.Duration
+}
+
+func newBatchArena(n *Node, plan *router.Plan) *batchArena {
+	keys := 0
+	for _, rt := range plan.Routes {
+		keys += len(rt.Txn.AccessSet()) + len(rt.Migrations)
+	}
+	return &batchArena{node: n, keySlab: make([]tx.Key, 0, keys)}
+}
+
+// keys copies ks into the arena.
+func (a *batchArena) keys(ks []tx.Key) []tx.Key {
+	if len(ks) == 0 {
+		return nil
+	}
+	at := len(a.keySlab)
+	a.keySlab = append(a.keySlab, ks...)
+	return a.keySlab[at:len(a.keySlab):len(a.keySlab)]
+}
+
+// migrations copies ms into the arena.
+func (a *batchArena) migrations(ms []router.Migration) []router.Migration {
+	if len(ms) == 0 {
+		return nil
+	}
+	at := len(a.migSlab)
+	a.migSlab = append(a.migSlab, ms...)
+	return a.migSlab[at:len(a.migSlab):len(a.migSlab)]
+}
+
+// pushes groups dks by destination, in order of each destination's first
+// push and each destination's keys in push order, into the arena.
+func (a *batchArena) pushes(dks []destKey) []push {
+	if len(dks) == 0 {
+		return nil
+	}
+	at := len(a.pushSlab)
+	for i, dk := range dks {
+		if slices.ContainsFunc(dks[:i], func(o destKey) bool { return o.to == dk.to }) {
+			continue
+		}
+		k0 := len(a.keySlab)
+		for _, o := range dks[i:] {
+			if o.to == dk.to {
+				a.keySlab = append(a.keySlab, o.k)
+			}
+		}
+		a.pushSlab = append(a.pushSlab, push{to: dk.to, keys: a.keySlab[k0:len(a.keySlab):len(a.keySlab)]})
+	}
+	return a.pushSlab[at:len(a.pushSlab):len(a.pushSlab)]
+}
+
+// jobsFor makes the batch's jobs from its planned roles: one slab of jobs,
+// an execution context and value view for every executing role, and a
+// registered mailbox for every role that waits for records. A mailbox that
+// records reached before the batch was admitted is adopted; the others
+// come with a record buffer sized to what they expect.
+func (a *batchArena) jobsFor(planned []plannedRole) []job {
+	if len(planned) == 0 {
+		return nil
+	}
+	n := a.node
+	ctxs, views, boxes, recs := 0, 0, 0, 0
+	for i := range planned {
+		p := &planned[i]
+		if p.role.isMaster || p.role.isWriter {
+			ctxs++
+			views += len(p.rt.Txn.AccessSet())
+		}
+		if p.role.expectRecords > 0 {
+			boxes++
+			recs += p.role.expectRecords
+		}
+	}
+	jobs := make([]job, len(planned))
+	ctxSlab, viewSlab := make([]execCtx, ctxs), make([]viewSlot, views)
+	boxSlab, recSlab := make([]mailbox, boxes), make([]network.Record, recs)
+	n.mailMu.Lock()
+	defer n.mailMu.Unlock()
+	for i := range planned {
+		p := &planned[i]
+		j := &jobs[i]
+		j.a, j.rt, j.role = a, p.rt, p.role
+		if p.role.isMaster || p.role.isWriter {
+			access := p.rt.Txn.AccessSet()
+			j.ctx, ctxSlab = &ctxSlab[0], ctxSlab[1:]
+			j.ctx.node = n
+			j.ctx.view, viewSlab = viewSlab[:len(access):len(access)], viewSlab[len(access):]
+			for v, k := range access {
+				j.ctx.view[v].key = k
+			}
+		}
+		if want := p.role.expectRecords; want > 0 {
+			id := p.rt.Txn.ID
+			if j.mb = n.mail[id]; j.mb == nil {
+				j.mb, boxSlab = &boxSlab[0], boxSlab[1:]
+				j.mb.recs, recSlab = recSlab[:0:want], recSlab[want:]
+				n.mail[id] = j.mb
+			}
+		}
+	}
+	return jobs
 }
 
 // putRecords files a record message in its transactions' mailboxes: the
@@ -676,10 +851,12 @@ func (n *Node) putRecords(m *network.Message) {
 	}
 }
 
-// inboundMailbox is mailboxFor for arriving records: it returns nil
-// instead of making a mailbox for a finished transaction. The check holds
-// mailMu, and finish releases before it drops the mailbox, so a mailbox
-// made here for a transaction still registered is always dropped later.
+// inboundMailbox returns the mailbox arriving records for transaction id
+// go to: the one its role registered at admission, or one made now for a
+// transaction not yet admitted here. It returns nil instead of making a
+// mailbox for a finished transaction. The check holds mailMu, and finish
+// releases before it drops the mailbox, so a mailbox made here for a
+// transaction still registered is always dropped later.
 func (n *Node) inboundMailbox(id tx.TxnID) *mailbox {
 	n.mailMu.Lock()
 	defer n.mailMu.Unlock()
@@ -688,19 +865,7 @@ func (n *Node) inboundMailbox(id tx.TxnID) *mailbox {
 		if uint64(id) < n.admitted.Load() && !n.qx.Registered(id) {
 			return nil
 		}
-		mb = newMailbox()
-		n.mail[id] = mb
-	}
-	return mb
-}
-
-// mailboxFor returns (creating on demand) the mailbox for a transaction.
-func (n *Node) mailboxFor(id tx.TxnID) *mailbox {
-	n.mailMu.Lock()
-	defer n.mailMu.Unlock()
-	mb, ok := n.mail[id]
-	if !ok {
-		mb = newMailbox()
+		mb = &mailbox{}
 		n.mail[id] = mb
 	}
 	return mb
@@ -712,23 +877,21 @@ func (n *Node) dropMailbox(id tx.TxnID) {
 	n.mailMu.Unlock()
 }
 
-// mailbox accumulates records pushed to this node for one transaction. A
-// role that expects records registers a continuation with subscribe.
+// mailbox accumulates records pushed to this node for one transaction,
+// one per key: a later record for a key replaces the earlier one. A role
+// that expects records registers itself as the waiter with subscribe.
 type mailbox struct {
 	mu   sync.Mutex
-	recs map[tx.Key][]byte
-	// want/cont are the registered continuation: when at least want
-	// records have accumulated, put fires cont once with the record map.
-	want int
-	cont func(map[tx.Key][]byte)
+	recs []network.Record
+	// want/waiter are the registered continuation: when records for at
+	// least want distinct keys have accumulated, put resumes waiter once
+	// with them.
+	want   int
+	waiter *job
 	// taken is set once recs has been handed to the role, which reads it
 	// unlocked. Every expected record is in by then, so a later put is a
 	// duplicate (a push re-sent by a replaying node) and is dropped.
 	taken bool
-}
-
-func newMailbox() *mailbox {
-	return &mailbox{recs: map[tx.Key][]byte{}}
 }
 
 func (m *mailbox) put(records []network.Record) {
@@ -738,34 +901,48 @@ func (m *mailbox) put(records []network.Record) {
 		return
 	}
 	for _, r := range records {
-		m.recs[r.Key] = r.Value
+		if i := slices.IndexFunc(m.recs, func(o network.Record) bool { return o.Key == r.Key }); i >= 0 {
+			m.recs[i] = r
+		} else {
+			m.recs = append(m.recs, r)
+		}
 	}
-	var fire func(map[tx.Key][]byte)
-	var out map[tx.Key][]byte
-	if m.cont != nil && len(m.recs) >= m.want {
-		fire, out = m.cont, m.recs
-		m.cont, m.taken = nil, true
+	var fire *job
+	if m.waiter != nil && len(m.recs) >= m.want {
+		fire = m.waiter
+		m.waiter, m.taken = nil, true
 	}
+	recs := m.recs
 	m.mu.Unlock()
 	if fire != nil {
 		// Outside the mutex: the continuation re-submits into the bucket
 		// pool and must not deadlock against a concurrent put.
-		fire(out)
+		fire.resumeWith(recs)
 	}
 }
 
-// subscribe registers fn to fire once at least want records have arrived.
-// If they already have, it returns (records, true) and registers nothing —
-// the caller runs the continuation itself. fn fires on the goroutine that
-// delivers the final record.
-func (m *mailbox) subscribe(want int, fn func(map[tx.Key][]byte)) (map[tx.Key][]byte, bool) {
+// subscribe registers j to resume once records for at least want keys
+// have arrived. If they already have, it returns (records, true) and
+// registers nothing — the caller runs the continuation itself. j resumes
+// on the goroutine that delivers the final record.
+func (m *mailbox) subscribe(want int, j *job) ([]network.Record, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if len(m.recs) >= want {
 		m.taken = true
 		return m.recs, true
 	}
-	m.want, m.cont = want, fn
+	m.want, m.waiter = want, j
+	return nil, false
+}
+
+// recordValue returns the value of k's record in recs.
+func recordValue(recs []network.Record, k tx.Key) ([]byte, bool) {
+	for i := range recs {
+		if recs[i].Key == k {
+			return recs[i].Value, true
+		}
+	}
 	return nil, false
 }
 
@@ -774,6 +951,9 @@ func (m *mailbox) subscribe(want int, fn func(map[tx.Key][]byte)) (map[tx.Key][]
 type outbox struct {
 	mu      sync.Mutex
 	pending []pendingPush
+	// spare is the pending list the last flush sent, emptied, for the
+	// next one.
+	spare []pendingPush
 	// full is set while pending holds anything, so that the end of a chunk
 	// that pushed nothing costs no lock. A chunk that adds sees its own add.
 	full atomic.Bool
@@ -784,8 +964,9 @@ type pendingPush struct {
 	recs []network.Record
 }
 
-// add queues recs, tagged with their transactions, for to. The outbox
-// takes recs over: the first push for a destination is sent in place.
+// add queues a copy of recs, tagged with their transactions, for to. Each
+// destination's records go into a slice of the outbox's own, which the
+// push that sends them takes over.
 func (o *outbox) add(to tx.NodeID, recs []network.Record) {
 	if len(recs) == 0 {
 		return
@@ -798,11 +979,12 @@ func (o *outbox) add(to tx.NodeID, recs []network.Record) {
 			return
 		}
 	}
-	o.pending = append(o.pending, pendingPush{to: to, recs: recs})
+	o.pending = append(o.pending, pendingPush{to: to, recs: append(make([]network.Record, 0, max(len(recs), 4)), recs...)})
 	o.full.Store(true)
 }
 
-// take empties the outbox and returns what it held.
+// take empties the outbox and returns what it held. The caller hands the
+// list back with give once it has sent it.
 func (o *outbox) take() []pendingPush {
 	if !o.full.Load() {
 		return nil
@@ -810,9 +992,19 @@ func (o *outbox) take() []pendingPush {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	p := o.pending
-	o.pending = nil
+	o.pending, o.spare = o.spare, nil
 	o.full.Store(false)
 	return p
+}
+
+// give returns a list take handed out, for reuse.
+func (o *outbox) give(p []pendingPush) {
+	clear(p)
+	o.mu.Lock()
+	if o.spare == nil {
+		o.spare = p[:0]
+	}
+	o.mu.Unlock()
 }
 
 // flushPushes sends everything in the outbox, one MsgRecordPush per
@@ -820,7 +1012,11 @@ func (o *outbox) take() []pendingPush {
 // it in Txn and leaves its records untagged, at the size a push for that
 // transaction alone always had; a push for several keeps the tags.
 func (n *Node) flushPushes() {
-	for _, p := range n.out.take() {
+	pending := n.out.take()
+	if pending == nil {
+		return
+	}
+	for _, p := range pending {
 		m := network.Message{From: n.id, To: p.to, Type: network.MsgRecordPush, Records: p.recs}
 		if !slices.ContainsFunc(p.recs, func(r network.Record) bool { return r.Txn != p.recs[0].Txn }) {
 			m.Txn = p.recs[0].Txn
@@ -830,4 +1026,5 @@ func (n *Node) flushPushes() {
 		}
 		_ = n.cluster.tr.Send(m)
 	}
+	n.out.give(pending)
 }

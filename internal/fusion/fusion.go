@@ -11,7 +11,6 @@ package fusion
 
 import (
 	"bytes"
-	"container/list"
 	"encoding/gob"
 	"hash/fnv"
 	"sync/atomic"
@@ -35,19 +34,32 @@ type Entry struct {
 	Owner tx.NodeID
 }
 
-type node struct {
-	entry Entry
-	elem  *list.Element
+// slot is one tracked entry in the table's slot array, linked into the
+// replacement order by index (-1 = none). A free slot is linked through
+// next alone.
+type slot struct {
+	entry      Entry
+	prev, next int32
 }
 
 // Table is one replica of the fusion table. It is not safe for concurrent
 // use: each scheduler mutates only its own replica, single-threaded, in
 // total order.
+//
+// The table holds no pointers: the map goes from key to slot index, and
+// the replacement order is an intrusive list threaded through the slot
+// array by index, so a Put allocates nothing once the slot array and map
+// have grown to capacity, and the collector never scans either.
 type Table struct {
 	capacity int
 	policy   Policy
-	m        map[tx.Key]*node
-	order    *list.List // front = most recent, back = eviction candidate
+	m        map[tx.Key]int32
+	slots    []slot
+	// front is the most recent entry, back the eviction candidate; free
+	// heads the list of vacated slots.
+	front, back, free int32
+	// evicted is Put's result buffer, reused across calls.
+	evicted []Entry
 
 	// stats counters are atomic only so telemetry gauges can read them
 	// from other goroutines while the owning scheduler mutates the table;
@@ -90,8 +102,10 @@ func New(capacity int, policy Policy) *Table {
 	return &Table{
 		capacity: capacity,
 		policy:   policy,
-		m:        make(map[tx.Key]*node),
-		order:    list.New(),
+		m:        make(map[tx.Key]int32),
+		front:    -1,
+		back:     -1,
+		free:     -1,
 	}
 }
 
@@ -101,68 +115,122 @@ func (t *Table) Capacity() int { return t.capacity }
 // Len returns the number of tracked keys.
 func (t *Table) Len() int { return len(t.m) }
 
+// unlink removes slot i from the replacement order.
+func (t *Table) unlink(i int32) {
+	s := &t.slots[i]
+	if s.prev >= 0 {
+		t.slots[s.prev].next = s.next
+	} else {
+		t.front = s.next
+	}
+	if s.next >= 0 {
+		t.slots[s.next].prev = s.prev
+	} else {
+		t.back = s.prev
+	}
+}
+
+// pushFront links slot i in as the most recent entry.
+func (t *Table) pushFront(i int32) {
+	s := &t.slots[i]
+	s.prev, s.next = -1, t.front
+	if t.front >= 0 {
+		t.slots[t.front].prev = i
+	} else {
+		t.back = i
+	}
+	t.front = i
+}
+
+// release unlinks slot i, forgets its key and puts it on the free list.
+func (t *Table) release(i int32) Entry {
+	t.unlink(i)
+	e := t.slots[i].entry
+	delete(t.m, e.Key)
+	t.slots[i] = slot{next: t.free, prev: -1}
+	t.free = i
+	return e
+}
+
 // Get returns the tracked owner of k without affecting replacement order.
 func (t *Table) Get(k tx.Key) (tx.NodeID, bool) {
-	n, ok := t.m[k]
+	i, ok := t.m[k]
 	if !ok {
 		return tx.NoNode, false
 	}
-	return n.entry.Owner, true
+	return t.slots[i].entry.Owner, true
 }
 
 // Touch returns the tracked owner of k, refreshing its recency under LRU.
 // The router uses Touch when consulting placement so hot keys stay
 // resident.
 func (t *Table) Touch(k tx.Key) (tx.NodeID, bool) {
-	n, ok := t.m[k]
+	i, ok := t.m[k]
 	if !ok {
 		return tx.NoNode, false
 	}
-	if t.policy == LRU {
-		t.order.MoveToFront(n.elem)
+	if t.policy == LRU && t.front != i {
+		t.unlink(i)
+		t.pushFront(i)
 	}
-	return n.entry.Owner, true
+	return t.slots[i].entry.Owner, true
 }
 
 // Put records that k is now owned by owner and returns any entries evicted
-// to honor the capacity bound. Updating an existing key refreshes recency
-// under LRU but keeps insertion order under FIFO.
+// to honor the capacity bound (nil if none). The returned slice is the
+// table's own buffer, valid until the next Put. Updating an existing key
+// refreshes recency under LRU but keeps insertion order under FIFO.
 func (t *Table) Put(k tx.Key, owner tx.NodeID) []Entry {
-	if n, ok := t.m[k]; ok {
-		if n.entry.Owner != owner {
+	if i, ok := t.m[k]; ok {
+		s := &t.slots[i]
+		if s.entry.Owner != owner {
 			t.stats.ownerMoves.Add(1)
 		}
-		n.entry.Owner = owner
-		if t.policy == LRU {
-			t.order.MoveToFront(n.elem)
+		s.entry.Owner = owner
+		if t.policy == LRU && t.front != i {
+			t.unlink(i)
+			t.pushFront(i)
 		}
 		return nil
 	}
-	n := &node{entry: Entry{Key: k, Owner: owner}}
-	n.elem = t.order.PushFront(n)
-	t.m[k] = n
+	i := t.free
+	if i >= 0 {
+		t.free = t.slots[i].next
+	} else {
+		i = int32(len(t.slots))
+		t.slots = append(t.slots, slot{})
+	}
+	t.slots[i].entry = Entry{Key: k, Owner: owner}
+	t.pushFront(i)
+	t.m[k] = i
 	t.stats.inserts.Add(1)
-	var evicted []Entry
+	evicted := t.evicted[:0]
 	for t.capacity > 0 && len(t.m) > t.capacity {
-		back := t.order.Back()
-		victim := back.Value.(*node)
-		t.order.Remove(back)
-		delete(t.m, victim.entry.Key)
-		evicted = append(evicted, victim.entry)
+		evicted = append(evicted, t.release(t.back))
 		t.stats.evictions.Add(1)
 	}
+	t.evicted = evicted
 	t.stats.size.Store(int64(len(t.m)))
+	if len(evicted) == 0 {
+		return nil
+	}
 	return evicted
 }
 
 // Delete removes k from the table (e.g. the record was migrated back to
 // its home partition by an eviction write).
 func (t *Table) Delete(k tx.Key) {
-	if n, ok := t.m[k]; ok {
-		t.order.Remove(n.elem)
-		delete(t.m, k)
+	if i, ok := t.m[k]; ok {
+		t.release(i)
 		t.stats.deletes.Add(1)
 		t.stats.size.Store(int64(len(t.m)))
+	}
+}
+
+// oldestFirst calls fn for every entry in eviction order (oldest first).
+func (t *Table) oldestFirst(fn func(Entry)) {
+	for i := t.back; i >= 0; i = t.slots[i].prev {
+		fn(t.slots[i].entry)
 	}
 }
 
@@ -171,12 +239,11 @@ func (t *Table) Delete(k tx.Key) {
 // when a node is removed.
 func (t *Table) KeysOn(owner tx.NodeID) []tx.Key {
 	var out []tx.Key
-	for e := t.order.Back(); e != nil; e = e.Prev() {
-		n := e.Value.(*node)
-		if n.entry.Owner == owner {
-			out = append(out, n.entry.Key)
+	t.oldestFirst(func(e Entry) {
+		if e.Owner == owner {
+			out = append(out, e.Key)
 		}
-	}
+	})
 	return out
 }
 
@@ -186,12 +253,12 @@ func (t *Table) KeysOn(owner tx.NodeID) []tx.Key {
 // mapping affects execution.
 func (t *Table) Fingerprint() uint64 {
 	var acc uint64
-	for k, n := range t.m {
+	for k, i := range t.m {
 		h := fnv.New64a()
 		var buf [16]byte
 		for b := 0; b < 8; b++ {
 			buf[b] = byte(uint64(k) >> (8 * b))
-			buf[8+b] = byte(uint64(n.entry.Owner) >> (8 * b))
+			buf[8+b] = byte(uint64(t.slots[i].entry.Owner) >> (8 * b))
 		}
 		h.Write(buf[:])
 		acc ^= h.Sum64()
@@ -202,8 +269,8 @@ func (t *Table) Fingerprint() uint64 {
 // Snapshot returns the full mapping; used by checkpoints and tests.
 func (t *Table) Snapshot() map[tx.Key]tx.NodeID {
 	out := make(map[tx.Key]tx.NodeID, len(t.m))
-	for k, n := range t.m {
-		out[k] = n.entry.Owner
+	for k, i := range t.m {
+		out[k] = t.slots[i].entry.Owner
 	}
 	return out
 }
@@ -212,10 +279,7 @@ func (t *Table) Snapshot() map[tx.Key]tx.NodeID {
 // restores a checkpointed fusion table before replaying the command log.
 func (t *Table) Clone() *Table {
 	c := New(t.capacity, t.policy)
-	for e := t.order.Back(); e != nil; e = e.Prev() {
-		n := e.Value.(*node)
-		c.Put(n.entry.Key, n.entry.Owner)
-	}
+	t.oldestFirst(func(e Entry) { c.Put(e.Key, e.Owner) })
 	return c
 }
 
@@ -233,9 +297,7 @@ type tableWire struct {
 // evict identically to its peers.
 func (t *Table) GobEncode() ([]byte, error) {
 	w := tableWire{Capacity: t.capacity, Policy: t.policy}
-	for e := t.order.Back(); e != nil; e = e.Prev() {
-		w.Entries = append(w.Entries, e.Value.(*node).entry)
-	}
+	t.oldestFirst(func(e Entry) { w.Entries = append(w.Entries, e) })
 	var buf bytes.Buffer
 	err := gob.NewEncoder(&buf).Encode(&w)
 	return buf.Bytes(), err
@@ -251,10 +313,10 @@ func (t *Table) GobDecode(data []byte) error {
 	for _, e := range w.Entries {
 		r.Put(e.Key, e.Owner)
 	}
-	t.capacity = r.capacity
-	t.policy = r.policy
-	t.m = r.m
-	t.order = r.order
+	t.capacity, t.policy = r.capacity, r.policy
+	t.m, t.slots = r.m, r.slots
+	t.front, t.back, t.free = r.front, r.back, r.free
+	t.evicted = nil
 	t.stats.size.Store(int64(len(r.m)))
 	return nil
 }

@@ -123,13 +123,17 @@ func (s *WorkloadSpec) Procs() ([]*tx.CounterProc, error) {
 		peak = zipf.MovingPeak{N: s.Rows, Period: 1}
 	}
 	total := s.Skip + s.Txns
-	procs := make([]*tx.CounterProc, total)
+	procs := make([]*tx.CounterProc, 0, s.Txns)
 	seen := make(map[uint64]bool, s.KeysPerTxn)
-	for i := range procs {
-		for k := range seen {
-			delete(seen, k)
+	// The skipped prefix is drawn into one reused key slice and dropped,
+	// so the returned stream holds nothing of it.
+	skipped := make([]tx.Key, 0, s.KeysPerTxn)
+	for i := 0; i < total; i++ {
+		clear(seen)
+		keys := skipped[:0]
+		if i >= s.Skip {
+			keys = make([]tx.Key, 0, s.KeysPerTxn)
 		}
-		keys := make([]tx.Key, 0, s.KeysPerTxn)
 		for len(keys) < s.KeysPerTxn {
 			var row uint64
 			switch s.Kind {
@@ -145,7 +149,9 @@ func (s *WorkloadSpec) Procs() ([]*tx.CounterProc, error) {
 			seen[row] = true
 			keys = append(keys, tx.MakeKey(0, row))
 		}
-		procs[i] = &tx.CounterProc{Reads: keys, Writes: keys, Payload: s.Payload}
+		if i >= s.Skip {
+			procs = append(procs, &tx.CounterProc{Reads: keys, Writes: keys, Payload: s.Payload})
+		}
 	}
-	return procs[s.Skip:], nil
+	return procs, nil
 }

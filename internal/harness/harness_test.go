@@ -7,6 +7,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -45,6 +46,44 @@ func TestWorkloadSpecDeterministic(t *testing.T) {
 					t.Fatalf("%s: txn %d key %d differs between generations", kind, i, j)
 				}
 			}
+		}
+	}
+}
+
+// TestProcsSkipDropsPrefix: Skip=k returns exactly the Skip=0 stream's
+// [k:] (with the sweep normalized over the whole stream), in a slice that
+// holds only the Txns it returns, so the skipped prefix is not kept alive
+// for the run.
+func TestProcsSkipDropsPrefix(t *testing.T) {
+	for _, kind := range []string{WorkloadYCSB, WorkloadHotspot} {
+		const skip, txns = 300, 200
+		full := WorkloadSpec{
+			Kind: kind, Seed: 11, Txns: skip + txns, Rows: 1000,
+			KeysPerTxn: 3, Payload: 32, Theta: 0.8, Window: 50,
+		}
+		want, err := full.Procs()
+		if err != nil {
+			t.Fatalf("%s: %v", kind, err)
+		}
+		part := full
+		part.Txns, part.Skip = txns, skip
+		got, err := part.Procs()
+		if err != nil {
+			t.Fatalf("%s: %v", kind, err)
+		}
+		if len(got) != txns || cap(got) != txns {
+			t.Fatalf("%s: Skip=%d returned len %d cap %d, want both %d", kind, skip, len(got), cap(got), txns)
+		}
+		for i, p := range got {
+			if w := want[skip+i]; !slices.Equal(p.Reads, w.Reads) || !slices.Equal(p.Writes, w.Writes) || p.Payload != w.Payload {
+				t.Fatalf("%s: txn %d after the skip is %+v, want %+v", kind, i, *p, *w)
+			}
+		}
+		// Drawing past a long prefix allocates for what is returned only.
+		long := part
+		long.Skip, long.Txns = 20_000, 10
+		if allocs := testing.AllocsPerRun(1, func() { _, _ = long.Procs() }); allocs > 100 {
+			t.Fatalf("%s: Skip=%d, Txns=%d made %.0f allocations", kind, long.Skip, long.Txns, allocs)
 		}
 	}
 }

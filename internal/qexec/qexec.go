@@ -29,7 +29,8 @@ import (
 // Op is one transaction's admission request within a batch: the read
 // (Shared) and write (Excl) key sets from the prescient plan, and OnReady,
 // which the bucket worker that completes the rendezvous calls once every
-// key is granted.
+// key is granted. AdmitBatch keeps neither the Op nor its key slices, so a
+// caller may reuse both for its next batch.
 type Op struct {
 	ID      tx.TxnID
 	Shared  []tx.Key
@@ -63,7 +64,10 @@ type part struct {
 
 // txnState is one in-flight transaction: the rendezvous counter preset at
 // planning time, the continuation, and the per-worker partition used at
-// release.
+// release. A batch's states, parts and keyRefs are three slabs allocated
+// by AdmitBatch; each transaction's parts and each part's keys are
+// three-index slices of them (cap == len), so nothing appends into a
+// neighbour.
 type txnState struct {
 	pending atomic.Int32
 	onReady func()
@@ -93,6 +97,8 @@ type entry struct {
 // total order), so popping advances head in O(1) instead of copying the
 // tail down — on a hot key with a deep backlog the copy is quadratic in
 // queue depth. The slice is compacted once head passes half its length.
+// Every slot a pop vacates is zeroed, so an emptied queue holds no
+// pointers and goes on its worker's free list with its capacity.
 type keyQueue struct {
 	q    []entry
 	head int
@@ -125,16 +131,27 @@ func (q *keyQueue) pop(st *txnState) {
 
 func (q *keyQueue) empty() bool { return q.head == len(q.q) }
 
+// maxFreeQueueCap bounds the capacity a recycled keyQueue keeps: a queue
+// that grew behind a hot key's backlog is left to the collector rather
+// than handed to the next cold key.
+const maxFreeQueueCap = 64
+
 // worker owns a static bucket of the keyspace. Its inbox is a swap-out
 // slice guarded by a mutex (two-phase: senders append, the worker swaps the
 // whole slice out and drains it unlocked), so queue operations themselves
-// run with zero shared-state contention.
+// run with zero shared-state contention. The two slices trade places: the
+// drained one, cleared, is the next inbox.
 type worker struct {
-	e      *Executor
-	mu     sync.Mutex
-	inbox  []message
+	e     *Executor
+	mu    sync.Mutex
+	inbox []message
+	// spare is the inbox drained last, emptied and cleared; owned by the
+	// worker goroutine.
+	spare  []message
 	wake   chan struct{}
 	queues map[tx.Key]*keyQueue
+	// free holds emptied queues for reuse; owned by the worker goroutine.
+	free []*keyQueue
 	// queued mirrors len(queues) for lock-free QueuedKeys reads.
 	queued  atomic.Int64
 	drained atomic.Int64
@@ -144,6 +161,12 @@ type worker struct {
 type Executor struct {
 	workers    []*worker
 	afterChunk func()
+	// pending, keys and ends are AdmitBatch's scratch — its per-worker
+	// messages, and the batch's keys with each transaction's end among
+	// them; only the scheduler goroutine touches them.
+	pending [][]message
+	keys    []workerKey
+	ends    []int
 	// regMu guards reg and the running/closed life cycle.
 	regMu   sync.Mutex
 	reg     map[tx.TxnID]*txnState
@@ -163,6 +186,7 @@ func New(cfg Config) *Executor {
 	}
 	e := &Executor{quit: make(chan struct{}), reg: make(map[tx.TxnID]*txnState), afterChunk: cfg.AfterChunk}
 	e.workers = make([]*worker, n)
+	e.pending = make([][]message, n)
 	for i := range e.workers {
 		w := &worker{
 			e:      e,
@@ -187,17 +211,53 @@ func (e *Executor) bucket(k tx.Key) int {
 	return int(splitmix64(uint64(k)) % uint64(len(e.workers)))
 }
 
+// workerKey is one key of a transaction being planned, with its bucket.
+type workerKey struct {
+	worker int
+	ref    keyRef
+}
+
 // AdmitBatch admits ops — which must be in ascending transaction-ID order,
 // the total order — into the per-key queues. It must be called from a
 // single scheduler goroutine.
 func (e *Executor) AdmitBatch(ops []*Op) {
+	// Plan first, into the executor's scratch: each transaction's
+	// effective key set — exclusive first, then shared minus keys already
+	// exclusive, the set lock.Manager admits — with each key's bucket, and
+	// how many distinct buckets (parts) it spans. Transactions touch few
+	// workers, so a scan beats a map.
+	keys, ends := e.keys[:0], e.ends[:0]
+	nparts := 0
+	for _, op := range ops {
+		k0 := len(keys)
+		for _, k := range op.Excl {
+			keys = append(keys, workerKey{e.bucket(k), keyRef{k: k, excl: true}})
+		}
+		for _, k := range op.Shared {
+			if !tx.ContainsKey(op.Excl, k) {
+				keys = append(keys, workerKey{e.bucket(k), keyRef{k: k}})
+			}
+		}
+		for j := k0; j < len(keys); j++ {
+			if firstOfWorker(keys[k0:], j-k0) {
+				nparts++
+			}
+		}
+		ends = append(ends, len(keys))
+	}
+	e.keys, e.ends = keys, ends
+	states := make([]txnState, len(ops))
+	parts := make([]part, 0, nparts)
+	refs := make([]keyRef, 0, len(keys))
+	pending := e.pending
+	for i := range pending {
+		pending[i] = pending[i][:0]
+	}
 	// Batch per-worker messages so each worker is woken at most once, and
 	// register the whole batch under one registry lock: Release runs
 	// concurrently but only ever looks up IDs already registered, so
 	// holding regMu across the loop costs nothing and saves two atomic
 	// operations per transaction.
-	pending := make([][]message, len(e.workers))
-	states := make([]txnState, len(ops))
 	e.regMu.Lock()
 	if !e.running && !e.closed {
 		e.running = true
@@ -206,6 +266,7 @@ func (e *Executor) AdmitBatch(ops []*Op) {
 			go w.loop()
 		}
 	}
+	k0 := 0
 	for i, op := range ops {
 		st := &states[i]
 		st.onReady = op.OnReady
@@ -214,37 +275,9 @@ func (e *Executor) AdmitBatch(ops []*Op) {
 			panic("qexec: duplicate admission for transaction")
 		}
 		e.reg[op.ID] = st
-		// Partition the key set by bucket: exclusive first, then shared
-		// minus keys already exclusive — the effective key set lock.Manager
-		// admits. Transactions touch few workers, so a linear scan of parts
-		// beats a map.
-		var total int
-		add := func(k tx.Key, excl bool) {
-			wi := e.bucket(k)
-			var p *part
-			for j := range st.parts {
-				if st.parts[j].worker == wi {
-					p = &st.parts[j]
-					break
-				}
-			}
-			if p == nil {
-				st.parts = append(st.parts, part{worker: wi})
-				p = &st.parts[len(st.parts)-1]
-			}
-			p.keys = append(p.keys, keyRef{k: k, excl: excl})
-			total++
-		}
-		for _, k := range op.Excl {
-			add(k, true)
-		}
-		for _, k := range op.Shared {
-			if tx.ContainsKey(op.Excl, k) {
-				continue
-			}
-			add(k, false)
-		}
-		if total == 0 {
+		own := keys[k0:ends[i]]
+		k0 = ends[i]
+		if len(own) == 0 {
 			// No keys anywhere: rendezvous is trivially complete. Route
 			// through worker 0 so OnReady still runs on a worker
 			// goroutine, in admission order.
@@ -252,7 +285,24 @@ func (e *Executor) AdmitBatch(ops []*Op) {
 			pending[0] = append(pending[0], message{st: st})
 			continue
 		}
-		st.pending.Store(int32(total))
+		st.pending.Store(int32(len(own)))
+		// One part per worker in order of first appearance, each holding
+		// that worker's keys in key-set order, carved from the batch's
+		// slabs.
+		p0 := len(parts)
+		for j, wk := range own {
+			if !firstOfWorker(own, j) {
+				continue
+			}
+			r0 := len(refs)
+			for _, o := range own[j:] {
+				if o.worker == wk.worker {
+					refs = append(refs, o.ref)
+				}
+			}
+			parts = append(parts, part{worker: wk.worker, keys: refs[r0:len(refs):len(refs)]})
+		}
+		st.parts = parts[p0:len(parts):len(parts)]
 		for _, p := range st.parts {
 			pending[p.worker] = append(pending[p.worker], message{st: st, keys: p.keys})
 		}
@@ -261,8 +311,20 @@ func (e *Executor) AdmitBatch(ops []*Op) {
 	for wi, msgs := range pending {
 		if len(msgs) > 0 {
 			e.workers[wi].push(msgs)
+			clear(msgs)
 		}
 	}
+}
+
+// firstOfWorker reports whether keys[j] is the first of keys in its
+// bucket.
+func firstOfWorker(keys []workerKey, j int) bool {
+	for _, o := range keys[:j] {
+		if o.worker == keys[j].worker {
+			return false
+		}
+	}
+	return true
 }
 
 // Release retires every queue entry of transaction id and promotes
@@ -384,9 +446,11 @@ func (w *worker) loop() {
 		for {
 			w.mu.Lock()
 			batch := w.inbox
-			w.inbox = nil
+			w.inbox = w.spare
 			w.mu.Unlock()
+			w.spare = nil
 			if len(batch) == 0 {
+				w.spare = batch
 				break
 			}
 			for _, m := range batch {
@@ -407,6 +471,8 @@ func (w *worker) loop() {
 			if w.e.afterChunk != nil {
 				w.e.afterChunk()
 			}
+			clear(batch)
+			w.spare = batch[:0]
 		}
 	}
 }
@@ -423,7 +489,13 @@ func (w *worker) admit(m message) {
 	for _, kr := range m.keys {
 		q := w.queues[kr.k]
 		if q == nil {
-			q = &keyQueue{}
+			if n := len(w.free); n > 0 {
+				q = w.free[n-1]
+				w.free[n-1] = nil
+				w.free = w.free[:n-1]
+			} else {
+				q = &keyQueue{}
+			}
 			w.queues[kr.k] = q
 			w.queued.Add(1)
 		}
@@ -471,6 +543,10 @@ func (w *worker) release(m message) {
 		if q.empty() {
 			delete(w.queues, kr.k)
 			w.queued.Add(-1)
+			if cap(q.q) <= maxFreeQueueCap {
+				q.q, q.head = q.q[:0], 0
+				w.free = append(w.free, q)
+			}
 			continue
 		}
 		w.promote(q)

@@ -453,3 +453,144 @@ func BenchmarkAdmitRelease(b *testing.B) {
 		e.Release(id)
 	}
 }
+
+// TestReuseUnderConcurrentPushes stresses the buffers the workers recycle
+// — the drained inbox and emptied key queues — while Release and Submit
+// push from other goroutines and from inside OnReady on the worker itself.
+// Every grant and every submitted continuation must run exactly once, no
+// two exclusive holders of a key may overlap, and once the workers are
+// joined every recycled queue and spare inbox must be empty and hold no
+// pointers.
+func TestReuseUnderConcurrentPushes(t *testing.T) {
+	e := New(Config{Workers: 2})
+	const txns = 4000
+	rng := rand.New(rand.NewSource(5))
+	var grants, runs [txns + 1]atomic.Int32
+	var holders [8]atomic.Int32
+	var overlap atomic.Bool
+	var wg sync.WaitGroup
+	wg.Add(2 * txns) // one grant and one submitted continuation each
+
+	// A bystander keeps Submit traffic flowing into both inboxes.
+	stop := make(chan struct{})
+	var bystander sync.WaitGroup
+	var strays atomic.Int64
+	bystander.Add(1)
+	go func() {
+		defer bystander.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			e.Submit(tx.TxnID(i), func() { strays.Add(-1) })
+			strays.Add(1)
+			if i%64 == 0 {
+				time.Sleep(10 * time.Microsecond)
+			}
+		}
+	}()
+
+	// A window of in-flight transactions keeps queues short enough to be
+	// recycled.
+	window := make(chan struct{}, 32)
+	id := tx.TxnID(1)
+	for id <= txns {
+		ops := make([]*Op, 1+rng.Intn(8))
+		for i := range ops {
+			if id > txns {
+				ops = ops[:i]
+				break
+			}
+			window <- struct{}{}
+			tid := id
+			id++
+			var excl, shared []tx.Key
+			for k := rng.Intn(3); k >= 0; k-- {
+				excl = append(excl, tx.Key(rng.Intn(len(holders))))
+			}
+			excl = tx.NormalizeKeys(excl)
+			if rng.Intn(2) == 0 {
+				shared = []tx.Key{tx.Key(len(holders) + rng.Intn(4))}
+			}
+			inline := rng.Intn(2) == 0
+			ops[i] = &Op{ID: tid, Shared: shared, Excl: excl, OnReady: func() {
+				if grants[tid].Add(1) == 1 {
+					wg.Done()
+				}
+				for _, k := range excl {
+					if holders[k].Add(1) != 1 {
+						overlap.Store(true)
+					}
+				}
+				finish := func() {
+					if runs[tid].Add(1) == 1 {
+						wg.Done()
+					}
+					for _, k := range excl {
+						holders[k].Add(-1)
+					}
+					e.Release(tid)
+					<-window
+				}
+				if inline {
+					// Self-push from inside OnReady on the worker.
+					e.Submit(tid, finish)
+					return
+				}
+				go e.Submit(tid, finish)
+			}}
+		}
+		e.AdmitBatch(ops)
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("not every transaction was granted and continued")
+	}
+	close(stop)
+	bystander.Wait()
+	waitDrained(t, e)
+	barrier(e)
+	e.Close()
+
+	for i := 1; i <= txns; i++ {
+		if g, r := grants[i].Load(), runs[i].Load(); g != 1 || r != 1 {
+			t.Fatalf("transaction %d granted %d times, continued %d times; want once each", i, g, r)
+		}
+	}
+	if overlap.Load() {
+		t.Fatal("two exclusive holders overlapped on a key")
+	}
+	if n := strays.Load(); n != 0 {
+		t.Fatalf("%d bystander continuations did not run exactly once", n)
+	}
+	if e.Outstanding() != 0 {
+		t.Fatalf("%d transactions still registered", e.Outstanding())
+	}
+	recycled := 0
+	for wi, w := range e.workers {
+		for _, q := range w.free {
+			recycled++
+			if len(q.q) != 0 || q.head != 0 {
+				t.Fatalf("worker %d: recycled queue has len %d, head %d", wi, len(q.q), q.head)
+			}
+			for _, en := range q.q[:cap(q.q)] {
+				if en != (entry{}) {
+					t.Fatalf("worker %d: recycled queue holds a stale entry %+v", wi, en)
+				}
+			}
+		}
+		for _, m := range w.spare[:cap(w.spare)] {
+			if m.st != nil || m.keys != nil || m.run != nil {
+				t.Fatalf("worker %d: spare inbox holds a stale message", wi)
+			}
+		}
+	}
+	if recycled == 0 {
+		t.Fatal("no key queue was recycled")
+	}
+}

@@ -21,6 +21,16 @@ func NewUndoLog(store *Store) *UndoLog {
 	return &UndoLog{store: store}
 }
 
+// Reset empties u and binds it to store, with room for n before-images,
+// so an UndoLog held by value needs no constructor.
+func (u *UndoLog) Reset(store *Store, n int) {
+	u.store = store
+	if cap(u.entries) < n {
+		u.entries = make([]undoEntry, 0, n)
+	}
+	u.entries = u.entries[:0]
+}
+
 // Write performs a store write, first capturing the before-image. Multiple
 // writes to the same key keep only the first (oldest) before-image, which
 // is sufficient for rollback.

@@ -100,10 +100,13 @@ type Request struct {
 	Client    NodeID
 	ClientSeq uint64
 
-	// reads/writes cache the (deduplicated, sorted) declared sets so the
-	// router does not re-derive them for every candidate route.
+	// reads/writes/access cache the (deduplicated, sorted) declared sets
+	// and their union so the router and the engine do not re-derive them
+	// for every candidate route and role. access aliases writes or reads
+	// when the union equals either.
 	reads  []Key
 	writes []Key
+	access []Key
 }
 
 // SendCopy returns a private copy of r for one transmission to the
@@ -128,8 +131,37 @@ func NewRequest(id TxnID, proc Procedure) *Request {
 }
 
 func (r *Request) cacheSets() {
-	r.reads = NormalizeKeys(append([]Key(nil), r.Proc.ReadSet()...))
-	r.writes = NormalizeKeys(append([]Key(nil), r.Proc.WriteSet()...))
+	rs, ws := r.Proc.ReadSet(), r.Proc.WriteSet()
+	// One slab for both copies; three-index slices keep them apart.
+	buf := make([]Key, len(rs)+len(ws))
+	copy(buf, rs)
+	copy(buf[len(rs):], ws)
+	r.reads = NormalizeKeys(buf[:len(rs):len(rs)])
+	r.writes = NormalizeKeys(buf[len(rs):])
+	switch {
+	case subset(r.reads, r.writes):
+		r.access = r.writes
+	case subset(r.writes, r.reads):
+		r.access = r.reads
+	default:
+		out := make([]Key, 0, len(r.reads)+len(r.writes))
+		out = append(out, r.reads...)
+		out = append(out, r.writes...)
+		r.access = NormalizeKeys(out)
+	}
+}
+
+// subset reports whether every key of sorted a is in sorted b.
+func subset(a, b []Key) bool {
+	if len(a) > len(b) {
+		return false
+	}
+	for _, k := range a {
+		if !ContainsKey(b, k) {
+			return false
+		}
+	}
+	return true
 }
 
 // ReadSet returns the deduplicated, sorted read-set. Callers must not
@@ -140,13 +172,9 @@ func (r *Request) ReadSet() []Key { return r.reads }
 // mutate the returned slice.
 func (r *Request) WriteSet() []Key { return r.writes }
 
-// AccessSet returns the union of the read- and write-sets, sorted.
-func (r *Request) AccessSet() []Key {
-	out := make([]Key, 0, len(r.reads)+len(r.writes))
-	out = append(out, r.reads...)
-	out = append(out, r.writes...)
-	return NormalizeKeys(out)
-}
+// AccessSet returns the union of the read- and write-sets, sorted. Callers
+// must not mutate the returned slice.
+func (r *Request) AccessSet() []Key { return r.access }
 
 // Batch is one totally ordered group of requests. All nodes receive the
 // identical sequence of batches; Seq increases by one per batch.

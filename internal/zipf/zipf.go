@@ -21,6 +21,8 @@ type Zipfian struct {
 	alpha float64
 	zetan float64
 	eta   float64
+	// rank1 is 1 + 0.5^theta, the bound below which u·zetan draws rank 1.
+	rank1 float64
 	rng   *rand.Rand
 }
 
@@ -38,6 +40,7 @@ func NewZipfian(rng *rand.Rand, n uint64, theta float64) *Zipfian {
 	z.zetan = zeta(n, theta)
 	z.alpha = 1 / (1 - theta)
 	z.eta = (1 - math.Pow(2/float64(n), 1-theta)) / (1 - zeta(2, theta)/z.zetan)
+	z.rank1 = 1 + math.Pow(0.5, theta)
 	return z
 }
 
@@ -51,7 +54,7 @@ func (z *Zipfian) Next() uint64 {
 	if uz < 1 {
 		return 0
 	}
-	if uz < 1+math.Pow(0.5, z.theta) {
+	if uz < z.rank1 {
 		return 1
 	}
 	v := uint64(float64(z.n) * math.Pow(z.eta*u-z.eta+1, z.alpha))

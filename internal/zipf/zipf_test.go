@@ -2,6 +2,9 @@ package zipf
 
 import (
 	"math/rand"
+	"os"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -230,5 +233,27 @@ func BenchmarkTwoSidedNext(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ts.Next(uint64(i))
+	}
+}
+
+// TestScrambledGolden pins the first 1,000 scrambled draws for one seed.
+// Every workload stream — and with it every twin and digest comparison —
+// is drawn from this generator, so a change to its arithmetic must not
+// move a single draw. The golden file holds the draws of the generator as
+// it was when the test was written.
+func TestScrambledGolden(t *testing.T) {
+	data, err := os.ReadFile("testdata/scrambled_seed7.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := strings.Fields(string(data))
+	if len(want) != 1000 {
+		t.Fatalf("golden file holds %d draws, want 1000", len(want))
+	}
+	s := NewScrambled(rand.New(rand.NewSource(7)), 1_000_000, 0.8)
+	for i, w := range want {
+		if got := strconv.FormatUint(s.Next(), 10); got != w {
+			t.Fatalf("draw %d = %s, want %s", i, got, w)
+		}
 	}
 }

@@ -16,7 +16,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 gates=(gofmt vet build test stress pacing admission fuzz-corpus crash-recovery
-    leader-failover synctest telemetry observability executor disk-fault
+    leader-failover synctest telemetry observability executor reuse disk-fault
     cluster-e2e cluster-netchaos codec bench-smoke)
 
 short_flag=""
@@ -274,6 +274,30 @@ gate_executor() {
         go test -race -count=1 -run "${run}" "${pkg}"
     done
     go test -race -count=1 ./internal/qexec
+}
+
+# Reuse gate: the engine's hot path recycles its buffers instead of
+# allocating them per transaction (docs/PERF.md, "An allocation-free hot
+# path"). Pinned by name: the allocation budget per committed transaction;
+# the qexec stress of recycled inboxes and key queues under concurrent
+# Release/Submit pushes; the slot-array fusion table against the list-based
+# table it replaced, kept as the oracle; the Zipfian stream pinned draw
+# for draw; and a skipped workload prefix that leaves nothing behind.
+# Buffer reuse is concurrency-sensitive, so qexec and fusion then loop
+# under -race on two cores.
+gate_reuse() {
+    local gate run pkg
+    for gate in 'TestSteadyStateAllocsPerTxn ./internal/engine' \
+        'TestReuseUnderConcurrentPushes ./internal/qexec' \
+        'TestSlotTableMatchesListTable ./internal/fusion' \
+        'TestScrambledGolden ./internal/zipf' \
+        'TestProcsSkipDropsPrefix ./internal/harness'; do
+        run=${gate% *}
+        pkg=${gate##* }
+        list_guard "reuse gate" 1 "^${run}\$" "${pkg}"
+        go test -count=1 -run "^${run}\$" "${pkg}"
+    done
+    GOMAXPROCS=2 go test -race -count=50 ./internal/qexec ./internal/fusion
 }
 
 # Disk-fault gate: the durability layer under injected storage faults.
