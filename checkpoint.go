@@ -8,13 +8,16 @@ import (
 
 // Checkpoint is a consistent snapshot of the whole cluster (§4.3): the
 // storage of every node after a batch boundary plus a snapshot of the
-// deterministic routing state at that boundary. Taking one also truncates
-// the in-memory command log behind it, bounding log growth.
+// deterministic routing state at that boundary. Every in-memory replay
+// buffer starts at the newest one: taking a checkpoint makes the
+// sequencer keep the batches it seals from the cut on (see Tail) and
+// drops everything before the cut, so the buffers grow only with the
+// input since the last checkpoint.
 type Checkpoint = engine.Checkpoint
 
 // Checkpoint quiesces the database and snapshots it. The returned
-// checkpoint, together with the command-log tail retained after it (see
-// Tail), is sufficient to rebuild the exact cluster state.
+// checkpoint, together with the input sealed after it (see Tail), is
+// sufficient to rebuild the exact cluster state.
 func (db *DB) Checkpoint(timeout time.Duration) (*Checkpoint, error) {
 	return db.cluster.Checkpoint(timeout)
 }

@@ -345,8 +345,11 @@ func (db *DB) CrashLeader() error { return db.cluster.CrashLeader() }
 // stream, and rejoins the heartbeat/promotion order.
 func (db *DB) RestartLeader() error { return db.cluster.RestartLeader() }
 
-// Tail returns the logged batches with sequence ≥ seq — the post-checkpoint
-// input to hand to RecoverWithTail.
+// Tail returns the sealed batches with sequence ≥ seq — the input after
+// a checkpoint, to hand to RecoverWithTail. The sequencer's sealed log is
+// the command log, and it starts at the newest checkpoint: before the
+// first one a database without sequencer standbys keeps none, so Tail
+// returns nothing.
 func (db *DB) Tail(seq uint64) []*Batch { return db.cluster.TailSince(seq) }
 
 // Close shuts the cluster down.

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"hermes/internal/network"
@@ -18,9 +19,8 @@ import (
 // The routing snapshot replaces replay-from-genesis: every policy's
 // cross-batch state is exactly its Placement (override map, active set,
 // fusion table), and all replicas agree on it at a quiesced cut, so one
-// snapshot restores every replica. That is what lets a successful
-// checkpoint truncate the command log — nothing before Seq is ever needed
-// again.
+// snapshot restores every replica. That is why every replay buffer starts
+// at the newest checkpoint — nothing before Seq is ever needed again.
 type Checkpoint struct {
 	// Seq is the first batch sequence NOT covered by the checkpoint.
 	Seq uint64
@@ -48,13 +48,21 @@ type Checkpoint struct {
 	SeqClients map[tx.NodeID]uint64
 }
 
-// Checkpoint quiesces the cluster (up to timeout) and snapshots it,
-// truncating the command logs (and, in reliable mode, the delivery logs)
-// behind the cut. It reports failure if in-flight transactions do not
-// drain in time.
+// Checkpoint quiesces the cluster (up to timeout) and snapshots it. It is
+// also where the replay buffers start: the sequencer's sealed log (the
+// command log TailSince reads), in reliable mode the delivery logs and
+// the commit dedup set each hold what came after the cut and nothing
+// before it. It reports failure if in-flight transactions do not drain in
+// time.
 func (c *Cluster) Checkpoint(timeout time.Duration) (*Checkpoint, error) {
 	if err := c.DrainDetail(timeout); err != nil {
 		return nil, fmt.Errorf("engine: cluster did not quiesce for checkpoint: %w", err)
+	}
+	// Each buffer is armed before the cut is read and trimmed below it
+	// after, so a batch or commit that lands in between stays replayable.
+	c.seq.KeepLog()
+	if c.rel != nil {
+		c.armAccounting()
 	}
 	nodes := c.nodeList()
 	seq, nextTxn := c.seq.Next()
@@ -74,30 +82,25 @@ func (c *Cluster) Checkpoint(timeout time.Duration) (*Checkpoint, error) {
 		cp.Routing = cut.Routing
 	}
 	if c.rel != nil {
-		cp.Delivered = make(map[tx.NodeID]uint64, len(nodes)+c.seq.Size())
-		for _, n := range nodes {
-			cp.Delivered[n.id] = c.rel.Delivered(n.id)
-		}
-		// The sequencer replicas' watermarks too: RestartLeader rewinds a
-		// killed replica's delivery log to the one recorded here.
-		for _, id := range c.seq.Nodes() {
-			cp.Delivered[id] = c.rel.Delivered(id)
-		}
-	}
-	// The snapshot covers everything before Seq / the watermarks, so the
-	// logs can drop it (the satellite fix for unbounded log growth).
-	for _, n := range nodes {
-		n.cmdlog.Truncate(cp.Seq)
-	}
-	if c.rel != nil {
-		for id, wm := range cp.Delivered {
-			c.rel.TruncateDelivered(id, wm)
+		// A delivery log's floor is set at its watermark, read and
+		// trimmed in one step. The sequencer replicas get one too:
+		// RestartLeader rewinds a killed replica's delivery log to it.
+		ids := append(c.seq.Nodes(), c.order...)
+		cp.Delivered = make(map[tx.NodeID]uint64, len(ids))
+		for _, id := range ids {
+			cp.Delivered[id] = c.rel.TruncateDelivered(id, math.MaxUint64)
 		}
 	}
-	// Replicas may likewise drop retained sealed batches the checkpoint
-	// now covers — a promotion never needs to re-deliver below the cut.
+	// The snapshot covers everything before the cut: the sealed log drops
+	// it (a promotion never re-delivers below the cut either), and so does
+	// the dedup set, since a replay only re-commits from NextTxn on.
 	c.seq.Prune(cp.Seq)
 	c.mu.Lock()
+	for id := range c.accounted {
+		if id < cp.NextTxn {
+			delete(c.accounted, id)
+		}
+	}
 	c.lastCP = cp
 	c.mu.Unlock()
 	return cp, nil
@@ -175,35 +178,22 @@ func (c *Cluster) ReplayBatches(batches []*tx.Batch) error {
 			}
 		}
 	}
-	// Wait until every node has logged the last replayed batch (so the
-	// quiescence check below cannot fire in the delivery gap), then
-	// drain execution.
-	wantSeq := batches[len(batches)-1].Seq + 1
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		ok := true
-		for _, n := range c.nodeList() {
-			if n.scheduled.Load() < wantSeq {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			break
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("engine: replay delivery stalled")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if !c.Drain(30 * time.Second) {
-		return fmt.Errorf("engine: replay did not quiesce")
+	// Recover has already moved the sequencer past the tail, so the drain
+	// waits for every node to schedule the last replayed batch too.
+	if err := c.DrainDetail(30 * time.Second); err != nil {
+		return fmt.Errorf("engine: replay did not quiesce: %w", err)
 	}
 	return nil
 }
 
-// TailSince returns the logged batches with sequence ≥ seq from the
-// reference node's command log (for handing to Recover).
+// TailSince returns the sealed batches with sequence ≥ seq — the input
+// after a checkpoint, for handing to Recover. The sequencer's sealed log
+// is the cluster's one command log, and it starts at the newest
+// checkpoint: before the first one a group without standbys keeps none.
+// A worker has no sequencer here; its journal is its replay source.
 func (c *Cluster) TailSince(seq uint64) []*tx.Batch {
-	return c.node(c.order[0]).cmdlog.Since(seq)
+	if c.seq == nil {
+		return nil
+	}
+	return c.seq.Since(seq)
 }

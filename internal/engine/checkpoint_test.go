@@ -1,9 +1,12 @@
 package engine
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
+	"hermes/internal/network"
 	"hermes/internal/tx"
 )
 
@@ -34,9 +37,9 @@ func TestCheckpointRecoverIdentity(t *testing.T) {
 	if cp.Seq == 0 || len(cp.Stores) != 2 || cp.Routing == nil {
 		t.Fatalf("checkpoint shape: seq=%d stores=%d routing=%v", cp.Seq, len(cp.Stores), cp.Routing)
 	}
-	// A successful checkpoint truncates the log behind the cut.
-	if got := c.nodes[0].cmdlog.Len(); got != 0 {
-		t.Fatalf("command log holds %d batches after checkpoint, want 0", got)
+	// The sealed log starts at the cut: nothing before it is kept.
+	if got := len(c.TailSince(0)); got != 0 {
+		t.Fatalf("sealed log holds %d batches after checkpoint, want 0", got)
 	}
 
 	// Keep running after the checkpoint; this is the tail recovery must
@@ -44,6 +47,9 @@ func TestCheckpointRecoverIdentity(t *testing.T) {
 	workloadPhase(t, c, 25, 45)
 	want := c.Fingerprint()
 	tail := c.TailSince(cp.Seq)
+	if len(tail) == 0 || tail[0].Seq != cp.Seq || len(c.TailSince(0)) != len(tail) {
+		t.Fatalf("sealed log after the checkpoint holds %d batches, not exactly those from %d on", len(c.TailSince(0)), cp.Seq)
+	}
 
 	c2, err := Recover(Config{
 		Nodes:  []tx.NodeID{0, 1},
@@ -148,5 +154,72 @@ func TestCheckpointPreservesFusionState(t *testing.T) {
 	defer c2.Stop()
 	if got := c2.nodes[0].policy.Placement().Fusion.Fingerprint(); got != origFusion {
 		t.Fatal("routing replay did not rebuild the fusion table")
+	}
+}
+
+// TestTailSinceStartsAtCheckpoint pins where the sealed log, the input
+// recovery replays, starts and ends: empty before the first checkpoint
+// without standbys, from each checkpoint's cut on after it, and a suffix
+// of that for a later sequence.
+func TestTailSinceStartsAtCheckpoint(t *testing.T) {
+	c := newTestCluster(t, 2, policies(2)["hermes"])
+	loadCounters(c, testRows)
+	workloadPhase(t, c, 0, 5)
+	if got := c.TailSince(0); len(got) != 0 {
+		t.Fatalf("sealed log holds %d batches before any checkpoint, want 0", len(got))
+	}
+	for round := 0; round < 2; round++ {
+		cp, err := c.Checkpoint(10 * time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		workloadPhase(t, c, 5, 15)
+		next, _ := c.seq.Next()
+		all := c.TailSince(0)
+		if uint64(len(all)) != next-cp.Seq {
+			t.Fatalf("round %d: sealed log holds %d batches, want %d (%d..%d)", round, len(all), next-cp.Seq, cp.Seq, next-1)
+		}
+		for i, b := range all {
+			if b.Seq != cp.Seq+uint64(i) {
+				t.Fatalf("round %d: entry %d is batch %d, want %d", round, i, b.Seq, cp.Seq+uint64(i))
+			}
+		}
+		if got := c.TailSince(cp.Seq + 3); len(got) != len(all)-3 || got[0].Seq != cp.Seq+3 {
+			t.Fatalf("round %d: TailSince(%d) = %d batches", round, cp.Seq+3, len(got))
+		}
+		if got := c.TailSince(next); got != nil {
+			t.Fatalf("round %d: TailSince past the end = %d batches, want none", round, len(got))
+		}
+	}
+}
+
+// TestNodeRefusesGapAfterCheckpoint pins the order check across a
+// checkpoint: the node wants the cut's batch next, so one handed the batch
+// after it refuses that batch instead of scheduling it, and the drain
+// names the refusal.
+func TestNodeRefusesGapAfterCheckpoint(t *testing.T) {
+	c := newTestCluster(t, 2, policies(2)["hermes"])
+	loadCounters(c, testRows)
+	workloadPhase(t, c, 0, 5)
+	cp, err := c.Checkpoint(10 * time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	skip := cp.Seq + 1
+	if err := c.tr.Send(network.Message{From: LeaderNode, To: 0, Type: network.MsgSeqDeliver,
+		Seq: skip, Batch: &tx.Batch{Seq: skip}}); err != nil {
+		t.Fatal(err)
+	}
+	// The transport delivers asynchronously: wait until node 0 has either
+	// refused the batch or scheduled it.
+	n0 := c.node(0)
+	for deadline := time.Now().Add(5 * time.Second); n0.refusal() == "" && n0.Scheduled() == cp.Seq; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("node 0 neither refused nor scheduled batch %d", skip)
+		}
+	}
+	want := fmt.Sprintf("node 0 refused batch %d, wanted %d", skip, cp.Seq)
+	if err := c.DrainDetail(time.Second); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("drain error %v does not say %q", err, want)
 	}
 }

@@ -18,7 +18,7 @@ import (
 //
 // Requires the reliable layer (Config.Reliable) — its per-destination
 // delivery log is the durable input the restart replays — and a prior
-// successful Checkpoint to bound the replay.
+// successful Checkpoint, whose floor is where that log starts.
 func (c *Cluster) CrashNode(id tx.NodeID) error {
 	if c.seq.IsReplica(id) {
 		return fmt.Errorf("engine: crash: node %d is a sequencer replica, not a worker; use CrashLeader", id)

@@ -20,6 +20,7 @@ package engine
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"hermes/internal/fusion"
@@ -163,8 +164,11 @@ type Cluster struct {
 	seqCrashed tx.NodeID
 	// accounted dedups metric recording per transaction: replay after a
 	// restart re-commits transactions at the recovering node, and those
-	// must not count twice. Only consulted in Reliable mode.
-	accounted map[tx.TxnID]struct{}
+	// must not count twice. A replay starts at a checkpoint and re-commits
+	// only from its NextTxn on, so the set exists only once a checkpoint
+	// in Reliable mode has set accounting, and each checkpoint prunes it.
+	accounted  map[tx.TxnID]struct{}
+	accounting atomic.Bool
 	// lastCP is the most recent successful checkpoint; RestartNode replays
 	// from it.
 	lastCP *Checkpoint
@@ -257,7 +261,6 @@ func newCluster(cfg Config, tr network.Transport, rel *network.Reliable, netStat
 		active:     append([]tx.NodeID(nil), cfg.Active...),
 		crashed:    make(map[tx.NodeID]time.Time),
 		seqCrashed: tx.NoNode,
-		accounted:  make(map[tx.TxnID]struct{}),
 		start:      time.Now(),
 		tracer:     cfg.Telemetry.Tracer(),
 	}
@@ -448,12 +451,12 @@ func (c *Cluster) nodeList() []*Node {
 }
 
 // accountOnce reports whether the caller should record client-visible
-// metrics (commit/abort counters) for this transaction. Without the
-// reliable layer there is no replay and every transaction is seen once;
-// with it, a restarted node re-executes logged input, and only the first
+// metrics (commit/abort counters) for this transaction. Before a
+// checkpoint nothing can replay and every transaction is seen once; after
+// one, a restarted node re-executes logged input, and only the first
 // completion counts.
 func (c *Cluster) accountOnce(id tx.TxnID) bool {
-	if c.rel == nil {
+	if !c.accounting.Load() {
 		return true
 	}
 	c.mu.Lock()
@@ -463,6 +466,17 @@ func (c *Cluster) accountOnce(id tx.TxnID) bool {
 	}
 	c.accounted[id] = struct{}{}
 	return true
+}
+
+// armAccounting starts recording committed transaction ids for
+// accountOnce.
+func (c *Cluster) armAccounting() {
+	c.mu.Lock()
+	if c.accounted == nil {
+		c.accounted = make(map[tx.TxnID]struct{})
+	}
+	c.mu.Unlock()
+	c.accounting.Store(true)
 }
 
 // ReliableStats exposes the reliable layer's retransmission/dedup counters
@@ -698,10 +712,12 @@ func (c *Cluster) quiesceCheck() error {
 		if down[n.id] {
 			continue // frozen until RestartNode catches it up
 		}
+		// A refused batch means the total order skipped one at this node,
+		// even when the stream has not yet moved past the cursor.
+		if r := n.refusal(); r != "" {
+			return fmt.Errorf("%s (sealed stream at %d)", r, nextSeq)
+		}
 		if got := n.Scheduled(); got != nextSeq {
-			if r := n.refusal(); r != "" {
-				return fmt.Errorf("%s (sealed stream at %d)", r, nextSeq)
-			}
 			return fmt.Errorf("node %d stuck at batch %d (sealed stream at %d)", n.id, got, nextSeq)
 		}
 	}

@@ -436,14 +436,19 @@ func TestConsolidationRemovesNode(t *testing.T) {
 	}
 }
 
-func TestRecoveryFromCommandLog(t *testing.T) {
+func TestRecoveryFromSequencerLog(t *testing.T) {
 	// Run a workload, checkpoint mid-way, keep running, then rebuild a
-	// fresh cluster from checkpoint + command-log replay and compare
-	// fingerprints (§4.3).
+	// fresh cluster from checkpoint + replay of the sequencer's sealed log
+	// and compare fingerprints (§4.3).
 	pf := policies(2)["hermes"]
 
 	c := newTestCluster(t, 2, pf)
 	loadCounters(c, testRows)
+	// The sealed log starts at a checkpoint; one before the first batch
+	// keeps the whole command stream.
+	if _, err := c.Checkpoint(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
 	submitPhase := func(c *Cluster, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			k1 := tx.MakeKey(0, uint64(i*3%testRows))
@@ -461,11 +466,11 @@ func TestRecoveryFromCommandLog(t *testing.T) {
 	for id, n := range c.nodes {
 		checkpoints[id] = n.store.Checkpoint()
 	}
-	cpSeq := c.nodes[0].cmdlog.Len() // first sequence NOT covered by checkpoint
+	cpSeq, _ := c.seq.Next() // first sequence NOT covered by checkpoint
 
 	submitPhase(c, 20, 40)
 	want := c.Fingerprint()
-	logged := c.nodes[0].cmdlog.Since(uint64(cpSeq))
+	logged := c.TailSince(cpSeq)
 
 	// "Restart": fresh cluster, restore checkpoint, replay the log.
 	c2 := newTestCluster(t, 2, pf)
@@ -477,7 +482,7 @@ func TestRecoveryFromCommandLog(t *testing.T) {
 	// checkpoint covers storage, the log covers placement deltas since
 	// batch 0 — replay routing only, not execution, for pre-checkpoint
 	// batches).
-	preCp := c.nodes[0].cmdlog.Since(0)[:cpSeq]
+	preCp := c.TailSince(0)[:cpSeq]
 	for _, n := range c2.nodes {
 		for _, b := range preCp {
 			router.BuildPlan(n.policy, b)

@@ -310,6 +310,10 @@ func TestDrainDetailNamesRefusedBatch(t *testing.T) {
 	}
 	t.Cleanup(c.Stop)
 	loadCounters(c, testRows)
+	// A checkpoint at the start keeps the sealed log from batch 0 on.
+	if _, err := c.Checkpoint(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
 	submit := func() {
 		t.Helper()
 		if _, err := c.Submit(1, incProc(tx.MakeKey(0, 1))); err != nil {
@@ -319,9 +323,8 @@ func TestDrainDetailNamesRefusedBatch(t *testing.T) {
 	submit()
 	mustDrain(t, c, 10*time.Second) // batch 0 everywhere
 
-	n0 := c.node(0)
 	if err := c.tr.Send(network.Message{From: LeaderNode, To: 0, Type: network.MsgSeqDeliver,
-		Batch: n0.cmdlog.Since(0)[0]}); err != nil {
+		Batch: c.TailSince(0)[0]}); err != nil {
 		t.Fatal(err)
 	}
 	submit() // batch 1: lost on the way to node 0

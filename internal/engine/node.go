@@ -16,8 +16,7 @@ import (
 )
 
 // Node is one emulated machine: storage shard, admission engine,
-// routing-policy replica, command log, and the scheduler / executor
-// goroutines.
+// routing-policy replica, and the scheduler / executor goroutines.
 type Node struct {
 	id      tx.NodeID
 	cluster *Cluster
@@ -26,19 +25,18 @@ type Node struct {
 	// each sealed batch and drained in total order by bucket workers.
 	qx     *qexec.Executor
 	policy router.Policy
-	cmdlog *storage.CommandLog
 
 	batches chan *tx.Batch
 	// execSem bounds how many roles handed off by dispatch run at once
 	// (nil = unbounded).
 	execSem chan struct{}
 	// scheduled is 1 + the sequence of the last batch fully admitted;
-	// quiescence checks compare it with the log.
+	// quiescence checks compare it with the sealed stream.
 	scheduled atomic.Uint64
-	// refused describes the first batch the command log turned away
-	// because it arrived ahead of the sequence the log wanted: the
-	// total-order layer skipped or reordered a batch, and this node will
-	// wait forever for the one in between. Quiescence diagnostics quote it.
+	// refused describes the first batch recvLoop turned away because it
+	// arrived ahead of the sequence it wanted: the total-order layer
+	// skipped or reordered a batch, and this node will wait forever for
+	// the one in between. Quiescence diagnostics quote it.
 	refused atomic.Pointer[string]
 
 	mailMu sync.Mutex
@@ -90,7 +88,6 @@ func newNode(id tx.NodeID, c *Cluster, policy router.Policy) *Node {
 		cluster: c,
 		store:   storage.NewStore(),
 		policy:  policy,
-		cmdlog:  storage.NewCommandLog(),
 		batches: make(chan *tx.Batch, 1024),
 		mail:    make(map[tx.TxnID]*mailbox),
 		done:    make(map[tx.TxnID]*doneGroup),
@@ -164,9 +161,6 @@ func (n *Node) Scheduled() uint64 { return n.scheduled.Load() }
 // Policy exposes the node's routing replica (tests, stats).
 func (n *Node) Policy() router.Policy { return n.policy }
 
-// CommandLog exposes the node's input log (recovery drills).
-func (n *Node) CommandLog() *storage.CommandLog { return n.cmdlog }
-
 func (n *Node) start() {
 	n.wg.Add(2)
 	go n.recvLoop()
@@ -192,11 +186,14 @@ func (n *Node) wait() {
 }
 
 // recvLoop dispatches transport messages: totally ordered batches go to
-// the scheduler queue (and the command log); per-transaction record
+// the scheduler queue, strictly in sequence; per-transaction record
 // traffic goes to mailboxes.
 func (n *Node) recvLoop() {
 	defer n.wg.Done()
 	inbox := n.cluster.tr.Recv(n.id)
+	// want is the sequence of the next batch to schedule. It starts at the
+	// scheduler cursor, which restore sets to the checkpoint's cut.
+	want := n.scheduled.Load()
 	for {
 		select {
 		case <-n.quit:
@@ -210,17 +207,18 @@ func (n *Node) recvLoop() {
 				if m.Batch == nil {
 					continue
 				}
-				if err := n.cmdlog.Append(m.Batch); err != nil {
+				if m.Batch.Seq != want {
 					// A batch below the wanted sequence is a re-delivery (a
 					// promoted leader replays its retained log) and is dropped
 					// silently. One above it means the total-order layer is
 					// broken; the refusal is kept for the quiescence report.
-					if want := n.cmdlog.Next(); m.Batch.Seq > want {
+					if m.Batch.Seq > want {
 						msg := fmt.Sprintf("node %d refused batch %d, wanted %d", n.id, m.Batch.Seq, want)
 						n.refused.CompareAndSwap(nil, &msg)
 					}
 					continue
 				}
+				want++
 				if n.cluster.tracer.Enabled() {
 					for _, req := range m.Batch.Txns {
 						n.cluster.tracer.Emit(n.id, req.ID, telemetry.PhaseBatched, int64(m.Batch.Seq))

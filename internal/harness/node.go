@@ -308,12 +308,9 @@ func (s *NodeServer) checkpointNow() (uint64, error) {
 		log.Printf("harness: node %d: journal rotation after checkpoint %d failed: %v",
 			s.cfg.Self, cp.Delivered, err)
 	}
-	// The in-memory delivery log uses in-process positions, not absolute
-	// journal frames; trim it by its own watermark. The command log holds
-	// the same batches a third time and goes with them: a restart replays
-	// the journal, never this log.
-	rel.TruncateDelivered(s.cfg.Self, rel.Delivered(s.cfg.Self))
-	s.cluster.Node(s.cfg.Self).CommandLog().Truncate(cp.Scheduled)
+	// A restart replays the journal, never the in-memory delivery log, so
+	// the checkpoint sets no rewind floor there: the log keeps dropping
+	// each frame once the worker has taken it.
 	return cp.Delivered, nil
 }
 

@@ -23,6 +23,7 @@ func TestBubbled(t *testing.T) {
 		TestReliableLossyLinkDeliversExactlyOnceInOrder,
 		TestReliablePauseRewindResumeRedelivers,
 		TestReliableTruncateDeliveredBoundsRewind,
+		TestReliableKeepsFramesOnlyFromTheFloor,
 		TestReliableRewindGuards,
 		TestReliableCloseWhilePausedAndBlocked,
 		TestReliablePassThroughLocalAndUnsequenced,

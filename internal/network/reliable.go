@@ -75,13 +75,16 @@ type ReliableStats struct {
 // Reliable additionally keeps a per-destination delivery log: every message
 // is appended to its destination's log before a feeder goroutine hands it
 // to the consumer, and the log survives the consumer. This is what makes
-// live node restart possible (§4.3): the delivery log is the node's durable
+// live node restart possible (§4.3): from the floor a checkpoint sets
+// (TruncateDelivered) on, the delivery log is the node's durable
 // totally-ordered input record — like the paper's command log, but covering
 // record pushes and write-backs too — so a restarted node catches up by
-// rewinding its cursor to the last checkpoint's watermark (Delivered) and
-// re-receiving history, while Pause/Resume model the crash window. The
-// layer itself is modeled as durable (it keeps acking and logging while the
-// node is down), exactly as the paper assumes of its logging tier.
+// rewinding its cursor to the checkpoint's watermark and re-receiving
+// history, while Pause/Resume model the crash window. Before a destination
+// has a floor nothing could rewind it, so each message leaves its log once
+// the consumer has taken it. The layer itself is modeled as durable (it
+// keeps acking and logging while the node is down), exactly as the paper
+// assumes of its logging tier.
 type Reliable struct {
 	inner Transport
 
@@ -161,6 +164,7 @@ type destState struct {
 	mu       sync.Mutex
 	log      []Message
 	base     uint64 // absolute position of log[0] (advances on truncation)
+	floored  bool   // a checkpoint keeps log[0:] for Rewind (see TruncateDelivered)
 	next     uint64 // absolute position of the next message to hand out
 	gen      uint64 // bumped by Rewind so a racing handoff can't advance next
 	paused   bool
@@ -834,6 +838,7 @@ func (r *Reliable) feedLoop(ds *destState) {
 	defer r.wg.Done()
 	for {
 		ds.mu.Lock()
+		ds.dropTaken()
 		for ds.paused || ds.next >= ds.base+uint64(len(ds.log)) {
 			ds.mu.Unlock()
 			select {
@@ -870,6 +875,22 @@ func (r *Reliable) feedLoop(ds *destState) {
 	}
 }
 
+// dropTaken forgets the messages the consumer has taken unless a floor
+// keeps them for a rewind. The caller holds ds.mu.
+func (ds *destState) dropTaken() {
+	if ds.floored || ds.next == ds.base {
+		return
+	}
+	n := ds.next - ds.base
+	clear(ds.log[:n])
+	if n == uint64(len(ds.log)) {
+		ds.log = ds.log[:0]
+	} else {
+		ds.log = ds.log[n:]
+	}
+	ds.base = ds.next
+}
+
 // Recv implements Transport. The channel is stable across calls, including
 // across a Pause/Rewind/Resume cycle, so a restarted consumer reattaches to
 // the same feed.
@@ -879,19 +900,6 @@ func (r *Reliable) Recv(node tx.NodeID) <-chan Message {
 		return r.inner.Recv(node)
 	}
 	return ds.out
-}
-
-// Delivered returns node's delivery watermark: the absolute count of
-// messages handed to its consumer. Checkpoints record it; Rewind to it
-// replays exactly the post-checkpoint input.
-func (r *Reliable) Delivered(node tx.NodeID) uint64 {
-	ds := r.dests[node]
-	if ds == nil {
-		return 0
-	}
-	ds.mu.Lock()
-	defer ds.mu.Unlock()
-	return ds.next
 }
 
 // Pause stops feeding node's consumer (crash onset). Logging, acking, and
@@ -967,16 +975,19 @@ func (r *Reliable) Resume(node tx.NodeID) {
 	}
 }
 
-// TruncateDelivered drops node's logged messages below absolute position
-// upto (clamped to the delivery watermark, so undelivered input is never
-// lost). Checkpoints call it: input before the checkpoint is covered by
-// the snapshot and no longer needed for replay.
-func (r *Reliable) TruncateDelivered(node tx.NodeID, upto uint64) {
+// TruncateDelivered sets node's rewind floor and returns it: messages
+// below absolute position upto (clamped to the delivery watermark, so
+// undelivered input is never lost) are dropped, and every message from the
+// floor on stays logged until the next call, so Rewind can return to it.
+// A checkpoint calls it at its watermark: input before the checkpoint is
+// covered by the snapshot, input after it is what a restart replays.
+func (r *Reliable) TruncateDelivered(node tx.NodeID, upto uint64) uint64 {
 	ds := r.dests[node]
 	if ds == nil {
-		return
+		return 0
 	}
 	ds.mu.Lock()
+	defer ds.mu.Unlock()
 	if upto > ds.next {
 		upto = ds.next
 	}
@@ -985,7 +996,8 @@ func (r *Reliable) TruncateDelivered(node tx.NodeID, upto uint64) {
 		ds.log = append(ds.log[:0:0], ds.log[n:]...)
 		ds.base = upto
 	}
-	ds.mu.Unlock()
+	ds.floored = true
+	return ds.base
 }
 
 // Close implements Transport: it stops every goroutine, then closes the

@@ -45,6 +45,15 @@ func (l *lossyInner) Send(m Message) error {
 	return l.ChanTransport.Send(m)
 }
 
+// delivered returns node's delivery watermark: the absolute count of
+// messages handed to its consumer.
+func delivered(r *Reliable, node tx.NodeID) uint64 {
+	ds := r.dests[node]
+	ds.mu.Lock()
+	defer ds.mu.Unlock()
+	return ds.next
+}
+
 func reliablePair(t *testing.T, lossy bool) (*Reliable, func()) {
 	t.Helper()
 	nodes := []tx.NodeID{0, 1}
@@ -96,8 +105,8 @@ func TestReliableLossyLinkDeliversExactlyOnceInOrder(t *testing.T) {
 	if st.DupsDropped == 0 {
 		t.Fatal("duplicating link produced no dropped duplicates")
 	}
-	if got := r.Delivered(1); got != total {
-		t.Fatalf("Delivered(1) = %d, want %d", got, total)
+	if got := delivered(r, 1); got != total {
+		t.Fatalf("watermark = %d, want %d", got, total)
 	}
 }
 
@@ -117,6 +126,9 @@ func TestReliablePauseRewindResumeRedelivers(t *testing.T) {
 			return Message{}
 		}
 	}
+	// A floor at the start, as a checkpoint there would set: without one
+	// the log drops each message once it is taken, and nothing can rewind.
+	r.TruncateDelivered(1, 0)
 	const total = 10
 	for i := 0; i < total; i++ {
 		if err := r.Send(Message{From: 0, To: 1, Type: MsgRecordPush, Txn: tx.TxnID(i + 1)}); err != nil {
@@ -126,8 +138,8 @@ func TestReliablePauseRewindResumeRedelivers(t *testing.T) {
 	for i := 0; i < total; i++ {
 		recv()
 	}
-	if got := r.Delivered(1); got != total {
-		t.Fatalf("Delivered(1) = %d, want %d", got, total)
+	if got := delivered(r, 1); got != total {
+		t.Fatalf("watermark = %d, want %d", got, total)
 	}
 
 	// Crash window: pause, send more input (logged, not fed), rewind to a
@@ -149,8 +161,8 @@ func TestReliablePauseRewindResumeRedelivers(t *testing.T) {
 			t.Fatalf("redelivery: got txn %d, want %d", got, want)
 		}
 	}
-	if got := r.Delivered(1); got != total+3 {
-		t.Fatalf("Delivered(1) after catch-up = %d, want %d", got, total+3)
+	if got := delivered(r, 1); got != total+3 {
+		t.Fatalf("watermark after catch-up = %d, want %d", got, total+3)
 	}
 }
 
@@ -160,6 +172,7 @@ func TestReliableTruncateDeliveredBoundsRewind(t *testing.T) {
 	defer closeR()
 
 	inbox := r.Recv(1)
+	r.TruncateDelivered(1, 0) // an earlier checkpoint's floor
 	const total = 8
 	for i := 0; i < total; i++ {
 		if err := r.Send(Message{From: 0, To: 1, Type: MsgRecordPush, Txn: tx.TxnID(i + 1)}); err != nil {
@@ -207,6 +220,61 @@ func TestReliableTruncateDeliveredBoundsRewind(t *testing.T) {
 		t.Fatalf("unexpected delivery %+v after truncated redelivery", m)
 	case <-time.After(100 * time.Millisecond):
 	}
+}
+
+// TestReliableKeepsFramesOnlyFromTheFloor pins the delivery log's
+// retention: without a floor it holds no message the consumer has taken,
+// and with one it holds exactly the messages from the floor on.
+func TestReliableKeepsFramesOnlyFromTheFloor(t *testing.T) {
+	defer leaktest.Check(t)()
+	r, closeR := reliablePair(t, false)
+	defer closeR()
+
+	inbox := r.Recv(1)
+	pass := func(lo, hi int) {
+		t.Helper()
+		for i := lo; i < hi; i++ {
+			if err := r.Send(Message{From: 0, To: 1, Type: MsgRecordPush, Txn: tx.TxnID(i + 1)}); err != nil {
+				t.Fatal(err)
+			}
+			select {
+			case <-inbox:
+			case <-time.After(5 * time.Second):
+				t.Fatal("delivery timed out")
+			}
+		}
+	}
+	// The feeder drops a taken message the next time it locks the log,
+	// just after the handoff, so the check waits for it.
+	ds := r.dests[1]
+	holds := func(base uint64, n int) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+			ds.mu.Lock()
+			gotBase, gotN := ds.base, len(ds.log)
+			ds.mu.Unlock()
+			if gotBase == base && gotN == n {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("log holds %d messages from %d, want %d from %d", gotN, gotBase, n, base)
+			}
+		}
+	}
+	pass(0, 10)
+	holds(10, 0)
+	// A floor cannot go below what is already gone.
+	if floor := r.TruncateDelivered(1, 4); floor != 10 {
+		t.Fatalf("floor = %d, want 10", floor)
+	}
+	pass(10, 16)
+	holds(10, 6)
+	if floor := r.TruncateDelivered(1, 13); floor != 13 {
+		t.Fatalf("floor = %d, want 13", floor)
+	}
+	holds(13, 3)
+	pass(16, 18)
+	holds(13, 5)
 }
 
 func TestReliableRewindGuards(t *testing.T) {

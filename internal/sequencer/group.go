@@ -287,6 +287,28 @@ func (g *Group) SetMembers(members []tx.NodeID) {
 	}
 }
 
+// KeepLog makes every live replica retain what it seals from now on, so
+// the group's log holds the input after a checkpoint even without
+// standbys. A checkpoint calls it before it reads its cut and then Prunes
+// below the cut.
+func (g *Group) KeepLog() {
+	for _, id := range g.ranks {
+		if !g.Downed(id) {
+			g.replica(id).keepSealed()
+		}
+	}
+}
+
+// Since returns the current leader's retained sealed batches with
+// sequence ≥ seq (nil while the leader is down). Before the first
+// checkpoint an unreplicated group retains none.
+func (g *Group) Since(seq uint64) []*tx.Batch {
+	if l := g.leader(); l != nil {
+		return l.since(seq)
+	}
+	return nil
+}
+
 // Prune drops retained sealed batches below seq on every live replica.
 func (g *Group) Prune(seq uint64) {
 	for _, id := range g.ranks {

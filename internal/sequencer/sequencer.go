@@ -16,9 +16,9 @@
 // silence through heartbeats (timeout + capped probe backoff) and
 // promote deterministically: the first live standby in rank order
 // resumes from its replicated (seq, nextTxn) high-water mark under a new
-// epoch, re-delivers its retained log (idempotent at the nodes' command
-// logs), and announces the epoch so front-ends redirect. Client
-// front-ends keep every unacknowledged request queued and resend the
+// epoch, re-delivers its retained log (a node drops a batch below the
+// sequence it wants), and announces the epoch so front-ends redirect.
+// Client front-ends keep every unacknowledged request queued and resend the
 // whole queue in submission order on retry or leader change; the leader
 // deduplicates by (Client, ClientSeq), so no request is lost or
 // sequenced twice across the failover.
@@ -111,8 +111,13 @@ type Leader struct {
 	recovering bool // restarted replica replaying logged input
 	fenced     bool // sealing disabled (crash preparation)
 
-	log        []*tx.Batch // sealed batches retained since logBase
-	logEpochs  []uint64    // epoch each retained entry was appended under
+	// log retains the sealed batches since logBase: in a replicated group
+	// from the start (promotion re-delivers it), otherwise only once a
+	// checkpoint has set keepLog — it is then the cluster's command log,
+	// the input a recovery replays after the checkpoint.
+	log        []*tx.Batch
+	keepLog    bool
+	logEpochs  []uint64 // epoch each retained entry was appended under
 	logBase    uint64
 	txnBase    tx.TxnID // nextTxn as of the start of the retained log
 	unreleased []*pendingBatch
@@ -581,10 +586,10 @@ func (l *Leader) pulse(probe time.Duration) time.Duration {
 
 // promoteLocked makes this standby the leader of a new epoch. Called
 // with l.mu held; returns with it released. Before accepting new work it
-// re-delivers its whole retained log to the members (idempotent at their
-// command logs) and re-replicates it to every peer — live peers dedup by
-// sequence, and a peer that is down receives the history through its
-// delivery log on restart. Only then does it start leading, seeded with
+// re-delivers its whole retained log to the members (a node drops a batch
+// it already scheduled) and re-replicates it to every peer — live peers
+// dedup by sequence, and a peer that is down receives the history through
+// its delivery log on restart. Only then does it start leading, seeded with
 // its replicated (seq, nextTxn) high-water mark and per-client dedup
 // watermarks, and announce the epoch to members and peers.
 func (l *Leader) promoteLocked() {
@@ -670,9 +675,11 @@ func (l *Leader) Flush() {
 	members := append([]tx.NodeID(nil), l.members...)
 	ep := l.epoch
 	var peers, live []tx.NodeID
-	if l.replicated() {
+	if l.replicated() || l.keepLog {
 		l.log = append(l.log, batch)
 		l.logEpochs = append(l.logEpochs, l.epoch)
+	}
+	if l.replicated() {
 		peers, live = l.group.peers(l.id)
 	}
 	// With no live standby the batch is deliverable at once — unless
@@ -762,6 +769,25 @@ func (l *Leader) finishRecovery() {
 	}
 	l.mu.Unlock()
 	l.Flush()
+}
+
+// keepSealed makes the replica retain every batch it seals from now on,
+// replicated or not; a checkpoint calls it before reading its cut.
+func (l *Leader) keepSealed() {
+	l.mu.Lock()
+	l.keepLog = true
+	l.mu.Unlock()
+}
+
+// since returns the retained sealed batches with sequence ≥ seq, in order.
+func (l *Leader) since(seq uint64) []*tx.Batch {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	i := 0
+	for i < len(l.log) && l.log[i].Seq < seq {
+		i++
+	}
+	return append([]*tx.Batch(nil), l.log[i:]...)
 }
 
 // prune drops retained sealed batches below seq; checkpoints call it

@@ -1,8 +1,8 @@
 // Package storage implements the per-node main-memory storage engine:
 // a sharded key-value record store with transactional undo (for the logic
 // aborts of §4.2), record insert/delete (used by live data migration),
-// consistent checkpoints, and a totally ordered command log that, together
-// with deterministic replay, provides recovery as described in §4.3.
+// and the consistent checkpoints that recovery (§4.3) restores before it
+// replays the sequencer's totally ordered input on top.
 package storage
 
 import (

@@ -293,67 +293,6 @@ func TestUndoRollbackProperty(t *testing.T) {
 	}
 }
 
-func TestCommandLogAppendOrder(t *testing.T) {
-	l := NewCommandLog()
-	if err := l.Append(&tx.Batch{Seq: 0}); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Append(&tx.Batch{Seq: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Append(&tx.Batch{Seq: 3}); err == nil {
-		t.Fatal("gap in sequence accepted")
-	}
-	if err := l.Append(&tx.Batch{Seq: 1}); err == nil {
-		t.Fatal("duplicate sequence accepted")
-	}
-	if l.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", l.Len())
-	}
-}
-
-func TestCommandLogSince(t *testing.T) {
-	l := NewCommandLog()
-	for i := uint64(0); i < 10; i++ {
-		if err := l.Append(&tx.Batch{Seq: i}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got := l.Since(7)
-	if len(got) != 3 || got[0].Seq != 7 || got[2].Seq != 9 {
-		t.Fatalf("Since(7) = %v entries starting %d", len(got), got[0].Seq)
-	}
-	if got := l.Since(100); got != nil {
-		t.Fatalf("Since past end = %v, want nil", got)
-	}
-	if got := l.Since(0); len(got) != 10 {
-		t.Fatalf("Since(0) = %d entries, want 10", len(got))
-	}
-}
-
-func TestCommandLogTruncate(t *testing.T) {
-	l := NewCommandLog()
-	for i := uint64(0); i < 10; i++ {
-		l.Append(&tx.Batch{Seq: i})
-	}
-	l.Truncate(5)
-	if l.Len() != 5 {
-		t.Fatalf("Len after truncate = %d, want 5", l.Len())
-	}
-	got := l.Since(0)
-	if got[0].Seq != 5 {
-		t.Fatalf("first retained seq = %d, want 5", got[0].Seq)
-	}
-	// Appending continues from the retained tail.
-	if err := l.Append(&tx.Batch{Seq: 10}); err != nil {
-		t.Fatal(err)
-	}
-	l.Truncate(100)
-	if l.Len() != 0 {
-		t.Fatalf("Len after over-truncate = %d, want 0", l.Len())
-	}
-}
-
 func BenchmarkStoreRead(b *testing.B) {
 	s := NewStore()
 	for i := 0; i < 1<<16; i++ {

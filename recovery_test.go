@@ -9,8 +9,8 @@ import (
 
 // TestRecoverWithTailAllPolicies exercises the full §4.3 recovery story
 // through the public API for every routing policy: run traffic, take a
-// checkpoint (which truncates the command log), keep running so a
-// non-empty tail accumulates past the checkpoint, then rebuild a fresh
+// checkpoint (from which the sequencer keeps the batches it seals), keep
+// running so a non-empty tail accumulates past the checkpoint, then rebuild a fresh
 // instance from checkpoint + tail and demand per-node digest equality
 // with the uninterrupted original.
 func TestRecoverWithTailAllPolicies(t *testing.T) {

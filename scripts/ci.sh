@@ -161,11 +161,13 @@ gate_fuzz-corpus() {
 # Crash-recovery gate: reliable transport, node kill/restart, checkpoint+
 # tail recovery, and the lossy+crash chaos schedules. The general sweep
 # already covers these when run full; this named gate keeps the recovery
-# claim pinned even under -short (see docs/RECOVERY.md).
+# claim pinned even under -short (see docs/RECOVERY.md). The node's order
+# check right after a checkpoint, where the replay buffers start, is
+# pinned by name.
 gate_crash-recovery() {
-    go test -race -count=1 \
-        -run 'Reliable|Crash|Recover|Checkpoint|LossAndCrash|LossySchedule|TCPTransport' \
-        ./internal/network ./internal/engine ./internal/chaos .
+    local run='Reliable|Crash|Recover|Checkpoint|LossAndCrash|LossySchedule|TCPTransport'
+    list_guard "crash-recovery gate" 1 '^TestNodeRefusesGapAfterCheckpoint$' ./internal/engine
+    go test -race -count=1 -run "${run}" ./internal/network ./internal/engine ./internal/chaos .
 }
 
 # Leader-failover gate: killing the total-order leader — alone and
@@ -279,7 +281,8 @@ gate_executor() {
 # Reuse gate: the engine's hot path recycles its buffers instead of
 # allocating them per transaction (docs/PERF.md, "An allocation-free hot
 # path"). Pinned by name: the allocation budget per committed transaction;
-# the qexec stress of recycled inboxes and key queues under concurrent
+# the live heap that must not grow with input nothing will replay
+# (docs/PERF.md, "Replay state starts at the checkpoint"); the qexec stress of recycled inboxes and key queues under concurrent
 # Release/Submit pushes; the slot-array fusion table against the list-based
 # table it replaced, kept as the oracle; the Zipfian stream pinned draw
 # for draw; and a skipped workload prefix that leaves nothing behind.
@@ -288,6 +291,7 @@ gate_executor() {
 gate_reuse() {
     local gate run pkg
     for gate in 'TestSteadyStateAllocsPerTxn ./internal/engine' \
+        'TestSteadyStateRetainsNoInput ./internal/engine' \
         'TestReuseUnderConcurrentPushes ./internal/qexec' \
         'TestSlotTableMatchesListTable ./internal/fusion' \
         'TestScrambledGolden ./internal/zipf' \
