@@ -876,18 +876,21 @@ func (r *Reliable) feedLoop(ds *destState) {
 }
 
 // dropTaken forgets the messages the consumer has taken unless a floor
-// keeps them for a rewind. The caller holds ds.mu.
+// keeps them for a rewind. It moves the untaken rest to the front of the
+// same array, and only once the taken prefix is at least as long as that
+// rest: the copying is then O(1) per message and nothing is allocated,
+// whatever the backlog. (Re-slicing past the prefix instead shrank the
+// capacity, so any backlog reallocated the log every few messages.) An
+// idle feeder has taken everything, so its log is empty. The caller holds
+// ds.mu.
 func (ds *destState) dropTaken() {
-	if ds.floored || ds.next == ds.base {
+	n := int(ds.next - ds.base)
+	if ds.floored || n == 0 || n < len(ds.log)-n {
 		return
 	}
-	n := ds.next - ds.base
-	clear(ds.log[:n])
-	if n == uint64(len(ds.log)) {
-		ds.log = ds.log[:0]
-	} else {
-		ds.log = ds.log[n:]
-	}
+	rest := copy(ds.log, ds.log[n:])
+	clear(ds.log[rest:])
+	ds.log = ds.log[:rest]
 	ds.base = ds.next
 }
 

@@ -277,6 +277,36 @@ func TestReliableKeepsFramesOnlyFromTheFloor(t *testing.T) {
 	holds(13, 5)
 }
 
+// TestReliableDeliveryLogReusesItsArray pins that dropping taken messages
+// allocates nothing, however many untaken ones wait behind them: the cost
+// of a delivery must not depend on how far the consumer lags.
+func TestReliableDeliveryLogReusesItsArray(t *testing.T) {
+	for _, backlog := range []int{1, 2, 5, 64} {
+		ds := &destState{}
+		for i := 0; i < backlog; i++ {
+			ds.log = append(ds.log, Message{})
+		}
+		// One delivery and one handoff per step, so the backlog holds.
+		steps := func() {
+			for i := 0; i < 100; i++ {
+				ds.log = append(ds.log, Message{Type: MsgRecordPush})
+				ds.next++
+				ds.dropTaken()
+			}
+		}
+		steps()
+		if a := testing.AllocsPerRun(20, steps); a != 0 {
+			t.Errorf("backlog %d: %.0f allocations per 100 deliveries, want 0", backlog, a)
+		}
+		if got := ds.base + uint64(len(ds.log)) - ds.next; got != uint64(backlog) {
+			t.Fatalf("backlog %d: %d messages untaken", backlog, got)
+		}
+		if taken := ds.next - ds.base; taken > uint64(backlog) {
+			t.Errorf("backlog %d: log still holds %d taken messages", backlog, taken)
+		}
+	}
+}
+
 func TestReliableRewindGuards(t *testing.T) {
 	defer leaktest.Check(t)()
 	r, closeR := reliablePair(t, false)

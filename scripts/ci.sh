@@ -282,7 +282,9 @@ gate_executor() {
 # allocating them per transaction (docs/PERF.md, "An allocation-free hot
 # path"). Pinned by name: the allocation budget per committed transaction;
 # the live heap that must not grow with input nothing will replay
-# (docs/PERF.md, "Replay state starts at the checkpoint"); the qexec stress of recycled inboxes and key queues under concurrent
+# (docs/PERF.md, "Replay state starts at the checkpoint"); a delivery log
+# that drops taken messages without allocating, whatever the backlog; the
+# qexec stress of recycled inboxes and key queues under concurrent
 # Release/Submit pushes; the slot-array fusion table against the list-based
 # table it replaced, kept as the oracle; the Zipfian stream pinned draw
 # for draw; and a skipped workload prefix that leaves nothing behind.
@@ -292,6 +294,7 @@ gate_reuse() {
     local gate run pkg
     for gate in 'TestSteadyStateAllocsPerTxn ./internal/engine' \
         'TestSteadyStateRetainsNoInput ./internal/engine' \
+        'TestReliableDeliveryLogReusesItsArray ./internal/network' \
         'TestReuseUnderConcurrentPushes ./internal/qexec' \
         'TestSlotTableMatchesListTable ./internal/fusion' \
         'TestScrambledGolden ./internal/zipf' \
