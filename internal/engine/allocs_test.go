@@ -36,7 +36,7 @@ func TestSteadyStateAllocsPerTxn(t *testing.T) {
 		maxObjects = 40
 		maxBytes   = 4096
 	)
-	c, drive := steadyState(t, false)
+	c, drive := steadyState(t, false, 0)
 	drive(warm)
 	committed0 := c.Collector().Committed()
 	var before, after runtime.MemStats
@@ -59,14 +59,16 @@ func TestSteadyStateAllocsPerTxn(t *testing.T) {
 // TestSteadyStateRetainsNoInput pins that a cluster without a checkpoint
 // keeps no input it has consumed: nothing could replay it, since every
 // replay starts at a checkpoint. On TestSteadyStateAllocsPerTxn's shape,
-// with and without the reliable layer, the live heap after a GC may grow
-// by at most 32 B per committed transaction over 40k transactions past a
-// 20k warm-up.
+// with and without the reliable layer, and each again with one sequencer
+// standby, the live heap after a GC may grow by at most 32 B per
+// committed transaction over 40k transactions past a 20k warm-up.
 //
 // Measured on a 2-vCPU x86-64 box: ≈ 304 B (plain) and ≈ 857 B (reliable)
 // per transaction while every node kept a command log of every batch, the
 // reliable layer every delivered frame and the commit dedup set every
-// transaction id; 10–12 B in both modes after.
+// transaction id; 10–12 B in both modes after. With a standby, ≈ 305 B
+// (plain) and ≈ 304 B (reliable) while each replica of the sequencer group
+// kept every sealed batch until the first checkpoint.
 func TestSteadyStateRetainsNoInput(t *testing.T) {
 	const (
 		warm = 20_000
@@ -74,13 +76,18 @@ func TestSteadyStateRetainsNoInput(t *testing.T) {
 
 		maxGrowth = 32
 	)
-	for _, reliable := range []bool{false, true} {
-		name := "plain"
-		if reliable {
-			name = "reliable"
-		}
-		t.Run(name, func(t *testing.T) {
-			c, drive := steadyState(t, reliable)
+	for _, tc := range []struct {
+		name     string
+		reliable bool
+		standbys int
+	}{
+		{"plain", false, 0},
+		{"reliable", true, 0},
+		{"plain-standby", false, 1},
+		{"reliable-standby", true, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, drive := steadyState(t, tc.reliable, tc.standbys)
 			drive(warm)
 			committed0 := c.Collector().Committed()
 			var before, after runtime.MemStats
@@ -108,7 +115,7 @@ func TestSteadyStateRetainsNoInput(t *testing.T) {
 // table of rows/40, and a driver submitting scrambled YCSB θ = 0.8
 // transactions over 3 keys in batches of 25 with 50 in flight. drive(n)
 // submits n transactions and returns once all of them have completed.
-func steadyState(t *testing.T, reliable bool) (*Cluster, func(n int)) {
+func steadyState(t *testing.T, reliable bool, standbys int) (*Cluster, func(n int)) {
 	t.Helper()
 	const (
 		nodes  = 3
@@ -125,7 +132,7 @@ func steadyState(t *testing.T, reliable bool) (*Cluster, func(n int)) {
 		Policy: func(a []tx.NodeID) router.Policy {
 			return core.New(base, a, core.DefaultConfig(rows/40))
 		},
-		Seq:      sequencer.Config{BatchSize: batch, Interval: time.Hour},
+		Seq:      sequencer.Config{BatchSize: batch, Interval: time.Hour, Standbys: standbys},
 		Reliable: reliable,
 	})
 	if err != nil {

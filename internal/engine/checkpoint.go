@@ -60,7 +60,7 @@ func (c *Cluster) Checkpoint(timeout time.Duration) (*Checkpoint, error) {
 	}
 	// Each buffer is armed before the cut is read and trimmed below it
 	// after, so a batch or commit that lands in between stays replayable.
-	c.seq.KeepLog()
+	c.seq.KeepFrom(0)
 	if c.rel != nil {
 		c.armAccounting()
 	}
@@ -94,7 +94,7 @@ func (c *Cluster) Checkpoint(timeout time.Duration) (*Checkpoint, error) {
 	// The snapshot covers everything before the cut: the sealed log drops
 	// it (a promotion never re-delivers below the cut either), and so does
 	// the dedup set, since a replay only re-commits from NextTxn on.
-	c.seq.Prune(cp.Seq)
+	c.seq.KeepFrom(cp.Seq)
 	c.mu.Lock()
 	for id := range c.accounted {
 		if id < cp.NextTxn {
@@ -189,7 +189,8 @@ func (c *Cluster) ReplayBatches(batches []*tx.Batch) error {
 // TailSince returns the sealed batches with sequence ≥ seq — the input
 // after a checkpoint, for handing to Recover. The sequencer's sealed log
 // is the cluster's one command log, and it starts at the newest
-// checkpoint: before the first one a group without standbys keeps none.
+// checkpoint: before the first one it holds only the batches the leader
+// has not yet released.
 // A worker has no sequencer here; its journal is its replay source.
 func (c *Cluster) TailSince(seq uint64) []*tx.Batch {
 	if c.seq == nil {

@@ -317,13 +317,3 @@ func TestSquallChunksEveryKeyOnceProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestRangeKeys(t *testing.T) {
-	keys := RangeKeys(5, 8)
-	if len(keys) != 3 || keys[0] != 5 || keys[2] != 7 {
-		t.Fatalf("RangeKeys = %v", keys)
-	}
-	if RangeKeys(8, 5) != nil {
-		t.Fatal("inverted range returned keys")
-	}
-}

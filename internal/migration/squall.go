@@ -41,16 +41,3 @@ func (s *Squall) Chunks(keys []tx.Key, to tx.NodeID) []*tx.MigrationProc {
 	}
 	return out
 }
-
-// RangeKeys expands [lo, hi) into the key list for chunking; helper for
-// range-granular plans (Clay moves, scale-out tenant moves).
-func RangeKeys(lo, hi tx.Key) []tx.Key {
-	if hi <= lo {
-		return nil
-	}
-	out := make([]tx.Key, 0, uint64(hi-lo))
-	for k := lo; k < hi; k++ {
-		out = append(out, k)
-	}
-	return out
-}

@@ -24,6 +24,7 @@ func TestBubbled(t *testing.T) {
 		TestReliablePauseRewindResumeRedelivers,
 		TestReliableTruncateDeliveredBoundsRewind,
 		TestReliableKeepsFramesOnlyFromTheFloor,
+		TestReliableDeliveryLogReusesItsArray,
 		TestReliableRewindGuards,
 		TestReliableCloseWhilePausedAndBlocked,
 		TestReliablePassThroughLocalAndUnsequenced,

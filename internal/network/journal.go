@@ -60,7 +60,6 @@ import (
 // runs can never hand two lives of the process the same incarnation.
 type Journal struct {
 	fs     diskio.FS
-	dir    string
 	path   string
 	policy SyncPolicy
 
@@ -214,7 +213,6 @@ func OpenJournalWith(dir string, opts JournalOpts) (*Journal, error) {
 
 	j := &Journal{
 		fs:          fsys,
-		dir:         dir,
 		path:        path,
 		policy:      policy,
 		floors:      make(map[tx.NodeID]LinkFloor, len(opts.Floors)),
@@ -741,34 +739,9 @@ func (j *Journal) Rotate(w uint64) error {
 	if off > len(raw) {
 		return fmt.Errorf("journal: rotate walk overran file (%d > %d)", off, len(raw))
 	}
-	tail := raw[off:]
-
-	tmp := j.path + ".tmp"
-	tf, err := j.fs.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("journal: rotate create: %w", err)
-	}
-	if _, err := diskio.WriteFull(tf, journalHeader(w)); err == nil {
-		_, err = diskio.WriteFull(tf, tail)
-	} else {
-		err = fmt.Errorf("header: %w", err)
-	}
-	if err == nil {
-		err = tf.Sync()
-	}
-	if cerr := tf.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		j.fs.Remove(tmp)
+	img := append(journalHeader(w), raw[off:]...)
+	if err := diskio.WriteFileAtomic(j.fs, j.path, img); err != nil {
 		return fmt.Errorf("journal: rotate write: %w", err)
-	}
-	if err := j.fs.Rename(tmp, j.path); err != nil {
-		j.fs.Remove(tmp)
-		return fmt.Errorf("journal: rotate rename: %w", err)
-	}
-	if err := j.fs.SyncDir(j.dir); err != nil {
-		return fmt.Errorf("journal: rotate dir fsync: %w", err)
 	}
 	nf, err := j.fs.OpenAppend(j.path)
 	if err != nil {
@@ -782,7 +755,7 @@ func (j *Journal) Rotate(w uint64) error {
 		j.recovered = nil
 	}
 	j.base = w
-	j.size = int64(journalHdrLen + len(tail))
+	j.size = int64(len(img))
 	j.synced = j.size
 	if j.policy != SyncNone {
 		j.writeSidecar(j.synced)

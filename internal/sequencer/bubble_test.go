@@ -30,6 +30,7 @@ func TestBubbled(t *testing.T) {
 		TestSessionFrontendPacesToSealLatency,
 		TestStoppedGroupLeavesNothing,
 		TestGroupStandbyTruncatesDivergentSuffix,
+		TestGroupRetainsOnlyTheUnreleasedWindow,
 		TestFrontendSequencedDoesNotAllocate,
 		TestBatchDeliveredToAllNodes,
 		TestTxnIDsAreDenseAndOrdered,

@@ -287,35 +287,26 @@ func (g *Group) SetMembers(members []tx.NodeID) {
 	}
 }
 
-// KeepLog makes every live replica retain what it seals from now on, so
-// the group's log holds the input after a checkpoint even without
-// standbys. A checkpoint calls it before it reads its cut and then Prunes
-// below the cut.
-func (g *Group) KeepLog() {
+// KeepFrom sets the checkpoint floor on every live replica: each keeps a
+// sealed batch until it is released and below seq. A checkpoint calls it
+// with 0 before it reads its cut and with the cut after; until the first
+// checkpoint a replica keeps only what it has not yet seen released.
+func (g *Group) KeepFrom(seq uint64) {
 	for _, id := range g.ranks {
 		if !g.Downed(id) {
-			g.replica(id).keepSealed()
+			g.replica(id).keepFrom(seq)
 		}
 	}
 }
 
 // Since returns the current leader's retained sealed batches with
 // sequence ≥ seq (nil while the leader is down). Before the first
-// checkpoint an unreplicated group retains none.
+// checkpoint the leader retains only its unreleased window.
 func (g *Group) Since(seq uint64) []*tx.Batch {
 	if l := g.leader(); l != nil {
 		return l.since(seq)
 	}
 	return nil
-}
-
-// Prune drops retained sealed batches below seq on every live replica.
-func (g *Group) Prune(seq uint64) {
-	for _, id := range g.ranks {
-		if !g.Downed(id) {
-			g.replica(id).prune(seq)
-		}
-	}
 }
 
 // ClientHigh returns the current leader's per-client sealed watermarks
@@ -384,7 +375,7 @@ func (g *Group) Restart(id tx.NodeID, st RestoreState) error {
 	r.leaderID = st.Leader
 	r.nextSeq = st.NextSeq
 	r.nextTxn = st.NextTxn
-	r.logBase = st.NextSeq
+	r.floor = st.NextSeq
 	r.txnBase = st.NextTxn
 	for k, v := range st.Clients {
 		r.sealedHigh[k] = v

@@ -601,3 +601,124 @@ func TestFrontendSequencedDoesNotAllocate(t *testing.T) {
 		}
 	}
 }
+
+// TestGroupRetainsOnlyTheUnreleasedWindow runs a one-standby group through
+// 1,000 batches without a checkpoint. The leader keeps a batch only until
+// it releases it; the standby keeps it until the leader's next heartbeat
+// says it is released, so its log never holds more than the unreleased
+// window plus one heartbeat's releases. Then the leader dies, and each
+// member still schedules every batch exactly once: the promoted standby
+// re-delivers only what it retained and dedups the front-end's resend
+// against the watermarks of the batches it dropped.
+func TestGroupRetainsOnlyTheUnreleasedWindow(t *testing.T) {
+	members := []tx.NodeID{0, 1}
+	all := append(append([]tx.NodeID(nil), members...), GroupNodes(leaderID, 1)...)
+	tr := network.NewChanTransport(all, nil)
+	g := NewGroup(leaderID, tr, members, groupConfig())
+	g.Start()
+	t.Cleanup(func() { g.Stop(); tr.Close() })
+	fe := NewSessionFrontend(members[0], leaderID, tr)
+	t.Cleanup(fe.Stop)
+	standby := SeqNode(leaderID, 1)
+	leader, follower := g.replica(leaderID), g.replica(standby)
+
+	// scheduled[i] holds the batches member i scheduled, in order. Like a
+	// node, a member schedules only the batch it wants next and drops one
+	// below it; a re-delivered batch must be the one it scheduled.
+	scheduled := make([][]*tx.Batch, len(members))
+	collect := func() {
+		for i, m := range members {
+			for drained := false; !drained; {
+				select {
+				case msg := <-tr.Recv(m):
+					if msg.Type != network.MsgSeqDeliver {
+						continue
+					}
+					want := uint64(len(scheduled[i]))
+					switch {
+					case msg.Seq == want:
+						scheduled[i] = append(scheduled[i], msg.Batch)
+						if i == 0 {
+							fe.Sequenced(msg.Batch.Txns[len(msg.Batch.Txns)-1])
+						}
+					case msg.Seq > want:
+						t.Fatalf("member %d was handed batch %d while it wants %d", m, msg.Seq, want)
+					case msg.Batch.Txns[0].ID != scheduled[i][msg.Seq].Txns[0].ID:
+						t.Fatalf("member %d was re-handed batch %d with different transactions", m, msg.Seq)
+					}
+				default:
+					drained = true
+				}
+			}
+		}
+	}
+	seal := func(n int) {
+		t.Helper()
+		if err := fe.Submit(req()); err != nil {
+			t.Fatal(err)
+		}
+		waitUntil(t, "delivery to every member", func() bool {
+			collect()
+			return len(scheduled[0]) == n && len(scheduled[1]) == n
+		})
+	}
+	retained := func(l *Leader) (log, window int, released uint64) {
+		l.mu.Lock()
+		defer l.mu.Unlock()
+		return len(l.log), len(l.unreleased), l.released
+	}
+
+	const batches, perHeartbeat = 1000, 4
+	for n := 0; n < batches; {
+		for range perHeartbeat {
+			n++
+			seal(n)
+		}
+		if log, window, _ := retained(leader); log > window {
+			t.Fatalf("after %d batches the leader retains %d, its unreleased window is %d", n, log, window)
+		}
+		_, window, _ := retained(leader)
+		if log, _, _ := retained(follower); log > window+perHeartbeat {
+			t.Fatalf("after %d batches the standby retains %d, want ≤ %d unreleased + %d released since its last heartbeat",
+				n, log, window, perHeartbeat)
+		}
+		waitUntil(t, "a heartbeat announcing the releases", func() bool {
+			_, _, released := retained(follower)
+			return released >= uint64(n)
+		})
+		if log, _, _ := retained(follower); log != 0 {
+			t.Fatalf("the standby retains %d batches after a heartbeat released all %d", log, n)
+		}
+	}
+
+	g.Kill(leaderID)
+	waitUntil(t, "promotion", func() bool {
+		collect()
+		return g.LeaderID() == standby
+	})
+	fe.SetLeader(standby)
+	const after = 10
+	for n := batches + 1; n <= batches+after; n++ {
+		seal(n)
+	}
+	time.Sleep(20 * time.Millisecond) // absorb late re-deliveries
+	collect()
+	var next tx.TxnID = 1
+	for i := range members {
+		if got := len(scheduled[i]); got != batches+after {
+			t.Fatalf("member %d scheduled %d batches, want %d", members[i], got, batches+after)
+		}
+	}
+	for s, b := range scheduled[0] {
+		if b.Txns[0].ID != scheduled[1][s].Txns[0].ID {
+			t.Fatalf("the members scheduled different batches at %d", s)
+		}
+		for _, r := range b.Txns {
+			if r.ID != next || r.ClientSeq != uint64(next) {
+				t.Fatalf("batch %d holds txn %d (client seq %d), want %d: a request was lost or sequenced twice",
+					s, r.ID, r.ClientSeq, next)
+			}
+			next++
+		}
+	}
+}

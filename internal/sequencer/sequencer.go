@@ -25,6 +25,7 @@
 package sequencer
 
 import (
+	"math"
 	"sync"
 	"time"
 
@@ -44,9 +45,9 @@ type Config struct {
 	Interval time.Duration
 
 	// Standbys is the number of standby sequencer replicas behind the
-	// leader. 0 (the default) runs a single unreplicated leader with the
-	// exact pre-replication behavior: no heartbeats, no replication
-	// traffic, immediate delivery.
+	// leader. 0 (the default) runs a single unreplicated leader: no
+	// heartbeats and no replication traffic, and with no standby to wait
+	// for, the release step delivers each batch as soon as it is sealed.
 	Standbys int
 }
 
@@ -70,10 +71,10 @@ func DefaultConfig() Config {
 	return Config{BatchSize: 100, Interval: 10 * time.Millisecond}
 }
 
-// pendingBatch is a sealed batch the leader may not deliver yet: need
-// holds the standbys whose replication ack is still outstanding. The set
-// is snapshotted at seal time so a standby that recovers later is never
-// retroactively required.
+// pendingBatch is a sealed batch the leader has not released yet: need
+// holds the standbys whose replication ack is still outstanding, nil when
+// no standby was live. The set is snapshotted at seal time so a standby
+// that recovers later is never retroactively required.
 type pendingBatch struct {
 	batch *tx.Batch
 	need  map[tx.NodeID]bool
@@ -111,20 +112,25 @@ type Leader struct {
 	recovering bool // restarted replica replaying logged input
 	fenced     bool // sealing disabled (crash preparation)
 
-	// log retains the sealed batches since logBase: in a replicated group
-	// from the start (promotion re-delivers it), otherwise only once a
-	// checkpoint has set keepLog — it is then the cluster's command log,
-	// the input a recovery replays after the checkpoint.
+	// log retains a sealed batch until it is released and below floor,
+	// the newest checkpoint's cut (keepFrom): promotion re-delivers what it
+	// holds, and from a checkpoint on it is the cluster's command log, the
+	// input a recovery replays. Before any checkpoint floor is the maximum
+	// sequence, so the log is just the unreleased window.
 	log        []*tx.Batch
-	keepLog    bool
 	logEpochs  []uint64 // epoch each retained entry was appended under
-	logBase    uint64
+	floor      uint64
 	txnBase    tx.TxnID // nextTxn as of the start of the retained log
-	unreleased []*pendingBatch
+	unreleased []pendingBatch
+	// released is the release point heartbeats carry: every batch below
+	// it is released. The leader advances it once the batches' deliveries
+	// are sent; a standby takes it from its leader's heartbeats.
+	released   uint64
+	releasing  []*tx.Batch          // the release step's reused buffer; under flushMu
 	repFuture  map[uint64]*tx.Batch // standby: out-of-order replicates
 	arrived    map[tx.NodeID]uint64 // leader: highest ClientSeq accepted
 	sealedHigh map[tx.NodeID]uint64 // highest ClientSeq sealed into a batch
-	clientBase map[tx.NodeID]uint64 // sealedHigh as of logBase
+	clientBase map[tx.NodeID]uint64 // sealedHigh as of the start of the retained log
 	lastHeard  time.Time
 
 	statBatches  int64
@@ -150,6 +156,7 @@ func NewLeader(id tx.NodeID, tr network.Transport, members []tx.NodeID, cfg Conf
 		members:    append([]tx.NodeID(nil), members...),
 		nextTxn:    1,
 		txnBase:    1,
+		floor:      math.MaxUint64,
 		leaderID:   id,
 		leading:    g == nil,
 		repFuture:  make(map[uint64]*tx.Batch),
@@ -372,10 +379,9 @@ func (l *Leader) applyReplicatedLocked(b *tx.Batch) {
 	}
 }
 
-// handleReplicateAck records a standby's replication ack and releases
-// every leading fully-acknowledged batch for delivery, in sequence
-// order. It holds flushMu from the pop to the last send so a Flush that
-// finds the unreleased queue empty cannot deliver a later batch first.
+// handleReplicateAck records a standby's replication ack and takes the
+// release step. It holds flushMu throughout, like Flush, so the two never
+// deliver out of sequence order.
 func (l *Leader) handleReplicateAck(m network.Message) {
 	l.flushMu.Lock()
 	defer l.flushMu.Unlock()
@@ -384,29 +390,21 @@ func (l *Leader) handleReplicateAck(m network.Message) {
 		l.mu.Unlock()
 		return
 	}
-	for _, pb := range l.unreleased {
-		if pb.batch.Seq == m.Seq {
-			delete(pb.need, m.From)
+	for i := range l.unreleased {
+		if l.unreleased[i].batch.Seq == m.Seq {
+			delete(l.unreleased[i].need, m.From)
 			break
 		}
 	}
-	var release []*tx.Batch
-	for len(l.unreleased) > 0 && len(l.unreleased[0].need) == 0 {
-		release = append(release, l.unreleased[0].batch)
-		l.unreleased = l.unreleased[1:]
-	}
-	members := append([]tx.NodeID(nil), l.members...)
-	ep := l.epoch
 	l.mu.Unlock()
-	for _, b := range release {
-		l.deliver(b, members, ep)
-	}
+	l.release()
 }
 
 // handleEpochBearing processes heartbeats and epoch announcements: adopt
 // newer epochs (stepping down if we led the old one), refresh the
-// leader's liveness on current-epoch traffic, and bounce stale leaders
-// with the epoch they missed.
+// leader's liveness on current-epoch traffic, drop what the believed
+// leader's heartbeat says is released, and bounce stale leaders with the
+// epoch they missed.
 func (l *Leader) handleEpochBearing(m network.Message) {
 	l.mu.Lock()
 	switch cmp := l.claimCmp(m.Epoch, m.From); {
@@ -417,6 +415,10 @@ func (l *Leader) handleEpochBearing(m network.Message) {
 	case cmp == 0:
 		if m.From != l.id {
 			l.lastHeard = time.Now()
+			if m.Type == network.MsgSeqHeartbeat {
+				l.released = m.Seq
+				l.trimLocked()
+			}
 		}
 		l.mu.Unlock()
 	default:
@@ -558,12 +560,13 @@ func (l *Leader) pulse(probe time.Duration) time.Duration {
 	case l.stopped || l.recovering || l.fenced:
 		l.mu.Unlock()
 	case l.leading:
-		ep := l.epoch
+		ep, released := l.epoch, l.released
 		_, live := l.group.peers(l.id)
 		l.mu.Unlock()
 		for _, p := range live {
 			_ = l.tr.Send(network.Message{
-				From: l.id, To: p, Type: network.MsgSeqHeartbeat, Epoch: ep,
+				From: l.id, To: p, Type: network.MsgSeqHeartbeat,
+				Seq: released, Epoch: ep,
 			})
 		}
 	default:
@@ -586,12 +589,14 @@ func (l *Leader) pulse(probe time.Duration) time.Duration {
 
 // promoteLocked makes this standby the leader of a new epoch. Called
 // with l.mu held; returns with it released. Before accepting new work it
-// re-delivers its whole retained log to the members (a node drops a batch
-// it already scheduled) and re-replicates it to every peer — live peers
-// dedup by sequence, and a peer that is down receives the history through
-// its delivery log on restart. Only then does it start leading, seeded with
-// its replicated (seq, nextTxn) high-water mark and per-client dedup
-// watermarks, and announce the epoch to members and peers.
+// re-delivers its retained log — the dead leader's unreleased window, and
+// the checkpoint tail once there is a checkpoint — to the members (a node
+// drops a batch it already scheduled) and re-replicates it to every peer:
+// live peers dedup by sequence, and a peer that is down receives the
+// history through its delivery log on restart. Only then does it start
+// leading, seeded with its replicated (seq, nextTxn) high-water mark and
+// per-client dedup watermarks, and announce the epoch to members and
+// peers.
 func (l *Leader) promoteLocked() {
 	newEpoch := l.epoch + 1
 	l.epoch = newEpoch
@@ -644,11 +649,12 @@ func (l *Leader) promoteLocked() {
 	l.group.announce(l.id, newEpoch)
 }
 
-// Flush seals the pending requests into a batch (if any), replicates it
-// to the live standbys, and — once they have all acknowledged it, or
-// immediately when unreplicated — delivers it to every member. It is
-// also called internally on size and interval triggers; exposing it lets
-// tests and closed-loop drivers force progress.
+// Flush seals the pending requests into a batch (if any), logs it,
+// replicates it to the standbys and takes the release step, which
+// delivers it to every member once each standby live at the seal has
+// acknowledged it — at once with none live. It is also called internally
+// on size and interval triggers; exposing it lets tests and closed-loop
+// clients force progress.
 func (l *Leader) Flush() {
 	l.flushMu.Lock()
 	defer l.flushMu.Unlock()
@@ -672,37 +678,80 @@ func (l *Leader) Flush() {
 	l.statBatches++
 	l.statTxns += int64(len(reqs))
 	l.statLastFill = float64(len(reqs)) / float64(l.cfg.BatchSize)
-	members := append([]tx.NodeID(nil), l.members...)
+	l.log = append(l.log, batch)
+	l.logEpochs = append(l.logEpochs, l.epoch)
 	ep := l.epoch
 	var peers, live []tx.NodeID
-	if l.replicated() || l.keepLog {
-		l.log = append(l.log, batch)
-		l.logEpochs = append(l.logEpochs, l.epoch)
-	}
 	if l.replicated() {
 		peers, live = l.group.peers(l.id)
 	}
-	// With no live standby the batch is deliverable at once — unless
-	// earlier batches still wait for a standby that has since gone down:
-	// then it queues behind them (with nothing left to wait for itself) and
-	// handleReplicateAck releases the run in order.
-	if len(live) == 0 && len(l.unreleased) == 0 {
-		l.mu.Unlock()
-		for _, p := range peers {
-			l.replicate(batch, p, ep)
+	var need map[tx.NodeID]bool
+	if len(live) > 0 {
+		need = make(map[tx.NodeID]bool, len(live))
+		for _, s := range live {
+			need[s] = true
 		}
-		l.deliver(batch, members, ep)
-		return
 	}
-	need := make(map[tx.NodeID]bool, len(live))
-	for _, s := range live {
-		need[s] = true
-	}
-	l.unreleased = append(l.unreleased, &pendingBatch{batch: batch, need: need})
+	l.unreleased = append(l.unreleased, pendingBatch{batch: batch, need: need})
 	l.mu.Unlock()
 	for _, p := range peers {
 		l.replicate(batch, p, ep)
 	}
+	l.release()
+}
+
+// release is the one release step. It takes, in sequence order, every
+// leading batch of the unreleased queue that no standby still owes an
+// ack for, drops what the retention rule no longer keeps, and delivers
+// the batches to every member. Only once their deliveries are sent does
+// it advance the release point the heartbeats carry, so a standby never
+// drops a batch a dying leader had not yet sent. Call with flushMu held.
+func (l *Leader) release() {
+	l.mu.Lock()
+	n := 0
+	for n < len(l.unreleased) && len(l.unreleased[n].need) == 0 {
+		n++
+	}
+	if n == 0 {
+		l.mu.Unlock()
+		return
+	}
+	rel := l.releasing
+	for _, pb := range l.unreleased[:n] {
+		rel = append(rel, pb.batch)
+	}
+	rest := copy(l.unreleased, l.unreleased[n:])
+	clear(l.unreleased[rest:])
+	l.unreleased = l.unreleased[:rest]
+	point := l.releasePointLocked()
+	l.trimLocked()
+	// SetMembers replaces the slice and never writes into it, so the
+	// sends below may read it unlocked.
+	members, ep := l.members, l.epoch
+	l.mu.Unlock()
+	for _, b := range rel {
+		l.deliver(b, members, ep)
+	}
+	clear(rel)
+	l.releasing = rel[:0]
+	l.mu.Lock()
+	if l.leading {
+		l.released = point
+	}
+	l.mu.Unlock()
+}
+
+// releasePointLocked returns the sequence below which every batch this
+// replica holds is released: the leader reads it off its unreleased
+// queue, a standby has it from the last heartbeat.
+func (l *Leader) releasePointLocked() uint64 {
+	switch {
+	case !l.leading:
+		return l.released
+	case len(l.unreleased) > 0:
+		return l.unreleased[0].batch.Seq
+	}
+	return l.nextSeq
 }
 
 func (l *Leader) replicate(b *tx.Batch, to tx.NodeID, epoch uint64) {
@@ -771,14 +820,6 @@ func (l *Leader) finishRecovery() {
 	l.Flush()
 }
 
-// keepSealed makes the replica retain every batch it seals from now on,
-// replicated or not; a checkpoint calls it before reading its cut.
-func (l *Leader) keepSealed() {
-	l.mu.Lock()
-	l.keepLog = true
-	l.mu.Unlock()
-}
-
 // since returns the retained sealed batches with sequence ≥ seq, in order.
 func (l *Leader) since(seq uint64) []*tx.Batch {
 	l.mu.Lock()
@@ -790,40 +831,53 @@ func (l *Leader) since(seq uint64) []*tx.Batch {
 	return append([]*tx.Batch(nil), l.log[i:]...)
 }
 
-// prune drops retained sealed batches below seq; checkpoints call it
-// once the snapshot covers them.
-func (l *Leader) prune(seq uint64) {
+// keepFrom sets the checkpoint floor: from now on the replica keeps every
+// batch from seq on and drops a released batch below it. A checkpoint
+// calls it with 0 before it reads its cut, so a batch sealed meanwhile
+// stays, and with the cut after.
+func (l *Leader) keepFrom(seq uint64) {
 	l.mu.Lock()
+	l.floor = seq
+	l.trimLocked()
+	l.mu.Unlock()
+}
+
+// trimLocked drops the retained batches below both the release point and
+// the floor, compacting the log in place. clientBase and txnBase move up
+// past the dropped batches, so the retained suffix still recomputes the
+// high-water marks from them: with nothing retained they are the marks
+// themselves, and otherwise the dropped batches' marks fold in.
+func (l *Leader) trimLocked() {
+	cut := min(l.releasePointLocked(), l.floor)
 	i := 0
-	for i < len(l.log) && l.log[i].Seq < seq {
+	for i < len(l.log) && l.log[i].Seq < cut {
 		i++
 	}
-	if i > 0 {
-		// Fold the dropped prefix's per-client marks into the base the
-		// retained suffix recomputes watermarks from.
+	switch {
+	case i == 0:
+		return
+	case i == len(l.log):
+		for k, v := range l.sealedHigh {
+			l.clientBase[k] = v
+		}
+		l.txnBase = l.nextTxn
+	default:
 		for _, b := range l.log[:i] {
 			for _, r := range b.Txns {
 				if r.ClientSeq != 0 && r.ClientSeq > l.clientBase[r.Client] {
 					l.clientBase[r.Client] = r.ClientSeq
 				}
 			}
+			if n := len(b.Txns); n > 0 {
+				l.txnBase = b.Txns[n-1].ID + 1
+			}
 		}
-		l.log = append(l.log[:0:0], l.log[i:]...)
-		l.logEpochs = append(l.logEpochs[:0:0], l.logEpochs[i:]...)
 	}
-	if seq > l.logBase {
-		l.logBase = seq
-	}
-	if len(l.log) == 0 {
-		l.txnBase = l.nextTxn
-		l.clientBase = make(map[tx.NodeID]uint64, len(l.sealedHigh))
-		for k, v := range l.sealedHigh {
-			l.clientBase[k] = v
-		}
-	} else if len(l.log[0].Txns) > 0 {
-		l.txnBase = l.log[0].Txns[0].ID
-	}
-	l.mu.Unlock()
+	rest := copy(l.log, l.log[i:])
+	clear(l.log[rest:])
+	l.log = l.log[:rest]
+	copy(l.logEpochs, l.logEpochs[i:])
+	l.logEpochs = l.logEpochs[:rest]
 }
 
 // clientHigh returns a copy of the per-client sealed watermarks.
@@ -867,7 +921,6 @@ func (l *Leader) SetNext(seq uint64, next tx.TxnID) {
 	l.mu.Lock()
 	l.nextSeq = seq
 	l.nextTxn = next
-	l.logBase = seq
 	l.txnBase = next
 	l.mu.Unlock()
 }

@@ -11,9 +11,10 @@ import (
 
 // The command log of §4.3 — the totally ordered input a recovery replays
 // on top of a checkpointed Store — is the sequencer group's sealed log. A
-// group without standbys keeps it only from a checkpoint on (KeepLog);
-// Since reads it and a checkpoint's Prune truncates it. These tests pin
-// that contract with batches of one request each.
+// group keeps a released batch only from a checkpoint's floor on
+// (KeepFrom); Since reads it, and raising the floor to the checkpoint's cut
+// truncates it. These tests pin that contract with batches of one request
+// each.
 
 const seqID = tx.NodeID(100)
 
@@ -26,7 +27,7 @@ func sealedLog(t *testing.T, n int) (g *sequencer.Group, seal func() *tx.Batch) 
 	g = sequencer.NewGroup(seqID, tr, []tx.NodeID{0}, sequencer.Config{BatchSize: 1})
 	g.Start()
 	t.Cleanup(func() { g.Stop(); tr.Close() })
-	g.KeepLog()
+	g.KeepFrom(0)
 	fe := sequencer.NewFrontend(0, seqID, tr)
 	seal = func() *tx.Batch {
 		t.Helper()
@@ -71,10 +72,10 @@ func TestCommandLogSince(t *testing.T) {
 
 func TestCommandLogTruncate(t *testing.T) {
 	g, seal := sealedLog(t, 10)
-	g.Prune(5)
+	g.KeepFrom(5)
 	got := g.Since(0)
 	if len(got) != 5 {
-		t.Fatalf("%d batches retained after Prune(5), want 5", len(got))
+		t.Fatalf("%d batches retained after KeepFrom(5), want 5", len(got))
 	}
 	if got[0].Seq != 5 {
 		t.Fatalf("first retained seq = %d, want 5", got[0].Seq)
@@ -86,7 +87,7 @@ func TestCommandLogTruncate(t *testing.T) {
 	if got := g.Since(0); len(got) != 6 || got[5].Seq != 10 {
 		t.Fatalf("Since(0) after sealing = %d entries, want batches 5..10", len(got))
 	}
-	g.Prune(100)
+	g.KeepFrom(100)
 	if got := g.Since(0); len(got) != 0 {
 		t.Fatalf("%d batches retained after over-prune, want 0", len(got))
 	}

@@ -9,7 +9,6 @@ import (
 	"hash/fnv"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"hermes/internal/tx"
 )
@@ -26,9 +25,6 @@ type shard struct {
 // Store is safe for concurrent use.
 type Store struct {
 	shards [shardCount]shard
-
-	reads  atomic.Int64
-	writes atomic.Int64
 }
 
 // NewStore returns an empty store.
@@ -50,7 +46,6 @@ func (s *Store) shardFor(k tx.Key) *shard {
 // Read returns the value of k and whether it exists. The returned slice
 // must not be mutated.
 func (s *Store) Read(k tx.Key) ([]byte, bool) {
-	s.reads.Add(1)
 	sh := s.shardFor(k)
 	sh.mu.RLock()
 	v, ok := sh.recs[k]
@@ -60,7 +55,6 @@ func (s *Store) Read(k tx.Key) ([]byte, bool) {
 
 // Write sets the value of k, creating the record if absent.
 func (s *Store) Write(k tx.Key, v []byte) {
-	s.writes.Add(1)
 	sh := s.shardFor(k)
 	sh.mu.Lock()
 	sh.recs[k] = v
@@ -91,11 +85,6 @@ func (s *Store) Len() int {
 	return n
 }
 
-// Counters reports the cumulative number of reads and writes served.
-func (s *Store) Counters() (reads, writes int64) {
-	return s.reads.Load(), s.writes.Load()
-}
-
 // Keys returns all keys in ascending order. Intended for tests, cold
 // migration planning, and checkpoints — not the hot path.
 func (s *Store) Keys() []tx.Key {
@@ -104,22 +93,6 @@ func (s *Store) Keys() []tx.Key {
 		s.shards[i].mu.RLock()
 		for k := range s.shards[i].recs {
 			out = append(out, k)
-		}
-		s.shards[i].mu.RUnlock()
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// KeysInRange returns the keys in [lo, hi) in ascending order.
-func (s *Store) KeysInRange(lo, hi tx.Key) []tx.Key {
-	var out []tx.Key
-	for i := range s.shards {
-		s.shards[i].mu.RLock()
-		for k := range s.shards[i].recs {
-			if k >= lo && k < hi {
-				out = append(out, k)
-			}
 		}
 		s.shards[i].mu.RUnlock()
 	}

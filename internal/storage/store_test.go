@@ -49,20 +49,6 @@ func TestLenAndKeys(t *testing.T) {
 	}
 }
 
-func TestKeysInRange(t *testing.T) {
-	s := NewStore()
-	for i := 0; i < 100; i++ {
-		s.Write(tx.Key(i), nil)
-	}
-	got := s.KeysInRange(10, 20)
-	if len(got) != 10 || got[0] != 10 || got[9] != 19 {
-		t.Fatalf("KeysInRange(10,20) = %v", got)
-	}
-	if got := s.KeysInRange(200, 300); len(got) != 0 {
-		t.Fatalf("empty range returned %v", got)
-	}
-}
-
 func TestConcurrentAccess(t *testing.T) {
 	s := NewStore()
 	var wg sync.WaitGroup
@@ -83,17 +69,6 @@ func TestConcurrentAccess(t *testing.T) {
 	wg.Wait()
 	if s.Len() != 8000 {
 		t.Fatalf("Len = %d, want 8000", s.Len())
-	}
-}
-
-func TestCounters(t *testing.T) {
-	s := NewStore()
-	s.Write(1, nil)
-	s.Read(1)
-	s.Read(2)
-	r, w := s.Counters()
-	if r != 2 || w != 1 {
-		t.Fatalf("Counters = %d,%d, want 2,1", r, w)
 	}
 }
 
@@ -242,7 +217,8 @@ func TestUndoRollbackIsIdentity(t *testing.T) {
 		s.Write(tx.Key(i), []byte{byte(i)})
 	}
 	fp := s.Fingerprint()
-	u := NewUndoLog(s)
+	var u UndoLog
+	u.Reset(s, 0)
 	u.Write(5, []byte("x"))
 	u.Write(5, []byte("y")) // double write: first before-image wins
 	u.Write(100, []byte("new"))
@@ -258,7 +234,8 @@ func TestUndoRollbackIsIdentity(t *testing.T) {
 
 func TestUndoDiscardKeepsWrites(t *testing.T) {
 	s := NewStore()
-	u := NewUndoLog(s)
+	var u UndoLog
+	u.Reset(s, 0)
 	u.Write(1, []byte("a"))
 	u.Discard()
 	if v, ok := s.Read(1); !ok || string(v) != "a" {
@@ -276,7 +253,8 @@ func TestUndoRollbackProperty(t *testing.T) {
 			s.Write(tx.Key(k), []byte{k})
 		}
 		fp := s.Fingerprint()
-		u := NewUndoLog(s)
+		var u UndoLog
+		u.Reset(s, 0)
 		for _, op := range ops {
 			k := tx.Key(op & 0xff)
 			if op&0x100 != 0 {

@@ -16,11 +16,6 @@ type undoEntry struct {
 	existed bool
 }
 
-// NewUndoLog returns an undo log bound to store.
-func NewUndoLog(store *Store) *UndoLog {
-	return &UndoLog{store: store}
-}
-
 // Reset empties u and binds it to store, with room for n before-images,
 // so an UndoLog held by value needs no constructor.
 func (u *UndoLog) Reset(store *Store, n int) {

@@ -55,7 +55,13 @@ gate_gofmt() {
     fi
 }
 
-gate_vet() { go vet ./...; }
+# Vet gate, and the check for exported functions nothing outside tests
+# calls: every one must be on testdata/uncalled_exports.txt with a reason.
+gate_vet() {
+    go vet ./...
+    list_guard "vet gate" 1 '^TestNoUncalledExports$' .
+    go test -count=1 -run '^TestNoUncalledExports$' .
+}
 
 gate_build() { go build ./...; }
 
@@ -282,7 +288,9 @@ gate_executor() {
 # allocating them per transaction (docs/PERF.md, "An allocation-free hot
 # path"). Pinned by name: the allocation budget per committed transaction;
 # the live heap that must not grow with input nothing will replay
-# (docs/PERF.md, "Replay state starts at the checkpoint"); a delivery log
+# (docs/PERF.md, "Replay state starts at the checkpoint", and "One path
+# through the sequencer" for the standby cases); a sequencer group whose
+# replicas keep only the unreleased window without a checkpoint; a delivery log
 # that drops taken messages without allocating, whatever the backlog; the
 # qexec stress of recycled inboxes and key queues under concurrent
 # Release/Submit pushes; the slot-array fusion table against the list-based
@@ -294,6 +302,7 @@ gate_reuse() {
     local gate run pkg
     for gate in 'TestSteadyStateAllocsPerTxn ./internal/engine' \
         'TestSteadyStateRetainsNoInput ./internal/engine' \
+        'TestGroupRetainsOnlyTheUnreleasedWindow ./internal/sequencer' \
         'TestReliableDeliveryLogReusesItsArray ./internal/network' \
         'TestReuseUnderConcurrentPushes ./internal/qexec' \
         'TestSlotTableMatchesListTable ./internal/fusion' \
