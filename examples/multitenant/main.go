@@ -55,15 +55,9 @@ func run(policy hermes.Policy) []int64 {
 	db.LoadUniform(64)
 
 	driver := &workload.Driver{Gen: gen, Clients: clients}
-	driver.Run(submitter{db}, time.Now())
+	driver.Run(db.Cluster(), time.Now())
 	time.Sleep(runFor)
 	driver.Stop()
 	db.Drain(10 * time.Second)
 	return db.Stats().Throughput
-}
-
-type submitter struct{ db *hermes.DB }
-
-func (s submitter) Submit(via hermes.NodeID, proc hermes.Procedure) (<-chan struct{}, error) {
-	return s.db.Exec(via, proc)
 }

@@ -46,7 +46,7 @@ func main() {
 	db.LoadUniform(64)
 
 	driver := &workload.Driver{Gen: gen, Clients: clients}
-	driver.Run(submitter{db}, time.Now())
+	driver.Run(db.Cluster(), time.Now())
 
 	time.Sleep(1500 * time.Millisecond)
 	fmt.Println("t=1.5s: activating node 3 (totally ordered provision txn)")
@@ -78,10 +78,4 @@ func main() {
 	fmt.Printf("records now on node 3: %d; total migrations: %d\n", n3, st.Migrations)
 	fmt.Println("throughput should rise after t=1.5s instead of dipping:")
 	fmt.Println("hot data moves via data fusion, cold chunks skip hot keys.")
-}
-
-type submitter struct{ db *hermes.DB }
-
-func (s submitter) Submit(via hermes.NodeID, proc hermes.Procedure) (<-chan struct{}, error) {
-	return s.db.Exec(via, proc)
 }

@@ -54,16 +54,10 @@ func run(policy hermes.Policy, conc float64) (int64, int64) {
 	gen.ForEachRecord(func(k hermes.Key, v []byte) { db.Load(k, v) })
 
 	driver := &workload.Driver{Gen: gen, Clients: clients}
-	driver.Run(submitter{db}, time.Now())
+	driver.Run(db.Cluster(), time.Now())
 	time.Sleep(runFor)
 	driver.Stop()
 	db.Drain(10 * time.Second)
 	st := db.Stats()
 	return st.Committed, st.Aborted
-}
-
-type submitter struct{ db *hermes.DB }
-
-func (s submitter) Submit(via hermes.NodeID, proc hermes.Procedure) (<-chan struct{}, error) {
-	return s.db.Exec(via, proc)
 }

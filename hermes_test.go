@@ -33,6 +33,9 @@ func TestOpenValidation(t *testing.T) {
 	if _, err := Open(Options{Nodes: 2, Rows: 100, Policy: "bogus"}); err == nil {
 		t.Fatal("unknown policy accepted")
 	}
+	if _, err := Open(Options{Nodes: 2, Rows: 100, Executors: -1}); err == nil {
+		t.Fatal("negative Executors accepted")
+	}
 }
 
 func TestAllPoliciesEndToEnd(t *testing.T) {

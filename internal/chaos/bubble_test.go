@@ -26,6 +26,8 @@ func TestBubbled(t *testing.T) {
 		TestFIFOPreservedUnderFaults,
 		TestScheduleReproducible,
 		TestWrapAppliesLinkShapes,
+		TestBurstArrivesInOneLatency,
+		TestLinkDueTimesMatchSocketPump,
 		TestBaselinePassThrough,
 		TestCloseSafety,
 		TestCloseWhileDelayingLeaksNothing,

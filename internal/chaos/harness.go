@@ -7,7 +7,6 @@ import (
 
 	"hermes/internal/core"
 	"hermes/internal/engine"
-	"hermes/internal/network"
 	"hermes/internal/partition"
 	"hermes/internal/router"
 	"hermes/internal/sequencer"
@@ -105,8 +104,6 @@ func (s Spec) String() string {
 type Result struct {
 	Spec     Spec
 	Schedule Schedule
-	// Fingerprint is the cluster-wide state hash.
-	Fingerprint uint64
 	// Nodes are the per-node state digests, in node order.
 	Nodes []engine.NodeDigest
 	// Records and Bytes are the storage totals at quiescence.
@@ -285,17 +282,14 @@ func Run(spec Spec, sched Schedule) (*Result, error) {
 	}
 	// No Interval: batches seal on size only.
 	seqCfg := sequencer.Config{BatchSize: spec.Batch, Standbys: spec.SeqStandbys}
-	var chaosT *Transport
+	links, _ := NewModel(sched) // Check refused what NewModel would
 	cfg := engine.Config{
 		Nodes:        ids,
 		Policy:       pf,
 		Telemetry:    tel,
 		StorageDelay: spec.storageDelay,
 		Seq:          seqCfg,
-		WrapTransport: func(inner network.Transport) network.Transport {
-			chaosT, _ = Wrap(inner, sched) // Check refused what Wrap would
-			return chaosT
-		},
+		Links:        links.Link,
 		// Loss and crash schedules need the reliable layer above the
 		// faulty link; schedules within the base contract run without it,
 		// exactly as before.
@@ -402,17 +396,16 @@ func Run(spec Spec, sched Schedule) (*Result, error) {
 	}
 
 	res := &Result{
-		Spec:        spec,
-		Schedule:    sched,
-		Fingerprint: c.Fingerprint(),
-		Nodes:       c.NodeDigests(),
-		Records:     c.TotalRecords(),
-		Bytes:       c.TotalBytes(),
-		Committed:   c.Collector().Committed(),
-		Aborted:     c.Collector().Aborted(),
+		Spec:      spec,
+		Schedule:  sched,
+		Nodes:     c.NodeDigests(),
+		Records:   c.TotalRecords(),
+		Bytes:     c.TotalBytes(),
+		Committed: c.Collector().Committed(),
+		Aborted:   c.Collector().Aborted(),
 	}
-	res.FaultMsgs, res.FaultDelay = chaosT.Faults()
-	res.Dropped, res.Dupped = chaosT.Loss()
+	res.FaultMsgs, res.FaultDelay = links.Faults()
+	res.Dropped, res.Dupped = links.Loss()
 	res.Retransmits = c.ReliableStats().Retransmits
 	res.Crashes = c.Collector().Crashes()
 	res.Failovers = c.SeqFailovers()
@@ -495,9 +488,9 @@ func executeKills(c *engine.Cluster, kills []Kill, nodes int, batches uint64, sh
 }
 
 // Equivalence runs spec once per schedule and checks that every run
-// reached the identical final state: cluster fingerprint, every node's
-// store digest and fusion fingerprint, and the storage totals. It returns
-// all results plus the first divergence (or run failure) found.
+// reached the identical final state: every node's store digest, fusion
+// fingerprint and usage, and the storage totals. It returns all results
+// plus the first divergence (or run failure) found.
 func Equivalence(spec Spec, scheds []Schedule) ([]*Result, error) {
 	if len(scheds) == 0 {
 		return nil, fmt.Errorf("chaos: no schedules")
@@ -523,11 +516,11 @@ func Equivalence(spec Spec, scheds []Schedule) ([]*Result, error) {
 
 // TelemetryEquivalence runs spec under sched twice — telemetry fully off,
 // then fully on — and checks the runs quiesced to byte-identical state:
-// same cluster fingerprint, node digests, storage totals, and
-// commit/abort counts. Any difference means telemetry perturbed the
-// deterministic state machine. It also sanity-checks that the enabled run
-// actually observed the workload (traced events and a non-empty metric
-// snapshot), so a silently disconnected tracer cannot pass.
+// same node digests, storage totals, and commit/abort counts. Any
+// difference means telemetry perturbed the deterministic state machine. It
+// also sanity-checks that the enabled run actually observed the workload
+// (traced events and a non-empty metric snapshot), so a silently
+// disconnected tracer cannot pass.
 func TelemetryEquivalence(spec Spec, sched Schedule) ([]*Result, error) {
 	off := spec
 	off.Telemetry = false
@@ -560,9 +553,6 @@ func equivalent(a, b *Result) error {
 	mismatch := func(what string, av, bv interface{}) error {
 		return fmt.Errorf("chaos: DIVERGENCE %v: %s differs under %v vs %v: %v vs %v (reproduce with seeds %d, %d)",
 			a.Spec, what, a.Schedule, b.Schedule, av, bv, a.Schedule.Seed, b.Schedule.Seed)
-	}
-	if a.Fingerprint != b.Fingerprint {
-		return mismatch("cluster fingerprint", fmt.Sprintf("%x", a.Fingerprint), fmt.Sprintf("%x", b.Fingerprint))
 	}
 	if len(a.Nodes) != len(b.Nodes) {
 		return mismatch("node count", len(a.Nodes), len(b.Nodes))

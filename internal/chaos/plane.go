@@ -256,6 +256,13 @@ type connPair struct {
 	cli, up net.Conn
 }
 
+// stamp is the due time of n bytes read at now from one direction of the
+// link, whose occupancy horizon is *free: the link's shape (Shape.due)
+// with a jitter drawn from its PRNG.
+func (l *link) stamp(now time.Time, n int, free *time.Time) time.Time {
+	return l.sh.due(now, n, l.jitter(l.sh.Jitter), free)
+}
+
 func (l *link) jitter(j time.Duration) time.Duration {
 	if j <= 0 {
 		return 0
@@ -370,12 +377,12 @@ type chunk struct {
 }
 
 // pump forwards src -> dst under the link's shaping: a reader stamps each
-// chunk with its due time (serialization delay from the bandwidth cap,
-// then latency + seeded jitter) and a writer releases chunks when due —
-// pipelined, so added latency delays bytes without capping throughput,
-// exactly like netem's delay queue. The writer also honors stalls.
+// chunk with its due time (Shape.due: the bandwidth cap's serialization
+// delay, then latency + seeded jitter) and a writer releases chunks when
+// due — pipelined, so added latency delays bytes without capping
+// throughput, exactly like netem's delay queue. The writer also honors
+// stalls.
 func (l *link) pump(cp *connPair, src, dst net.Conn, bytes *atomic.Int64) {
-	sh := l.sh
 	defer l.p.wg.Done()
 	ch := make(chan chunk, 64)
 	done := make(chan struct{})
@@ -399,20 +406,11 @@ func (l *link) pump(cp *connPair, src, dst net.Conn, bytes *atomic.Int64) {
 		}
 	}()
 	buf := make([]byte, 32<<10)
-	var nextFree time.Time
+	var free time.Time
 	for {
 		n, err := src.Read(buf)
 		if n > 0 {
-			now := time.Now()
-			due := now
-			if sh.BytesPerSec > 0 {
-				if nextFree.Before(now) {
-					nextFree = now
-				}
-				nextFree = nextFree.Add(time.Duration(float64(n) / float64(sh.BytesPerSec) * float64(time.Second)))
-				due = nextFree
-			}
-			due = due.Add(sh.Latency + l.jitter(sh.Jitter))
+			due := l.stamp(time.Now(), n, &free)
 			select {
 			case ch <- chunk{data: append([]byte(nil), buf[:n]...), due: due}:
 			case <-l.p.quit:

@@ -16,9 +16,10 @@ import (
 // determined by its seed, and each seam applies the fields it can and
 // refuses, naming the field, any fault it cannot apply:
 //
-//   - Wrap, the in-process transport wrapper: Shape, Links and the
-//     message faults;
-//   - Run, the in-process harness: Wrap's fields, Kills, Disk and Fsync;
+//   - NewModel, the in-process link model: Shape, Links and the message
+//     faults;
+//   - Run, the in-process harness: NewModel's fields, Kills, Disk and
+//     Fsync;
 //   - NewPlane, the per-link TCP proxy: Shape, Links and Events;
 //   - harness.StartCluster, real processes: NewPlane's fields and worker
 //     Kills.
@@ -81,6 +82,32 @@ type Shape struct {
 	// BytesPerSec caps throughput (0 = unlimited): n bytes occupy the link
 	// for n/BytesPerSec, like serialization delay on a narrow pipe.
 	BytesPerSec int64
+}
+
+// serialization is how long n bytes occupy a link of shape sh.
+func (sh Shape) serialization(n int) time.Duration {
+	if sh.BytesPerSec <= 0 {
+		return 0
+	}
+	return time.Duration(float64(n) / float64(sh.BytesPerSec) * float64(time.Second))
+}
+
+// due is when n bytes sent at sent on a link of shape sh arrive: they wait
+// for the link to finish the bytes before them (*free, which due advances),
+// occupy it for their serialization time, then travel Latency plus jitter
+// (the caller's draw from [0, Jitter)). Pipelined, as netem's delay queue
+// is: latency delays bytes without capping throughput. Both the socket
+// plane's pump and the in-process link model time every message with it.
+func (sh Shape) due(sent time.Time, n int, jitter time.Duration, free *time.Time) time.Time {
+	at := sent
+	if sh.BytesPerSec > 0 {
+		if free.After(at) {
+			at = *free
+		}
+		at = at.Add(sh.serialization(n))
+		*free = at
+	}
+	return at.Add(sh.Latency + jitter)
 }
 
 // LinkShape overrides the schedule's Shape on the directed link From ->

@@ -51,14 +51,18 @@ type Config struct {
 	// fault-tolerance profile (Seq.Standbys > 0 runs standby sequencer
 	// replicas with replicated delivery and automatic failover).
 	Seq sequencer.Config
-	// Latency is the network latency model (nil = immediate delivery).
-	Latency network.LatencyModel
+	// Links is the in-process link model: it decides each cross-node
+	// message's delay, and whether it is dropped or duplicated (nil =
+	// immediate delivery). hermes.Options.NetLatency installs a fixed
+	// latency here and the chaos harness its seeded fault schedule
+	// (chaos.Model). A model that drops or duplicates needs the reliable
+	// layer (below), which restores the Transport contract over it.
+	Links network.LinkModel
 	// WrapTransport, if non-nil, wraps the cluster's base transport before
-	// any component uses it. The chaos harness injects its seeded
-	// fault-injecting transport here; wrappers must preserve the Transport
-	// contract (per-link FIFO order, asynchronous delivery) — unless the
-	// cluster also runs the reliable layer (below), which restores the
-	// contract over lossy wrappers.
+	// any component uses it. Tests substitute fake transports here;
+	// wrappers must preserve the Transport contract (per-link FIFO order,
+	// asynchronous delivery) — unless the cluster also runs the reliable
+	// layer, which restores the contract over lossy wrappers.
 	WrapTransport func(network.Transport) network.Transport
 	// Reliable interposes the reliable-delivery layer (sequence numbers,
 	// acks, retransmission, dedup, and per-destination delivery logs)
@@ -83,7 +87,8 @@ type Config struct {
 	// its per-key queues, and — when ExecCost or StorageDelay make roles
 	// sleep — how many roles may *execute* at once. Waiting in a key queue
 	// or for remote records does not occupy an executor slot, so the bound
-	// cannot deadlock. Default 4; negative means unbounded.
+	// cannot deadlock. Zero means the default, 4; New refuses a negative
+	// count.
 	Executors int
 	// ExecCost is the simulated CPU time consumed by executing one
 	// transaction's logic while holding an executor slot. Together with
@@ -203,7 +208,7 @@ func build(cfg Config) (*Cluster, error) {
 		return nil, fmt.Errorf("engine: %w", err)
 	}
 	all := append(append([]tx.NodeID(nil), cfg.Nodes...), sequencer.GroupNodes(LeaderNode, cfg.Seq.Standbys)...)
-	base := network.NewChanTransport(all, cfg.Latency)
+	base := network.NewChanTransport(all, cfg.Links)
 	var tr network.Transport = base
 	if cfg.WrapTransport != nil {
 		tr = cfg.WrapTransport(base)
@@ -234,6 +239,9 @@ func build(cfg Config) (*Cluster, error) {
 func (cfg *Config) check() error {
 	if cfg.Policy == nil {
 		return fmt.Errorf("no policy factory")
+	}
+	if cfg.Executors < 0 {
+		return fmt.Errorf("negative Executors (%d): a node needs at least one executor", cfg.Executors)
 	}
 	return nil
 }
@@ -771,16 +779,15 @@ func (c *Cluster) Stop() {
 	}
 }
 
-// Fingerprint returns an order-independent hash of the entire cluster
+// Fingerprint folds NodeDigests into one hash of the entire cluster
 // state: every node's storage plus every replica's fusion table. Two runs
 // on the same input must produce equal fingerprints — the determinism
 // guarantee of the whole stack.
 func (c *Cluster) Fingerprint() uint64 {
-	var acc uint64
-	for _, n := range c.nodeList() {
-		acc ^= n.store.Fingerprint() * 31
-		if f := n.policy.Placement().Fusion; f != nil {
-			acc ^= f.Fingerprint() * 131
+	acc := uint64(14695981039346656037) // FNV-1a over the digests, in node order
+	for _, d := range c.NodeDigests() {
+		for _, v := range [...]uint64{uint64(d.Node), d.Store, d.Fusion} {
+			acc = (acc ^ v) * 1099511628211
 		}
 	}
 	return acc
@@ -789,8 +796,8 @@ func (c *Cluster) Fingerprint() uint64 {
 // NodeDigest captures one node's externally comparable state at
 // quiescence: where every record lives and what the routing replica
 // believes. Two runs of the same input must agree on every field for
-// every node — a strictly stronger check than the cluster Fingerprint,
-// which could mask compensating per-node differences.
+// every node; Fingerprint folds them into one number, and comparing them
+// one by one also names the node that diverged.
 type NodeDigest struct {
 	Node tx.NodeID
 	// Store is the stable digest over the node's record contents.

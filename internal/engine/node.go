@@ -27,8 +27,7 @@ type Node struct {
 	policy router.Policy
 
 	batches chan *tx.Batch
-	// execSem bounds how many roles handed off by dispatch run at once
-	// (nil = unbounded).
+	// execSem bounds how many roles handed off by dispatch run at once.
 	execSem chan struct{}
 	// scheduled is 1 + the sequence of the last batch fully admitted;
 	// quiescence checks compare it with the sealed stream.
@@ -97,13 +96,8 @@ func newNode(id tx.NodeID, c *Cluster, policy router.Policy) *Node {
 	if executors == 0 {
 		executors = 4
 	}
-	workers := executors
-	if workers < 0 {
-		workers = 8
-	} else {
-		n.execSem = make(chan struct{}, executors)
-	}
-	n.qx = qexec.New(qexec.Config{Workers: workers, AfterChunk: n.flushPushes})
+	n.execSem = make(chan struct{}, executors)
+	n.qx = qexec.New(qexec.Config{Workers: executors, AfterChunk: n.flushPushes})
 	return n
 }
 
@@ -126,15 +120,13 @@ func (n *Node) dispatch(j *job) {
 	n.wg.Add(1) // from a bucket worker: wait joins them before wg.Wait
 	go func() {
 		defer n.wg.Done()
-		if n.execSem != nil {
-			// Give up on shutdown so a crash cannot strand a role behind a
-			// saturated pool.
-			select {
-			case n.execSem <- struct{}{}:
-				defer func() { <-n.execSem }()
-			case <-n.quit:
-				return
-			}
+		// Give up on shutdown so a crash cannot strand a role behind a
+		// saturated pool.
+		select {
+		case n.execSem <- struct{}{}:
+			defer func() { <-n.execSem }()
+		case <-n.quit:
+			return
 		}
 		n.step(j)
 		n.flushPushes()

@@ -14,6 +14,7 @@ import (
 	"strings"
 	"time"
 
+	"hermes/internal/chaos"
 	"hermes/internal/core"
 	"hermes/internal/engine"
 	"hermes/internal/fusion"
@@ -38,7 +39,10 @@ type Scale struct {
 	// SeqInterval is the sequencer flush interval: larger batches give
 	// the prescient router a wider future window at a latency cost
 	// (Fig. 10's trade-off).
-	SeqInterval  time.Duration
+	SeqInterval time.Duration
+	// NetLatency conditions every link as the fault-free
+	// chaos.Shape{Latency: NetLatency, BytesPerSec: 1.25e9}, the paper's
+	// 10 GbE LAN (0 = off).
 	NetLatency   time.Duration
 	StorageDelay time.Duration
 	// Executors and ExecCost define per-node saturation throughput
@@ -265,9 +269,9 @@ func runLoad(sc Scale, sys system, gen workload.Generator,
 		CommitHook:   hook,
 	}
 	if sc.NetLatency > 0 {
-		cfg.Latency = func(_, _ tx.NodeID, bytes int) time.Duration {
-			return sc.NetLatency + time.Duration(float64(bytes)/1.25e9*float64(time.Second))
-		}
+		// A fault-free schedule passes every check.
+		links, _ := chaos.NewModel(chaos.Schedule{Shape: chaos.Shape{Latency: sc.NetLatency, BytesPerSec: 1.25e9}})
+		cfg.Links = links.Link
 	}
 	sink := currentSink()
 	var tel *telemetry.Telemetry
@@ -288,7 +292,7 @@ func runLoad(sc Scale, sys system, gen workload.Generator,
 
 	driver := &workload.Driver{Gen: gen, Clients: sc.Clients}
 	start := time.Now()
-	driver.Run(clusterSubmitter{c}, start)
+	driver.Run(c, start)
 	if events != nil {
 		events(c, start)
 	}
@@ -371,13 +375,6 @@ func runLoad(sc Scale, sys system, gen workload.Generator,
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
 func us(d time.Duration) float64 { return float64(d) / float64(time.Microsecond) }
-
-// clusterSubmitter adapts engine.Cluster to workload.Submitter.
-type clusterSubmitter struct{ c *engine.Cluster }
-
-func (s clusterSubmitter) Submit(via tx.NodeID, proc tx.Procedure) (<-chan struct{}, error) {
-	return s.c.Submit(via, proc)
-}
 
 func nodeIDs(n int) []tx.NodeID {
 	out := make([]tx.NodeID, n)

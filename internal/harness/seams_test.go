@@ -9,27 +9,20 @@ import (
 	"hermes/internal/chaos"
 	"hermes/internal/diskio"
 	"hermes/internal/network"
-	"hermes/internal/tx"
 )
 
 // TestScheduleSeams pins the one fault vocabulary to the seams that apply
 // it. Refusals: each seam rejects every fault it cannot apply, with an
 // error naming the field. Acceptance: each seam takes every standard
-// schedule written for it — the in-process families on the transport
-// wrapper and the in-process run, the WAN-partition-kill schedule on the
-// socket plane and on real processes. (The equivalence gates then run each
-// in-process schedule, and TestClusterNetChaos the WAN one.)
+// schedule written for it — the in-process families on the link model and
+// the in-process run, the WAN-partition-kill schedule on the socket plane
+// and on real processes. (The equivalence gates then run each in-process
+// schedule, and TestClusterNetChaos the WAN one.)
 func TestScheduleSeams(t *testing.T) {
 	seams := map[string]func(chaos.Schedule) error{
-		"transport": func(s chaos.Schedule) error {
-			inner := network.NewChanTransport([]tx.NodeID{0, 1}, nil)
-			tr, err := chaos.Wrap(inner, s)
-			if err != nil {
-				inner.Close()
-				return err
-			}
-			tr.Close()
-			return nil
+		"link model": func(s chaos.Schedule) error {
+			_, err := chaos.NewModel(s)
+			return err
 		},
 		"in-process run": func(s chaos.Schedule) error {
 			return chaos.Check(chaos.Spec{SeqStandbys: 2}, s)
@@ -64,9 +57,9 @@ func TestScheduleSeams(t *testing.T) {
 		seam, field string
 		sched       chaos.Schedule
 	}{
-		{"transport", "Events[0].Partition", partition},
-		{"transport", "Events[0].Reset", reset},
-		{"transport", "Events[0].Stall", stall},
+		{"link model", "Events[0].Partition", partition},
+		{"link model", "Events[0].Reset", reset},
+		{"link model", "Events[0].Stall", stall},
 		{"in-process run", "Events[0].Reset", reset},
 		{"in-process run", "Disk.Seed", chaos.Schedule{Name: "refused", Disk: &diskio.FaultSpec{Seed: 1}}},
 		{"in-process run", "Disk.SyncLieProb", chaos.Schedule{Name: "refused", Disk: &diskio.FaultSpec{SyncLieProb: 0.1}}},
@@ -103,7 +96,7 @@ func TestScheduleSeams(t *testing.T) {
 	}
 	wan := []chaos.Schedule{chaos.ClusterWANKillSchedule(1, time.Millisecond, 8*time.Millisecond, 2*time.Millisecond, 2*time.Second)}
 	for seam, scheds := range map[string][]chaos.Schedule{
-		"transport": inProcess, "in-process run": inProcess, "socket plane": wan, "processes": wan,
+		"link model": inProcess, "in-process run": inProcess, "socket plane": wan, "processes": wan,
 	} {
 		for _, s := range scheds {
 			if err := seams[seam](s); err != nil {

@@ -1,7 +1,6 @@
 package network
 
 import (
-	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -16,6 +15,14 @@ func nodes(n int) []tx.NodeID {
 		out[i] = tx.NodeID(i)
 	}
 	return out
+}
+
+// fixedDelay is a link model that delays every message on every link by
+// d and never drops or duplicates one.
+func fixedDelay(d time.Duration) LinkModel {
+	return func(_, _ tx.NodeID) Fate {
+		return func(sent time.Time, _ int) (time.Time, int) { return sent.Add(d), 1 }
+	}
 }
 
 func TestWireSize(t *testing.T) {
@@ -68,7 +75,7 @@ func TestChanTransportDelivery(t *testing.T) {
 // until every goroutine waits and each delivery is exactly on time.
 func TestChanTransportFIFOPerLink(t *testing.T) {
 	const latency = 100 * time.Microsecond
-	tr := NewChanTransport(nodes(2), UniformLatency(latency))
+	tr := NewChanTransport(nodes(2), fixedDelay(latency))
 	defer tr.Close()
 	const n = 100
 	sent := make([]time.Time, n)
@@ -96,7 +103,7 @@ func TestChanTransportFIFOPerLink(t *testing.T) {
 func TestChanTransportLatencyGate(t *testing.T) {
 	// Delivery must wait out the modelled latency and then arrive.
 	const latency = 500 * time.Microsecond
-	tr := NewChanTransport(nodes(2), UniformLatency(latency))
+	tr := NewChanTransport(nodes(2), fixedDelay(latency))
 	defer tr.Close()
 	sent := time.Now()
 	if err := tr.Send(Message{From: 0, To: 1, Payload: []byte("gated")}); err != nil {
@@ -119,7 +126,7 @@ func TestChanTransportLocalBypass(t *testing.T) {
 	// Local sends must bypass the latency model entirely: an hour of
 	// modelled latency would hold any message that touches the delay
 	// path far past the one-second wait.
-	tr := NewChanTransport(nodes(1), UniformLatency(time.Hour))
+	tr := NewChanTransport(nodes(1), fixedDelay(time.Hour))
 	defer tr.Close()
 	if err := tr.Send(Message{From: 0, To: 0}); err != nil {
 		t.Fatal(err)
@@ -179,7 +186,7 @@ func TestChanTransportSendAfterClose(t *testing.T) {
 }
 
 func TestChanTransportConcurrentSendClose(t *testing.T) {
-	tr := NewChanTransport(nodes(4), UniformLatency(10*time.Microsecond))
+	tr := NewChanTransport(nodes(4), fixedDelay(10*time.Microsecond))
 	var wg sync.WaitGroup
 	// Drain inboxes so links never back up.
 	stop := make(chan struct{})
@@ -364,10 +371,4 @@ func BenchmarkTCPTransportRoundTrip(b *testing.B) {
 		}
 		<-t0.Recv(0)
 	}
-}
-
-func ExampleUniformLatency() {
-	lm := UniformLatency(100 * time.Microsecond) // the paper's 10 GbE LAN
-	fmt.Println(lm(0, 1, 1250))
-	// Output: 100µs
 }

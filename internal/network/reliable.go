@@ -59,7 +59,7 @@ type ReliableStats struct {
 
 // Reliable provides the Transport contract — per-link FIFO order, no loss,
 // no duplication — on top of an inner transport that may drop or duplicate
-// messages (the chaos wrapper's DropProb/DupProb faults, a flaky socket).
+// messages (the chaos link model's DropProb/DupProb faults, a flaky socket).
 // Mechanism, per (from,to) link: the sender stamps each message with a
 // dense sequence number (Message.Link), buffers it until acknowledged, and
 // retransmits frames left unacknowledged past the link's retransmission

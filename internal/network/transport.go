@@ -1,6 +1,7 @@
 package network
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -63,57 +64,67 @@ func (s *Stats) ByType() map[MsgType]TypeTotals {
 	return out
 }
 
-// LatencyModel computes the one-way delivery delay for a message of size
-// bytes from one node to another. A nil model means zero delay.
-type LatencyModel func(from, to tx.NodeID, bytes int) time.Duration
+// LinkModel conditions the in-process links. The transport asks it once
+// per directed link, when the link first carries a message, for that
+// link's Fate; a nil model, or a nil Fate, delivers every message as soon
+// as the link's goroutine reaches it.
+type LinkModel func(from, to tx.NodeID) Fate
 
-// UniformLatency returns a model with the same fixed propagation delay on
-// every link, whatever the message size.
-func UniformLatency(base time.Duration) LatencyModel {
-	return func(_, _ tx.NodeID, _ int) time.Duration { return base }
-}
+// Fate decides one message's delivery on its link: given the time it was
+// sent and its wire size, when it is due and how many copies arrive (0
+// drops it, 2 duplicates it). The link's one delivery goroutine calls it
+// once per message, in send order, so a Fate may keep per-link state (a
+// PRNG, the link's occupancy) without locking.
+type Fate func(sent time.Time, bytes int) (due time.Time, copies int)
 
-// link is a FIFO pipe between one (from,to) pair with delayed delivery.
-// Delivery is pipelined: each message's due time is stamped at Send, so a
-// 500µs latency delays every message by 500µs without capping the link's
-// throughput at 1/latency (messages in flight overlap, as on a real
+// link is a FIFO pipe between one (from,to) pair. Delivery is pipelined:
+// each message carries its send time and its due time follows from that,
+// so a 500µs latency delays every message by 500µs without capping the
+// link's throughput at 1/latency (messages in flight overlap, as on a real
 // network).
 type link struct {
-	ch chan timedMessage
+	ch   chan sentMessage
+	fate Fate
 }
 
-type timedMessage struct {
-	m   Message
-	due time.Time
+type sentMessage struct {
+	m    Message
+	sent time.Time // zero on a link without a Fate: no clock is read
 }
 
 // ChanTransport is the in-process transport used by the emulated cluster:
-// every node pair gets an ordered link whose delivery goroutine injects the
-// latency model's delay. Local sends (from == to) bypass the link and are
-// delivered immediately without being counted as network traffic.
+// every node pair gets an ordered link whose delivery goroutine applies the
+// link model's fate to each message. Local sends (from == to) bypass the
+// link and are delivered immediately without being counted as network
+// traffic.
 type ChanTransport struct {
 	// sendMu is held shared for the full duration of every Send and
 	// exclusively by Close, so Close can never close a link channel while
 	// a Send is mid-enqueue.
 	sendMu sync.RWMutex
 	closed bool
+	// quit closes first thing in Close: a link waiting out a delay, and a
+	// Send blocked behind such a link, give up at once.
+	quit      chan struct{}
+	closeOnce sync.Once
 
 	mapMu   sync.Mutex
 	inboxes map[tx.NodeID]chan Message
 	links   map[[2]tx.NodeID]*link
 
-	latency LatencyModel
-	stats   Stats
-	wg      sync.WaitGroup
+	model LinkModel
+	stats Stats
+	wg    sync.WaitGroup
 }
 
-// NewChanTransport creates a transport for the given nodes. latency may be
+// NewChanTransport creates a transport for the given nodes. model may be
 // nil for immediate delivery.
-func NewChanTransport(nodes []tx.NodeID, latency LatencyModel) *ChanTransport {
+func NewChanTransport(nodes []tx.NodeID, model LinkModel) *ChanTransport {
 	t := &ChanTransport{
+		quit:    make(chan struct{}),
 		inboxes: make(map[tx.NodeID]chan Message, len(nodes)),
 		links:   make(map[[2]tx.NodeID]*link),
-		latency: latency,
+		model:   model,
 	}
 	for _, n := range nodes {
 		t.inboxes[n] = make(chan Message, 4096)
@@ -134,12 +145,14 @@ func (t *ChanTransport) AddNode(n tx.NodeID) {
 // Stats returns the transport's accounting.
 func (t *ChanTransport) Stats() *Stats { return &t.stats }
 
+var errClosed = errors.New("network: transport closed")
+
 // Send implements Transport.
 func (t *ChanTransport) Send(m Message) error {
 	t.sendMu.RLock()
 	defer t.sendMu.RUnlock()
 	if t.closed {
-		return fmt.Errorf("network: transport closed")
+		return errClosed
 	}
 	t.mapMu.Lock()
 	inbox, ok := t.inboxes[m.To]
@@ -153,14 +166,16 @@ func (t *ChanTransport) Send(m Message) error {
 	}
 	t.stats.Count(m.Type, m.WireSize())
 	lk := t.getLink(m.From, m.To, inbox)
-	tm := timedMessage{m: m}
-	if t.latency != nil {
-		if d := t.latency(m.From, m.To, m.WireSize()); d > 0 {
-			tm.due = time.Now().Add(d)
-		}
+	if lk.fate == nil {
+		lk.ch <- sentMessage{m: m}
+		return nil
 	}
-	lk.ch <- tm
-	return nil
+	select {
+	case lk.ch <- sentMessage{m: m, sent: time.Now()}:
+		return nil
+	case <-t.quit:
+		return errClosed
+	}
 }
 
 // getLink returns the ordered link for (from,to), starting its delivery
@@ -172,19 +187,49 @@ func (t *ChanTransport) getLink(from, to tx.NodeID, inbox chan Message) *link {
 	if lk, ok := t.links[key]; ok {
 		return lk
 	}
-	lk := &link{ch: make(chan timedMessage, 4096)}
+	lk := &link{ch: make(chan sentMessage, 4096)}
+	if t.model != nil {
+		lk.fate = t.model(from, to)
+	}
 	t.links[key] = lk
 	t.wg.Add(1)
 	go func() {
 		defer t.wg.Done()
-		for tm := range lk.ch {
-			if !tm.due.IsZero() {
-				time.Sleep(time.Until(tm.due))
-			}
-			inbox <- tm.m
+		if lk.fate != nil {
+			t.deliverFated(lk, inbox)
+			return
+		}
+		for sm := range lk.ch {
+			inbox <- sm.m
 		}
 	}()
 	return lk
+}
+
+// deliverFated is the delivery loop of a link with a Fate: each message
+// waits until its due time, behind every earlier message on the link,
+// and then arrives as many times as its fate says. Once Close begins,
+// whatever the link still holds is dropped.
+func (t *ChanTransport) deliverFated(lk *link, inbox chan Message) {
+	for sm := range lk.ch {
+		due, copies := lk.fate(sm.sent, sm.m.WireSize())
+		if wait := time.Until(due); wait > 0 {
+			timer := time.NewTimer(wait)
+			select {
+			case <-timer.C:
+			case <-t.quit:
+				timer.Stop()
+				return
+			}
+		}
+		for ; copies > 0; copies-- {
+			select {
+			case inbox <- sm.m:
+			case <-t.quit:
+				return
+			}
+		}
+	}
 }
 
 // Recv implements Transport. Recv of an unknown node returns a nil channel
@@ -195,26 +240,26 @@ func (t *ChanTransport) Recv(node tx.NodeID) <-chan Message {
 	return t.inboxes[node]
 }
 
-// Close implements Transport. It stops link goroutines and closes all
-// inboxes; Send after Close returns an error.
+// Close implements Transport. It stops link goroutines, dropping what a
+// delayed link still holds, and closes all inboxes; Send after Close
+// returns an error.
 func (t *ChanTransport) Close() {
-	t.sendMu.Lock()
-	if t.closed {
+	t.closeOnce.Do(func() {
+		close(t.quit)
+		t.sendMu.Lock()
+		t.closed = true
 		t.sendMu.Unlock()
-		return
-	}
-	t.closed = true
-	t.sendMu.Unlock()
 
-	t.mapMu.Lock()
-	for _, lk := range t.links {
-		close(lk.ch)
-	}
-	inboxes := t.inboxes
-	t.mapMu.Unlock()
+		t.mapMu.Lock()
+		for _, lk := range t.links {
+			close(lk.ch)
+		}
+		inboxes := t.inboxes
+		t.mapMu.Unlock()
 
-	t.wg.Wait()
-	for _, ch := range inboxes {
-		close(ch)
-	}
+		t.wg.Wait()
+		for _, ch := range inboxes {
+			close(ch)
+		}
+	})
 }

@@ -100,34 +100,11 @@ func (s *Store) Keys() []tx.Key {
 	return out
 }
 
-// Fingerprint returns an order-independent hash of the full store contents.
-// Determinism tests compare fingerprints across runs and replicas.
-func (s *Store) Fingerprint() uint64 {
-	// XOR of per-record hashes is order-independent, so no global sort or
-	// lock ordering is needed.
-	var acc uint64
-	for i := range s.shards {
-		s.shards[i].mu.RLock()
-		for k, v := range s.shards[i].recs {
-			h := fnv.New64a()
-			var kb [8]byte
-			for b := 0; b < 8; b++ {
-				kb[b] = byte(uint64(k) >> (8 * b))
-			}
-			h.Write(kb[:])
-			h.Write(v)
-			acc ^= h.Sum64()
-		}
-		s.shards[i].mu.RUnlock()
-	}
-	return acc
-}
-
 // Digest returns a stable, order-independent digest of the full store
-// contents, stronger than Fingerprint: per-record hashes are combined with
-// both XOR and a multiplied sum and mixed with the record count, so pairs
-// of colliding records cannot cancel out. Cross-run equivalence checks
-// compare per-node digests with it.
+// contents: per-record hashes are combined with both XOR and a multiplied
+// sum and mixed with the record count, so pairs of colliding records
+// cannot cancel out as they would under XOR alone. Cross-run equivalence
+// checks compare per-node digests with it.
 func (s *Store) Digest() uint64 {
 	var xorAcc, sumAcc, count uint64
 	for i := range s.shards {

