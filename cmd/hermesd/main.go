@@ -63,7 +63,7 @@ func main() {
 		alpha     = flag.Float64("alpha", 0, "node mode: load-imbalance tolerance")
 		batch     = flag.Int("batch", 0, "node mode: sequencer batch size")
 		dir       = flag.String("dir", "", "node mode: journal and seed-spec directory")
-		fsync     = flag.String("fsync", "", "node mode: journal fsync policy: none (default), batch (group commit) or always")
+		fsync     = flag.String("fsync", "", "node mode: journal fsync policy: none (default) or batch (group commit: each ack waits for the fsync covering its frame)")
 		recov     = flag.Bool("recover", false, "node mode: recovering restart (restore checkpoint, re-seed, replay the journal)")
 		traceRing = flag.Int("trace-ring", 0, "node mode: per-node telemetry ring size in events (0 = default)")
 		traceOff  = flag.Bool("trace-off", false, "node mode: disable lifecycle tracing (metrics stay on)")

@@ -2,11 +2,15 @@ package hermes
 
 import (
 	"bufio"
+	"bytes"
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
-	"io/fs"
+	"go/types"
+	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -14,83 +18,164 @@ import (
 )
 
 // uncalledList is the allow-list of exported functions and methods that
-// no non-test code names: one per line, the qualified name, then why it
+// no non-test code calls: one per line, the qualified name, then why it
 // stays. Lines starting with # are comments.
 const uncalledList = "testdata/uncalled_exports.txt"
 
 // TestNoUncalledExports lists every exported function and method that no
-// non-test file of the module names anywhere but in its own declaration,
-// and fails on any that the allow-list does not carry with a reason. It
-// also fails on an allow-list entry that now has a caller or is gone, so
-// the list only ever holds what is uncalled today. bench/ counts as a
-// caller, but its own declarations are not listed: the benchmark's files
-// are frozen.
+// non-test code of the module calls, and fails on any that the allow-list
+// does not carry with a reason. It also fails on an allow-list entry that
+// now has a caller or is gone, so the list only ever holds what is
+// uncalled today. bench/ counts as a caller, but its own declarations are
+// not listed: the benchmark's files are frozen.
 //
-// A name is matched by identifier alone, like a grep: a call through an
-// interface, or of a same-named method of another type, counts as a
-// caller.
+// Calls are resolved by the type checker, not by name: each non-test
+// package of the module is checked from source, against the export data
+// `go list -export` builds for the standard library. A function is called
+// when some non-test file refers to it. A method is called when it is
+// selected on its own type (a call, a method value or a method
+// expression), or when its type implements a named interface, of the
+// module or of the standard library, that declares it: a call through the
+// interface (diskio.FS.Sync, fmt.Stringer.String) reaches it.
 func TestNoUncalledExports(t *testing.T) {
+	fset := token.NewFileSet()
+	pkgs := listModule(t)
+	exports := make(map[string]string)
+	for _, p := range pkgs {
+		exports[p.path] = p.export
+	}
+	std := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		file, ok := exports[path]
+		if !ok || file == "" {
+			return nil, os.ErrNotExist
+		}
+		return os.Open(file)
+	})
+	// The module's packages are checked from source, in the dependency
+	// order go list prints, and import one another as checked: one object
+	// per module type, so types.Implements can compare a method's
+	// signature with an interface's.
+	checked := make(map[string]*types.Package)
+	imp := importerFunc(func(path string) (*types.Package, error) {
+		if pkg, ok := checked[path]; ok {
+			return pkg, nil
+		}
+		return std.Import(path)
+	})
+
 	type decl struct {
 		qual string
-		name string
+		fn   *types.Func
 	}
 	var decls []decl
-	uses := make(map[string]int) // identifier -> appearances outside function names
-	fset := token.NewFileSet()
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
+	called := make(map[*types.Func]bool) // every function or method some non-test file refers to
+	use := func(obj types.Object) {
+		if fn, ok := obj.(*types.Func); ok {
+			called[fn.Origin()] = true
 		}
-		if d.IsDir() {
-			if name := d.Name(); path != "." && (strings.HasPrefix(name, ".") || name == "testdata") {
-				return filepath.SkipDir
+	}
+	for _, p := range pkgs {
+		if p.standard {
+			continue
+		}
+		var files []*ast.File
+		for _, name := range p.goFiles {
+			f, err := parser.ParseFile(fset, filepath.Join(p.dir, name), nil, parser.SkipObjectResolution)
+			if err != nil {
+				t.Fatal(err)
 			}
-			return nil
+			files = append(files, f)
 		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
+		info := &types.Info{
+			Defs:       make(map[*ast.Ident]types.Object),
+			Uses:       make(map[*ast.Ident]types.Object),
+			Selections: make(map[*ast.SelectorExpr]*types.Selection),
 		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		conf := types.Config{Importer: imp}
+		pkg, err := conf.Check(p.path, fset, files, info)
 		if err != nil {
-			return err
+			t.Fatalf("type-checking %s: %v", p.path, err)
 		}
-		declared := make(map[*ast.Ident]bool)
-		pkg := "hermes"
-		if dir := filepath.ToSlash(filepath.Dir(path)); dir != "." {
-			pkg += "/" + dir
+		checked[p.path] = pkg
+		for _, obj := range info.Uses {
+			use(obj)
 		}
-		frozen := strings.HasPrefix(path, "bench"+string(filepath.Separator))
-		for _, d := range f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok {
+		for _, sel := range info.Selections {
+			use(sel.Obj())
+		}
+		if p.path == "hermes/bench" || strings.HasPrefix(p.path, "hermes/bench/") {
+			continue
+		}
+		for _, f := range files {
+			for _, d := range f.Decls {
+				fd, ok := d.(*ast.FuncDecl)
+				if !ok || !fd.Name.IsExported() {
+					continue
+				}
+				qual := p.path + "." + fd.Name.Name
+				if fd.Recv != nil && len(fd.Recv.List) == 1 {
+					qual = p.path + "." + recvName(fd.Recv.List[0].Type) + "." + fd.Name.Name
+				}
+				decls = append(decls, decl{qual: qual, fn: info.Defs[fd.Name].(*types.Func)})
+			}
+		}
+	}
+	// Every named interface of the module and of the standard library, by
+	// the names of its methods. The standard library calls the methods of
+	// its own interfaces (fmt calls String, encoding/gob calls GobEncode).
+	ifaces := make(map[string][]*types.Interface)
+	for _, p := range pkgs {
+		pkg := checked[p.path]
+		if p.standard && p.export != "" {
+			var err error
+			if pkg, err = std.Import(p.path); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if pkg == nil {
+			continue
+		}
+		scope := pkg.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || tn.IsAlias() {
 				continue
 			}
-			declared[fd.Name] = true
-			if frozen || !fd.Name.IsExported() {
+			named, ok := tn.Type().(*types.Named)
+			if !ok || named.TypeParams() != nil {
 				continue
 			}
-			qual := pkg + "." + fd.Name.Name
-			if fd.Recv != nil && len(fd.Recv.List) == 1 {
-				qual = pkg + "." + recvName(fd.Recv.List[0].Type) + "." + fd.Name.Name
+			if it, ok := named.Underlying().(*types.Interface); ok {
+				for i := 0; i < it.NumMethods(); i++ {
+					ifaces[it.Method(i).Name()] = append(ifaces[it.Method(i).Name()], it)
+				}
 			}
-			decls = append(decls, decl{qual: qual, name: fd.Name.Name})
 		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok && !declared[id] {
-				uses[id.Name]++
+	}
+	ifaces["Error"] = append(ifaces["Error"], types.Universe.Lookup("error").Type().Underlying().(*types.Interface))
+
+	// viaInterface reports whether method m is reachable through an
+	// interface its type, or a pointer to it, implements.
+	viaInterface := func(m *types.Func) bool {
+		recv := m.Signature().Recv().Type()
+		if p, ok := recv.(*types.Pointer); ok {
+			recv = p.Elem()
+		}
+		for _, it := range ifaces[m.Name()] {
+			if types.Implements(recv, it) || types.Implements(types.NewPointer(recv), it) {
+				return true
 			}
-			return true
-		})
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
+		}
+		return false
 	}
 
 	allowed := readUncalledList(t)
 	uncalled := make(map[string]bool)
 	for _, d := range decls {
-		if uses[d.name] > 0 {
+		if called[d.fn] {
+			continue
+		}
+		if d.fn.Signature().Recv() != nil && viaInterface(d.fn) {
 			continue
 		}
 		uncalled[d.qual] = true
@@ -108,6 +193,43 @@ func TestNoUncalledExports(t *testing.T) {
 	for _, qual := range stale {
 		t.Errorf("%s is listed in %s but has a caller now or is gone: drop its line", qual, uncalledList)
 	}
+}
+
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+// modulePkg is one package of `go list -deps ./...`: the module's own and
+// the standard library's.
+type modulePkg struct {
+	path     string
+	dir      string
+	export   string // the compiled export data file, empty for unsafe
+	standard bool
+	goFiles  []string // non-test source files, relative to dir
+}
+
+// listModule lists the module's packages and their dependencies, building
+// the export data of each.
+func listModule(t *testing.T) []modulePkg {
+	t.Helper()
+	cmd := exec.Command("go", "list", "-export", "-deps",
+		"-f", "{{.ImportPath}}\t{{.Export}}\t{{.Standard}}\t{{.Dir}}\t{{join .GoFiles \" \"}}", "./...")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("go list: %v\n%s", err, stderr.String())
+	}
+	var pkgs []modulePkg
+	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+		f := strings.Split(line, "\t")
+		if len(f) != 5 {
+			t.Fatalf("go list: unexpected line %q", line)
+		}
+		pkgs = append(pkgs, modulePkg{path: f[0], export: f[1], standard: f[2] == "true", dir: f[3], goFiles: strings.Fields(f[4])})
+	}
+	return pkgs
 }
 
 // recvName returns the type name of a method receiver: T for T, *T, T[P]

@@ -2,8 +2,8 @@
 // (schedule.go), describes every fault, and the package holds the seams
 // that apply it: a seeded link model (Model, chaos.go) that the in-process
 // transport consults for every message, the in-process harness (Run,
-// harness.go) with its kills and shadow journals over fault-injecting
-// storage (disk.go), and a per-link TCP proxy plane (plane.go) between
+// harness.go) with its kills and group-commit shadow journals over
+// fault-injecting storage (disk.go), and a per-link TCP proxy plane (plane.go) between
 // real hermesd processes. The link model and the plane time a message
 // with one function (Shape.due), so a Shape means the same delay on a
 // socket as in process. The harness runs the same totally ordered

@@ -65,8 +65,7 @@ type shadowSet struct {
 type shadowJournal struct {
 	node    tx.NodeID
 	dir     string
-	seed    int64 // schedule seed: crash-check seeds derive from it
-	policy  network.SyncPolicy
+	seed    int64   // schedule seed: crash-check seeds derive from it
 	bitFlip float64 // Disk.CrashBitFlipProb, applied by the crash check
 	fs      *diskio.MemFS
 	jr      *network.Journal
@@ -102,12 +101,8 @@ func newShadowJournal(sched Schedule, node tx.NodeID) (*shadowJournal, error) {
 		node:    node,
 		dir:     fmt.Sprintf("/shadow/node%d", node),
 		seed:    sched.Seed,
-		policy:  sched.Fsync,
 		bitFlip: spec.CrashBitFlipProb,
 		fs:      diskio.NewMemFS(spec),
-	}
-	if sh.policy == "" {
-		sh.policy = network.SyncBatch
 	}
 	// Opening consumes fault draws too (header write, baseline fsync), so
 	// an unlucky seed can fail the first attempts; each retry starts from
@@ -115,7 +110,7 @@ func newShadowJournal(sched Schedule, node tx.NodeID) (*shadowJournal, error) {
 	// beyond what any journal could open under — report, don't wedge.
 	var lastErr error
 	for attempt := 0; attempt < 32; attempt++ {
-		jr, err := network.OpenJournalWith(sh.dir, network.JournalOpts{FS: sh.fs, Policy: sh.policy})
+		jr, err := network.OpenJournalWith(sh.dir, network.JournalOpts{FS: sh.fs, Policy: network.SyncBatch})
 		if err == nil {
 			sh.jr = jr
 			return sh, nil
@@ -180,9 +175,6 @@ func (sh *shadowJournal) verify(round int) error {
 	// durable watermark at snapshot time covers everything acked earlier,
 	// so the ordering can never manufacture a false violation.
 	acked := sh.acked.Load()
-	if sh.policy == network.SyncNone {
-		acked = 0 // nothing was ever promised durable
-	}
 	path := filepath.Join(sh.dir, shadowJournalFile)
 	sh.mu.Lock()
 	data, _, err := sh.fs.SnapshotFile(path)

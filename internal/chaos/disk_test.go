@@ -65,13 +65,14 @@ func TestDiskFaultEquivalence(t *testing.T) {
 	}
 }
 
-// buildVerifiedJournal appends n frames to a journal over clean in-memory
-// storage with fsync-always (every frame durable at return) and hands back
-// the snapshot the offline crash check would take.
+// buildVerifiedJournal appends n frames to a group-commit journal over
+// clean in-memory storage, waiting out the fsync that covers each one
+// (every frame durable at return), and hands back the snapshot the offline
+// crash check would take.
 func buildVerifiedJournal(t *testing.T, dir string, n int) (data []byte, durable int, mirror []network.Message) {
 	t.Helper()
 	fs := diskio.NewMemFS(diskio.FaultSpec{Seed: 1})
-	jr, err := network.OpenJournalWith(dir, network.JournalOpts{FS: fs, Policy: network.SyncAlways})
+	jr, err := network.OpenJournalWith(dir, network.JournalOpts{FS: fs, Policy: network.SyncBatch})
 	if err != nil {
 		t.Fatalf("opening journal: %v", err)
 	}
@@ -92,6 +93,9 @@ func buildVerifiedJournal(t *testing.T, dir string, n int) (data []byte, durable
 			}}
 		}
 		jr.Append(m)
+		durable := make(chan struct{})
+		jr.AfterDurable(func() { close(durable) })
+		<-durable
 		mirror = append(mirror, m)
 	}
 	if err := jr.Close(); err != nil {
@@ -115,7 +119,7 @@ func TestDiskCrashCheckCatchesDurablePrefixDamage(t *testing.T) {
 	dir := "/neg/node0"
 	data, durable, mirror := buildVerifiedJournal(t, dir, frames)
 	if durable != len(data) {
-		t.Fatalf("fsync-always journal not fully durable: %d of %d bytes", durable, len(data))
+		t.Fatalf("journal not fully durable: %d of %d bytes", durable, len(data))
 	}
 
 	base := crashVerifyInput{

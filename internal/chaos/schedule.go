@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"hermes/internal/diskio"
-	"hermes/internal/network"
 )
 
 // Schedule is the one fault vocabulary: every fault the repo injects —
@@ -18,8 +17,7 @@ import (
 //
 //   - NewModel, the in-process link model: Shape, Links and the message
 //     faults;
-//   - Run, the in-process harness: NewModel's fields, Kills, Disk and
-//     Fsync;
+//   - Run, the in-process harness: NewModel's fields, Kills and Disk;
 //   - NewPlane, the per-link TCP proxy: Shape, Links and Events;
 //   - harness.StartCluster, real processes: NewPlane's fields and worker
 //     Kills.
@@ -65,11 +63,11 @@ type Schedule struct {
 	// Disk, when set, runs every node's delivery journal over a
 	// fault-injecting in-memory filesystem and verifies its crash recovery
 	// at each kill and at the end of the run (disk.go). Its Seed stays
-	// zero: each node's disk is seeded from the schedule's Seed. Fsync is
-	// the journals' fsync policy ("" = batch, the group-commit path).
-	// Both require the reliable layer (the journal hooks hang off it).
-	Disk  *diskio.FaultSpec
-	Fsync network.SyncPolicy
+	// zero: each node's disk is seeded from the schedule's Seed. The
+	// journals group-commit (network.SyncBatch), so every acked frame is
+	// on disk. Disk requires the reliable layer (the journal hooks hang
+	// off it).
+	Disk *diskio.FaultSpec
 }
 
 // Shape is the steady-state conditioning of one directed link.
@@ -254,8 +252,6 @@ func Check(spec Spec, sched Schedule) error {
 		}
 	}
 	switch d := sched.Disk; {
-	case d == nil && sched.Fsync != "":
-		return fmt.Errorf("chaos: %v: Fsync is set without Disk; only the shadow journals have a policy", sched)
 	case d == nil:
 	case d.Seed != 0:
 		return fmt.Errorf("chaos: %v: Disk.Seed is set; each node's disk is seeded from the schedule's Seed", sched)

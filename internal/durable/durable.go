@@ -1,18 +1,17 @@
 // Package durable is the atomic on-disk checkpoint store (§4.3): each
 // checkpoint is a single self-verifying file — magic, id, length, CRC32C,
 // gob payload — written crash-atomically (temp + fsync + rename + dir
-// fsync) through the diskio fault boundary, with a manifest naming the
-// newest complete checkpoint. A crash at any instant leaves the store
-// loadable: either the manifest's checkpoint verifies, or the loader falls
-// back to scanning for the newest file that does. Corrupt checkpoint files
-// are skipped loudly and counted, never trusted.
+// fsync) through the diskio fault boundary and named by its id. A crash at
+// any instant leaves the store loadable: a file is renamed into place
+// whole, ids never decrease, and the journal rotates only after Save
+// returns, so the loader takes the newest file that verifies. Corrupt
+// checkpoint files are skipped loudly and counted, never trusted.
 package durable
 
 import (
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
-	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"log"
@@ -29,7 +28,6 @@ const (
 	ckptMagic  = uint64(0x4845524d434b5031) // "HERMCKP1"
 	ckptHdrLen = 24                         // 8B magic + 8B id + 4B len + 4B CRC32C
 	ckptSuffix = ".ckpt"
-	manifest   = "MANIFEST"
 
 	// keepCheckpoints is how many newest checkpoints survive pruning: the
 	// current one plus one predecessor, so a corrupt current file still
@@ -44,7 +42,6 @@ type Stats struct {
 	Saves          int64 // checkpoints written
 	SaveBytes      int64 // payload bytes across all saves
 	LastSaveNanos  int64 // wall time of the most recent save (write+fsync+rename)
-	LoadFallbacks  int64 // loads that had to ignore the manifest and scan
 	CorruptSkipped int64 // checkpoint files rejected by verification
 	Pruned         int64 // old checkpoint files removed
 }
@@ -57,7 +54,6 @@ type Store struct {
 	stSaves     atomic.Int64
 	stSaveBytes atomic.Int64
 	stSaveNanos atomic.Int64
-	stFallbacks atomic.Int64
 	stCorrupt   atomic.Int64
 	stPruned    atomic.Int64
 }
@@ -106,7 +102,6 @@ func (s *Store) Stats() Stats {
 		Saves:          s.stSaves.Load(),
 		SaveBytes:      s.stSaveBytes.Load(),
 		LastSaveNanos:  s.stSaveNanos.Load(),
-		LoadFallbacks:  s.stFallbacks.Load(),
 		CorruptSkipped: s.stCorrupt.Load(),
 		Pruned:         s.stPruned.Load(),
 	}
@@ -114,9 +109,9 @@ func (s *Store) Stats() Stats {
 
 func ckptName(id uint64) string { return fmt.Sprintf("ckpt-%016d%s", id, ckptSuffix) }
 
-// Save durably writes v as checkpoint id and repoints the manifest at it.
-// Ids must be non-decreasing across a store's lifetime (the loader prefers
-// the highest id); the natural id is the checkpoint's input watermark.
+// Save durably writes v as checkpoint id. Ids must be non-decreasing
+// across a store's lifetime (the loader prefers the highest id); the
+// natural id is the checkpoint's input watermark.
 // Only after Save returns may the caller discard what the checkpoint
 // covers (journal rotation) — checkpoint-then-rotate, never the reverse.
 func (s *Store) Save(id uint64, v any) error {
@@ -136,13 +131,6 @@ func (s *Store) Save(id uint64, v any) error {
 	if err := diskio.WriteFileAtomic(s.fs, filepath.Join(s.dir, name), blob); err != nil {
 		return fmt.Errorf("durable: write checkpoint %s: %w", name, err)
 	}
-	mf, err := json.Marshal(map[string]string{"current": name})
-	if err != nil {
-		return err
-	}
-	if err := diskio.WriteFileAtomic(s.fs, filepath.Join(s.dir, manifest), mf); err != nil {
-		return fmt.Errorf("durable: write manifest: %w", err)
-	}
 	s.stSaves.Add(1)
 	s.stSaveBytes.Add(int64(payload.Len()))
 	s.stSaveNanos.Store(time.Since(start).Nanoseconds())
@@ -152,19 +140,26 @@ func (s *Store) Save(id uint64, v any) error {
 
 // Load decodes the newest complete checkpoint into v, returning its id.
 // ok=false means the store holds no loadable checkpoint (a fresh node).
-// The manifest is tried first; a missing or unverifiable target falls back
-// to scanning every checkpoint file, newest id first.
+// Files are tried newest id first; one that does not verify is skipped.
 func (s *Store) Load(v any) (id uint64, ok bool, err error) {
-	if name := s.manifestTarget(); name != "" {
-		if id, ok := s.tryLoad(name, v); ok {
+	ckpts, err := s.ckptNames()
+	if err != nil {
+		return 0, false, fmt.Errorf("durable: scan %s: %w", s.dir, err)
+	}
+	for i := len(ckpts) - 1; i >= 0; i-- {
+		if id, ok := s.tryLoad(ckpts[i], v); ok {
 			return id, true, nil
 		}
-		s.stFallbacks.Add(1)
-		log.Printf("durable: manifest names unusable checkpoint %s in %s; scanning", name, s.dir)
 	}
-	names, derr := s.fs.ReadDir(s.dir)
-	if derr != nil {
-		return 0, false, fmt.Errorf("durable: scan %s: %w", s.dir, derr)
+	return 0, false, nil
+}
+
+// ckptNames lists the store's checkpoint files, oldest id first (the ids
+// are zero-padded, so name order is id order).
+func (s *Store) ckptNames() ([]string, error) {
+	names, err := s.fs.ReadDir(s.dir)
+	if err != nil {
+		return nil, err
 	}
 	var ckpts []string
 	for _, n := range names {
@@ -172,25 +167,8 @@ func (s *Store) Load(v any) (id uint64, ok bool, err error) {
 			ckpts = append(ckpts, n)
 		}
 	}
-	sort.Sort(sort.Reverse(sort.StringSlice(ckpts))) // zero-padded ids: newest first
-	for _, n := range ckpts {
-		if id, ok := s.tryLoad(n, v); ok {
-			return id, true, nil
-		}
-	}
-	return 0, false, nil
-}
-
-func (s *Store) manifestTarget() string {
-	b, err := s.fs.ReadFile(filepath.Join(s.dir, manifest))
-	if err != nil {
-		return ""
-	}
-	var m map[string]string
-	if json.Unmarshal(b, &m) != nil {
-		return ""
-	}
-	return m["current"]
+	sort.Strings(ckpts)
+	return ckpts, nil
 }
 
 // tryLoad verifies and decodes one checkpoint file; failures are counted
@@ -233,20 +211,10 @@ func (s *Store) tryLoad(name string, v any) (uint64, bool) {
 // prune removes checkpoint files older than the newest keepCheckpoints.
 // Best-effort: pruning failure never fails a save.
 func (s *Store) prune() {
-	names, err := s.fs.ReadDir(s.dir)
-	if err != nil {
+	ckpts, err := s.ckptNames()
+	if err != nil || len(ckpts) <= keepCheckpoints {
 		return
 	}
-	var ckpts []string
-	for _, n := range names {
-		if strings.HasPrefix(n, "ckpt-") && strings.HasSuffix(n, ckptSuffix) {
-			ckpts = append(ckpts, n)
-		}
-	}
-	if len(ckpts) <= keepCheckpoints {
-		return
-	}
-	sort.Strings(ckpts)
 	for _, n := range ckpts[:len(ckpts)-keepCheckpoints] {
 		if s.fs.Remove(filepath.Join(s.dir, n)) == nil {
 			s.stPruned.Add(1)

@@ -67,7 +67,9 @@ func TestStoreSurvivesCrashMidSave(t *testing.T) {
 	}
 }
 
-func TestStoreFallsBackWhenManifestTargetCorrupt(t *testing.T) {
+// TestStoreSkipsRottedNewestCheckpoint: when the newest checkpoint file no
+// longer verifies, Load skips it, counts it, and takes the next newest.
+func TestStoreSkipsRottedNewestCheckpoint(t *testing.T) {
 	fs := diskio.NewMemFS(diskio.FaultSpec{Seed: 3})
 	s, _ := Open("/cp", fs)
 	if err := s.Save(3, pl(3)); err != nil {
@@ -76,7 +78,7 @@ func TestStoreFallsBackWhenManifestTargetCorrupt(t *testing.T) {
 	if err := s.Save(8, pl(8)); err != nil {
 		t.Fatal(err)
 	}
-	// Rot the manifest's current checkpoint in place.
+	// Rot the newest checkpoint in place.
 	cur := filepath.Join("/cp", ckptName(8))
 	raw, _ := fs.ReadFile(cur)
 	raw[len(raw)-1] ^= 0xFF
@@ -88,8 +90,8 @@ func TestStoreFallsBackWhenManifestTargetCorrupt(t *testing.T) {
 		t.Fatalf("Load = (%d, %v, %v), want fallback to 3", id, ok, err)
 	}
 	st := s.Stats()
-	if st.LoadFallbacks != 1 || st.CorruptSkipped == 0 {
-		t.Fatalf("stats = %+v, want fallback + corrupt counted", st)
+	if st.CorruptSkipped < 1 {
+		t.Fatalf("stats = %+v, want the rotted file counted", st)
 	}
 }
 

@@ -146,7 +146,6 @@ type Cluster struct {
 	nodes     map[tx.NodeID]*Node
 	order     []tx.NodeID
 	collector *metrics.Collector
-	start     time.Time
 	// tracer is Config.Telemetry's tracer (nil when telemetry is off);
 	// every Emit through a nil tracer is a single-branch no-op.
 	tracer *telemetry.Tracer
@@ -269,10 +268,9 @@ func newCluster(cfg Config, tr network.Transport, rel *network.Reliable, netStat
 		active:     append([]tx.NodeID(nil), cfg.Active...),
 		crashed:    make(map[tx.NodeID]time.Time),
 		seqCrashed: tx.NoNode,
-		start:      time.Now(),
+		collector:  metrics.NewCollector(time.Now(), cfg.Window),
 		tracer:     cfg.Telemetry.Tracer(),
 	}
-	c.collector = metrics.NewCollector(c.start, cfg.Window)
 	for _, id := range cfg.Nodes {
 		if seq == nil || cfg.Seq.Standbys > 0 {
 			c.fes[id] = sequencer.NewSessionFrontend(id, LeaderNode, tr)
@@ -496,17 +494,6 @@ func (c *Cluster) ReliableStats() network.ReliableStats {
 	return c.rel.Stats()
 }
 
-// RoleGoroutines sums the roles handed to goroutines across all nodes. A
-// zero-cost run must report zero — roles run inline and record waits are
-// mailbox continuations on the bucket workers, never parked goroutines.
-func (c *Cluster) RoleGoroutines() int64 {
-	var n int64
-	for _, nd := range c.nodeList() {
-		n += nd.RoleGoroutines()
-	}
-	return n
-}
-
 // Collector exposes the cluster's metrics.
 func (c *Cluster) Collector() *metrics.Collector { return c.collector }
 
@@ -551,9 +538,6 @@ func (c *Cluster) Telemetry() *telemetry.Telemetry { return c.cfg.Telemetry }
 
 // NetStats exposes transport byte/message accounting.
 func (c *Cluster) NetStats() *network.Stats { return c.netStats }
-
-// Start returns the cluster start time (metrics epoch).
-func (c *Cluster) Start() time.Time { return c.start }
 
 // Node returns the node with the given id (nil if unknown); used by tests
 // and recovery drills. After a RestartNode the returned instance is the

@@ -373,10 +373,6 @@ func (g *doneGroup) add(client tx.NodeID, seq uint64) {
 	g.clients = append(g.clients, clientSeqs{client: client, seqs: []uint64{seq}})
 }
 
-// RoleGoroutines reports how many roles this node has ever handed to a
-// goroutine (zero while the cost model is zero).
-func (n *Node) RoleGoroutines() int64 { return n.roleGoroutines.Load() }
-
 // plannedRole is one route this node takes part in, with its role, while
 // admit plans the batch.
 type plannedRole struct {

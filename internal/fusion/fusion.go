@@ -109,9 +109,6 @@ func New(capacity int, policy Policy) *Table {
 	}
 }
 
-// Capacity returns the configured bound (≤ 0 = unbounded).
-func (t *Table) Capacity() int { return t.capacity }
-
 // Len returns the number of tracked keys.
 func (t *Table) Len() int { return len(t.m) }
 

@@ -61,10 +61,10 @@ type NodeConfig struct {
 	// Dir holds the process's delivery journal, incarnation counter, seed
 	// spec, and checkpoint store (in Dir/checkpoints).
 	Dir string
-	// Fsync is the journal's fsync policy ("none"|"batch"|"always"; empty
-	// = none, the legacy page-cache-durability mode). With "batch" or
-	// "always", acked input survives host death, and a restart rebuilds
-	// state strictly from the on-disk checkpoint + journal suffix.
+	// Fsync is the journal's fsync policy ("none"|"batch"; empty = none,
+	// the legacy page-cache-durability mode). With "batch", acked input
+	// survives host death, and a restart rebuilds state strictly from the
+	// on-disk checkpoint + journal suffix.
 	Fsync string
 	// Recover marks a restarted process: it restores the newest durable
 	// checkpoint (if any), re-seeds from the persisted seed spec
@@ -437,8 +437,6 @@ func (s *NodeServer) registerProcMetrics() {
 		func() float64 { return float64(s.ckpt.Stats().LastSaveNanos) / 1e9 })
 	reg.Gauge("hermes_checkpoint_corrupt_skipped_total", "checkpoint files rejected by verification",
 		cstat(func(st durable.Stats) int64 { return st.CorruptSkipped }))
-	reg.Gauge("hermes_checkpoint_load_fallbacks_total", "loads that ignored the manifest and scanned",
-		cstat(func(st durable.Stats) int64 { return st.LoadFallbacks }))
 }
 
 // ProcStats is one process's counter snapshot, served at /stats.

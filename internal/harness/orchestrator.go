@@ -38,8 +38,8 @@ type ClusterConfig struct {
 	// Rows/40, matching hermes.Open.
 	Alpha     float64
 	FusionCap int
-	// Fsync is each worker's journal fsync policy ("none"|"batch"|
-	// "always"; empty means none).
+	// Fsync is each worker's journal fsync policy ("none"|"batch"; empty
+	// means none).
 	Fsync string
 	// TraceRing sizes each process's per-node telemetry rings (events;
 	// zero keeps the default). Size it to hold the whole run when the
@@ -270,11 +270,8 @@ func newFaultPlane(s chaos.Schedule, workers int) (*chaos.Plane, error) {
 			return nil, fmt.Errorf("harness: %v: Kills[%d].Downtime: the supervisor restarts a killed worker", s, i)
 		}
 	}
-	switch {
-	case s.Disk != nil:
+	if s.Disk != nil {
 		return nil, fmt.Errorf("harness: %v: Disk: hermesd journals to the real filesystem", s)
-	case s.Fsync != "":
-		return nil, fmt.Errorf("harness: %v: Fsync: set ClusterConfig.Fsync", s)
 	}
 	return chaos.NewPlane(s)
 }

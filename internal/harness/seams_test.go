@@ -8,7 +8,6 @@ import (
 
 	"hermes/internal/chaos"
 	"hermes/internal/diskio"
-	"hermes/internal/network"
 )
 
 // TestScheduleSeams pins the one fault vocabulary to the seams that apply
@@ -63,7 +62,6 @@ func TestScheduleSeams(t *testing.T) {
 		{"in-process run", "Events[0].Reset", reset},
 		{"in-process run", "Disk.Seed", chaos.Schedule{Name: "refused", Disk: &diskio.FaultSpec{Seed: 1}}},
 		{"in-process run", "Disk.SyncLieProb", chaos.Schedule{Name: "refused", Disk: &diskio.FaultSpec{SyncLieProb: 0.1}}},
-		{"in-process run", "Fsync", chaos.Schedule{Name: "refused", Fsync: network.SyncAlways}},
 		{"socket plane", "SpikeProb", spike},
 		{"socket plane", "OutageProb", outage},
 		{"socket plane", "DropProb", drop},
@@ -75,7 +73,6 @@ func TestScheduleSeams(t *testing.T) {
 		{"processes", "Kills[1].Node", chaos.Schedule{Name: "refused", Kills: []chaos.Kill{{Node: 1, AfterFrac: 0.2}, {Node: 3, AfterFrac: 0.5}}}},
 		{"processes", "Kills[0].Downtime", chaos.Schedule{Name: "refused", Kills: []chaos.Kill{{Node: 1, AfterFrac: 0.5, Downtime: time.Millisecond}}}},
 		{"processes", "Disk", chaos.Schedule{Name: "refused", Disk: &diskio.FaultSpec{TornWriteProb: 0.1}}},
-		{"processes", "Fsync", chaos.Schedule{Name: "refused", Fsync: network.SyncBatch}},
 	}
 	for _, r := range refusals {
 		err := seams[r.seam](r.sched)

@@ -50,7 +50,6 @@ func TestBubbled(t *testing.T) {
 		TestChanTransportLocalBypass,
 		TestChanTransportStats,
 		TestChanTransportUnknownNode,
-		TestChanTransportAddNode,
 		TestChanTransportSendAfterClose,
 		TestChanTransportConcurrentSendClose,
 	} {

@@ -18,7 +18,7 @@ import (
 
 // Journal is the durable form of Reliable's delivery log for a cluster
 // process: every message accepted for the local node is appended (and, under
-// fsync policies "batch"/"always", fsynced) before it is acknowledged, so
+// fsync policy "batch", fsynced) before it is acknowledged, so
 // after the process — or the whole host — dies, the journal's stable prefix
 // holds every input the node ever acked. A restarted process replays the
 // journal through ReliableOpts.Recovered and deterministically regenerates
@@ -49,10 +49,10 @@ import (
 //     quarantined suffix held, when the peers still have it).
 //
 // Fsync policies: "none" acks without any durability promise (page-cache
-// durability only — survives SIGKILL, not host death); "always" fsyncs every
-// frame before its ack; "batch" is group commit — frames accepted while a
-// sync is in flight share the next one, and their acks are released only
-// after it returns, amortizing the fsync without weakening the promise.
+// durability only — survives SIGKILL, not host death); "batch" is group
+// commit — frames accepted while a sync is in flight share the next one,
+// and their acks are released only after it returns, so every acked frame
+// is on disk.
 //
 // The journal also owns the process incarnation counter (see Message.Inc):
 // each Open on the same directory claims a strictly higher incarnation,
@@ -103,8 +103,6 @@ const (
 	// SyncBatch is group commit: one fsync covers every frame accepted
 	// since the last one; acks release only after it returns.
 	SyncBatch SyncPolicy = "batch"
-	// SyncAlways fsyncs each frame inline before its ack.
-	SyncAlways SyncPolicy = "always"
 )
 
 // ParseSyncPolicy validates a -fsync flag value ("" defaults to none).
@@ -112,10 +110,10 @@ func ParseSyncPolicy(s string) (SyncPolicy, error) {
 	switch SyncPolicy(s) {
 	case "":
 		return SyncNone, nil
-	case SyncNone, SyncBatch, SyncAlways:
+	case SyncNone, SyncBatch:
 		return SyncPolicy(s), nil
 	}
-	return "", fmt.Errorf("journal: unknown fsync policy %q (want none|batch|always)", s)
+	return "", fmt.Errorf("journal: unknown fsync policy %q (want none|batch)", s)
 }
 
 // LinkFloor is the highest (incarnation, link) journaled from one sender.
@@ -164,7 +162,6 @@ const (
 	frameHdrLen    = codec.FrameHeaderLen
 
 	appendMaxRetries = 8
-	syncMaxRetries   = 64
 	syncRetryDelay   = 2 * time.Millisecond
 )
 
@@ -475,9 +472,6 @@ func (j *Journal) Count() uint64 {
 	return j.count
 }
 
-// Policy returns the journal's fsync policy.
-func (j *Journal) Policy() SyncPolicy { return j.policy }
-
 // Floors returns a copy of the per-sender link floors: checkpoint-seeded,
 // extended by every journaled frame.
 func (j *Journal) Floors() map[tx.NodeID]LinkFloor {
@@ -546,9 +540,6 @@ func (j *Journal) Append(m Message) {
 			j.size = start + int64(len(frame))
 			j.count++
 			j.noteFloorLocked(m)
-			if j.policy == SyncAlways {
-				j.syncAlwaysLocked()
-			}
 			return
 		} else {
 			lastErr = err
@@ -557,38 +548,10 @@ func (j *Journal) Append(m Message) {
 	panic(fmt.Sprintf("journal: append failed after %d attempts: %v", appendMaxRetries, lastErr))
 }
 
-// syncAlwaysLocked fsyncs inline for SyncAlways, retrying transient
-// failures; persistent failure panics (the ack gate would otherwise
-// release an ack for a frame with no durability).
-func (j *Journal) syncAlwaysLocked() {
-	var lastErr error
-	for attempt := 0; attempt < syncMaxRetries; attempt++ {
-		if attempt > 0 {
-			// Pace retries like drainBatch does, so a transient device
-			// stall gets real time to clear instead of burning the whole
-			// budget in microseconds and escalating to a panic. Sleeping
-			// under j.mu is deliberate: appends must not ack past a failed
-			// sync anyway.
-			time.Sleep(syncRetryDelay)
-		}
-		if err := j.f.Sync(); err != nil {
-			j.stSyncFailures.Add(1)
-			lastErr = err
-			continue
-		}
-		j.stFsyncs.Add(1)
-		j.synced = j.size
-		j.writeSidecar(j.synced)
-		return
-	}
-	panic(fmt.Sprintf("journal: fsync failed %d times under policy always: %v", syncMaxRetries, lastErr))
-}
-
 // AfterDurable runs fn once everything journaled so far is durable under
 // the configured policy. The reliable layer routes ack sends through it:
-// under "batch" the callback waits for the group commit; under "always"
-// the covering fsync already happened in Append; under "none" durability
-// is not promised, so fn runs immediately.
+// under "batch" the callback waits for the group commit; under "none"
+// durability is not promised, so fn runs immediately.
 //
 // Callbacks run in FIFO order on the group-commit goroutine; they must not
 // block on journal appends.

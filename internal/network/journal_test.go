@@ -36,6 +36,20 @@ func sameMsgs(t *testing.T, got, want []Message) {
 	}
 }
 
+// appendDurable appends m and returns once the group commit covering it
+// has returned, so the frame is on disk before the test goes on.
+func appendDurable(t *testing.T, j *Journal, m Message) {
+	t.Helper()
+	j.Append(m)
+	done := make(chan struct{})
+	j.AfterDurable(func() { close(done) })
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("no group commit covered the appended frame")
+	}
+}
+
 func TestJournalRoundTripOSFS(t *testing.T) {
 	dir := t.TempDir()
 	j, err := OpenJournalWith(dir, JournalOpts{Policy: SyncBatch})
@@ -78,14 +92,14 @@ func TestJournalRoundTripOSFS(t *testing.T) {
 // quarantine: a torn tail is crash residue of an unacked frame.
 func TestJournalTornTailEveryOffset(t *testing.T) {
 	build := diskio.NewMemFS(diskio.FaultSpec{Seed: 1})
-	j, err := OpenJournalWith("/n0", JournalOpts{FS: build, Policy: SyncAlways})
+	j, err := OpenJournalWith("/n0", JournalOpts{FS: build, Policy: SyncBatch})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var want []Message
 	for i := 0; i < 3; i++ {
 		m := jmsg(i)
-		j.Append(m)
+		appendDurable(t, j, m)
 		want = append(want, m)
 	}
 	j.Close()
@@ -107,7 +121,7 @@ func TestJournalTornTailEveryOffset(t *testing.T) {
 	for cut := lastStart; cut < len(raw); cut++ {
 		fs := diskio.NewMemFS(diskio.FaultSpec{Seed: 2})
 		fs.Install(path, raw[:cut], cut)
-		jr, err := OpenJournalWith("/n0", JournalOpts{FS: fs, Policy: SyncAlways})
+		jr, err := OpenJournalWith("/n0", JournalOpts{FS: fs, Policy: SyncBatch})
 		if err != nil {
 			t.Fatalf("cut %d: open: %v", cut, err)
 		}
@@ -122,9 +136,9 @@ func TestJournalTornTailEveryOffset(t *testing.T) {
 		// The torn tail must be gone on disk: a fresh append then reopen
 		// yields exactly prefix + new frame.
 		extra := jmsg(9)
-		jr.Append(extra)
+		appendDurable(t, jr, extra)
 		jr.Close()
-		jr2, err := OpenJournalWith("/n0", JournalOpts{FS: fs, Policy: SyncAlways})
+		jr2, err := OpenJournalWith("/n0", JournalOpts{FS: fs, Policy: SyncBatch})
 		if err != nil {
 			t.Fatalf("cut %d: reopen: %v", cut, err)
 		}
@@ -138,14 +152,14 @@ func TestJournalTornTailEveryOffset(t *testing.T) {
 // journal.log.corrupt, and reported — never silently truncated.
 func TestJournalMidFileCorruption(t *testing.T) {
 	fs := diskio.NewMemFS(diskio.FaultSpec{Seed: 3})
-	j, err := OpenJournalWith("/n0", JournalOpts{FS: fs, Policy: SyncAlways})
+	j, err := OpenJournalWith("/n0", JournalOpts{FS: fs, Policy: SyncBatch})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var want []Message
 	for i := 0; i < 3; i++ {
 		m := jmsg(i)
-		j.Append(m)
+		appendDurable(t, j, m)
 		want = append(want, m)
 	}
 	j.Close()
@@ -158,7 +172,7 @@ func TestJournalMidFileCorruption(t *testing.T) {
 	raw[target] ^= 0x40
 	fs.Install(path, raw, len(raw))
 
-	j2, err := OpenJournalWith("/n0", JournalOpts{FS: fs, Policy: SyncAlways})
+	j2, err := OpenJournalWith("/n0", JournalOpts{FS: fs, Policy: SyncBatch})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +192,7 @@ func TestJournalBadMagicQuarantinesWholeFile(t *testing.T) {
 	fs := diskio.NewMemFS(diskio.FaultSpec{Seed: 4})
 	path := filepath.Join("/n0", journalFile)
 	fs.Install(path, []byte("this is not a journal, definitely"), 33)
-	j, err := OpenJournalWith("/n0", JournalOpts{FS: fs, Policy: SyncAlways})
+	j, err := OpenJournalWith("/n0", JournalOpts{FS: fs, Policy: SyncBatch})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +230,7 @@ func TestJournalRefusesIncompatibleBuild(t *testing.T) {
 	path := filepath.Join("/n0", journalFile)
 	old := v2Journal(t)
 	fs.Install(path, old, len(old))
-	_, err := OpenJournalWith("/n0", JournalOpts{FS: fs, Policy: SyncAlways})
+	_, err := OpenJournalWith("/n0", JournalOpts{FS: fs, Policy: SyncBatch})
 	if want := "written by an incompatible build (format v2, this build reads v8)"; err == nil || !contains(err.Error(), want) {
 		t.Fatalf("open of a v2 journal: err = %v, want one saying %q", err, want)
 	}
@@ -236,17 +250,17 @@ func TestJournalRefusesIncompatibleBuild(t *testing.T) {
 func TestJournalRefusesPreviousFormat(t *testing.T) {
 	for _, digit := range journalRefused {
 		fs := diskio.NewMemFS(diskio.FaultSpec{Seed: 5})
-		j, err := OpenJournalWith("/n0", JournalOpts{FS: fs, Policy: SyncAlways})
+		j, err := OpenJournalWith("/n0", JournalOpts{FS: fs, Policy: SyncBatch})
 		if err != nil {
 			t.Fatal(err)
 		}
-		j.Append(Message{From: 2, To: 0, Type: MsgTxnDone, Txn: 1234, Seq: 1201, Link: 9, Inc: 1})
+		appendDurable(t, j, Message{From: 2, To: 0, Type: MsgTxnDone, Txn: 1234, Seq: 1201, Link: 9, Inc: 1})
 		j.Close()
 		path := filepath.Join("/n0", journalFile)
 		old, _ := fs.ReadFile(path)
 		old[len(journalMagic)] = byte(digit)
 		fs.Install(path, old, len(old))
-		_, err = OpenJournalWith("/n0", JournalOpts{FS: fs, Policy: SyncAlways})
+		_, err = OpenJournalWith("/n0", JournalOpts{FS: fs, Policy: SyncBatch})
 		if want := fmt.Sprintf("incompatible build (format v%c, this build reads v8)", digit); err == nil || !contains(err.Error(), want) {
 			t.Fatalf("open of a v%c journal: err = %v, want one saying %q", digit, err, want)
 		}
@@ -277,19 +291,19 @@ func TestJournalRefusedDigitsAreFarFromTheVersion(t *testing.T) {
 func TestJournalFlippedVersionByteIsCorruption(t *testing.T) {
 	for _, frames := range []int{0, 2} {
 		fs := diskio.NewMemFS(diskio.FaultSpec{Seed: 7})
-		j, err := OpenJournalWith("/n0", JournalOpts{FS: fs, Policy: SyncAlways})
+		j, err := OpenJournalWith("/n0", JournalOpts{FS: fs, Policy: SyncBatch})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i := 0; i < frames; i++ {
-			j.Append(jmsg(i))
+			appendDurable(t, j, jmsg(i))
 		}
 		j.Close()
 		path := filepath.Join("/n0", journalFile)
 		raw, _ := fs.ReadFile(path)
 		raw[len(journalMagic)] ^= 1
 		fs.Install(path, raw, len(raw))
-		j2, err := OpenJournalWith("/n0", JournalOpts{FS: fs, Policy: SyncAlways})
+		j2, err := OpenJournalWith("/n0", JournalOpts{FS: fs, Policy: SyncBatch})
 		if err != nil {
 			t.Fatalf("%d frames: a flipped version byte failed the open: %v", frames, err)
 		}
@@ -334,11 +348,11 @@ func TestJournalOpenSurvivesRotOfUnsyncedFile(t *testing.T) {
 // suffix from it on is quarantined, with the decode error as the reason.
 func TestJournalUndecodableFrameQuarantined(t *testing.T) {
 	fs := diskio.NewMemFS(diskio.FaultSpec{Seed: 6})
-	j, err := OpenJournalWith("/n0", JournalOpts{FS: fs, Policy: SyncAlways})
+	j, err := OpenJournalWith("/n0", JournalOpts{FS: fs, Policy: SyncBatch})
 	if err != nil {
 		t.Fatal(err)
 	}
-	j.Append(jmsg(0))
+	appendDurable(t, j, jmsg(0))
 	j.Close()
 	path := filepath.Join("/n0", journalFile)
 	raw, _ := fs.ReadFile(path)
@@ -357,7 +371,7 @@ func TestJournalUndecodableFrameQuarantined(t *testing.T) {
 	if rep.quarantine < 0 || !contains(rep.reason, "does not decode despite valid CRC") {
 		t.Fatalf("replay = %+v, want a quarantine naming the decode failure", rep)
 	}
-	j2, err := OpenJournalWith("/n0", JournalOpts{FS: fs, Policy: SyncAlways})
+	j2, err := OpenJournalWith("/n0", JournalOpts{FS: fs, Policy: SyncBatch})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,19 +387,19 @@ func TestJournalUndecodableFrameQuarantined(t *testing.T) {
 // the resulting file is byte-clean for recovery.
 func TestJournalAppendRepairsShortAndTornWrites(t *testing.T) {
 	fs := diskio.NewMemFS(diskio.FaultSpec{Seed: 5})
-	j, err := OpenJournalWith("/n0", JournalOpts{FS: fs, Policy: SyncAlways})
+	j, err := OpenJournalWith("/n0", JournalOpts{FS: fs, Policy: SyncBatch})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var want []Message
 	fs.FailNextWrite(3, nil) // short write mid-frame: WriteFull must loop
 	m0 := jmsg(0)
-	j.Append(m0)
+	appendDurable(t, j, m0)
 	want = append(want, m0)
 
 	fs.FailNextWrite(7, errors.New("injected torn write")) // torn: must truncate+retry
 	m1 := jmsg(1)
-	j.Append(m1)
+	appendDurable(t, j, m1)
 	want = append(want, m1)
 
 	st := j.Stats()
@@ -393,7 +407,7 @@ func TestJournalAppendRepairsShortAndTornWrites(t *testing.T) {
 		t.Fatalf("AppendRetries = 0, want repairs recorded")
 	}
 	j.Close()
-	j2, err := OpenJournalWith("/n0", JournalOpts{FS: fs, Policy: SyncAlways})
+	j2, err := OpenJournalWith("/n0", JournalOpts{FS: fs, Policy: SyncBatch})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -571,35 +585,6 @@ func TestJournalGroupCommitIgnoresStaleSyncAfterRotate(t *testing.T) {
 	j.mu.Unlock()
 }
 
-func TestJournalAlwaysSyncsEveryAppend(t *testing.T) {
-	fs := diskio.NewMemFS(diskio.FaultSpec{Seed: 7})
-	j, err := OpenJournalWith("/n0", JournalOpts{FS: fs, Policy: SyncAlways})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j.Close()
-	path := filepath.Join("/n0", journalFile)
-	for i := 0; i < 3; i++ {
-		j.Append(jmsg(i))
-		ran := false
-		j.AfterDurable(func() { ran = true })
-		if !ran {
-			t.Fatal("AfterDurable must run inline under always")
-		}
-		if sz, durable := int64(0), fs.DurableLen(path); true {
-			j.mu.Lock()
-			sz = j.size
-			j.mu.Unlock()
-			if int64(durable) < sz {
-				t.Fatalf("append %d not durable: %d < %d", i, durable, sz)
-			}
-		}
-	}
-	if st := j.Stats(); st.Fsyncs < 4 { // baseline + 3 appends
-		t.Fatalf("Fsyncs = %d, want ≥ 4", st.Fsyncs)
-	}
-}
-
 func TestJournalRotateAndRecoveredSince(t *testing.T) {
 	fs := diskio.NewMemFS(diskio.FaultSpec{Seed: 8})
 	j, err := OpenJournalWith("/n0", JournalOpts{FS: fs, Policy: SyncBatch})
@@ -670,18 +655,18 @@ func TestJournalFloorsSeededFromCheckpoint(t *testing.T) {
 
 func TestJournalIncarnationMonotonicAcrossCrash(t *testing.T) {
 	fs := diskio.NewMemFS(diskio.FaultSpec{Seed: 10})
-	j, err := OpenJournalWith("/n0", JournalOpts{FS: fs, Policy: SyncAlways})
+	j, err := OpenJournalWith("/n0", JournalOpts{FS: fs, Policy: SyncBatch})
 	if err != nil {
 		t.Fatal(err)
 	}
 	j.Close()
 	// Crash mid-bump: the atomic write sequence fails before committing.
 	fs.FailNextSync(errors.New("fsync died"), false)
-	if _, err := OpenJournalWith("/n0", JournalOpts{FS: fs, Policy: SyncAlways}); err == nil {
+	if _, err := OpenJournalWith("/n0", JournalOpts{FS: fs, Policy: SyncBatch}); err == nil {
 		t.Fatal("open with failed incarnation commit must error")
 	}
 	fs.Crash()
-	j2, err := OpenJournalWith("/n0", JournalOpts{FS: fs, Policy: SyncAlways})
+	j2, err := OpenJournalWith("/n0", JournalOpts{FS: fs, Policy: SyncBatch})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -692,12 +677,15 @@ func TestJournalIncarnationMonotonicAcrossCrash(t *testing.T) {
 }
 
 func TestParseSyncPolicy(t *testing.T) {
-	for _, ok := range []string{"", "none", "batch", "always"} {
+	for _, ok := range []string{"", "none", "batch"} {
 		if _, err := ParseSyncPolicy(ok); err != nil {
 			t.Fatalf("ParseSyncPolicy(%q): %v", ok, err)
 		}
 	}
-	if _, err := ParseSyncPolicy("everysooften"); err == nil {
-		t.Fatal("want error for unknown policy")
+	for _, bad := range []string{"always", "everysooften"} {
+		_, err := ParseSyncPolicy(bad)
+		if err == nil || !contains(err.Error(), "none|batch") {
+			t.Fatalf("ParseSyncPolicy(%q) = %v, want an error naming none and batch", bad, err)
+		}
 	}
 }

@@ -161,21 +161,6 @@ func TestChanTransportUnknownNode(t *testing.T) {
 	}
 }
 
-func TestChanTransportAddNode(t *testing.T) {
-	tr := NewChanTransport(nodes(1), nil)
-	defer tr.Close()
-	tr.AddNode(5)
-	tr.AddNode(5) // idempotent
-	if err := tr.Send(Message{From: 0, To: 5}); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-tr.Recv(5):
-	case <-time.After(time.Second):
-		t.Fatal("message to added node not delivered")
-	}
-}
-
 func TestChanTransportSendAfterClose(t *testing.T) {
 	tr := NewChanTransport(nodes(2), nil)
 	tr.Close()

@@ -108,8 +108,9 @@ type ChanTransport struct {
 	quit      chan struct{}
 	closeOnce sync.Once
 
-	mapMu   sync.Mutex
+	// inboxes is fixed by NewChanTransport and read without a lock.
 	inboxes map[tx.NodeID]chan Message
+	linksMu sync.Mutex
 	links   map[[2]tx.NodeID]*link
 
 	model LinkModel
@@ -132,16 +133,6 @@ func NewChanTransport(nodes []tx.NodeID, model LinkModel) *ChanTransport {
 	return t
 }
 
-// AddNode registers a new node (dynamic provisioning / scale-out).
-// Adding an existing node is a no-op.
-func (t *ChanTransport) AddNode(n tx.NodeID) {
-	t.mapMu.Lock()
-	defer t.mapMu.Unlock()
-	if _, ok := t.inboxes[n]; !ok {
-		t.inboxes[n] = make(chan Message, 4096)
-	}
-}
-
 // Stats returns the transport's accounting.
 func (t *ChanTransport) Stats() *Stats { return &t.stats }
 
@@ -154,9 +145,7 @@ func (t *ChanTransport) Send(m Message) error {
 	if t.closed {
 		return errClosed
 	}
-	t.mapMu.Lock()
 	inbox, ok := t.inboxes[m.To]
-	t.mapMu.Unlock()
 	if !ok {
 		return fmt.Errorf("network: unknown node %d", m.To)
 	}
@@ -182,8 +171,8 @@ func (t *ChanTransport) Send(m Message) error {
 // goroutine on first use.
 func (t *ChanTransport) getLink(from, to tx.NodeID, inbox chan Message) *link {
 	key := [2]tx.NodeID{from, to}
-	t.mapMu.Lock()
-	defer t.mapMu.Unlock()
+	t.linksMu.Lock()
+	defer t.linksMu.Unlock()
 	if lk, ok := t.links[key]; ok {
 		return lk
 	}
@@ -235,8 +224,6 @@ func (t *ChanTransport) deliverFated(lk *link, inbox chan Message) {
 // Recv implements Transport. Recv of an unknown node returns a nil channel
 // (which blocks forever), surfacing wiring bugs fast in tests.
 func (t *ChanTransport) Recv(node tx.NodeID) <-chan Message {
-	t.mapMu.Lock()
-	defer t.mapMu.Unlock()
 	return t.inboxes[node]
 }
 
@@ -250,15 +237,14 @@ func (t *ChanTransport) Close() {
 		t.closed = true
 		t.sendMu.Unlock()
 
-		t.mapMu.Lock()
+		t.linksMu.Lock()
 		for _, lk := range t.links {
 			close(lk.ch)
 		}
-		inboxes := t.inboxes
-		t.mapMu.Unlock()
+		t.linksMu.Unlock()
 
 		t.wg.Wait()
-		for _, ch := range inboxes {
+		for _, ch := range t.inboxes {
 			close(ch)
 		}
 	})

@@ -37,7 +37,6 @@ func TestBubbled(t *testing.T) {
 		TestIntervalFlush,
 		TestZeroIntervalSealsOnSizeOnly,
 		TestIdenticalBatchStreamAcrossNodes,
-		TestSetMembersAffectsDelivery,
 		TestConcurrentFlushDeliversInOrder,
 		TestStopIsIdempotentAndHalts,
 		TestStoppedLeaderLeavesNothing,

@@ -90,9 +90,6 @@ func NewGroup(base tx.NodeID, tr network.Transport, members []tx.NodeID, cfg Con
 // size returns the replica count (static after construction).
 func (g *Group) size() int { return len(g.ranks) }
 
-// Size returns the replica count (1 + standbys).
-func (g *Group) Size() int { return g.size() }
-
 // Nodes returns the transport ids of every replica, rank order.
 func (g *Group) Nodes() []tx.NodeID { return append([]tx.NodeID(nil), g.ranks...) }
 
@@ -280,13 +277,6 @@ func (g *Group) Stats() LeaderStats {
 	return LeaderStats{}
 }
 
-// SetMembers replaces the delivery membership on every replica.
-func (g *Group) SetMembers(members []tx.NodeID) {
-	for _, id := range g.ranks {
-		g.replica(id).SetMembers(members)
-	}
-}
-
 // KeepFrom sets the checkpoint floor on every live replica: each keeps a
 // sealed batch until it is released and below seq. A checkpoint calls it
 // with 0 before it reads its cut and with the cut after; until the first
@@ -369,7 +359,7 @@ func (g *Group) Restart(id tx.NodeID, st RestoreState) error {
 	if !g.down[id] {
 		return fmt.Errorf("sequencer: replica %d is not down", id)
 	}
-	r := NewLeader(id, g.tr, old.Members(), g.cfg, g)
+	r := NewLeader(id, g.tr, old.members, g.cfg, g)
 	r.recovering = true
 	r.epoch = st.Epoch
 	r.leaderID = st.Leader

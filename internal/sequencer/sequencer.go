@@ -64,13 +64,6 @@ const (
 	FailoverTimeout = 150 * time.Millisecond
 )
 
-// DefaultConfig mirrors the paper's setting of interest: large batches
-// (hundreds to a thousand requests) flushed every few tens of
-// milliseconds.
-func DefaultConfig() Config {
-	return Config{BatchSize: 100, Interval: 10 * time.Millisecond}
-}
-
 // pendingBatch is a sealed batch the leader has not released yet: need
 // holds the standbys whose replication ack is still outstanding, nil when
 // no standby was live. The set is snapshotted at seal time so a standby
@@ -89,6 +82,9 @@ type Leader struct {
 	tr    network.Transport
 	cfg   Config
 	group *Group // nil for a standalone leader
+	// members receive the ordered stream. Fixed by NewLeader and never
+	// written after, so it is read without a lock.
+	members []tx.NodeID
 
 	// flushMu makes seal→replicate→deliver single-flight. Flush is called
 	// from three goroutines (the size trigger in recvLoop, flushLoop, a
@@ -99,7 +95,6 @@ type Leader struct {
 	flushMu sync.Mutex
 
 	mu      sync.Mutex
-	members []tx.NodeID
 	pending []*tx.Request
 	nextSeq uint64
 	nextTxn tx.TxnID
@@ -608,12 +603,11 @@ func (l *Leader) promoteLocked() {
 		delete(l.repFuture, k)
 	}
 	logCopy := append([]*tx.Batch(nil), l.log...)
-	members := append([]tx.NodeID(nil), l.members...)
 	peers, _ := l.group.peers(l.id)
 	l.mu.Unlock()
 
 	for _, b := range logCopy {
-		for _, n := range members {
+		for _, n := range l.members {
 			_ = l.tr.Send(network.Message{
 				From: l.id, To: n, Type: network.MsgSeqDeliver,
 				Seq: b.Seq, Epoch: newEpoch, Batch: b,
@@ -640,7 +634,7 @@ func (l *Leader) promoteLocked() {
 	// and only once. A resend that arrived before leading was set would be
 	// dropped, the client's next fresh submission accepted, and the
 	// dropped requests then refused as duplicates of it.
-	for _, n := range members {
+	for _, n := range l.members {
 		_ = l.tr.Send(network.Message{From: l.id, To: n, Type: network.MsgSeqEpoch, Epoch: newEpoch})
 	}
 	for _, p := range peers {
@@ -725,12 +719,10 @@ func (l *Leader) release() {
 	l.unreleased = l.unreleased[:rest]
 	point := l.releasePointLocked()
 	l.trimLocked()
-	// SetMembers replaces the slice and never writes into it, so the
-	// sends below may read it unlocked.
-	members, ep := l.members, l.epoch
+	ep := l.epoch
 	l.mu.Unlock()
 	for _, b := range rel {
-		l.deliver(b, members, ep)
+		l.deliver(b, ep)
 	}
 	clear(rel)
 	l.releasing = rel[:0]
@@ -761,8 +753,8 @@ func (l *Leader) replicate(b *tx.Batch, to tx.NodeID, epoch uint64) {
 	})
 }
 
-func (l *Leader) deliver(b *tx.Batch, members []tx.NodeID, epoch uint64) {
-	for _, n := range members {
+func (l *Leader) deliver(b *tx.Batch, epoch uint64) {
+	for _, n := range l.members {
 		// Delivery failures mean the transport is closed mid-shutdown;
 		// nothing useful can be done with the error here.
 		_ = l.tr.Send(network.Message{
@@ -933,22 +925,6 @@ func (l *Leader) Next() (seq uint64, next tx.TxnID) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.nextSeq, l.nextTxn
-}
-
-// SetMembers atomically replaces the delivery membership. The engine calls
-// this when provisioning changes take effect; the change applies to the
-// next flushed batch.
-func (l *Leader) SetMembers(members []tx.NodeID) {
-	l.mu.Lock()
-	l.members = append([]tx.NodeID(nil), members...)
-	l.mu.Unlock()
-}
-
-// Members returns a copy of the current membership.
-func (l *Leader) Members() []tx.NodeID {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return append([]tx.NodeID(nil), l.members...)
 }
 
 // Ack does nothing. Nodes used to acknowledge every delivered batch to

@@ -161,21 +161,6 @@ func TestIdenticalBatchStreamAcrossNodes(t *testing.T) {
 	}
 }
 
-func TestSetMembersAffectsDelivery(t *testing.T) {
-	tr, l, ids := newCluster(t, 2, Config{BatchSize: 1})
-	tr.AddNode(7)
-	l.SetMembers(append(ids, 7))
-	if len(l.Members()) != 3 {
-		t.Fatalf("Members = %v", l.Members())
-	}
-	fe := NewFrontend(ids[0], leaderID, tr)
-	fe.Submit(req())
-	b := recvBatch(t, tr, 7)
-	if len(b.Txns) != 1 {
-		t.Fatal("added node did not receive batch")
-	}
-}
-
 // yield gives the other goroutines n chances to run. Tests use it instead
 // of a short sleep where the goroutines they make way for may wait on a
 // mutex or spin: in a synctest bubble either keeps the clock from moving,

@@ -206,13 +206,12 @@ func TestUndoRollbackIsIdentity(t *testing.T) {
 	u.Write(5, []byte("x"))
 	u.Write(5, []byte("y")) // double write: first before-image wins
 	u.Write(100, []byte("new"))
-	u.Delete(7)
 	u.Rollback()
 	if s.Digest() != fp {
 		t.Fatal("rollback did not restore original state")
 	}
-	if u.Len() != 0 {
-		t.Fatalf("undo log not cleared after rollback: %d", u.Len())
+	if len(u.entries) != 0 {
+		t.Fatalf("undo log not cleared after rollback: %d", len(u.entries))
 	}
 }
 
@@ -225,7 +224,7 @@ func TestUndoDiscardKeepsWrites(t *testing.T) {
 	if v, ok := s.Read(1); !ok || string(v) != "a" {
 		t.Fatal("discard dropped committed write")
 	}
-	if u.Len() != 0 {
+	if len(u.entries) != 0 {
 		t.Fatal("undo log not cleared after discard")
 	}
 }
@@ -240,12 +239,7 @@ func TestUndoRollbackProperty(t *testing.T) {
 		var u UndoLog
 		u.Reset(s, 0)
 		for _, op := range ops {
-			k := tx.Key(op & 0xff)
-			if op&0x100 != 0 {
-				u.Delete(k)
-			} else {
-				u.Write(k, []byte{byte(op >> 9)})
-			}
+			u.Write(tx.Key(op&0xff), []byte{byte(op >> 9)})
 		}
 		u.Rollback()
 		return s.Digest() == fp

@@ -37,15 +37,6 @@ func (u *UndoLog) Write(k tx.Key, v []byte) {
 	u.store.Write(k, v)
 }
 
-// Delete removes k from the store, capturing the before-image.
-func (u *UndoLog) Delete(k tx.Key) {
-	if !u.seen(k) {
-		prev, existed := u.store.Read(k)
-		u.entries = append(u.entries, undoEntry{key: k, prev: prev, existed: existed})
-	}
-	u.store.Delete(k)
-}
-
 func (u *UndoLog) seen(k tx.Key) bool {
 	for _, e := range u.entries {
 		if e.key == k {
@@ -70,6 +61,3 @@ func (u *UndoLog) Rollback() {
 
 // Discard forgets the captured before-images (commit path).
 func (u *UndoLog) Discard() { u.entries = u.entries[:0] }
-
-// Len reports the number of captured before-images.
-func (u *UndoLog) Len() int { return len(u.entries) }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"math/bits"
-	"sort"
 	"sync/atomic"
 
 	"hermes/internal/tx"
@@ -261,36 +260,6 @@ func (p *PhaseHistograms) Merged() [NumComponents]HistSnapshot {
 		s := p.catchAll.comps[c].Snapshot()
 		out[c].Merge(s)
 	}
-	return out
-}
-
-// Node returns the per-component snapshots of one node's shard (zero
-// snapshots for unknown nodes; the catch-all is not included).
-func (p *PhaseHistograms) Node(node tx.NodeID) [NumComponents]HistSnapshot {
-	var out [NumComponents]HistSnapshot
-	if p == nil {
-		return out
-	}
-	sh, ok := p.shards[node]
-	if !ok {
-		return out
-	}
-	for c := range out {
-		out[c] = sh.comps[c].Snapshot()
-	}
-	return out
-}
-
-// Nodes returns the shard node IDs in ascending order.
-func (p *PhaseHistograms) Nodes() []tx.NodeID {
-	if p == nil {
-		return nil
-	}
-	out := make([]tx.NodeID, 0, len(p.shards))
-	for n := range p.shards {
-		out = append(out, n)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 

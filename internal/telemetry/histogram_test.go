@@ -111,8 +111,8 @@ func TestHistConcurrentWritersMerge(t *testing.T) {
 	}
 	// Per-node shards plus catch-all must partition the merged counts.
 	var sum int64
-	for _, n := range p.Nodes() {
-		s := p.Node(n)[CompTotal]
+	for _, sh := range p.shards {
+		s := sh.comps[CompTotal].Snapshot()
 		sum += s.bucketTotal()
 	}
 	if sum > writers*perWriter {

@@ -6,28 +6,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 )
-
-// Counter is a monotonically increasing metric. Safe for concurrent use;
-// Add is a single atomic on the hot path.
-type Counter struct {
-	name string
-	help string
-	v    atomic.Int64
-}
-
-// Name returns the full metric name (including any label suffix).
-func (c *Counter) Name() string { return c.name }
-
-// Add increments the counter by n.
-func (c *Counter) Add(n int64) { c.v.Add(n) }
-
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.v.Add(1) }
-
-// Value returns the current count.
-func (c *Counter) Value() int64 { return c.v.Load() }
 
 // gauge samples a value through a callback at snapshot time. The callback
 // must be safe to invoke from any goroutine and must not mutate anything.
@@ -41,45 +20,24 @@ type gauge struct {
 type Sample struct {
 	// Name is the full metric name, e.g. `hermes_fusion_occupancy{node="0"}`.
 	Name string
-	// Kind is "counter" or "gauge".
-	Kind string
 	// Value is the sampled value.
 	Value float64
 }
 
-// Registry holds a set of named counters and gauges and produces atomic
-// snapshots: one lock acquisition covers the whole metric list, and every
-// counter/gauge is read exactly once per snapshot.
+// Registry holds a set of named gauges and produces atomic snapshots: one
+// lock acquisition covers the whole metric list, and every gauge is read
+// exactly once per snapshot.
 type Registry struct {
-	mu       sync.Mutex
-	counters []*Counter
-	gauges   []gauge
-	byName   map[string]struct{}
+	mu     sync.Mutex
+	gauges []gauge
 }
 
 // NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{byName: make(map[string]struct{})}
-}
+func NewRegistry() *Registry { return &Registry{} }
 
-// Counter registers (or re-uses) a counter. name may carry a Prometheus
-// label suffix (`{node="3"}`); the part before the brace is the metric
-// family. Registering the same full name twice returns the same counter.
-func (r *Registry) Counter(name, help string) *Counter {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, c := range r.counters {
-		if c.name == name {
-			return c
-		}
-	}
-	c := &Counter{name: name, help: help}
-	r.counters = append(r.counters, c)
-	r.byName[name] = struct{}{}
-	return c
-}
-
-// Gauge registers a sampled gauge. Duplicate full names are replaced so a
+// Gauge registers a sampled gauge. name may carry a Prometheus label
+// suffix (`{node="3"}`); the part before the brace is the metric family.
+// Duplicate full names are replaced so a
 // rebuilt component (e.g. a restarted node) can re-register its closure.
 func (r *Registry) Gauge(name, help string, fn func() float64) {
 	r.mu.Lock()
@@ -91,19 +49,15 @@ func (r *Registry) Gauge(name, help string, fn func() float64) {
 		}
 	}
 	r.gauges = append(r.gauges, gauge{name: name, help: help, fn: fn})
-	r.byName[name] = struct{}{}
 }
 
 // Snapshot reads every metric once under the registry lock and returns
 // the samples sorted by name.
 func (r *Registry) Snapshot() []Sample {
 	r.mu.Lock()
-	out := make([]Sample, 0, len(r.counters)+len(r.gauges))
-	for _, c := range r.counters {
-		out = append(out, Sample{Name: c.name, Kind: "counter", Value: float64(c.Value())})
-	}
+	out := make([]Sample, 0, len(r.gauges))
 	for _, g := range r.gauges {
-		out = append(out, Sample{Name: g.name, Kind: "gauge", Value: g.fn()})
+		out = append(out, Sample{Name: g.name, Value: g.fn()})
 	}
 	r.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
@@ -130,23 +84,16 @@ func family(name string) string {
 
 // WritePrometheus renders the registry in the Prometheus text exposition
 // format (version 0.0.4): one # HELP / # TYPE header per metric family,
-// then every sample of that family.
+// then every sample of that family. Every family is a gauge.
 func (r *Registry) WritePrometheus(w io.Writer) error {
-	// Gather help/kind per family under the lock, then render from the
+	// Gather help per family under the lock, then render from the
 	// consistent snapshot.
 	r.mu.Lock()
 	helps := make(map[string]string)
-	kinds := make(map[string]string)
-	for _, c := range r.counters {
-		f := family(c.name)
-		if _, ok := helps[f]; !ok {
-			helps[f], kinds[f] = c.help, "counter"
-		}
-	}
 	for _, g := range r.gauges {
 		f := family(g.name)
 		if _, ok := helps[f]; !ok {
-			helps[f], kinds[f] = g.help, "gauge"
+			helps[f] = g.help
 		}
 	}
 	r.mu.Unlock()
@@ -170,7 +117,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 					return err
 				}
 			}
-			if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", f, kinds[f]); err != nil {
+			if _, err := fmt.Fprintf(w, "# TYPE %s gauge\n", f); err != nil {
 				return err
 			}
 			lastFam = f

@@ -175,33 +175,16 @@ func TestPhaseStrings(t *testing.T) {
 	}
 }
 
-func TestRegistryCountersAndGauges(t *testing.T) {
+func TestRegistryGauges(t *testing.T) {
 	r := NewRegistry()
-	c1 := r.Counter("hermes_commits_total", "committed txns")
-	c2 := r.Counter("hermes_commits_total", "committed txns")
-	if c1 != c2 {
-		t.Fatal("same name returned distinct counters")
-	}
-	c1.Inc()
-	c1.Add(4)
-	if c1.Value() != 5 {
-		t.Fatalf("counter=%d, want 5", c1.Value())
-	}
-	if c1.Name() != "hermes_commits_total" {
-		t.Fatalf("counter name %q", c1.Name())
-	}
-
 	v := 1.5
 	r.Gauge(`hermes_queue_depth{node="0"}`, "queue depth", func() float64 { return v })
 	r.Gauge(`hermes_queue_depth{node="0"}`, "queue depth", func() float64 { return v * 2 }) // replace
 	snap := r.Snapshot()
-	if len(snap) != 2 {
-		t.Fatalf("snapshot has %d samples, want 2", len(snap))
+	if len(snap) != 1 {
+		t.Fatalf("snapshot has %d samples, want 1", len(snap))
 	}
 	m := r.SnapshotMap()
-	if m["hermes_commits_total"] != 5 {
-		t.Fatalf("map counter=%v", m["hermes_commits_total"])
-	}
 	if m[`hermes_queue_depth{node="0"}`] != 3 {
 		t.Fatalf("replaced gauge=%v, want 3", m[`hermes_queue_depth{node="0"}`])
 	}
@@ -209,7 +192,6 @@ func TestRegistryCountersAndGauges(t *testing.T) {
 
 func TestRegistryPrometheusFormat(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("hermes_a_total", "a counter").Add(7)
 	r.Gauge(`hermes_b{node="1"}`, "b gauge", func() float64 { return 2 })
 	r.Gauge(`hermes_b{node="0"}`, "b gauge", func() float64 { return 1 })
 	var b strings.Builder
@@ -218,9 +200,7 @@ func TestRegistryPrometheusFormat(t *testing.T) {
 	}
 	out := b.String()
 	for _, want := range []string{
-		"# HELP hermes_a_total a counter",
-		"# TYPE hermes_a_total counter",
-		"hermes_a_total 7",
+		"# HELP hermes_b b gauge",
 		"# TYPE hermes_b gauge",
 		`hermes_b{node="0"} 1`,
 		`hermes_b{node="1"} 2`,
@@ -241,23 +221,19 @@ func TestRegistryConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			c := r.Counter("hermes_shared_total", "shared")
-			for i := 0; i < 1000; i++ {
-				c.Inc()
-			}
 			r.Gauge("hermes_g", "g", func() float64 { return float64(w) })
 			r.Snapshot()
 		}(w)
 	}
 	wg.Wait()
-	if got := r.SnapshotMap()["hermes_shared_total"]; got != 8000 {
-		t.Fatalf("shared counter=%v, want 8000", got)
+	if got := r.Snapshot(); len(got) != 1 {
+		t.Fatalf("snapshot has %d samples after 8 registrations of one name, want 1", len(got))
 	}
 }
 
 func TestHandlerEndpoints(t *testing.T) {
 	tel := New([]tx.NodeID{0, 1}, 64)
-	tel.Registry().Counter("hermes_x_total", "x").Add(3)
+	tel.Registry().Gauge("hermes_x", "x", func() float64 { return 3 })
 	tel.Tracer().EmitAt(time.Unix(0, 10), 0, 9, PhaseCommitted, 100)
 	srv := httptest.NewServer(tel.Handler())
 	defer srv.Close()
@@ -284,8 +260,8 @@ func TestHandlerEndpoints(t *testing.T) {
 		return b.String()
 	}
 
-	if out := get("/metrics"); !strings.Contains(out, "hermes_x_total 3") {
-		t.Errorf("/metrics missing counter:\n%s", out)
+	if out := get("/metrics"); !strings.Contains(out, "hermes_x 3") {
+		t.Errorf("/metrics missing gauge:\n%s", out)
 	}
 	if out := get("/trace?txn=9"); !strings.Contains(out, "committed") {
 		t.Errorf("/trace?txn=9 missing phase:\n%s", out)

@@ -1,6 +1,6 @@
 // Package telemetry is the observability layer of the emulated cluster: a
 // low-overhead per-transaction lifecycle tracer backed by per-node
-// lock-free ring buffers, a registry of gauges and counters snapshotted
+// lock-free ring buffers, a registry of gauges snapshotted
 // atomically, and an HTTP surface (Prometheus text /metrics, pprof,
 // expvar, per-transaction traces).
 //

@@ -44,9 +44,6 @@ func NewZipfian(rng *rand.Rand, n uint64, theta float64) *Zipfian {
 	return z
 }
 
-// N returns the size of the generator's domain.
-func (z *Zipfian) N() uint64 { return z.n }
-
 // Next draws the next sample in [0, n); 0 is the most popular rank.
 func (z *Zipfian) Next() uint64 {
 	u := z.rng.Float64()
