@@ -34,9 +34,11 @@ const uncalledList = "testdata/uncalled_exports.txt"
 // `go list -export` builds for the standard library. A function is called
 // when some non-test file refers to it. A method is called when it is
 // selected on its own type (a call, a method value or a method
-// expression), or when its type implements a named interface, of the
-// module or of the standard library, that declares it: a call through the
-// interface (diskio.FS.Sync, fmt.Stringer.String) reaches it.
+// expression), when its type implements a named interface of the module
+// whose method non-test code selects (a call through diskio.FS.Sync
+// reaches every FS's Sync), or when its type implements a named interface
+// of the standard library that declares it (fmt calls String through
+// fmt.Stringer).
 func TestNoUncalledExports(t *testing.T) {
 	fset := token.NewFileSet()
 	pkgs := listModule(t)
@@ -120,10 +122,17 @@ func TestNoUncalledExports(t *testing.T) {
 			}
 		}
 	}
-	// Every named interface of the module and of the standard library, by
-	// the names of its methods. The standard library calls the methods of
-	// its own interfaces (fmt calls String, encoding/gob calls GobEncode).
-	ifaces := make(map[string][]*types.Interface)
+	// Every named interface of the standard library, and every method of a
+	// named interface of the module, by method name. The standard library
+	// calls the methods of its own interfaces (fmt calls String,
+	// encoding/gob calls GobEncode), so implementing one is a call; the
+	// module's interface methods count only when non-test code calls them.
+	stdIfaces := make(map[string][]*types.Interface)
+	type ifaceMethod struct {
+		iface *types.Interface
+		fn    *types.Func
+	}
+	modIfaces := make(map[string][]ifaceMethod)
 	for _, p := range pkgs {
 		pkg := checked[p.path]
 		if p.standard && p.export != "" {
@@ -147,22 +156,37 @@ func TestNoUncalledExports(t *testing.T) {
 			}
 			if it, ok := named.Underlying().(*types.Interface); ok {
 				for i := 0; i < it.NumMethods(); i++ {
-					ifaces[it.Method(i).Name()] = append(ifaces[it.Method(i).Name()], it)
+					fn := it.Method(i)
+					if p.standard {
+						stdIfaces[fn.Name()] = append(stdIfaces[fn.Name()], it)
+					} else {
+						modIfaces[fn.Name()] = append(modIfaces[fn.Name()], ifaceMethod{it, fn})
+					}
 				}
 			}
 		}
 	}
-	ifaces["Error"] = append(ifaces["Error"], types.Universe.Lookup("error").Type().Underlying().(*types.Interface))
+	stdIfaces["Error"] = append(stdIfaces["Error"], types.Universe.Lookup("error").Type().Underlying().(*types.Interface))
 
 	// viaInterface reports whether method m is reachable through an
-	// interface its type, or a pointer to it, implements.
+	// interface its type, or a pointer to it, implements: any of the
+	// standard library's, or one of the module's that non-test code calls
+	// the method through.
 	viaInterface := func(m *types.Func) bool {
 		recv := m.Signature().Recv().Type()
 		if p, ok := recv.(*types.Pointer); ok {
 			recv = p.Elem()
 		}
-		for _, it := range ifaces[m.Name()] {
-			if types.Implements(recv, it) || types.Implements(types.NewPointer(recv), it) {
+		implements := func(it *types.Interface) bool {
+			return types.Implements(recv, it) || types.Implements(types.NewPointer(recv), it)
+		}
+		for _, it := range stdIfaces[m.Name()] {
+			if implements(it) {
+				return true
+			}
+		}
+		for _, im := range modIfaces[m.Name()] {
+			if called[im.fn] && implements(im.iface) {
 				return true
 			}
 		}

@@ -120,40 +120,31 @@ func newShadowJournal(sched Schedule, node tx.NodeID) (*shadowJournal, error) {
 	return nil, fmt.Errorf("chaos: open shadow journal for node %d under %v: %w", node, sched, lastErr)
 }
 
-// journalFor is the engine.Config.JournalFor hook. The reliable layer
-// also delivers for sequencer pseudo-nodes; those carry no shadow (nil
-// sink), exactly like a cluster process's non-worker destinations.
-func (s *shadowSet) journalFor(n tx.NodeID) func(network.Message) {
+// journal is the engine.Config.Journal hook. The reliable layer also
+// delivers for sequencer pseudo-nodes; those carry no shadow (no
+// journal), exactly like a cluster process's non-worker destinations.
+func (s *shadowSet) journal(n tx.NodeID) network.Durability {
 	sh := s.shadows[n]
 	if sh == nil {
 		return nil
 	}
-	return func(m network.Message) { sh.append(m) }
+	return sh
 }
 
-// ackGateFor is the engine.Config.AckGateFor hook.
-func (s *shadowSet) ackGateFor(n tx.NodeID) func(func()) {
-	sh := s.shadows[n]
-	if sh == nil {
-		return nil
-	}
-	return func(fn func()) { sh.gate(fn) }
-}
-
-// append journals one delivered message and mirrors it. Holding mu across
+// Append journals one delivered message and mirrors it. Holding mu across
 // both keeps the mirror index-aligned with the journal's frame order even
 // while a verification snapshot runs concurrently.
-func (sh *shadowJournal) append(m network.Message) {
+func (sh *shadowJournal) Append(m network.Message) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	sh.jr.Append(m)
 	sh.mirror = append(sh.mirror, m)
 }
 
-// gate routes an ack send through the journal's durability gate and
-// records, once the gate releases, that every frame appended so far is
+// AfterDurable routes an ack send through the journal's durability gate
+// and records, once the gate releases, that every frame appended so far is
 // durable — the floor the offline crash check holds recovery to.
-func (sh *shadowJournal) gate(fn func()) {
+func (sh *shadowJournal) AfterDurable(fn func()) {
 	cnt := sh.jr.Count()
 	sh.jr.AfterDurable(func() {
 		for {

@@ -306,8 +306,7 @@ func Run(spec Spec, sched Schedule) (*Result, error) {
 			return nil, err
 		}
 		defer shadows.Close()
-		cfg.JournalFor = shadows.journalFor
-		cfg.AckGateFor = shadows.ackGateFor
+		cfg.Journal = shadows.journal
 	}
 	c, err := engine.New(cfg)
 	if err != nil {

@@ -40,21 +40,6 @@ func NewAblated(base partition.Partitioner, active []tx.NodeID, cfg Config, abl 
 	return &AblatedPrescient{p: New(base, active, cfg), abl: abl}
 }
 
-// Name implements router.Policy.
-func (a *AblatedPrescient) Name() string {
-	n := "hermes"
-	if a.abl.NoReorder {
-		n += "-noreorder"
-	}
-	if a.abl.NoRebalance {
-		n += "-norebalance"
-	}
-	if a.abl.NoFusion {
-		n += "-nofusion"
-	}
-	return n
-}
-
 // Placement implements router.Policy.
 func (a *AblatedPrescient) Placement() *router.Placement { return a.p.pl }
 

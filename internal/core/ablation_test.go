@@ -7,26 +7,6 @@ import (
 	"hermes/internal/tx"
 )
 
-func TestAblatedNames(t *testing.T) {
-	base := partition.NewUniformRange(0, 100, 2)
-	cases := []struct {
-		abl  Ablation
-		want string
-	}{
-		{Ablation{}, "hermes"},
-		{Ablation{NoReorder: true}, "hermes-noreorder"},
-		{Ablation{NoRebalance: true}, "hermes-norebalance"},
-		{Ablation{NoFusion: true}, "hermes-nofusion"},
-		{Ablation{NoReorder: true, NoFusion: true}, "hermes-noreorder-nofusion"},
-	}
-	for _, c := range cases {
-		p := NewAblated(base, activeNodes(2), DefaultConfig(10), c.abl)
-		if p.Name() != c.want {
-			t.Errorf("Name = %q, want %q", p.Name(), c.want)
-		}
-	}
-}
-
 func TestAblatedFullEqualsPrescient(t *testing.T) {
 	// With no ablations enabled, the ablated router must produce exactly
 	// the plan the real prescient router produces.

@@ -78,9 +78,6 @@ func New(base partition.Partitioner, active []tx.NodeID, cfg Config) *Prescient 
 	}
 }
 
-// Name implements router.Policy.
-func (p *Prescient) Name() string { return "hermes" }
-
 // Placement implements router.Policy.
 func (p *Prescient) Placement() *Placement { return p.pl }
 

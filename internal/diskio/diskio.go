@@ -41,8 +41,6 @@ type File interface {
 	// Truncate cuts the file to size bytes; subsequent writes append at
 	// the new end.
 	Truncate(size int64) error
-	// Size returns the current file length in bytes.
-	Size() (int64, error)
 	Close() error
 }
 

@@ -231,9 +231,6 @@ func TestOSFSRoundTrip(t *testing.T) {
 	if err := f.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if sz, _ := f.Size(); sz != 3 {
-		t.Fatalf("Size = %d", sz)
-	}
 	if err := f.Truncate(1); err != nil {
 		t.Fatal(err)
 	}
@@ -279,9 +276,6 @@ func TestMemHandleUnusableAfterClose(t *testing.T) {
 	}
 	if err := f.Truncate(0); !errors.Is(err, os.ErrClosed) {
 		t.Fatalf("Truncate after Close: %v, want ErrClosed", err)
-	}
-	if _, err := f.Size(); !errors.Is(err, os.ErrClosed) {
-		t.Fatalf("Size after Close: %v, want ErrClosed", err)
 	}
 	if err := f.Close(); !errors.Is(err, os.ErrClosed) {
 		t.Fatalf("second Close: %v, want ErrClosed", err)

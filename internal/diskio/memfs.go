@@ -286,17 +286,8 @@ func (h *memHandle) Truncate(size int64) error {
 	return nil
 }
 
-func (h *memHandle) Size() (int64, error) {
-	h.m.mu.Lock()
-	defer h.m.mu.Unlock()
-	if h.closed {
-		return 0, fs.ErrClosed
-	}
-	return int64(len(h.f.data)), nil
-}
-
 // Close invalidates the handle, matching os.File: any further Write, Sync,
-// Truncate, or Size (and a second Close) reports fs.ErrClosed. Without
+// or Truncate (and a second Close) reports fs.ErrClosed. Without
 // this, a use-after-close — e.g. syncing a rotated-away journal file —
 // would silently succeed in fault-injection tests while failing on OSFS.
 func (h *memHandle) Close() error {

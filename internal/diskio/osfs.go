@@ -18,13 +18,6 @@ func (o osFile) Write(p []byte) (int, error) { return o.f.Write(p) }
 func (o osFile) Sync() error                 { return o.f.Sync() }
 func (o osFile) Truncate(size int64) error   { return o.f.Truncate(size) }
 func (o osFile) Close() error                { return o.f.Close() }
-func (o osFile) Size() (int64, error) {
-	st, err := o.f.Stat()
-	if err != nil {
-		return 0, err
-	}
-	return st.Size(), nil
-}
 
 func (OSFS) MkdirAll(dir string) error { return os.MkdirAll(dir, 0o755) }
 

@@ -85,11 +85,11 @@ func (c *Cluster) RestartNode(id tx.NodeID) error {
 	c.nodes[id] = n
 	c.nodesMu.Unlock()
 	// Replay: rewind the paused delivery log to the checkpoint watermark,
-	// then resume — the feeder re-delivers the suffix in original order to
-	// the fresh node's recvLoop. Stale messages for transactions other
-	// nodes already finished are consumed and discarded harmlessly (their
-	// mailboxes are never read); batches re-execute, re-applying exactly
-	// the state the checkpoint does not cover.
+	// then resume — the reliable layer's pump re-delivers the suffix in
+	// original order to the fresh node's recvLoop. Stale messages for
+	// transactions other nodes already finished are consumed and discarded
+	// harmlessly (their mailboxes are never read); batches re-execute,
+	// re-applying exactly the state the checkpoint does not cover.
 	if err := c.rel.Rewind(id, cp.Delivered[id]); err != nil {
 		return fmt.Errorf("engine: restart node %d: %w", id, err)
 	}

@@ -71,14 +71,12 @@ type Config struct {
 	// restarted node re-receive the input it lost — and for running over
 	// transports that drop or duplicate messages.
 	Reliable bool
-	// JournalFor, when set with Reliable, gives each node's delivery log a
-	// durable journal sink (nil return = no journal for that node). The
-	// chaos harness uses it to run real fault-injected journals as shadows
-	// of the in-memory delivery logs.
-	JournalFor func(tx.NodeID) func(network.Message)
-	// AckGateFor, when set with Reliable, routes each node's ack sends
-	// through its journal's durability gate (Journal.AfterDurable).
-	AckGateFor func(tx.NodeID) func(func())
+	// Journal, when set with Reliable, gives each node's delivery log a
+	// durable journal that also gates its acks (ReliableOpts.Journal; an
+	// untyped nil return = no journal for that node). The chaos harness
+	// uses it to run real fault-injected journals as shadows of the
+	// in-memory delivery logs.
+	Journal func(tx.NodeID) network.Durability
 	// StorageDelay is an optional per-record storage access cost,
 	// emulating buffer-pool pressure. Zero for unit tests.
 	StorageDelay time.Duration
@@ -215,9 +213,8 @@ func build(cfg Config) (*Cluster, error) {
 	var rel *network.Reliable
 	if cfg.Reliable {
 		rel = network.NewReliableWith(tr, network.ReliableOpts{
-			RecvFor:    all,
-			JournalFor: cfg.JournalFor,
-			AckGateFor: cfg.AckGateFor,
+			RecvFor: all,
+			Journal: cfg.Journal,
 		})
 		tr = rel
 	}

@@ -29,7 +29,7 @@ type WorkerConfig struct {
 	// caller runs the leader on Reliable().
 	HostsLeader bool
 	// Link configures the reliable layer over Transport: the delivery
-	// journal's hooks and the incarnation and recovered history of a
+	// journal, and the incarnation, floors and recovered history of a
 	// restarted process (see network.ReliableOpts). NewWorker fills in
 	// RecvFor.
 	Link network.ReliableOpts

@@ -201,8 +201,8 @@ func NewNodeServer(cfg NodeConfig) (*NodeServer, error) {
 		hosted = append(hosted, engine.LeaderNode)
 	}
 	tr := network.NewTCPTransportListener(cfg.Self, cfg.Addrs, cfg.DataLn, hosted...)
-	// The journal, its ack gate and its floors are the worker's alone: the
-	// co-hosted leader's input is neither journaled nor fsync-gated.
+	// The journal and its floors are the worker's alone: the co-hosted
+	// leader's input is neither journaled nor fsync-gated.
 	cluster, err := engine.NewWorker(engine.WorkerConfig{
 		Self:        cfg.Self,
 		Workers:     workers,
@@ -211,17 +211,11 @@ func NewNodeServer(cfg NodeConfig) (*NodeServer, error) {
 		HostsLeader: hostsLeader,
 		Link: network.ReliableOpts{
 			Incarnation: jr.Incarnation(),
-			JournalFor: func(id tx.NodeID) func(network.Message) {
+			Journal: func(id tx.NodeID) network.Durability {
 				if id != cfg.Self {
 					return nil
 				}
-				return jr.Append
-			},
-			AckGateFor: func(id tx.NodeID) func(func()) {
-				if id != cfg.Self {
-					return nil
-				}
-				return jr.AfterDurable
+				return jr
 			},
 			Floors:    jr.Floors(),
 			Recovered: recovered,
@@ -401,12 +395,13 @@ func (s *NodeServer) startWorker() {
 // checkpoint store's counters.
 func (s *NodeServer) registerProcMetrics() {
 	reg := s.tel.Registry()
+	rel := s.cluster.Reliable()
 	reg.Gauge("hermes_net_socket_writes_total", "socket Write calls that carried frames",
-		func() float64 { return float64(s.stats().NetSocketWrites) })
+		func() float64 { return float64(s.tr.SocketWrites()) })
 	reg.Gauge("hermes_link_acks_total", "standalone link acknowledgements sent by the reliable layer",
-		func() float64 { return float64(s.stats().LinkAcks) })
+		func() float64 { return float64(rel.Stats().Acks) })
 	reg.Gauge("hermes_link_acks_piggybacked_total", "link acknowledgements carried on data frames by the reliable layer",
-		func() float64 { return float64(s.stats().LinkAcksPiggybacked) })
+		func() float64 { return float64(rel.Stats().Piggybacked) })
 	jstat := func(f func(network.JournalStats) int64) func() float64 {
 		return func() float64 { return float64(f(s.jr.Stats())) }
 	}

@@ -27,6 +27,8 @@ func TestBubbled(t *testing.T) {
 		TestReliableDeliveryLogReusesItsArray,
 		TestReliableRewindGuards,
 		TestReliableCloseWhilePausedAndBlocked,
+		TestReliableOfferSurvivesPumpEvents,
+		TestReliablePauseWithdrawsTheOffer,
 		TestReliablePassThroughLocalAndUnsequenced,
 		TestReliableConcurrentSenders,
 		TestReliableStatsString,

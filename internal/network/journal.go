@@ -21,8 +21,9 @@ import (
 // fsync policy "batch", fsynced) before it is acknowledged, so
 // after the process — or the whole host — dies, the journal's stable prefix
 // holds every input the node ever acked. A restarted process replays the
-// journal through ReliableOpts.Recovered and deterministically regenerates
-// its state.
+// journal through ReliableOpts.Recovered, drops live retransmissions of
+// what it already holds through ReliableOpts.Floors (Journal.Floors), and
+// deterministically regenerates its state.
 //
 // On-disk format (v3): a 16-byte header (8-byte magic, 8-byte big-endian
 // base — the absolute index of the file's first frame, non-zero after a

@@ -73,8 +73,8 @@ type ReliableStats struct {
 // within ackDelay, and goes as a MsgLinkAck of its own otherwise.
 //
 // Reliable additionally keeps a per-destination delivery log: every message
-// is appended to its destination's log before a feeder goroutine hands it
-// to the consumer, and the log survives the consumer. This is what makes
+// is appended to its destination's log before the destination's pump offers
+// it to the consumer, and the log survives the consumer. This is what makes
 // live node restart possible (§4.3): from the floor a checkpoint sets
 // (TruncateDelivered) on, the delivery log is the node's durable
 // totally-ordered input record — like the paper's command log, but covering
@@ -169,28 +169,29 @@ type destState struct {
 	gen      uint64 // bumped by Rewind so a racing handoff can't advance next
 	paused   bool
 	pauseSig chan struct{} // closed while paused; fresh channel when running
-	notify   chan struct{} // cap-1 feeder kick
 	out      chan Message  // unbuffered consumer channel (Recv)
 
-	// journal, when set, persists each accepted message before it becomes
-	// acknowledgeable. Called from the pump goroutine only, in delivery
-	// order, *before* the message is appended to the in-memory log — so by
-	// the time the peer sees an ack, the message is on disk and a process
-	// crash cannot lose acknowledged input.
-	journal func(Message)
-
-	// ackGate, when set, defers each ack send until the journal's
-	// durability promise covers the acked frames (Journal.AfterDurable).
-	// Under group commit this is what turns "journaled" into "fsynced
-	// before the peer may forget the message".
-	ackGate func(func())
+	// journal, when set, persists each accepted message (Append, called
+	// from the pump in delivery order *before* the message joins the
+	// in-memory log) and holds every ack until the frames it covers are
+	// durable (AfterDurable) — so a crash cannot lose acknowledged input.
+	journal Durability
 
 	// parked holds, per sender, the ack this destination owes it that no
 	// data frame has carried yet. Send takes it onto the next frame back;
 	// the pump sends what is still here ackDelay after it was parked.
-	ackMu    sync.Mutex
-	parked   map[tx.NodeID]parkedAck
-	parkKick chan struct{} // cap-1: the ack gate released an ack
+	ackMu  sync.Mutex
+	parked map[tx.NodeID]parkedAck
+	kick   chan struct{} // cap-1: wakes the pump (an ack released, a Resume)
+}
+
+// Durability is a destination's journal as the reliable layer uses it:
+// Append persists one accepted message before it becomes acknowledgeable,
+// and AfterDurable runs fn once everything appended so far is durable
+// under the journal's fsync policy. *Journal implements it.
+type Durability interface {
+	Append(Message)
+	AfterDurable(fn func())
 }
 
 // parkedAck is a cumulative ack waiting for a ride: link and inc as in a
@@ -215,29 +216,22 @@ type ReliableOpts struct {
 	// Incarnation is stamped on every sequenced send (see Message.Inc).
 	// A cluster process bumps it on each restart; in-process it stays 0.
 	Incarnation uint64
-	// JournalFor, when set, supplies each RecvFor destination's journal
-	// sink (nil return = no journal for that destination): it persists each
-	// accepted message before the message is acknowledged.
-	JournalFor func(tx.NodeID) func(Message)
-	// AckGateFor, when set, supplies each RecvFor destination's durability
-	// gate (Journal.AfterDurable; nil return = ungated): every ack send is
-	// routed through it, so the ack closure runs only once the frames it
-	// acknowledges are durable under the journal's fsync policy.
-	AckGateFor func(tx.NodeID) func(func())
+	// Journal, when set, supplies each RecvFor destination's journal (an
+	// untyped nil return = no journal for that destination): every accepted
+	// message is appended to it, and every ack waits until the frames it
+	// acknowledges are durable.
+	Journal func(tx.NodeID) Durability
 	// Floors seeds the per-sender dedup watermarks of the destinations
-	// JournalFor gives a journal, below any journaled history: a checkpoint
-	// records the highest (incarnation, link) delivered from each sender,
-	// and frames rotated out of the journal must still be dropped as
-	// duplicates when peers retransmit them.
-	// Without it, a restarted node whose journal holds no frames from a
-	// sender would reset that link to expected=1 and park every live
-	// retransmit in the future buffer — a permanent stall.
+	// Journal gives a journal (Journal.Floors): the highest (incarnation,
+	// link) a checkpoint or the journaled history holds from each sender,
+	// so live retransmissions of what the node already has — journaled or
+	// rotated out under a checkpoint — are dropped as duplicates. Without
+	// it, a restarted node would reset each link to expected=1 and park
+	// every live retransmit in the future buffer — a permanent stall.
 	Floors map[tx.NodeID]LinkFloor
 	// Recovered preloads a RecvFor destination's delivery log with its
-	// journaled history: the feeder replays it to the consumer from the
-	// start, and per-sender dedup watermarks are initialized to the highest
-	// journaled (incarnation, link) so live retransmissions of already
-	// journaled messages are dropped rather than re-delivered out of place.
+	// journaled history, which the pump replays to the consumer from the
+	// start. It sets no watermark: Floors covers the recovered frames.
 	Recovered []Message
 }
 
@@ -256,50 +250,28 @@ func NewReliableWith(inner Transport, o ReliableOpts) *Reliable {
 			node:     n,
 			recv:     make(map[tx.NodeID]*recvLink),
 			pauseSig: make(chan struct{}),
-			notify:   make(chan struct{}, 1),
 			out:      make(chan Message),
 			parked:   make(map[tx.NodeID]parkedAck),
-			parkKick: make(chan struct{}, 1),
+			kick:     make(chan struct{}, 1),
 		}
-		if o.JournalFor != nil {
-			ds.journal = o.JournalFor(n)
+		if o.Journal != nil {
+			ds.journal = o.Journal(n)
 		}
-		if o.AckGateFor != nil {
-			ds.ackGate = o.AckGateFor(n)
-		}
-		// Checkpoint floors first; journaled history (below) only raises
-		// them. Floors are a journal's: a destination without one (the
-		// leader co-hosted beside a worker) starts every link fresh.
+		// Floors are a journal's: a destination without one (the leader
+		// co-hosted beside a worker) starts every link fresh.
 		if ds.journal != nil {
 			for s, lf := range o.Floors {
 				ds.recv[s] = newRecvLink(lf.Inc, lf.Link+1)
 			}
 		}
 		for _, m := range o.Recovered {
-			if m.To != n {
-				continue
-			}
-			ds.log = append(ds.log, m)
-			if m.Link == 0 {
-				continue
-			}
-			rl := ds.recv[m.From]
-			if rl == nil {
-				ds.recv[m.From] = newRecvLink(m.Inc, m.Link+1)
-				continue
-			}
-			switch {
-			case m.Inc > rl.inc:
-				rl.inc = m.Inc
-				rl.expected = m.Link + 1
-			case m.Inc == rl.inc && m.Link >= rl.expected:
-				rl.expected = m.Link + 1
+			if m.To == n {
+				ds.log = append(ds.log, m)
 			}
 		}
 		r.dests[n] = ds
-		r.wg.Add(2)
+		r.wg.Add(1)
 		go r.pumpLoop(ds)
-		go r.feedLoop(ds)
 	}
 	return r
 }
@@ -497,14 +469,25 @@ func (sl *sendLink) restamp(n int, pick func(*unackedMsg) bool) []Message {
 	return out
 }
 
-// pumpLoop consumes the inner transport's inbox for one destination:
-// protocol traffic (acks, duplicates, gaps) is absorbed here; accepted
-// messages are appended to the delivery log for the feeder. Acks are paid
-// per drain, not per message: the pump handles the message it woke for,
-// keeps taking whatever is already queued (up to maxDrain), and only when
-// the inbox is momentarily empty owes one cumulative ack to each sender it
-// heard from (flushAcks). The pump also owns the parked acks' deadline:
-// its timer sends whatever no data frame carried within ackDelay.
+// pumpLoop is one destination's only goroutine. It consumes the inner
+// transport's inbox: protocol traffic (acks, duplicates, gaps) is absorbed
+// here, and accepted messages are appended to the delivery log. Acks are
+// paid per drain, not per message: the pump handles the message it woke
+// for, keeps taking whatever is already queued (up to maxDrain), and only
+// when the inbox is momentarily empty owes one cumulative ack to each
+// sender it heard from (flushAcks). Its timer sends the parked acks no data
+// frame carried within ackDelay.
+//
+// In the same select it offers the next logged message to the consumer.
+// The cursor advances *before* the offer, and an open offer stays open
+// across inbox, timer and kick wake-ups; only a Pause withdraws it,
+// rolling the cursor back. The unbuffered out channel means a completed
+// offer was received, so the watermark can never lag a consumed message —
+// which matters, because a checkpoint watermark below a consumed
+// state-bearing message would make a restart re-apply input the
+// checkpoint already covers. Withdrawing on any other wake-up would lose a
+// message whenever a checkpoint truncation (TruncateDelivered) lands
+// between the offer and its rollback.
 func (r *Reliable) pumpLoop(ds *destState) {
 	defer r.wg.Done()
 	inbox := r.inner.Recv(ds.node)
@@ -512,7 +495,40 @@ func (r *Reliable) pumpLoop(ds *destState) {
 	timer.Stop()
 	defer timer.Stop()
 	armed := false
+	var (
+		offer    Message
+		out      chan<- Message  // ds.out while an offer is open, else nil
+		withdraw <-chan struct{} // the pause signal the open offer watches
+		gen      uint64          // ds.gen when the offer opened
+	)
 	for {
+		if out != nil {
+			// A Pause that landed while the pump was busy withdraws the
+			// offer first: the select below would pick at random between
+			// it and a consumer already waiting.
+			select {
+			case <-withdraw:
+				ds.withdraw(gen)
+				out = nil
+			default:
+			}
+		}
+		if out == nil {
+			var ok bool
+			if offer, gen, withdraw, ok = ds.nextOffer(); ok {
+				out = ds.out
+			}
+		}
+		if out != nil {
+			// A consumer already waiting takes the offer without the pump
+			// parking in the select below.
+			select {
+			case out <- offer:
+				out = nil
+				continue
+			default:
+			}
+		}
 		var expired <-chan time.Time
 		if armed {
 			expired = timer.C
@@ -520,7 +536,12 @@ func (r *Reliable) pumpLoop(ds *destState) {
 		select {
 		case <-r.quit:
 			return
-		case <-ds.parkKick:
+		case out <- offer:
+			out = nil
+		case <-withdraw:
+			ds.withdraw(gen)
+			out = nil
+		case <-ds.kick:
 		case <-expired:
 			armed = false
 			r.sendDueAcks(ds)
@@ -553,6 +574,39 @@ func (r *Reliable) pumpLoop(ds *destState) {
 	}
 }
 
+// nextOffer takes the next logged message for the consumer, advancing the
+// cursor past it, unless the destination is paused or has nothing logged
+// beyond the cursor. It returns the Rewind generation and the pause signal
+// the offer is withdrawn on; with no offer the signal is nil, since a
+// paused destination's signal stays closed.
+func (ds *destState) nextOffer() (m Message, gen uint64, sig <-chan struct{}, ok bool) {
+	ds.mu.Lock()
+	defer ds.mu.Unlock()
+	ds.dropTaken()
+	if ds.paused || ds.next >= ds.base+uint64(len(ds.log)) {
+		return Message{}, 0, nil, false
+	}
+	m = ds.log[ds.next-ds.base]
+	ds.next++
+	return m, ds.gen, ds.pauseSig, true
+}
+
+// withdraw takes back an offer a Pause came before: nobody took the
+// message, so the cursor goes back to it — unless a Rewind (gen is the
+// generation the offer opened under) already repositioned it, or a
+// checkpoint truncation already advanced the base past the message (its
+// log entry is gone; the consumer — only ever the sequencer leader, whose
+// feed stays live across a checkpoint — is being killed, and the protocol
+// re-derives anything a dying leader never processed via front-end retries
+// and re-replication).
+func (ds *destState) withdraw(gen uint64) {
+	ds.mu.Lock()
+	defer ds.mu.Unlock()
+	if ds.gen == gen && ds.next > ds.base {
+		ds.next--
+	}
+}
+
 // flushAcks settles the ack owed to every sender heard from since the last
 // flush. An ack that reports a gap, or ends a full drain (a saturated
 // inbox must keep its senders' windows moving), leaves at once; any other
@@ -578,18 +632,15 @@ func (r *Reliable) flushAcks(ds *destState, full bool) {
 		if full || ack.Seq != 0 {
 			settle = func() { r.sendAck(ds, ack) }
 		}
-		if ds.ackGate == nil {
+		if ds.journal == nil {
 			settle()
 			continue
 		}
-		// The gate may release the ack from another goroutine, after the
-		// pump has armed its timer: wake the pump to look again.
-		ds.ackGate(func() {
+		// The journal may release the ack from another goroutine, after
+		// the pump has armed its timer: wake the pump to look again.
+		ds.journal.AfterDurable(func() {
 			settle()
-			select {
-			case ds.parkKick <- struct{}{}:
-			default:
-			}
+			ds.wake()
 		})
 	}
 	ds.owed = ds.owed[:0]
@@ -812,66 +863,24 @@ func (r *Reliable) ack(ds *destState, peer tx.NodeID, link, held, heldTop uint64
 	}
 }
 
-// deliver appends an accepted message to the delivery log and kicks the
-// feeder. The journal write comes first: once deliver returns, the caller
-// may ack, and an acked message must already be durable.
+// deliver appends an accepted message to the delivery log; the pump offers
+// it once the drain is done. The journal write comes first: once deliver
+// returns, the caller may ack, and an acked message must already be
+// durable.
 func (ds *destState) deliver(m Message) {
 	if ds.journal != nil {
-		ds.journal(m)
+		ds.journal.Append(m)
 	}
 	ds.mu.Lock()
 	ds.log = append(ds.log, m)
 	ds.mu.Unlock()
-	select {
-	case ds.notify <- struct{}{}:
-	default:
-	}
 }
 
-// feedLoop hands logged messages to the consumer in log order. The cursor
-// advances *before* the handoff and rolls back only if a Pause aborts it:
-// the unbuffered out channel means a completed send was received, so the
-// watermark can never lag a consumed message — which matters, because a
-// checkpoint watermark below a consumed state-bearing message would make a
-// restart re-apply input the checkpoint already covers.
-func (r *Reliable) feedLoop(ds *destState) {
-	defer r.wg.Done()
-	for {
-		ds.mu.Lock()
-		ds.dropTaken()
-		for ds.paused || ds.next >= ds.base+uint64(len(ds.log)) {
-			ds.mu.Unlock()
-			select {
-			case <-ds.notify:
-			case <-r.quit:
-				return
-			}
-			ds.mu.Lock()
-		}
-		m := ds.log[ds.next-ds.base]
-		ds.next++
-		gen := ds.gen
-		sig := ds.pauseSig
-		ds.mu.Unlock()
-		select {
-		case ds.out <- m:
-		case <-sig:
-			// Paused mid-handoff: nobody took the message, so put the
-			// cursor back — unless a Rewind already repositioned it, or a
-			// checkpoint truncation already advanced the base past the
-			// message (its log entry is gone; the consumer — only ever
-			// the sequencer leader, whose feed stays live across a
-			// checkpoint — is being killed, and the protocol re-derives
-			// anything a dying leader never processed via front-end
-			// retries and re-replication).
-			ds.mu.Lock()
-			if ds.gen == gen && ds.next > ds.base {
-				ds.next--
-			}
-			ds.mu.Unlock()
-		case <-r.quit:
-			return
-		}
+// wake kicks the pump out of its select to look at its state again.
+func (ds *destState) wake() {
+	select {
+	case ds.kick <- struct{}{}:
+	default:
 	}
 }
 
@@ -881,8 +890,8 @@ func (r *Reliable) feedLoop(ds *destState) {
 // rest: the copying is then O(1) per message and nothing is allocated,
 // whatever the backlog. (Re-slicing past the prefix instead shrank the
 // capacity, so any backlog reallocated the log every few messages.) An
-// idle feeder has taken everything, so its log is empty. The caller holds
-// ds.mu.
+// idle destination's consumer has taken everything, so its log is empty.
+// The caller holds ds.mu.
 func (ds *destState) dropTaken() {
 	n := int(ds.next - ds.base)
 	if ds.floored || n == 0 || n < len(ds.log)-n {
@@ -972,10 +981,7 @@ func (r *Reliable) Resume(node tx.NodeID) {
 		ds.pauseSig = make(chan struct{})
 	}
 	ds.mu.Unlock()
-	select {
-	case ds.notify <- struct{}{}:
-	default:
-	}
+	ds.wake()
 }
 
 // TruncateDelivered sets node's rewind floor and returns it: messages

@@ -2,6 +2,7 @@ package network
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"sync"
@@ -244,8 +245,8 @@ func TestReliableKeepsFramesOnlyFromTheFloor(t *testing.T) {
 			}
 		}
 	}
-	// The feeder drops a taken message the next time it locks the log,
-	// just after the handoff, so the check waits for it.
+	// The pump drops a taken message the next time it opens an offer, just
+	// after the handoff, so the check waits for it.
 	ds := r.dests[1]
 	holds := func(base uint64, n int) {
 		t.Helper()
@@ -313,7 +314,7 @@ func TestReliableRewindGuards(t *testing.T) {
 	defer closeR()
 
 	// Rewinding a destination that was never paused must fail loudly: the
-	// feeder would race the rewound cursor and replay messages into a node
+	// pump would race the rewound cursor and replay messages into a node
 	// that is still consuming live traffic.
 	err := r.Rewind(1, 0)
 	if err == nil {
@@ -357,6 +358,115 @@ func TestReliableCloseWhilePausedAndBlocked(t *testing.T) {
 	}
 }
 
+// waitState waits until cond holds of node's delivery cursor and backlog.
+func waitState(t *testing.T, r *Reliable, node tx.NodeID, what string, cond func(next uint64, backlog int64) bool) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		next, backlog := delivered(r, node), r.Backlog(node)
+		if cond(next, backlog) {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%s: cursor %d, backlog %d", what, next, backlog)
+		}
+	}
+}
+
+// TestReliableOfferSurvivesPumpEvents: the pump offers the first message
+// to a consumer that is not reading, wakes for more input while the offer
+// is open, and a checkpoint truncates the log under the offer
+// (TruncateDelivered clamps to the cursor, which already counts the
+// offered message). The offer must stay open through all of it: a pump
+// that withdrew it on any wake-up would find its log entry gone and hand
+// the consumer the second message instead.
+func TestReliableOfferSurvivesPumpEvents(t *testing.T) {
+	defer leaktest.Check(t)()
+	r, closeR := reliablePair(t, false)
+	defer closeR()
+
+	send := func(lo, hi int) {
+		t.Helper()
+		for i := lo; i < hi; i++ {
+			if err := r.Send(Message{From: 0, To: 1, Type: MsgRecordPush, Txn: tx.TxnID(i + 1)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	const total = 8
+	send(0, 1)
+	waitState(t, r, 1, "the first message was never offered", func(next uint64, backlog int64) bool {
+		return next == 1 && backlog == 0
+	})
+	send(1, total/2)
+	waitState(t, r, 1, "the pump never logged the input sent during the offer", func(next uint64, backlog int64) bool {
+		return next+uint64(backlog) == total/2
+	})
+	if floor := r.TruncateDelivered(1, math.MaxUint64); floor != 1 {
+		t.Fatalf("floor = %d, want 1 (the cursor, past the offered message)", floor)
+	}
+	send(total/2, total)
+	waitState(t, r, 1, "the pump never logged the input sent after the truncation", func(next uint64, backlog int64) bool {
+		return next+uint64(backlog) == total
+	})
+	inbox := r.Recv(1)
+	for i := 0; i < total; i++ {
+		select {
+		case m := <-inbox:
+			if got, want := m.Txn, tx.TxnID(i+1); got != want {
+				t.Fatalf("delivery %d: got txn %d, want %d", i, got, want)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("delivery %d never arrived", i)
+		}
+	}
+	select {
+	case m := <-inbox:
+		t.Fatalf("unexpected extra delivery: %+v", m)
+	case <-time.After(100 * time.Millisecond):
+	}
+	waitState(t, r, 1, "the backlog never drained", func(next uint64, backlog int64) bool {
+		return next == total && backlog == 0
+	})
+}
+
+// TestReliablePauseWithdrawsTheOffer: a Pause while the pump offers a
+// message nobody takes withdraws the offer, putting the cursor back, so
+// the backlog counts the message again; after Resume it arrives once.
+func TestReliablePauseWithdrawsTheOffer(t *testing.T) {
+	defer leaktest.Check(t)()
+	r, closeR := reliablePair(t, false)
+	defer closeR()
+
+	if err := r.Send(Message{From: 0, To: 1, Type: MsgRecordPush, Txn: 1}); err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, r, 1, "the message was never offered", func(next uint64, backlog int64) bool {
+		return next == 1 && backlog == 0
+	})
+	r.Pause(1)
+	waitState(t, r, 1, "the Pause never withdrew the offer", func(next uint64, backlog int64) bool {
+		return next == 0 && backlog == 1
+	})
+	r.Resume(1)
+	inbox := r.Recv(1)
+	select {
+	case m := <-inbox:
+		if m.Txn != 1 {
+			t.Fatalf("got txn %d, want 1", m.Txn)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the withdrawn message never arrived after Resume")
+	}
+	select {
+	case m := <-inbox:
+		t.Fatalf("unexpected extra delivery: %+v", m)
+	case <-time.After(100 * time.Millisecond):
+	}
+	if got := r.Backlog(1); got != 0 {
+		t.Fatalf("backlog = %d after the delivery, want 0", got)
+	}
+}
+
 func TestReliablePassThroughLocalAndUnsequenced(t *testing.T) {
 	defer leaktest.Check(t)()
 	nodes := []tx.NodeID{0, 1}
@@ -364,7 +474,7 @@ func TestReliablePassThroughLocalAndUnsequenced(t *testing.T) {
 	r := NewReliable(base, nodes)
 	defer r.Close()
 
-	// Local sends bypass sequencing but still arrive via the feeder.
+	// Local sends bypass sequencing but still arrive via the pump.
 	if err := r.Send(Message{From: 1, To: 1, Type: MsgControl, Txn: 7}); err != nil {
 		t.Fatal(err)
 	}
@@ -496,11 +606,11 @@ func TestReliablePacesToGatedAcks(t *testing.T) {
 	defer gates.Wait()
 	r := NewReliableWith(NewChanTransport(nodes, nil), ReliableOpts{
 		RecvFor: nodes,
-		AckGateFor: func(tx.NodeID) func(func()) {
-			return func(send func()) {
+		Journal: func(tx.NodeID) Durability {
+			return ackGate(func(send func()) {
 				gates.Add(1)
 				time.AfterFunc(80*time.Millisecond, func() { send(); gates.Done() })
-			}
+			})
 		},
 	})
 	defer r.Close()
@@ -668,6 +778,20 @@ func (s *stubInner) assertNothingSent(t *testing.T) {
 	}
 }
 
+// ackGate is a Durability that journals nothing and hands every ack to
+// the gate func, which releases it when it likes.
+type ackGate func(release func())
+
+func (ackGate) Append(Message)           {}
+func (g ackGate) AfterDurable(fn func()) { g(fn) }
+
+// journalFunc is a Durability that hands every message to the func and
+// releases every ack at once.
+type journalFunc func(Message)
+
+func (f journalFunc) Append(m Message)     { f(m) }
+func (journalFunc) AfterDurable(fn func()) { fn() }
+
 // sequenced returns n in-order messages from sender to node 0, links 1..n.
 func sequenced(sender tx.NodeID, n int) []Message {
 	ms := make([]Message, n)
@@ -735,8 +859,8 @@ func TestReliableAckGateWithholdsCoalescedAcks(t *testing.T) {
 	inner := newStubInner(sequenced(1, 16))
 	gated := make(chan func(), 4)
 	r := NewReliableWith(inner, ReliableOpts{
-		RecvFor:    []tx.NodeID{0},
-		AckGateFor: func(tx.NodeID) func(func()) { return func(release func()) { gated <- release } },
+		RecvFor: []tx.NodeID{0},
+		Journal: func(tx.NodeID) Durability { return ackGate(func(release func()) { gated <- release }) },
 	})
 	defer r.Close()
 
@@ -819,15 +943,15 @@ func TestReliableFloorsOnlyForJournaledDestinations(t *testing.T) {
 	var journaled []Message
 	r := NewReliableWith(inner, ReliableOpts{
 		RecvFor: []tx.NodeID{a, b},
-		JournalFor: func(id tx.NodeID) func(Message) {
+		Journal: func(id tx.NodeID) Durability {
 			if id != a {
 				return nil
 			}
-			return func(m Message) {
+			return journalFunc(func(m Message) {
 				mu.Lock()
 				journaled = append(journaled, m)
 				mu.Unlock()
-			}
+			})
 		},
 		Floors: map[tx.NodeID]LinkFloor{s: {Inc: 1, Link: 5}},
 	})
@@ -944,6 +1068,9 @@ func TestReliablePiggybackedAckIsApplied(t *testing.T) {
 	if window != 1 {
 		t.Fatalf("%d unacked after Ack 5, want 1", window)
 	}
+	// The pump offers what it logs once its drain is done; the test logged
+	// the frames in its place, so it wakes the pump to offer them.
+	ds.wake()
 	for link := uint64(1); link <= 2; link++ {
 		select {
 		case m := <-r.Recv(0):
@@ -1011,8 +1138,8 @@ func TestReliableGatedAckNeitherRidesNorLeavesEarly(t *testing.T) {
 	inner := newStubInner(sequenced(1, 4))
 	gated := make(chan func(), 4)
 	r := NewReliableWith(inner, ReliableOpts{
-		RecvFor:    []tx.NodeID{0},
-		AckGateFor: func(tx.NodeID) func(func()) { return func(release func()) { gated <- release } },
+		RecvFor: []tx.NodeID{0},
+		Journal: func(tx.NodeID) Durability { return ackGate(func(release func()) { gated <- release }) },
 	})
 	defer r.Close()
 	var release func()

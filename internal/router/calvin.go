@@ -19,9 +19,6 @@ func NewCalvin(base partition.Partitioner, active []tx.NodeID) *Calvin {
 	return &Calvin{pl: NewPlacement(base, active, nil)}
 }
 
-// Name implements Policy.
-func (c *Calvin) Name() string { return "calvin" }
-
 // Placement implements Policy.
 func (c *Calvin) Placement() *Placement { return c.pl }
 

@@ -21,9 +21,6 @@ func NewGStore(base partition.Partitioner, active []tx.NodeID) *GStore {
 	return &GStore{pl: NewPlacement(base, active, nil)}
 }
 
-// Name implements Policy.
-func (g *GStore) Name() string { return "g-store" }
-
 // Placement implements Policy.
 func (g *GStore) Placement() *Placement { return g.pl }
 

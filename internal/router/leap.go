@@ -26,9 +26,6 @@ func NewLEAP(base partition.Partitioner, active []tx.NodeID) *LEAP {
 	return &LEAP{pl: NewPlacement(base, active, fusion.New(0, fusion.FIFO))}
 }
 
-// Name implements Policy.
-func (l *LEAP) Name() string { return "leap" }
-
 // Placement implements Policy.
 func (l *LEAP) Placement() *Placement { return l.pl }
 

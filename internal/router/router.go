@@ -108,8 +108,6 @@ type Plan struct {
 
 // Policy is a routing algorithm replica.
 type Policy interface {
-	// Name identifies the policy in experiment output.
-	Name() string
 	// Placement exposes the replica's placement state (active nodes,
 	// home/override/fusion layers).
 	Placement() *Placement

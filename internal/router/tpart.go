@@ -30,9 +30,6 @@ func NewTPart(base partition.Partitioner, active []tx.NodeID, alpha float64) *TP
 	return &TPart{pl: NewPlacement(base, active, nil), alpha: alpha}
 }
 
-// Name implements Policy.
-func (t *TPart) Name() string { return "t-part" }
-
 // Placement implements Policy.
 func (t *TPart) Placement() *Placement { return t.pl }
 

@@ -84,7 +84,9 @@ func family(name string) string {
 
 // WritePrometheus renders the registry in the Prometheus text exposition
 // format (version 0.0.4): one # HELP / # TYPE header per metric family,
-// then every sample of that family. Every family is a gauge.
+// then every sample of that family. A family named *_total is a counter
+// (its callback reads a count that only grows while the process lives);
+// every other family is a gauge.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	// Gather help per family under the lock, then render from the
 	// consistent snapshot.
@@ -117,7 +119,11 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 					return err
 				}
 			}
-			if _, err := fmt.Fprintf(w, "# TYPE %s gauge\n", f); err != nil {
+			typ := "gauge"
+			if strings.HasSuffix(f, "_total") {
+				typ = "counter"
+			}
+			if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", f, typ); err != nil {
 				return err
 			}
 			lastFam = f

@@ -194,6 +194,7 @@ func TestRegistryPrometheusFormat(t *testing.T) {
 	r := NewRegistry()
 	r.Gauge(`hermes_b{node="1"}`, "b gauge", func() float64 { return 2 })
 	r.Gauge(`hermes_b{node="0"}`, "b gauge", func() float64 { return 1 })
+	r.Gauge(`hermes_c_total{node="0"}`, "c count", func() float64 { return 7 })
 	var b strings.Builder
 	if err := r.WritePrometheus(&b); err != nil {
 		t.Fatal(err)
@@ -204,6 +205,9 @@ func TestRegistryPrometheusFormat(t *testing.T) {
 		"# TYPE hermes_b gauge",
 		`hermes_b{node="0"} 1`,
 		`hermes_b{node="1"} 2`,
+		"# HELP hermes_c_total c count",
+		"# TYPE hermes_c_total counter",
+		`hermes_c_total{node="0"} 7`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q:\n%s", want, out)
