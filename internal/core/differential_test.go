@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -162,16 +163,8 @@ func TestRemoteEdgesAllMatchesReference(t *testing.T) {
 	masters := []tx.NodeID{0, 0, 1}
 	active := p.pl.Active()
 
-	p.beginBatch(active, len(order))
-	p.sc.future = p.sc.future[:0]
-	for j, r := range order {
-		for _, key := range r.ReadSet() {
-			p.sc.future = append(p.sc.future, keyPos{key: key, pos: int32(j)})
-		}
-	}
-	p.sc.sortKeyPos(p.sc.future)
-
-	p.remoteEdgesAll(0, order, masters, active)
+	p.setRoute(order, masters)
+	p.remoteEdgesAll(0)
 	// Node 0: read edge for 60 (owner 1) + later readers of {10,70}:
 	//   T2 reads both and is mastered at 1 → 2 edges; T1 is at 0 → 0.
 	// Node 1: read edge for 10?—no, 10 travels (read+write). 60 local → 0.
@@ -193,19 +186,9 @@ func TestRemoteEdgesAllMatchesReference(t *testing.T) {
 			ms[i] = tx.NodeID(rng.Intn(2))
 		}
 		overlay := map[tx.Key]tx.NodeID{}
-		p.beginBatch(active, b)
-		for key, node := range p.sc.overlay {
-			overlay[key] = node
-		}
-		p.sc.future = p.sc.future[:0]
-		for j, r := range txns {
-			for _, key := range r.ReadSet() {
-				p.sc.future = append(p.sc.future, keyPos{key: key, pos: int32(j)})
-			}
-		}
-		p.sc.sortKeyPos(p.sc.future)
+		p.setRoute(txns, ms)
 		for i := 0; i < b; i++ {
-			p.remoteEdgesAll(i, txns, ms, active)
+			p.remoteEdgesAll(i)
 			for c, node := range active {
 				want := refRemoteEdges(p, i, node, txns, ms, overlay)
 				if p.sc.edges[c] != want {
@@ -214,5 +197,133 @@ func TestRemoteEdgesAllMatchesReference(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// setRoute indexes order as a batch and fixes B′ to that order with the
+// given masters, as step 1 would leave it, so step 3's cost model can be
+// probed directly.
+func (p *Prescient) setRoute(order []*tx.Request, masters []tx.NodeID) {
+	active := p.pl.Active()
+	p.beginBatch(order, active)
+	for t, m := range masters {
+		x, ok := slices.BinarySearch(active, m)
+		if !ok {
+			panic(fmt.Sprintf("master %d is not active", m))
+		}
+		p.sc.order = append(p.sc.order, int32(t))
+		p.sc.masters = append(p.sc.masters, int32(x))
+	}
+	p.indexReaders()
+}
+
+// refPolicy routes user segments with the reference implementation, so
+// router.BuildPlan can drive it through provisioning barriers.
+type refPolicy struct {
+	p   *Prescient
+	abl Ablation
+}
+
+func (r refPolicy) Placement() *router.Placement { return r.p.pl }
+
+func (r refPolicy) RouteUser(txns []*tx.Request) []*router.Route {
+	return refRouteAblated(r.p, txns, r.abl)
+}
+
+// TestLongStreamsMatchReference routes long streams of the benchmark's
+// two batch shapes through the router and the reference, with and
+// without load slack and under the NoReorder and NoRebalance ablations.
+// Midway a provisioning barrier adds a node, and later one removes a node
+// that owns part of the key space, so keys whose owner is not active enter
+// the plans. Every route must match, and so must the fusion tables,
+// compared every 50 batches.
+func TestLongStreamsMatchReference(t *testing.T) {
+	counts := map[string]int{"ycsb": 2000, "hotkey": 300}
+	ablations := []struct {
+		name string
+		abl  Ablation
+	}{{"full", Ablation{}}, {"no-reorder", Ablation{NoReorder: true}}, {"no-rebalance", Ablation{NoRebalance: true}}}
+	for _, s := range routeShapes {
+		batches := s.batches(5, counts[s.name])
+		for _, alpha := range []float64{0, 0.2} {
+			for _, ab := range ablations {
+				t.Run(fmt.Sprintf("%s/alpha=%v/%s", s.name, alpha, ab.name), func(t *testing.T) {
+					var got router.Policy = s.router(s.config(alpha))
+					if ab.abl != (Ablation{}) {
+						got = &AblatedPrescient{p: s.router(s.config(alpha)), abl: ab.abl}
+					}
+					want := refPolicy{p: s.router(s.config(alpha)), abl: ab.abl}
+					added, removed := tx.NodeID(s.nodes), tx.NodeID(1)
+					for i, txns := range batches {
+						batch := &tx.Batch{Seq: uint64(i + 1), Txns: txns}
+						switch i {
+						case len(batches) / 3:
+							batch.Txns = barrier(txns, &tx.ProvisionProc{Add: []tx.NodeID{added}})
+						case 2 * len(batches) / 3:
+							batch.Txns = barrier(txns, &tx.ProvisionProc{Remove: []tx.NodeID{removed}})
+						}
+						requireSameRoutes(t, i, router.BuildPlan(got, batch).Routes, router.BuildPlan(want, batch).Routes)
+						if i%50 != 49 && i != len(batches)-1 {
+							continue // a fingerprint hashes the whole table
+						}
+						if g, w := got.Placement().Fusion.Fingerprint(), want.p.pl.Fusion.Fingerprint(); g != w {
+							t.Fatalf("batch %d: fusion tables diverged (%x vs %x)", i, g, w)
+						}
+					}
+					if got.Placement().Fusion.Stats().Evictions == 0 {
+						t.Fatal("the stream never filled the fusion table, so no eviction was compared")
+					}
+				})
+			}
+		}
+	}
+}
+
+// barrier puts a provisioning transaction in the middle of txns.
+func barrier(txns []*tx.Request, proc *tx.ProvisionProc) []*tx.Request {
+	mid := len(txns) / 2
+	out := append([]*tx.Request{}, txns[:mid]...)
+	out = append(out, tx.NewRequest(txns[mid].ID+1_000_000_000, proc))
+	return append(out, txns[mid:]...)
+}
+
+// TestScratchReuseRoutesLikeFreshScratch routes batches that grow, shrink
+// and are empty through one Prescient, and through a twin whose scratch
+// is zeroed before every batch; the routes and fusion tables must match.
+// Once, a batch is routed with generation stamp 1 and the stamp is then
+// set to its maximum, so the next batch wraps the stamp back to 1: unless
+// the wrap empties the dictionary, that batch finds the earlier batch's
+// keys still present.
+func TestScratchReuseRoutesLikeFreshScratch(t *testing.T) {
+	const rows = 200
+	base := partition.NewUniformRange(0, rows, 4)
+	reused := New(base, activeNodes(4), DefaultConfig(16))
+	fresh := New(base, activeNodes(4), DefaultConfig(16))
+	rng := rand.New(rand.NewSource(11))
+	id := tx.TxnID(1)
+	wrapped := false
+	for i, size := range []int{1, 40, 3, 0, 200, 2, 0, 64, 64, 64, 1, 150, 5, 0, 90} {
+		if i == 7 {
+			reused.sc.gen = 0
+		}
+		txns := diffBatch(rng, id, size, rows)
+		id += tx.TxnID(2 * size)
+		fresh.sc = scratch{}
+		requireSameRoutes(t, i, reused.RouteUser(txns), fresh.RouteUser(txns))
+		if rf, ff := reused.pl.Fusion.Fingerprint(), fresh.pl.Fusion.Fingerprint(); rf != ff {
+			t.Fatalf("batch %d: fusion tables diverged (%x vs %x)", i, rf, ff)
+		}
+		if i == 7 {
+			if reused.sc.gen != 1 {
+				t.Fatalf("stamp = %d after a batch from stamp 0, want 1", reused.sc.gen)
+			}
+			reused.sc.gen = math.MaxUint32
+		}
+		if i == 8 {
+			wrapped = reused.sc.gen == 1
+		}
+	}
+	if !wrapped {
+		t.Fatal("the generation stamp never wrapped")
 	}
 }

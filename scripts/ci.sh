@@ -297,8 +297,11 @@ gate_executor() {
 # that drops taken messages without allocating, whatever the backlog; the
 # qexec stress of recycled inboxes and key queues under concurrent
 # Release/Submit pushes; the slot-array fusion table against the list-based
-# table it replaced, kept as the oracle; the Zipfian stream pinned draw
-# for draw; and a skipped workload prefix that leaves nothing behind.
+# table it replaced, kept as the oracle; the prescient router's per-batch
+# scratch (key dictionary, generation stamp) reused across batches that
+# grow, shrink and are empty, against a fresh scratch; the Zipfian stream
+# pinned draw for draw; and a skipped workload prefix that leaves nothing
+# behind.
 # Buffer reuse is concurrency-sensitive, so qexec and fusion then loop
 # under -race on two cores.
 gate_reuse() {
@@ -309,6 +312,7 @@ gate_reuse() {
         'TestReliableDeliveryLogReusesItsArray ./internal/network' \
         'TestReuseUnderConcurrentPushes ./internal/qexec' \
         'TestSlotTableMatchesListTable ./internal/fusion' \
+        'TestScratchReuseRoutesLikeFreshScratch ./internal/core' \
         'TestScrambledGolden ./internal/zipf' \
         'TestProcsSkipDropsPrefix ./internal/harness'; do
         run=${gate% *}
