@@ -164,6 +164,18 @@ func TestCounterProcReadModifyWrite(t *testing.T) {
 	}
 }
 
+func TestCounterProcOneKeyListForBothSets(t *testing.T) {
+	ctx := newFakeCtx(map[Key][]byte{1: CounterValue(8, 10), 2: CounterValue(8, 20)})
+	keys := []Key{2, 1, 3, 2}
+	p := &CounterProc{Reads: keys, Writes: keys, Payload: 8}
+	p.Execute(ctx)
+	for k, want := range map[Key]uint64{1: 11, 2: 21, 3: 1} {
+		if got := Counter(ctx.writes[k]); got != want {
+			t.Errorf("write to key %d = counter %d, want %d", k, got, want)
+		}
+	}
+}
+
 func TestCounterProcAbortSkipsWrites(t *testing.T) {
 	ctx := newFakeCtx(map[Key][]byte{1: CounterValue(8, 0)})
 	p := &CounterProc{Reads: []Key{1}, Writes: []Key{1}, Abort: true}
