@@ -174,3 +174,29 @@ func mustDrain(t testing.TB, db *DB, timeout time.Duration) {
 		t.Fatal(err)
 	}
 }
+
+// TestWideReadModifyWrite runs one 70,000-key read-modify-write, its keys
+// spread over all three partitions and far beyond the fusion table, twice
+// through the public API, and checks every counter. Execution is linear in
+// a transaction's width: the run takes seconds, not minutes.
+func TestWideReadModifyWrite(t *testing.T) {
+	const width = 70_000
+	db := openTest(t, Options{Nodes: 3, Rows: width})
+	db.LoadUniform(8)
+	keys := make([]Key, width)
+	for i := range keys {
+		keys[i] = MakeKey(0, uint64(i))
+	}
+	proc := &CounterProc{Reads: keys, Writes: keys, Payload: 8}
+	for i := 0; i < 2; i++ {
+		if err := db.ExecWait(NodeID(i), proc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mustDrain(t, db, time.Minute)
+	for _, k := range keys {
+		if v, ok := db.Read(k); !ok || binary.LittleEndian.Uint64(v) != 2 {
+			t.Fatalf("key %v = %v (found %v), want counter 2", k, v, ok)
+		}
+	}
+}

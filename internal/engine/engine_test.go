@@ -287,6 +287,43 @@ func TestLogicAbortRollsBackButMigrates(t *testing.T) {
 	}
 }
 
+// TestAbortAfterWritesRollsBack: a procedure that writes every key twice
+// and then aborts leaves every value as it was, under every policy, in a
+// narrow transaction and in one whose records outgrow mailboxScanMax.
+// Each view slot captures its key's before-image on the first write only,
+// and the rollback must still restore it.
+func TestAbortAfterWritesRollsBack(t *testing.T) {
+	for name, pf := range policies(2) {
+		t.Run(name, func(t *testing.T) {
+			c := newTestCluster(t, 2, pf)
+			loadCounters(c, testRows)
+			for _, width := range []int{2, 3 * mailboxScanMax} {
+				keys := make([]tx.Key, width)
+				for i := range keys {
+					keys[i] = tx.MakeKey(0, uint64(i*testRows/width)) // over both nodes
+				}
+				proc := &tx.FuncProc{Reads: keys, Writes: keys, Fn: func(ctx tx.ExecCtx) {
+					for round := uint64(1); round <= 2; round++ {
+						for _, k := range keys {
+							ctx.Write(k, tx.CounterValue(8, round))
+						}
+					}
+					ctx.Abort("after writing")
+				}}
+				if err := c.SubmitAndWait(0, proc); err != nil {
+					t.Fatal(err)
+				}
+				mustDrain(t, c, 5*time.Second)
+				for _, k := range keys {
+					if v, ok := c.ReadRecord(k); !ok || counterVal(v) != 0 {
+						t.Fatalf("width %d: key %v = %v after abort, want counter 0", width, k, v)
+					}
+				}
+			}
+		})
+	}
+}
+
 func TestColdMigrationMovesRange(t *testing.T) {
 	pf := policies(2)["hermes"]
 	c := newTestCluster(t, 2, pf)

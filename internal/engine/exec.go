@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"cmp"
 	"slices"
 	"time"
 
@@ -141,6 +142,7 @@ func (n *Node) pushOwned(rt *router.Route, role *role) time.Duration {
 // breakdown and commit report. j.remote is nil when the role expected no
 // records.
 func (n *Node) finish(j *job, remoteReady time.Time) {
+	sortRecords(j.remote)
 	rt, role, remote := j.rt, &j.role, j.remote
 	arrival, admitted, granted := j.a.arrival, j.a.admitted, j.granted
 	storageTime, planShare := j.storageTime, j.a.planShare
@@ -274,7 +276,7 @@ func (n *Node) runMaster(j *job) (time.Duration, bool) {
 			s.local = true
 		} else {
 			s.val, _ = recordValue(remote, s.key)
-			if inboundTo(rt.Migrations, n.id, s.key) {
+			if s.inbound {
 				// Inbound data-fusion migration: the record becomes local
 				// storage *regardless of abort* (§4.2) — the plan's
 				// placement effects always happen.
@@ -370,16 +372,6 @@ type ownedRecord struct {
 	rec   network.Record
 }
 
-// inboundTo reports whether ms moves k into node id from elsewhere.
-func inboundTo(ms []router.Migration, id tx.NodeID, k tx.Key) bool {
-	for _, m := range ms {
-		if m.Key == k && m.To == id && m.From != id {
-			return true
-		}
-	}
-	return false
-}
-
 // runWriter executes the transaction logic at one of Calvin's
 // multi-master writers: it has all read values (local + broadcast) and
 // applies only the writes it owns.
@@ -426,13 +418,17 @@ func (n *Node) execute(ctx *execCtx, req *tx.Request) {
 }
 
 // viewSlot is one access key in an executing role's value view: the value
-// the procedure sees, the value it started from, whether the key is (or
-// becomes) local storage here — writes then go through the undo log — and
-// whether a write to it was buffered for a write-back instead.
+// the procedure sees, the value it started from, whether its record
+// migrates into this master from elsewhere, whether the key is (or becomes)
+// local storage here — writes then go through the undo log, which captures
+// the before-image on the first — and whether a write to it was buffered
+// for a write-back instead.
 type viewSlot struct {
 	key       tx.Key
 	val, orig []byte
+	inbound   bool
 	local     bool
+	captured  bool
 	buffered  bool
 }
 
@@ -450,14 +446,14 @@ type execCtx struct {
 	storageTime time.Duration
 }
 
-// slot returns k's view slot, or nil if k is outside the access set.
+// slot returns k's view slot, or nil if k is outside the access set. The
+// view is in access-set order, which is sorted.
 func (c *execCtx) slot(k tx.Key) *viewSlot {
-	for i := range c.view {
-		if c.view[i].key == k {
-			return &c.view[i]
-		}
+	i, ok := slices.BinarySearchFunc(c.view, k, func(s viewSlot, k tx.Key) int { return cmp.Compare(s.key, k) })
+	if !ok {
+		return nil
 	}
-	return nil
+	return &c.view[i]
 }
 
 // Read implements tx.ExecCtx.
@@ -483,7 +479,12 @@ func (c *execCtx) Write(k tx.Key, v []byte) {
 	case s.local:
 		s.val = v
 		t0 := time.Now()
-		c.undo.Write(k, v)
+		if s.captured {
+			c.node.store.Write(k, v)
+		} else {
+			c.undo.Write(k, v)
+			s.captured = true
+		}
 		c.node.sleepStorage()
 		c.storageTime += time.Since(t0)
 	default:

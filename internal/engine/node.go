@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sync"
@@ -593,11 +594,11 @@ func (n *Node) roleFor(rt *router.Route, sc *roleScratch, a *batchArena) role {
 				if n.id == master {
 					// Outbound from the execution site: pushed after
 					// execution so it carries post-execution values.
-					sc.excl = appendKeyOnce(sc.excl, m.Key)
+					sc.excl = append(sc.excl, m.Key)
 					sc.outMigrations = append(sc.outMigrations, m)
 				} else {
 					sc.departing = append(sc.departing, m.Key)
-					sc.excl = appendKeyOnce(sc.excl, m.Key)
+					sc.excl = append(sc.excl, m.Key)
 					sc.pushTo(m.To, m.Key)
 					sc.deleteAfterPush = append(sc.deleteAfterPush, m.Key)
 					// The master still needs the value if the key is part
@@ -613,11 +614,11 @@ func (n *Node) roleFor(rt *router.Route, sc *roleScratch, a *batchArena) role {
 					// Inbound data-fusion migration at the execution
 					// site: the access loop below counts the expected
 					// record and runMaster inserts it.
-					sc.excl = appendKeyOnce(sc.excl, m.Key)
+					sc.excl = append(sc.excl, m.Key)
 				} else {
 					// Arrival outside the execution path (eviction home,
 					// cold-chunk destination, return-home target).
-					sc.excl = appendKeyOnce(sc.excl, m.Key)
+					sc.excl = append(sc.excl, m.Key)
 					sc.insertArrivals = append(sc.insertArrivals, m.Key)
 					r.expectRecords++
 				}
@@ -626,6 +627,7 @@ func (n *Node) roleFor(rt *router.Route, sc *roleScratch, a *batchArena) role {
 		// Access-set keys. Keys absent from Owners take no part in the
 		// route (e.g. chunk keys a cold migration skipped because they
 		// are fusion-tracked, §3.3).
+		slices.Sort(sc.departing)
 		for _, k := range access {
 			owner, part := rt.Owners.Lookup(k)
 			if !part {
@@ -634,11 +636,11 @@ func (n *Node) roleFor(rt *router.Route, sc *roleScratch, a *batchArena) role {
 			isWrite := tx.ContainsKey(writes, k)
 			switch {
 			case owner == n.id:
-				if slices.Contains(sc.departing, k) {
+				if tx.ContainsKey(sc.departing, k) {
 					break // push/delete already arranged above
 				}
 				if isWrite {
-					sc.excl = appendKeyOnce(sc.excl, k)
+					sc.excl = append(sc.excl, k)
 					if n.id != master && slices.Contains(rt.WriteBack, k) {
 						// Send current value to the master, then apply
 						// the write-back it returns.
@@ -671,13 +673,6 @@ func (n *Node) roleFor(rt *router.Route, sc *roleScratch, a *batchArena) role {
 	r.outMigrations = a.migrations(sc.outMigrations)
 	r.pushTo = a.pushes(sc.pushes)
 	return r
-}
-
-func appendKeyOnce(ks []tx.Key, k tx.Key) []tx.Key {
-	if slices.Contains(ks, k) {
-		return ks
-	}
-	return append(ks, k)
 }
 
 func subtractKeys(a, b []tx.Key) []tx.Key {
@@ -763,7 +758,8 @@ func (a *batchArena) pushes(dks []destKey) []push {
 }
 
 // jobsFor makes the batch's jobs from its planned roles: one slab of jobs,
-// an execution context and value view for every executing role, and a
+// an execution context and value view for every executing role (a
+// master's view marks the keys migrating in from elsewhere), and a
 // registered mailbox for every role that waits for records. A mailbox that
 // records reached before the batch was admitted is adopted; the others
 // come with a record buffer sized to what they expect.
@@ -800,6 +796,16 @@ func (a *batchArena) jobsFor(planned []plannedRole) []job {
 			j.ctx.view, viewSlab = viewSlab[:len(access):len(access)], viewSlab[len(access):]
 			for v, k := range access {
 				j.ctx.view[v].key = k
+			}
+			if p.role.isMaster {
+				for _, m := range p.rt.Migrations {
+					if m.To != n.id || m.From == n.id {
+						continue
+					}
+					if s := j.ctx.slot(m.Key); s != nil {
+						s.inbound = true
+					}
+				}
 			}
 		}
 		if want := p.role.expectRecords; want > 0 {
@@ -869,6 +875,9 @@ func (n *Node) dropMailbox(id tx.TxnID) {
 type mailbox struct {
 	mu   sync.Mutex
 	recs []network.Record
+	// at maps each key to its record's position once recs outgrows
+	// mailboxScanMax, so a wide transaction's records land in linear time.
+	at map[tx.Key]int
 	// want/waiter are the registered continuation: when records for at
 	// least want distinct keys have accumulated, put resumes waiter once
 	// with them.
@@ -887,11 +896,14 @@ func (m *mailbox) put(records []network.Record) {
 		return
 	}
 	for _, r := range records {
-		if i := slices.IndexFunc(m.recs, func(o network.Record) bool { return o.Key == r.Key }); i >= 0 {
+		if i := m.index(r.Key); i >= 0 {
 			m.recs[i] = r
-		} else {
-			m.recs = append(m.recs, r)
+			continue
 		}
+		if m.at != nil {
+			m.at[r.Key] = len(m.recs)
+		}
+		m.recs = append(m.recs, r)
 	}
 	var fire *job
 	if m.waiter != nil && len(m.recs) >= m.want {
@@ -905,6 +917,32 @@ func (m *mailbox) put(records []network.Record) {
 		// pool and must not deadlock against a concurrent put.
 		fire.resumeWith(recs)
 	}
+}
+
+// mailboxScanMax is the most records a mailbox scans for a key before it
+// indexes them in a map. The map is built from scratch when recs outgrows
+// it, so a switch at T costs more than scanning for mailboxes of T to
+// about 2T records and less beyond: at 32, filling a mailbox in puts of 4
+// records took 7.3 µs instead of 5.1 µs at 40 records, broke even near
+// 60, and took 12.1 instead of 15.2 µs at 96 and 84 instead of 298 µs at
+// 512 (docs/PERF.md, "One key list per read-modify-write request").
+const mailboxScanMax = 32
+
+// index returns the position of k's record in recs, or -1.
+func (m *mailbox) index(k tx.Key) int {
+	if m.at == nil {
+		if len(m.recs) <= mailboxScanMax {
+			return slices.IndexFunc(m.recs, func(o network.Record) bool { return o.Key == k })
+		}
+		m.at = make(map[tx.Key]int, 2*len(m.recs))
+		for i, r := range m.recs {
+			m.at[r.Key] = i
+		}
+	}
+	if i, ok := m.at[k]; ok {
+		return i
+	}
+	return -1
 }
 
 // subscribe registers j to resume once records for at least want keys
@@ -922,14 +960,22 @@ func (m *mailbox) subscribe(want int, j *job) ([]network.Record, bool) {
 	return nil, false
 }
 
-// recordValue returns the value of k's record in recs.
+// sortRecords puts the records a role waited for in key order, for
+// recordValue's binary search. The role owns them once its mailbox handed
+// them over, and a mailbox holds one record per key, so the order is the
+// same on every replica.
+func sortRecords(recs []network.Record) {
+	slices.SortFunc(recs, func(a, b network.Record) int { return cmp.Compare(a.Key, b.Key) })
+}
+
+// recordValue returns the value of k's record in recs, which sortRecords
+// has put in key order.
 func recordValue(recs []network.Record, k tx.Key) ([]byte, bool) {
-	for i := range recs {
-		if recs[i].Key == k {
-			return recs[i].Value, true
-		}
+	i, ok := slices.BinarySearchFunc(recs, k, func(r network.Record, k tx.Key) int { return cmp.Compare(r.Key, k) })
+	if !ok {
+		return nil, false
 	}
-	return nil, false
+	return recs[i].Value, true
 }
 
 // outbox gathers a node's outbound record pushes, one pending push per

@@ -78,16 +78,18 @@ func (c *Cluster) StartWorker() { c.startAll() }
 // control plane reads its backlog, and runs the co-hosted leader on it.
 func (c *Cluster) Reliable() *network.Reliable { return c.rel }
 
-// SeedLocal writes k into the local store iff the local routing replica
+// SeedLocal writes k with a zero-counter value of payload bytes
+// (tx.CounterValue) into the local store iff the local routing replica
 // says k's home partition is this node, reporting whether it did. Every
 // process seeds from the same deterministic record stream; the replicas
-// agree on placement, so each record lands in exactly one process.
-func (c *Cluster) SeedLocal(k tx.Key, v []byte) bool {
+// agree on placement, so each record lands in exactly one process, and
+// only that one builds its value.
+func (c *Cluster) SeedLocal(k tx.Key, payload int) bool {
 	n := c.node(c.order[0])
 	if n.policy.Placement().Home(k) != n.id {
 		return false
 	}
-	n.store.Write(k, v)
+	n.store.Write(k, tx.CounterValue(payload, 0))
 	return true
 }
 

@@ -337,7 +337,7 @@ func (s *NodeServer) seed(spec seedSpec) (int, error) {
 	}
 	n := 0
 	for r := uint64(0); r < spec.Rows; r++ {
-		if s.cluster.SeedLocal(tx.MakeKey(0, r), tx.CounterValue(spec.Payload, 0)) {
+		if s.cluster.SeedLocal(tx.MakeKey(0, r), spec.Payload) {
 			n++
 		}
 	}
@@ -369,7 +369,7 @@ func (s *NodeServer) seedFromFile() error {
 	// restart.
 	if !s.restored {
 		for r := uint64(0); r < spec.Rows; r++ {
-			s.cluster.SeedLocal(tx.MakeKey(0, r), tx.CounterValue(spec.Payload, 0))
+			s.cluster.SeedLocal(tx.MakeKey(0, r), spec.Payload)
 		}
 	}
 	// Seeding must complete before the worker starts: the reliable layer

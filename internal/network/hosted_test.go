@@ -227,8 +227,8 @@ func TestStatsByTypeOverTCP(t *testing.T) {
 		tx.NewRequest(2, &tx.CounterProc{Reads: []tx.Key{key}, Writes: []tx.Key{key}}),
 	}}
 	mix := []Message{
-		{Type: MsgSeqDeliver, Seq: 1, Batch: batch},                                   // 32 + 2*(16+2*8) = 96
-		{Type: MsgSeqDeliver, Seq: 2, Batch: batch},                                   // 96
+		{Type: MsgSeqDeliver, Seq: 1, Batch: batch},                                   // 32 + 2*(16+8) = 80: one key list, counted once
+		{Type: MsgSeqDeliver, Seq: 2, Batch: batch},                                   // 80
 		{Type: MsgLinkAck, Link: 2},                                                   // 32
 		{Type: MsgTxnDone, Txn: 1, Seq: 1},                                            // 32
 		{Type: MsgRecordPush, Records: []Record{{Key: key, Value: make([]byte, 20)}}}, // 32 + 12 + 20 = 64
@@ -246,7 +246,7 @@ func TestStatsByTypeOverTCP(t *testing.T) {
 		recvWithin(t, t0h.Recv(hostedLeader), "hosted "+m.Type.String())
 	}
 	want := map[MsgType]TypeTotals{
-		MsgSeqDeliver: {Msgs: 2, Bytes: 192},
+		MsgSeqDeliver: {Msgs: 2, Bytes: 160},
 		MsgLinkAck:    {Msgs: 1, Bytes: 32},
 		MsgTxnDone:    {Msgs: 1, Bytes: 32},
 		MsgRecordPush: {Msgs: 1, Bytes: 64},
@@ -260,8 +260,8 @@ func TestStatsByTypeOverTCP(t *testing.T) {
 			t.Fatalf("%v: got %+v, want %+v (all: %v)", typ, got[typ], w, got)
 		}
 	}
-	if msgs, bytes := t0.Stats().Totals(); msgs != 5 || bytes != 320 {
-		t.Fatalf("totals = %d msgs / %d B, want 5 / 320", msgs, bytes)
+	if msgs, bytes := t0.Stats().Totals(); msgs != 5 || bytes != 288 {
+		t.Fatalf("totals = %d msgs / %d B, want 5 / 288", msgs, bytes)
 	}
 	if msgs, _ := t0h.Stats().Totals(); msgs != 0 || len(t0h.Stats().ByType()) != 0 {
 		t.Fatalf("hosted sends counted: %d msgs, by type %v", msgs, t0h.Stats().ByType())

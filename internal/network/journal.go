@@ -150,9 +150,17 @@ const (
 	// v4 may hold aborting-CounterProc requests, which v3 cannot decode;
 	// v5 frames the wire v5 layout (flags byte ahead of the records). v5's
 	// digit is '8', not '5': digits 5 to 7 are skipped so that no single
-	// rotted bit turns this build's digit into one of journalRefused.
+	// rotted bit turns this build's digit into one of journalRefused. v6
+	// (digit '9') may hold one-list CounterProc requests, which v5 cannot
+	// decode.
 	journalMagic   = "HERMJNL"
-	journalVersion = '8'
+	journalVersion = '9'
+	// journalReadable lists the older formats this build replays as they
+	// are: every v5 frame decodes under v6 to the Message v5 wrote, so an
+	// upgraded node replays its v5 journal and appends v6 frames behind
+	// them. A rotted bit that turns '9' into '8' is harmless for the same
+	// reason: the frames are CRC-checked and decode the same under either.
+	journalReadable = "8"
 	// journalRefused lists the older formats refused by their digit alone:
 	// some of their frames decode under this build by accident (a v4 frame
 	// with no records, payload or batch parses as a v5 one), so the frames
@@ -327,10 +335,10 @@ func replayJournal(raw []byte) replayResult {
 		return badMagic
 	}
 	rep := replayFrames(raw)
-	if v == journalVersion {
+	if v == journalVersion || strings.IndexByte(journalReadable, v) >= 0 {
 		return rep
 	}
-	// The magic names another format version. Versions 2 to 5 share the
+	// The magic names another format version. Versions 2 to 6 share the
 	// frame envelope, so the frames themselves say which it is: a frame
 	// that passes its CRC and is not a Message was written by another
 	// build's encoder, and replaying nothing from that file would restart

@@ -1,11 +1,14 @@
 package network
 
 import (
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"math/bits"
+	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -231,7 +234,7 @@ func TestJournalRefusesIncompatibleBuild(t *testing.T) {
 	old := v2Journal(t)
 	fs.Install(path, old, len(old))
 	_, err := OpenJournalWith("/n0", JournalOpts{FS: fs, Policy: SyncBatch})
-	if want := "written by an incompatible build (format v2, this build reads v8)"; err == nil || !contains(err.Error(), want) {
+	if want := "written by an incompatible build (format v2, this build reads v9)"; err == nil || !contains(err.Error(), want) {
 		t.Fatalf("open of a v2 journal: err = %v, want one saying %q", err, want)
 	}
 	if raw, rerr := fs.ReadFile(path); rerr != nil || string(raw) != string(old) {
@@ -261,7 +264,7 @@ func TestJournalRefusesPreviousFormat(t *testing.T) {
 		old[len(journalMagic)] = byte(digit)
 		fs.Install(path, old, len(old))
 		_, err = OpenJournalWith("/n0", JournalOpts{FS: fs, Policy: SyncBatch})
-		if want := fmt.Sprintf("incompatible build (format v%c, this build reads v8)", digit); err == nil || !contains(err.Error(), want) {
+		if want := fmt.Sprintf("incompatible build (format v%c, this build reads v9)", digit); err == nil || !contains(err.Error(), want) {
 			t.Fatalf("open of a v%c journal: err = %v, want one saying %q", digit, err, want)
 		}
 		if raw, rerr := fs.ReadFile(path); rerr != nil || string(raw) != string(old) {
@@ -283,11 +286,12 @@ func TestJournalRefusedDigitsAreFarFromTheVersion(t *testing.T) {
 }
 
 // TestJournalFlippedVersionByteIsCorruption: one flipped bit turns this
-// build's '8' into '9'. The frames behind it still decode, so it is a
+// build's '9' into '1'. The frames behind it still decode, so it is a
 // damaged header, not another build's file — it takes the quarantine path
 // every other damaged header takes and the open succeeds (the disk-fault
 // chaos schedules flip bytes of never-synced headers and require exactly
-// that).
+// that). The flip to '8' reads as the v5 format, whose frames this build
+// replays (TestJournalReplaysV5Journal).
 func TestJournalFlippedVersionByteIsCorruption(t *testing.T) {
 	for _, frames := range []int{0, 2} {
 		fs := diskio.NewMemFS(diskio.FaultSpec{Seed: 7})
@@ -301,7 +305,7 @@ func TestJournalFlippedVersionByteIsCorruption(t *testing.T) {
 		j.Close()
 		path := filepath.Join("/n0", journalFile)
 		raw, _ := fs.ReadFile(path)
-		raw[len(journalMagic)] ^= 1
+		raw[len(journalMagic)] ^= 8
 		fs.Install(path, raw, len(raw))
 		j2, err := OpenJournalWith("/n0", JournalOpts{FS: fs, Policy: SyncBatch})
 		if err != nil {
@@ -311,6 +315,58 @@ func TestJournalFlippedVersionByteIsCorruption(t *testing.T) {
 			t.Fatalf("%d frames: stats = %+v with %d recovered, want the whole file quarantined", frames, st, len(j2.Recovered()))
 		}
 		j2.Close()
+	}
+}
+
+// TestJournalReplaysV5Journal: a node upgraded from v5 replays the
+// journal v5 wrote — the header digit '8' over testdata/v5/deliver-25.hex,
+// the deliver v5 encoded with each request's key list twice under tag 1 —
+// and appends v6 frames behind it, which a reopen replays too. The
+// replayed message re-encodes as v6 writes it: one list under tag 5.
+func TestJournalReplaysV5Journal(t *testing.T) {
+	h, err := os.ReadFile(filepath.Join("testdata", "v5", "deliver-25.hex"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	v5Frame, err := hex.DecodeString(strings.TrimSpace(string(h)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw := append([]byte("HERMJNL8\x00\x00\x00\x00\x00\x00\x00\x00"), v5Frame...)
+	fs := diskio.NewMemFS(diskio.FaultSpec{Seed: 8})
+	path := filepath.Join("/n0", journalFile)
+	fs.Install(path, raw, len(raw))
+	want := benchDeliver(25)
+	j, err := OpenJournalWith("/n0", JournalOpts{FS: fs, Policy: SyncBatch})
+	if err != nil {
+		t.Fatalf("open of a v5 journal: %v", err)
+	}
+	if got := j.Recovered(); len(got) != 1 {
+		t.Fatalf("recovered %d messages from a v5 journal, want 1", len(got))
+	}
+	sameMessage(t, j.Recovered()[0], want)
+	appendDurable(t, j, j.Recovered()[0])
+	j.Close()
+	v6Frame, err := appendFrame(nil, &want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := fs.ReadFile(path); string(got) != string(raw)+string(v6Frame) {
+		t.Fatalf("journal after a v6 append is %d bytes, want the v5 file (%d) and the v6 frame (%d)", len(got), len(raw), len(v6Frame))
+	}
+	j2, err := OpenJournalWith("/n0", JournalOpts{FS: fs, Policy: SyncBatch})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j2.Close()
+	if got := j2.Recovered(); len(got) != 2 {
+		t.Fatalf("recovered %d messages after a v6 append, want 2", len(got))
+	}
+	for _, m := range j2.Recovered() {
+		sameMessage(t, m, want)
+	}
+	if st := j2.Stats(); st.Corrupt != 0 {
+		t.Fatalf("stats = %+v, want nothing quarantined", st)
 	}
 }
 

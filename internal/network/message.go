@@ -195,8 +195,9 @@ func (m *Message) WireSize() int {
 	}
 	if m.Batch != nil {
 		for _, r := range m.Batch.Txns {
-			// Request id + procedure tag + 8 bytes per declared key.
-			n += 16 + 8*(len(r.ReadSet())+len(r.WriteSet()))
+			// Request id + procedure tag + 8 bytes per key the codec
+			// writes: a read-modify-write's one key list counts once.
+			n += 16 + 8*tx.WireKeys(r)
 		}
 	}
 	return n

@@ -48,7 +48,9 @@ const (
 	// v5 moves the batch flag ahead of the records as a flags byte, tags
 	// the records of a multi-transaction push, carries piggybacked acks in
 	// a trailer, and lists a batch's ClientSeqs in MsgTxnDone's payload.
-	wireVersion             = 5
+	// v6 adds the one-list CounterProc procedure tag, which a v5 build
+	// cannot decode.
+	wireVersion             = 6
 	defaultHandshakeTimeout = 3 * time.Second
 	handshakeLen            = 16
 )

@@ -19,7 +19,11 @@ import (
 //
 // A decoded message owns all of its memory, and empty slices decode as nil.
 // The encoding is canonical: a flag is set exactly when its part is
-// non-zero, so a decoded message re-encodes to the bytes it came from.
+// non-zero, so a message this build encoded re-encodes to the bytes it
+// came from. The one exception is a request written by v5, which carried
+// a read-modify-write's equal key lists twice under procedure tag 1: the
+// decoder still accepts that form, so v5 journals replay, and it
+// re-encodes as tag 5.
 
 // The flags byte's bits.
 const (

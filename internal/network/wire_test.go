@@ -7,12 +7,14 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 	"unsafe"
 
 	"hermes/internal/tx"
+	"hermes/internal/workload"
 )
 
 // leaderNode mirrors engine.LeaderNode (a negative transport address),
@@ -22,7 +24,8 @@ const leaderNode tx.NodeID = -64
 // The benchmark's frame shapes (bench/probes.go): the data plane's most
 // common message, the largest one, and the two smallest; then the two v5
 // forms a record push may also take, a push for several transactions and
-// a push carrying an ack.
+// a push carrying an ack; and a deliver of requests whose two key lists
+// differ (TPC-C Payment), which keeps the two-list procedure form pinned.
 
 func benchRecordPush() Message {
 	return Message{From: 1, To: 0, Type: MsgRecordPush, Txn: 7, Link: 3, Inc: 1,
@@ -42,6 +45,20 @@ func benchDeliver(txns int) Message {
 		batch.Txns = append(batch.Txns, benchRequest(tx.TxnID(i+1)))
 	}
 	return Message{From: leaderNode, To: 0, Type: MsgSeqDeliver, Seq: 1, Link: 1, Inc: 1, Batch: batch}
+}
+
+// paymentDeliver seals three TPC-C Payments: each reads a warehouse, a
+// district and a customer, and writes those three and a fresh history row.
+func paymentDeliver() Message {
+	batch := &tx.Batch{Seq: 4}
+	for i := uint64(1); i <= 3; i++ {
+		rw := []tx.Key{workload.WarehouseKey(1), workload.DistrictKey(1, i), workload.CustomerKey(1, i, 40+i)}
+		writes := append(append([]tx.Key(nil), rw...), tx.MakeKey(workload.TableHistory, 1_000+i))
+		req := tx.NewRequest(tx.TxnID(100+i), &tx.CounterProc{Reads: rw, Writes: writes, Payload: 64})
+		req.Client, req.ClientSeq, req.SubmitTime = 2, 50+i, time.Unix(1_700_000_000, 0)
+		batch.Txns = append(batch.Txns, req)
+	}
+	return Message{From: leaderNode, To: 1, Type: MsgSeqDeliver, Seq: 4, Link: 4, Inc: 1, Batch: batch}
 }
 
 func benchLinkAck() Message {
@@ -115,6 +132,7 @@ var goldenFrames = map[string]func() Message{
 	"txn-done":           benchTxnDone,
 	"record-push-tagged": taggedRecordPush,
 	"record-push-acked":  ackedRecordPush,
+	"deliver-payment":    paymentDeliver,
 }
 
 // TestGoldenFrames pins the shapes byte for byte. Journals persist
@@ -143,6 +161,7 @@ func TestMessageRoundTripEdgeCases(t *testing.T) {
 		"zero":        {},
 		"record-push": benchRecordPush(),
 		"deliver":     benchDeliver(25),
+		"payment":     paymentDeliver(),
 		"link-ack":    benchLinkAck(),
 		"txn-done":    benchTxnDone(),
 		"tagged push": taggedRecordPush(),
@@ -190,6 +209,44 @@ func TestMessageSize(t *testing.T) {
 	}
 }
 
+// TestWireSizeTracksCodec: the byte model charges a request for the keys
+// the codec writes. Switching one request between the one-list form and
+// a two-list one (setting Abort, which travels under tag 4 with both lists)
+// moves its encoding and its WireSize term by the same 8 bytes per key;
+// the encoding also moves by the second list's count byte.
+func TestWireSizeTracksCodec(t *testing.T) {
+	encLen := func(r *tx.Request) int {
+		b, err := tx.AppendRequest(nil, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(b)
+	}
+	modelLen := func(r *tx.Request) int {
+		m := Message{Batch: &tx.Batch{Txns: []*tx.Request{r}}}
+		return m.WireSize() - headerBytes
+	}
+	for _, n := range []int{0, 1, 3, 70} {
+		keys := make([]tx.Key, n)
+		for i := range keys {
+			keys[i] = tx.MakeKey(0, uint64(7*i+1))
+		}
+		p := &tx.CounterProc{Reads: keys, Writes: slices.Clone(keys), Payload: 64}
+		r := tx.NewRequest(1, p)
+		oneEnc, oneModel := encLen(r), modelLen(r)
+		if want := 16 + 8*n; oneModel != want {
+			t.Errorf("%d keys: a one-list request models %d bytes, want %d", n, oneModel, want)
+		}
+		p.Abort = true
+		if d := modelLen(r) - oneModel; d != 8*n {
+			t.Errorf("%d keys: the model moved by %d bytes between the forms, want %d", n, d, 8*n)
+		}
+		if d := encLen(r) - oneEnc; d != 8*n+1 {
+			t.Errorf("%d keys: the encoding moved by %d bytes between the forms, want %d", n, d, 8*n+1)
+		}
+	}
+}
+
 func TestEncodeRefusesClosureProcedures(t *testing.T) {
 	m := Message{Type: MsgSeqForward, Batch: &tx.Batch{Txns: []*tx.Request{
 		tx.NewRequest(1, &tx.FuncProc{Fn: func(tx.ExecCtx) {}}),
@@ -207,7 +264,9 @@ func TestEncodeRefusesClosureProcedures(t *testing.T) {
 // buildMessage derives a message from fuzz-chosen scalars: sizes come from
 // the small integers, contents from a PRNG, and the 64-bit extremes from wide
 // (max-uint64 fields) and node (negative node ids). The seed decides whether
-// the records carry transaction tags and whether an ack rides along.
+// the records carry transaction tags and whether an ack rides along;
+// payloadLen whether a CounterProc aborts (odd) or declares one key list
+// as both of its sets (2 mod 4).
 func buildMessage(seed int64, typ uint8, node int64, wide uint64, submit int64, nRecs, valLen, payloadLen, proc, nTxns, nKeys uint8) Message {
 	rng := rand.New(rand.NewSource(seed))
 	bytesOf := func(n uint8) []byte {
@@ -250,7 +309,11 @@ func buildMessage(seed int64, typ uint8, node int64, wide uint64, submit int64, 
 		var p tx.Procedure
 		switch proc % 4 {
 		case 1:
-			p = &tx.CounterProc{Reads: keys(), Writes: keys(), Payload: max(int(valLen)-1, 0), Abort: payloadLen%2 == 1}
+			cp := &tx.CounterProc{Reads: keys(), Writes: keys(), Payload: max(int(valLen)-1, 0), Abort: payloadLen%2 == 1}
+			if payloadLen%4 == 2 {
+				cp.Writes = cp.Reads
+			}
+			p = cp
 		case 2:
 			p = &tx.MigrationProc{Keys: keys(), To: tx.NodeID(node)}
 		case 3:
@@ -312,7 +375,7 @@ func FuzzDecodeMessage(f *testing.F) {
 		if m.Batch != nil {
 			keys := 0
 			for _, r := range m.Batch.Txns {
-				keys += len(r.Proc.ReadSet()) + len(r.Proc.WriteSet())
+				keys += tx.WireKeys(r) // a one-list procedure's Writes is its Reads
 			}
 			if keys*8 > len(p) {
 				t.Fatalf("%d keys decoded from %d bytes", keys, len(p))
@@ -352,13 +415,13 @@ func TestEncodeIntoReusedBufferDoesNotAllocate(t *testing.T) {
 }
 
 // TestDecodeAllocationsAreBounded states what a decoded 25-transaction
-// deliver costs: per request the Request, its procedure, the two declared
-// key lists and the two normalized caches (6), plus the batch and its
-// slice. A regression to per-field or reflective decoding would multiply
-// it.
+// deliver costs: per request the Request, its procedure, its one declared
+// key list and the one normalized copy all three sets share (4), plus the
+// batch and its slice. A regression to per-field or reflective decoding
+// would multiply it.
 func TestDecodeAllocationsAreBounded(t *testing.T) {
 	wire := mustEncode(t, benchDeliver(25))
-	const want = 25*6 + 2
+	const want = 25*4 + 2
 	allocs := testing.AllocsPerRun(100, func() {
 		if _, err := decodeMessage(wire); err != nil {
 			t.Fatal(err)

@@ -26,24 +26,15 @@ func (u *UndoLog) Reset(store *Store, n int) {
 	u.entries = u.entries[:0]
 }
 
-// Write performs a store write, first capturing the before-image. Multiple
-// writes to the same key keep only the first (oldest) before-image, which
-// is sufficient for rollback.
+// Write performs a store write, first capturing the before-image. Every
+// call captures one, with no search of the log: Rollback restores newest
+// first, so a key written twice ends at its oldest before-image. A caller
+// that knows a key's image is already captured (the engine's view slot
+// does) writes the store directly instead.
 func (u *UndoLog) Write(k tx.Key, v []byte) {
-	if !u.seen(k) {
-		prev, existed := u.store.Read(k)
-		u.entries = append(u.entries, undoEntry{key: k, prev: prev, existed: existed})
-	}
+	prev, existed := u.store.Read(k)
+	u.entries = append(u.entries, undoEntry{key: k, prev: prev, existed: existed})
 	u.store.Write(k, v)
-}
-
-func (u *UndoLog) seen(k tx.Key) bool {
-	for _, e := range u.entries {
-		if e.key == k {
-			return true
-		}
-	}
-	return false
 }
 
 // Rollback restores every written key to its before-image, newest first.

@@ -103,7 +103,8 @@ type Request struct {
 	// reads/writes/access cache the (deduplicated, sorted) declared sets
 	// and their union so the router and the engine do not re-derive them
 	// for every candidate route and role. access aliases writes or reads
-	// when the union equals either.
+	// when the union equals either; all three share one array when the
+	// procedure declares equal lists.
 	reads  []Key
 	writes []Key
 	access []Key
@@ -132,6 +133,13 @@ func NewRequest(id TxnID, proc Procedure) *Request {
 
 func (r *Request) cacheSets() {
 	rs, ws := r.Proc.ReadSet(), r.Proc.WriteSet()
+	if slices.Equal(rs, ws) {
+		// A read-modify-write of one key list: one normalized copy serves
+		// as all three sets.
+		r.reads = NormalizeKeys(slices.Clone(rs))
+		r.writes, r.access = r.reads, r.reads
+		return
+	}
 	// One slab for both copies; three-index slices keep them apart.
 	buf := make([]Key, len(rs)+len(ws))
 	copy(buf, rs)

@@ -99,7 +99,25 @@ const (
 	// tag so a non-aborting request's bytes are the ones tagCounter always
 	// had.
 	tagAbortingCounter = 4
+	// tagOneListCounter is a non-aborting CounterProc whose Reads and
+	// Writes are equal (oneList): a read-modify-write of one key list,
+	// which travels once.
+	tagOneListCounter = 5
 )
+
+// oneList reports whether p travels under tagOneListCounter. It is the one
+// place that decides the form, so the codec and WireKeys cannot disagree.
+func oneList(p *CounterProc) bool { return !p.Abort && slices.Equal(p.Reads, p.Writes) }
+
+// WireKeys returns how many keys the network's byte model charges r for:
+// a one-list CounterProc's list once, as the codec writes it, and the
+// declared read and write sets of any other procedure.
+func WireKeys(r *Request) int {
+	if p, ok := r.Proc.(*CounterProc); ok && oneList(p) {
+		return len(p.Reads)
+	}
+	return len(r.ReadSet()) + len(r.WriteSet())
+}
 
 // WireTag returns the tag p travels under. The type switch is the authority
 // on which procedures may cross a process boundary or enter a journal: only
@@ -111,6 +129,9 @@ func WireTag(p Procedure) (uint8, error) {
 	case *CounterProc:
 		if p.Abort {
 			return tagAbortingCounter, nil
+		}
+		if oneList(p) {
+			return tagOneListCounter, nil
 		}
 		return tagCounter, nil
 	case *MigrationProc:
@@ -129,7 +150,10 @@ func appendProc(b []byte, p Procedure) ([]byte, error) {
 	b = append(b, tag)
 	switch p := p.(type) {
 	case *CounterProc:
-		b = appendIDs(appendIDs(b, p.Reads), p.Writes)
+		b = appendIDs(b, p.Reads)
+		if tag != tagOneListCounter {
+			b = appendIDs(b, p.Writes)
+		}
 		b = codec.AppendI64(b, int64(p.Payload))
 	case *MigrationProc:
 		b = codec.AppendI64(appendIDs(b, p.Keys), int64(p.To))
@@ -141,8 +165,16 @@ func appendProc(b []byte, p Procedure) ([]byte, error) {
 
 func readProc(r *codec.Reader) Procedure {
 	switch tag := r.U8(); tag {
-	case tagCounter, tagAbortingCounter:
-		p := &CounterProc{Reads: readIDs[Key](r), Writes: readIDs[Key](r), Abort: tag == tagAbortingCounter}
+	case tagCounter, tagAbortingCounter, tagOneListCounter:
+		p := &CounterProc{Reads: readIDs[Key](r), Abort: tag == tagAbortingCounter}
+		if tag == tagOneListCounter {
+			p.Writes = p.Reads // one list, one allocation; nothing mutates either
+		} else {
+			// Equal lists under tag 1 are how v5 wrote every
+			// read-modify-write; v5 journals replay them, and they
+			// re-encode as tag 5.
+			p.Writes = readIDs[Key](r)
+		}
 		// Every replica allocates Payload bytes per written key, so a
 		// hostile size must not get past the decoder; no larger value fits
 		// in a frame anyway.
@@ -259,7 +291,7 @@ func ReadBatch(r *codec.Reader) *Batch {
 // gob-encode a network.Message reflectively; nothing on the data plane
 // uses encoding/gob.
 func (r *Request) GobEncode() ([]byte, error) {
-	return AppendRequest(make([]byte, 0, 128), r) // one allocation for a typical 3-key request (91 bytes)
+	return AppendRequest(make([]byte, 0, 128), r) // one allocation for a typical 3-key request (66 bytes)
 }
 
 // GobDecode is ReadRequest over exactly b (see GobEncode).

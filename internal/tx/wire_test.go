@@ -50,22 +50,30 @@ func TestDecodedRequestRoutesLikeTheOriginal(t *testing.T) {
 	}
 }
 
+// TestEveryTaggedProcedureRoundTrips: each procedure travels under the tag
+// its form calls for and decodes to what was sent. A CounterProc declaring
+// equal key lists, on one array or two, travels them once (tag 5) and
+// decodes to one slice serving as both; any other CounterProc keeps both
+// lists.
 func TestEveryTaggedProcedureRoundTrips(t *testing.T) {
-	procs := []Procedure{
-		&CounterProc{Reads: []Key{1, 2}, Writes: []Key{2}, Payload: codec.MaxFrameLen},
-		&CounterProc{},
-		&CounterProc{Reads: []Key{7}, Writes: []Key{7, 8}, Payload: 64, Abort: true},
-		&MigrationProc{Keys: []Key{math.MaxUint64, 0}, To: NoNode},
-		&ProvisionProc{Add: []NodeID{4, 5}, Remove: []NodeID{-64}},
-		&ProvisionProc{},
-	}
-	seen := map[uint8]bool{}
-	for _, p := range procs {
-		tag, err := WireTag(p)
-		if err != nil {
-			t.Fatal(err)
+	for _, tc := range []struct {
+		p   Procedure
+		tag uint8
+	}{
+		{&CounterProc{Reads: []Key{1, 2}, Writes: []Key{2}, Payload: codec.MaxFrameLen}, tagCounter},
+		{&CounterProc{Reads: []Key{1, 5}, Writes: []Key{5, 1}}, tagCounter},
+		{&CounterProc{}, tagOneListCounter},
+		{&CounterProc{Reads: []Key{9, 3, 9}, Writes: []Key{9, 3, 9}, Payload: 64}, tagOneListCounter},
+		{&CounterProc{Reads: []Key{7}, Writes: []Key{7, 8}, Payload: 64, Abort: true}, tagAbortingCounter},
+		{&CounterProc{Reads: []Key{7, 8}, Writes: []Key{7, 8}, Payload: 64, Abort: true}, tagAbortingCounter},
+		{&MigrationProc{Keys: []Key{math.MaxUint64, 0}, To: NoNode}, tagMigration},
+		{&ProvisionProc{Add: []NodeID{4, 5}, Remove: []NodeID{-64}}, tagProvision},
+		{&ProvisionProc{}, tagProvision},
+	} {
+		p := tc.p
+		if tag, err := WireTag(p); err != nil || tag != tc.tag {
+			t.Fatalf("%T %+v: tag %d (%v), want %d", p, p, tag, err, tc.tag)
 		}
-		seen[tag] = true
 		in := NewRequest(math.MaxUint64, p)
 		in.Client, in.ClientSeq = NoNode, math.MaxUint64
 		out := roundTrip(t, in)
@@ -78,9 +86,30 @@ func TestEveryTaggedProcedureRoundTrips(t *testing.T) {
 		if !out.SubmitTime.IsZero() {
 			t.Errorf("%T: zero SubmitTime decoded as %v", p, out.SubmitTime)
 		}
+		if cp, ok := out.Proc.(*CounterProc); ok && len(cp.Reads) > 0 && len(cp.Writes) > 0 {
+			if shared := &cp.Reads[0] == &cp.Writes[0]; shared != (tc.tag == tagOneListCounter) {
+				t.Errorf("%+v: decoded lists share an array: %v", p, shared)
+			}
+		}
 	}
-	if len(seen) != 4 {
-		t.Fatalf("covered tags %v, want all four", seen)
+}
+
+// TestEqualListsShareOneNormalizedSet: a request whose procedure declares
+// equal lists caches one sorted, deduplicated copy as its read-, write-
+// and access set, and that copy never aliases the procedure's own lists.
+func TestEqualListsShareOneNormalizedSet(t *testing.T) {
+	keys := []Key{9, 3, 9, 1}
+	p := &CounterProc{Reads: keys, Writes: keys}
+	r := NewRequest(1, p)
+	want := []Key{1, 3, 9}
+	if !reflect.DeepEqual(r.ReadSet(), want) || !reflect.DeepEqual(r.WriteSet(), want) || !reflect.DeepEqual(r.AccessSet(), want) {
+		t.Fatalf("sets %v / %v / %v, want %v", r.ReadSet(), r.WriteSet(), r.AccessSet(), want)
+	}
+	if &r.ReadSet()[0] != &r.WriteSet()[0] || &r.ReadSet()[0] != &r.AccessSet()[0] {
+		t.Fatal("equal declared lists were normalized into separate arrays")
+	}
+	if &r.ReadSet()[0] == &keys[0] || !reflect.DeepEqual(keys, []Key{9, 3, 9, 1}) {
+		t.Fatalf("normalization touched the declared list: %v", keys)
 	}
 }
 

@@ -387,7 +387,9 @@ gate_cluster-netchaos() {
 # executes nothing else. Every generated transaction is plain data: the
 # chaos workloads must quiesce identically with each procedure
 # round-tripped through the request codec, and each generator's procedure
-# must match the closure it replaced (kept as a test-only reference).
+# must match the closure it replaced (kept as a test-only reference). The
+# frames the benchmark sends stay pinned byte for byte, and the byte model
+# charges a request for the keys the codec writes.
 gate_codec() {
     local gob_want gob_got target gate run pkg
     gob_want=$'bench/probes.go\ninternal/durable/durable.go\ninternal/fusion/fusion.go'
@@ -404,7 +406,9 @@ gate_codec() {
         go test -run '^$' -fuzz "^${target}\$" -fuzztime 10s -fuzzminimizetime 1s ./internal/network
     done
     for gate in 'TestCodecInTheLoopEquivalence ./internal/chaos' \
-        'TestProceduresMatchClosureReference ./internal/workload'; do
+        'TestProceduresMatchClosureReference ./internal/workload' \
+        'TestGoldenFrames ./internal/network' \
+        'TestWireSizeTracksCodec ./internal/network'; do
         run=${gate% *}
         pkg=${gate##* }
         list_guard "codec gate" 1 "^${run}\$" "${pkg}"
