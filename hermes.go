@@ -284,10 +284,7 @@ func (db *DB) Load(k Key, v []byte) { db.cluster.LoadRecord(k, v) }
 // LoadUniform seeds Rows records of the given payload size, counters
 // zeroed.
 func (db *DB) LoadUniform(payload int) {
-	for i := uint64(0); i < db.opts.Rows; i++ {
-		v := make([]byte, payload)
-		db.cluster.LoadRecord(tx.MakeKey(0, i), v)
-	}
+	db.cluster.SeedRows(db.opts.Rows, payload)
 }
 
 // Read fetches a record through current placement (diagnostics; not the

@@ -27,7 +27,10 @@ import (
 // Measured on a 2-vCPU x86-64 box: 96.0 objects and 8,099 B per txn
 // before the hot path was made allocation-free (per-transaction maps in
 // admission, role derivation, execution and the mailbox, a list node per
-// fusion insert), 18.7 objects and 3,920 B after.
+// fusion insert), 18.7 objects and 3,920 B after. Under the race detector
+// the test only logs its reading: the race runtime's own allocations
+// (about 20 objects and 4,150 B per txn on the same box) are not the
+// engine's, and the reuse gate runs it without -race, bounds applied.
 func TestSteadyStateAllocsPerTxn(t *testing.T) {
 	const (
 		warm = 20_000
@@ -51,6 +54,10 @@ func TestSteadyStateAllocsPerTxn(t *testing.T) {
 	objects := float64(after.Mallocs-before.Mallocs) / float64(committed)
 	bytes := float64(after.TotalAlloc-before.TotalAlloc) / float64(committed)
 	t.Logf("%.1f objects and %.0f B per committed txn", objects, bytes)
+	if raceEnabled {
+		t.Log("race detector on: bounds not applied")
+		return
+	}
 	if objects > maxObjects || bytes > maxBytes {
 		t.Errorf("%.1f objects and %.0f B per committed txn, want ≤ %d and ≤ %d B", objects, bytes, maxObjects, maxBytes)
 	}

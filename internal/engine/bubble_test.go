@@ -22,6 +22,7 @@ func TestBubbled(t *testing.T) {
 	for _, f := range []func(*testing.T){
 		TestLeaderFailoverMatchesUninterrupted,
 		TestLeaderFailoverBackToBack,
+		TestLeaderFailoverKeepsSealedCount,
 		TestLeaderCrashValidation,
 		TestDrainDetailNamesStuckNode,
 		TestDrainDetailNamesRefusedBatch,

@@ -317,7 +317,7 @@ func (c *Cluster) registerGauges() {
 		func() float64 { return float64(col.QueuePlan().PerBatch) / 1e3 })
 
 	if c.seq != nil {
-		reg.Gauge("hermes_seq_batches_total", "batches sealed by the total-order leader",
+		reg.Gauge("hermes_seq_batches_total", "batches sealed by the total-order group, across failovers",
 			func() float64 { return float64(c.seq.Stats().Batches) })
 		reg.Gauge("hermes_seq_batch_fill", "last sealed batch size relative to the configured batch size",
 			func() float64 { return c.seq.Stats().LastFill })
@@ -849,6 +849,37 @@ func (c *Cluster) TotalBytes() int64 {
 func (c *Cluster) LoadRecord(k tx.Key, v []byte) {
 	home := c.node(c.order[0]).policy.Placement().Home(k)
 	c.node(home).store.Write(k, v)
+}
+
+// SeedRows loads the static initial layout in bulk: it writes table-0
+// rows [0, rows) as zeroed values of size bytes, each at its home as node
+// 0's placement computes it (all replicas agree), and returns how many it
+// wrote. Only rows homed on a node this Cluster hosts are written — all of
+// them in the emulation, one node's share in a worker — so every process
+// of a cluster can run the same call over the same rows. Each row ends up
+// exactly as LoadRecord would leave it. Placement is resolved once, and
+// each hosted store takes its share in one Store.LoadZeroed. Call before
+// the node starts.
+func (c *Cluster) SeedRows(rows uint64, size int) int {
+	nodes := c.nodeList()
+	pl := nodes[0].policy.Placement()
+	homed := make([][]tx.Key, len(nodes))
+	for r := uint64(0); r < rows; r++ {
+		k := tx.MakeKey(0, r)
+		home := pl.Home(k)
+		for i, n := range nodes {
+			if n.id == home {
+				homed[i] = append(homed[i], k)
+				break
+			}
+		}
+	}
+	seeded := 0
+	for i, n := range nodes {
+		n.store.LoadZeroed(homed[i], size)
+		seeded += len(homed[i])
+	}
+	return seeded
 }
 
 // ReadRecord locates and reads a record via current placement; returns

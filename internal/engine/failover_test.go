@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -177,6 +178,61 @@ func TestLeaderFailoverBackToBack(t *testing.T) {
 	}
 	if sum != 24 {
 		t.Errorf("committed increments = %d, want 24 (lost or duplicated submissions)", sum)
+	}
+}
+
+// TestLeaderFailoverKeepsSealedCount pins the group's sealed-batch count
+// (hermes_seq_batches_total) across two leader kills: it never goes down,
+// it holds its value while no leader is live instead of reading 0, and
+// once each round drains it equals the sealed sequence count, with every
+// submitted transaction counted once.
+func TestLeaderFailoverKeepsSealedCount(t *testing.T) {
+	c := newFailoverCluster(t, 3, 2, policies(3)["hermes"])
+	loadCounters(c, testRows)
+	if _, err := c.Checkpoint(30 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	var last int64
+	monotone := func(when string) sequencer.LeaderStats {
+		t.Helper()
+		st := c.SeqStats()
+		if st.Batches < last {
+			t.Fatalf("%s: sealed batches went down %d -> %d", when, last, st.Batches)
+		}
+		last = st.Batches
+		return st
+	}
+	submitted := 0
+	round := func(when string) {
+		t.Helper()
+		for i := 0; i < 10; i++ {
+			if _, err := c.Submit(0, incProc(tx.MakeKey(0, uint64(submitted%testRows)))); err != nil {
+				t.Fatal(err)
+			}
+			submitted++
+		}
+		mustDrain(t, c, 30*time.Second)
+		st := monotone(when)
+		if seq, _ := c.seq.Next(); st.Batches != int64(seq) {
+			t.Errorf("%s: %d sealed batches counted, sealed sequence count %d", when, st.Batches, seq)
+		}
+		if st.Txns != int64(submitted) {
+			t.Errorf("%s: %d sealed transactions counted, %d submitted", when, st.Txns, submitted)
+		}
+	}
+	round("before any kill")
+	for kill := 1; kill <= 2; kill++ {
+		if err := c.CrashLeader(); err != nil {
+			t.Fatal(err)
+		}
+		monotone(fmt.Sprintf("leader %d down", kill))
+		if err := c.RestartLeader(); err != nil {
+			t.Fatal(err)
+		}
+		round(fmt.Sprintf("after failover %d", kill))
+	}
+	if got := c.SeqFailovers(); got != 2 {
+		t.Errorf("failovers = %d, want 2", got)
 	}
 }
 

@@ -43,7 +43,7 @@ type WorkerConfig struct {
 }
 
 // NewWorker assembles a single-node cluster process but does not start it:
-// recovery must seed storage (SeedLocal) before the node consumes its
+// recovery must seed storage (SeedRows) before the node consumes its
 // replayed input. Call StartWorker when the process is ready to run.
 func NewWorker(wc WorkerConfig) (*Cluster, error) {
 	cfg := Config{
@@ -77,21 +77,6 @@ func (c *Cluster) StartWorker() { c.startAll() }
 // Reliable exposes the worker's reliable layer: the cluster harness's
 // control plane reads its backlog, and runs the co-hosted leader on it.
 func (c *Cluster) Reliable() *network.Reliable { return c.rel }
-
-// SeedLocal writes k with a zero-counter value of payload bytes
-// (tx.CounterValue) into the local store iff the local routing replica
-// says k's home partition is this node, reporting whether it did. Every
-// process seeds from the same deterministic record stream; the replicas
-// agree on placement, so each record lands in exactly one process, and
-// only that one builds its value.
-func (c *Cluster) SeedLocal(k tx.Key, payload int) bool {
-	n := c.node(c.order[0])
-	if n.policy.Placement().Home(k) != n.id {
-		return false
-	}
-	n.store.Write(k, tx.CounterValue(payload, 0))
-	return true
-}
 
 // WorkerQuiesceInfo is one node's quiescence snapshot. The cluster is
 // quiescent when, in a single sweep with the leader flushed and idle at

@@ -39,11 +39,7 @@ func googleGen(sc Scale, tr *trace.Cluster, recordsMean, recordsStd float64) *wo
 }
 
 func loadUniform(sc Scale) func(c *engine.Cluster) {
-	return func(c *engine.Cluster) {
-		for i := uint64(0); i < sc.Rows; i++ {
-			c.LoadRecord(tx.MakeKey(0, i), make([]byte, 64))
-		}
-	}
+	return func(c *engine.Cluster) { c.SeedRows(sc.Rows, 64) }
 }
 
 // runGoogle measures one system on the Google workload.

@@ -89,6 +89,10 @@ type seedSpec struct {
 	Payload int    `json:"payload"`
 }
 
+// valueSize is the size of a seeded row's value: a zero counter of
+// Payload bytes, tx.CounterValue(Payload, 0) byte for byte.
+func (sp seedSpec) valueSize() int { return max(sp.Payload, 8) }
+
 const seedFile = "seed.json"
 
 // NodeServer is the in-process runtime of one hermesd cluster process: a
@@ -318,7 +322,7 @@ func (s *NodeServer) Serve() error {
 }
 
 // seed writes the local shard of the deterministic record stream and
-// starts the worker. Every process runs the identical loop; the routing
+// starts the worker. Every process makes the identical call; the routing
 // replicas agree on placement, so each record lands in exactly one.
 func (s *NodeServer) seed(spec seedSpec) (int, error) {
 	s.mu.Lock()
@@ -335,12 +339,7 @@ func (s *NodeServer) seed(spec seedSpec) (int, error) {
 		return 0, fmt.Errorf("harness: seed rows %d do not match the partitioning's %d rows",
 			spec.Rows, s.cfg.Rows)
 	}
-	n := 0
-	for r := uint64(0); r < spec.Rows; r++ {
-		if s.cluster.SeedLocal(tx.MakeKey(0, r), spec.Payload) {
-			n++
-		}
-	}
+	n := s.cluster.SeedRows(spec.Rows, spec.valueSize())
 	data, err := json.Marshal(spec)
 	if err != nil {
 		return 0, err
@@ -368,9 +367,7 @@ func (s *NodeServer) seedFromFile() error {
 	// clobber migrated state. The spec is only replayed on a journal-only
 	// restart.
 	if !s.restored {
-		for r := uint64(0); r < spec.Rows; r++ {
-			s.cluster.SeedLocal(tx.MakeKey(0, r), spec.Payload)
-		}
+		s.cluster.SeedRows(spec.Rows, spec.valueSize())
 	}
 	// Seeding must complete before the worker starts: the reliable layer
 	// replays the journal the moment the node consumes its feed, and

@@ -402,19 +402,35 @@ func (c *Cluster) waitHealthy(i int, timeout time.Duration) error {
 	}
 }
 
-// Seed streams the deterministic record set into every process; each seeds
-// the rows its routing replica places locally, then starts its worker.
+// Seed streams the deterministic record set into every process at once;
+// each seeds the rows its routing replica places locally, then starts its
+// worker. A refusal is reported for the lowest-indexed worker that
+// refused; otherwise the counts must add up to the cluster's rows.
 func (c *Cluster) Seed() error {
 	spec := seedSpec{Rows: c.cfg.Rows, Payload: c.cfg.Payload}
+	seeded := make([]int, len(c.ctrlAddrs))
+	errs := make([]error, len(c.ctrlAddrs))
+	var wg sync.WaitGroup
+	for i := range seeded {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var resp struct {
+				Seeded int `json:"seeded"`
+			}
+			if err := c.post(i, "/seed", spec, &resp); err != nil {
+				errs[i] = fmt.Errorf("harness: seeding worker %d: %w", i, err)
+			}
+			seeded[i] = resp.Seeded
+		}()
+	}
+	wg.Wait()
 	total := 0
-	for i := range c.procs {
-		var resp struct {
-			Seeded int `json:"seeded"`
+	for i, n := range seeded {
+		if errs[i] != nil {
+			return errs[i]
 		}
-		if err := c.post(i, "/seed", spec, &resp); err != nil {
-			return fmt.Errorf("harness: seeding worker %d: %w", i, err)
-		}
-		total += resp.Seeded
+		total += n
 	}
 	if uint64(total) != c.cfg.Rows {
 		return fmt.Errorf("harness: seeded %d rows across the cluster, want %d", total, c.cfg.Rows)

@@ -71,9 +71,7 @@ func RunTwin(cfg TwinConfig, spec WorkloadSpec) (*TwinResult, error) {
 	}
 	defer db.Stop()
 
-	for r := uint64(0); r < cfg.Rows; r++ {
-		db.LoadRecord(tx.MakeKey(0, r), tx.CounterValue(cfg.Payload, 0))
-	}
+	db.SeedRows(cfg.Rows, seedSpec{Rows: cfg.Rows, Payload: cfg.Payload}.valueSize())
 
 	procs, err := spec.Procs()
 	if err != nil {

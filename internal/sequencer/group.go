@@ -57,6 +57,9 @@ type Group struct {
 	epoch     uint64
 	announced uint64 // highest epoch whose promotion was counted
 
+	// sealed is the group's sealed stream, shared by every replica.
+	sealed *sealCount
+
 	failovers  atomic.Int64
 	hbMisses   atomic.Int64
 	onFailover func(leader tx.NodeID, epoch uint64)
@@ -76,6 +79,7 @@ func NewGroup(base tx.NodeID, tr network.Transport, members []tx.NodeID, cfg Con
 		replicas: make(map[tx.NodeID]*Leader, cfg.Standbys+1),
 		down:     make(map[tx.NodeID]bool),
 		leaderID: base,
+		sealed:   newSealCount(0, firstTxn),
 	}
 	for _, id := range GroupNodes(base, cfg.Standbys) {
 		r := NewLeader(id, tr, members, cfg, g)
@@ -269,12 +273,14 @@ func (g *Group) SetNext(seq uint64, next tx.TxnID) {
 	}
 }
 
-// Stats returns the current leader's batching statistics.
+// Stats returns the group's batching statistics: the batches and
+// transactions sealed under every leader it has had, and the current
+// leader's fill and pending requests (none while it is down).
 func (g *Group) Stats() LeaderStats {
 	if l := g.leader(); l != nil {
 		return l.Stats()
 	}
-	return LeaderStats{}
+	return g.sealed.stats()
 }
 
 // KeepFrom sets the checkpoint floor on every live replica: each keeps a

@@ -128,8 +128,9 @@ type Leader struct {
 	clientBase map[tx.NodeID]uint64 // sealedHigh as of the start of the retained log
 	lastHeard  time.Time
 
-	statBatches  int64
-	statTxns     int64
+	// sealed counts the stream this replica sealed; a group's replicas
+	// share the group's.
+	sealed       *sealCount
 	statLastFill float64
 
 	quit chan struct{}
@@ -143,14 +144,19 @@ func NewLeader(id tx.NodeID, tr network.Transport, members []tx.NodeID, cfg Conf
 	if cfg.BatchSize <= 0 {
 		cfg.BatchSize = 1
 	}
+	sealed := newSealCount(0, firstTxn)
+	if g != nil {
+		sealed = g.sealed
+	}
 	return &Leader{
 		id:         id,
 		tr:         tr,
 		cfg:        cfg,
 		group:      g,
 		members:    append([]tx.NodeID(nil), members...),
-		nextTxn:    1,
-		txnBase:    1,
+		nextTxn:    firstTxn,
+		txnBase:    firstTxn,
+		sealed:     sealed,
 		floor:      math.MaxUint64,
 		leaderID:   id,
 		leading:    g == nil,
@@ -669,8 +675,7 @@ func (l *Leader) Flush() {
 	}
 	batch := &tx.Batch{Seq: l.nextSeq, Txns: reqs}
 	l.nextSeq++
-	l.statBatches++
-	l.statTxns += int64(len(reqs))
+	l.sealed.note(l.nextSeq, l.nextTxn)
 	l.statLastFill = float64(len(reqs)) / float64(l.cfg.BatchSize)
 	l.log = append(l.log, batch)
 	l.logEpochs = append(l.logEpochs, l.epoch)
@@ -883,9 +888,14 @@ func (l *Leader) clientHigh() map[tx.NodeID]uint64 {
 	return out
 }
 
+// firstTxn is the id a fresh total order gives its first transaction.
+const firstTxn tx.TxnID = 1
+
 // LeaderStats reports batching activity: how many batches and
-// transactions the leader has sealed, how full the most recent batch was
-// relative to the configured size, and the requests currently pending.
+// transactions the leader has sealed (a group's replicas report the
+// group's count, which a failover neither resets nor rewinds), how full
+// the most recent batch was relative to the configured size, and the
+// requests currently pending.
 type LeaderStats struct {
 	Batches  int64
 	Txns     int64
@@ -893,17 +903,53 @@ type LeaderStats struct {
 	Pending  int     // requests awaiting the next flush
 }
 
+// sealCount counts a sealed stream by its high-water marks: one past the
+// newest sealed batch's sequence and transaction id, against where the
+// order began. A group's replicas share one, so the count survives the
+// leader's death, and a batch that a deposed leader rolled back and its
+// successor sealed again counts once.
+type sealCount struct {
+	mu        sync.Mutex
+	seq0, seq uint64
+	txn0, txn tx.TxnID
+}
+
+func newSealCount(seq uint64, txn tx.TxnID) *sealCount {
+	return &sealCount{seq0: seq, seq: seq, txn0: txn, txn: txn}
+}
+
+// reset starts the count over at a repositioned order (SetNext).
+func (s *sealCount) reset(seq uint64, txn tx.TxnID) {
+	s.mu.Lock()
+	s.seq0, s.seq, s.txn0, s.txn = seq, seq, txn, txn
+	s.mu.Unlock()
+}
+
+// note records a seal that leaves the order at (seq, txn) next.
+func (s *sealCount) note(seq uint64, txn tx.TxnID) {
+	s.mu.Lock()
+	s.seq = max(s.seq, seq)
+	s.txn = max(s.txn, txn)
+	s.mu.Unlock()
+}
+
+func (s *sealCount) stats() LeaderStats {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return LeaderStats{Batches: int64(s.seq - s.seq0), Txns: int64(s.txn - s.txn0)}
+}
+
 // Stats returns cumulative batching statistics. Safe to call from any
 // goroutine.
 func (l *Leader) Stats() LeaderStats {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return LeaderStats{
-		Batches:  l.statBatches,
-		Txns:     l.statTxns,
-		LastFill: l.statLastFill,
-		Pending:  len(l.pending),
-	}
+	// Read under mu, which every seal holds: a caller adding Txns and
+	// Pending never counts a request twice or not at all.
+	st := l.sealed.stats()
+	st.LastFill = l.statLastFill
+	st.Pending = len(l.pending)
+	return st
 }
 
 // SetNext positions the total order: the next flushed batch gets sequence
@@ -914,6 +960,7 @@ func (l *Leader) SetNext(seq uint64, next tx.TxnID) {
 	l.nextSeq = seq
 	l.nextTxn = next
 	l.txnBase = next
+	l.sealed.reset(seq, next)
 	l.mu.Unlock()
 }
 

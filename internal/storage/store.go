@@ -37,10 +37,14 @@ func NewStore() *Store {
 }
 
 func (s *Store) shardFor(k tx.Key) *shard {
-	// Multiply-shift mix; keys are often sequential so avoid modulo bias
-	// landing whole ranges in one shard.
+	return &s.shards[shardOf(k)]
+}
+
+// shardOf picks k's shard by a multiply-shift mix; keys are often
+// sequential, so this avoids modulo bias landing whole ranges in one shard.
+func shardOf(k tx.Key) int {
 	h := uint64(k) * 0x9E3779B97F4A7C15
-	return &s.shards[h>>58&(shardCount-1)]
+	return int(h >> 58 & (shardCount - 1))
 }
 
 // Read returns the value of k and whether it exists. The returned slice
@@ -59,6 +63,41 @@ func (s *Store) Write(k tx.Key, v []byte) {
 	sh.mu.Lock()
 	sh.recs[k] = v
 	sh.mu.Unlock()
+}
+
+// LoadZeroed writes every key of keys with a zeroed value of size bytes,
+// as Write(k, make([]byte, size)) would, in bulk: the keys are grouped
+// shard by shard, each empty shard's map is sized for exactly its keys (a
+// bulk load never grows a map by rehashing), and every value is a
+// capacity-capped cut of one zeroed slab. Stored values are never mutated
+// in place, so neighbouring records cannot alias.
+func (s *Store) LoadZeroed(keys []tx.Key, size int) {
+	var start [shardCount + 1]int
+	for _, k := range keys {
+		start[shardOf(k)+1]++
+	}
+	for i := 1; i <= shardCount; i++ {
+		start[i] += start[i-1]
+	}
+	grouped := make([]tx.Key, len(keys))
+	next := start
+	for _, k := range keys {
+		i := shardOf(k)
+		grouped[next[i]] = k
+		next[i]++
+	}
+	slab := make([]byte, len(keys)*size)
+	for i := range s.shards {
+		sh := &s.shards[i]
+		sh.mu.Lock()
+		if len(sh.recs) == 0 {
+			sh.recs = make(map[tx.Key][]byte, start[i+1]-start[i])
+		}
+		for j := start[i]; j < start[i+1]; j++ {
+			sh.recs[grouped[j]] = slab[j*size : (j+1)*size : (j+1)*size]
+		}
+		sh.mu.Unlock()
+	}
 }
 
 // Delete removes k, returning its prior value and whether it existed.

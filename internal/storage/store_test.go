@@ -268,3 +268,38 @@ func BenchmarkStoreWrite(b *testing.B) {
 		s.Write(tx.Key(i&(1<<16-1)), v)
 	}
 }
+
+// TestLoadZeroedMatchesWrite pins the bulk load to the per-key path: a
+// store loaded by LoadZeroed holds the digest and usage of one written key
+// by key, including over records it already held, and every value is
+// capacity-capped, so an append to one never writes into its neighbour.
+func TestLoadZeroedMatchesWrite(t *testing.T) {
+	for _, size := range []int{0, 4, 64} {
+		bulk, each := NewStore(), NewStore()
+		held := tx.MakeKey(0, 7)
+		bulk.Write(held, []byte("held"))
+		each.Write(held, []byte("held"))
+		var keys []tx.Key
+		for r := uint64(0); r < 1000; r += 3 {
+			keys = append(keys, tx.MakeKey(0, r))
+		}
+		keys = append(keys, held)
+		bulk.LoadZeroed(keys, size)
+		for _, k := range keys {
+			each.Write(k, make([]byte, size))
+		}
+		if bulk.Digest() != each.Digest() {
+			t.Errorf("size %d: bulk digest %x, per-key %x", size, bulk.Digest(), each.Digest())
+		}
+		br, bb := bulk.Usage()
+		er, eb := each.Usage()
+		if br != er || bb != eb {
+			t.Errorf("size %d: bulk usage %d records %d B, per-key %d records %d B", size, br, bb, er, eb)
+		}
+		for _, k := range keys {
+			if v, _ := bulk.Read(k); len(v) != size || cap(v) != size {
+				t.Fatalf("size %d: key %v has len %d cap %d", size, k, len(v), cap(v))
+			}
+		}
+	}
+}

@@ -169,11 +169,16 @@ gate_fuzz-corpus() {
 # already covers these when run full; this named gate keeps the recovery
 # claim pinned even under -short (see docs/RECOVERY.md). The node's order
 # check right after a checkpoint, where the replay buffers start, is
-# pinned by name.
+# pinned by name. So is seeding, which a journal-only restart repeats
+# before it replays: the bulk seeder against the per-row load, and the
+# orchestrator's seeding of every worker at once.
 gate_crash-recovery() {
     local run='Reliable|Crash|Recover|Checkpoint|LossAndCrash|LossySchedule|TCPTransport'
     list_guard "crash-recovery gate" 1 '^TestNodeRefusesGapAfterCheckpoint$' ./internal/engine
     go test -race -count=1 -run "${run}" ./internal/network ./internal/engine ./internal/chaos .
+    local seed='^(TestSeedRowsMatchesLoadRecord|TestSeedPostsEveryWorkerAtOnce|TestLoadZeroedMatchesWrite)$'
+    list_guard "crash-recovery gate" 3 "${seed}" ./internal/engine ./internal/harness ./internal/storage
+    go test -race -count=1 -run "${seed}" ./internal/engine ./internal/harness ./internal/storage
 }
 
 # Leader-failover gate: killing the total-order leader — alone and
