@@ -32,7 +32,7 @@ const (
 // but its on-disk checkpoint + journal suffix — and the cluster's final
 // digests must still be byte-identical to an in-process twin that executed
 // the whole stream with no faults at all. A hermesd worker carries no cost
-// model, so its roles run inline on the bucket workers; the hand-off path's
+// model, so its roles run inline on the bucket worker; the hand-off path's
 // crash recovery is covered by the chaos suite's dispatch-path tests.
 func TestClusterDurableRestart(t *testing.T) {
 	if testing.Short() {

@@ -131,9 +131,10 @@ type Options struct {
 	NetLatency time.Duration
 	// StorageDelay is a per-record storage access cost (0 = off).
 	StorageDelay time.Duration
-	// Executors sizes each node's executor pool and bounds concurrent
-	// transaction execution per node (default 4; Open refuses a negative
-	// count).
+	// Executors bounds how many transactions that sleep (ExecCost,
+	// StorageDelay) a node executes at once, its cores in the cost model
+	// (default 4; Open refuses a negative count). A node admits every
+	// transaction on one goroutine whatever Executors is.
 	// ExecCost is the simulated CPU time per executed transaction (0 =
 	// off). Together they set a node's saturation throughput.
 	Executors int

@@ -11,7 +11,7 @@ import (
 const handoffDelay = time.Microsecond
 
 // dispatchPathEquivalence runs spec under every schedule twice — with the
-// cost model at zero, so roles run inline on the bucket workers, and with
+// cost model at zero, so roles run inline on the bucket worker, and with
 // handoffDelay, so every role is handed to the executor pool — and checks
 // that all 2×len(scheds) runs quiesced to byte-identical state. Where a
 // role runs must never change what it does.

@@ -72,7 +72,7 @@ type Spec struct {
 	Telemetry bool
 
 	// storageDelay is the engine's per-record storage cost. A non-zero
-	// cost model moves roles off the bucket workers onto the executor pool
+	// cost model moves roles off the bucket worker onto the executor pool
 	// (engine dispatch); final state must not depend on it, which the
 	// package's dispatch-path equivalence tests assert.
 	storageDelay time.Duration

@@ -123,7 +123,7 @@ func TestOutboxEmptyAfterEveryChunk(t *testing.T) {
 	}
 	var chunks, leftovers atomic.Int64
 	for _, n := range c.nodeList() {
-		n.qx = qexec.New(qexec.Config{Workers: 1, AfterChunk: func() {
+		n.qx = qexec.New(qexec.Config{AfterChunk: func() {
 			n.flushPushes()
 			chunks.Add(1)
 			if len(n.out.take()) != 0 {

@@ -80,11 +80,12 @@ type Config struct {
 	// StorageDelay is an optional per-record storage access cost,
 	// emulating buffer-pool pressure. Zero for unit tests.
 	StorageDelay time.Duration
-	// Executors sizes a node's executor pool (the paper's nodes have
-	// 4-core machines running a fixed pool): the bucket workers that drain
-	// its per-key queues, and — when ExecCost or StorageDelay make roles
-	// sleep — how many roles may *execute* at once. Waiting in a key queue
-	// or for remote records does not occupy an executor slot, so the bound
+	// Executors bounds how many roles that sleep (ExecCost,
+	// StorageDelay) a node executes at once: its executor slots, the
+	// paper's per-node cores (its nodes are 4-core machines). A node's key
+	// queues always drain on one bucket worker, whatever Executors is, and
+	// roles that do not sleep run there without a slot. Waiting in a key
+	// queue or for remote records does not occupy a slot, so the bound
 	// cannot deadlock. Zero means the default, 4; New refuses a negative
 	// count.
 	Executors int
@@ -374,20 +375,13 @@ func (c *Cluster) registerGauges() {
 				}
 				return 0
 			})
-		// Per-worker drain counters need the worker count, which is fixed
-		// for the cluster's lifetime; read it from the initial node
-		// instance (RestartNode rebuilds with the same config).
-		for w := 0; w < c.node(id).qx.Workers(); w++ {
-			w := w
-			wlabel := fmt.Sprintf(`{node="%d",worker="%d"}`, id, w)
-			reg.Gauge("hermes_exec_worker_drained_total"+wlabel, "transactions whose rendezvous this bucket worker completed",
-				func() float64 {
-					if n := c.node(id); n != nil {
-						return float64(n.qx.Drained(w))
-					}
-					return 0
-				})
-		}
+		reg.Gauge("hermes_exec_worker_drained_total"+label, "transactions whose every key the node's bucket worker granted",
+			func() float64 {
+				if n := c.node(id); n != nil {
+					return float64(n.qx.Drained())
+				}
+				return 0
+			})
 		fusionStat := func(pick func(fusionStats) int64) func() float64 {
 			return func() float64 {
 				if n := c.node(id); n != nil {

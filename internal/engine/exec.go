@@ -51,10 +51,10 @@ func (n *Node) step(j *job) {
 }
 
 // resumeWith hands j the records it waited for and re-enters it into the
-// bucket pool.
+// bucket worker.
 func (j *job) resumeWith(recs []network.Record) {
 	j.remote = recs
-	j.a.node.qx.Submit(j.rt.Txn.ID, j.step)
+	j.a.node.qx.Submit(j.step)
 }
 
 // run executes this node's role for one admitted transaction; dispatch
@@ -62,7 +62,7 @@ func (j *job) resumeWith(recs []network.Record) {
 // the records this node owns to where they are needed. A role that
 // expects no records then finishes at once. One that does subscribes to
 // its mailbox instead of parking: when the last record lands, the job
-// re-enters the bucket pool through qexec.Submit and dispatch, so the
+// re-enters the bucket worker through qexec.Submit and dispatch, so the
 // Phase 3 work never runs on the transport receive loop. Deadlock freedom
 // comes from admission in total order plus the fact that record waits
 // only ever point "toward" nodes that push unconditionally once their own
@@ -208,7 +208,7 @@ func (n *Node) finish(j *job, remoteReady time.Time) {
 				total = done.Sub(arrival)
 			}
 			// There is no lock manager, so LockWait stays zero. Queue
-			// residence (admission -> rendezvous, plus the hand-off's wait
+			// residence (admission -> last key granted, plus the hand-off's wait
 			// for an executor slot) and the per-transaction share of batch
 			// planning are reported as their own components, not hidden in
 			// Scheduling.

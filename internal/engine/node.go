@@ -23,7 +23,7 @@ type Node struct {
 	cluster *Cluster
 	store   *storage.Store
 	// qx is the admission engine: per-key operation queues planned from
-	// each sealed batch and drained in total order by bucket workers.
+	// each sealed batch and drained in total order by one bucket worker.
 	qx     *qexec.Executor
 	policy router.Policy
 
@@ -98,7 +98,7 @@ func newNode(id tx.NodeID, c *Cluster, policy router.Policy) *Node {
 		executors = 4
 	}
 	n.execSem = make(chan struct{}, executors)
-	n.qx = qexec.New(qexec.Config{Workers: executors, AfterChunk: n.flushPushes})
+	n.qx = qexec.New(qexec.Config{AfterChunk: n.flushPushes})
 	return n
 }
 
@@ -108,7 +108,7 @@ func newNode(id tx.NodeID, c *Cluster, policy router.Policy) *Node {
 // role sleeps, so it runs inline on the bucket worker: no goroutine, no
 // hand-off, and its record pushes leave with the rest of the worker's
 // chunk. A role that will sleep (ExecCost, StorageDelay) would stall
-// every key queue in its bucket for as long as it sleeps, so it goes to a
+// every key queue of the node for as long as it sleeps, so it goes to a
 // goroutine that holds one of the Executors slots while it runs and
 // flushes the outbox when it returns. Waiting for records holds no slot,
 // so the bound cannot deadlock.
@@ -118,7 +118,7 @@ func (n *Node) dispatch(j *job) {
 		return
 	}
 	n.roleGoroutines.Add(1)
-	n.wg.Add(1) // from a bucket worker: wait joins them before wg.Wait
+	n.wg.Add(1) // from the bucket worker: wait joins it before wg.Wait
 	go func() {
 		defer n.wg.Done()
 		// Give up on shutdown so a crash cannot strand a role behind a
@@ -169,8 +169,8 @@ func (n *Node) stop() {
 }
 
 func (n *Node) wait() {
-	// The bucket workers go first: joining them also joins any inline role
-	// still running on one, and after it no dispatch can start another
+	// The bucket worker goes first: joining it also joins any inline role
+	// still running on it, and after it no dispatch can start another
 	// goroutine, so wg.Wait below cannot race a wg.Add. Entries left queued
 	// are abandoned, and so is their share of the migration gauge.
 	n.qx.Close()
@@ -383,8 +383,8 @@ type plannedRole struct {
 
 // admit plans the batch — it derives this node's role in every route —
 // and then admits the whole batch into the per-key queues in one call.
-// The bucket worker that completes a role's rendezvous hands it to
-// dispatch. Roles that expect inbound records split at the mailbox instead
+// The bucket worker hands a role to dispatch once it has granted the
+// role's last key. Roles that expect inbound records split at the mailbox instead
 // of parking (see run), so a record wait never stalls a bucket worker and
 // never holds a goroutine either. Everything a role carries past
 // admission is carved from one arena per batch.
@@ -432,8 +432,8 @@ func (n *Node) admit(plan *router.Plan, arrival time.Time) {
 	ops, ptrs := n.ops[:0], n.opPtrs[:0]
 	for i := range jobs {
 		j := &jobs[i]
-		// If the node crashes before the rendezvous, the closure simply
-		// never fires.
+		// If the node crashes before the last key is granted, the
+		// closure simply never fires.
 		j.step = func() { n.dispatch(j) }
 		ops = append(ops, qexec.Op{ID: j.rt.Txn.ID, Shared: j.role.shared, Excl: j.role.excl, OnReady: j.step})
 	}
@@ -913,8 +913,8 @@ func (m *mailbox) put(records []network.Record) {
 	recs := m.recs
 	m.mu.Unlock()
 	if fire != nil {
-		// Outside the mutex: the continuation re-submits into the bucket
-		// pool and must not deadlock against a concurrent put.
+		// Outside the mutex: the continuation re-submits to the bucket
+		// worker and must not deadlock against a concurrent put.
 		fire.resumeWith(recs)
 	}
 }

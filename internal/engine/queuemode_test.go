@@ -1,10 +1,14 @@
 package engine
 
 import (
+	"fmt"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
 	"hermes/internal/sequencer"
+	"hermes/internal/telemetry"
 	"hermes/internal/tx"
 )
 
@@ -93,7 +97,7 @@ func TestQueueModeBreakdownHasNoLockWait(t *testing.T) {
 
 // TestQueueModeGoroutineCount: with the cost model at zero no role may run
 // on a goroutine of its own — not even one that waits on inbound records,
-// which rides a mailbox continuation back into the bucket pool instead of
+// which rides a mailbox continuation back onto the bucket worker instead of
 // parking. With a storage delay every role is handed to the executor pool,
 // so the same cross-node workload distinguishes the two dispatch paths;
 // requiring remote reads ensures the record-waiting (continuation) path
@@ -143,9 +147,73 @@ func TestQueueModeGoroutineCount(t *testing.T) {
 	})
 }
 
+// TestOneBucketWorkerPerNode: whatever Executors is, each node's key
+// queues drain on exactly one goroutine, whose drain gauge is the node's
+// one series, and stopping the cluster joins them all. Executors sizes
+// only the slots that sleeping roles hold.
+func TestOneBucketWorkerPerNode(t *testing.T) {
+	for _, executors := range []int{1, 4, 8} {
+		t.Run(fmt.Sprint(executors), func(t *testing.T) {
+			before := bucketWorkers()
+			ids := []tx.NodeID{0, 1, 2}
+			tel := telemetry.New(ids, 1024)
+			c, err := New(Config{
+				Nodes:     ids,
+				Policy:    policies(3)["calvin"],
+				Seq:       sequencer.Config{BatchSize: 8, Interval: 2 * time.Millisecond},
+				Executors: executors,
+				Telemetry: tel,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(c.Stop)
+			loadCounters(c, testRows)
+			for i := 0; i < 30; i++ {
+				keys := []tx.Key{tx.MakeKey(0, uint64(i%40)), tx.MakeKey(0, uint64(80+i%40)), tx.MakeKey(0, uint64(150+i%40))}
+				if err := c.SubmitAndWait(tx.NodeID(i%3), incProc(keys...)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			mustDrain(t, c, 10*time.Second)
+			if got := bucketWorkers() - before; got != 3 {
+				t.Fatalf("Executors = %d: %d bucket-worker goroutines on 3 nodes, want 3", executors, got)
+			}
+			gauges := tel.Registry().SnapshotMap()
+			for name := range gauges {
+				if strings.Contains(name, "worker=") {
+					t.Errorf("gauge %s still has a per-worker series", name)
+				}
+			}
+			for _, id := range ids {
+				if g := gauges[fmt.Sprintf(`hermes_exec_worker_drained_total{node="%d"}`, id)]; g == 0 {
+					t.Errorf("node %d's drain gauge reads 0 after a cross-node workload", id)
+				}
+			}
+			c.Stop()
+			if got := bucketWorkers() - before; got != 0 {
+				t.Fatalf("Executors = %d: %d bucket-worker goroutines left after Stop", executors, got)
+			}
+		})
+	}
+}
+
+// bucketWorkers counts the live goroutines that drain a qexec executor's
+// key queues.
+func bucketWorkers() int {
+	buf := make([]byte, 1<<20)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			return strings.Count(string(buf[:n]), "qexec.(*Executor).loop(")
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+}
+
 // roleGoroutines sums the roles handed to goroutines across all nodes. A
 // zero-cost run must report zero — roles run inline and record waits are
-// mailbox continuations on the bucket workers, never parked goroutines.
+// mailbox continuations on the bucket worker, never parked goroutines.
 func roleGoroutines(c *Cluster) int64 {
 	var n int64
 	for _, nd := range c.nodeList() {

@@ -22,7 +22,7 @@ type Breakdown struct {
 	Scheduling time.Duration // batch analysis + routing + dispatch
 	LockWait   time.Duration // conservative-ordered-lock queueing (zero)
 	QueuePlan  time.Duration // per-txn share of batch planning
-	QueueWait  time.Duration // admission -> rendezvous residence
+	QueueWait  time.Duration // admission -> last key granted
 	Storage    time.Duration // local record reads/writes
 	RemoteWait time.Duration // blocking on records from other nodes
 	Other      time.Duration // everything else (queuing, commit, client)

@@ -13,9 +13,9 @@ import (
 	"hermes/internal/tx"
 )
 
-func newTest(t *testing.T, workers int) *Executor {
+func newTest(t *testing.T) *Executor {
 	t.Helper()
-	e := New(Config{Workers: workers})
+	e := New(Config{})
 	t.Cleanup(e.Close)
 	return e
 }
@@ -57,19 +57,16 @@ func waitDrained(t *testing.T, e *Executor) {
 	}
 }
 
-// barrier returns once every bucket worker has drained what was pushed to
-// it before the call, including every OnReady those messages triggered.
+// barrier returns once the worker has drained what was pushed to it
+// before the call, including every OnReady those messages triggered.
 func barrier(e *Executor) {
-	var wg sync.WaitGroup
-	wg.Add(len(e.workers))
-	for _, w := range e.workers {
-		w.push1(message{run: wg.Done})
-	}
-	wg.Wait()
+	done := make(chan struct{})
+	e.Submit(func() { close(done) })
+	<-done
 }
 
 func TestZeroKeyGrantsImmediately(t *testing.T) {
-	e := newTest(t, 2)
+	e := newTest(t)
 	if !granted(admit(e, 1, nil, nil)) {
 		t.Fatal("empty key set not granted")
 	}
@@ -77,7 +74,7 @@ func TestZeroKeyGrantsImmediately(t *testing.T) {
 }
 
 func TestExclusiveSerializesInTotalOrder(t *testing.T) {
-	e := newTest(t, 3)
+	e := newTest(t)
 	g1 := admit(e, 1, nil, []tx.Key{10})
 	g2 := admit(e, 2, nil, []tx.Key{10})
 	if !granted(g1) {
@@ -94,7 +91,7 @@ func TestExclusiveSerializesInTotalOrder(t *testing.T) {
 }
 
 func TestSharedPrefixGrantedTogether(t *testing.T) {
-	e := newTest(t, 2)
+	e := newTest(t)
 	admit(e, 1, nil, []tx.Key{5})
 	g2 := admit(e, 2, []tx.Key{5}, nil)
 	g3 := admit(e, 3, []tx.Key{5}, nil)
@@ -114,41 +111,41 @@ func TestSharedPrefixGrantedTogether(t *testing.T) {
 	e.Release(4)
 }
 
-func TestCrossBucketRendezvous(t *testing.T) {
-	// With many workers, a multi-key transaction's keys land in different
-	// buckets; the grant must only fire once every bucket has granted its
-	// share.
-	e := newTest(t, 8)
-	keys := make([]tx.Key, 32)
-	for i := range keys {
-		keys[i] = tx.Key(i * 977)
-	}
-	g1 := admit(e, 1, nil, keys[:1])
-	g2 := admit(e, 2, keys[1:16], keys[:1])
-	g3 := admit(e, 3, nil, keys)
-	if !granted(g1) {
-		t.Fatal("head not granted")
-	}
-	if !notGranted(g2) {
-		t.Fatal("txn 2 granted while txn 1 holds a shared key")
-	}
-	e.Release(1)
-	if !granted(g2) {
-		t.Fatal("txn 2 not granted after rendezvous complete")
-	}
-	if !notGranted(g3) {
-		t.Fatal("txn 3 granted while txn 2 holds overlapping keys")
-	}
-	e.Release(2)
-	if !granted(g3) {
-		t.Fatal("txn 3 not granted")
+func TestMultiKeyRunsOnceAfterLastGrant(t *testing.T) {
+	// Transaction 4's keys queue behind three different predecessors, two
+	// writers and a reader under its write; it must run exactly once, and
+	// only after the last of them has released.
+	e := newTest(t)
+	admit(e, 1, nil, []tx.Key{1})
+	admit(e, 2, nil, []tx.Key{2})
+	admit(e, 3, []tx.Key{3}, nil)
+	var runs atomic.Int32
+	ran := make(chan struct{})
+	e.AdmitBatch([]*Op{{ID: 4, Shared: []tx.Key{2}, Excl: []tx.Key{1, 3, 5}, OnReady: func() {
+		if runs.Add(1) == 1 {
+			close(ran)
+		}
+	}}})
+	for _, id := range []tx.TxnID{2, 1} {
+		e.Release(id)
+		if !notGranted(ran) {
+			t.Fatalf("txn 4 ran after txn %d released, while txn 3 still holds a key", id)
+		}
 	}
 	e.Release(3)
+	if !granted(ran) {
+		t.Fatal("txn 4 not granted after its last predecessor released")
+	}
+	barrier(e)
+	if n := runs.Load(); n != 1 {
+		t.Fatalf("txn 4 ran %d times, want once", n)
+	}
+	e.Release(4)
 	waitDrained(t, e)
 }
 
 func TestKeyInBothSetsIsExclusive(t *testing.T) {
-	e := newTest(t, 4)
+	e := newTest(t)
 	admit(e, 1, []tx.Key{7}, []tx.Key{7})
 	g2 := admit(e, 2, []tx.Key{7}, nil)
 	if !notGranted(g2) {
@@ -164,7 +161,7 @@ func TestKeyInBothSetsIsExclusive(t *testing.T) {
 func TestInlineOnReadyRunsInAdmissionOrderPerKey(t *testing.T) {
 	// Inline transactions on the same key must observe each other's writes
 	// in total order even though they run on the worker goroutine.
-	e := newTest(t, 4)
+	e := newTest(t)
 	const n = 200
 	var mu sync.Mutex
 	var order []int
@@ -205,11 +202,11 @@ func TestInlineOnReadyRunsInAdmissionOrderPerKey(t *testing.T) {
 }
 
 func TestInlineAndGoroutinePathsShareKeyOrder(t *testing.T) {
-	// Alternate transactions whose OnReady runs inline on the bucket worker
+	// Alternate transactions whose OnReady runs inline on the worker
 	// with transactions whose OnReady hands the work to a goroutine that
 	// releases later — the engine's two dispatch paths. The observed
 	// sequence on the shared key must be the admission (total) order.
-	e := newTest(t, 2)
+	e := newTest(t)
 	const n = 100
 	var mu sync.Mutex
 	var order []int
@@ -247,7 +244,7 @@ func TestInlineAndGoroutinePathsShareKeyOrder(t *testing.T) {
 }
 
 func TestOutstandingAndQueuedKeysDrain(t *testing.T) {
-	e := newTest(t, 4)
+	e := newTest(t)
 	g := admit(e, 1, []tx.Key{1, 2}, []tx.Key{3})
 	// Outstanding counts the admission before any worker has seen it.
 	if got := e.Outstanding(); got != 1 {
@@ -264,7 +261,7 @@ func TestOutstandingAndQueuedKeysDrain(t *testing.T) {
 }
 
 func TestReleaseUnknownIsNoop(t *testing.T) {
-	e := newTest(t, 2)
+	e := newTest(t)
 	e.Release(42)
 	if e.QueuedKeys() != 0 || e.Outstanding() != 0 {
 		t.Fatal("phantom queue after releasing unknown txn")
@@ -272,7 +269,7 @@ func TestReleaseUnknownIsNoop(t *testing.T) {
 }
 
 func TestDuplicateAdmitPanics(t *testing.T) {
-	e := newTest(t, 2)
+	e := newTest(t)
 	admit(e, 1, nil, []tx.Key{1})
 	defer func() {
 		if recover() == nil {
@@ -283,7 +280,7 @@ func TestDuplicateAdmitPanics(t *testing.T) {
 }
 
 func TestCloseWhilePendingDoesNotHang(t *testing.T) {
-	e := New(Config{Workers: 2})
+	e := New(Config{})
 	admit(e, 1, nil, []tx.Key{1})
 	admit(e, 2, nil, []tx.Key{1}) // blocked behind 1, never released
 	done := make(chan struct{})
@@ -299,7 +296,7 @@ func TestConcurrentAdmitReleaseNoLostGrants(t *testing.T) {
 	// Randomized conflict workload mirroring the lock.Manager stress test:
 	// single admitter in total order, each grant handed to a goroutine that
 	// releases later, no exclusive overlap, everything eventually granted.
-	e := newTest(t, 4)
+	e := newTest(t)
 	rng := rand.New(rand.NewSource(7))
 	const txns = 500
 	var wg sync.WaitGroup
@@ -365,11 +362,11 @@ func TestGrantOrderMatchesLockManager(t *testing.T) {
 
 func differential(t *testing.T, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
-	e := newTest(t, 1+rng.Intn(4))
+	e := newTest(t)
 	m := lock.NewManager()
 
 	var mu sync.Mutex
-	var qGranted []tx.TxnID // appended by OnReady on the bucket workers
+	var qGranted []tx.TxnID // appended by OnReady on the worker
 	lGrants := map[tx.TxnID]lock.Granted{}
 	var held []tx.TxnID // granted, not yet released, ascending
 	next := tx.TxnID(1)
@@ -443,7 +440,7 @@ func differential(t *testing.T, seed int64) {
 }
 
 func BenchmarkAdmitRelease(b *testing.B) {
-	e := New(Config{Workers: 4})
+	e := New(Config{})
 	defer e.Close()
 	keys := []tx.Key{1, 2, 3, 4}
 	b.ResetTimer()
@@ -454,15 +451,15 @@ func BenchmarkAdmitRelease(b *testing.B) {
 	}
 }
 
-// TestReuseUnderConcurrentPushes stresses the buffers the workers recycle
+// TestReuseUnderConcurrentPushes stresses the buffers the worker recycles
 // — the drained inbox and emptied key queues — while Release and Submit
 // push from other goroutines and from inside OnReady on the worker itself.
 // Every grant and every submitted continuation must run exactly once, no
-// two exclusive holders of a key may overlap, and once the workers are
+// two exclusive holders of a key may overlap, and once the worker is
 // joined every recycled queue and spare inbox must be empty and hold no
 // pointers.
 func TestReuseUnderConcurrentPushes(t *testing.T) {
-	e := New(Config{Workers: 2})
+	e := New(Config{})
 	const txns = 4000
 	rng := rand.New(rand.NewSource(5))
 	var grants, runs [txns + 1]atomic.Int32
@@ -471,7 +468,7 @@ func TestReuseUnderConcurrentPushes(t *testing.T) {
 	var wg sync.WaitGroup
 	wg.Add(2 * txns) // one grant and one submitted continuation each
 
-	// A bystander keeps Submit traffic flowing into both inboxes.
+	// A bystander keeps Submit traffic flowing into the inbox.
 	stop := make(chan struct{})
 	var bystander sync.WaitGroup
 	var strays atomic.Int64
@@ -484,7 +481,7 @@ func TestReuseUnderConcurrentPushes(t *testing.T) {
 				return
 			default:
 			}
-			e.Submit(tx.TxnID(i), func() { strays.Add(-1) })
+			e.Submit(func() { strays.Add(-1) })
 			strays.Add(1)
 			if i%64 == 0 {
 				time.Sleep(10 * time.Microsecond)
@@ -536,10 +533,10 @@ func TestReuseUnderConcurrentPushes(t *testing.T) {
 				}
 				if inline {
 					// Self-push from inside OnReady on the worker.
-					e.Submit(tid, finish)
+					e.Submit(finish)
 					return
 				}
-				go e.Submit(tid, finish)
+				go e.Submit(finish)
 			}}
 		}
 		e.AdmitBatch(ops)
@@ -571,26 +568,22 @@ func TestReuseUnderConcurrentPushes(t *testing.T) {
 	if e.Outstanding() != 0 {
 		t.Fatalf("%d transactions still registered", e.Outstanding())
 	}
-	recycled := 0
-	for wi, w := range e.workers {
-		for _, q := range w.free {
-			recycled++
-			if len(q.q) != 0 || q.head != 0 {
-				t.Fatalf("worker %d: recycled queue has len %d, head %d", wi, len(q.q), q.head)
-			}
-			for _, en := range q.q[:cap(q.q)] {
-				if en != (entry{}) {
-					t.Fatalf("worker %d: recycled queue holds a stale entry %+v", wi, en)
-				}
-			}
+	for _, q := range e.free {
+		if len(q.q) != 0 || q.head != 0 {
+			t.Fatalf("recycled queue has len %d, head %d", len(q.q), q.head)
 		}
-		for _, m := range w.spare[:cap(w.spare)] {
-			if m.st != nil || m.keys != nil || m.run != nil {
-				t.Fatalf("worker %d: spare inbox holds a stale message", wi)
+		for _, en := range q.q[:cap(q.q)] {
+			if en != (entry{}) {
+				t.Fatalf("recycled queue holds a stale entry %+v", en)
 			}
 		}
 	}
-	if recycled == 0 {
+	for _, m := range e.spare[:cap(e.spare)] {
+		if m.st != nil || m.release || m.run != nil {
+			t.Fatal("spare inbox holds a stale message")
+		}
+	}
+	if len(e.free) == 0 {
 		t.Fatal("no key queue was recycled")
 	}
 }
